@@ -13,7 +13,7 @@ kernel = Kernel(BASIC)
 # a scripted generator: wants 3 at stage 5 and 9 at stage 12
 emissions = {5: [3], 12: [9]}
 idx = kernel.register_generator(
-    HostGenerator(slot=0, pull=lambda s: [("slot0", x) for x in emissions.get(s, [])])
+    HostGenerator(slot=0, pull=lambda s: emissions.get(s, []))
 )
 print(f"registered a host generator; its set has index {idx}")
 

@@ -1,10 +1,9 @@
 """Finite-stage workbench for splitting constructions on c.e. sets."""
 
-from .kernel import EnumerationEvent, EventLog, HostGenerator, Kernel
+from .kernel import EventLog, HostGenerator, Kernel
 from .setalg import ComputablePair, before, before_then, computable_view, is_split
 
 __all__ = [
-    "EnumerationEvent",
     "EventLog",
     "HostGenerator",
     "Kernel",

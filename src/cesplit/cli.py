@@ -17,13 +17,8 @@ from .hk import run_hk, run_subset_scenario
 from .kernel import Kernel
 from .setalg import check_split_history
 from .trace import TraceError, merge_for_file, read_trace, write_trace
-from .tree import PROCEDURES, diagonalize, structural_report
-from .verify import (
-    complement_witnesses,
-    iterate_corollary,
-    probe_friedberg,
-    replay_check,
-)
+from .tree import PROCEDURES, diagonalize, iterate_splitting_procedures, structural_report
+from .verify import complement_witnesses, probe_friedberg, replay_check
 from .witness import run_parity_witness
 
 
@@ -203,14 +198,14 @@ def cmd_verify(args) -> int:
         records = read_trace(args.trace)
         report = replay_check(records, args.suite)
     except TraceError as err:
-        _emit({"ok": False, "error": str(err)})
+        _emit({"ok": False, "error": str(err), "line": err.line})
         return 1
     _emit(report)
     return 0 if report["ok"] else 1
 
 
 def cmd_iterate(args) -> int:
-    rounds = iterate_corollary(
+    rounds = iterate_splitting_procedures(
         PROCEDURES["hf"], args.rounds, args.stages, args.depth, _load_corpus(args)
     )
     for entry in rounds:

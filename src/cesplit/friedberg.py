@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .kernel import HostGenerator, Kernel
+from .kernel import Kernel
 from .pairing import balance_code
 
 
@@ -22,8 +22,7 @@ from .pairing import balance_code
 class FriedbergSplitter:
     kernel: Kernel
     a: int
-    slot0: int
-    slot1: int
+    slot_base: int = 0
     a0: int = field(init=False)
     a1: int = field(init=False)
     counters: dict = field(default_factory=dict)
@@ -33,22 +32,9 @@ class FriedbergSplitter:
     _out: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.slot1 <= self.slot0:
-            raise ValueError("slot0 must be polled before slot1")
-        self._out = ([], [])
-        tag0, tag1 = f"slot{self.slot0}", f"slot{self.slot1}"
-        gen0 = HostGenerator(
-            slot=self.slot0,
-            pull=lambda stage: self._pull(0, tag0, stage),
-            watch=(self.a,),
+        (self.a0, self.a1), self._out = self.kernel.register_pair(
+            self._ingest, watch=(self.a,), slot_base=self.slot_base
         )
-        gen1 = HostGenerator(
-            slot=self.slot1,
-            pull=lambda stage: self._pull(1, tag1, stage),
-            watch=(self.a,),
-        )
-        self.a0 = self.kernel.register_generator(gen0)
-        self.a1 = self.kernel.register_generator(gen1)
         self.trace.append(
             {"op": "meta", "kind": "friedberg", "a": self.a, "a0": self.a0, "a1": self.a1}
         )
@@ -56,16 +42,6 @@ class FriedbergSplitter:
     @property
     def halves(self) -> tuple[int, int]:
         return (self.a0, self.a1)
-
-    def _pull(self, side: int, tag: str, stage: int):
-        if side == 0:
-            self._ingest(stage)
-        queued = self._out[side]
-        if not queued:
-            return ()
-        out = [(tag, x) for x in queued]
-        queued.clear()
-        return out
 
     def _ingest(self, stage: int) -> None:
         entries = self.kernel.log.entries(self.a)
@@ -122,8 +98,7 @@ class FriedbergResult:
 
 
 def install_friedberg(kernel: Kernel, a: int, slot_base: Optional[int] = None) -> FriedbergSplitter:
-    base = kernel.free_slot(slot_base or 0)
-    return FriedbergSplitter(kernel, a, base, kernel.free_slot(base + 1))
+    return FriedbergSplitter(kernel, a, slot_base or 0)
 
 
 def run_friedberg(corpus_texts, a: int, stages: int) -> FriedbergResult:

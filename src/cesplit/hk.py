@@ -30,7 +30,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .kernel import EventLog, HostGenerator, Kernel
+from .kernel import EventLog, Kernel
 from .pairing import pair, unpair
 
 Listing = Callable[[int], int]
@@ -49,13 +49,13 @@ def disagreement_value(log: EventLog, e: int, j: int, i: int, s: int,
     z_idx = (z_listing or identity_listing)(j)
     bi = b0 if i == 0 else b1
     for x in range(s + 1):
-        in_bi = _member_by(log, bi, x, s)
-        in_a = _member_by(log, a, x, s)
-        in_y = _member_by(log, y_idx, x, s)
+        in_bi = log.member_by(bi, x, s)
+        in_a = log.member_by(a, x, s)
+        in_y = log.member_by(y_idx, x, s)
         if not (in_bi or in_a or in_y):
             return x
         lhs = in_bi and in_y and not in_a
-        if lhs == (not _member_by(log, z_idx, x, s)):
+        if lhs == (not log.member_by(z_idx, x, s)):
             return x
     return s
 
@@ -89,13 +89,13 @@ class _TripleState:
         self.last_change = 0
 
     def qualifies(self, log: EventLog, x: int, stage: int) -> bool:
-        in_bi = _member_by(log, self.bi_idx, x, stage)
-        in_a = _member_by(log, self.a_idx, x, stage)
-        in_y = _member_by(log, self.y_idx, x, stage)
+        in_bi = log.member_by(self.bi_idx, x, stage)
+        in_a = log.member_by(self.a_idx, x, stage)
+        in_y = log.member_by(self.y_idx, x, stage)
         if not (in_bi or in_a or in_y):
             return True
         in_lhs = in_bi and in_y and not in_a
-        in_z = _member_by(log, self.z_idx, x, stage)
+        in_z = log.member_by(self.z_idx, x, stage)
         return in_lhs == (not in_z)
 
     def min_qualifying(self) -> int:
@@ -131,18 +131,12 @@ class _TripleState:
         return max(self.r_hist, self.l_now(stage))
 
 
-def _member_by(log: EventLog, index: int, x: int, stage: int) -> bool:
-    t = log.entry_stage(index, x)
-    return t is not None and t <= stage
-
-
 @dataclass
 class HKSplitter:
     kernel: Kernel
     b: int
     a: int
-    slot0: int
-    slot1: int
+    slot_base: int = 0
     y_listing: Listing = identity_listing
     z_listing: Listing = identity_listing
     b0: int = field(init=False)
@@ -156,14 +150,9 @@ class HKSplitter:
     _out: tuple = field(init=False)
 
     def __post_init__(self):
-        if self.slot1 <= self.slot0:
-            raise ValueError("slot0 must be polled before slot1")
-        self._out = ([], [])
-        tag0, tag1 = f"slot{self.slot0}", f"slot{self.slot1}"
-        gen0 = HostGenerator(slot=self.slot0, pull=lambda s: self._pull(0, tag0, s), watch=None)
-        gen1 = HostGenerator(slot=self.slot1, pull=lambda s: self._pull(1, tag1, s), watch=None)
-        self.b0 = self.kernel.register_generator(gen0)
-        self.b1 = self.kernel.register_generator(gen1)
+        (self.b0, self.b1), self._out = self.kernel.register_pair(
+            self._ingest, slot_base=self.slot_base
+        )
         meta = {"op": "meta", "kind": "hk", "b": self.b, "a": self.a,
                 "b0": self.b0, "b1": self.b1}
         for name, listing in (("y_over", self.y_listing), ("z_over", self.z_listing)):
@@ -175,16 +164,6 @@ class HKSplitter:
     @property
     def halves(self) -> tuple[int, int]:
         return (self.b0, self.b1)
-
-    def _pull(self, side: int, tag: str, stage: int):
-        if side == 0:
-            self._ingest()
-        queued = self._out[side]
-        if not queued:
-            return ()
-        out = [(tag, x) for x in queued]
-        queued.clear()
-        return out
 
     # -- state management --------------------------------------------------
 
@@ -218,14 +197,14 @@ class HKSplitter:
 
     # -- main loop -----------------------------------------------------------
 
-    def _ingest(self) -> None:
+    def _ingest(self, stage: int) -> None:
         log = self.kernel.log
         while self._cursor < len(log):
             t, idx, x = log.get(self._cursor)
             self._cursor += 1
             for state in self._by_index.get(idx, ()):
                 state.apply_event(log, x, t)
-            if idx == self.a and not _member_by(log, self.b, x, t):
+            if idx == self.a and not log.member_by(self.b, x, t):
                 if not self.warnings:
                     warnings.warn("HK splitter: A is not a subset of B stagewise")
                 self.warnings.append((t, x))
@@ -282,10 +261,8 @@ def install_hk(
     z_listing: Listing = identity_listing,
     slot_base: Optional[int] = None,
 ) -> HKSplitter:
-    base = kernel.free_slot(slot_base or 0)
     return HKSplitter(
-        kernel, b, a, base, kernel.free_slot(base + 1),
-        y_listing=y_listing, z_listing=z_listing,
+        kernel, b, a, slot_base or 0, y_listing=y_listing, z_listing=z_listing
     )
 
 

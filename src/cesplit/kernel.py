@@ -31,8 +31,8 @@ receiving unboundedly many steps in the limit.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional
 
 from .machine import new_state, parse_program, step_state
 from .pairing import pair, unpair
@@ -62,12 +62,6 @@ class EmissionConflictError(KernelError):
     pass
 
 
-class EnumerationEvent(NamedTuple):
-    stage: int
-    index: int
-    element: int
-
-
 def machine_index(m: int) -> int:
     return 2 * m
 
@@ -76,25 +70,16 @@ def host_index(slot: int, pad: int = 0) -> int:
     return 2 * pair(slot, pad) + 1
 
 
-def decode_index(code: int) -> tuple[str, int, int]:
-    """('machine', m, 0) for even codes, ('host', slot, pad) for odd ones."""
-    if code % 2 == 0:
-        return ("machine", code // 2, 0)
-    slot, pad = unpair((code - 1) // 2)
-    return ("host", slot, pad)
-
-
 class EventLog:
     """Append-only record of released events with per-index entry stamps."""
 
-    __slots__ = ("_stages", "_indices", "_elements", "_entries", "_memb", "_by_element")
+    __slots__ = ("_stages", "_indices", "_elements", "_entries", "_by_element")
 
     def __init__(self):
         self._stages: list[int] = []
         self._indices: list[int] = []
         self._elements: list[int] = []
         self._entries: dict[int, list[tuple[int, int]]] = {}
-        self._memb: dict[int, dict[int, int]] = {}
         self._by_element: dict[int, dict[int, int]] = {}
 
     def __len__(self) -> int:
@@ -105,10 +90,10 @@ class EventLog:
         return self._stages[-1] if self._stages else -1
 
     def append(self, stage: int, index: int, element: int) -> None:
-        memb = self._memb.setdefault(index, {})
-        if element in memb:
+        containers = self._by_element.get(element)
+        if containers is not None and index in containers:
             raise EmissionConflictError(
-                f"element {element} already entered index {index} at stage {memb[element]}"
+                f"element {element} already entered index {index} at stage {containers[index]}"
             )
         if self._stages and stage <= self._stages[-1]:
             raise OutOfOrderStepError(f"stage {stage} is not past {self._stages[-1]}")
@@ -116,14 +101,24 @@ class EventLog:
         self._indices.append(index)
         self._elements.append(element)
         self._entries.setdefault(index, []).append((stage, element))
-        memb[element] = stage
-        self._by_element.setdefault(element, {})[index] = stage
+        if containers is None:
+            self._by_element[element] = {index: stage}
+        else:
+            containers[index] = stage
 
     def entry_stage(self, index: int, element: int) -> Optional[int]:
-        memb = self._memb.get(index)
-        if memb is None:
+        containers = self._by_element.get(element)
+        if containers is None:
             return None
-        return memb.get(element)
+        return containers.get(index)
+
+    def member_by(self, index: int, element: int, stage: int) -> bool:
+        """True when the element entered the index at or before the stage."""
+        containers = self._by_element.get(element)
+        if containers is None:
+            return False
+        t = containers.get(index)
+        return t is not None and t <= stage
 
     def entries(self, index: int) -> list[tuple[int, int]]:
         """(stage, element) pairs for one index, in release order."""
@@ -141,53 +136,27 @@ class EventLog:
             out.append(x)
         return frozenset(out)
 
-    def count_at(self, index: int, stage: int) -> int:
-        n = 0
-        for t, _ in self._entries.get(index, ()):
-            if t > stage:
-                break
-            n += 1
-        return n
-
     def events(self) -> Iterable[tuple[int, int, int]]:
         return zip(self._stages, self._indices, self._elements)
 
     def get(self, i: int) -> tuple[int, int, int]:
         return (self._stages[i], self._indices[i], self._elements[i])
 
-    def event_at(self, stage: int) -> Optional[tuple[int, int, int]]:
-        # binary search over the sparse stage column
-        lo, hi = 0, len(self._stages)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._stages[mid] < stage:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(self._stages) and self._stages[lo] == stage:
-            return (stage, self._indices[lo], self._elements[lo])
-        return None
-
 
 @dataclass
 class HostGenerator:
     """A deterministic emission source for one constructed set.
 
-    ``pull(stage)`` yields (set_tag, element) emissions which the kernel
-    queues FIFO and releases one per stage.  The tag must match the
-    generator's own tag; multi-set constructions register one generator per
-    set and coordinate through shared state.  ``watch`` lists indices whose
-    released events should wake the generator; None means poll every stage.
+    ``pull(stage)`` returns the elements the set enumerates next; the kernel
+    queues them FIFO and releases one per stage.  Multi-set constructions
+    register one generator per set and coordinate through shared state (see
+    ``Kernel.register_pair``).  ``watch`` lists indices whose released
+    events should wake the generator; None means poll every stage.
     """
 
     slot: int
-    pull: Callable[[int], Iterable[tuple[str, int]]]
-    tag: str = ""
+    pull: Callable[[int], Iterable[int]]
     watch: Optional[tuple[int, ...]] = None
-
-    def __post_init__(self):
-        if not self.tag:
-            self.tag = f"slot{self.slot}"
 
 
 @dataclass
@@ -195,11 +164,10 @@ class _GenEntry:
     gen: HostGenerator
     index: int
     dirty: bool = True
-    emitted: dict = field(default_factory=dict)  # element -> emit stage
 
 
 class Kernel:
-    def __init__(self, corpus: Iterable[str] = (), *, track_fairness: bool = False):
+    def __init__(self, corpus: Iterable[str] = ()):
         texts = list(corpus)
         self._programs = [parse_program(t) for t in texts]
         self._n_programs = len(self._programs)
@@ -222,9 +190,6 @@ class Kernel:
         self._next_stage = 0
         self._pads: dict[int, int] = {}
         self._echoes: dict[int, list[int]] = {}
-        self._fairness: Optional[dict[tuple[int, int], int]] = (
-            {} if track_fairness else None
-        )
 
     # -- inspection ------------------------------------------------------
 
@@ -246,18 +211,13 @@ class Kernel:
         self.require_stepped(stage)
         return self._log.members_at(index, stage)
 
-    def fairness_counts(self) -> dict[tuple[int, int], int]:
-        if self._fairness is None:
-            raise KernelError("kernel was not constructed with track_fairness")
-        return dict(self._fairness)
-
     # -- registration ----------------------------------------------------
 
     def register_generator(self, gen: HostGenerator) -> int:
-        if gen.slot in self._entries:
-            raise DuplicateSlotError(f"slot {gen.slot} already registered")
         entry = _GenEntry(gen, host_index(gen.slot, 0))
-        self._entries[gen.slot] = entry
+        if entry.index in self._entries:
+            raise DuplicateSlotError(f"slot {gen.slot} already registered")
+        self._entries[entry.index] = entry
         if gen.watch is None:
             self._always.append(entry)
         else:
@@ -266,9 +226,40 @@ class Kernel:
             self._dirty_batch.append(entry)
         return entry.index
 
+    def register_pair(self, step: Optional[Callable[[int], None]] = None, *,
+                      watch: Optional[tuple[int, ...]] = None,
+                      slot_base: int = 0) -> tuple[tuple[int, int], tuple[list, list]]:
+        """Register the two halves of a split; returns their indices and outputs.
+
+        A construction routes each element into a half by appending it to
+        that half's output list.  Half 0 takes the first free slot from
+        ``slot_base`` and half 1 the next free one, so half 0 is polled
+        first: its pull runs ``step(stage)``, which may append to either
+        list, and drains list 0; half 1's pull drains list 1.  Both halves
+        share ``watch``.
+        """
+        outs: tuple[list, list] = ([], [])
+
+        def drain(queued: list) -> list:
+            out = queued[:]
+            queued.clear()
+            return out
+
+        def pull0(stage: int) -> list:
+            if step is not None:
+                step(stage)
+            return drain(outs[0])
+
+        slot0 = self.free_slot(slot_base)
+        i0 = self.register_generator(HostGenerator(slot0, pull0, watch))
+        i1 = self.register_generator(
+            HostGenerator(self.free_slot(slot0 + 1), lambda stage: drain(outs[1]), watch)
+        )
+        return (i0, i1), outs
+
     def free_slot(self, at_least: int = 0) -> int:
         slot = at_least
-        while slot in self._entries:
+        while host_index(slot, 0) in self._entries:
             slot += 1
         return slot
 
@@ -302,7 +293,7 @@ class Kernel:
         if len(self._pending) > self.max_backlog:
             self.max_backlog = len(self._pending)
 
-    def _release(self, stage: int, index: int, element: int) -> EnumerationEvent:
+    def _release(self, stage: int, index: int, element: int) -> None:
         self._log.append(stage, index, element)
         for echo in self._echoes.get(index, ()):
             self._enqueue(echo, element)
@@ -310,29 +301,19 @@ class Kernel:
             if not entry.dirty:
                 entry.dirty = True
                 self._dirty_batch.append(entry)
-        return EnumerationEvent(stage, index, element)
 
-    def wake_slot(self, slot: int) -> None:
+    def wake(self, index: int) -> None:
         """Ask the kernel to poll a generator although nothing it watches fired."""
-        entry = self._entries.get(slot)
+        entry = self._entries.get(index)
         if entry is None:
-            raise KernelError(f"slot {slot} is not registered")
+            raise KernelError(f"index {index} has no registered generator")
         if not entry.dirty:
             entry.dirty = True
             self._dirty_batch.append(entry)
 
     def _poll_one(self, entry: _GenEntry, stage: int) -> None:
         entry.dirty = False
-        for tag, x in entry.gen.pull(stage):
-            if tag != entry.gen.tag:
-                raise KernelError(
-                    f"generator for slot {entry.gen.slot} emitted foreign tag {tag!r}"
-                )
-            if x in entry.emitted:
-                raise EmissionConflictError(
-                    f"slot {entry.gen.slot} emitted element {x} twice"
-                )
-            entry.emitted[x] = stage
+        for x in entry.gen.pull(stage):
             self._enqueue(entry.index, x)
 
     def _poll_generators(self, stage: int) -> None:
@@ -369,9 +350,9 @@ class Kernel:
         program = self._programs[m % n]
         self._levels[0].append([machine_index(m), x, new_state(program, x), program])
 
-    def _machine_tick(self, stage: int) -> Optional[EnumerationEvent]:
+    def _machine_tick(self, stage: int) -> None:
         if not self._any_valid:
-            return None
+            return
         tick = self._mtick
         self._mtick += 1
         if tick % 3 == 0:
@@ -392,21 +373,17 @@ class Kernel:
                     level = lvl
                     break
         if level is None:
-            return None
+            return
         entry = self._levels[level].popleft()
         burst = BURST_CAP if level >= 10 else 1 << level
         program, state = entry[3], entry[2]
-        if self._fairness is not None:
-            key = (entry[0], entry[1])
         for _ in range(burst):
-            if self._fairness is not None:
-                self._fairness[key] = self._fairness.get(key, 0) + 1
             if step_state(program, state):
-                return self._release(stage, entry[0], entry[1])
+                self._release(stage, entry[0], entry[1])
+                return
         self._levels[min(level + 1, MAX_LEVEL)].append(entry)
-        return None
 
-    def step(self, stage: Optional[int] = None) -> Optional[EnumerationEvent]:
+    def step(self, stage: Optional[int] = None) -> None:
         if stage is None:
             stage = self._next_stage
         elif stage != self._next_stage:
@@ -417,11 +394,10 @@ class Kernel:
         if self._pending:
             index, element = self._pending.popleft()
             self._pending_set.discard((index, element))
-            event = self._release(stage, index, element)
+            self._release(stage, index, element)
         else:
-            event = self._machine_tick(stage)
+            self._machine_tick(stage)
         self._next_stage = stage + 1
-        return event
 
     def run_to(self, stage: int) -> None:
         """Step every stage strictly below ``stage``."""
@@ -431,12 +407,3 @@ class Kernel:
     @property
     def backlog(self) -> int:
         return len(self._pending)
-
-    # -- export ----------------------------------------------------------
-
-    def export_events_jsonl(self, path) -> None:
-        import json
-
-        with open(path, "w", encoding="utf-8") as fh:
-            for s, e, x in self._log.events():
-                fh.write(json.dumps({"s": s, "e": e, "x": x}) + "\n")

@@ -17,11 +17,6 @@ def unpair(n: int) -> tuple[int, int]:
     return d - b, b
 
 
-def triple(a: int, b: int, c: int) -> int:
-    """Requirement codes; the last component is the least significant."""
-    return pair(pair(a, b), c)
-
-
 def balance_code(e: int, i: int, k: int) -> int:
     """Priority code for two-sided counting requirements.
 
@@ -29,9 +24,3 @@ def balance_code(e: int, i: int, k: int) -> int:
     unmet targets alternate sides: (e,0,1) < (e,1,1) < (e,0,2) < (e,1,2).
     """
     return pair(pair(e, k), i)
-
-
-def untriple(n: int) -> tuple[int, int, int]:
-    ab, c = unpair(n)
-    a, b = unpair(ab)
-    return a, b, c

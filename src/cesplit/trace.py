@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 RECORD_OPS = {
     "event", "route", "hk",
     "f", "enter", "left", "pull", "patch", "void",
-    "dump-orig", "dump-extra", "chip", "verdict", "meta",
+    "dump-orig", "dump-extra", "chip", "meta",
 }
 
 
@@ -74,14 +74,24 @@ def read_trace(path) -> list[dict]:
 
 
 def split_events(records: list[dict]):
-    """Separate interleaved event records from decision records."""
-    from .kernel import EventLog
+    """Separate interleaved event records from decision records.
+
+    An event the log cannot take (a missing field, a stage out of order, an
+    element entering one index twice) raises ``TraceError`` naming its line,
+    counted in records from 1.
+    """
+    from .kernel import EventLog, KernelError
 
     log = EventLog()
     decisions = []
-    for record in records:
+    for line, record in enumerate(records, start=1):
         if record["op"] == "event":
-            log.append(record["s"], record["e"], record["x"])
+            try:
+                log.append(record["s"], record["e"], record["x"])
+            except KeyError as err:
+                raise TraceError(f"event record lacks {err}", line) from None
+            except KernelError as err:
+                raise TraceError(str(err), line) from None
         else:
             decisions.append(record)
     return log, decisions

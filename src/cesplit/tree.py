@@ -232,7 +232,7 @@ class _NodeState:
     __slots__ = (
         "address", "kind", "positive", "question", "chip_snapshot", "last_visit",
         "requests", "measure", "tmeasure",
-        "r_slot", "rt_slot", "r_index", "rt_index", "r_committed", "rt_committed",
+        "r_out", "rt_out", "r_index", "rt_index", "r_committed", "rt_committed",
         "r_sorted", "live_markers", "live_revs", "live_rt", "rt_subscribers",
         "mids_subscribers", "needs_scan", "moved_marker_floor", "patch_cursor",
         "cand_heap", "mids_pool", "left_cache", "patched",
@@ -248,7 +248,7 @@ class _NodeState:
         self.requests = _RangeQueue()
         self.measure = None
         self.tmeasure = None
-        self.r_slot = self.rt_slot = None
+        self.r_out = self.rt_out = None  # piece emissions awaiting the kernel
         self.r_index = self.rt_index = None
         self.r_committed: set = set()
         self.rt_committed: set = set()
@@ -293,7 +293,7 @@ class TreeRun:
             if stage % FEEDER_PACE == 0:
                 n = feeder_state["next"]
                 feeder_state["next"] = n + 1
-                return [("slot0", n)]
+                return [n]
             return ()
 
         self.feeder_index = kernel.register_generator(
@@ -311,7 +311,6 @@ class TreeRun:
         # A's slot: the brain generator drives the whole construction
         a_slot = kernel.free_slot(slot_base)
         self.a_slot = a_slot
-        self._a_tag = f"slot{a_slot}"
         self._a_out: list = []
         self.e_a = kernel.register_generator(
             HostGenerator(slot=a_slot, pull=self._brain_pull, watch=None)
@@ -342,9 +341,7 @@ class TreeRun:
         self._f_history: list = [(0, ROOT)]  # (tree stage, f) on change
         self.tmeasures_by_beta: dict[str, list] = {}
         self._moved_nodes: list = []
-        self._out_queues: dict[int, list] = {}
         self._cursor = 0
-        self._stub_slots: dict[str, tuple] = {}
         self._endpoint_history: list = []  # (tree_stage, kernel_stage, f, kind)
         self._get_node(ROOT)
         self._emit_record(
@@ -359,7 +356,6 @@ class TreeRun:
 
     def _spectrum_generator(self, k: int) -> HostGenerator:
         state = {"next": 0}
-        tag = f"slot{k}"
 
         def member(n):
             return (n >> k) & 1 == 0
@@ -370,7 +366,7 @@ class TreeRun:
                 while not member(n):
                     n += 1
                 state["next"] = n + 1
-                return [(tag, n)]
+                return [n]
             return ()
 
         return HostGenerator(slot=k, pull=pull, watch=None)
@@ -443,16 +439,13 @@ class TreeRun:
         elif state.question.kind == "T":
             q = state.question
             eb = self.e0 if q.b == 0 else self.e1
-            state.tmeasure = _TMeasure(self._w_index(q.j), eb, q.base)
+            state.tmeasure = _TMeasure(q.j, eb, q.base)
             self.tmeasures_by_beta.setdefault(q.base, []).append(state.tmeasure)
         if state.kind == "r":
-            r_slot = self.kernel.free_slot(self.a_slot + 1)
-            state.r_slot = r_slot
-            state.r_index = self._register_stub(r_slot)
-            rt_slot = self.kernel.free_slot(r_slot + 1)
-            state.rt_slot = rt_slot
-            state.rt_index = self._register_stub(rt_slot)
-            self._stub_slots[address] = (r_slot, rt_slot)
+            # the piece sets are woken by _queue_emission, never polled idle
+            (state.r_index, state.rt_index), (state.r_out, state.rt_out) = (
+                self.kernel.register_pair(watch=(), slot_base=self.a_slot + 1)
+            )
             # absorb any casualties that predate this node
             self._patch_node(state)
         if state.kind == "r" or state.positive:
@@ -484,15 +477,13 @@ class TreeRun:
 
         heapq.heapify(state.cand_heap)
 
-    def _w_index(self, j: int) -> int:
-        return j  # questions quantify over the canonical enumeration directly
-
     def _get_measure(self, j: int, delta: str) -> _Measure:
         key = (j, delta)
         got = self.measures.get(key)
         if got is not None:
             return got
-        j_index = self.feeder_index if (j, delta) == (1, ROOT) else self._w_index(j)
+        # questions quantify over the canonical enumeration directly
+        j_index = self.feeder_index if (j, delta) == (1, ROOT) else j
         m = _Measure(j_index, delta)
         self.measures[key] = m
         self.measures_by_index.setdefault(j_index, []).append(m)
@@ -514,26 +505,9 @@ class TreeRun:
         if in_delta and self.kernel.log.entry_stage(m.j_index, x) is not None:
             m.add(x)
 
-    def _register_stub(self, slot: int) -> int:
-        queue: list = []
-        self._out_queues[slot] = queue
-        tag = f"slot{slot}"
-
-        def pull(stage):
-            out = [(tag, x) for x in queue]
-            queue.clear()
-            return out
-
-        return self.kernel.register_generator(
-            HostGenerator(slot=slot, pull=pull, watch=())
-        )
-
-    def _queue_emission(self, slot: int, x: int) -> None:
-        if slot == self.a_slot:
-            self._a_out.append(x)
-        else:
-            self._out_queues[slot].append(x)
-            self.kernel.wake_slot(slot)
+    def _queue_emission(self, index: int, queue: list, x: int) -> None:
+        queue.append(x)
+        self.kernel.wake(index)
 
     # -- event ingestion ---------------------------------------------------
 
@@ -826,7 +800,7 @@ class TreeRun:
                     heappush(node.cand_heap, x)
                 for node in state.mids_subscribers:
                     insort(node.mids_pool, x)
-            self._queue_emission(state.rt_slot, x)
+            self._queue_emission(state.rt_index, state.rt_out, x)
             for m in self.measures_by_delta.get(state.address, ()):
                 self._measure_try_add(m, x)
         else:
@@ -836,7 +810,7 @@ class TreeRun:
             for tm in self.tmeasures_by_beta.get(state.address, ()):
                 if pos < tm.fi:
                     tm.fi = pos
-            self._queue_emission(state.r_slot, x)
+            self._queue_emission(state.r_index, state.r_out, x)
             if x not in self.a_committed:
                 k = bisect_left(state.live_markers, x)
                 state.live_markers.insert(k, x)
@@ -1017,11 +991,9 @@ class TreeRun:
         self._patch(st, f)
         self._maximal(st, f)
         self._extra_dump(st, f)
-        if self._a_out:
-            out = [(self._a_tag, x) for x in self._a_out]
-            self._a_out = []
-            return out
-        return ()
+        out = self._a_out
+        self._a_out = []
+        return out
 
 
 # -- verdicts and entry points ---------------------------------------------
@@ -1127,30 +1099,11 @@ class _WitnessSplit:
         self.run = run
         self.alpha = alpha
         self.cursor = 0
-        base = kernel.free_slot(run.a_slot + 1)
-        slot1 = kernel.free_slot(base + 1)
-        self._queues = ([], [])
-        tags = (f"slot{base}", f"slot{slot1}")
-
-        def make_pull(side):
-            def pull(stage):
-                if side == 0:
-                    self._route()
-                queued = self._queues[side]
-                out = [(tags[side], x) for x in queued]
-                queued.clear()
-                return out
-
-            return pull
-
-        self.w0 = kernel.register_generator(
-            HostGenerator(slot=base, pull=make_pull(0), watch=None)
-        )
-        self.w1 = kernel.register_generator(
-            HostGenerator(slot=slot1, pull=make_pull(1), watch=None)
+        (self.w0, self.w1), self._queues = kernel.register_pair(
+            self._route, slot_base=run.a_slot + 1
         )
 
-    def _route(self) -> None:
+    def _route(self, stage: int) -> None:
         run = self.run
         target = run.nodes.get(self.alpha)
         if target is None:

@@ -83,11 +83,6 @@ def replay_friedberg(log: EventLog, a: int, a0: int, a1: int, trace: list) -> li
 # -- Herrmann-Kummer restraint replay --------------------------------------
 
 
-def _member(log: EventLog, index: int, x: int, stage: int) -> bool:
-    t = log.entry_stage(index, x)
-    return t is not None and t <= stage
-
-
 class _NaiveRestraint:
     """Slow recomputation of one triple's l/r history from the log."""
 
@@ -109,13 +104,14 @@ class _NaiveRestraint:
         self.last = 0
 
     def _qualifies(self, x: int, stage: int) -> bool:
-        in_bi = _member(self.log, self.bi_idx, x, stage)
-        in_a = _member(self.log, self.a_idx, x, stage)
-        in_y = _member(self.log, self.y_idx, x, stage)
+        log = self.log
+        in_bi = log.member_by(self.bi_idx, x, stage)
+        in_a = log.member_by(self.a_idx, x, stage)
+        in_y = log.member_by(self.y_idx, x, stage)
         if not (in_bi or in_a or in_y):
             return True
         lhs = in_bi and in_y and not in_a
-        return lhs == (not _member(self.log, self.z_idx, x, stage))
+        return lhs == (not log.member_by(self.z_idx, x, stage))
 
     def _min_qual(self) -> int:
         n = 0
@@ -274,16 +270,6 @@ def complement_witnesses(
     return out
 
 
-def probe_trivial_split(
-    log: EventLog, a0: int, a1: int, S: int, J: int, window: Optional[int] = None
-) -> dict[int, list[ComplementEvidence]]:
-    """Complement-witness evidence for both halves of a split."""
-    return {
-        0: complement_witnesses(log, a0, S, J, window),
-        1: complement_witnesses(log, a1, S, J, window),
-    }
-
-
 @dataclass
 class FriedbergEvidence:
     j: int
@@ -384,7 +370,8 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
 
     from .tree import (
         E_WINDOW, MARKER_WINDOW, ROOT,
-        diverges_left, greatest_r_prefix, is_positive_a, is_r_node, question_at,
+        diverges_left, greatest_r_prefix, is_left_of, is_positive_a, is_r_node,
+        question_at,
     )
 
     out: list[Divergence] = []
@@ -402,10 +389,6 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
     f_hist: list[tuple[int, str]] = [(0, ROOT)]
     ks = 0
     stage = 0
-
-    def member(idx, x, bound):
-        t = log.entry_stage(idx, x)
-        return t is not None and t <= bound
 
     def fail(line, fieldname, got, want):
         out.append(Divergence(line, fieldname, got, want))
@@ -431,7 +414,7 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
 
     for line, rec in enumerate(records):
         op = rec.get("op")
-        if op in ("meta", "chip", "event", "verdict"):
+        if op in ("meta", "chip", "event"):
             continue
         if op == "f":
             node = rec["node"]
@@ -502,7 +485,7 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
                 j = isqrt(len(node))
                 j_idx = feeder if j == 1 else j
                 for x in (x0, x1):
-                    if not member(j_idx, x, ks - 1):
+                    if not log.member_by(j_idx, x, ks - 1):
                         fail(line, "pull-gate", x, f"member of W_{j_idx}")
             for x in (x0, x1):
                 positions[x] = node
@@ -626,15 +609,6 @@ def _least_dump(revs: list, width: int = 64):
     return None
 
 
-def is_left_of(a: str, b: str) -> bool:
-    if a != b and b.startswith(a):
-        return True
-    for ba, bb in zip(a, b):
-        if ba != bb:
-            return ba == "1"
-    return False
-
-
 # -- trace-file level checking ------------------------------------------------
 
 
@@ -644,39 +618,50 @@ def replay_check(records: list, kind: str = "replay") -> dict:
     ``records`` is the full record list including interleaved events; the
     kind picks the suite ("replay" dispatches on the trace's own meta
     record).  The report carries a boolean ``ok`` plus per-line divergences.
+    A trace that cannot be replayed at all raises ``TraceError`` naming the
+    offending line, counted in records from 1.
     """
     from .setalg import check_split_history
     from .trace import TraceError, split_events
 
     log, decisions = split_events(records)
-    meta = next((r for r in decisions if r.get("op") == "meta"), None)
+    meta_line, meta = next(
+        ((line, r) for line, r in enumerate(records, start=1) if r.get("op") == "meta"),
+        (None, None),
+    )
     if meta is None:
         raise TraceError("trace has no meta record to dispatch on")
+
+    def meta_field(name):
+        if name not in meta:
+            raise TraceError(f"meta record lacks {name!r}", meta_line)
+        return meta[name]
+
     flavour = meta.get("kind")
     if kind == "replay":
         kind = {"friedberg": "friedberg", "hk": "hk", "tree": "tree"}.get(flavour)
         if kind is None:
-            raise TraceError(f"cannot dispatch on meta kind {flavour!r}")
+            raise TraceError(f"cannot dispatch on meta kind {flavour!r}", meta_line)
     if kind == "friedberg":
-        divergences = replay_friedberg(log, meta["a"], meta["a0"], meta["a1"], decisions)
+        divergences = replay_friedberg(
+            log, meta_field("a"), meta_field("a0"), meta_field("a1"), decisions
+        )
     elif kind == "hk":
         def listing_from(field):
             overrides = {pos: idx for pos, idx in meta.get(field, ())}
             return (lambda p: overrides.get(p, p)) if overrides else None
 
         divergences = replay_hk(
-            log, meta["b"], meta["a"], meta["b0"], meta["b1"], decisions,
+            log, meta_field("b"), meta_field("a"), meta_field("b0"), meta_field("b1"),
+            decisions,
             y_listing=listing_from("y_over"), z_listing=listing_from("z_over"),
         )
     elif kind == "tree":
         divergences = replay_tree(log, decisions, meta.get("depth", 25))
     elif kind == "split":
-        if flavour == "friedberg":
-            triple_ids = (meta["a"], meta["a0"], meta["a1"])
-        elif flavour == "hk":
-            triple_ids = (meta["b"], meta["b0"], meta["b1"])
-        else:
-            triple_ids = (meta["e_a"], meta["e0"], meta["e1"])
+        names = {"friedberg": ("a", "a0", "a1"), "hk": ("b", "b0", "b1")}.get(
+            flavour, ("e_a", "e0", "e1"))
+        triple_ids = [meta_field(name) for name in names]
         hit = check_split_history(
             log, *triple_ids, log.last_stage, settle=max(64, (log.last_stage + 1) // 10)
         )
@@ -692,11 +677,3 @@ def replay_check(records: list, kind: str = "replay") -> dict:
         "decisions": sum(1 for r in decisions if r.get("op") != "meta"),
         "events": len(log),
     }
-
-
-def iterate_corollary(proc, rounds: int, stages: int, depth: int = 25,
-                      corpus_texts=None) -> list[dict]:
-    """Round-iterated diagonalization; see the tree module for the engine."""
-    from .tree import iterate_splitting_procedures
-
-    return iterate_splitting_procedures(proc, rounds, stages, depth, corpus_texts)

@@ -14,7 +14,8 @@ incomparable supersets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import count
 from typing import Optional
 
 from .kernel import EventLog, HostGenerator, Kernel
@@ -39,7 +40,8 @@ class _DiagonalImageBrain:
     never move.
     """
 
-    def __init__(self, kernel: Kernel, pair: ComputablePair):
+    def __init__(self, kernel: Kernel, pair: ComputablePair,
+                 out: tuple[list[int], list[int]]):
         self.kernel = kernel
         self.pair = pair
         self.cursor = 0
@@ -49,7 +51,7 @@ class _DiagonalImageBrain:
         self.pos_list: list[int] = []
         self.neg_list: list[int] = []
         self.sent = [0, 0]  # how many diagonal positions emitted per side
-        self.out: tuple[list[int], list[int]] = ([], [])
+        self.out = out
 
     def _advance_certified(self) -> None:
         log = self.kernel.log
@@ -88,38 +90,14 @@ class _DiagonalImageBrain:
 def build_split_witness(kernel: Kernel, pair: ComputablePair,
                         slot_base: Optional[int] = None) -> WitnessBundle:
     """Register K_R, K_R-bar and their union A on the kernel."""
-    brain = _DiagonalImageBrain(kernel, pair)
-    base = kernel.free_slot(slot_base or 0)
-    slots = [base]
-    for _ in range(2):
-        slots.append(kernel.free_slot(slots[-1] + 1))
-    tags = [f"slot{s}" for s in slots]
-
-    def pull_kr(stage):
-        brain.pump()
-        queued = brain.out[0]
-        out = [(tags[0], x) for x in queued]
-        queued.clear()
-        return out
-
-    def pull_krbar(stage):
-        queued = brain.out[1]
-        out = [(tags[1], x) for x in queued]
-        queued.clear()
-        return out
-
-    k_r = kernel.register_generator(HostGenerator(slot=slots[0], pull=pull_kr, watch=None))
-    k_rbar = kernel.register_generator(HostGenerator(slot=slots[1], pull=pull_krbar, watch=None))
-
+    base = slot_base or 0
+    # the brain routes into the pair's outputs; it is bound before any poll
+    (k_r, k_rbar), outs = kernel.register_pair(lambda stage: brain.pump(), slot_base=base)
+    brain = _DiagonalImageBrain(kernel, pair, outs)
     union = _UnionEcho(kernel, (k_r, k_rbar))
-
-    def pull_union(stage):
-        out = [(tags[2], x) for x in union.fresh()]
-        return out
-
-    a = kernel.register_generator(
-        HostGenerator(slot=slots[2], pull=pull_union, watch=(k_r, k_rbar))
-    )
+    a = kernel.register_generator(HostGenerator(
+        slot=kernel.free_slot(base), pull=lambda stage: union.fresh(), watch=(k_r, k_rbar)
+    ))
     return WitnessBundle(kernel, pair, k_r, k_rbar, a)
 
 
@@ -147,29 +125,14 @@ def register_paced_pair(kernel: Kernel, predicate, pace: int = 2,
     Values are emitted in increasing order, one every ``pace`` stages, so the
     certified interval grows linearly instead of waiting for machine runs.
     """
-    base = kernel.free_slot(slot_base or 0)
-    neg_slot = kernel.free_slot(base + 1)
-    state = {"next": 0, "out": ([], [])}
-    tags = (f"slot{base}", f"slot{neg_slot}")
+    values = count()
 
-    def pull_pos(stage):
+    def route_next(stage):
         if stage % pace == 0:
-            n = state["next"]
-            state["next"] = n + 1
-            state["out"][0 if predicate(n) else 1].append(n)
-        queued = state["out"][0]
-        out = [(tags[0], x) for x in queued]
-        queued.clear()
-        return out
+            n = next(values)
+            outs[0 if predicate(n) else 1].append(n)
 
-    def pull_neg(stage):
-        queued = state["out"][1]
-        out = [(tags[1], x) for x in queued]
-        queued.clear()
-        return out
-
-    pos = kernel.register_generator(HostGenerator(slot=base, pull=pull_pos, watch=None))
-    neg = kernel.register_generator(HostGenerator(slot=neg_slot, pull=pull_neg, watch=None))
+    (pos, neg), outs = kernel.register_pair(route_next, slot_base=slot_base or 0)
     return ComputablePair(pos, neg)
 
 
@@ -203,7 +166,7 @@ def shavrukov_pair(kernel: Kernel, w: int, y: int,
     base = kernel.free_slot(slot_base or 0)
     slot_x1 = kernel.free_slot(base + 1)
 
-    def make_pull(first: int, second: int, tag: str):
+    def make_pull(first: int, second: int):
         state = {"cursor": 0}
 
         def pull(stage):
@@ -216,17 +179,13 @@ def shavrukov_pair(kernel: Kernel, w: int, y: int,
                     continue
                 t_other = log.entry_stage(second, x)
                 if t_other is None or t_other > t:
-                    out.append((tag, x))
+                    out.append(x)
             return out
 
         return pull
 
-    x0 = kernel.register_generator(
-        HostGenerator(slot=base, pull=make_pull(w, y, f"slot{base}"), watch=(w,))
-    )
-    x1 = kernel.register_generator(
-        HostGenerator(slot=slot_x1, pull=make_pull(y, w, f"slot{slot_x1}"), watch=(y,))
-    )
+    x0 = kernel.register_generator(HostGenerator(slot=base, pull=make_pull(w, y), watch=(w,)))
+    x1 = kernel.register_generator(HostGenerator(slot=slot_x1, pull=make_pull(y, w), watch=(y,)))
     return x0, x1
 
 
@@ -234,7 +193,6 @@ def shavrukov_pair(kernel: Kernel, w: int, y: int,
 class ShavSplit:
     a0: int
     a1: int
-    _pending: dict = field(default_factory=dict)
 
     def coverage_exceptions(self, log: EventLog, a: int, x0: int, x1: int, s: int) -> list[int]:
         """Entrants of a never covered by x0 | x1 through stage s."""
@@ -250,10 +208,7 @@ class ShavSplit:
 def shav_split(kernel: Kernel, a: int, x0: int, x1: int,
                slot_base: Optional[int] = None) -> tuple[int, int, ShavSplit]:
     """Halves a & x0 and a & x1; an entrant routes once its side is known."""
-    base = kernel.free_slot(slot_base or 0)
-    slot1 = kernel.free_slot(base + 1)
-    state = {"cursor": 0, "pending": [], "out": ([], [])}
-    tags = (f"slot{base}", f"slot{slot1}")
+    state = {"cursor": 0, "pending": []}
 
     def ingest(stage):
         log = kernel.log
@@ -267,24 +222,12 @@ def shav_split(kernel: Kernel, a: int, x0: int, x1: int,
             t0 = log.entry_stage(x0, x)
             t1 = log.entry_stage(x1, x)
             if t0 is not None and (t1 is None or t0 < t1):
-                state["out"][0].append(x)
+                outs[0].append(x)
             elif t1 is not None:
-                state["out"][1].append(x)
+                outs[1].append(x)
             else:
                 still.append(x)
         state["pending"] = still
 
-    def make_pull(side: int):
-        def pull(stage):
-            if side == 0:
-                ingest(stage)
-            queued = state["out"][side]
-            out = [(tags[side], x) for x in queued]
-            queued.clear()
-            return out
-
-        return pull
-
-    a0 = kernel.register_generator(HostGenerator(slot=base, pull=make_pull(0), watch=None))
-    a1 = kernel.register_generator(HostGenerator(slot=slot1, pull=make_pull(1), watch=None))
+    (a0, a1), outs = kernel.register_pair(ingest, slot_base=slot_base or 0)
     return a0, a1, ShavSplit(a0, a1)

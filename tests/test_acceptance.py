@@ -24,11 +24,11 @@ from cesplit.trace import merge_for_file, write_trace
 from cesplit.tree import (
     PROCEDURES,
     diagonalize,
+    iterate_splitting_procedures,
     structural_report,
 )
 from cesplit.verify import (
     complement_witnesses,
-    iterate_corollary,
     probe_friedberg,
     replay_friedberg,
     replay_hk,
@@ -62,7 +62,7 @@ def test_criterion_1_single_event_and_determinism():
         kernel.register_generator(
             HostGenerator(
                 slot=0,
-                pull=lambda s, em=emissions: [("slot0", x) for x in em.get(s, [])],
+                pull=lambda s, em=emissions: em.get(s, []),
             )
         )
         ticker = {"next": 0}
@@ -71,7 +71,7 @@ def test_criterion_1_single_event_and_determinism():
             if stage % 97 == 0:
                 n = ticker["next"]
                 ticker["next"] = n + 1
-                return [("slot1", 5 * n + 1)]
+                return [5 * n + 1]
             return ()
 
         kernel.register_generator(HostGenerator(slot=1, pull=paced, watch=None))
@@ -97,7 +97,7 @@ def test_criterion_2_operator_laws():
     emissions = {20 + 9 * i: [2 * i + 1] for i in range(60)}
     kernel.register_generator(
         HostGenerator(
-            slot=0, pull=lambda s, em=emissions: [("slot0", x) for x in em.get(s, [])]
+            slot=0, pull=lambda s, em=emissions: em.get(s, [])
         )
     )
     S = 10_000
@@ -264,7 +264,7 @@ def test_criterion_7_tree_diagonalizer(proc_name, allowed):
 
 def test_criterion_8_corollary_iteration():
     t0 = time.time()
-    rounds = iterate_corollary(PROCEDURES["hf"], 3, 100_000)
+    rounds = iterate_splitting_procedures(PROCEDURES["hf"], 3, 100_000)
     elapsed = time.time() - t0
     indices = [entry["e"] for entry in rounds]
     assert len(set(indices)) == 3, indices

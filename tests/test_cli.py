@@ -109,3 +109,38 @@ def test_iterate_smoke():
     assert proc.returncode == 0
     entry = json.loads(proc.stdout.splitlines()[0])
     assert entry["verdict"] == 3
+
+
+def _friedberg_trace(tmp_path):
+    path = tmp_path / "fried.jsonl"
+    invoke("split", "friedberg", "--index", "0", "--stages", "2000", "--trace", str(path))
+    return path, path.read_text().splitlines()
+
+
+def _verify_rejects(path, line):
+    check = invoke("verify", "--trace", str(path))
+    assert check.returncode == 1
+    assert "Traceback" not in check.stderr
+    out = check.stdout.splitlines()
+    assert len(out) == 1
+    payload = json.loads(out[0])
+    assert payload["ok"] is False and payload["line"] == line
+
+
+def test_verify_swapped_events_report_line(tmp_path):
+    path, lines = _friedberg_trace(tmp_path)
+    first = next(i for i, line in enumerate(lines) if '"op":"event"' in line)
+    lines[first], lines[first + 1] = lines[first + 1], lines[first]
+    path.write_text("\n".join(lines) + "\n")
+    # the earlier stage now sits on the second line, behind a later one
+    _verify_rejects(path, first + 2)
+
+
+def test_verify_meta_missing_field_reports_line(tmp_path):
+    path, lines = _friedberg_trace(tmp_path)
+    at = next(i for i, line in enumerate(lines) if '"op":"meta"' in line)
+    record = json.loads(lines[at])
+    del record["a0"]
+    lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    _verify_rejects(path, at + 1)

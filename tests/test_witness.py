@@ -99,10 +99,10 @@ def test_shavrukov_pair_scripted_example():
     from cesplit.kernel import HostGenerator
 
     w = k.register_generator(
-        HostGenerator(slot=wslot, pull=lambda s: [(f"slot{wslot}", x) for x in w_em99.get(s, [])])
+        HostGenerator(slot=wslot, pull=lambda s: w_em99.get(s, []))
     )
     y = k.register_generator(
-        HostGenerator(slot=yslot, pull=lambda s: [(f"slot{yslot}", x) for x in y_em.get(s, [])])
+        HostGenerator(slot=yslot, pull=lambda s: y_em.get(s, []))
     )
     x0, x1 = shavrukov_pair(k, w, y)
     k.run_to(30)
