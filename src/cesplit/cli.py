@@ -16,7 +16,7 @@ from .friedberg import run_friedberg
 from .hk import run_hk, run_subset_scenario
 from .kernel import Kernel
 from .setalg import check_split_history
-from .trace import TraceError, merge_for_file, read_trace, write_trace
+from .trace import TraceError, merge_for_file, read_trace_lines, write_trace
 from .tree import PROCEDURES, diagonalize, iterate_splitting_procedures, structural_report
 from .verify import complement_witnesses, probe_friedberg, replay_check
 from .witness import run_parity_witness
@@ -194,10 +194,13 @@ def _diag_worker(pair):
 
 
 def cmd_verify(args) -> int:
+    lines = None
     try:
-        records = read_trace(args.trace)
+        records, lines = read_trace_lines(args.trace)
         report = replay_check(records, args.suite)
     except TraceError as err:
+        if lines is not None and err.line is not None:
+            err.line = lines[err.line - 1]  # replay_check counts records
         _emit({"ok": False, "error": str(err), "line": err.line})
         return 1
     _emit(report)

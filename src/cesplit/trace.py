@@ -19,9 +19,15 @@ RECORD_OPS = {
 
 
 class TraceError(Exception):
+    """A trace that cannot be read or replayed; ``line`` names the culprit."""
+
     def __init__(self, message: str, line: Optional[int] = None):
-        super().__init__(f"line {line}: {message}" if line is not None else message)
+        super().__init__(message)
         self.line = line
+
+    def __str__(self) -> str:
+        message = super().__str__()
+        return message if self.line is None else f"line {self.line}: {message}"
 
 
 def dumps_record(record: dict) -> str:
@@ -55,7 +61,16 @@ class TraceWriter:
 
 
 def read_trace(path) -> list[dict]:
-    records = []
+    return read_trace_lines(path)[0]
+
+
+def read_trace_lines(path) -> tuple[list[dict], list[int]]:
+    """The records of a trace file and the file line each sits on.
+
+    Blank lines are legal and skipped, so from the first one on the record
+    count and the file line part ways.
+    """
+    records, lines = [], []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -70,7 +85,8 @@ def read_trace(path) -> list[dict]:
             if record["op"] not in RECORD_OPS:
                 raise TraceError(f"unknown op {record['op']!r}", lineno)
             records.append(record)
-    return records
+            lines.append(lineno)
+    return records, lines
 
 
 def split_events(records: list[dict]):

@@ -8,23 +8,8 @@ buckets: the halves fail to split A, the split is trivial, or the split is
 Friedberg-like while A acquires a distinguished non-Friedberg split of its
 own.
 
-Tree geometry (addresses are bit strings, tree growing downward):
-
-  - nodes at square depths i*i > 0 construct piece sets ("R-nodes");
-  - the root constructs A itself; every other node is an A-node, positive
-    when its last bit is 1;
-  - depth d carries one coded question.  If d+1 is a square j*j (j >= 2) the
-    question asks whether (W_j intersect Rtilde_delta) entered-before-A is
-    infinite, with delta the prefix at depth (j-1)^2.  Otherwise, with
-    j = isqrt(d) and r = d - j*j, the question asks whether
-    W_j |_| (W_{e_b} intersect R_beta) = R_beta, where b = r mod 2 and beta
-    is the prefix at depth k*k for k = r//2 + 1.  The root's branching is
-    driven by the j=1 question (W_1 minus A) kept internal to the run.
-
-  - left order: bit 1 sorts left of bit 0, prefixes left of extensions.
-    Ball movement and request voiding trigger only on the divergence case
-    (the path actually passing a node on the left), never on the prefix
-    case, otherwise relocation targets would not exist.
+The address rules (R-nodes, questions, the left order, pull eligibility)
+live in ``geometry``, which the trace replay shares.
 
 Each question node owns a chip counter: a monotone count of expansionary
 events whose unboundedness would answer the question positively.  The path
@@ -46,102 +31,22 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import isqrt
 from typing import Callable, Optional
 
 import numpy as np
 
+from .geometry import (
+    ROOT, TreeError, ball_too_deep, can_pull, greatest_r_prefix, is_positive_a,
+    last_left_pass, left_key, left_target, node_kind, question_at, r_chain,
+    requesting_prefixes, sorted_add, sorted_discard,
+)
 from .kernel import HostGenerator, Kernel, host_index
 
 E_WINDOW = 64  # membership bits tracked per ball for marker states
 MARKER_WINDOW = 512  # marker table depth examined by the dump scan
 FEEDER_PACE = 4  # the background universe set emits every 4th stage
-
-ROOT = ""
-
-
-class TreeError(Exception):
-    pass
-
-
-def is_r_node(node: str) -> bool:
-    d = len(node)
-    if d == 0:
-        return False
-    r = isqrt(d)
-    return r * r == d
-
-
-def node_kind(node: str) -> str:
-    if node == ROOT:
-        return "root"
-    return "r" if is_r_node(node) else "a"
-
-
-def is_positive_a(node: str) -> bool:
-    return node_kind(node) == "a" and node.endswith("1")
-
-
-def greatest_r_prefix(node: str) -> str:
-    """The deepest proper R-node prefix; the root stands in for none."""
-    d = len(node) - 1
-    while d > 0:
-        r = isqrt(d)
-        if r * r == d:
-            return node[:d]
-        d -= 1
-    return ROOT
-
-
-def left_key(node: str) -> tuple:
-    """Sort key realising the left order: 1 before 0, prefix before extension."""
-    return tuple(1 - int(b) for b in node)
-
-
-def diverges_left(a: str, b: str) -> bool:
-    """True when a passes b on the left: 1 at the first differing bit."""
-    for ba, bb in zip(a, b):
-        if ba != bb:
-            return ba == "1"
-    return False
-
-
-def is_left_of(a: str, b: str) -> bool:
-    """Full left order: proper prefix or leftward divergence."""
-    if a != b and b.startswith(a):
-        return True
-    return diverges_left(a, b)
-
-
-@dataclass(frozen=True)
-class Question:
-    kind: str  # "R" or "T"
-    j: int
-    base: str  # delta for R-questions, beta for T-questions
-    b: int = 0  # which half of h's answer a T-question consults
-    k: int = 0
-
-
-def question_at(node: str) -> Question:
-    """Decode the question carried at a node address.
-
-    The root carries no decodable question (its branching is internal), so
-    it is rejected here.
-    """
-    d = len(node)
-    if d == 0:
-        raise TreeError("the root carries no coded question")
-    j = isqrt(d + 1)
-    if j * j == d + 1 and j >= 2:
-        return Question("R", j, node[: (j - 1) * (j - 1)])
-    j = isqrt(d)
-    r = d - j * j
-    b = r % 2
-    k = r // 2 + 1
-    if not 1 <= k <= j:
-        raise TreeError(f"no question reachable at depth {d}")
-    return Question("T", j, node[: k * k], b, k)
 
 
 class _RangeQueue:
@@ -180,31 +85,22 @@ class _Measure:
     """The monotone set (W_j intersect Rtilde_delta) entered-before-A.
 
     Shared between the question node that counts it and the R-nodes that
-    pull from it.  ``live`` keeps the members still on the machine, sorted.
+    pull from it.
     """
 
-    __slots__ = ("j_index", "delta", "members", "live", "count", "subscribers")
+    __slots__ = ("j_index", "delta", "members", "subscribers")
 
     def __init__(self, j_index: int, delta: str):
         self.j_index = j_index
         self.delta = delta
         self.members: set = set()
-        self.live: list = []
-        self.count = 0
         self.subscribers: list = []
 
     def add(self, x: int) -> None:
         if x not in self.members:
             self.members.add(x)
-            insort(self.live, x)
-            self.count += 1
             for node in self.subscribers:
                 heappush(node.cand_heap, x)
-
-    def drop_live(self, x: int) -> None:
-        i = bisect_left(self.live, x)
-        if i < len(self.live) and self.live[i] == x:
-            del self.live[i]
 
 
 class _TMeasure:
@@ -230,21 +126,19 @@ class _TMeasure:
 
 class _NodeState:
     __slots__ = (
-        "address", "kind", "positive", "question", "chip_snapshot", "last_visit",
+        "address", "kind", "positive", "chip_snapshot",
         "requests", "measure", "tmeasure",
         "r_out", "rt_out", "r_index", "rt_index", "r_committed", "rt_committed",
         "r_sorted", "live_markers", "live_revs", "live_rt", "rt_subscribers",
         "mids_subscribers", "needs_scan", "moved_marker_floor", "patch_cursor",
-        "cand_heap", "mids_pool", "left_cache", "patched",
+        "cand_heap", "mids_pool", "left_cache",
     )
 
     def __init__(self, address: str):
         self.address = address
         self.kind = node_kind(address)
         self.positive = is_positive_a(address)
-        self.question = None
         self.chip_snapshot = 0
-        self.last_visit = 0
         self.requests = _RangeQueue()
         self.measure = None
         self.tmeasure = None
@@ -264,7 +158,6 @@ class _NodeState:
         self.cand_heap: list = []
         self.mids_pool: list = []  # 1-ending R-nodes: consumable bystander pool
         self.left_cache = (0, 0)  # (f-history index checked, best left-pass stage)
-        self.patched: set = set()
 
 
 class TreeRun:
@@ -326,16 +219,16 @@ class TreeRun:
         self.measures: dict[tuple, _Measure] = {}
         self.measures_by_index: dict[int, list] = {}
         self.measures_by_delta: dict[str, list] = {}
-        self.positions: dict[int, str] = {}
+        self.positions: dict[int, str] = {}  # every on-machine ball -> its node
         self.node_balls: dict[str, set] = {}
-        self.live_balls: list = []  # every on-machine ball, ascending
         self.a_committed: set = set()
         self.a_order: list = []
         self.masks: dict[int, int] = {}
         self.mask_nodes: dict[int, list] = {}
-        self._key_to_addr: dict[tuple, str] = {}
         self._ball_keys: list = []      # sorted left keys of ball-holding nodes
         self._request_keys: list = []   # sorted left keys of request-holding nodes
+        self._chain: list = []       # states of f's R-nodes, shallowest first
+        self._requesters: list = []  # states of f's requesting prefixes
         self._entry_subscribers: list = []  # nodes whose pull pool is every ball
         self._entry_mids_subscribers: list = []  # 1-ending nodes sweeping every ball
         self._f_history: list = [(0, ROOT)]  # (tree stage, f) on change
@@ -380,64 +273,18 @@ class TreeRun:
     def _violation(self, kind: str, detail) -> None:
         self.violations.append((self.tree_stage, kind, detail))
 
-    def _key_of(self, address: str) -> tuple:
-        key = left_key(address)
-        if key not in self._key_to_addr:
-            self._key_to_addr[key] = address
-        return key
-
-    def _mark_has_balls(self, address: str) -> None:
-        key = self._key_of(address)
-        i = bisect_left(self._ball_keys, key)
-        if i >= len(self._ball_keys) or self._ball_keys[i] != key:
-            self._ball_keys.insert(i, key)
-
-    def _unmark_has_balls(self, address: str) -> None:
-        key = left_key(address)
-        i = bisect_left(self._ball_keys, key)
-        if i < len(self._ball_keys) and self._ball_keys[i] == key:
-            del self._ball_keys[i]
-
-    def _mark_has_requests(self, address: str) -> None:
-        key = self._key_of(address)
-        i = bisect_left(self._request_keys, key)
-        if i >= len(self._request_keys) or self._request_keys[i] != key:
-            self._request_keys.insert(i, key)
-
-    def _unmark_has_requests(self, address: str) -> None:
-        key = left_key(address)
-        i = bisect_left(self._request_keys, key)
-        if i < len(self._request_keys) and self._request_keys[i] == key:
-            del self._request_keys[i]
-
-    def _last_left_pass(self, state: _NodeState) -> int:
-        """Greatest tree stage at which the path ran left of this node."""
-        idx, best = state.left_cache
-        history = self._f_history
-        address = state.address
-        while idx < len(history):
-            st, f = history[idx]
-            idx += 1
-            if is_left_of(f, address):
-                best = st
-        state.left_cache = (idx, best)
-        return best
-
     def _get_node(self, address: str) -> _NodeState:
         state = self.nodes.get(address)
         if state is not None:
             return state
         state = _NodeState(address)
         self.nodes[address] = state
-        if address != ROOT:
-            state.question = question_at(address)
-        if address == ROOT:
+        q = question_at(address) if address != ROOT else None
+        if q is None:
             state.measure = self._get_measure(1, ROOT)
-        elif state.question.kind == "R":
-            q = state.question
+        elif q.kind == "R":
             state.measure = self._get_measure(q.j, q.base)
-        elif state.question.kind == "T":
-            q = state.question
+        else:
             eb = self.e0 if q.b == 0 else self.e1
             state.tmeasure = _TMeasure(q.j, eb, q.base)
             self.tmeasures_by_beta.setdefault(q.base, []).append(state.tmeasure)
@@ -457,25 +304,23 @@ class TreeRun:
         delta = greatest_r_prefix(address)
         if state.kind == "r" and address.endswith("1"):
             m = self._get_measure(isqrt(len(address)), delta)
-            state.cand_heap = list(m.live)
+            state.cand_heap = sorted(m.members)
             m.subscribers.append(state)
             if delta == ROOT:
-                state.mids_pool = list(self.live_balls)
+                state.mids_pool = sorted(self.positions)
                 self._entry_mids_subscribers.append(state)
             else:
                 dstate = self._get_node(delta)
                 state.mids_pool = list(dstate.live_rt)
                 dstate.mids_subscribers.append(state)
         elif delta == ROOT:
-            state.cand_heap = list(self.live_balls)
+            state.cand_heap = sorted(self.positions)
             self._entry_subscribers.append(state)
         else:
             dstate = self._get_node(delta)
             state.cand_heap = list(dstate.live_rt)
             dstate.rt_subscribers.append(state)
-        import heapq
-
-        heapq.heapify(state.cand_heap)
+        heapify(state.cand_heap)
 
     def _get_measure(self, j: int, delta: str) -> _Measure:
         key = (j, delta)
@@ -537,7 +382,7 @@ class TreeRun:
 
     def _chip_value(self, state: _NodeState) -> int:
         if state.measure is not None:
-            return state.measure.count
+            return len(state.measure.members)
         tm = state.tmeasure
         if tm is None:
             return 0
@@ -574,7 +419,6 @@ class TreeRun:
         node = ROOT
         while True:
             state = self._get_node(node)
-            state.last_visit = st
             if state.positive:
                 break
             if len(node) >= cap:
@@ -587,17 +431,6 @@ class TreeRun:
             if self.collect_trace and bit == "1":
                 self._emit_record({"op": "chip", "s": st, "node": node, "c": chip})
             node = node + bit
-        # requests pile up for the pulling kinds along the path
-        walk = node
-        while True:
-            wstate = self.nodes[walk]
-            if wstate.kind == "r" or wstate.positive:
-                if not wstate.requests.count:
-                    self._mark_has_requests(walk)
-                wstate.requests.push(st)
-            if walk == ROOT:
-                break
-            walk = walk[:-1]
         if len(node) > cap:
             self._violation("f-length", node)
         return node
@@ -611,13 +444,12 @@ class TreeRun:
         drop = []
         while i < len(self._request_keys):
             key = self._request_keys[i]
-            address = self._key_to_addr[key]
-            if not address.startswith(f):
-                state = self.nodes[address]
+            state = self.nodes[left_key(key)]
+            if not state.address.startswith(f):
                 voided = state.requests.void()
                 drop.append(key)
                 if voided and self.collect_trace:
-                    self._emit_record({"op": "void", "s": st, "node": address, "n": voided})
+                    self._emit_record({"op": "void", "s": st, "node": state.address, "n": voided})
             i += 1
         if drop:
             dropset = set(drop)
@@ -626,38 +458,28 @@ class TreeRun:
         i = bisect_right(self._ball_keys, fkey)
         moved: list = []
         while i < len(self._ball_keys):
-            address = self._key_to_addr[self._ball_keys[i]]
+            # the node's own address: the records share it instead of a copy each
+            address = self.nodes[left_key(self._ball_keys[i])].address
             if not address.startswith(f):
                 moved.append(address)
             i += 1
         for address in moved:
             balls = sorted(self.node_balls.pop(address, ()))
-            self._unmark_has_balls(address)
+            sorted_discard(self._ball_keys, left_key(address))
             if not balls:
                 continue
-            target = self._left_target(f, address)
+            target = left_target(f, address)
             self._get_node(target)
             bucket = self.node_balls.setdefault(target, set())
             for x in balls:
                 bucket.add(x)
                 self.positions[x] = target
-                if len(target) > max(1, x * x):
+                if ball_too_deep(x, target):
                     self._violation("ball-depth", (x, target))
-            self._mark_has_balls(target)
+            sorted_add(self._ball_keys, left_key(target))
             self._emit_record(
                 {"op": "left", "s": st, "from": address, "to": target, "balls": balls}
             )
-
-    def _left_target(self, f: str, address: str) -> str:
-        d = 0
-        for bf, ba in zip(f, address):
-            if bf != ba:
-                break
-            d += 1
-        L = (isqrt(d) + 1) ** 2
-        if L > len(f):
-            return f
-        return f[:L]
 
     # -- ball entry ----------------------------------------------------------
 
@@ -667,31 +489,18 @@ class TreeRun:
         self._get_node(target)
         self.positions[ball] = target
         self.node_balls.setdefault(target, set()).add(ball)
-        self.live_balls.append(ball)  # balls arrive in increasing order
         for node in self._entry_subscribers:
             heappush(node.cand_heap, ball)
         for node in self._entry_mids_subscribers:
             node.mids_pool.append(ball)
-        self._mark_has_balls(target)
+        sorted_add(self._ball_keys, left_key(target))
         self._emit_record({"op": "enter", "s": st, "x": ball, "node": target})
 
     # -- pulling --------------------------------------------------------------
 
-    def _eligible(self, state: _NodeState, x: int) -> bool:
-        pos = self.positions.get(x)
-        if pos is None:
-            return False
-        address = state.address
-        if pos == address:
-            return state.kind == "r"  # entry-parked balls are reachable
-        if pos != address and address.startswith(pos):
-            return True  # strictly above
-        return diverges_left(address, pos)  # strictly to the right
-
-    def _pull(self, st: int, f: str) -> None:
+    def _pull(self, st: int) -> None:
         for key in list(self._request_keys):
-            address = self._key_to_addr[key]
-            state = self.nodes[address]
+            state = self.nodes[left_key(key)]
             if not state.requests.count:
                 continue
             if self._try_pull_at(st, state):
@@ -709,16 +518,8 @@ class TreeRun:
                 continue
             if state.kind == "r" and (x in state.r_committed or x in state.rt_committed):
                 continue
-            pos = self.positions.get(x)
-            if pos is None:
-                continue
-            if pos == address:
-                if state.kind != "r":
-                    continue
-            elif address.startswith(pos):
-                pass  # strictly above
-            elif not diverges_left(address, pos):
-                continue  # strictly left of us, or below: permanently out
+            if not can_pull(address, self.positions.get(x)):
+                continue  # off the machine, left of us or below: permanently out
             picked.append(x)
         if len(picked) < 2:
             for x in picked:
@@ -727,7 +528,7 @@ class TreeRun:
         x0, x1 = picked
         request = state.requests.pop_least()
         if not state.requests.count:
-            self._unmark_has_requests(address)
+            sorted_discard(self._request_keys, left_key(address))
         delta = greatest_r_prefix(address)
         mids = [y for y in self._intermediates(state, delta, x1) if y != x0]
         for x in (x0, x1):
@@ -770,7 +571,7 @@ class TreeRun:
                 continue
             if y in state.r_committed or y in state.rt_committed:
                 continue
-            if self._eligible(state, y):
+            if can_pull(state.address, self.positions.get(y)):
                 out.append(y)
         del pool[lo:hi]
         return out
@@ -784,11 +585,11 @@ class TreeRun:
             if bucket is not None:
                 bucket.discard(x)
                 if not bucket:
-                    self._unmark_has_balls(pos)
+                    sorted_discard(self._ball_keys, left_key(pos))
         self.positions[x] = target
         self.node_balls.setdefault(target, set()).add(x)
-        self._mark_has_balls(target)
-        if len(target) > max(1, x * x):
+        sorted_add(self._ball_keys, left_key(target))
+        if ball_too_deep(x, target):
             self._violation("ball-depth", (x, target))
 
     def _commit(self, state: _NodeState, x: int, tilde: bool) -> None:
@@ -833,17 +634,13 @@ class TreeRun:
             if bucket is not None:
                 bucket.discard(x)
                 if not bucket:
-                    self._unmark_has_balls(pos)
-        i = bisect_left(self.live_balls, x)
-        if i < len(self.live_balls) and self.live_balls[i] == x:
-            del self.live_balls[i]
+                    sorted_discard(self._ball_keys, left_key(pos))
         for address in self.mask_nodes.get(x, ()):
             holder = self.nodes.get(address)
             if holder is None:
                 continue
-            k = bisect_left(holder.live_markers, x)
-            if k < len(holder.live_markers) and holder.live_markers[k] == x:
-                del holder.live_markers[k]
+            k = sorted_discard(holder.live_markers, x)
+            if k is not None:
                 del holder.live_revs[k]
                 holder.needs_scan = True
                 if holder.moved_marker_floor is None or k < holder.moved_marker_floor:
@@ -863,27 +660,18 @@ class TreeRun:
                 if dstate is None or y not in dstate.rt_committed:
                     continue
             self._commit(state, y, tilde=False)
-            state.patched.add(y)
             self._emit_record(
                 {"op": "patch", "s": self.tree_stage, "node": state.address, "x": y}
             )
 
-    def _patch(self, st: int, f: str) -> None:
-        d = 1
-        while d <= len(f):
-            if is_r_node(f[:d]):
-                self._patch_node(self.nodes[f[:d]])
-            d += 1
+    def _patch(self) -> None:
+        for state in self._chain:
+            self._patch_node(state)
 
-    def _maximal(self, st: int, f: str) -> None:
-        d = 1
-        while d <= len(f):
-            prefix = f[:d]
-            if is_r_node(prefix):
-                state = self.nodes[prefix]
-                if state.needs_scan:
-                    self._maximal_scan(st, state)
-            d += 1
+    def _maximal(self, st: int) -> None:
+        for state in self._chain:
+            if state.needs_scan:
+                self._maximal_scan(st, state)
 
     def _maximal_scan(self, st: int, state: _NodeState) -> None:
         """One original dump: raise the least marker's state when possible.
@@ -938,31 +726,33 @@ class TreeRun:
         q = question_at(f[:-1])
         if q.kind != "T":
             return
-        d = 1
-        while d < len(f):
-            prefix = f[:d]
-            if is_r_node(prefix) and prefix != q.base:
-                target = self.nodes[prefix]
-                t = max(len(f), self._last_left_pass(target))
-                if t < len(target.live_markers):
-                    moved = target.moved_marker_floor
-                    if moved is not None and moved <= t:
-                        d += 1
-                        continue  # this stage's movement already did the job
-                    x = target.live_markers[t]
-                    self._emit_record(
-                        {
-                            "op": "dump-extra",
-                            "s": st,
-                            "ks": self.f_kernel_stage,
-                            "gamma": f,
-                            "node": prefix,
-                            "idx": t,
-                            "x": x,
-                        }
-                    )
-                    self._dump_to_a(st, x)
-            d += 1
+        history = self._f_history
+        for target in self._chain:
+            if target.address == q.base:
+                continue
+            # the last stage the path ran left of the dumped piece's node
+            start, best = target.left_cache
+            best = last_left_pass(history, target.address, start, best)
+            target.left_cache = (len(history), best)
+            t = max(len(f), best)
+            if t >= len(target.live_markers):
+                continue
+            moved = target.moved_marker_floor
+            if moved is not None and moved <= t:
+                continue  # this stage's movement already did the job
+            x = target.live_markers[t]
+            self._emit_record(
+                {
+                    "op": "dump-extra",
+                    "s": st,
+                    "ks": self.f_kernel_stage,
+                    "gamma": f,
+                    "node": target.address,
+                    "idx": t,
+                    "x": x,
+                }
+            )
+            self._dump_to_a(st, x)
 
     # -- stage driver -----------------------------------------------------------
 
@@ -980,6 +770,12 @@ class TreeRun:
         if f_changed:
             self._emit_record({"op": "f", "s": st, "ks": stage, "node": f})
             self._f_history.append((st, f))
+            self._chain = [self.nodes[p] for p in r_chain(f)]
+            self._requesters = [self.nodes[p] for p in requesting_prefixes(f)]
+        for state in self._requesters:
+            if not state.requests.count:
+                sorted_add(self._request_keys, left_key(state.address))
+            state.requests.push(st)
         self.f = f
         self.f_kernel_stage = stage
         kind = "positive-a" if self.nodes[f].positive else node_kind(f)
@@ -987,9 +783,9 @@ class TreeRun:
         self._ball_entry(st, f)
         if f_changed:
             self._sweep_right(st, f)
-        self._pull(st, f)
-        self._patch(st, f)
-        self._maximal(st, f)
+        self._pull(st)
+        self._patch()
+        self._maximal(st)
         self._extra_dump(st, f)
         out = self._a_out
         self._a_out = []
@@ -1206,8 +1002,7 @@ def structural_report(run: TreeRun) -> dict:
         if not set(markers) <= (state.r_committed - run.a_committed):
             problems.append(("marker-membership", address))
     # partition along the current path: chain pieces plus the deepest tilde
-    f = run.f
-    chain = [f[:d] for d in range(1, len(f) + 1) if is_r_node(f[:d])]
+    chain = r_chain(run.f)
     exceptions = []
     seen: dict[int, str] = {}
     for address in chain:
@@ -1235,7 +1030,7 @@ def structural_report(run: TreeRun) -> dict:
             if y not in state.r_committed and y not in state.rt_committed:
                 unpatched += 1
     for x, pos in run.positions.items():
-        if len(pos) > max(1, x * x):
+        if ball_too_deep(x, pos):
             problems.append(("ball-depth", (x, pos)))
     bad_endpoints = [
         (st, f_) for st, _, f_, kind in run._endpoint_history

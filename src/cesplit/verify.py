@@ -2,18 +2,26 @@
 
 Every oracle here re-derives construction decisions from the raw event log
 with its own bookkeeping, kept deliberately separate from the construction
-modules.  Non-effective notions (computability, c.e.-ness of a difference)
-are never decided; the probes report monotone evidence with explicit
-trailing windows instead.
+modules.  The tree replay is the one exception by design: it shares
+``geometry`` with the construction, the trusted base of tree address rules
+(node kinds, questions, the left order, pull eligibility, left targets,
+requesting prefixes, left passes), and it trusts the traced chip counters
+instead of re-deriving them.  Non-effective notions (computability, c.e.-ness
+of a difference) are never decided; the probes report monotone evidence with
+explicit trailing windows instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import insort
+from dataclasses import dataclass
 from typing import Optional
 
-from bisect import bisect_left
-
+from .geometry import (
+    ROOT, TreeError, can_pull, diverges_left, greatest_r_prefix, is_left_of,
+    is_positive_a, is_r_node, last_left_pass, left_target, question_at,
+    requesting_prefixes, sorted_discard,
+)
 from .kernel import EventLog
 from .pairing import balance_code, pair, unpair
 from .setalg import before_then
@@ -35,12 +43,7 @@ class Divergence:
 
 def replay_friedberg(log: EventLog, a: int, a0: int, a1: int, trace: list) -> list[Divergence]:
     """Re-derive every routing decision from the raw log and diff the trace."""
-    by_element: dict[int, list[tuple[int, int]]] = {}
-    a_entries: list[tuple[int, int]] = []
-    for t, idx, x in log.events():
-        by_element.setdefault(x, []).append((t, idx))
-        if idx == a:
-            a_entries.append((t, x))
+    a_entries = log.entries(a)
     trace = [r for r in trace if r.get("op") == "route"]
     out: list[Divergence] = []
     counters: dict[tuple[int, int], int] = {}
@@ -49,7 +52,7 @@ def replay_friedberg(log: EventLog, a: int, a0: int, a1: int, trace: list) -> li
             out.append(Divergence(line, "missing-record", None, {"x": x}))
             break
         record = trace[line]
-        candidates = sorted(idx for t, idx in by_element.get(x, ()) if t < entered)
+        candidates = sorted(idx for idx, t in log.containers_of(x).items() if t < entered)
         options = []
         for e in candidates:
             for i in (0, 1):
@@ -363,16 +366,18 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
     Positions, piece commitments, request ledgers and marker tables are
     rebuilt from the decision records alone; pull eligibility, dump-state
     comparisons and endpoint shapes are then re-checked against the raw
-    event log.  Chip counters themselves are not re-derived (that would be
-    a second full simulation); everything downstream of them is.
+    event log.  Two things are trusted rather than re-derived: the address
+    rules of ``geometry``, which the construction uses too, and the chip
+    counters (re-deriving them would be a second full simulation), so ``f``
+    records are checked for shape only and ``chip`` records not at all.
+    A record lacking a field, or holding one of the wrong type, raises
+    ``TraceError`` naming its position in ``records`` from 0, as divergence
+    lines do.
     """
     from math import isqrt
 
-    from .tree import (
-        E_WINDOW, MARKER_WINDOW, ROOT,
-        diverges_left, greatest_r_prefix, is_left_of, is_positive_a, is_r_node,
-        question_at,
-    )
+    from .trace import TraceError
+    from .tree import E_WINDOW, MARKER_WINDOW
 
     out: list[Divergence] = []
     meta = next((r for r in records if r.get("op") == "meta"), {})
@@ -384,7 +389,6 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
     markers: dict[str, list] = {}
     requests: dict[str, list] = {}
     dumped: set = set()
-    dump_order: dict[int, int] = {}
     f = ROOT
     f_hist: list[tuple[int, str]] = [(0, ROOT)]
     ks = 0
@@ -393,194 +397,163 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
     def fail(line, fieldname, got, want):
         out.append(Divergence(line, fieldname, got, want))
 
-    def on_path_requests(st):
-        walk = f
-        while True:
-            if is_r_node(walk) or is_positive_a(walk):
-                requests.setdefault(walk, []).append(st)
-            if walk == ROOT:
-                break
-            walk = walk[:-1]
-
-    def eligible(node, x):
-        pos = positions.get(x)
-        if pos is None:
-            return False
-        if pos == node:
-            return is_r_node(node)
-        if pos != node and node.startswith(pos):
-            return True
-        return diverges_left(node, pos)
-
     for line, rec in enumerate(records):
         op = rec.get("op")
-        if op in ("meta", "chip", "event"):
-            continue
-        if op == "f":
-            node = rec["node"]
-            st, ks = rec["s"], rec.get("ks", ks)
-            if node != ROOT and not (is_r_node(node) or is_positive_a(node)):
-                fail(line, "endpoint-kind", node, "r-node or positive a-node")
-            if len(node) > min(st * st, depth) and st > 0:
-                fail(line, "endpoint-length", len(node), min(st * st, depth))
-            f = node
-            f_hist.append((st, node))
-            continue
-        if op == "enter":
-            stage = rec["s"]
-            on_path_requests(stage)
-            if rec["x"] != stage - 1:
-                fail(line, "ball-number", rec["x"], stage - 1)
-            if rec["node"] != f[:1]:
-                fail(line, "entry-node", rec["node"], f[:1])
-            positions[rec["x"]] = rec["node"]
-            continue
-        if op == "void":
-            node = rec["node"]
-            if not is_left_of(f, node) or node.startswith(f):
-                fail(line, "void-target", node, f"strictly right of {f}")
-            requests.pop(node, None)
-            continue
-        if op == "left":
-            src_node, dst = rec["from"], rec["to"]
-            if not diverges_left(f, src_node):
-                fail(line, "left-source", src_node, f"right of {f}")
-            d = 0
-            for bf, bs in zip(f, src_node):
-                if bf != bs:
-                    break
-                d += 1
-            want = f[: (isqrt(d) + 1) ** 2] if (isqrt(d) + 1) ** 2 <= len(f) else f
-            if dst != want:
-                fail(line, "left-target", dst, want)
-            for x in rec["balls"]:
-                if positions.get(x) != src_node:
-                    fail(line, "left-ball-position", (x, positions.get(x)), src_node)
-                positions[x] = dst
-            continue
-        if op == "pull":
-            node = rec["node"]
-            ks = rec.get("ks", ks)
-            ledger = requests.get(node, [])
-            if not ledger:
-                fail(line, "pull-request", None, "a pending request")
-            else:
-                if rec["req"] != ledger[0]:
-                    fail(line, "pull-request-least", rec["req"], ledger[0])
-                ledger.pop(0)
-                if not ledger:
-                    requests.pop(node, None)
-            x0, x1 = rec["x0"], rec["x1"]
-            if not x0 < x1:
-                fail(line, "pull-pair-order", (x0, x1), "x0 < x1")
-            floor = len(node)
-            for x in (x0, x1):
-                if x <= floor:
-                    fail(line, "pull-floor", x, f"> {floor}")
-                if not eligible(node, x):
-                    fail(line, "pull-eligibility", (x, positions.get(x)), node)
-                if x in r_comm.get(node, ()) or x in rt_comm.get(node, ()):
-                    fail(line, "pull-fresh", x, "uncommitted at the node")
-            if is_r_node(node) and node.endswith("1"):
-                j = isqrt(len(node))
-                j_idx = feeder if j == 1 else j
-                for x in (x0, x1):
-                    if not log.member_by(j_idx, x, ks - 1):
-                        fail(line, "pull-gate", x, f"member of W_{j_idx}")
-            for x in (x0, x1):
-                positions[x] = node
-            if is_r_node(node):
-                r_comm.setdefault(node, set()).add(x0)
-                insort_list(markers.setdefault(node, []), x0, dumped)
-                rt_comm.setdefault(node, set()).add(x1)
-            delta = greatest_r_prefix(node)
-            for y in rec["mid"]:
-                if not (floor < y < x1):
-                    fail(line, "mid-range", y, f"({floor}, {x1})")
-                if delta != ROOT and y not in rt_comm.get(delta, ()):
-                    fail(line, "mid-source", y, f"tilde piece of {delta!r}")
-                positions[y] = node
-                if is_r_node(node):
-                    r_comm.setdefault(node, set()).add(y)
-                    insort_list(markers.setdefault(node, []), y, dumped)
-            continue
-        if op == "patch":
-            node, y = rec["node"], rec["x"]
-            delta = greatest_r_prefix(node)
-            if y not in dumped:
-                fail(line, "patch-casualty", y, "a ball that entered A")
-            if delta != ROOT and y not in rt_comm.get(delta, ()):
-                fail(line, "patch-source", y, f"tilde piece of {delta!r}")
-            if y in r_comm.get(node, ()) or y in rt_comm.get(node, ()):
-                fail(line, "patch-fresh", y, "uncommitted at the node")
-            r_comm.setdefault(node, set()).add(y)
-            continue
-        if op == "dump-orig":
-            node = rec["node"]
-            ks = rec.get("ks", ks)
-            live = markers.get(node, [])
-            e, i = rec["e"], rec["i"]
-            if not (0 <= e < i <= len(live)):
-                fail(line, "dump-bounds", (e, i), f"within {len(live)} markers")
+        try:
+            if op in ("meta", "chip", "event"):
                 continue
-            if rec["balls"] != live[e:i]:
-                fail(line, "dump-balls", rec["balls"], live[e:i])
-            revs = [_rev_mask(log, x, ks - 1) for x in live[: min(len(live), MARKER_WINDOW)]]
-            found = _least_dump(revs, E_WINDOW)
-            if found != (e, i):
-                fail(line, "dump-least", (e, i), found)
-            balls = live[e:i]
-            for x in balls:
-                dumped.add(x)
-                dump_order[x] = len(dump_order)
-                positions.pop(x, None)
-            del live[e:i]
-            for other, table in markers.items():
-                if other != node:
-                    for x in balls:
-                        k = bisect_left(table, x)
-                        if k < len(table) and table[k] == x:
-                            del table[k]
-            continue
-        if op == "dump-extra":
-            gamma, node = rec["gamma"], rec["node"]
-            if gamma != f or not is_positive_a(gamma):
-                fail(line, "extra-gamma", gamma, f"the positive endpoint {f}")
-            q = question_at(gamma[:-1])
-            if q.kind != "T" or q.base == node:
-                fail(line, "extra-question", (q.kind, q.base), "T question about another piece")
-            best = 0
-            for st_h, fh in f_hist:
-                if is_left_of(fh, gamma):
-                    best = st_h
-            want_t = max(len(gamma), best)
-            if rec["idx"] != want_t:
-                fail(line, "extra-index", rec["idx"], want_t)
-            live = markers.get(node, [])
-            if rec["idx"] < len(live):
-                if rec["x"] != live[rec["idx"]]:
-                    fail(line, "extra-ball", rec["x"], live[rec["idx"]])
-                x = rec["x"]
-                dumped.add(x)
-                dump_order[x] = len(dump_order)
-                positions.pop(x, None)
-                for table in markers.values():
-                    k = bisect_left(table, x)
-                    if k < len(table) and table[k] == x:
-                        del table[k]
-            else:
-                fail(line, "extra-exists", rec["idx"], f"< {len(live)} markers")
-            continue
-        fail(line, "op", op, "a known tree record")
+            if op == "f":
+                node = rec["node"]
+                st, ks = rec["s"], rec.get("ks", ks)
+                if node != ROOT and not (is_r_node(node) or is_positive_a(node)):
+                    fail(line, "endpoint-kind", node, "r-node or positive a-node")
+                if len(node) > min(st * st, depth) and st > 0:
+                    fail(line, "endpoint-length", len(node), min(st * st, depth))
+                f = node
+                f_hist.append((st, node))
+                continue
+            if op == "enter":
+                stage = rec["s"]
+                for node in requesting_prefixes(f):
+                    requests.setdefault(node, []).append(stage)
+                if rec["x"] != stage - 1:
+                    fail(line, "ball-number", rec["x"], stage - 1)
+                if rec["node"] != f[:1]:
+                    fail(line, "entry-node", rec["node"], f[:1])
+                positions[rec["x"]] = rec["node"]
+                continue
+            if op == "void":
+                node = rec["node"]
+                if not is_left_of(f, node) or node.startswith(f):
+                    fail(line, "void-target", node, f"strictly right of {f}")
+                requests.pop(node, None)
+                continue
+            if op == "left":
+                src_node, dst = rec["from"], rec["to"]
+                if not diverges_left(f, src_node):
+                    fail(line, "left-source", src_node, f"right of {f}")
+                want = left_target(f, src_node)
+                if dst != want:
+                    fail(line, "left-target", dst, want)
+                for x in rec["balls"]:
+                    if positions.get(x) != src_node:
+                        fail(line, "left-ball-position", (x, positions.get(x)), src_node)
+                    positions[x] = dst
+                continue
+            if op == "pull":
+                node = rec["node"]
+                ks = rec.get("ks", ks)
+                ledger = requests.get(node, [])
+                if not ledger:
+                    fail(line, "pull-request", None, "a pending request")
+                else:
+                    if rec["req"] != ledger[0]:
+                        fail(line, "pull-request-least", rec["req"], ledger[0])
+                    ledger.pop(0)
+                    if not ledger:
+                        requests.pop(node, None)
+                x0, x1 = rec["x0"], rec["x1"]
+                if not x0 < x1:
+                    fail(line, "pull-pair-order", (x0, x1), "x0 < x1")
+                floor = len(node)
+                for x in (x0, x1):
+                    if x <= floor:
+                        fail(line, "pull-floor", x, f"> {floor}")
+                    if not can_pull(node, positions.get(x)):
+                        fail(line, "pull-eligibility", (x, positions.get(x)), node)
+                    if x in r_comm.get(node, ()) or x in rt_comm.get(node, ()):
+                        fail(line, "pull-fresh", x, "uncommitted at the node")
+                if is_r_node(node) and node.endswith("1"):
+                    j = isqrt(len(node))
+                    j_idx = feeder if j == 1 else j
+                    for x in (x0, x1):
+                        if not log.member_by(j_idx, x, ks - 1):
+                            fail(line, "pull-gate", x, f"member of W_{j_idx}")
+                for x in (x0, x1):
+                    positions[x] = node
+                if is_r_node(node):
+                    r_comm.setdefault(node, set()).add(x0)
+                    if x0 not in dumped:
+                        insort(markers.setdefault(node, []), x0)
+                    rt_comm.setdefault(node, set()).add(x1)
+                delta = greatest_r_prefix(node)
+                for y in rec["mid"]:
+                    if not (floor < y < x1):
+                        fail(line, "mid-range", y, f"({floor}, {x1})")
+                    if delta != ROOT and y not in rt_comm.get(delta, ()):
+                        fail(line, "mid-source", y, f"tilde piece of {delta!r}")
+                    positions[y] = node
+                    if is_r_node(node):
+                        r_comm.setdefault(node, set()).add(y)
+                        if y not in dumped:
+                            insort(markers.setdefault(node, []), y)
+                continue
+            if op == "patch":
+                node, y = rec["node"], rec["x"]
+                delta = greatest_r_prefix(node)
+                if y not in dumped:
+                    fail(line, "patch-casualty", y, "a ball that entered A")
+                if delta != ROOT and y not in rt_comm.get(delta, ()):
+                    fail(line, "patch-source", y, f"tilde piece of {delta!r}")
+                if y in r_comm.get(node, ()) or y in rt_comm.get(node, ()):
+                    fail(line, "patch-fresh", y, "uncommitted at the node")
+                r_comm.setdefault(node, set()).add(y)
+                continue
+            if op == "dump-orig":
+                node = rec["node"]
+                ks = rec.get("ks", ks)
+                live = markers.get(node, [])
+                e, i = rec["e"], rec["i"]
+                if not (0 <= e < i <= len(live)):
+                    fail(line, "dump-bounds", (e, i), f"within {len(live)} markers")
+                    continue
+                if rec["balls"] != live[e:i]:
+                    fail(line, "dump-balls", rec["balls"], live[e:i])
+                revs = [_rev_mask(log, x, ks - 1) for x in live[: min(len(live), MARKER_WINDOW)]]
+                found = _least_dump(revs, E_WINDOW)
+                if found != (e, i):
+                    fail(line, "dump-least", (e, i), found)
+                balls = live[e:i]
+                for x in balls:
+                    dumped.add(x)
+                    positions.pop(x, None)
+                del live[e:i]
+                for other, table in markers.items():
+                    if other != node:
+                        for x in balls:
+                            sorted_discard(table, x)
+                continue
+            if op == "dump-extra":
+                gamma, node = rec["gamma"], rec["node"]
+                if gamma != f or not is_positive_a(gamma):
+                    fail(line, "extra-gamma", gamma, f"the positive endpoint {f}")
+                q = question_at(gamma[:-1])
+                if q.kind != "T" or q.base == node:
+                    fail(line, "extra-question", (q.kind, q.base), "T question about another piece")
+                # measured from gamma; the construction measures from the
+                # dumped piece's node, and only the paper's dumping rule can
+                # say which of the two is meant
+                want_t = max(len(gamma), last_left_pass(f_hist, gamma))
+                if rec["idx"] != want_t:
+                    fail(line, "extra-index", rec["idx"], want_t)
+                live = markers.get(node, [])
+                if rec["idx"] < len(live):
+                    if rec["x"] != live[rec["idx"]]:
+                        fail(line, "extra-ball", rec["x"], live[rec["idx"]])
+                    x = rec["x"]
+                    dumped.add(x)
+                    positions.pop(x, None)
+                    for table in markers.values():
+                        sorted_discard(table, x)
+                else:
+                    fail(line, "extra-exists", rec["idx"], f"< {len(live)} markers")
+                continue
+            fail(line, "op", op, "a known tree record")
+        except KeyError as err:
+            raise TraceError(f"{op} record lacks {err}", line) from None
+        except (TypeError, TreeError) as err:
+            raise TraceError(f"malformed {op} record: {err}", line) from None
     return out
-
-
-def insort_list(lst: list, x: int, dumped: set) -> None:
-    if x in dumped:
-        return
-    from bisect import insort
-
-    insort(lst, x)
 
 
 def _rev_mask(log: EventLog, x: int, bound: int, width: int = 64) -> int:
@@ -619,7 +592,7 @@ def replay_check(records: list, kind: str = "replay") -> dict:
     kind picks the suite ("replay" dispatches on the trace's own meta
     record).  The report carries a boolean ``ok`` plus per-line divergences.
     A trace that cannot be replayed at all raises ``TraceError`` naming the
-    offending line, counted in records from 1.
+    offending record, counted from 1.
     """
     from .setalg import check_split_history
     from .trace import TraceError, split_events
@@ -657,7 +630,12 @@ def replay_check(records: list, kind: str = "replay") -> dict:
             y_listing=listing_from("y_over"), z_listing=listing_from("z_over"),
         )
     elif kind == "tree":
-        divergences = replay_tree(log, decisions, meta.get("depth", 25))
+        try:
+            divergences = replay_tree(log, decisions, meta.get("depth", 25))
+        except TraceError as err:
+            # replay_tree counts decisions from 0; name the record instead
+            err.line = [n for n, r in enumerate(records, start=1) if r["op"] != "event"][err.line]
+            raise
     elif kind == "split":
         names = {"friedberg": ("a", "a0", "a1"), "hk": ("b", "b0", "b1")}.get(
             flavour, ("e_a", "e0", "e1"))

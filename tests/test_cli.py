@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 RUN = [sys.executable, "-m", "cesplit.cli"]
 
 
@@ -141,6 +143,38 @@ def test_verify_meta_missing_field_reports_line(tmp_path):
     at = next(i for i, line in enumerate(lines) if '"op":"meta"' in line)
     record = json.loads(lines[at])
     del record["a0"]
+    lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    _verify_rejects(path, at + 1)
+
+
+def test_verify_reports_file_line_after_blank_line(tmp_path):
+    path, lines = _friedberg_trace(tmp_path)
+    first = next(i for i, line in enumerate(lines) if '"op":"event"' in line)
+    lines[first], lines[first + 1] = lines[first + 1], lines[first]
+    path.write_text("\n" + "\n".join(lines) + "\n")
+    # blank lines are legal; the report names the file line, not the record
+    _verify_rejects(path, first + 3)
+
+
+@pytest.mark.parametrize("op, field, value", [
+    ("enter", "node", None),  # None: the field is deleted
+    ("pull", "x0", "a"),
+])
+def test_verify_tree_record_fault_reports_line(tmp_path, op, field, value):
+    path = tmp_path / "tree.jsonl"
+    proc = invoke(
+        "diagonalize", "--proc", "hf", "--stages", "3000", "--depth", "9",
+        "--trace", str(path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if f'"op":"{op}"' in line)
+    record = json.loads(lines[at])
+    if value is None:
+        del record[field]
+    else:
+        record[field] = value
     lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n")
     _verify_rejects(path, at + 1)

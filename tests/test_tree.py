@@ -3,19 +3,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cesplit import corpus
+from cesplit.geometry import greatest_r_prefix, is_left_of, is_positive_a, node_kind, question_at
 from cesplit.tree import (
     TreeError,
     diagonalize,
-    greatest_r_prefix,
-    is_left_of,
-    is_positive_a,
-    is_r_node,
-    left_key,
-    node_kind,
     proc_broken,
     proc_friedberg,
     proc_trivial,
-    question_at,
     structural_report,
 )
 
@@ -88,14 +82,6 @@ def test_node_kinds():
 
 
 # -- left order ---------------------------------------------------------------
-
-
-@given(addresses, addresses)
-def test_left_key_realises_left_order(a, b):
-    if a == b:
-        assert not is_left_of(a, b)
-    else:
-        assert is_left_of(a, b) == (left_key(a) < left_key(b))
 
 
 @given(addresses, addresses, addresses)
