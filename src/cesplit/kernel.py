@@ -25,7 +25,9 @@ padding codes.  Active pairs live in a ladder of level queues served in the rule
 sequence (level i every 2**(i+1) ticks) with bursts that double per level, so
 fresh pairs are simulated promptly, long-running pairs get geometrically
 growing budgets, and divergers sink to rarely-served deep levels while still
-receiving unboundedly many steps in the limit.
+receiving unboundedly many steps in the limit.  A served pair runs its whole
+burst in one call of ``machine.run_steps``; a bitmask of the non-empty levels
+picks the level to serve.
 """
 
 from __future__ import annotations
@@ -34,7 +36,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from .machine import new_state, parse_program, step_state
+from .machine import parse_program, register_count, run_steps
+# re-exported for callers that import it from here: the one-step reference
+# semantics; the kernel itself runs whole bursts through run_steps
+from .machine import step_state  # noqa: F401
 from .pairing import pair, unpair
 
 
@@ -170,6 +175,7 @@ class Kernel:
     def __init__(self, corpus: Iterable[str] = ()):
         texts = list(corpus)
         self._programs = [parse_program(t) for t in texts]
+        self._registers = [0 if p is None else register_count(p) for p in self._programs]
         self._n_programs = len(self._programs)
         self._dense_codes = self._n_programs + 64
         self._any_valid = any(p is not None for p in self._programs)
@@ -182,8 +188,8 @@ class Kernel:
         self._dirty_batch: list[_GenEntry] = []
         self._watchers: dict[int, list[_GenEntry]] = {}
         self._levels: list[deque[list]] = [deque() for _ in range(MAX_LEVEL + 1)]
+        self._nonempty = 0  # bit i set iff _levels[i] holds a pair
         self._mtick = 0
-        self._stick = 0
         self._act_primary = 0
         self._act_pad = 0
         self._act_toggle = False
@@ -328,60 +334,61 @@ class Kernel:
                     self._poll_one(entry, stage)
 
     def _activate_pair(self) -> None:
-        n = self._n_programs
-        dense = self._dense_codes
+        programs, n, dense = self._programs, self._n_programs, self._dense_codes
         if not self._act_toggle:
             # dense lane over the first few codes
+            k = self._act_primary
             while True:
-                k = self._act_primary
-                self._act_primary += 1
                 m, x = k % dense, k // dense
-                if self._programs[m % n] is not None:
+                k += 1
+                if programs[m % n] is not None:
                     break
+            self._act_primary = k
         else:
             # sparse diagonal lane over the remaining padding codes
+            k = self._act_pad
             while True:
-                u, v = unpair(self._act_pad)
-                self._act_pad += 1
-                if self._programs[(dense + u) % n] is not None:
-                    m, x = dense + u, v
+                u, x = unpair(k)
+                k += 1
+                m = dense + u
+                if programs[m % n] is not None:
                     break
+            self._act_pad = k
         self._act_toggle = not self._act_toggle
-        program = self._programs[m % n]
-        self._levels[0].append([machine_index(m), x, new_state(program, x), program])
+        regs = [0] * self._registers[m % n]
+        regs[0] = x
+        self._levels[0].append([machine_index(m), x, [0, regs], programs[m % n]])
+        self._nonempty |= 1
 
     def _machine_tick(self, stage: int) -> None:
         if not self._any_valid:
             return
         tick = self._mtick
-        self._mtick += 1
+        self._mtick = tick + 1
         if tick % 3 == 0:
             self._activate_pair()
-        # ruler sequence: level i is served every 2**(i+1) service ticks
-        self._stick += 1
-        want = (self._stick & -self._stick).bit_length() - 1
-        if want > MAX_LEVEL:
-            want = MAX_LEVEL
-        level = None
-        for lvl in range(want, -1, -1):
-            if self._levels[lvl]:
-                level = lvl
-                break
-        if level is None:
-            for lvl in range(want + 1, MAX_LEVEL + 1):
-                if self._levels[lvl]:
-                    level = lvl
-                    break
-        if level is None:
+        nonempty = self._nonempty
+        if not nonempty:
             return
-        entry = self._levels[level].popleft()
-        burst = BURST_CAP if level >= 10 else 1 << level
-        program, state = entry[3], entry[2]
-        for _ in range(burst):
-            if step_state(program, state):
-                self._release(stage, entry[0], entry[1])
-                return
-        self._levels[min(level + 1, MAX_LEVEL)].append(entry)
+        # ruler sequence: level i is served every 2**(i+1) service ticks, so
+        # service tick t wants the level of t's lowest set bit; take the
+        # highest non-empty level at or below it, else the lowest one above
+        # (no level past MAX_LEVEL is ever non-empty, so no cap is needed)
+        tick += 1
+        wanted = tick & -tick
+        level = ((nonempty & (2 * wanted - 1)) or nonempty & -nonempty).bit_length() - 1
+        queue = self._levels[level]
+        entry = queue.popleft()
+        if not queue:
+            nonempty ^= 1 << level
+        if run_steps(entry[3], entry[2], BURST_CAP if level >= 10 else 1 << level):
+            self._nonempty = nonempty
+            self._release(stage, entry[0], entry[1])
+            return
+        if level < MAX_LEVEL:
+            level += 1
+        self._levels[level].append(entry)
+        self._nonempty = nonempty | 1 << level
 
     def step(self, stage: Optional[int] = None) -> None:
         if stage is None:
@@ -390,7 +397,8 @@ class Kernel:
             raise OutOfOrderStepError(
                 f"expected stage {self._next_stage}, got {stage}"
             )
-        self._poll_generators(stage)
+        if self._always or self._dirty_batch:
+            self._poll_generators(stage)
         if self._pending:
             index, element = self._pending.popleft()
             self._pending_set.discard((index, element))

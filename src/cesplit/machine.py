@@ -101,6 +101,47 @@ def step_state(program: Program, state: list) -> bool:
     return False
 
 
+def run_steps(program: Program, state: list, budget: int) -> bool:
+    """Run at most ``budget`` instructions; True when the configuration has halted.
+
+    The same as calling ``step_state`` up to ``budget`` times and stopping at
+    the first True: finding the run halted (at HALT, or past the end, which
+    includes a jump to the virtual slot ``size``) uses up one call's worth of
+    the budget and leaves the configuration as it was.  ``pc`` and the
+    registers live in locals, so a whole burst costs one Python call.  The
+    registers must cover every one the program names, as ``new_state`` makes
+    them: an index past the end of the program is how the loop sees a run
+    walk off it.
+    """
+    pc = state[0]
+    regs = state[1]
+    try:
+        for _ in range(budget):
+            ins = program[pc]
+            op = ins[0]
+            if op == OP_DECJZ:
+                reg = ins[1]
+                if regs[reg]:
+                    regs[reg] -= 1
+                    pc += 1
+                else:
+                    pc = ins[2]
+            elif op == OP_INC:
+                regs[ins[1]] += 1
+                pc += 1
+            elif op == OP_JMP:
+                pc = ins[1]
+            else:
+                break
+        else:
+            state[0] = pc
+            return False
+    except IndexError:  # program[pc] with pc == len(program)
+        pass
+    state[0] = pc
+    return True
+
+
 def halts_within(program: Optional[Program], x: int, budget: int) -> Optional[int]:
     """Tick count at which the run halts, or None if it survives the budget.
 

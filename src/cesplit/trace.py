@@ -93,8 +93,8 @@ def split_events(records: list[dict]):
     """Separate interleaved event records from decision records.
 
     An event the log cannot take (a missing field, a stage out of order, an
-    element entering one index twice) raises ``TraceError`` naming its line,
-    counted in records from 1.
+    element entering one index twice, a field that is not an integer) raises
+    ``TraceError`` naming its line, counted in records from 1.
     """
     from .kernel import EventLog, KernelError
 
@@ -108,9 +108,29 @@ def split_events(records: list[dict]):
                 raise TraceError(f"event record lacks {err}", line) from None
             except KernelError as err:
                 raise TraceError(str(err), line) from None
+            except TypeError:
+                raise _non_integer_event(records, line) from None
         else:
             decisions.append(record)
+    # stages that are all strings, or one alone, compare without a TypeError
+    if log and type(log.last_stage) is not int:
+        raise _non_integer_event(records, len(records))
     return log, decisions
+
+
+def _non_integer_event(records: list[dict], upto: int) -> TraceError:
+    """The first event record up to line ``upto`` with a non-integer field.
+
+    The log compares stages only with the previous one, so a bad stage can
+    surface an event after its own record; this names the record itself.
+    """
+    for line, record in enumerate(records[:upto], start=1):
+        if record["op"] == "event":
+            for name in ("s", "e", "x"):
+                value = record[name]
+                if type(value) is not int:
+                    return TraceError(f"event field {name!r} is not an integer: {value!r}", line)
+    return TraceError("event record does not fit the log", upto)
 
 
 def event_records(log) -> Iterable[dict]:

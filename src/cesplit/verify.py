@@ -630,6 +630,10 @@ def replay_check(records: list, kind: str = "replay") -> dict:
             y_listing=listing_from("y_over"), z_listing=listing_from("z_over"),
         )
     elif kind == "tree":
+        # replay_tree reads both; a bad one would be blamed on a later record
+        for name, default in (("depth", 25), ("feeder", 1)):
+            if type(meta.get(name, default)) is not int:
+                raise TraceError(f"meta {name} {meta[name]!r} is not an integer", meta_line)
         try:
             divergences = replay_tree(log, decisions, meta.get("depth", 25))
         except TraceError as err:

@@ -178,3 +178,28 @@ def test_verify_tree_record_fault_reports_line(tmp_path, op, field, value):
     lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n")
     _verify_rejects(path, at + 1)
+
+
+def test_verify_non_integer_event_stage_reports_line(tmp_path):
+    path, lines = _friedberg_trace(tmp_path)
+    second = [i for i, line in enumerate(lines) if '"op":"event"' in line][1]
+    lines[second] = '{"op":"event","s":"a","e":1,"x":3}'
+    path.write_text("\n".join(lines) + "\n")
+    _verify_rejects(path, second + 1)
+
+
+@pytest.mark.parametrize("field", ["depth", "feeder"])
+def test_verify_tree_meta_non_integer_reports_meta_line(tmp_path, field):
+    path = tmp_path / "tree.jsonl"
+    proc = invoke(
+        "diagonalize", "--proc", "hf", "--stages", "3000", "--depth", "9",
+        "--trace", str(path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if '"op":"meta"' in line)
+    record = json.loads(lines[at])
+    record[field] = "x" if field == "depth" else [1]
+    lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    _verify_rejects(path, at + 1)

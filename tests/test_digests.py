@@ -1,4 +1,4 @@
-"""Byte-identity pins: the sha256 of two small trace files.
+"""Byte-identity pins: the sha256 of small trace files and of one event log.
 
 Identical invocations give byte-identical traces, and a refactor must not
 change a single event or decision.  Each pin hashes the file that
@@ -11,6 +11,7 @@ import hashlib
 
 from cesplit import corpus
 from cesplit.friedberg import run_friedberg
+from cesplit.kernel import Kernel
 from cesplit.trace import dumps_record, merge_for_file
 from cesplit.tree import diagonalize, proc_friedberg
 
@@ -33,4 +34,14 @@ def test_friedberg_trace_pinned():
     result = run_friedberg(corpus.BASIC, 8, 4000)
     assert trace_sha256(result.kernel.log, result.trace) == (
         "30c4c673e652869e13a86a8268d8f22ba4326731a4679ee8ba5919e56fcf07a1"
+    )
+
+
+def test_kernel_event_log_pinned():
+    # reaches level 17, so bursts of BURST_CAP steps run; no pair halts in
+    # one, and test_capped_bursts_match_oracle (test_kernel.py) pins the cap
+    kernel = Kernel(corpus.make_corpus(512))
+    kernel.run_to(200_000)
+    assert trace_sha256(kernel.log, []) == (
+        "2e0d589336bf402d907173587f620a90683d766a8eac7b2513884e9e7660453e"
     )

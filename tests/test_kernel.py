@@ -111,6 +111,21 @@ def test_machine_only_run_matches_oracle():
     assert got == oracle_machine_events(texts, 3_000)
 
 
+# running time about 3x**2: pairs with larger inputs halt only in bursts of
+# the deep levels, where BURST_CAP bounds the burst
+QUADRATIC = ("DECJZ 0 9; INC 1; DECJZ 1 5; INC 2; JMP 2; DECJZ 2 8; INC 1; JMP 5;"
+             " JMP 0; HALT")
+
+
+def test_capped_bursts_match_oracle():
+    kernel = Kernel([QUADRATIC])
+    kernel.run_to(100_000)
+    got = list(kernel.log.events())
+    assert got == oracle_machine_events([QUADRATIC], 100_000)
+    # the run is sensitive to the cap: a smaller one changes its events
+    assert got != oracle_machine_events([QUADRATIC], 100_000, burst_cap=512)
+
+
 def test_halting_semantics_respected():
     texts = [corpus.HALT_EVEN]
     kernel = Kernel(texts)
@@ -199,25 +214,23 @@ def test_w_at_monotone(cut):
 
 
 def test_fairness_every_pair_keeps_getting_ticks(monkeypatch):
-    # count machine steps per simulated (program, input) pair: each pair owns
-    # one state object from activation on, and divergers never release it
+    # count the bursts served to each simulated (program, input) pair: each
+    # pair owns one state object from activation on, every burst runs at
+    # least one step, and divergers never release their state
     from cesplit import kernel as kernel_mod
 
     states, ticks = [], {}
-    new_state, step_state = kernel_mod.new_state, kernel_mod.step_state
+    run_steps = kernel_mod.run_steps
 
-    def counted_new_state(program, x):
-        state = new_state(program, x)
-        states.append(state)
-        ticks[id(state)] = 0
-        return state
-
-    def counted_step_state(program, state):
+    def counted_run_steps(program, state, budget):
+        assert budget >= 1
+        if id(state) not in ticks:
+            states.append(state)  # keeps the id from being reused
+            ticks[id(state)] = 0
         ticks[id(state)] += 1
-        return step_state(program, state)
+        return run_steps(program, state, budget)
 
-    monkeypatch.setattr(kernel_mod, "new_state", counted_new_state)
-    monkeypatch.setattr(kernel_mod, "step_state", counted_step_state)
+    monkeypatch.setattr(kernel_mod, "run_steps", counted_run_steps)
     kernel = Kernel([corpus.DIVERGE, corpus.DIVERGE])
     kernel.run_to(400)
     early = dict(ticks)

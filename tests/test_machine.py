@@ -1,5 +1,18 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cesplit import corpus
-from cesplit.machine import halts_within, parse_program
+from cesplit.machine import (
+    OP_DECJZ,
+    OP_HALT,
+    OP_INC,
+    OP_JMP,
+    halts_within,
+    new_state,
+    parse_program,
+    run_steps,
+    step_state,
+)
 
 BUDGET = 2_000
 
@@ -63,3 +76,48 @@ def test_make_corpus_deterministic_and_parseable_mostly():
     parsed = [parse_program(t) for t in c1]
     valid = [p for p in parsed if p is not None]
     assert len(valid) >= 48  # a few lines are deliberately unparsable
+
+
+@st.composite
+def programs(draw):
+    """Well-formed programs over four registers; targets reach ``size``."""
+    size = draw(st.integers(1, 8))
+    reg, target = st.integers(0, 3), st.integers(0, size)
+    instruction = st.one_of(
+        st.tuples(st.just(OP_INC), reg),
+        st.tuples(st.just(OP_DECJZ), reg, target),
+        st.tuples(st.just(OP_JMP), target),
+        st.just((OP_HALT,)),
+    )
+    return tuple(draw(st.lists(instruction, min_size=size, max_size=size)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(programs(), st.integers(0, 6), st.integers(1, 1100))
+def test_run_steps_is_step_state_up_to_the_budget(program, x, budget):
+    burst, stepped = new_state(program, x), new_state(program, x)
+    want = False
+    for _ in range(budget):
+        if step_state(program, stepped):
+            want = True
+            break
+    assert run_steps(program, burst, budget) == want
+    assert burst == stepped
+
+
+def test_run_steps_halts_on_jump_to_the_virtual_slot():
+    program = parse_program("DECJZ 0 2; JMP 0")
+    assert program == ((OP_DECJZ, 0, 2), (OP_JMP, 0))
+    state = new_state(program, 1)
+    # DECJZ decrements, JMP, DECJZ on zero jumps to slot 2: four calls to halt
+    assert run_steps(program, state, 3) is False and state == [2, [0]]
+    assert run_steps(program, state, 1) is True and state == [2, [0]]
+
+
+def test_run_steps_spends_the_whole_budget_of_a_burst():
+    program = parse_program("INC 1; JMP 0")
+    state = new_state(program, 5)
+    assert run_steps(program, state, 1024) is False
+    assert state == [0, [5, 512]]
+    assert run_steps(program, state, 1023) is False
+    assert state == [1, [5, 1024]]
