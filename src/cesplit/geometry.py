@@ -18,6 +18,13 @@ Addresses are bit strings, the tree growing downward:
     (the path actually passing a node on the left), never on the prefix
     case, otherwise relocation targets would not exist.
 
+Each piece makes A look maximal by original dumps over its marker table,
+the live markers in increasing order.  A marker's state is its membership
+mask: W_idx for idx < E_WINDOW sets bit E_WINDOW-1-idx, so the first e+1
+bits, read as a number, are its e-state, W_0 the most significant.  The
+least dump is the least e whose marker some later marker beats in e-state,
+with i the first such later position; the markers e..i-1 then go to A.
+
 ``tree.TreeRun`` builds the construction on these rules and
 ``verify.replay_tree`` re-checks a trace against them.  The replay keeps its
 own bookkeeping but takes this module as given: it is the trusted base the
@@ -32,6 +39,8 @@ from math import isqrt
 from typing import Optional
 
 ROOT = ""
+E_WINDOW = 64  # membership bits tracked per ball for marker states
+MARKER_WINDOW = 512  # marker table depth examined by the dump scan
 
 _FLIP = str.maketrans("01", "10")
 
@@ -176,6 +185,53 @@ def question_at(node: str) -> Question:
     if not 1 <= k <= j:
         raise TreeError(f"no question reachable at depth {d}")
     return Question("T", j, node[: k * k], b, k)
+
+
+# -- marker states and the least original dump --------------------------------
+
+
+def mask_bit(idx: int) -> int:
+    """The bit W_idx sets in a membership mask; 0 outside the window."""
+    return 1 << (E_WINDOW - 1 - idx) if 0 <= idx < E_WINDOW else 0
+
+
+def rev_mask(containers: dict, bound: int) -> int:
+    """The membership mask of a ball whose sets (index -> entry stage) are
+    given, counting the entries made by the stage bound."""
+    mask = 0
+    for idx, t in containers.items():
+        if t <= bound:
+            mask |= mask_bit(idx)
+    return mask
+
+
+def least_dump(revs: list, stage: int) -> Optional[tuple[int, int]]:
+    """The least original dump (e, i) over a marker table's masks, or None.
+
+    Only the first MARKER_WINDOW markers count, e stays below E_WINDOW, and
+    a dump whose i is not below the stage is no dump.  The masks after
+    position top fold into one ``max``, so the Python loop walks at most
+    E_WINDOW+1 markers of a table that may hold MARKER_WINDOW.
+    """
+    n = min(len(revs), MARKER_WINDOW)
+    top = min(n - 1, E_WINDOW, stage)
+    if top < 1:
+        return None
+    suffix = [0] * (top + 1)  # suffix[k]: the greatest mask at k..n-1
+    best = max(revs[top + 1 : n], default=0)
+    for k in range(top, 0, -1):
+        if revs[k] > best:
+            best = revs[k]
+        suffix[k] = best
+    for e in range(top):
+        shift = E_WINDOW - 1 - e
+        mine = revs[e] >> shift
+        if suffix[e + 1] >> shift > mine:
+            i = e + 1
+            while revs[i] >> shift <= mine:
+                i += 1
+            return (e, i) if i < stage else None
+    return None
 
 
 # -- sorted index lists (left keys, live balls, marker tables) ---------------

@@ -9,6 +9,7 @@ across runs with the same inputs: keys are sorted and separators fixed.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Iterable, Optional
 
 RECORD_OPS = {
@@ -38,26 +39,6 @@ def write_trace(path, records: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(dumps_record(record) + "\n")
-
-
-class TraceWriter:
-    """Streaming sink; hand its __call__ to a construction as trace_sink."""
-
-    def __init__(self, path):
-        self._fh = open(path, "w", encoding="utf-8")
-
-    def __call__(self, record: dict) -> None:
-        self._fh.write(dumps_record(record) + "\n")
-
-    def close(self) -> None:
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
 
 def read_trace(path) -> list[dict]:
@@ -112,8 +93,9 @@ def split_events(records: list[dict]):
                 raise _non_integer_event(records, line) from None
         else:
             decisions.append(record)
-    # stages that are all strings, or one alone, compare without a TypeError
-    if log and type(log.last_stage) is not int:
+    # the log takes any hashable index or element, and strings or bools as
+    # stages when they compare, so one pass over the built log checks types
+    if not set(map(type, chain.from_iterable(log.events()))) <= {int}:
         raise _non_integer_event(records, len(records))
     return log, decisions
 

@@ -35,17 +35,13 @@ from heapq import heapify, heappop, heappush
 from math import isqrt
 from typing import Callable, Optional
 
-import numpy as np
-
 from .geometry import (
     ROOT, TreeError, ball_too_deep, can_pull, greatest_r_prefix, is_positive_a,
-    last_left_pass, left_key, left_target, node_kind, question_at, r_chain,
-    requesting_prefixes, sorted_add, sorted_discard,
+    last_left_pass, least_dump, left_key, left_target, mask_bit, node_kind,
+    question_at, r_chain, requesting_prefixes, sorted_add, sorted_discard,
 )
 from .kernel import HostGenerator, Kernel, host_index
 
-E_WINDOW = 64  # membership bits tracked per ball for marker states
-MARKER_WINDOW = 512  # marker table depth examined by the dump scan
 FEEDER_PACE = 4  # the background universe set emits every 4th stage
 
 
@@ -164,15 +160,13 @@ class TreeRun:
     """Drives one diagonalization as a family of host generators."""
 
     def __init__(self, kernel: Kernel, proc: Callable, depth_bound: int = 25,
-                 slot_base: int = 1, collect_trace: bool = True,
-                 trace_sink: Optional[Callable] = None):
+                 slot_base: int = 1, collect_trace: bool = True):
         d = isqrt(depth_bound)
         if d * d != depth_bound:
             raise TreeError("depth bound must be a perfect square")
         self.kernel = kernel
         self.depth = depth_bound
         self.collect_trace = collect_trace
-        self.trace_sink = trace_sink
         self.trace: list = []
         self.violations: list = []
 
@@ -267,8 +261,6 @@ class TreeRun:
     def _emit_record(self, record: dict) -> None:
         if self.collect_trace:
             self.trace.append(record)
-        if self.trace_sink is not None:
-            self.trace_sink(record)
 
     def _violation(self, kind: str, detail) -> None:
         self.violations.append((self.tree_stage, kind, detail))
@@ -363,9 +355,9 @@ class TreeRun:
             self._cursor += 1
             for m in self.measures_by_index.get(idx, ()):
                 self._measure_try_add(m, x)
-            if idx < E_WINDOW:
+            bit = mask_bit(idx)
+            if bit:
                 mask = self.masks.get(x, 0)
-                bit = 1 << (E_WINDOW - 1 - idx)
                 if not mask & bit:
                     new = mask | bit
                     self.masks[x] = new
@@ -674,36 +666,13 @@ class TreeRun:
                 self._maximal_scan(st, state)
 
     def _maximal_scan(self, st: int, state: _NodeState) -> None:
-        """One original dump: raise the least marker's state when possible.
-
-        The dump scan examines the table up to MARKER_WINDOW positions; the
-        suffix maxima of the membership masks let each candidate prefix
-        length be tested with one shift and compare.
-        """
+        """One original dump: raise the least marker's state when possible."""
         state.needs_scan = False
-        live = state.live_markers
-        n = len(live)
-        if n < 2:
+        found = least_dump(state.live_revs, st)
+        if found is None:
             return
-        w = min(n, MARKER_WINDOW)
-        rv = np.array(state.live_revs[:w], dtype=np.uint64)
-        suffix = np.maximum.accumulate(rv[::-1])[::-1]
-        top = min(w - 1, E_WINDOW, st)
-        shifts = np.arange(E_WINDOW - 1, E_WINDOW - 1 - top, -1, dtype=np.uint64)
-        mine = rv[:top] >> shifts
-        best = suffix[1 : top + 1] >> shifts
-        hits = np.nonzero(best > mine)[0]
-        if hits.size == 0:
-            return
-        e = int(hits[0])
-        shift = int(E_WINDOW - 1 - e)
-        floor = int(mine[e])
-        i = e + 1
-        while int(rv[i]) >> shift <= floor:
-            i += 1
-        if i >= st:
-            return
-        dumped = list(live[e:i])
+        e, i = found
+        dumped = state.live_markers[e:i]
         self._emit_record(
             {
                 "op": "dump-orig",
@@ -919,7 +888,7 @@ class _WitnessSplit:
 
 def diagonalize(proc: Callable, stages: int, depth: int = 25,
                 corpus_texts=None, slot_base: int = 1,
-                collect_trace: bool = True, trace_sink=None,
+                collect_trace: bool = True,
                 with_witness_split: bool = False) -> TreeResult:
     """Run the full construction against one candidate procedure.
 
@@ -930,7 +899,7 @@ def diagonalize(proc: Callable, stages: int, depth: int = 25,
 
     texts = corpus_texts if corpus_texts is not None else corpus_mod.BASIC
     kernel = Kernel(texts)
-    run = TreeRun(kernel, proc, depth, slot_base, collect_trace, trace_sink)
+    run = TreeRun(kernel, proc, depth, slot_base, collect_trace)
     witness = _WitnessSplit(kernel, run) if with_witness_split else None
     checkpoints = sorted({stages * k // 100 for k in (80, 85, 90, 95, 100)})
     verdicts = []

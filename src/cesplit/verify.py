@@ -5,10 +5,11 @@ with its own bookkeeping, kept deliberately separate from the construction
 modules.  The tree replay is the one exception by design: it shares
 ``geometry`` with the construction, the trusted base of tree address rules
 (node kinds, questions, the left order, pull eligibility, left targets,
-requesting prefixes, left passes), and it trusts the traced chip counters
-instead of re-deriving them.  Non-effective notions (computability, c.e.-ness
-of a difference) are never decided; the probes report monotone evidence with
-explicit trailing windows instead.
+requesting prefixes, left passes, marker states and the least-dump rule),
+and it trusts the traced chip counters instead of re-deriving them.
+Non-effective notions (computability, c.e.-ness of a difference) are never
+decided; the probes report monotone evidence with explicit trailing windows
+instead.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .geometry import (
-    ROOT, TreeError, can_pull, diverges_left, greatest_r_prefix, is_left_of,
-    is_positive_a, is_r_node, last_left_pass, left_target, question_at,
-    requesting_prefixes, sorted_discard,
+    MARKER_WINDOW, ROOT, TreeError, can_pull, diverges_left, greatest_r_prefix,
+    is_left_of, is_positive_a, is_r_node, last_left_pass, least_dump, left_target,
+    question_at, requesting_prefixes, rev_mask, sorted_discard,
 )
 from .kernel import EventLog
 from .pairing import balance_code, pair, unpair
@@ -367,9 +368,10 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
     rebuilt from the decision records alone; pull eligibility, dump-state
     comparisons and endpoint shapes are then re-checked against the raw
     event log.  Two things are trusted rather than re-derived: the address
-    rules of ``geometry``, which the construction uses too, and the chip
-    counters (re-deriving them would be a second full simulation), so ``f``
-    records are checked for shape only and ``chip`` records not at all.
+    rules, marker states and least-dump rule of ``geometry``, which the
+    construction uses too, and the chip counters (re-deriving them would be
+    a second full simulation), so ``f`` records are checked for shape only
+    and ``chip`` records not at all.
     A record lacking a field, or holding one of the wrong type, raises
     ``TraceError`` naming its position in ``records`` from 0, as divergence
     lines do.
@@ -377,7 +379,6 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
     from math import isqrt
 
     from .trace import TraceError
-    from .tree import E_WINDOW, MARKER_WINDOW
 
     out: list[Divergence] = []
     meta = next((r for r in records if r.get("op") == "meta"), {})
@@ -509,8 +510,8 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
                     continue
                 if rec["balls"] != live[e:i]:
                     fail(line, "dump-balls", rec["balls"], live[e:i])
-                revs = [_rev_mask(log, x, ks - 1) for x in live[: min(len(live), MARKER_WINDOW)]]
-                found = _least_dump(revs, E_WINDOW)
+                revs = [rev_mask(log.containers_of(x), ks - 1) for x in live[:MARKER_WINDOW]]
+                found = least_dump(revs, rec["s"])
                 if found != (e, i):
                     fail(line, "dump-least", (e, i), found)
                 balls = live[e:i]
@@ -554,32 +555,6 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
         except (TypeError, TreeError) as err:
             raise TraceError(f"malformed {op} record: {err}", line) from None
     return out
-
-
-def _rev_mask(log: EventLog, x: int, bound: int, width: int = 64) -> int:
-    mask = 0
-    for idx, t in log.containers_of(x).items():
-        if idx < width and t <= bound:
-            mask |= 1 << (width - 1 - idx)
-    return mask
-
-
-def _least_dump(revs: list, width: int = 64):
-    n = len(revs)
-    if n < 2:
-        return None
-    suffix = [0] * (n + 1)
-    for k in range(n - 1, -1, -1):
-        suffix[k] = revs[k] if revs[k] > suffix[k + 1] else suffix[k + 1]
-    for e in range(min(n - 1, width)):
-        shift = width - 1 - e
-        mine = revs[e] >> shift
-        if (suffix[e + 1] >> shift) > mine:
-            i = e + 1
-            while (revs[i] >> shift) <= mine:
-                i += 1
-            return (e, i)
-    return None
 
 
 # -- trace-file level checking ------------------------------------------------

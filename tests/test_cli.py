@@ -157,18 +157,22 @@ def test_verify_reports_file_line_after_blank_line(tmp_path):
     _verify_rejects(path, first + 3)
 
 
-@pytest.mark.parametrize("op, field, value", [
-    ("enter", "node", None),  # None: the field is deleted
-    ("pull", "x0", "a"),
-])
-def test_verify_tree_record_fault_reports_line(tmp_path, op, field, value):
+def _tree_trace(tmp_path):
     path = tmp_path / "tree.jsonl"
     proc = invoke(
         "diagonalize", "--proc", "hf", "--stages", "3000", "--depth", "9",
         "--trace", str(path),
     )
     assert proc.returncode == 0, proc.stderr
-    lines = path.read_text().splitlines()
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("op, field, value", [
+    ("enter", "node", None),  # None: the field is deleted
+    ("pull", "x0", "a"),
+])
+def test_verify_tree_record_fault_reports_line(tmp_path, op, field, value):
+    path, lines = _tree_trace(tmp_path)
     at = next(i for i, line in enumerate(lines) if f'"op":"{op}"' in line)
     record = json.loads(lines[at])
     if value is None:
@@ -180,23 +184,35 @@ def test_verify_tree_record_fault_reports_line(tmp_path, op, field, value):
     _verify_rejects(path, at + 1)
 
 
-def test_verify_non_integer_event_stage_reports_line(tmp_path):
+@pytest.mark.parametrize("field, value", [
+    ("s", "a"), ("e", "a"), ("e", None), ("x", "a"), ("x", False),
+])
+def test_verify_non_integer_event_stage_reports_line(tmp_path, field, value):
     path, lines = _friedberg_trace(tmp_path)
-    second = [i for i, line in enumerate(lines) if '"op":"event"' in line][1]
-    lines[second] = '{"op":"event","s":"a","e":1,"x":3}'
+    fourth = [i for i, line in enumerate(lines) if '"op":"event"' in line][3]
+    record = json.loads(lines[fourth])
+    record[field] = value
+    lines[fourth] = json.dumps(record, sort_keys=True, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n")
-    _verify_rejects(path, second + 1)
+    _verify_rejects(path, fourth + 1)
+
+
+def test_verify_dump_below_stage_bound_is_not_least(tmp_path):
+    path, lines = _tree_trace(tmp_path)
+    at = next(i for i, line in enumerate(lines) if '"op":"dump-orig"' in line)
+    record = json.loads(lines[at])
+    record["s"] = record["i"]  # the dump would need i < s
+    lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    check = invoke("verify", "--trace", str(path))
+    assert check.returncode == 1, check.stdout
+    report = json.loads(check.stdout)
+    assert [d["field"] for d in report["divergences"]] == ["dump-least"]
 
 
 @pytest.mark.parametrize("field", ["depth", "feeder"])
 def test_verify_tree_meta_non_integer_reports_meta_line(tmp_path, field):
-    path = tmp_path / "tree.jsonl"
-    proc = invoke(
-        "diagonalize", "--proc", "hf", "--stages", "3000", "--depth", "9",
-        "--trace", str(path),
-    )
-    assert proc.returncode == 0, proc.stderr
-    lines = path.read_text().splitlines()
+    path, lines = _tree_trace(tmp_path)
     at = next(i for i, line in enumerate(lines) if '"op":"meta"' in line)
     record = json.loads(lines[at])
     record[field] = "x" if field == "depth" else [1]

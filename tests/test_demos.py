@@ -1,4 +1,5 @@
-"""Every narrative script under demos/ runs to completion."""
+"""Every narrative script under demos/ runs to completion, and the command
+line imports on the standard library alone."""
 
 import os
 import subprocess
@@ -11,12 +12,22 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo):
+def _run(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=600)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo):
+    proc = _run(str(demo))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_imports_without_numpy():
+    # a None entry in sys.modules makes any import of numpy fail
+    proc = _run("-c", "import sys; sys.modules['numpy'] = None; import cesplit.cli")
     assert proc.returncode == 0, proc.stderr

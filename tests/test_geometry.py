@@ -6,18 +6,22 @@ than from its code, so the construction and its replay are checked against
 something other than the module they share.
 """
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cesplit.geometry import (
+    E_WINDOW,
+    MARKER_WINDOW,
     can_pull,
     greatest_r_prefix,
     is_left_of,
     last_left_pass,
+    least_dump,
     left_key,
     left_target,
     r_chain,
     requesting_prefixes,
+    rev_mask,
     sorted_add,
     sorted_discard,
 )
@@ -145,3 +149,62 @@ def test_sorted_add_and_discard(ops):
             assert (at is not None) == (x in model)
             model.discard(x)
         assert keys == sorted(model)
+
+
+@given(st.dictionaries(st.integers(0, 80), st.integers(0, 30)), st.integers(-1, 31))
+def test_rev_mask(containers, bound):
+    bits = ["0"] * E_WINDOW  # W_0 is the leading bit
+    for idx, t in containers.items():
+        if idx < E_WINDOW and t <= bound:
+            bits[idx] = "1"
+    assert rev_mask(containers, bound) == int("".join(bits), 2)
+
+
+def brute_least_dump(revs, stage):
+    """The least e whose marker some later marker beats in its first e+1
+    mask bits, and i that later marker's first position, compared as bit
+    strings over the first MARKER_WINDOW markers; no dump unless i < stage."""
+    bits = [format(r, f"0{E_WINDOW}b") for r in revs[:MARKER_WINDOW]]
+    for e in range(min(E_WINDOW, len(bits))):
+        for i in range(e + 1, len(bits)):
+            if bits[i][: e + 1] > bits[e][: e + 1]:
+                return (e, i) if i < stage else None
+    return None
+
+
+@st.composite
+def marker_tables(draw):
+    """A non-increasing table (it has no dump) with a few markers raised.
+
+    The masks share their leading bits, so dumps happen deep as often as
+    shallow.  A raised marker copies an earlier one with one bit more set,
+    often its neighbour at the level that makes that neighbour the dump,
+    and raised positions favour the edges of the scan: the stage, E_WINDOW,
+    MARKER_WINDOW and the end of the table.
+    """
+    stage = draw(st.integers(0, 63) | st.integers(64, 2000))
+    n = draw(st.integers(0, 600) | st.sampled_from([65, 66, 67, 512, 513, 514]))
+    shared = draw(st.integers(0, E_WINDOW))
+    rnd = draw(st.randoms(use_true_random=False))
+    free = E_WINDOW - shared
+    base = rnd.getrandbits(shared) << free
+    table = sorted((base | rnd.getrandbits(free) for _ in range(n)), reverse=True)
+    edge = min(stage, E_WINDOW)
+    edges = [edge - 1, edge, edge + 1, edge + 2, MARKER_WINDOW, n - 1]
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, n) | st.sampled_from(edges))
+        if 0 < at < n:
+            j = draw(st.integers(0, at - 1) | st.just(at - 1))
+            level = draw(st.integers(0, E_WINDOW - 1) | st.just(min(j, E_WINDOW - 1)))
+            table[at] = table[j] | 1 << (E_WINDOW - 1 - level)
+    return table, stage
+
+
+@given(marker_tables())
+@example(([0, 1 << 63], 1))  # i must lie below the stage
+@example(([0, 1 << 63], 5))
+@example(([0] * 65 + [1], 100))  # beaten only by the first marker past the walk
+@example(([0] * 512 + [1], 1000))  # beaten only past the marker window
+def test_least_dump(case):
+    table, stage = case
+    assert least_dump(table, stage) == brute_least_dump(table, stage)
