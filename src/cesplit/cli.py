@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import corpus as corpus_mod
 from .friedberg import run_friedberg
@@ -18,7 +19,7 @@ from .kernel import Kernel
 from .setalg import check_split_history
 from .trace import TraceError, merge_for_file, read_trace_lines, write_trace
 from .tree import PROCEDURES, diagonalize, iterate_splitting_procedures, structural_report
-from .verify import complement_witnesses, probe_friedberg, replay_check
+from .verify import complement_witnesses, probe_friedberg, replay_check, trailing_window
 from .witness import run_parity_witness
 
 
@@ -86,7 +87,7 @@ def cmd_witness(args) -> int:
         log = bundle.kernel.log
         last = args.stages - 1
         evidence = probe_friedberg(log, bundle.a, bundle.k_r, bundle.k_rbar, last, args.breadth)
-        flagged = [ev.as_dict() for ev in evidence if ev.signature_side is not None]
+        flagged = [asdict(ev) for ev in evidence if ev.signature_side is not None]
         live = {
             side: [c.j for c in complement_witnesses(log, half, last, args.breadth)
                    if c.status == "live"]
@@ -96,7 +97,7 @@ def cmd_witness(args) -> int:
             {
                 "a": bundle.a,
                 "halves": (bundle.k_r, bundle.k_rbar),
-                "window": max(1, (args.stages - 1) // 10),
+                "window": trailing_window(last),
                 "breadth": args.breadth,
                 "sizes": (len(log.members_at(bundle.k_r, last)),
                           len(log.members_at(bundle.k_rbar, last))),
@@ -111,8 +112,7 @@ def cmd_witness(args) -> int:
     x0, x1 = shavrukov_pair(kernel, args.w, args.y)
     halves = None
     if args.a_index is not None:
-        a0, a1, _ = shav_split(kernel, args.a_index, x0, x1)
-        halves = (a0, a1)
+        halves = shav_split(kernel, args.a_index, x0, x1)
     kernel.run_to(args.stages)
     last = args.stages - 1
     _emit(

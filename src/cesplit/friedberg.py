@@ -22,7 +22,6 @@ from .pairing import balance_code
 class FriedbergSplitter:
     kernel: Kernel
     a: int
-    slot_base: int = 0
     a0: int = field(init=False)
     a1: int = field(init=False)
     counters: dict = field(default_factory=dict)
@@ -32,9 +31,7 @@ class FriedbergSplitter:
     _out: tuple = field(init=False)
 
     def __post_init__(self):
-        (self.a0, self.a1), self._out = self.kernel.register_pair(
-            self._ingest, watch=(self.a,), slot_base=self.slot_base
-        )
+        (self.a0, self.a1), self._out = self.kernel.register_pair(self._ingest, watch=(self.a,))
         self.trace.append(
             {"op": "meta", "kind": "friedberg", "a": self.a, "a0": self.a0, "a1": self.a1}
         )
@@ -97,8 +94,8 @@ class FriedbergResult:
     splitter: FriedbergSplitter
 
 
-def install_friedberg(kernel: Kernel, a: int, slot_base: Optional[int] = None) -> FriedbergSplitter:
-    return FriedbergSplitter(kernel, a, slot_base or 0)
+def install_friedberg(kernel: Kernel, a: int) -> FriedbergSplitter:
+    return FriedbergSplitter(kernel, a)
 
 
 def run_friedberg(corpus_texts, a: int, stages: int) -> FriedbergResult:
@@ -108,23 +105,3 @@ def run_friedberg(corpus_texts, a: int, stages: int) -> FriedbergResult:
     kernel.run_to(stages)
     return FriedbergResult(kernel, a, splitter.a0, splitter.a1, splitter.trace, splitter)
 
-
-class UniformSplittingProcedure:
-    """h_F: a total map from indices to registered Friedberg halves.
-
-    Uniform in e: only the event stream of e is consulted, never the program
-    text behind it.  Calling it twice on the same index returns the same
-    pair.
-    """
-
-    def __init__(self, kernel: Kernel, slot_base: int = 0):
-        self.kernel = kernel
-        self.slot_base = slot_base
-        self.splitters: dict[int, FriedbergSplitter] = {}
-
-    def __call__(self, e: int) -> tuple[int, int]:
-        splitter = self.splitters.get(e)
-        if splitter is None:
-            splitter = install_friedberg(self.kernel, e, self.slot_base)
-            self.splitters[e] = splitter
-        return splitter.halves

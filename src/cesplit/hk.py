@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 from .kernel import EventLog, Kernel
 from .pairing import pair, unpair
@@ -136,7 +136,6 @@ class HKSplitter:
     kernel: Kernel
     b: int
     a: int
-    slot_base: int = 0
     y_listing: Listing = identity_listing
     z_listing: Listing = identity_listing
     b0: int = field(init=False)
@@ -150,8 +149,10 @@ class HKSplitter:
     _out: tuple = field(init=False)
 
     def __post_init__(self):
+        # woken by B (to route) and by A (to warn); the catch-up reads the
+        # whole log anyway, so the triples' own indices need no watch
         (self.b0, self.b1), self._out = self.kernel.register_pair(
-            self._ingest, slot_base=self.slot_base
+            self._ingest, watch=(self.b, self.a)
         )
         meta = {"op": "meta", "kind": "hk", "b": self.b, "a": self.a,
                 "b0": self.b0, "b1": self.b1}
@@ -199,9 +200,9 @@ class HKSplitter:
 
     def _ingest(self, stage: int) -> None:
         log = self.kernel.log
-        while self._cursor < len(log):
-            t, idx, x = log.get(self._cursor)
-            self._cursor += 1
+        fresh = log.since(self._cursor)
+        self._cursor = len(log)
+        for t, idx, x in fresh:
             for state in self._by_index.get(idx, ()):
                 state.apply_event(log, x, t)
             if idx == self.a and not log.member_by(self.b, x, t):
@@ -259,23 +260,13 @@ def install_hk(
     a: int,
     y_listing: Listing = identity_listing,
     z_listing: Listing = identity_listing,
-    slot_base: Optional[int] = None,
 ) -> HKSplitter:
-    return HKSplitter(
-        kernel, b, a, slot_base or 0, y_listing=y_listing, z_listing=z_listing
-    )
+    return HKSplitter(kernel, b, a, y_listing=y_listing, z_listing=z_listing)
 
 
-def run_hk(
-    corpus_texts,
-    b: int,
-    a: int,
-    stages: int,
-    y_listing: Listing = identity_listing,
-    z_listing: Listing = identity_listing,
-) -> HKResult:
+def run_hk(corpus_texts, b: int, a: int, stages: int) -> HKResult:
     kernel = Kernel(corpus_texts)
-    splitter = install_hk(kernel, b, a, y_listing, z_listing)
+    splitter = install_hk(kernel, b, a)
     kernel.run_to(stages)
     return HKResult(kernel, b, a, splitter.b0, splitter.b1, splitter.trace, splitter)
 

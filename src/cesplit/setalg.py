@@ -52,16 +52,6 @@ class SplitVerdict:
     missing: tuple = ()
     settling: tuple = ()
 
-    @property
-    def first_violation(self) -> Optional[tuple[str, int]]:
-        if self.overlap:
-            return ("overlap", self.overlap[0])
-        if self.extra:
-            return ("extra", self.extra[0])
-        if self.missing:
-            return ("missing", self.missing[0])
-        return None
-
 
 def is_split(log: EventLog, a: int, a0: int, a1: int, s: int, settle: int = 1) -> SplitVerdict:
     """Check a0 |_| a1 = a at stage s.

@@ -30,7 +30,7 @@ indices.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from heapq import heapify, heappop, heappush
 from math import isqrt
 from typing import Callable, Optional
@@ -350,9 +350,9 @@ class TreeRun:
 
     def _ingest(self) -> None:
         log = self.kernel.log
-        while self._cursor < len(log):
-            _, idx, x = log.get(self._cursor)
-            self._cursor += 1
+        fresh = log.since(self._cursor)
+        self._cursor = len(log)
+        for _, idx, x in fresh:
             for m in self.measures_by_index.get(idx, ()):
                 self._measure_try_add(m, x)
             bit = mask_bit(idx)
@@ -821,7 +821,7 @@ PROCEDURES = {
 
 
 def verdict_at(kernel: Kernel, run: TreeRun, e_a: int, e0: int, e1: int,
-               stage: int, witness_breadth: int = 16) -> Verdict:
+               stage: int) -> Verdict:
     from .setalg import check_split_history
     from .verify import complement_witnesses, probe_friedberg
 
@@ -836,7 +836,7 @@ def verdict_at(kernel: Kernel, run: TreeRun, e_a: int, e0: int, e1: int,
     for side, half in ((0, e0), (1, e1)):
         if half == e_a:
             continue  # the input itself is not a complement candidate
-        live = [ev.j for ev in complement_witnesses(log, half, stage, witness_breadth)
+        live = [ev.j for ev in complement_witnesses(log, half, stage, 16)
                 if ev.status == "live"]
         if live:
             return Verdict(
@@ -847,22 +847,21 @@ def verdict_at(kernel: Kernel, run: TreeRun, e_a: int, e0: int, e1: int,
         positive = sum(1 for kind in tail if kind == "positive-a")
         if positive * 2 >= len(tail):
             return Verdict(2, "positive-endpoint", {"fraction": positive / len(tail)})
-    growth = [ev.as_dict() for ev in probe_friedberg(log, e_a, e0, e1, stage, 8)
+    growth = [asdict(ev) for ev in probe_friedberg(log, e_a, e0, e1, stage, 8)
               if ev.swallowed_total]
     return Verdict(3, "friedberg-like", {"per_index": growth})
 
 
 class _WitnessSplit:
-    """Routes dumped balls by membership in the designated piece R_alpha*.
+    """Routes dumped balls by membership in the designated piece R_"1".
 
     Registered alongside a tree run; routing waits until the piece's patch
     cursor has passed the ball, at which point membership is final.
     """
 
-    def __init__(self, kernel: Kernel, run: TreeRun, alpha: str = "1"):
+    def __init__(self, kernel: Kernel, run: TreeRun):
         self.kernel = kernel
         self.run = run
-        self.alpha = alpha
         self.cursor = 0
         (self.w0, self.w1), self._queues = kernel.register_pair(
             self._route, slot_base=run.a_slot + 1
@@ -870,7 +869,7 @@ class _WitnessSplit:
 
     def _route(self, stage: int) -> None:
         run = self.run
-        target = run.nodes.get(self.alpha)
+        target = run.nodes.get("1")
         if target is None:
             return
         while self.cursor < len(run.a_order):

@@ -6,16 +6,17 @@ modules.  The tree replay is the one exception by design: it shares
 ``geometry`` with the construction, the trusted base of tree address rules
 (node kinds, questions, the left order, pull eligibility, left targets,
 requesting prefixes, left passes, marker states and the least-dump rule),
-and it trusts the traced chip counters instead of re-deriving them.
+and it trusts the traced chip counters instead of re-deriving them.  It
+checks that a tree record written after an ``enter`` carries its stage.
 Non-effective notions (computability, c.e.-ness of a difference) are never
-decided; the probes report monotone evidence with explicit trailing windows
-instead.
+decided; the probes report monotone evidence over one explicit trailing
+window, ``trailing_window(S)``, instead.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .geometry import (
@@ -31,12 +32,9 @@ from .setalg import before_then
 @dataclass
 class Divergence:
     line: int
-    field_name: str
+    field: str
     got: object
     want: object
-
-    def as_dict(self):
-        return {"line": self.line, "field": self.field_name, "got": self.got, "want": self.want}
 
 
 # -- Friedberg routing replay ---------------------------------------------
@@ -238,13 +236,13 @@ class ComplementEvidence:
     stage: Optional[int] = None
     reason: Optional[str] = None
 
-    def as_dict(self):
-        return {"j": self.j, "status": self.status, "stage": self.stage, "reason": self.reason}
+
+def trailing_window(S: int) -> int:
+    """The trailing window a probe at stage S compares against: a tenth of S."""
+    return max(1, S // 10)
 
 
-def complement_witnesses(
-    log: EventLog, half: int, S: int, J: int, window: Optional[int] = None
-) -> list[ComplementEvidence]:
+def complement_witnesses(log: EventLog, half: int, S: int, J: int) -> list[ComplementEvidence]:
     """Which W_j still behave like a computable complement of the half by S.
 
     Live requires disjointness from the half through S, a covered prefix
@@ -252,8 +250,8 @@ def complement_witnesses(
     with the universe: the prefix must reach a fixed fraction of the
     largest element in play, otherwise the union has holes it never fills.
     """
-    window = window or max(1, S // 10)
     out = []
+    past_stage = S - trailing_window(S)
     half_members = log.members_at(half, S)
     frontier = universe_frontier(log, S)
     for j in range(J):
@@ -264,7 +262,7 @@ def complement_witnesses(
             out.append(ComplementEvidence(j, "refuted", stage, "intersects-half"))
             continue
         now = covered_prefix(log, (j, half), S)
-        past = covered_prefix(log, (j, half), S - window)
+        past = covered_prefix(log, (j, half), past_stage)
         if now <= past:
             out.append(ComplementEvidence(j, "refuted", S, "coverage-stalled"))
         elif now * 8 < frontier:
@@ -282,19 +280,9 @@ class FriedbergEvidence:
     side_swallowed_recent: tuple[int, int]
     signature_side: Optional[int] = None
 
-    def as_dict(self):
-        return {
-            "j": self.j,
-            "swallowed_total": self.swallowed_total,
-            "swallowed_recent": self.swallowed_recent,
-            "side_swallowed_recent": list(self.side_swallowed_recent),
-            "signature_side": self.signature_side,
-        }
 
-
-def probe_friedberg(
-    log: EventLog, a: int, a0: int, a1: int, S: int, J: int, window: Optional[int] = None
-) -> list[FriedbergEvidence]:
+def probe_friedberg(log: EventLog, a: int, a0: int, a1: int, S: int,
+                    J: int) -> list[FriedbergEvidence]:
     """Finite-stage echo of the Friedberg property per candidate W_j.
 
     The difference W_j - A_i can only fail to be c.e. by repeatedly losing
@@ -302,8 +290,7 @@ def probe_friedberg(
     signature for side i is: W_j-then-A still grows over the trailing
     window while W_j-then-A_i does not.
     """
-    window = window or max(1, S // 10)
-    past = S - window
+    past = S - trailing_window(S)
     out = []
     for j in range(J):
         total_now = len(before_then(log, j, a, S))
@@ -328,24 +315,15 @@ class DProbeReport:
     counterexample: Optional[tuple] = None  # (x, kind)
     covered: int = 0
 
-    def as_dict(self):
-        return {
-            "consistent": self.consistent,
-            "counterexample": list(self.counterexample) if self.counterexample else None,
-            "covered": self.covered,
-        }
 
-
-def d_probe(log: EventLog, a: int, w: int, y: int, z: int, S: int,
-            window: Optional[int] = None) -> DProbeReport:
+def d_probe(log: EventLog, a: int, w: int, y: int, z: int, S: int) -> DProbeReport:
     """Finite-stage check that (w, y, z) witness complementation modulo A.
 
     Coverage: w | y | a covers a still-growing prefix.  Agreement: the
     stage-S snapshot of (w & y) - a equals the snapshot of z.
     """
-    window = window or max(1, S // 10)
     now = covered_prefix(log, (w, y, a), S)
-    past = covered_prefix(log, (w, y, a), S - window)
+    past = covered_prefix(log, (w, y, a), S - trailing_window(S))
     if now <= past and now < S:
         return DProbeReport(False, (now, "uncovered"), now)
     lhs = (log.members_at(w, S) & log.members_at(y, S)) - log.members_at(a, S)
@@ -367,11 +345,14 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
     Positions, piece commitments, request ledgers and marker tables are
     rebuilt from the decision records alone; pull eligibility, dump-state
     comparisons and endpoint shapes are then re-checked against the raw
-    event log.  Two things are trusted rather than re-derived: the address
-    rules, marker states and least-dump rule of ``geometry``, which the
-    construction uses too, and the chip counters (re-deriving them would be
-    a second full simulation), so ``f`` records are checked for shape only
-    and ``chip`` records not at all.
+    event log.  Every ``left``, ``void``, ``pull``, ``dump-orig`` and
+    ``dump-extra`` record must carry the stage ``s`` of the latest ``enter``
+    (a ``stage`` divergence otherwise), and that stage, not the record's own
+    ``s``, bounds the least dump.  Two things are trusted rather than
+    re-derived: the address rules, marker states and least-dump rule of
+    ``geometry``, which the construction uses too, and the chip counters
+    (re-deriving them would be a second full simulation), so ``f`` records
+    are checked for shape only and ``chip`` records not at all.
     A record lacking a field, or holding one of the wrong type, raises
     ``TraceError`` naming its position in ``records`` from 0, as divergence
     lines do.
@@ -403,6 +384,10 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
         try:
             if op in ("meta", "chip", "event"):
                 continue
+            # written after the enter of their own tree stage, so their
+            # stage is the latest enter's, which also bounds the least dump
+            if op in ("left", "void", "pull", "dump-orig", "dump-extra") and rec["s"] != stage:
+                fail(line, "stage", rec["s"], stage)
             if op == "f":
                 node = rec["node"]
                 st, ks = rec["s"], rec.get("ks", ks)
@@ -511,7 +496,7 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
                 if rec["balls"] != live[e:i]:
                     fail(line, "dump-balls", rec["balls"], live[e:i])
                 revs = [rev_mask(log.containers_of(x), ks - 1) for x in live[:MARKER_WINDOW]]
-                found = least_dump(revs, rec["s"])
+                found = least_dump(revs, stage)
                 if found != (e, i):
                     fail(line, "dump-least", (e, i), found)
                 balls = live[e:i]
@@ -630,7 +615,7 @@ def replay_check(records: list, kind: str = "replay") -> dict:
     return {
         "ok": not divergences,
         "kind": kind,
-        "divergences": [d.as_dict() for d in divergences],
+        "divergences": [asdict(d) for d in divergences],
         "decisions": sum(1 for r in decisions if r.get("op") != "meta"),
         "events": len(log),
     }

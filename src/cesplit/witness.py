@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Optional
 
-from .kernel import EventLog, HostGenerator, Kernel
+from .kernel import HostGenerator, Kernel
 from .setalg import ComputablePair
 
 
@@ -71,9 +70,9 @@ class _DiagonalImageBrain:
 
     def pump(self) -> None:
         log = self.kernel.log
-        while self.cursor < len(log):
-            _, idx, x = log.get(self.cursor)
-            self.cursor += 1
+        fresh = log.since(self.cursor)
+        self.cursor = len(log)
+        for _, idx, x in fresh:
             if idx == x and x not in self.diag_seen:
                 self.diag_seen.add(x)
                 self.diagonal.append(x)
@@ -87,16 +86,14 @@ class _DiagonalImageBrain:
                 self.sent[side] += 1
 
 
-def build_split_witness(kernel: Kernel, pair: ComputablePair,
-                        slot_base: Optional[int] = None) -> WitnessBundle:
+def build_split_witness(kernel: Kernel, pair: ComputablePair) -> WitnessBundle:
     """Register K_R, K_R-bar and their union A on the kernel."""
-    base = slot_base or 0
     # the brain routes into the pair's outputs; it is bound before any poll
-    (k_r, k_rbar), outs = kernel.register_pair(lambda stage: brain.pump(), slot_base=base)
+    (k_r, k_rbar), outs = kernel.register_pair(lambda stage: brain.pump())
     brain = _DiagonalImageBrain(kernel, pair, outs)
     union = _UnionEcho(kernel, (k_r, k_rbar))
     a = kernel.register_generator(HostGenerator(
-        slot=kernel.free_slot(base), pull=lambda stage: union.fresh(), watch=(k_r, k_rbar)
+        slot=kernel.free_slot(), pull=lambda stage: union.fresh(), watch=(k_r, k_rbar)
     ))
     return WitnessBundle(kernel, pair, k_r, k_rbar, a)
 
@@ -109,17 +106,12 @@ class _UnionEcho:
 
     def fresh(self) -> list[int]:
         log = self.kernel.log
-        out = []
-        while self.cursor < len(log):
-            _, idx, x = log.get(self.cursor)
-            self.cursor += 1
-            if idx in self.sources:
-                out.append(x)
+        out = [x for _, idx, x in log.since(self.cursor) if idx in self.sources]
+        self.cursor = len(log)
         return out
 
 
-def register_paced_pair(kernel: Kernel, predicate, pace: int = 2,
-                        slot_base: Optional[int] = None) -> ComputablePair:
+def register_paced_pair(kernel: Kernel, predicate, pace: int = 2) -> ComputablePair:
     """Host-backed computable pair: value n lands on the predicate's side.
 
     Values are emitted in increasing order, one every ``pace`` stages, so the
@@ -132,16 +124,8 @@ def register_paced_pair(kernel: Kernel, predicate, pace: int = 2,
             n = next(values)
             outs[0 if predicate(n) else 1].append(n)
 
-    (pos, neg), outs = kernel.register_pair(route_next, slot_base=slot_base or 0)
+    (pos, neg), outs = kernel.register_pair(route_next)
     return ComputablePair(pos, neg)
-
-
-def run_split_witness(corpus_texts, pos: int, neg: int, stages: int,
-                      slot_base: Optional[int] = None) -> WitnessBundle:
-    kernel = Kernel(corpus_texts)
-    bundle = build_split_witness(kernel, ComputablePair(pos, neg), slot_base)
-    kernel.run_to(stages)
-    return bundle
 
 
 def run_parity_witness(corpus_texts, stages: int, pace: int = 3) -> WitnessBundle:
@@ -156,14 +140,13 @@ def run_parity_witness(corpus_texts, stages: int, pace: int = 3) -> WitnessBundl
 # -- before/after pair operators -------------------------------------------
 
 
-def shavrukov_pair(kernel: Kernel, w: int, y: int,
-                   slot_base: Optional[int] = None) -> tuple[int, int]:
+def shavrukov_pair(kernel: Kernel, w: int, y: int) -> tuple[int, int]:
     """Registered enumerations of w-before-y and y-before-w.
 
     Disjoint at every stage: an element's first-entry order between w and y
     is unique under the single-event convention.
     """
-    base = kernel.free_slot(slot_base or 0)
+    base = kernel.free_slot()
     slot_x1 = kernel.free_slot(base + 1)
 
     def make_pull(first: int, second: int):
@@ -171,10 +154,10 @@ def shavrukov_pair(kernel: Kernel, w: int, y: int,
 
         def pull(stage):
             log = kernel.log
+            fresh = log.since(state["cursor"])
+            state["cursor"] = len(log)
             out = []
-            while state["cursor"] < len(log):
-                t, idx, x = log.get(state["cursor"])
-                state["cursor"] += 1
+            for t, idx, x in fresh:
                 if idx != first:
                     continue
                 t_other = log.entry_stage(second, x)
@@ -189,34 +172,15 @@ def shavrukov_pair(kernel: Kernel, w: int, y: int,
     return x0, x1
 
 
-@dataclass
-class ShavSplit:
-    a0: int
-    a1: int
-
-    def coverage_exceptions(self, log: EventLog, a: int, x0: int, x1: int, s: int) -> list[int]:
-        """Entrants of a never covered by x0 | x1 through stage s."""
-        out = []
-        for t, x in log.entries(a):
-            if t > s:
-                break
-            if log.entry_stage(x0, x) is None and log.entry_stage(x1, x) is None:
-                out.append(x)
-        return out
-
-
-def shav_split(kernel: Kernel, a: int, x0: int, x1: int,
-               slot_base: Optional[int] = None) -> tuple[int, int, ShavSplit]:
+def shav_split(kernel: Kernel, a: int, x0: int, x1: int) -> tuple[int, int]:
     """Halves a & x0 and a & x1; an entrant routes once its side is known."""
     state = {"cursor": 0, "pending": []}
 
     def ingest(stage):
         log = kernel.log
-        while state["cursor"] < len(log):
-            _, idx, x = log.get(state["cursor"])
-            state["cursor"] += 1
-            if idx == a:
-                state["pending"].append(x)
+        fresh = log.since(state["cursor"])
+        state["cursor"] = len(log)
+        state["pending"].extend(x for _, idx, x in fresh if idx == a)
         still = []
         for x in state["pending"]:
             t0 = log.entry_stage(x0, x)
@@ -229,5 +193,5 @@ def shav_split(kernel: Kernel, a: int, x0: int, x1: int,
                 still.append(x)
         state["pending"] = still
 
-    (a0, a1), outs = kernel.register_pair(ingest, slot_base=slot_base or 0)
-    return a0, a1, ShavSplit(a0, a1)
+    (a0, a1), outs = kernel.register_pair(ingest)
+    return a0, a1

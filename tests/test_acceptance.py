@@ -186,7 +186,7 @@ def test_criterion_5_witness_probes():
     evidence = probe_friedberg(log, bundle.a, bundle.k_r, bundle.k_rbar, last, J)
     by_j = {ev.j: ev for ev in evidence}
     flag = by_j[bundle.r.pos]
-    assert flag.signature_side == 1, flag.as_dict()
+    assert flag.signature_side == 1, flag
     assert flag.swallowed_recent > 0
     for half in (bundle.k_r, bundle.k_rbar):
         statuses = complement_witnesses(log, half, last, J)
@@ -209,7 +209,7 @@ def test_criterion_6_shavrukov_operators():
         registered = []
         for _ in range(25):
             w, y = rng.choice(pool), rng.choice(pool)
-            registered.append((w, y, *shavrukov_pair(kernel, w, y, slot_base=len(registered) * 2)))
+            registered.append((w, y, *shavrukov_pair(kernel, w, y)))
         kernel.run_to(20_000)
         log = kernel.log
         for w, y, x0, x1 in registered:
@@ -225,7 +225,7 @@ def test_criterion_6_shavrukov_operators():
             pairs.append((w, y))
     kernel = Kernel([corpus.HALT_ALL, corpus.HALT_EVEN, corpus.HALT_ODD])
     halt, evens, odds = machine_index(0), machine_index(1), machine_index(2)
-    a0, a1, split = shav_split(kernel, halt, evens, odds)
+    a0, a1 = shav_split(kernel, halt, evens, odds)
     S = 30_000
     kernel.run_to(S)
     log = kernel.log

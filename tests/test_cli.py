@@ -106,6 +106,33 @@ def test_witness_build31_summary():
     assert payload["live_complements"]["k_rbar"] == []
 
 
+def test_witness_shav_split_halves():
+    proc = invoke("witness", "shav", "--w", "0", "--y", "2", "--a-index", "4",
+                  "--stages", "5000")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert len(payload["halves"]) == 2
+    assert payload["x0"] and not set(payload["x0"]) & set(payload["x1"])
+
+
+def test_split_hk_subset_scenario():
+    proc = invoke("split", "hk", "--subset-scenario", "--stages", "5000")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["routed"] and payload["violation"] is None
+
+
+def test_diagonalize_plugin_matches_named_proc(tmp_path):
+    plugin = tmp_path / "plugin.py"
+    plugin.write_text("from cesplit.tree import proc_trivial as procedure\n")
+    argv = ("diagonalize", "--stages", "3000", "--depth", "9", "--proc")
+    named = json.loads(invoke(*argv, "trivial").stdout)
+    custom = json.loads(invoke(*argv, f"plugin:{plugin}").stdout)
+    assert named.pop("proc") == "trivial"
+    assert custom.pop("proc") == f"plugin:{plugin}"
+    assert custom == named
+
+
 def test_iterate_smoke():
     proc = invoke("iterate", "--rounds", "1", "--stages", "12000")
     assert proc.returncode == 0
@@ -197,17 +224,20 @@ def test_verify_non_integer_event_stage_reports_line(tmp_path, field, value):
     _verify_rejects(path, fourth + 1)
 
 
-def test_verify_dump_below_stage_bound_is_not_least(tmp_path):
+@pytest.mark.parametrize("forge", ["lowered", "raised"])
+def test_verify_dump_below_stage_bound_is_not_least(tmp_path, forge):
+    # the dump would need i < s: a lowered s fails the stage bound, a raised
+    # one lifts it; either way the record's s is not the tree stage
     path, lines = _tree_trace(tmp_path)
     at = next(i for i, line in enumerate(lines) if '"op":"dump-orig"' in line)
     record = json.loads(lines[at])
-    record["s"] = record["i"]  # the dump would need i < s
+    record["s"] = record["i"] if forge == "lowered" else 1_000_000
     lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n")
     check = invoke("verify", "--trace", str(path))
     assert check.returncode == 1, check.stdout
     report = json.loads(check.stdout)
-    assert [d["field"] for d in report["divergences"]] == ["dump-least"]
+    assert [d["field"] for d in report["divergences"]] == ["stage"]
 
 
 @pytest.mark.parametrize("field", ["depth", "feeder"])

@@ -1,10 +1,11 @@
 import pytest
 
 from cesplit import corpus
-from cesplit.friedberg import UniformSplittingProcedure, install_friedberg, run_friedberg
+from cesplit.friedberg import run_friedberg
 from cesplit.kernel import Kernel, machine_index
 from cesplit.pairing import balance_code
 from cesplit.setalg import before, before_then, check_split_history
+from cesplit.tree import proc_friedberg
 
 TEXTS = [corpus.HALT_ALL, corpus.HALT_EVEN, corpus.HALT_ODD, corpus.DIVERGE, corpus.HALT_SLOW]
 
@@ -100,15 +101,12 @@ def test_both_sides_eventually_fed(halting_split):
 
 def test_uniform_procedure_total_and_deterministic():
     kernel = Kernel(TEXTS)
-    h = UniformSplittingProcedure(kernel)
-    pairs = [h(e) for e in range(0, 25)]
+    pairs = [proc_friedberg(kernel, e) for e in range(0, 25)]
     assert len({p for p in pairs}) == len(pairs)
-    assert h(3) == pairs[3]  # memoised, not re-registered
     kernel.run_to(400)
 
     kernel2 = Kernel(TEXTS)
-    h2 = UniformSplittingProcedure(kernel2)
-    [h2(e) for e in range(0, 25)]
+    [proc_friedberg(kernel2, e) for e in range(0, 25)]
     kernel2.run_to(400)
     assert list(kernel.log.events()) == list(kernel2.log.events())
 
@@ -129,7 +127,6 @@ def test_before_monotone_through_split(halting_split):
 
 def test_uniform_procedure_total_on_first_hundred():
     kernel = Kernel(TEXTS)
-    h = UniformSplittingProcedure(kernel)
-    pairs = [h(e) for e in range(101)]
+    pairs = [proc_friedberg(kernel, e) for e in range(101)]
     assert len(set(pairs)) == 101
     kernel.run_to(200)  # registration alone must never block stepping

@@ -1,7 +1,7 @@
 import pytest
 
 from cesplit import corpus
-from cesplit.hk import identity_listing, rigged_listing, run_hk, run_subset_scenario
+from cesplit.hk import HKSplitter, identity_listing, rigged_listing, run_hk, run_subset_scenario
 from cesplit.kernel import EventLog, machine_index
 from cesplit.setalg import check_split_history
 from cesplit.verify import replay_hk, restraint_history
@@ -120,6 +120,22 @@ def test_routing_replay_catches_tamper(default_run):
 def test_split_discipline(default_run):
     r = default_run
     assert check_split_history(r.kernel.log, r.b, r.b0, r.b1, 7_999) is None
+
+
+def test_polled_only_when_b_or_a_moves(monkeypatch):
+    # one poll at registration, then at most one per released entry of B or A
+    calls = []
+    ingest = HKSplitter._ingest
+
+    def counted(self, stage):
+        calls.append(stage)
+        ingest(self, stage)
+
+    monkeypatch.setattr(HKSplitter, "_ingest", counted)
+    r = run_hk(TEXTS, machine_index(0), machine_index(1), 8_000)
+    log = r.kernel.log
+    assert r.trace[1:]  # the splitter did route
+    assert len(calls) <= len(log.entries(r.b)) + len(log.entries(r.a)) + 1
 
 
 def test_determinism():

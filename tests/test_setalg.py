@@ -99,10 +99,10 @@ def test_is_split_settling_then_ok():
 def test_is_split_overlap_and_extra():
     log = scripted_log([(1, A, 5), (2, B, 5), (3, 102, 5)])
     verdict = is_split(log, A, B, 102, 3)
-    assert not verdict.ok and verdict.first_violation == ("overlap", 5)
+    assert not verdict.ok and verdict.overlap == (5,)
     log2 = scripted_log([(1, B, 9)])
     verdict2 = is_split(log2, A, B, 102, 1)
-    assert not verdict2.ok and verdict2.first_violation == ("extra", 9)
+    assert not verdict2.ok and (verdict2.overlap, verdict2.extra) == ((), (9,))
 
 
 def test_is_split_missing_after_settle_window():

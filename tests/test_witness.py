@@ -4,7 +4,7 @@ from cesplit import corpus
 from cesplit.kernel import EventLog, Kernel, machine_index
 from cesplit.setalg import before
 from cesplit.verify import complement_witnesses, probe_friedberg
-from cesplit.witness import run_parity_witness, run_split_witness, shav_split, shavrukov_pair
+from cesplit.witness import run_parity_witness, shav_split, shavrukov_pair
 
 TEXTS = [corpus.HALT_ALL, corpus.HALT_EVEN, corpus.HALT_ODD, corpus.DIVERGE, corpus.HALT_SLOW]
 EVENS, ODDS = machine_index(1), machine_index(2)
@@ -121,7 +121,7 @@ def test_shavrukov_pair_disjoint_on_real_sets():
 def test_shav_split_all_on_one_side():
     # a inside x0 entirely: the other half stays empty
     k = Kernel(TEXTS)
-    a0, a1, _ = shav_split(k, EVENS, machine_index(0), machine_index(3))
+    a0, a1 = shav_split(k, EVENS, machine_index(0), machine_index(3))
     k.run_to(6_000)
     assert k.w_at(a1, 5_999) == frozenset()
     assert k.w_at(a0, 5_999) <= k.w_at(EVENS, 5_999)
@@ -130,7 +130,7 @@ def test_shav_split_all_on_one_side():
 
 def test_shav_split_empty_input():
     k = Kernel(TEXTS)
-    a0, a1, _ = shav_split(k, machine_index(3), machine_index(0), EVENS)
+    a0, a1 = shav_split(k, machine_index(3), machine_index(0), EVENS)
     k.run_to(2_000)
     assert k.w_at(a0, 1_999) == frozenset()
     assert k.w_at(a1, 1_999) == frozenset()
@@ -139,7 +139,7 @@ def test_shav_split_empty_input():
 def test_shav_split_partitions_covered_part(bundle_stages=12_000):
     k = Kernel(TEXTS)
     halt = machine_index(0)
-    a0, a1, split = shav_split(k, halt, EVENS, ODDS)
+    a0, a1 = shav_split(k, halt, EVENS, ODDS)
     k.run_to(bundle_stages)
     last = bundle_stages - 1
     wa = k.w_at(halt, last)
@@ -148,16 +148,17 @@ def test_shav_split_partitions_covered_part(bundle_stages=12_000):
     assert w0 | w1 <= wa
     assert all(x % 2 == 0 for x in w0)
     assert all(x % 2 == 1 for x in w1)
-    exceptions = split.coverage_exceptions(k.log, halt, EVENS, ODDS, last)
+    uncovered = {x for x in wa
+                 if k.log.entry_stage(EVENS, x) is None and k.log.entry_stage(ODDS, x) is None}
     # every covered entrant is routed or still in flight
-    in_flight = wa - (w0 | w1) - set(exceptions)
+    in_flight = wa - (w0 | w1) - uncovered
     assert len(in_flight) <= 4
 
 
 def test_witness_bundle_reproduced_by_shav_split(bundle):
     # pushing A through the (R, R-bar) sides reproduces the two images
     k = bundle.kernel
-    a0, a1, _ = shav_split(k, bundle.a, bundle.r.pos, bundle.r.neg)
+    a0, a1 = shav_split(k, bundle.a, bundle.r.pos, bundle.r.neg)
     k.run_to(S + 4_000)
     last = S + 3_999
     got0, got1 = k.w_at(a0, last), k.w_at(a1, last)
