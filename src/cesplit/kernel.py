@@ -7,6 +7,13 @@ with an empty FIFO.  That pause-and-resume discipline is what lets constructed
 sets keep pace with their inputs without ever violating the one-event
 convention.
 
+Generators are polled only on the stages that can give them work.  A source
+(``watch`` None) is polled every stage, at the stages it books with
+``Kernel.wake_at`` (a timer heap), or on the stages that start with an empty
+FIFO; the others are woken by the release of an index they watch or by
+``Kernel.wake``.  Each stage polls the due sources first, in registration
+order, and then the woken generators, by slot.
+
 Index space:
 
   even code 2*m                 machine program corpus[m % len(corpus)]
@@ -34,6 +41,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from .machine import parse_program, register_count, run_steps
@@ -149,8 +158,8 @@ class EventLog:
 
         A construction catches up on the log by keeping a cursor: it reads
         ``since(cursor)`` and then sets the cursor to ``len(log)``.  With
-        nothing new this returns ``()`` without slicing: the tree brain is
-        polled every stage and finds nothing new on about a fifth of them.
+        nothing new this returns ``()`` without slicing, as for a generator
+        woken by ``Kernel.wake`` when nothing it reads was released.
         """
         if start >= len(self._stages):
             return ()
@@ -164,20 +173,30 @@ class HostGenerator:
     ``pull(stage)`` returns the elements the set enumerates next; the kernel
     queues them FIFO and releases one per stage.  Multi-set constructions
     register one generator per set and coordinate through shared state (see
-    ``Kernel.register_pair``).  ``watch`` lists indices whose released
-    events should wake the generator; None means poll every stage.
+    ``Kernel.register_pair``).
+
+    ``watch`` lists indices whose released events should wake the generator;
+    ``Kernel.wake`` wakes it too.  With ``watch`` None the generator is a
+    source, and ``wake`` says on which stages it is polled: every stage
+    (``"stage"``), the stages it books with ``Kernel.wake_at`` (``"timer"``),
+    or the stages that start with an empty FIFO (``"drain"``).
     """
 
     slot: int
     pull: Callable[[int], Iterable[int]]
     watch: Optional[tuple[int, ...]] = None
+    wake: str = "stage"
 
 
-@dataclass
+@dataclass(eq=False)
 class _GenEntry:
     gen: HostGenerator
     index: int
+    order: int  # registration order: sources due in one stage are polled in it
     dirty: bool = True
+
+
+_ORDER = attrgetter("order")
 
 
 class Kernel:
@@ -193,7 +212,11 @@ class Kernel:
         self._pending_set: set[tuple[int, int]] = set()
         self.max_backlog = 0
         self._entries: dict[int, _GenEntry] = {}
-        self._always: list[_GenEntry] = []
+        self._sources: list[_GenEntry] = []   # every source, whatever its wake
+        self._every: list[_GenEntry] = []     # sources polled every stage
+        self._drainers: list[_GenEntry] = []  # sources polled on drained stages
+        self._timers: list[tuple[int, int, int]] = []  # (stage, order, index) heap
+        self._now = -1  # the stage whose generators were polled last
         self._dirty_batch: list[_GenEntry] = []
         self._watchers: dict[int, list[_GenEntry]] = {}
         self._levels: list[deque[list]] = [deque() for _ in range(MAX_LEVEL + 1)]
@@ -229,12 +252,20 @@ class Kernel:
     # -- registration ----------------------------------------------------
 
     def register_generator(self, gen: HostGenerator) -> int:
-        entry = _GenEntry(gen, host_index(gen.slot, 0))
+        entry = _GenEntry(gen, host_index(gen.slot, 0), len(self._entries))
         if entry.index in self._entries:
             raise DuplicateSlotError(f"slot {gen.slot} already registered")
+        if gen.wake not in ("stage", "timer", "drain") or (
+            gen.watch is not None and gen.wake != "stage"
+        ):
+            raise KernelError(f"slot {gen.slot}: wake {gen.wake!r} with watch {gen.watch!r}")
         self._entries[entry.index] = entry
         if gen.watch is None:
-            self._always.append(entry)
+            self._sources.append(entry)
+            if gen.wake == "stage":
+                self._every.append(entry)
+            elif gen.wake == "drain":
+                self._drainers.append(entry)
         else:
             for idx in gen.watch:
                 self._watchers.setdefault(idx, []).append(entry)
@@ -326,13 +357,38 @@ class Kernel:
             entry.dirty = True
             self._dirty_batch.append(entry)
 
+    def wake_at(self, index: int, stage: int) -> None:
+        """Book a poll of a timer source at a stage still to come."""
+        entry = self._entries.get(index)
+        if entry is None or entry.gen.watch is not None or entry.gen.wake != "timer":
+            raise KernelError(f"index {index} has no registered timer source")
+        if stage < self._next_stage or stage <= self._now:
+            raise KernelError(f"wake at stage {stage}, which is not still to come")
+        heappush(self._timers, (stage, entry.order, index))
+
     def _poll_one(self, entry: _GenEntry, stage: int) -> None:
         entry.dirty = False
         for x in entry.gen.pull(stage):
             self._enqueue(entry.index, x)
 
+    def _due_sources(self, stage: int) -> list[_GenEntry]:
+        # a drain source polled on a stage that starts with a backlog would
+        # find it still there: polls only add to the FIFO
+        due = self._every
+        drained = self._drainers and not self._pending
+        timers = self._timers
+        if drained or (timers and timers[0][0] <= stage):
+            due = due + self._drainers if drained else list(due)
+            while timers and timers[0][0] <= stage:
+                entry = self._entries[heappop(timers)[2]]
+                if entry not in due:
+                    due.append(entry)
+            due.sort(key=_ORDER)
+        return due
+
     def _poll_generators(self, stage: int) -> None:
-        for entry in self._always:
+        self._now = stage
+        for entry in self._due_sources(stage):
             self._poll_one(entry, stage)
         # generators woken during this stage's polls run in the same stage
         while self._dirty_batch:
@@ -406,7 +462,7 @@ class Kernel:
             raise OutOfOrderStepError(
                 f"expected stage {self._next_stage}, got {stage}"
             )
-        if self._always or self._dirty_batch:
+        if self._sources or self._dirty_batch:
             self._poll_generators(stage)
         if self._pending:
             index, element = self._pending.popleft()

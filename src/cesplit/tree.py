@@ -22,9 +22,12 @@ move only left (when the path passes them) or via pulls.  Pulls commit balls
 to the pulling R-node's piece sets; markers over each piece drive the
 maximal-set dumping, and positive A-nodes on the path dump markers of the
 other pieces.  All set emissions go through the kernel's single FIFO; the
-tree advances one stage per kernel poll only when its own emissions have
+tree advances one stage per kernel poll only when every emission has
 drained, which is how the constructed sets keep pace with their enumeration
-indices.
+indices.  The kernel polls the brain only on the stages that start with an
+empty FIFO, and the brain's per-stage work follows what changed: it reads
+the log only when it advances, a T-counter is advanced only when its inputs
+moved, and a node tries to pull only when it holds two candidates.
 """
 
 from __future__ import annotations
@@ -33,16 +36,20 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import asdict, dataclass, field
 from heapq import heapify, heappop, heappush
 from math import isqrt
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .geometry import (
     ROOT, TreeError, ball_too_deep, can_pull, greatest_r_prefix, is_positive_a,
     last_left_pass, least_dump, left_key, left_target, mask_bit, node_kind,
-    question_at, r_chain, requesting_prefixes, sorted_add, sorted_discard,
+    question_at, r_chain, sorted_add, sorted_discard,
 )
 from .kernel import HostGenerator, Kernel, host_index
 
 FEEDER_PACE = 4  # the background universe set emits every 4th stage
+SPECTRUM_PACE = 16  # each blocky background set emits every 16th stage
+
+_KEY = attrgetter("key")
 
 
 class _RangeQueue:
@@ -108,7 +115,8 @@ class _TMeasure:
     back, so re-confirmations count again; the counter stays monotone.
     """
 
-    __slots__ = ("j_index", "eb_index", "beta", "count", "frozen", "wj_cursor", "fi")
+    __slots__ = ("j_index", "eb_index", "beta", "count", "frozen", "wj_cursor", "fi",
+                 "dirty")
 
     def __init__(self, j_index: int, eb_index: int, beta: str):
         self.j_index = j_index
@@ -118,11 +126,13 @@ class _TMeasure:
         self.frozen = False
         self.wj_cursor = 0
         self.fi = 0
+        # set when W_j, W_eb or R_beta gained an element since the last advance
+        self.dirty = True
 
 
 class _NodeState:
     __slots__ = (
-        "address", "kind", "positive", "chip_snapshot",
+        "address", "key", "kind", "positive", "requesting", "kids", "chip_snapshot",
         "requests", "measure", "tmeasure",
         "r_out", "rt_out", "r_index", "rt_index", "r_committed", "rt_committed",
         "r_sorted", "live_markers", "live_revs", "live_rt", "rt_subscribers",
@@ -132,8 +142,12 @@ class _NodeState:
 
     def __init__(self, address: str):
         self.address = address
+        self.key = left_key(address)
         self.kind = node_kind(address)
         self.positive = is_positive_a(address)
+        # on the path, an R-node or a positive A-node takes a pull request
+        self.requesting = self.kind == "r" or self.positive
+        self.kids: list = [None, None]  # the states at address+"0" and +"1", once walked
         self.chip_snapshot = 0
         self.requests = _RangeQueue()
         self.measure = None
@@ -174,33 +188,23 @@ class TreeRun:
         # a paced copy of N; the root question measures W_1 minus A
         if kernel.free_slot(0) != 0:
             raise TreeError("the tree run must own slot 0 for the feeder")
-        feeder_state = {"next": 0}
-
-        def pull_feeder(stage):
-            if stage % FEEDER_PACE == 0:
-                n = feeder_state["next"]
-                feeder_state["next"] = n + 1
-                return [n]
-            return ()
-
-        self.feeder_index = kernel.register_generator(
-            HostGenerator(slot=0, pull=pull_feeder, watch=None)
-        )
+        self.feeder_index = self._paced_source(0, FEEDER_PACE, 0, lambda n: True)
         # blocky background sets at the smallest indices give the balls
         # durable membership structure, so marker states keep improving no
         # matter where the construction's own slots land
-        self.spectrum_indexes = []
-        for k in range(1, 5):
-            self.spectrum_indexes.append(
-                kernel.register_generator(self._spectrum_generator(k))
-            )
+        self.spectrum_indexes = [
+            self._paced_source(k, SPECTRUM_PACE, 4 * k % SPECTRUM_PACE,
+                               lambda n, k=k: (n >> k) & 1 == 0)
+            for k in range(1, 5)
+        ]
 
-        # A's slot: the brain generator drives the whole construction
+        # A's slot: the brain generator drives the whole construction; on a
+        # stage that starts with a backlog it could only return ()
         a_slot = kernel.free_slot(slot_base)
         self.a_slot = a_slot
         self._a_out: list = []
         self.e_a = kernel.register_generator(
-            HostGenerator(slot=a_slot, pull=self._brain_pull, watch=None)
+            HostGenerator(slot=a_slot, pull=self._brain_pull, wake="drain")
         )
 
         # the candidate procedure is consulted once, before stage zero
@@ -220,13 +224,14 @@ class TreeRun:
         self.masks: dict[int, int] = {}
         self.mask_nodes: dict[int, list] = {}
         self._ball_keys: list = []      # sorted left keys of ball-holding nodes
-        self._request_keys: list = []   # sorted left keys of request-holding nodes
+        self._requesting: list = []     # request-holding states, in left order
         self._chain: list = []       # states of f's R-nodes, shallowest first
         self._requesters: list = []  # states of f's requesting prefixes
         self._entry_subscribers: list = []  # nodes whose pull pool is every ball
         self._entry_mids_subscribers: list = []  # 1-ending nodes sweeping every ball
         self._f_history: list = [(0, ROOT)]  # (tree stage, f) on change
         self.tmeasures_by_beta: dict[str, list] = {}
+        self.tmeasures_by_index: dict[int, list] = {}  # by j_index and by eb_index
         self._moved_nodes: list = []
         self._cursor = 0
         self._endpoint_history: list = []  # (tree_stage, kernel_stage, f, kind)
@@ -241,22 +246,24 @@ class TreeRun:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _spectrum_generator(self, k: int) -> HostGenerator:
-        state = {"next": 0}
-
-        def member(n):
-            return (n >> k) & 1 == 0
+    def _paced_source(self, slot: int, pace: int, phase: int, member) -> int:
+        """Register a set that enumerates its members in increasing order,
+        one at each stage congruent to ``phase`` mod ``pace``; its index."""
+        kernel = self.kernel
+        n = 0
 
         def pull(stage):
-            if stage % 16 == (4 * k) % 16:
-                n = state["next"]
-                while not member(n):
-                    n += 1
-                state["next"] = n + 1
-                return [n]
-            return ()
+            nonlocal n
+            while not member(n):
+                n += 1
+            n += 1
+            kernel.wake_at(index, stage + pace)
+            return [n - 1]
 
-        return HostGenerator(slot=k, pull=pull, watch=None)
+        index = kernel.register_generator(HostGenerator(slot=slot, pull=pull, wake="timer"))
+        start = kernel.next_stage
+        kernel.wake_at(index, start + (phase - start) % pace)
+        return index
 
     def _emit_record(self, record: dict) -> None:
         if self.collect_trace:
@@ -278,8 +285,12 @@ class TreeRun:
             state.measure = self._get_measure(q.j, q.base)
         else:
             eb = self.e0 if q.b == 0 else self.e1
-            state.tmeasure = _TMeasure(q.j, eb, q.base)
-            self.tmeasures_by_beta.setdefault(q.base, []).append(state.tmeasure)
+            tm = state.tmeasure = _TMeasure(q.j, eb, q.base)
+            self.tmeasures_by_beta.setdefault(q.base, []).append(tm)
+            for idx in {q.j, eb}:
+                self.tmeasures_by_index.setdefault(idx, []).append(tm)
+        for tm in self.tmeasures_by_beta.get(address, ()):
+            tm.dirty = True  # R_beta now reads from this node
         if state.kind == "r":
             # the piece sets are woken by _queue_emission, never polled idle
             (state.r_index, state.rt_index), (state.r_out, state.rt_out) = (
@@ -355,6 +366,8 @@ class TreeRun:
         for _, idx, x in fresh:
             for m in self.measures_by_index.get(idx, ()):
                 self._measure_try_add(m, x)
+            for tm in self.tmeasures_by_index.get(idx, ()):
+                tm.dirty = True
             bit = mask_bit(idx)
             if bit:
                 mask = self.masks.get(x, 0)
@@ -371,15 +384,6 @@ class TreeRun:
                             st.needs_scan = True
 
     # -- chips and the walk -------------------------------------------------
-
-    def _chip_value(self, state: _NodeState) -> int:
-        if state.measure is not None:
-            return len(state.measure.members)
-        tm = state.tmeasure
-        if tm is None:
-            return 0
-        self._advance_tmeasure(tm)
-        return tm.count
 
     def _advance_tmeasure(self, tm: _TMeasure) -> None:
         if tm.frozen:
@@ -407,45 +411,61 @@ class TreeRun:
             tm.count += 1
 
     def _compute_f(self, st: int) -> str:
+        """Walk f from the root; collect its R-nodes and requesting prefixes."""
         cap = min(st * st, self.depth)
-        node = ROOT
-        while True:
-            state = self._get_node(node)
-            if state.positive:
-                break
+        state = self.nodes[ROOT]
+        chain: list = []
+        requesters: list = []
+        while not state.positive:
+            node = state.address
             if len(node) >= cap:
                 if not (node == ROOT or state.kind == "r"):
                     self._violation("f-endpoint-kind", node)
                 break
-            chip = self._chip_value(state)
-            bit = "1" if chip != state.chip_snapshot else "0"
+            if state.measure is not None:
+                chip = len(state.measure.members)
+            else:
+                tm = state.tmeasure
+                if tm.dirty:
+                    # a clean counter would read the same entries and pieces again
+                    tm.dirty = False
+                    self._advance_tmeasure(tm)
+                chip = tm.count
+            bit = 1 if chip != state.chip_snapshot else 0
             state.chip_snapshot = chip
-            if self.collect_trace and bit == "1":
+            if self.collect_trace and bit:
                 self._emit_record({"op": "chip", "s": st, "node": node, "c": chip})
-            node = node + bit
-        if len(node) > cap:
-            self._violation("f-length", node)
-        return node
+            child = state.kids[bit]
+            if child is None:
+                child = state.kids[bit] = self._get_node(node + "01"[bit])
+            state = child
+            if state.kind == "r":
+                chain.append(state)
+            if state.requesting:
+                requesters.append(state)
+        self._chain = chain
+        self._requesters = requesters
+        f = state.address
+        if len(f) > cap:
+            self._violation("f-length", f)
+        return f
 
     # -- sweeping right of the path -----------------------------------------
 
     def _sweep_right(self, st: int, f: str) -> None:
         fkey = left_key(f)
         # void requests at strictly left-passed nodes
-        i = bisect_right(self._request_keys, fkey)
-        drop = []
-        while i < len(self._request_keys):
-            key = self._request_keys[i]
-            state = self.nodes[left_key(key)]
-            if not state.address.startswith(f):
-                voided = state.requests.void()
-                drop.append(key)
-                if voided and self.collect_trace:
-                    self._emit_record({"op": "void", "s": st, "node": state.address, "n": voided})
-            i += 1
-        if drop:
-            dropset = set(drop)
-            self._request_keys = [k for k in self._request_keys if k not in dropset]
+        requesting = self._requesting
+        i = bisect_right(requesting, fkey, key=_KEY)
+        kept = requesting[:i]
+        for state in requesting[i:]:
+            if state.address.startswith(f):
+                kept.append(state)
+                continue
+            voided = state.requests.void()
+            if voided and self.collect_trace:
+                self._emit_record({"op": "void", "s": st, "node": state.address, "n": voided})
+        self._requesting = kept
         # relocate balls at strictly left-passed nodes
         i = bisect_right(self._ball_keys, fkey)
         moved: list = []
@@ -491,12 +511,17 @@ class TreeRun:
     # -- pulling --------------------------------------------------------------
 
     def _pull(self, st: int) -> None:
-        for key in list(self._request_keys):
-            state = self.nodes[left_key(key)]
-            if not state.requests.count:
+        for state in self._requesting:
+            heap = state.cand_heap
+            if len(heap) < 2:
+                # a lone candidate waits for a partner.  An attempt would drop
+                # it if it can never be pulled, which changes no later pick,
+                # or if its ball has not entered yet, which does
+                if heap and heap[0] >= st:
+                    heap.clear()
                 continue
             if self._try_pull_at(st, state):
-                return
+                return  # only now is _requesting changed
 
     def _try_pull_at(self, st: int, state: _NodeState) -> bool:
         # pop candidates in value order; every rejection below is permanent
@@ -520,9 +545,8 @@ class TreeRun:
         x0, x1 = picked
         request = state.requests.pop_least()
         if not state.requests.count:
-            sorted_discard(self._request_keys, left_key(address))
-        delta = greatest_r_prefix(address)
-        mids = [y for y in self._intermediates(state, delta, x1) if y != x0]
+            del self._requesting[bisect_left(self._requesting, state.key, key=_KEY)]
+        mids = [y for y in self._intermediates(state, x1) if y != x0]
         for x in (x0, x1):
             self._move_ball(x, address)
         if state.kind == "r":
@@ -546,7 +570,7 @@ class TreeRun:
         )
         return True
 
-    def _intermediates(self, state: _NodeState, delta: str, top: int) -> list:
+    def _intermediates(self, state: _NodeState, top: int) -> list:
         # when the pull pool is the piece pool itself, pair minimality leaves
         # nothing strictly between the chosen pair; only sets gated by W_j
         # can have sweepable bystanders.  Every scanned pool entry is either
@@ -601,6 +625,7 @@ class TreeRun:
             pos = bisect_left(state.r_sorted, x)
             state.r_sorted.insert(pos, x)
             for tm in self.tmeasures_by_beta.get(state.address, ()):
+                tm.dirty = True
                 if pos < tm.fi:
                     tm.fi = pos
             self._queue_emission(state.r_index, state.r_out, x)
@@ -657,8 +682,10 @@ class TreeRun:
             )
 
     def _patch(self) -> None:
+        dumped = len(self.a_order)
         for state in self._chain:
-            self._patch_node(state)
+            if state.patch_cursor < dumped:
+                self._patch_node(state)
 
     def _maximal(self, st: int) -> None:
         for state in self._chain:
@@ -739,11 +766,9 @@ class TreeRun:
         if f_changed:
             self._emit_record({"op": "f", "s": st, "ks": stage, "node": f})
             self._f_history.append((st, f))
-            self._chain = [self.nodes[p] for p in r_chain(f)]
-            self._requesters = [self.nodes[p] for p in requesting_prefixes(f)]
         for state in self._requesters:
             if not state.requests.count:
-                sorted_add(self._request_keys, left_key(state.address))
+                insort(self._requesting, state, key=_KEY)
             state.requests.push(st)
         self.f = f
         self.f_kernel_stage = stage

@@ -26,7 +26,6 @@ from .geometry import (
 )
 from .kernel import EventLog
 from .pairing import balance_code, pair, unpair
-from .setalg import before_then
 
 
 @dataclass
@@ -291,21 +290,32 @@ def probe_friedberg(log: EventLog, a: int, a0: int, a1: int, S: int,
     window while W_j-then-A_i does not.
     """
     past = S - trailing_window(S)
+    targets = tuple(enumerate((a, a0, a1)))
     out = []
     for j in range(J):
-        total_now = len(before_then(log, j, a, S))
-        total_past = len(before_then(log, j, a, past))
-        side_now = (len(before_then(log, j, a0, S)), len(before_then(log, j, a1, S)))
-        side_past = (len(before_then(log, j, a0, past)), len(before_then(log, j, a1, past)))
-        recent = total_now - total_past
-        side_recent = (side_now[0] - side_past[0], side_now[1] - side_past[1])
+        # |W_j-then-X| at S and at past for X = A, A_0, A_1 in one scan of
+        # W_j (setalg.before_then): x entered W_j at t and X at eb, t < eb
+        now = [0, 0, 0]
+        then = [0, 0, 0]
+        for t, x in log.entries(j):
+            if t > S:
+                break
+            containers = log.containers_of(x)
+            for k, idx in targets:
+                eb = containers.get(idx)
+                if eb is not None and t < eb <= S:
+                    now[k] += 1
+                    if eb <= past:
+                        then[k] += 1
+        recent = now[0] - then[0]
+        side_recent = (now[1] - then[1], now[2] - then[2])
         signature = None
         if recent > 0:
             if side_recent[0] == 0:
                 signature = 0
             elif side_recent[1] == 0:
                 signature = 1
-        out.append(FriedbergEvidence(j, total_now, recent, side_recent, signature))
+        out.append(FriedbergEvidence(j, now[0], recent, side_recent, signature))
     return out
 
 

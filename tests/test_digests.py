@@ -9,11 +9,13 @@ behaviour, which then says so.
 
 import hashlib
 
-from cesplit import corpus
+import pytest
+
+from cesplit import corpus, tree
 from cesplit.friedberg import run_friedberg
 from cesplit.kernel import Kernel
 from cesplit.trace import dumps_record, merge_for_file
-from cesplit.tree import diagonalize, proc_friedberg
+from cesplit.tree import PROCEDURES, diagonalize, iterate_splitting_procedures, proc_friedberg
 
 
 def trace_sha256(log, decisions) -> str:
@@ -28,6 +30,39 @@ def test_tree_trace_pinned():
     assert trace_sha256(result.kernel.log, result.trace) == (
         "1f3f6b1b14155c9e581351e48c4f42a621bc3bab3e53aa9b0fca630ce7ec11e5"
     )
+
+
+@pytest.mark.parametrize("proc, digest", [
+    ("hf", "4e69f6d13c900cae00ee277f5bacc6441d88dc235b418513a613c3453b5f1eb4"),
+    ("trivial", "7de88e40478e5b2fc3c68922ffc9b065c95deab809fca14bbc0d484438467e44"),
+    ("broken", "7bf8bc3cf4ca517c12ae77de87fc6cf9c43502dd39e29fa3d3fa4ec362544930"),
+])
+def test_tree_trace_pinned_at_depth_25(proc, digest):
+    result = diagonalize(PROCEDURES[proc], 30_000, depth=25)
+    assert trace_sha256(result.kernel.log, result.trace) == digest
+
+
+def test_iterate_rounds_pinned(monkeypatch):
+    # the one layout where a watch-woken pair (Friedberg's, from round 1 on)
+    # holds lower slots than the brain and the witness split it runs beside;
+    # the rounds' summary hides the order of their events, so each round's
+    # event log is pinned too
+    kernels = []
+
+    def keeping_kernel(*args, **kwargs):
+        result = diagonalize(*args, **kwargs)
+        kernels.append(result.kernel)
+        return result
+
+    monkeypatch.setattr(tree, "diagonalize", keeping_kernel)
+    rounds = iterate_splitting_procedures(proc_friedberg, 2, 20_000)
+    assert hashlib.sha256(repr(rounds).encode()).hexdigest() == (
+        "6ee96ed998d255b1088df59da1e73a9924dae8eff951e0ea5630ef15c77fe7b9"
+    )
+    assert [trace_sha256(kernel.log, []) for kernel in kernels] == [
+        "89b6582fdcfd21e3960e10bef617244a097330f32e9b859de33bca5becbc531d",
+        "076cfb5b753aff78f401b00c7209a7331bb55b1c33977e68baa32325f975d2ff",
+    ]
 
 
 def test_friedberg_trace_pinned():

@@ -13,6 +13,7 @@ from cesplit.geometry import (
     E_WINDOW,
     MARKER_WINDOW,
     can_pull,
+    diverges_left,
     greatest_r_prefix,
     is_left_of,
     last_left_pass,
@@ -104,6 +105,25 @@ def test_pull_eligibility(node, pos):
         right = brute_left_of(node, pos) and not brute_extends(pos, node)
         want = above or right
     assert can_pull(node, pos) == want
+
+
+def test_pull_rejection_is_permanent():
+    """A node that may not pull a ball never may again, however it moves.
+
+    A ball moves by a sweep, to left_target(f, pos) for a path f passing
+    pos on the left, or by a pull into a node allowed to pull it.  The tree
+    drops a rejected candidate for good, and a node holding one candidate
+    skips its pull attempt, on the strength of this.
+    """
+    shallow = [a for a in RANK if len(a) <= 6]
+    for pos in shallow:
+        swept = {left_target(f, pos) for f in shallow if diverges_left(f, pos)}
+        pulled = {n2 for n2 in shallow if can_pull(n2, pos)}
+        for node in shallow:
+            if can_pull(node, pos):
+                continue
+            for moved in swept | pulled:
+                assert not can_pull(node, moved), (node, pos, moved)
 
 
 @given(addresses)

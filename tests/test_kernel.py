@@ -10,6 +10,7 @@ from cesplit.kernel import (
     EmissionConflictError,
     HostGenerator,
     Kernel,
+    KernelError,
     OutOfOrderStepError,
     StageNotSteppedError,
     host_index,
@@ -281,3 +282,92 @@ def test_host_index_layout():
     assert host_index(0, 0) == 1
     assert host_index(0, 0) != host_index(1, 0)
     assert all(host_index(s, p) % 2 == 1 for s in range(4) for p in range(4))
+
+
+# -- wakes -------------------------------------------------------------------
+
+
+def test_wake_at_polls_exactly_at_the_booked_stages():
+    kernel = Kernel([corpus.HALT_ALL])
+    polled = []
+
+    def pull(stage):
+        polled.append(stage)
+        if stage < 30:
+            kernel.wake_at(idx, stage + 7)
+        return [stage]
+
+    idx = kernel.register_generator(HostGenerator(slot=0, pull=pull, wake="timer"))
+    kernel.wake_at(idx, 3)
+    kernel.wake_at(idx, 3)  # a second booking of one stage polls once
+    kernel.run_to(60)
+    assert polled == [3, 10, 17, 24, 31]
+    assert [x for _, x in kernel.log.entries(idx)] == polled
+
+
+def test_wake_at_must_lie_ahead():
+    kernel = Kernel()
+    errors = []
+
+    def pull(stage):
+        for at in (stage - 1, stage):
+            try:
+                kernel.wake_at(idx, at)
+            except KernelError:
+                errors.append(at)
+        return ()
+
+    idx = kernel.register_generator(HostGenerator(slot=0, pull=pull, wake="timer"))
+    kernel.wake_at(idx, 0)
+    kernel.run_to(5)
+    assert errors == [-1, 0]
+    with pytest.raises(KernelError):
+        kernel.wake_at(idx, 4)  # stage 4 has been stepped
+    kernel.wake_at(idx, 5)
+    every = kernel.register_generator(scripted_generator(1, {}))
+    with pytest.raises(KernelError):
+        kernel.wake_at(every, 9)  # only a timer source books wakes
+    with pytest.raises(KernelError):
+        kernel.register_generator(HostGenerator(slot=2, pull=pull, watch=(1,), wake="drain"))
+
+
+def test_drain_source_polled_only_when_the_stage_starts_drained():
+    kernel = Kernel([corpus.HALT_ALL])
+    backlog_at_start, drained = {}, []
+
+    def probe(stage):
+        backlog_at_start[stage] = kernel.backlog  # the first source polled
+        return ()
+
+    def drain(stage):
+        drained.append(stage)
+        return [stage] if stage % 5 == 0 else ()
+
+    kernel.register_generator(HostGenerator(slot=0, pull=probe))
+    kernel.register_generator(scripted_generator(1, {4: [1, 2, 3], 20: [4, 5, 6, 7]}))
+    kernel.register_generator(HostGenerator(slot=2, pull=drain, wake="drain"))
+    kernel.run_to(40)
+    assert drained == [s for s, n in backlog_at_start.items() if n == 0]
+    assert len(drained) < 40
+
+
+def test_same_stage_order_puts_due_sources_before_woken_generators():
+    # a watch-driven generator at slot 0 and two sources above it emit at
+    # stage 6: the sources go first, in registration order, then slot 0
+    kernel = Kernel()
+    released = kernel.register_generator(scripted_generator(5, {5: [1]}))
+    watcher = kernel.register_generator(
+        scripted_generator(0, {6: [70]}, watch=(released,)))
+
+    def timed(stage):
+        return [71] if stage == 6 else ()
+
+    def drained(stage):
+        return [72] if stage == 6 else ()
+
+    drain_idx = kernel.register_generator(HostGenerator(slot=9, pull=drained, wake="drain"))
+    timer_idx = kernel.register_generator(HostGenerator(slot=8, pull=timed, wake="timer"))
+    kernel.wake_at(timer_idx, 6)
+    kernel.run_to(12)
+    order = [(e, x) for s, e, x in kernel.log.events() if s >= 6]
+    assert order == [(drain_idx, 72), (timer_idx, 71), (watcher, 70)]

@@ -1,16 +1,21 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cesplit import corpus
 from cesplit.friedberg import run_friedberg
 from cesplit.kernel import EventLog, machine_index
+from cesplit.setalg import before_then
 from cesplit.verify import (
     DProbeReport,
+    FriedbergEvidence,
     complement_witnesses,
     covered_prefix,
     d_probe,
     probe_friedberg,
     replay_check,
     replay_friedberg,
+    trailing_window,
     universe_frontier,
 )
 from cesplit.trace import merge_for_file, read_trace, split_events, write_trace
@@ -99,6 +104,48 @@ def test_probe_friedberg_vacuous_on_empty_input():
     log = EventLog()
     evidence = probe_friedberg(log, 1, 3, 5, 10, 4)
     assert all(ev.swallowed_total == 0 and ev.signature_side is None for ev in evidence)
+
+
+def oracle_probe_friedberg(log, a, a0, a1, S, J):
+    """probe_friedberg spelled with six before_then sets per W_j."""
+    past = S - trailing_window(S)
+    out = []
+    for j in range(J):
+        total_now = len(before_then(log, j, a, S))
+        total_past = len(before_then(log, j, a, past))
+        side_now = (len(before_then(log, j, a0, S)), len(before_then(log, j, a1, S)))
+        side_past = (len(before_then(log, j, a0, past)), len(before_then(log, j, a1, past)))
+        recent = total_now - total_past
+        side_recent = (side_now[0] - side_past[0], side_now[1] - side_past[1])
+        signature = None
+        if recent > 0:
+            if side_recent[0] == 0:
+                signature = 0
+            elif side_recent[1] == 0:
+                signature = 1
+        out.append(FriedbergEvidence(j, total_now, recent, side_recent, signature))
+    return out
+
+
+@st.composite
+def probe_cases(draw):
+    """A log over indices 0..7 and elements 0..11, a stage and three targets."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 11)),
+                          unique=True, max_size=60))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=len(pairs), max_size=len(pairs)))
+    log, stage = EventLog(), 0
+    for (idx, x), gap in zip(pairs, gaps):
+        stage += gap
+        log.append(stage, idx, x)
+    targets = draw(st.tuples(*[st.integers(0, 7)] * 3))
+    S = draw(st.integers(0, stage + 2))
+    return log, targets, S
+
+
+@given(probe_cases(), st.integers(0, 9))
+def test_probe_friedberg_matches_before_then(case, J):
+    log, (a, a0, a1), S = case
+    assert probe_friedberg(log, a, a0, a1, S, J) == oracle_probe_friedberg(log, a, a0, a1, S, J)
 
 
 def test_complement_witness_spec_shapes():
