@@ -31,7 +31,7 @@ class FriedbergSplitter:
     _out: tuple = field(init=False)
 
     def __post_init__(self):
-        (self.a0, self.a1), self._out = self.kernel.register_pair(self._ingest, watch=(self.a,))
+        (self.a0, self.a1), self._out = self.kernel.register_pair(self._ingest, wake=(self.a,))
         self.trace.append(
             {"op": "meta", "kind": "friedberg", "a": self.a, "a0": self.a0, "a1": self.a1}
         )

@@ -152,7 +152,7 @@ class HKSplitter:
         # woken by B (to route) and by A (to warn); the catch-up reads the
         # whole log anyway, so the triples' own indices need no watch
         (self.b0, self.b1), self._out = self.kernel.register_pair(
-            self._ingest, watch=(self.b, self.a)
+            self._ingest, wake=(self.b, self.a)
         )
         meta = {"op": "meta", "kind": "hk", "b": self.b, "a": self.a,
                 "b0": self.b0, "b1": self.b1}

@@ -7,12 +7,12 @@ with an empty FIFO.  That pause-and-resume discipline is what lets constructed
 sets keep pace with their inputs without ever violating the one-event
 convention.
 
-Generators are polled only on the stages that can give them work.  A source
-(``watch`` None) is polled every stage, at the stages it books with
-``Kernel.wake_at`` (a timer heap), or on the stages that start with an empty
-FIFO; the others are woken by the release of an index they watch or by
-``Kernel.wake``.  Each stage polls the due sources first, in registration
-order, and then the woken generators, by slot.
+Generators are polled only on the stages that can give them work, as their
+``wake`` says: a generator that watches indices is polled when one of them
+releases an event or ``Kernel.wake`` asks for it; a timer source at the
+stages it books with ``Kernel.wake_at`` (a timer heap); a drain source on the
+stages that start with an empty FIFO.  Each stage polls the due sources
+first, in registration order, and then the woken generators, by slot.
 
 Index space:
 
@@ -20,9 +20,9 @@ Index space:
                                 (diverging when the corpus is empty or the
                                 text is invalid; every m >= len(corpus) is a
                                 padding code for the same program)
-  odd  code 2*pair(slot, p)+1   host slot; pad 0 carries the slot's own
-                                emissions, higher pads echo the previous pad's
-                                released events once materialised by pad().
+  odd  code 2*pair(slot, p)+1   host slot; p = 0 carries the slot's own
+                                emissions, and the codes with p > 0 stay
+                                empty.
 
 Machine simulation dovetails fairly over (program code, input) pairs.  A new
 pair is activated every third machine tick, alternating between a dense lane
@@ -43,7 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import attrgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Union
 
 from .machine import parse_program, register_count, run_steps
 # re-exported for callers that import it from here: the one-step reference
@@ -175,17 +175,16 @@ class HostGenerator:
     register one generator per set and coordinate through shared state (see
     ``Kernel.register_pair``).
 
-    ``watch`` lists indices whose released events should wake the generator;
-    ``Kernel.wake`` wakes it too.  With ``watch`` None the generator is a
-    source, and ``wake`` says on which stages it is polled: every stage
-    (``"stage"``), the stages it books with ``Kernel.wake_at`` (``"timer"``),
-    or the stages that start with an empty FIFO (``"drain"``).
+    ``wake`` says on which stages the kernel polls it.  A tuple of indices:
+    whenever one of them releases an event, and whenever ``Kernel.wake``
+    asks (``()``: only then).  ``"timer"``: the stages it books with
+    ``Kernel.wake_at``.  ``"drain"``: the stages that start with an empty
+    FIFO.  Timer and drain generators are the sources.
     """
 
     slot: int
     pull: Callable[[int], Iterable[int]]
-    watch: Optional[tuple[int, ...]] = None
-    wake: str = "stage"
+    wake: Union[tuple[int, ...], str]
 
 
 @dataclass(eq=False)
@@ -212,8 +211,6 @@ class Kernel:
         self._pending_set: set[tuple[int, int]] = set()
         self.max_backlog = 0
         self._entries: dict[int, _GenEntry] = {}
-        self._sources: list[_GenEntry] = []   # every source, whatever its wake
-        self._every: list[_GenEntry] = []     # sources polled every stage
         self._drainers: list[_GenEntry] = []  # sources polled on drained stages
         self._timers: list[tuple[int, int, int]] = []  # (stage, order, index) heap
         self._now = -1  # the stage whose generators were polled last
@@ -226,8 +223,6 @@ class Kernel:
         self._act_pad = 0
         self._act_toggle = False
         self._next_stage = 0
-        self._pads: dict[int, int] = {}
-        self._echoes: dict[int, list[int]] = {}
 
     # -- inspection ------------------------------------------------------
 
@@ -255,34 +250,30 @@ class Kernel:
         entry = _GenEntry(gen, host_index(gen.slot, 0), len(self._entries))
         if entry.index in self._entries:
             raise DuplicateSlotError(f"slot {gen.slot} already registered")
-        if gen.wake not in ("stage", "timer", "drain") or (
-            gen.watch is not None and gen.wake != "stage"
-        ):
-            raise KernelError(f"slot {gen.slot}: wake {gen.wake!r} with watch {gen.watch!r}")
+        wake = gen.wake
+        if not isinstance(wake, tuple) and wake not in ("timer", "drain"):
+            raise KernelError(f"slot {gen.slot}: unknown wake {wake!r}")
         self._entries[entry.index] = entry
-        if gen.watch is None:
-            self._sources.append(entry)
-            if gen.wake == "stage":
-                self._every.append(entry)
-            elif gen.wake == "drain":
-                self._drainers.append(entry)
-        else:
-            for idx in gen.watch:
+        if wake == "drain":
+            self._drainers.append(entry)
+        elif isinstance(wake, tuple):
+            for idx in wake:
                 self._watchers.setdefault(idx, []).append(entry)
             self._dirty_batch.append(entry)
         return entry.index
 
-    def register_pair(self, step: Optional[Callable[[int], None]] = None, *,
-                      watch: Optional[tuple[int, ...]] = None,
+    def register_pair(self, step: Optional[Callable[[int], None]], *,
+                      wake: Union[tuple[int, ...], str],
                       slot_base: int = 0) -> tuple[tuple[int, int], tuple[list, list]]:
         """Register the two halves of a split; returns their indices and outputs.
 
         A construction routes each element into a half by appending it to
         that half's output list.  Half 0 takes the first free slot from
         ``slot_base`` and half 1 the next free one, so half 0 is polled
-        first: its pull runs ``step(stage)``, which may append to either
-        list, and drains list 0; half 1's pull drains list 1.  Both halves
-        share ``watch``.
+        first: its pull runs ``step(stage)`` (unless ``step`` is None), which
+        may append to either list, and drains list 0; half 1's pull drains
+        list 1.  Both halves share ``wake``; the construction books each timer
+        half's polls itself.
         """
         outs: tuple[list, list] = ([], [])
 
@@ -297,9 +288,9 @@ class Kernel:
             return drain(outs[0])
 
         slot0 = self.free_slot(slot_base)
-        i0 = self.register_generator(HostGenerator(slot0, pull0, watch))
+        i0 = self.register_generator(HostGenerator(slot0, pull0, wake))
         i1 = self.register_generator(
-            HostGenerator(self.free_slot(slot0 + 1), lambda stage: drain(outs[1]), watch)
+            HostGenerator(self.free_slot(slot0 + 1), lambda stage: drain(outs[1]), wake)
         )
         return (i0, i1), outs
 
@@ -308,23 +299,6 @@ class Kernel:
         while host_index(slot, 0) in self._entries:
             slot += 1
         return slot
-
-    def pad(self, index: int) -> int:
-        """A fresh index with the same enumeration up to stage shifts."""
-        got = self._pads.get(index)
-        if got is not None:
-            return got
-        if index % 2 == 0:
-            out = index + 2 * max(self._n_programs, 1)
-        else:
-            slot, p = unpair((index - 1) // 2)
-            out = host_index(slot, p + 1)
-            # materialise the echo: mirror past releases, then future ones
-            self._echoes.setdefault(index, []).append(out)
-            for _, x in list(self._log.entries(index)):
-                self._enqueue(out, x)
-        self._pads[index] = out
-        return out
 
     # -- stepping --------------------------------------------------------
 
@@ -341,8 +315,6 @@ class Kernel:
 
     def _release(self, stage: int, index: int, element: int) -> None:
         self._log.append(stage, index, element)
-        for echo in self._echoes.get(index, ()):
-            self._enqueue(echo, element)
         for entry in self._watchers.get(index, ()):
             if not entry.dirty:
                 entry.dirty = True
@@ -360,7 +332,7 @@ class Kernel:
     def wake_at(self, index: int, stage: int) -> None:
         """Book a poll of a timer source at a stage still to come."""
         entry = self._entries.get(index)
-        if entry is None or entry.gen.watch is not None or entry.gen.wake != "timer":
+        if entry is None or entry.gen.wake != "timer":
             raise KernelError(f"index {index} has no registered timer source")
         if stage < self._next_stage or stage <= self._now:
             raise KernelError(f"wake at stage {stage}, which is not still to come")
@@ -374,11 +346,10 @@ class Kernel:
     def _due_sources(self, stage: int) -> list[_GenEntry]:
         # a drain source polled on a stage that starts with a backlog would
         # find it still there: polls only add to the FIFO
-        due = self._every
-        drained = self._drainers and not self._pending
+        due = [] if self._pending else self._drainers
         timers = self._timers
-        if drained or (timers and timers[0][0] <= stage):
-            due = due + self._drainers if drained else list(due)
+        if timers and timers[0][0] <= stage:
+            due = due[:]
             while timers and timers[0][0] <= stage:
                 entry = self._entries[heappop(timers)[2]]
                 if entry not in due:
@@ -462,7 +433,7 @@ class Kernel:
             raise OutOfOrderStepError(
                 f"expected stage {self._next_stage}, got {stage}"
             )
-        if self._sources or self._dirty_batch:
+        if self._drainers or self._timers or self._dirty_batch:
             self._poll_generators(stage)
         if self._pending:
             index, element = self._pending.popleft()

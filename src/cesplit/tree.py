@@ -294,7 +294,7 @@ class TreeRun:
         if state.kind == "r":
             # the piece sets are woken by _queue_emission, never polled idle
             (state.r_index, state.rt_index), (state.r_out, state.rt_out) = (
-                self.kernel.register_pair(watch=(), slot_base=self.a_slot + 1)
+                self.kernel.register_pair(None, wake=(), slot_base=self.a_slot + 1)
             )
             # absorb any casualties that predate this node
             self._patch_node(state)
@@ -888,8 +888,10 @@ class _WitnessSplit:
         self.kernel = kernel
         self.run = run
         self.cursor = 0
+        # only the brain's polls move what _route reads, and the brain, a
+        # drain source registered first, is polled before these halves
         (self.w0, self.w1), self._queues = kernel.register_pair(
-            self._route, slot_base=run.a_slot + 1
+            self._route, wake="drain", slot_base=run.a_slot + 1
         )
 
     def _route(self, stage: int) -> None:

@@ -88,12 +88,14 @@ class _DiagonalImageBrain:
 
 def build_split_witness(kernel: Kernel, pair: ComputablePair) -> WitnessBundle:
     """Register K_R, K_R-bar and their union A on the kernel."""
-    # the brain routes into the pair's outputs; it is bound before any poll
-    (k_r, k_rbar), outs = kernel.register_pair(lambda stage: brain.pump())
+    # the diagonal {e : e in W_e} reads every index, so no watch tuple
+    # covers it: the pair is polled on every stage; the brain routes into
+    # the pair's outputs and is bound before any poll
+    (k_r, k_rbar), outs = _paced_pair(kernel, lambda stage: brain.pump(), 1)
     brain = _DiagonalImageBrain(kernel, pair, outs)
     union = _UnionEcho(kernel, (k_r, k_rbar))
     a = kernel.register_generator(HostGenerator(
-        slot=kernel.free_slot(), pull=lambda stage: union.fresh(), watch=(k_r, k_rbar)
+        slot=kernel.free_slot(), pull=lambda stage: union.fresh(), wake=(k_r, k_rbar)
     ))
     return WitnessBundle(kernel, pair, k_r, k_rbar, a)
 
@@ -111,6 +113,22 @@ class _UnionEcho:
         return out
 
 
+def _paced_pair(kernel: Kernel, step, pace: int):
+    """A pair of timer halves polled at the stages that are multiples of
+    ``pace``, from the kernel's next stage on; see ``Kernel.register_pair``."""
+
+    def booked_step(stage):
+        step(stage)
+        for index in halves:
+            kernel.wake_at(index, stage + pace)
+
+    halves, outs = kernel.register_pair(booked_step, wake="timer")
+    start = kernel.next_stage
+    for index in halves:
+        kernel.wake_at(index, start + -start % pace)
+    return halves, outs
+
+
 def register_paced_pair(kernel: Kernel, predicate, pace: int = 2) -> ComputablePair:
     """Host-backed computable pair: value n lands on the predicate's side.
 
@@ -120,11 +138,10 @@ def register_paced_pair(kernel: Kernel, predicate, pace: int = 2) -> ComputableP
     values = count()
 
     def route_next(stage):
-        if stage % pace == 0:
-            n = next(values)
-            outs[0 if predicate(n) else 1].append(n)
+        n = next(values)
+        outs[0 if predicate(n) else 1].append(n)
 
-    (pos, neg), outs = kernel.register_pair(route_next)
+    (pos, neg), outs = _paced_pair(kernel, route_next, pace)
     return ComputablePair(pos, neg)
 
 
@@ -167,8 +184,8 @@ def shavrukov_pair(kernel: Kernel, w: int, y: int) -> tuple[int, int]:
 
         return pull
 
-    x0 = kernel.register_generator(HostGenerator(slot=base, pull=make_pull(w, y), watch=(w,)))
-    x1 = kernel.register_generator(HostGenerator(slot=slot_x1, pull=make_pull(y, w), watch=(y,)))
+    x0 = kernel.register_generator(HostGenerator(slot=base, pull=make_pull(w, y), wake=(w,)))
+    x1 = kernel.register_generator(HostGenerator(slot=slot_x1, pull=make_pull(y, w), wake=(y,)))
     return x0, x1
 
 
@@ -193,5 +210,5 @@ def shav_split(kernel: Kernel, a: int, x0: int, x1: int) -> tuple[int, int]:
                 still.append(x)
         state["pending"] = still
 
-    (a0, a1), outs = kernel.register_pair(ingest)
+    (a0, a1), outs = kernel.register_pair(ingest, wake=(a, x0, x1))
     return a0, a1

@@ -53,28 +53,22 @@ def log_digest(log):
     return h.hexdigest()
 
 
-def test_criterion_1_single_event_and_determinism():
+def test_criterion_1_single_event_and_determinism(scripted):
     texts = corpus.make_corpus(512)
 
     def build():
         kernel = Kernel(texts)
-        emissions = {100 + 7 * i: [3 * i] for i in range(40)}
-        kernel.register_generator(
-            HostGenerator(
-                slot=0,
-                pull=lambda s, em=emissions: em.get(s, []),
-            )
-        )
+        scripted(kernel, 0, {100 + 7 * i: [3 * i] for i in range(40)})
         ticker = {"next": 0}
 
         def paced(stage):
-            if stage % 97 == 0:
-                n = ticker["next"]
-                ticker["next"] = n + 1
-                return [5 * n + 1]
-            return ()
+            n = ticker["next"]
+            ticker["next"] = n + 1
+            kernel.wake_at(paced_idx, stage + 97)
+            return [5 * n + 1]
 
-        kernel.register_generator(HostGenerator(slot=1, pull=paced, watch=None))
+        paced_idx = kernel.register_generator(HostGenerator(slot=1, pull=paced, wake="timer"))
+        kernel.wake_at(paced_idx, 0)
         return kernel
 
     t0 = time.time()
@@ -92,14 +86,9 @@ def test_criterion_1_single_event_and_determinism():
                 "byte-identical across runs")
 
 
-def test_criterion_2_operator_laws():
+def test_criterion_2_operator_laws(scripted):
     kernel = Kernel(corpus.make_corpus(12))
-    emissions = {20 + 9 * i: [2 * i + 1] for i in range(60)}
-    kernel.register_generator(
-        HostGenerator(
-            slot=0, pull=lambda s, em=emissions: em.get(s, [])
-        )
-    )
+    scripted(kernel, 0, {20 + 9 * i: [2 * i + 1] for i in range(60)})
     S = 10_000
     kernel.run_to(S)
     log = kernel.log

@@ -1,4 +1,4 @@
-"""Byte-identity pins: the sha256 of small trace files and of one event log.
+"""Byte-identity pins: the sha256 of small trace files and of event logs.
 
 Identical invocations give byte-identical traces, and a refactor must not
 change a single event or decision.  Each pin hashes the file that
@@ -13,9 +13,10 @@ import pytest
 
 from cesplit import corpus, tree
 from cesplit.friedberg import run_friedberg
-from cesplit.kernel import Kernel
+from cesplit.kernel import Kernel, machine_index
 from cesplit.trace import dumps_record, merge_for_file
 from cesplit.tree import PROCEDURES, diagonalize, iterate_splitting_procedures, proc_friedberg
+from cesplit.witness import run_parity_witness, shav_split, shavrukov_pair
 
 
 def trace_sha256(log, decisions) -> str:
@@ -79,4 +80,48 @@ def test_kernel_event_log_pinned():
     kernel.run_to(200_000)
     assert trace_sha256(kernel.log, []) == (
         "2e0d589336bf402d907173587f620a90683d766a8eac7b2513884e9e7660453e"
+    )
+
+
+SHAV_TEXTS = [corpus.HALT_ALL, corpus.HALT_EVEN, corpus.HALT_ODD, corpus.HALT_SLOW,
+              corpus.halt_from(2)]
+
+
+def test_witness_bundle_with_shav_split_pinned():
+    # the paced pair, the diagonal-image pair and A, then a covered-part
+    # split registered mid-run above them
+    bundle = run_parity_witness(corpus.WITNESS, 30_000)
+    kernel = bundle.kernel
+    shav_split(kernel, bundle.a, bundle.r.pos, bundle.r.neg)
+    kernel.run_to(34_000)
+    assert trace_sha256(kernel.log, []) == (
+        "57595a85192919e8c61cb8f47d5f05a1d5492b292a05c5f597ea69ad35190257"
+    )
+
+
+def test_shav_split_pinned():
+    kernel = Kernel(SHAV_TEXTS)
+    shav_split(kernel, machine_index(0), machine_index(1), machine_index(2))
+    kernel.run_to(30_000)
+    assert trace_sha256(kernel.log, []) == (
+        "25649e35886321f8f3889e9d02ec53ce9355c36964df69173a2d63d4d6db513a"
+    )
+
+
+def test_shav_splits_above_a_shavrukov_pair_pinned():
+    # the pair's watchers hold the lower slots, below both splits' halves
+    kernel = Kernel(SHAV_TEXTS)
+    x0, x1 = shavrukov_pair(kernel, machine_index(1), machine_index(2))
+    shav_split(kernel, machine_index(0), x0, x1)
+    shav_split(kernel, machine_index(4), x0, x1)
+    kernel.run_to(30_000)
+    assert trace_sha256(kernel.log, []) == (
+        "c08139eda7512a5a03dda6888fe4058d88436283d5ef5ef8342dbc8c294342e5"
+    )
+
+
+def test_tree_with_witness_split_pinned():
+    result = diagonalize(PROCEDURES["trivial"], 20_000, with_witness_split=True)
+    assert trace_sha256(result.kernel.log, []) == (
+        "321ad401c750545a9aa03efca99e2a1ea862effa76b50ab431330296df3ba71b"
     )

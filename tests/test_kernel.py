@@ -27,15 +27,6 @@ def log_digest(kernel):
     return h.hexdigest()
 
 
-def scripted_generator(slot, emissions, watch=None):
-    """Emissions: dict stage -> list of elements."""
-
-    def pull(stage):
-        return emissions.get(stage, [])
-
-    return HostGenerator(slot=slot, pull=pull, watch=watch)
-
-
 # -- dovetail oracle ------------------------------------------------------
 #
 # Re-derives the kernel's documented schedule from scratch: a pair activated
@@ -144,12 +135,12 @@ def test_diverging_index_stays_empty():
     assert kernel.w_at(machine_index(1), 1_999) != frozenset()
 
 
-def test_single_event_per_stage_and_determinism():
+def test_single_event_per_stage_and_determinism(scripted):
     texts = corpus.make_corpus(16)
     digests = []
     for _ in range(2):
         kernel = Kernel(texts)
-        kernel.register_generator(scripted_generator(0, {10: [3, 4], 25: [9]}))
+        scripted(kernel, 0, {10: [3, 4], 25: [9]})
         kernel.run_to(2_000)
         stages = [s for s, _, _ in kernel.log.events()]
         assert len(stages) == len(set(stages))
@@ -157,41 +148,41 @@ def test_single_event_per_stage_and_determinism():
     assert digests[0] == digests[1]
 
 
-def test_empty_generator_enumerates_nothing():
+def test_empty_generator_enumerates_nothing(scripted):
     kernel = Kernel([corpus.HALT_ALL])
-    idx = kernel.register_generator(scripted_generator(0, {}))
+    idx = scripted(kernel, 0, {})
     kernel.run_to(500)
     assert kernel.w_at(idx, 499) == frozenset()
 
 
-def test_generator_emission_lands_at_first_free_stage():
+def test_generator_emission_lands_at_first_free_stage(scripted):
     # empty corpus: the queue is empty at stage 5, so the event lands there
     kernel = Kernel()
-    idx = kernel.register_generator(scripted_generator(0, {5: [3]}))
+    idx = scripted(kernel, 0, {5: [3]})
     kernel.run_to(10)
     assert kernel.log.entry_stage(idx, 3) == 5
     # with a competitor emitting at the same stage from a smaller slot, the
     # FIFO holds our element back exactly one extra stage
     kernel2 = Kernel()
-    first = kernel2.register_generator(scripted_generator(0, {5: [70]}))
-    second = kernel2.register_generator(scripted_generator(1, {5: [71]}))
+    first = scripted(kernel2, 0, {5: [70]})
+    second = scripted(kernel2, 1, {5: [71]})
     kernel2.run_to(10)
     assert kernel2.log.entry_stage(first, 70) == 5
     assert kernel2.log.entry_stage(second, 71) == 6
 
 
-def test_distinct_slots_distinct_indices():
+def test_distinct_slots_distinct_indices(scripted):
     kernel = Kernel()
-    i0 = kernel.register_generator(scripted_generator(0, {}))
-    i1 = kernel.register_generator(scripted_generator(1, {}))
+    i0 = scripted(kernel, 0, {})
+    i1 = scripted(kernel, 1, {})
     assert i0 != i1
     with pytest.raises(DuplicateSlotError):
-        kernel.register_generator(scripted_generator(0, {}))
+        scripted(kernel, 0, {})
 
 
-def test_duplicate_emission_rejected():
+def test_duplicate_emission_rejected(scripted):
     kernel = Kernel()
-    kernel.register_generator(scripted_generator(0, {1: [5], 3: [5]}))
+    scripted(kernel, 0, {1: [5], 3: [5]})
     with pytest.raises(EmissionConflictError):
         kernel.run_to(5)
 
@@ -241,10 +232,10 @@ def test_fairness_every_pair_keeps_getting_ticks(monkeypatch):
         assert ticks[key] > n
 
 
-def test_fixed_point_generator_stream_equals_index_events():
+def test_fixed_point_generator_stream_equals_index_events(scripted):
     emissions = {3: [10], 7: [11, 12], 9: [13]}
     kernel = Kernel([corpus.HALT_ALL])
-    idx = kernel.register_generator(scripted_generator(0, emissions))
+    idx = scripted(kernel, 0, emissions)
     kernel.run_to(50)
     got = [x for _, x in kernel.log.entries(idx)]
     want = [x for stage in sorted(emissions) for x in emissions[stage]]
@@ -252,30 +243,16 @@ def test_fixed_point_generator_stream_equals_index_events():
 
 
 def test_pad_machine_index():
+    # every m >= len(corpus) is a padding code for program m % len(corpus)
     texts = [corpus.HALT_ALL, corpus.DIVERGE]
     kernel = Kernel(texts)
     e = machine_index(0)
-    p = kernel.pad(e)
+    p = machine_index(0 + len(texts))
     assert p != e
-    assert kernel.pad(p) not in (e, p)
     kernel.run_to(6_000)
     small = kernel.w_at(p, 5_999)
     assert small  # the pad lane has started enumerating the same program
     assert small <= kernel.w_at(e, 5_999)
-
-
-def test_pad_host_index_echoes():
-    kernel = Kernel()
-    idx = kernel.register_generator(scripted_generator(0, {2: [8], 4: [9]}))
-    kernel.run_to(6)
-    p = kernel.pad(idx)  # late materialisation replays the backlog
-    assert p != idx
-    kernel.run_to(20)
-    assert kernel.w_at(p, 19) == kernel.w_at(idx, 19) == frozenset({8, 9})
-    q = kernel.pad(p)
-    kernel.run_to(30)
-    assert kernel.w_at(q, 29) == frozenset({8, 9})
-    assert len({idx, p, q}) == 3
 
 
 def test_host_index_layout():
@@ -324,40 +301,53 @@ def test_wake_at_must_lie_ahead():
     with pytest.raises(KernelError):
         kernel.wake_at(idx, 4)  # stage 4 has been stepped
     kernel.wake_at(idx, 5)
-    every = kernel.register_generator(scripted_generator(1, {}))
+    woken = kernel.register_generator(HostGenerator(slot=1, pull=pull, wake=()))
     with pytest.raises(KernelError):
-        kernel.wake_at(every, 9)  # only a timer source books wakes
+        kernel.wake_at(woken, 9)  # only a timer source books wakes
     with pytest.raises(KernelError):
-        kernel.register_generator(HostGenerator(slot=2, pull=pull, watch=(1,), wake="drain"))
+        kernel.register_generator(HostGenerator(slot=2, pull=pull, wake="stage"))
 
 
-def test_drain_source_polled_only_when_the_stage_starts_drained():
+@pytest.mark.parametrize("wake", ["timers", "", [1], None])
+def test_unknown_wake_rejected(wake):
+    kernel = Kernel()
+    with pytest.raises(KernelError):
+        kernel.register_generator(HostGenerator(slot=0, pull=lambda stage: (), wake=wake))
+    assert kernel.free_slot() == 0  # a rejected generator takes no slot
+
+
+def test_drain_source_polled_only_when_the_stage_starts_drained(scripted):
     kernel = Kernel([corpus.HALT_ALL])
     backlog_at_start, drained = {}, []
 
     def probe(stage):
         backlog_at_start[stage] = kernel.backlog  # the first source polled
+        kernel.wake_at(probe_idx, stage + 1)
         return ()
 
     def drain(stage):
         drained.append(stage)
         return [stage] if stage % 5 == 0 else ()
 
-    kernel.register_generator(HostGenerator(slot=0, pull=probe))
-    kernel.register_generator(scripted_generator(1, {4: [1, 2, 3], 20: [4, 5, 6, 7]}))
+    probe_idx = kernel.register_generator(HostGenerator(slot=0, pull=probe, wake="timer"))
+    kernel.wake_at(probe_idx, 0)
+    scripted(kernel, 1, {4: [1, 2, 3], 20: [4, 5, 6, 7]})
     kernel.register_generator(HostGenerator(slot=2, pull=drain, wake="drain"))
     kernel.run_to(40)
     assert drained == [s for s, n in backlog_at_start.items() if n == 0]
     assert len(drained) < 40
 
 
-def test_same_stage_order_puts_due_sources_before_woken_generators():
+def test_same_stage_order_puts_due_sources_before_woken_generators(scripted):
     # a watch-driven generator at slot 0 and two sources above it emit at
     # stage 6: the sources go first, in registration order, then slot 0
     kernel = Kernel()
-    released = kernel.register_generator(scripted_generator(5, {5: [1]}))
-    watcher = kernel.register_generator(
-        scripted_generator(0, {6: [70]}, watch=(released,)))
+    released = scripted(kernel, 5, {5: [1]})
+
+    def watching(stage):
+        return [70] if stage == 6 else ()
+
+    watcher = kernel.register_generator(HostGenerator(slot=0, pull=watching, wake=(released,)))
 
     def timed(stage):
         return [71] if stage == 6 else ()

@@ -1,11 +1,8 @@
-from collections import Counter
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from cesplit import corpus
-from cesplit.kernel import Kernel
 from cesplit.geometry import greatest_r_prefix, is_left_of, is_positive_a, node_kind, question_at
 from cesplit.tree import (
     TreeError,
@@ -217,32 +214,26 @@ def test_piece_pairs_stay_disjoint(hf_run):
         assert state.r_committed & state.rt_committed == set()
 
 
-def test_polled_only_when_due(monkeypatch):
+def test_polled_only_when_due(polls):
     # the brain is polled on the stages that start with an empty FIFO: its
     # own stages, and stages where a paced source emitted first; a paced
     # source only at its own stages, plus a booking left at the end
-    polls, emitted = Counter(), Counter()
-    register = Kernel.register_generator
-
-    def counting(kernel, gen):
-        pull, index = gen.pull, []
-
-        def counted(stage):
-            out = list(pull(stage))
-            polls[index[0]] += 1
-            emitted[index[0]] += len(out)
-            return out
-
-        gen.pull = counted
-        index.append(register(kernel, gen))
-        return index[0]
-
-    monkeypatch.setattr(Kernel, "register_generator", counting)
+    polled, emitted = polls
     run = diagonalize(proc_friedberg, 3000, depth=9).run
     background = [run.feeder_index, *run.spectrum_indexes]
     paced = sum(emitted[i] for i in background)
     assert run.tree_stage > 0
-    assert polls[run.e_a] <= run.tree_stage + paced
+    assert len(polled[run.e_a]) <= run.tree_stage + paced
     for index in background:
         assert emitted[index] > 0
-        assert polls[index] <= emitted[index] + 1
+        assert len(polled[index]) <= emitted[index] + 1
+
+
+def test_witness_split_polled_with_the_brain(polls):
+    # the witness split routes from state only the brain's polls change, and
+    # it is registered after the brain, so it runs on exactly those stages
+    polled, emitted = polls
+    result = diagonalize(proc_trivial, 3000, depth=9, with_witness_split=True)
+    w0, w1 = result.witness_halves
+    assert emitted[w0] + emitted[w1] > 0
+    assert polled[w0] == polled[w1] == polled[result.e_a]

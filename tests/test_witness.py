@@ -90,20 +90,11 @@ def test_shavrukov_pair_same_index_gives_empty():
     assert k.w_at(x1, 1_999) == frozenset()
 
 
-def test_shavrukov_pair_scripted_example():
+def test_shavrukov_pair_scripted_example(scripted):
     # W gets 1 first; Y gets 1 later and 2 first
     k = Kernel()
-    wslot, yslot = 50, 51
-    w_em99 = {1: [1]}
-    y_em = {2: [1], 3: [2]}
-    from cesplit.kernel import HostGenerator
-
-    w = k.register_generator(
-        HostGenerator(slot=wslot, pull=lambda s: w_em99.get(s, []))
-    )
-    y = k.register_generator(
-        HostGenerator(slot=yslot, pull=lambda s: y_em.get(s, []))
-    )
+    w = scripted(k, 50, {1: [1]})
+    y = scripted(k, 51, {2: [1], 3: [2]})
     x0, x1 = shavrukov_pair(k, w, y)
     k.run_to(30)
     assert k.w_at(x0, 29) == frozenset({1})
@@ -153,6 +144,29 @@ def test_shav_split_partitions_covered_part(bundle_stages=12_000):
     # every covered entrant is routed or still in flight
     in_flight = wa - (w0 | w1) - uncovered
     assert len(in_flight) <= 4
+
+
+def test_shav_split_polled_only_when_a_or_a_side_moves(polls):
+    # one poll at registration, then at most one per released entry of a,
+    # x0 or x1
+    polled, _ = polls
+    k = Kernel([corpus.HALT_ALL, corpus.HALT_EVEN, corpus.HALT_ODD, corpus.HALT_SLOW,
+                corpus.halt_from(2)])
+    halt = machine_index(0)
+    a0, a1 = shav_split(k, halt, EVENS, ODDS)
+    k.run_to(S)
+    log = k.log
+    assert log.entries(a0) and log.entries(a1)
+    moves = sum(len(log.entries(i)) for i in (halt, EVENS, ODDS))
+    for half in (a0, a1):
+        assert len(polled[half]) <= moves + 1
+
+
+def test_paced_pair_polled_only_at_its_pace(polls):
+    polled, _ = polls
+    b = run_parity_witness(WITNESS_TEXTS, S)  # pace 3
+    for half in (b.r.pos, b.r.neg):
+        assert len(polled[half]) <= S // 3 + 1
 
 
 def test_witness_bundle_reproduced_by_shav_split(bundle):
