@@ -198,6 +198,9 @@ def cmd_verify(args) -> int:
     try:
         records, lines = read_trace_lines(args.trace)
         report = replay_check(records, args.suite)
+    except OSError as err:  # a missing or unreadable path is a usage error
+        sys.stderr.write(f"cannot read trace: {err}\n")
+        return 2
     except TraceError as err:
         if lines is not None and err.line is not None:
             err.line = lines[err.line - 1]  # replay_check counts records

@@ -175,6 +175,30 @@ def test_verify_meta_missing_field_reports_line(tmp_path):
     _verify_rejects(path, at + 1)
 
 
+def test_verify_integer_past_conversion_limit_reports_line(tmp_path):
+    path, lines = _friedberg_trace(tmp_path)
+    fourth = [i for i, line in enumerate(lines) if '"op":"event"' in line][3]
+    record = json.loads(lines[fourth])
+    lines[fourth] = lines[fourth].replace(f'"x":{record["x"]}', '"x":1' + "0" * 4400)
+    path.write_text("\n".join(lines) + "\n")
+    _verify_rejects(path, fourth + 1)
+
+
+def test_verify_bytes_not_utf8_report_line(tmp_path):
+    path, lines = _friedberg_trace(tmp_path)
+    data = [line.encode() for line in lines]
+    data[1] = b"\xff\xfe" + data[1]
+    path.write_bytes(b"\n".join(data) + b"\n")
+    _verify_rejects(path, 2)
+
+
+def test_verify_missing_trace_is_usage_error(tmp_path):
+    check = invoke("verify", "--trace", str(tmp_path / "missing.jsonl"))
+    assert check.returncode == 2
+    assert check.stdout == ""
+    assert len(check.stderr.splitlines()) == 1 and "Traceback" not in check.stderr
+
+
 def test_verify_reports_file_line_after_blank_line(tmp_path):
     path, lines = _friedberg_trace(tmp_path)
     first = next(i for i, line in enumerate(lines) if '"op":"event"' in line)

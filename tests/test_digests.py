@@ -14,21 +14,20 @@ import pytest
 from cesplit import corpus, tree
 from cesplit.friedberg import run_friedberg
 from cesplit.kernel import Kernel, machine_index
-from cesplit.trace import dumps_record, merge_for_file
+from cesplit.trace import merge_for_file, write_trace
 from cesplit.tree import PROCEDURES, diagonalize, iterate_splitting_procedures, proc_friedberg
 from cesplit.witness import run_parity_witness, shav_split, shavrukov_pair
 
 
-def trace_sha256(log, decisions) -> str:
-    h = hashlib.sha256()
-    for record in merge_for_file(log, decisions):
-        h.update((dumps_record(record) + "\n").encode())
-    return h.hexdigest()
+def trace_sha256(tmp_path, log, decisions) -> str:
+    path = tmp_path / "trace.jsonl"
+    write_trace(path, merge_for_file(log, decisions))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_tree_trace_pinned():
+def test_tree_trace_pinned(tmp_path):
     result = diagonalize(proc_friedberg, 3000, depth=9)
-    assert trace_sha256(result.kernel.log, result.trace) == (
+    assert trace_sha256(tmp_path, result.kernel.log, result.trace) == (
         "1f3f6b1b14155c9e581351e48c4f42a621bc3bab3e53aa9b0fca630ce7ec11e5"
     )
 
@@ -38,12 +37,12 @@ def test_tree_trace_pinned():
     ("trivial", "7de88e40478e5b2fc3c68922ffc9b065c95deab809fca14bbc0d484438467e44"),
     ("broken", "7bf8bc3cf4ca517c12ae77de87fc6cf9c43502dd39e29fa3d3fa4ec362544930"),
 ])
-def test_tree_trace_pinned_at_depth_25(proc, digest):
+def test_tree_trace_pinned_at_depth_25(tmp_path, proc, digest):
     result = diagonalize(PROCEDURES[proc], 30_000, depth=25)
-    assert trace_sha256(result.kernel.log, result.trace) == digest
+    assert trace_sha256(tmp_path, result.kernel.log, result.trace) == digest
 
 
-def test_iterate_rounds_pinned(monkeypatch):
+def test_iterate_rounds_pinned(tmp_path, monkeypatch):
     # the one layout where a watch-woken pair (Friedberg's, from round 1 on)
     # holds lower slots than the brain and the witness split it runs beside;
     # the rounds' summary hides the order of their events, so each round's
@@ -60,25 +59,25 @@ def test_iterate_rounds_pinned(monkeypatch):
     assert hashlib.sha256(repr(rounds).encode()).hexdigest() == (
         "6ee96ed998d255b1088df59da1e73a9924dae8eff951e0ea5630ef15c77fe7b9"
     )
-    assert [trace_sha256(kernel.log, []) for kernel in kernels] == [
+    assert [trace_sha256(tmp_path, kernel.log, []) for kernel in kernels] == [
         "89b6582fdcfd21e3960e10bef617244a097330f32e9b859de33bca5becbc531d",
         "076cfb5b753aff78f401b00c7209a7331bb55b1c33977e68baa32325f975d2ff",
     ]
 
 
-def test_friedberg_trace_pinned():
+def test_friedberg_trace_pinned(tmp_path):
     result = run_friedberg(corpus.BASIC, 8, 4000)
-    assert trace_sha256(result.kernel.log, result.trace) == (
+    assert trace_sha256(tmp_path, result.kernel.log, result.trace) == (
         "30c4c673e652869e13a86a8268d8f22ba4326731a4679ee8ba5919e56fcf07a1"
     )
 
 
-def test_kernel_event_log_pinned():
+def test_kernel_event_log_pinned(tmp_path):
     # reaches level 17, so bursts of BURST_CAP steps run; no pair halts in
     # one, and test_capped_bursts_match_oracle (test_kernel.py) pins the cap
     kernel = Kernel(corpus.make_corpus(512))
     kernel.run_to(200_000)
-    assert trace_sha256(kernel.log, []) == (
+    assert trace_sha256(tmp_path, kernel.log, []) == (
         "2e0d589336bf402d907173587f620a90683d766a8eac7b2513884e9e7660453e"
     )
 
@@ -87,41 +86,41 @@ SHAV_TEXTS = [corpus.HALT_ALL, corpus.HALT_EVEN, corpus.HALT_ODD, corpus.HALT_SL
               corpus.halt_from(2)]
 
 
-def test_witness_bundle_with_shav_split_pinned():
+def test_witness_bundle_with_shav_split_pinned(tmp_path):
     # the paced pair, the diagonal-image pair and A, then a covered-part
     # split registered mid-run above them
     bundle = run_parity_witness(corpus.WITNESS, 30_000)
     kernel = bundle.kernel
     shav_split(kernel, bundle.a, bundle.r.pos, bundle.r.neg)
     kernel.run_to(34_000)
-    assert trace_sha256(kernel.log, []) == (
+    assert trace_sha256(tmp_path, kernel.log, []) == (
         "57595a85192919e8c61cb8f47d5f05a1d5492b292a05c5f597ea69ad35190257"
     )
 
 
-def test_shav_split_pinned():
+def test_shav_split_pinned(tmp_path):
     kernel = Kernel(SHAV_TEXTS)
     shav_split(kernel, machine_index(0), machine_index(1), machine_index(2))
     kernel.run_to(30_000)
-    assert trace_sha256(kernel.log, []) == (
+    assert trace_sha256(tmp_path, kernel.log, []) == (
         "25649e35886321f8f3889e9d02ec53ce9355c36964df69173a2d63d4d6db513a"
     )
 
 
-def test_shav_splits_above_a_shavrukov_pair_pinned():
+def test_shav_splits_above_a_shavrukov_pair_pinned(tmp_path):
     # the pair's watchers hold the lower slots, below both splits' halves
     kernel = Kernel(SHAV_TEXTS)
     x0, x1 = shavrukov_pair(kernel, machine_index(1), machine_index(2))
     shav_split(kernel, machine_index(0), x0, x1)
     shav_split(kernel, machine_index(4), x0, x1)
     kernel.run_to(30_000)
-    assert trace_sha256(kernel.log, []) == (
+    assert trace_sha256(tmp_path, kernel.log, []) == (
         "c08139eda7512a5a03dda6888fe4058d88436283d5ef5ef8342dbc8c294342e5"
     )
 
 
-def test_tree_with_witness_split_pinned():
+def test_tree_with_witness_split_pinned(tmp_path):
     result = diagonalize(PROCEDURES["trivial"], 20_000, with_witness_split=True)
-    assert trace_sha256(result.kernel.log, []) == (
+    assert trace_sha256(tmp_path, result.kernel.log, []) == (
         "321ad401c750545a9aa03efca99e2a1ea862effa76b50ab431330296df3ba71b"
     )

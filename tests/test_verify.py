@@ -1,5 +1,8 @@
+import io
+import json
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cesplit import corpus
@@ -18,7 +21,15 @@ from cesplit.verify import (
     trailing_window,
     universe_frontier,
 )
-from cesplit.trace import merge_for_file, read_trace, split_events, write_trace
+from cesplit.trace import (
+    RECORD_OPS,
+    TraceError,
+    merge_for_file,
+    read_trace,
+    read_trace_lines,
+    split_events,
+    write_trace,
+)
 
 TEXTS = [corpus.HALT_ALL, corpus.HALT_EVEN, corpus.HALT_ODD, corpus.DIVERGE, corpus.HALT_SLOW]
 
@@ -98,6 +109,145 @@ def test_trace_round_trip(tmp_path):
     assert back == records
     log, decisions = split_events(back)
     assert len(log) == len(result.kernel.log)
+
+
+# the writer's template must give json.dumps's bytes for every record, the
+# reader's must give json.loads's dicts (or fail on the same line) for every line
+
+# small alphabets: what needs escaping, what is not ASCII, and what
+# str.splitlines would split on but a text-mode file does not
+tricky_text = st.text(st.sampled_from(' a1-{}":,\\\t\x00\x0b\x1c\x85\xa0\u2028\ud800\U0001f600'),
+                      max_size=6)
+field_values = st.one_of(
+    st.integers(), st.integers(-(2**200), 2**200), st.just(0), st.booleans(),
+    st.floats(), tricky_text, st.none(),
+)
+
+
+@st.composite
+def event_shaped(draw):
+    record = {"op": draw(st.sampled_from(["event", "route", "évent"]))}
+    record.update({name: draw(field_values) for name in ("s", "e", "x")})
+    for name in draw(st.sets(st.sampled_from(["op", "s", "e", "x"]), max_size=2)):
+        del record[name]
+    record.update(draw(st.dictionaries(tricky_text, field_values, max_size=2)))
+    return record
+
+
+@settings(max_examples=300)
+@given(st.lists(event_shaped(), max_size=6))
+def test_written_lines_are_json_dumps(tmp_path_factory, records):
+    path = tmp_path_factory.getbasetemp() / "written.jsonl"
+    write_trace(path, records)
+    expected = "".join(
+        json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+def json_reading(data: bytes):
+    """``read_trace_lines`` as plain json.loads per text-mode line: the
+    records and their lines, or the line of the first bad record."""
+    records, lines = [], []
+    for lineno, line in enumerate(io.TextIOWrapper(io.BytesIO(data), "utf-8"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except ValueError:
+            return lineno
+        if not (isinstance(record, dict) and isinstance(record.get("op"), str)
+                and record["op"] in RECORD_OPS):
+            return lineno
+        records.append(record)
+        lines.append(lineno)
+    return records, lines
+
+
+def reading(data: bytes, path):
+    path.write_bytes(data)
+    try:
+        return read_trace_lines(path)
+    except TraceError as err:
+        return err.line
+
+
+def check_reading(data: bytes, path):
+    got, want = reading(data, path), json_reading(data)
+    assert got == want
+    if not isinstance(got, int):  # same dicts, keys in the same order
+        assert [list(r) for r in got[0]] == [list(r) for r in want[0]]
+
+
+ODD_INTS = [
+    "-0", "01", "-01", "00", "1.0", "1e2", "-", "+1", "true", "null", '"1"', "\u0661",
+    "1\u0661", " 1", "0x1", "[1]", "1" + "0" * 4400,
+]
+
+
+@st.composite
+def event_spellings(draw):
+    """Event lines as the writer spells them, then bent in a place or two."""
+    fields = {"e": draw(st.integers()), "op": '"event"', "s": draw(st.integers()),
+              "x": draw(st.integers())}
+    keys, comma, colon, lead = sorted(fields), ",", ":", ""
+    for twist in draw(st.lists(st.sampled_from(["field", "op", "order", "space", "lead"]),
+                               max_size=2)):
+        if twist == "field":
+            fields[draw(st.sampled_from("esx"))] = draw(st.sampled_from(ODD_INTS))
+        elif twist == "op":
+            fields["op"] = draw(st.sampled_from(['"route"', '"Event"', "1", "[1]"]))
+        elif twist == "order":
+            keys = draw(st.permutations(keys))
+        elif twist == "space":
+            comma, colon = draw(st.sampled_from([(", ", ":"), (",", ": "), (",", " :")]))
+        else:
+            lead = draw(st.sampled_from([" ", "\t", "\x0b"]))
+    return lead + "{" + comma.join(f'"{k}"{colon}{fields[k]}' for k in keys) + "}"
+
+
+trace_lines = st.one_of(
+    event_spellings(),
+    st.just('{"op":"route","req":null,"s":3,"side":0,"x":2}'),
+    st.just(""),
+    tricky_text.filter(lambda text: "\ud800" not in text),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(trace_lines, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8))
+def test_read_lines_are_json_loads(tmp_path_factory, lines):
+    data = "".join(line + end for line, end in lines).encode("utf-8")
+    check_reading(data, tmp_path_factory.getbasetemp() / "read.jsonl")
+
+
+@pytest.mark.parametrize("spelling", ODD_INTS)
+@pytest.mark.parametrize("field", "esx")
+def test_read_odd_integer_spelling_is_json_loads(tmp_path, field, spelling):
+    fields = {"e": 1, "s": 2, "x": 3, field: spelling}
+    line = '{"e":%s,"op":"event","s":%s,"x":%s}' % (fields["e"], fields["s"], fields["x"])
+    check_reading((line + "\n").encode("utf-8"), tmp_path / "t.jsonl")
+
+
+@settings(max_examples=300)
+@given(event_spellings())
+def test_read_event_spellings_are_json_loads(tmp_path_factory, line):
+    check_reading((line + "\n").encode("utf-8"),
+                  tmp_path_factory.getbasetemp() / "spelling.jsonl")
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(st.integers(), st.integers(), st.integers()), min_size=1, max_size=6),
+       st.sampled_from(["\n", "\r\n", "\r"]), st.data())
+def test_bytes_not_utf8_reported_on_their_line(tmp_path_factory, events, end, data):
+    good = "".join('{"e":%d,"op":"event","s":%d,"x":%d}' % f + end for f in events)
+    good = good.encode("utf-8")
+    at = data.draw(st.integers(0, len(good)))
+    bad = good[:at] + b"\xff" + good[at:]
+    # the line the bad byte sits on, counting lines as the text-mode reader does
+    line = len(io.TextIOWrapper(io.BytesIO(bad[:at + 1]), "utf-8", errors="replace").readlines())
+    assert reading(bad, tmp_path_factory.getbasetemp() / "bad.jsonl") == line
 
 
 def test_probe_friedberg_vacuous_on_empty_input():
