@@ -14,6 +14,15 @@ stages it books with ``Kernel.wake_at`` (a timer heap); a drain source on the
 stages that start with an empty FIFO.  Each stage polls the due sources
 first, in registration order, and then the woken generators, by slot.
 
+``step`` and ``run_to`` share one loop, which pays per event rather than per
+stage.  It polls only on the stages where something is due: a drain source
+(on a drained stage), a woken generator, or a timer booked for that stage.  A
+stage that starts with a backlog releases from the FIFO.  Every other stage
+belongs to a machine-only stretch, which one tight loop runs with the ladder,
+its bitmask and the tick counter in locals.  A stretch ends at the stop
+stage, at the next timer booking, or right after a release that woke a
+watcher; with a drain source registered, each stretch is one stage long.
+
 Index space:
 
   even code 2*m                 machine program corpus[m % len(corpus)]
@@ -25,16 +34,18 @@ Index space:
                                 empty.
 
 Machine simulation dovetails fairly over (program code, input) pairs.  A new
-pair is activated every third machine tick, alternating between a dense lane
-cycling over the first len(corpus)+64 codes (so the diagonal pairs (m, 2m)
-keep arriving at a linear rate) and a sparse diagonal lane over the remaining
-padding codes.  Active pairs live in a ladder of level queues served in the ruler
-sequence (level i every 2**(i+1) ticks) with bursts that double per level, so
-fresh pairs are simulated promptly, long-running pairs get geometrically
-growing budgets, and divergers sink to rarely-served deep levels while still
-receiving unboundedly many steps in the limit.  A served pair runs its whole
-burst in one call of ``machine.run_steps``; a bitmask of the non-empty levels
-picks the level to serve.
+pair is activated every third machine tick, taken from one activation stream
+that alternates between a dense lane cycling over the first len(corpus)+64
+codes (so the diagonal pairs (m, 2m) keep arriving at a linear rate) and a
+sparse lane walking the diagonals of ``unpair`` over the remaining padding
+codes; both skip invalid programs.  Active pairs live in a ladder of level
+queues served in the ruler sequence (level i every 2**(i+1) ticks) with
+bursts that double per level, so fresh pairs are simulated promptly,
+long-running pairs get geometrically growing budgets, and divergers sink to
+rarely-served deep levels while still receiving unboundedly many steps in the
+limit.  A served pair runs its whole burst in one call of
+``machine.run_steps``, which settles a jump to itself at once; a bitmask of
+the non-empty levels picks the level to serve.
 """
 
 from __future__ import annotations
@@ -42,18 +53,20 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import count
 from operator import attrgetter
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .machine import parse_program, register_count, run_steps
 # re-exported for callers that import it from here: the one-step reference
 # semantics; the kernel itself runs whole bursts through run_steps
 from .machine import step_state  # noqa: F401
-from .pairing import pair, unpair
+from .pairing import pair
 
 
 MAX_LEVEL = 24
 BURST_CAP = 1024
+_BURSTS = tuple(min(1 << level, BURST_CAP) for level in range(MAX_LEVEL + 1))
 
 
 class KernelError(Exception):
@@ -166,6 +179,38 @@ class EventLog:
         return zip(self._stages[start:], self._indices[start:], self._elements[start:])
 
 
+def _activation_stream(programs: list) -> Iterator[list]:
+    """Fresh queue entries [index, input, state, program] in activation order.
+
+    The dense lane (k % dense, k // dense) and the sparse lane unpair(k) over
+    the padding codes past it take turns, dense first; both skip the codes of
+    invalid programs.  Both lanes are endless when some program is valid.
+    """
+    n = len(programs)
+    dense = n + 64
+    registers = [0 if p is None else register_count(p) for p in programs]
+    valid = [(machine_index(m), programs[m % n], registers[m % n])
+             for m in range(dense) if programs[m % n] is not None]
+
+    def padding():  # unpair(k) for k = 0, 1, ...: diagonal d is (d - b, b)
+        for d in count():
+            for b in range(d + 1):
+                m = dense + d - b
+                if programs[m % n] is not None:
+                    yield machine_index(m), b, programs[m % n], registers[m % n]
+
+    sparse = padding()
+    for x in count():
+        for index, program, size in valid:
+            regs = [0] * size
+            regs[0] = x
+            yield [index, x, [0, regs], program]
+            index, u, program, size = next(sparse)
+            regs = [0] * size
+            regs[0] = u
+            yield [index, u, [0, regs], program]
+
+
 @dataclass
 class HostGenerator:
     """A deterministic emission source for one constructed set.
@@ -200,12 +245,7 @@ _ORDER = attrgetter("order")
 
 class Kernel:
     def __init__(self, corpus: Iterable[str] = ()):
-        texts = list(corpus)
-        self._programs = [parse_program(t) for t in texts]
-        self._registers = [0 if p is None else register_count(p) for p in self._programs]
-        self._n_programs = len(self._programs)
-        self._dense_codes = self._n_programs + 64
-        self._any_valid = any(p is not None for p in self._programs)
+        programs = [parse_program(t) for t in corpus]
         self._log = EventLog()
         self._pending: deque[tuple[int, int]] = deque()
         self._pending_set: set[tuple[int, int]] = set()
@@ -219,9 +259,9 @@ class Kernel:
         self._levels: list[deque[list]] = [deque() for _ in range(MAX_LEVEL + 1)]
         self._nonempty = 0  # bit i set iff _levels[i] holds a pair
         self._mtick = 0
-        self._act_primary = 0
-        self._act_pad = 0
-        self._act_toggle = False
+        # no pair ever runs when no program is valid
+        self._fresh = (_activation_stream(programs)
+                       if any(p is not None for p in programs) else None)
         self._next_stage = 0
 
     # -- inspection ------------------------------------------------------
@@ -369,62 +409,73 @@ class Kernel:
                 if entry.dirty:
                     self._poll_one(entry, stage)
 
-    def _activate_pair(self) -> None:
-        programs, n, dense = self._programs, self._n_programs, self._dense_codes
-        if not self._act_toggle:
-            # dense lane over the first few codes
-            k = self._act_primary
-            while True:
-                m, x = k % dense, k // dense
-                k += 1
-                if programs[m % n] is not None:
-                    break
-            self._act_primary = k
-        else:
-            # sparse diagonal lane over the remaining padding codes
-            k = self._act_pad
-            while True:
-                u, x = unpair(k)
-                k += 1
-                m = dense + u
-                if programs[m % n] is not None:
-                    break
-            self._act_pad = k
-        self._act_toggle = not self._act_toggle
-        regs = [0] * self._registers[m % n]
-        regs[0] = x
-        self._levels[0].append([machine_index(m), x, [0, regs], programs[m % n]])
-        self._nonempty |= 1
+    def _machine_stretch(self, stage: int, end: int) -> int:
+        """Machine ticks for the stages from ``stage`` up to ``end``, where
+        nothing is due and the FIFO is empty; the next stage to step.
 
-    def _machine_tick(self, stage: int) -> None:
-        if not self._any_valid:
-            return
-        tick = self._mtick
-        self._mtick = tick + 1
-        if tick % 3 == 0:
-            self._activate_pair()
-        nonempty = self._nonempty
-        if not nonempty:
-            return
-        # ruler sequence: level i is served every 2**(i+1) service ticks, so
-        # service tick t wants the level of t's lowest set bit; take the
-        # highest non-empty level at or below it, else the lowest one above
-        # (no level past MAX_LEVEL is ever non-empty, so no cap is needed)
-        tick += 1
-        wanted = tick & -tick
-        level = ((nonempty & (2 * wanted - 1)) or nonempty & -nonempty).bit_length() - 1
-        queue = self._levels[level]
-        entry = queue.popleft()
-        if not queue:
-            nonempty ^= 1 << level
-        if run_steps(entry[3], entry[2], BURST_CAP if level >= 10 else 1 << level):
-            self._nonempty = nonempty
-            self._release(stage, entry[0], entry[1])
-            return
-        if level < MAX_LEVEL:
-            level += 1
-        self._levels[level].append(entry)
-        self._nonempty = nonempty | 1 << level
+        The stretch stops early right after a release that woke a watcher,
+        which must be polled on the next stage.
+        """
+        fresh = self._fresh
+        if fresh is None:
+            return end
+        levels, bursts, run = self._levels, _BURSTS, run_steps
+        nonempty, tick = self._nonempty, self._mtick
+        for stage in range(stage, end):
+            if tick % 3 == 0:
+                levels[0].append(next(fresh))
+                nonempty |= 1
+            tick += 1
+            if nonempty:
+                # ruler sequence: level i is served every 2**(i+1) service
+                # ticks, so tick t wants the level of t's lowest set bit; take
+                # the highest non-empty level at or below it (tick ^ (tick - 1)
+                # masks those), else the lowest one above (no level past
+                # MAX_LEVEL is ever non-empty)
+                level = ((nonempty & (tick ^ (tick - 1))) or nonempty & -nonempty).bit_length() - 1
+                queue = levels[level]
+                entry = queue.popleft()
+                if not queue:
+                    nonempty ^= 1 << level
+                if run(entry[3], entry[2], bursts[level]):
+                    self._release(stage, entry[0], entry[1])
+                    if self._dirty_batch:
+                        end = stage + 1
+                        break
+                else:
+                    if level < MAX_LEVEL:
+                        level += 1
+                    levels[level].append(entry)
+                    nonempty |= 1 << level
+        self._nonempty, self._mtick = nonempty, tick
+        return end
+
+    def _advance(self, stop: int) -> None:
+        """Step every stage from ``next_stage`` up to ``stop``.
+
+        Generators are polled only on the stages where something is due; a
+        stage that releases from the FIFO is stepped on its own, and every
+        other stretch of stages goes to the machine in one call.
+        """
+        pending, drainers, timers = self._pending, self._drainers, self._timers
+        stage = self._next_stage
+        while stage < stop:
+            if self._dirty_batch or (drainers and not pending) or (timers and timers[0][0] <= stage):
+                self._next_stage = stage
+                self._poll_generators(stage)
+            if pending:
+                key = pending.popleft()
+                self._pending_set.discard(key)
+                self._release(stage, *key)
+                stage += 1
+                continue
+            # nothing is due before the next booked timer, and a drain
+            # source is due again on the very next stage
+            end = stage + 1 if drainers else stop
+            if timers and timers[0][0] < end:
+                end = timers[0][0]
+            stage = self._machine_stretch(stage, end)
+        self._next_stage = stage
 
     def step(self, stage: Optional[int] = None) -> None:
         if stage is None:
@@ -433,20 +484,11 @@ class Kernel:
             raise OutOfOrderStepError(
                 f"expected stage {self._next_stage}, got {stage}"
             )
-        if self._drainers or self._timers or self._dirty_batch:
-            self._poll_generators(stage)
-        if self._pending:
-            index, element = self._pending.popleft()
-            self._pending_set.discard((index, element))
-            self._release(stage, index, element)
-        else:
-            self._machine_tick(stage)
-        self._next_stage = stage + 1
+        self._advance(stage + 1)
 
     def run_to(self, stage: int) -> None:
         """Step every stage strictly below ``stage``."""
-        while self._next_stage < stage:
-            self.step()
+        self._advance(stage)
 
     @property
     def backlog(self) -> int:

@@ -70,13 +70,6 @@ def register_count(program: Program) -> int:
     return max(regs) + 1 if regs else 1
 
 
-def new_state(program: Program, x: int) -> list:
-    """Mutable configuration [pc, registers]; input goes to register 0."""
-    regs = [0] * register_count(program)
-    regs[0] = x
-    return [0, regs]
-
-
 def step_state(program: Program, state: list) -> bool:
     """Advance one instruction; True when the configuration has halted."""
     pc = state[0]
@@ -107,11 +100,14 @@ def run_steps(program: Program, state: list, budget: int) -> bool:
     The same as calling ``step_state`` up to ``budget`` times and stopping at
     the first True: finding the run halted (at HALT, or past the end, which
     includes a jump to the virtual slot ``size``) uses up one call's worth of
-    the budget and leaves the configuration as it was.  ``pc`` and the
-    registers live in locals, so a whole burst costs one Python call.  The
-    registers must cover every one the program names, as ``new_state`` makes
-    them: an index past the end of the program is how the loop sees a run
-    walk off it.
+    the budget and leaves the configuration as it was.  A ``JMP`` to its own
+    address is a fixed point: reaching one returns False at once, with the
+    configuration left there, which is where the rest of the budget would
+    leave it step by step.  ``pc`` and the registers live in locals, so a
+    whole burst costs one Python call.  The registers must cover every one
+    the program names (``register_count`` of them, input in register 0, as
+    the kernel makes them): an index past the end of the program is how the
+    loop sees a run walk off it.
     """
     pc = state[0]
     regs = state[1]
@@ -130,6 +126,9 @@ def run_steps(program: Program, state: list, budget: int) -> bool:
                 regs[ins[1]] += 1
                 pc += 1
             elif op == OP_JMP:
+                if ins[1] == pc:  # a jump to itself: the run stays here for good
+                    state[0] = pc
+                    return False
                 pc = ins[1]
             else:
                 break
@@ -141,17 +140,3 @@ def run_steps(program: Program, state: list, budget: int) -> bool:
     state[0] = pc
     return True
 
-
-def halts_within(program: Optional[Program], x: int, budget: int) -> Optional[int]:
-    """Tick count at which the run halts, or None if it survives the budget.
-
-    Used as the independent halting oracle in tests; the kernel never calls
-    this.
-    """
-    if program is None:
-        return None
-    state = new_state(program, x)
-    for tick in range(budget):
-        if step_state(program, state):
-            return tick + 1
-    return None

@@ -1,10 +1,31 @@
-"""Shared fixtures: scripted host sets, and per-generator poll records."""
+"""Shared fixtures: scripted host sets, and per-generator poll records; and
+the one-step machine oracles the tests check the kernel's bursts against."""
 
 from collections import Counter, defaultdict
 
 import pytest
 
 from cesplit.kernel import HostGenerator, Kernel
+from cesplit.machine import register_count, step_state
+
+
+def new_state(program, x):
+    """Mutable configuration [pc, registers]; input goes to register 0."""
+    regs = [0] * register_count(program)
+    regs[0] = x
+    return [0, regs]
+
+
+def halts_within(program, x, budget):
+    """Tick count at which the run halts under ``step_state``, or None if it
+    survives the budget (or the program is None, an invalid text)."""
+    if program is None:
+        return None
+    state = new_state(program, x)
+    for tick in range(budget):
+        if step_state(program, state):
+            return tick + 1
+    return None
 
 
 def register_scripted(kernel, slot, emissions):

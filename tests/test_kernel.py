@@ -1,7 +1,8 @@
 import hashlib
+from itertools import count, islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cesplit import corpus
@@ -16,8 +17,9 @@ from cesplit.kernel import (
     host_index,
     machine_index,
 )
-from cesplit.machine import halts_within, parse_program
+from cesplit.machine import parse_program, step_state
 from cesplit.pairing import unpair
+from conftest import halts_within, new_state
 
 
 def log_digest(kernel):
@@ -36,8 +38,6 @@ def log_digest(kernel):
 
 
 def oracle_machine_events(texts, stages, max_level=24, burst_cap=1024):
-    from cesplit.machine import new_state, step_state
-
     programs = [parse_program(t) for t in texts]
     if not any(p is not None for p in programs):
         return []
@@ -93,6 +93,41 @@ def oracle_machine_events(texts, stages, max_level=24, burst_cap=1024):
         if not halted:
             levels[min(level + 1, max_level)].append(entry)
     return events
+
+
+def closed_form_activations(texts, how_many):
+    """The activation order from the lanes' closed forms: dense code
+    (k % (n+64), k // (n+64)) and padding code n+64+u with (u, x) = unpair(k),
+    alternately, each lane skipping invalid programs."""
+    programs = [parse_program(t) for t in texts]
+    n = len(programs)
+    dense = n + 64
+
+    def lane(decode):
+        for k in count():
+            m, x = decode(k)
+            if programs[m % n] is not None:
+                yield m, x
+
+    lanes = (lane(lambda k: (k % dense, k // dense)),
+             lane(lambda k: (dense + unpair(k)[0], unpair(k)[1])))
+    out = []
+    for i in range(how_many):
+        m, x = next(lanes[i % 2])
+        program = programs[m % n]
+        out.append([machine_index(m), x, new_state(program, x), program])
+    return out
+
+
+@pytest.mark.parametrize("texts", [
+    ["NOP 0", corpus.HALT_ALL, corpus.HALT_EVEN],  # invalid at code 0
+    # the last dense code, 4 + 63, decodes to program 67 % 4 = 3
+    [corpus.HALT_ALL, corpus.HALT_EVEN, corpus.DIVERGE, "NOP 3"],
+    ["NOP 0"] * 5 + [corpus.HALT_SLOW] + ["NOP 6"] * 3,  # one valid program
+])
+def test_activation_stream_is_the_closed_form_lanes(texts):
+    got = list(islice(Kernel(texts)._fresh, 3_000))
+    assert got == closed_form_activations(texts, 3_000)
 
 
 def test_machine_only_run_matches_oracle():
@@ -361,3 +396,56 @@ def test_same_stage_order_puts_due_sources_before_woken_generators(scripted):
     kernel.run_to(12)
     order = [(e, x) for s, e, x in kernel.log.events() if s >= 6]
     assert order == [(drain_idx, 72), (timer_idx, 71), (watcher, 70)]
+
+
+# -- stretches -----------------------------------------------------------------
+
+DRIVE_STAGES = 1_500
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(valid=st.booleans(), watched=st.integers(0, 70), drain=st.booleans(),
+       booked=st.lists(st.integers(0, DRIVE_STAGES), max_size=8),
+       cuts=st.lists(st.integers(0, DRIVE_STAGES), max_size=6))
+def test_stepping_is_the_same_however_the_kernel_is_driven(
+        polls, valid, watched, drain, booked, cuts):
+    # a watcher on a machine index, a timer source that emits a small batch
+    # at each booked stage and books more, and perhaps a drain source; the
+    # kernel stepped one stage at a time, to the end at once, and in chunks
+    texts = corpus.make_corpus(64) if valid else ["NOP 0", "JMP 9", ""]
+    polled, _ = polls
+
+    def run(drive):
+        polled.clear()
+        kernel = Kernel(texts)
+
+        def timed(stage):
+            if stage % 5 == 0:
+                kernel.wake_at(timer, stage + 1 + stage % 37)
+            return range(4 * stage, 4 * stage + stage % 4)
+
+        kernel.register_generator(
+            HostGenerator(0, lambda stage: [stage], (machine_index(watched),)))
+        timer = kernel.register_generator(HostGenerator(1, timed, "timer"))
+        for stage in booked:
+            kernel.wake_at(timer, stage)
+        if drain:
+            kernel.register_generator(
+                HostGenerator(2, lambda stage: [stage] if stage % 11 == 0 else (), "drain"))
+        drive(kernel)
+        return (list(kernel.log.events()), {i: list(s) for i, s in polled.items()},
+                kernel.max_backlog, kernel.next_stage)
+
+    def per_stage(kernel):
+        for _ in range(DRIVE_STAGES):
+            kernel.step()
+
+    def in_chunks(kernel):
+        for stage in sorted(cuts) + [DRIVE_STAGES]:
+            kernel.run_to(stage)
+
+    want = run(per_stage)
+    assert want[3] == DRIVE_STAGES
+    assert run(lambda kernel: kernel.run_to(DRIVE_STAGES)) == want
+    assert run(in_chunks) == want

@@ -7,12 +7,11 @@ from cesplit.machine import (
     OP_HALT,
     OP_INC,
     OP_JMP,
-    halts_within,
-    new_state,
     parse_program,
     run_steps,
     step_state,
 )
+from conftest import halts_within, new_state
 
 BUDGET = 2_000
 
@@ -121,3 +120,43 @@ def test_run_steps_spends_the_whole_budget_of_a_burst():
     assert state == [0, [5, 512]]
     assert run_steps(program, state, 1023) is False
     assert state == [1, [5, 1024]]
+
+
+# -- the self-loop rule: a JMP to its own address is a fixed point ----------
+
+
+def stepped(program, state, budget):
+    """``step_state`` up to ``budget`` times, stopping at the first True."""
+    for _ in range(budget):
+        if step_state(program, state):
+            return True
+    return False
+
+
+def test_run_steps_settles_a_jump_to_itself_at_once():
+    program = parse_program("JMP 0")
+    state = new_state(program, 7)
+    assert run_steps(program, state, 1024) is False
+    assert state == [0, [7]]
+
+
+def test_run_steps_reaches_a_self_loop_mid_burst():
+    # halt_below(3) on 5: three decrements, then JMP 3 at slot 3 for good
+    program = parse_program(corpus.halt_below(3))
+    assert program[3] == (OP_JMP, 3)
+    for budget in (3, 4, 5, 1024):
+        burst, slow = new_state(program, 5), new_state(program, 5)
+        assert run_steps(program, burst, budget) is stepped(program, slow, budget) is False
+        assert burst == slow
+    assert burst == [3, [2]]
+
+
+def test_run_steps_does_not_settle_a_decjz_to_itself():
+    # x rounds of DECJZ 0 / JMP 0 count register 0 down, then DECJZ 1 2 at
+    # slot 2 jumps to itself on the zero register 1 for good
+    program = parse_program("DECJZ 0 2; JMP 0; DECJZ 1 2; HALT")
+    for budget in (3, 11, 12, 1024):
+        burst, slow = new_state(program, 5), new_state(program, 5)
+        assert run_steps(program, burst, budget) is stepped(program, slow, budget) is False
+        assert burst == slow
+    assert burst == [2, [0, 0]]
