@@ -1,7 +1,7 @@
 """Finite-stage workbench for splitting constructions on c.e. sets."""
 
 from .kernel import EventLog, HostGenerator, Kernel
-from .setalg import ComputablePair, before, before_then, computable_view, is_split
+from .setalg import ComputablePair, before, before_then
 
 __all__ = [
     "EventLog",
@@ -10,6 +10,4 @@ __all__ = [
     "ComputablePair",
     "before",
     "before_then",
-    "computable_view",
-    "is_split",
 ]

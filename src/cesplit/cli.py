@@ -1,7 +1,8 @@
 """Command-line workbench: run constructions, emit traces, verify them.
 
 Exit codes: 0 success, 1 invariant violation or failed verification,
-2 usage errors (argparse's default).  Identical invocations produce
+2 usage errors: argparse's, and a --proc or --trace that names nothing
+usable, each with one line on stderr.  Identical invocations produce
 byte-identical traces; there is no configuration outside the flags.
 """
 
@@ -126,22 +127,30 @@ def cmd_witness(args) -> int:
 
 
 def _resolve_proc(spec: str):
+    """The procedure a --proc name stands for, or None after one line on
+    stderr saying why there is none (a usage error)."""
     if spec in PROCEDURES:
         return PROCEDURES[spec]
-    if spec.startswith("plugin:"):
+    if not spec.startswith("plugin:"):
+        reason = f"unknown procedure {spec!r} (hf, trivial, broken or plugin:FILE)"
+    else:
         path = spec.split(":", 1)[1]
         scope: dict = {}
-        with open(path, "r", encoding="utf-8") as fh:
-            exec(compile(fh.read(), path, "exec"), scope)
-        proc = scope.get("procedure")
-        if proc is None:
-            raise SystemExit(f"plugin {path} does not define procedure(kernel, e)")
-        return proc
-    raise SystemExit(2)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                source = fh.read()
+        except OSError as err:
+            reason = f"cannot read plugin: {err}"
+        else:
+            exec(compile(source, path, "exec"), scope)
+            if scope.get("procedure") is not None:
+                return scope["procedure"]
+            reason = f"plugin {path} does not define procedure(kernel, e)"
+    sys.stderr.write(f"--proc: {reason}\n")
+    return None
 
 
-def _run_one_diagonalize(proc_name, args):
-    proc = _resolve_proc(proc_name)
+def _run_one_diagonalize(proc_name, proc, args):
     texts = _load_corpus(args)
     result = diagonalize(
         proc, args.stages, args.depth, texts, collect_trace=bool(args.trace)
@@ -172,6 +181,11 @@ def cmd_diagonalize(args) -> int:
     if len(procs) > 1 and args.trace and "{proc}" not in args.trace:
         sys.stderr.write("multiple procs need a {proc} placeholder in --trace\n")
         return 2
+    found = {}
+    for name in procs:
+        found[name] = _resolve_proc(name)
+        if found[name] is None:
+            return 2
     code = 0
     if args.jobs > 1 and len(procs) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -182,7 +196,7 @@ def cmd_diagonalize(args) -> int:
                 code = max(code, rc)
         return code
     for name in procs:
-        payload, rc = _run_one_diagonalize(name, args)
+        payload, rc = _run_one_diagonalize(name, found[name], args)
         _emit(payload)
         code = max(code, rc)
     return code
@@ -190,7 +204,7 @@ def cmd_diagonalize(args) -> int:
 
 def _diag_worker(pair):
     name, args = pair
-    return _run_one_diagonalize(name, args)
+    return _run_one_diagonalize(name, _resolve_proc(name), args)
 
 
 def cmd_verify(args) -> int:
@@ -278,8 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="replay a trace file")
     p.add_argument("--trace", required=True)
-    p.add_argument("--suite", choices=["replay", "split", "friedberg", "hk", "tree"],
-                   default="replay")
+    p.add_argument("--suite", choices=["replay", "split"], default="replay",
+                   help="replay: re-derive the decisions the meta record names; "
+                        "split: check only the split")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("iterate", help="round-iterated diagonalization")

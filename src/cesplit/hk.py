@@ -19,6 +19,10 @@ triple's own code and absorbs every later l, so it never decreases.  A ball
 entering B at stage s joins the half of the least-coded triple whose
 restraint at s reaches the ball.
 
+Y_e and Z_j are W_e and W_j unless the override maps ``y_over`` and
+``z_over`` (listing position -> set index) name another set; the trace's
+meta record carries both maps, so the replay reads the same listings.
+
 Between membership changes the qualifying set is constant, so sup l over a
 window [t0, t1) is min(least qualifying element, t1 - 1); restraints are
 folded incrementally from those windows instead of per stage.
@@ -28,44 +32,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
 
 from .kernel import EventLog, Kernel
 from .pairing import pair, unpair
-
-Listing = Callable[[int], int]
-
-
-def identity_listing(position: int) -> int:
-    return position
-
-
-def disagreement_value(log: EventLog, e: int, j: int, i: int, s: int,
-                       b0: int, b1: int, a: int,
-                       y_listing: Listing = None, z_listing: Listing = None) -> int:
-    """l(e, j, i, s) recomputed from scratch; the least x <= s that is
-    uncovered or that disagrees with Z_j as a witness, else s."""
-    y_idx = (y_listing or identity_listing)(e)
-    z_idx = (z_listing or identity_listing)(j)
-    bi = b0 if i == 0 else b1
-    for x in range(s + 1):
-        in_bi = log.member_by(bi, x, s)
-        in_a = log.member_by(a, x, s)
-        in_y = log.member_by(y_idx, x, s)
-        if not (in_bi or in_a or in_y):
-            return x
-        lhs = in_bi and in_y and not in_a
-        if lhs == (not log.member_by(z_idx, x, s)):
-            return x
-    return s
-
-
-def rigged_listing(overrides: dict[int, int]) -> Listing:
-    def listing(position: int) -> int:
-        return overrides.get(position, position)
-
-    listing.overrides = dict(overrides)
-    return listing
 
 
 class _TripleState:
@@ -136,8 +105,8 @@ class HKSplitter:
     kernel: Kernel
     b: int
     a: int
-    y_listing: Listing = identity_listing
-    z_listing: Listing = identity_listing
+    y_over: dict = field(default_factory=dict)  # Y listing: position -> index
+    z_over: dict = field(default_factory=dict)  # Z listing: position -> index
     b0: int = field(init=False)
     b1: int = field(init=False)
     trace: list = field(default_factory=list)
@@ -156,8 +125,7 @@ class HKSplitter:
         )
         meta = {"op": "meta", "kind": "hk", "b": self.b, "a": self.a,
                 "b0": self.b0, "b1": self.b1}
-        for name, listing in (("y_over", self.y_listing), ("z_over", self.z_listing)):
-            overrides = getattr(listing, "overrides", None)
+        for name, overrides in (("y_over", self.y_over), ("z_over", self.z_over)):
             if overrides:
                 meta[name] = sorted(overrides.items())
         self.trace.append(meta)
@@ -176,7 +144,7 @@ class HKSplitter:
         e, j = unpair(m)
         state = _TripleState(
             code, e, j, i,
-            self.y_listing(e), self.z_listing(j),
+            self.y_over.get(e, e), self.z_over.get(j, j),
             self.b0 if i == 0 else self.b1, self.a,
         )
         self._replay(state, upto_stage)
@@ -254,14 +222,9 @@ class HKResult:
         return self.splitter.warnings
 
 
-def install_hk(
-    kernel: Kernel,
-    b: int,
-    a: int,
-    y_listing: Listing = identity_listing,
-    z_listing: Listing = identity_listing,
-) -> HKSplitter:
-    return HKSplitter(kernel, b, a, y_listing=y_listing, z_listing=z_listing)
+def install_hk(kernel: Kernel, b: int, a: int, y_over: dict = None,
+               z_over: dict = None) -> HKSplitter:
+    return HKSplitter(kernel, b, a, y_over=y_over or {}, z_over=z_over or {})
 
 
 def run_hk(corpus_texts, b: int, a: int, stages: int) -> HKResult:
@@ -274,23 +237,19 @@ def run_hk(corpus_texts, b: int, a: int, stages: int) -> HKResult:
 def run_subset_scenario(stages: int) -> HKResult:
     """The B = A extreme: split a set that is already inside A.
 
-    The listing is rigged so that position 0 of the Y listing enumerates
-    everything (a halt-everywhere program discovered ahead of the input) and
-    position 0 of the Z listing enumerates B - A = the empty set (a
-    diverger).  The least triple then races its restraint along the coverage
-    frontier and captures every ball, so one half starves: the split is
-    trivial by construction, matching the theorem's failure analysis for
-    complemented inputs.
+    The listings are rigged (``y_over``, ``z_over``) so that position 0 of
+    the Y listing enumerates everything (a halt-everywhere program
+    discovered ahead of the input) and position 0 of the Z listing
+    enumerates B - A = the empty set (a diverger).  The least triple then
+    races its restraint along the coverage frontier and captures every
+    ball, so one half starves: the split is trivial by construction,
+    matching the theorem's failure analysis for complemented inputs.
     """
     from . import corpus as corpus_mod
 
     texts = [corpus_mod.HALT_ALL, corpus_mod.HALT_ALL, corpus_mod.DIVERGE]
     kernel = Kernel(texts)
     b = a = 2  # the second halt-everything program: its events trail Y's
-    splitter = install_hk(
-        kernel, b, a,
-        y_listing=rigged_listing({0: 0}),
-        z_listing=rigged_listing({0: 4}),
-    )
+    splitter = install_hk(kernel, b, a, y_over={0: 0}, z_over={0: 4})
     kernel.run_to(stages)
     return HKResult(kernel, b, a, splitter.b0, splitter.b1, splitter.trace, splitter)

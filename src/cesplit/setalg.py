@@ -8,15 +8,9 @@ is released per stage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .kernel import EventLog
-
-_INF = float("inf")
-
-
-class SetAlgebraError(Exception):
-    pass
 
 
 def before(log: EventLog, a: int, b: int, s: int) -> frozenset:
@@ -43,46 +37,16 @@ def before_then(log: EventLog, a: int, b: int, s: int) -> frozenset:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class SplitVerdict:
-    ok: bool
-    stage: int
-    overlap: tuple = ()
-    extra: tuple = ()
-    missing: tuple = ()
-    settling: tuple = ()
-
-
-def is_split(log: EventLog, a: int, a0: int, a1: int, s: int, settle: int = 1) -> SplitVerdict:
-    """Check a0 |_| a1 = a at stage s.
-
-    One released event per stage means an entrant of a can reach its half no
-    earlier than the following stage, so elements that entered a within the
-    last ``settle`` stages are reported as settling rather than missing.
-    ``settle=0`` gives the strict reading.
-    """
-    w0 = log.members_at(a0, s)
-    w1 = log.members_at(a1, s)
-    wa = log.members_at(a, s)
-    overlap = sorted(w0 & w1)
-    extra = sorted((w0 | w1) - wa)
-    missing, settling = [], []
-    for x in sorted(wa - (w0 | w1)):
-        if log.entry_stage(a, x) > s - settle:
-            settling.append(x)
-        else:
-            missing.append(x)
-    ok = not overlap and not extra and not missing
-    return SplitVerdict(ok, s, tuple(overlap), tuple(extra), tuple(missing), tuple(settling))
-
-
 def check_split_history(
     log: EventLog, a: int, a0: int, a1: int, S: int, settle: int = 1
 ) -> Optional[tuple[int, str, int]]:
-    """First (stage, kind, element) violating the split discipline by S.
+    """First (stage, kind, element) violating a0 |_| a1 = a by stage S.
 
-    Single pass over the log; equivalent to running is_split at every stage
-    up to S but linear in the number of events.
+    One released event per stage means an entrant of a can reach its half no
+    earlier than the following stage, so an element is missing only once it
+    has sat in a unrouted for ``settle`` stages; ``settle=0`` gives the strict
+    reading.  Equivalent to checking the split at every stage up to S, but
+    one pass over the log.
     """
     from collections import deque
 
@@ -123,31 +87,3 @@ class ComputablePair:
 
     pos: int
     neg: int
-
-
-def computable_view(
-    log: EventLog, pair: ComputablePair, s: int
-) -> tuple[int, Callable[[int], Optional[bool]]]:
-    """Certified interval [0, n) and a three-valued membership function.
-
-    Inside the interval membership is decided by the positive side; outside
-    it the answer is None ("unknown at this stage").  A shared element is a
-    broken construction and raises.
-    """
-    wp = log.members_at(pair.pos, s)
-    wn = log.members_at(pair.neg, s)
-    clash = wp & wn
-    if clash:
-        raise SetAlgebraError(
-            f"computable pair sides share element {min(clash)} at stage {s}"
-        )
-    n = 0
-    while n in wp or n in wn:
-        n += 1
-
-    def member(x: int) -> Optional[bool]:
-        if x < n:
-            return x in wp
-        return None
-
-    return n, member

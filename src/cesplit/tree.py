@@ -234,7 +234,7 @@ class TreeRun:
         self.tmeasures_by_index: dict[int, list] = {}  # by j_index and by eb_index
         self._moved_nodes: list = []
         self._cursor = 0
-        self._endpoint_history: list = []  # (tree_stage, kernel_stage, f, kind)
+        self._endpoint_history: list = []  # (kernel_stage, f is a positive A-node)
         self._get_node(ROOT)
         self._emit_record(
             {
@@ -772,8 +772,7 @@ class TreeRun:
             state.requests.push(st)
         self.f = f
         self.f_kernel_stage = stage
-        kind = "positive-a" if self.nodes[f].positive else node_kind(f)
-        self._endpoint_history.append((st, stage, f, kind))
+        self._endpoint_history.append((stage, self.nodes[f].positive))
         self._ball_entry(st, f)
         if f_changed:
             self._sweep_right(st, f)
@@ -845,11 +844,11 @@ PROCEDURES = {
 }
 
 
-def verdict_at(kernel: Kernel, run: TreeRun, e_a: int, e0: int, e1: int,
-               stage: int) -> Verdict:
+def verdict_at(run: TreeRun, stage: int) -> Verdict:
     from .setalg import check_split_history
     from .verify import complement_witnesses, probe_friedberg
 
+    kernel, e_a, e0, e1 = run.kernel, run.e_a, run.e0, run.e1
     log = kernel.log
     # in-flight tolerance: construction bursts can hold a routing hostage
     # for about two queue drains, so the window tracks the observed backlog
@@ -867,9 +866,9 @@ def verdict_at(kernel: Kernel, run: TreeRun, e_a: int, e0: int, e1: int,
             return Verdict(
                 2, "complement-witness", {"side": side, "witnesses": live}
             )
-    tail = [kind for st, ks, _, kind in run._endpoint_history if ks >= stage * 4 // 5]
+    tail = [positive for ks, positive in run._endpoint_history if ks >= stage * 4 // 5]
     if tail:
-        positive = sum(1 for kind in tail if kind == "positive-a")
+        positive = sum(tail)
         if positive * 2 >= len(tail):
             return Verdict(2, "positive-endpoint", {"fraction": positive / len(tail)})
     growth = [asdict(ev) for ev in probe_friedberg(log, e_a, e0, e1, stage, 8)
@@ -931,7 +930,7 @@ def diagonalize(proc: Callable, stages: int, depth: int = 25,
     verdicts = []
     for target in checkpoints:
         kernel.run_to(target)
-        verdicts.append(verdict_at(kernel, run, run.e_a, run.e0, run.e1, target - 1))
+        verdicts.append(verdict_at(run, target - 1))
     kinds = {v.kind for v in verdicts}
     return TreeResult(
         kernel, run, run.e_a, run.e0, run.e1, verdicts[-1],
@@ -981,9 +980,10 @@ def iterate_splitting_procedures(proc: Callable, rounds: int, stages: int,
 def structural_report(run: TreeRun) -> dict:
     """Invariant audit over a finished run's internal state.
 
-    Checks marker tables, the piece-set partition along the current path,
-    ball depth bounds and endpoint kinds; counts land in the report, any
-    violation is appended to the run's violation list as well.
+    Checks the marker tables of every R-node and counts the exceptions to
+    the piece-set partition along the current path.  Ball depths and
+    endpoint kinds are not re-checked here: the run flags them as they
+    happen, in ``run.violations``.
     """
     problems = []
     for address, state in run.nodes.items():
@@ -1011,36 +1011,9 @@ def structural_report(run: TreeRun) -> dict:
         for x in deepest.rt_committed:
             if x in seen:
                 exceptions.append((x, seen[x], chain[-1] + "~"))
-    # casualties: committed-into-A piece members the patching already claimed
-    unpatched = 0
-    for address in chain:
-        state = run.nodes[address]
-        delta = greatest_r_prefix(address)
-        if delta == ROOT:
-            pool = run.a_committed
-        else:
-            dstate = run.nodes.get(delta)
-            pool = dstate.rt_committed & run.a_committed if dstate else set()
-        for y in pool:
-            if y not in state.r_committed and y not in state.rt_committed:
-                unpatched += 1
-    for x, pos in run.positions.items():
-        if ball_too_deep(x, pos):
-            problems.append(("ball-depth", (x, pos)))
-    bad_endpoints = [
-        (st, f_) for st, _, f_, kind in run._endpoint_history
-        if kind not in ("r", "positive-a") and f_ != ROOT
-    ]
-    if bad_endpoints:
-        problems.append(("endpoint-kind", bad_endpoints[:3]))
-    for problem in problems:
-        run.violations.append((run.tree_stage, *problem))
     return {
         "problems": problems,
         "partition_exceptions": len(exceptions),
-        "unpatched_casualties": unpatched,
-        "chain": chain,
         "nodes": len(run.nodes),
-        "balls_on_machine": len(run.positions),
         "dumped": len(run.a_committed),
     }

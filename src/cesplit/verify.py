@@ -1,16 +1,23 @@
 """Replay oracles and stage-bounded evidence probes.
 
-Every oracle here re-derives construction decisions from the raw event log
-with its own bookkeeping, kept deliberately separate from the construction
-modules.  The tree replay is the one exception by design: it shares
-``geometry`` with the construction, the trusted base of tree address rules
-(node kinds, questions, the left order, pull eligibility, left targets,
-requesting prefixes, left passes, marker states and the least-dump rule),
-and it trusts the traced chip counters instead of re-deriving them.  It
-checks that a tree record written after an ``enter`` carries its stage.
-Non-effective notions (computability, c.e.-ness of a difference) are never
-decided; the probes report monotone evidence over one explicit trailing
-window, ``trailing_window(S)``, instead.
+The replays re-derive construction decisions from the raw event log with
+their own bookkeeping, kept deliberately separate from the construction
+modules: ``replay_friedberg`` each routing, ``replay_hk`` each restraint and
+routing (under the listing overrides of the meta record), and
+``replay_tree`` the legality of each tree decision.  The tree replay is the
+one exception by design: it shares ``geometry`` with the construction, the
+trusted base of tree address rules (node kinds, questions, the left order,
+pull eligibility, left targets, requesting prefixes, left passes, marker
+states and the least-dump rule), and it trusts the traced chip counters
+instead of re-deriving them.  It checks that a tree record written after an
+``enter`` carries its stage.  ``replay_check`` runs one of two suites over a
+parsed trace: "replay" dispatches on the meta record, "split" checks only
+the split discipline.
+
+The probes (``complement_witnesses``, ``probe_friedberg``) never decide
+non-effective notions (computability, c.e.-ness of a difference); they
+report monotone evidence over one explicit trailing window,
+``trailing_window(S)``, instead.
 """
 
 from __future__ import annotations
@@ -141,10 +148,12 @@ class _NaiveRestraint:
 
 def replay_hk(
     log: EventLog, b: int, a: int, b0: int, b1: int, trace: list,
-    y_listing=None, z_listing=None,
+    y_over: dict = None, z_over: dict = None,
 ) -> list[Divergence]:
-    y_listing = y_listing or (lambda e: e)
-    z_listing = z_listing or (lambda j: j)
+    """Re-derive every routing decision from the raw log and diff the trace;
+    ``y_over`` and ``z_over`` are the meta record's listing overrides."""
+    y_over = y_over or {}
+    z_over = z_over or {}
     states: dict[int, _NaiveRestraint] = {}
 
     def state_for(m: int, i: int) -> _NaiveRestraint:
@@ -152,7 +161,7 @@ def replay_hk(
         got = states.get(code)
         if got is None:
             e, j = unpair(m)
-            got = _NaiveRestraint(log, code, y_listing(e), z_listing(j),
+            got = _NaiveRestraint(log, code, y_over.get(e, e), z_over.get(j, j),
                                   b0 if i == 0 else b1, a)
             states[code] = got
         return got
@@ -196,12 +205,6 @@ def replay_hk(
     for line in range(len(b_entries), len(trace)):
         out.append(Divergence(line, "extra-record", trace[line], None))
     return out
-
-
-def restraint_history(log: EventLog, code: int, y_idx, z_idx, bi_idx, a_idx, stages) -> list[int]:
-    """r values at the requested stages; monotone by construction rule."""
-    tracker = _NaiveRestraint(log, code, y_idx, z_idx, bi_idx, a_idx)
-    return [tracker.r_at(s) for s in stages]
 
 
 # -- evidence probes --------------------------------------------------------
@@ -317,33 +320,6 @@ def probe_friedberg(log: EventLog, a: int, a0: int, a1: int, S: int,
                 signature = 1
         out.append(FriedbergEvidence(j, now[0], recent, side_recent, signature))
     return out
-
-
-@dataclass
-class DProbeReport:
-    consistent: bool
-    counterexample: Optional[tuple] = None  # (x, kind)
-    covered: int = 0
-
-
-def d_probe(log: EventLog, a: int, w: int, y: int, z: int, S: int) -> DProbeReport:
-    """Finite-stage check that (w, y, z) witness complementation modulo A.
-
-    Coverage: w | y | a covers a still-growing prefix.  Agreement: the
-    stage-S snapshot of (w & y) - a equals the snapshot of z.
-    """
-    now = covered_prefix(log, (w, y, a), S)
-    past = covered_prefix(log, (w, y, a), S - trailing_window(S))
-    if now <= past and now < S:
-        return DProbeReport(False, (now, "uncovered"), now)
-    lhs = (log.members_at(w, S) & log.members_at(y, S)) - log.members_at(a, S)
-    rhs = log.members_at(z, S)
-    gaps = sorted(lhs ^ rhs)
-    if gaps:
-        x = gaps[0]
-        kind = "missing-from-z" if x in lhs else "extra-in-z"
-        return DProbeReport(False, (x, kind), now)
-    return DProbeReport(True, None, now)
 
 
 # -- tree trace replay -------------------------------------------------------
@@ -558,11 +534,13 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
 def replay_check(records: list, kind: str = "replay") -> dict:
     """Re-simulate the decisions in a parsed trace and report divergences.
 
-    ``records`` is the full record list including interleaved events; the
-    kind picks the suite ("replay" dispatches on the trace's own meta
-    record).  The report carries a boolean ``ok`` plus per-line divergences.
-    A trace that cannot be replayed at all raises ``TraceError`` naming the
-    offending record, counted from 1.
+    ``records`` is the full record list including interleaved events.  The
+    suite ``kind`` is "replay", which re-derives the decisions of the
+    construction the trace's meta record names, or "split", which checks
+    only that the two halves split the input.  The report carries a
+    boolean ``ok`` plus per-line divergences.  A trace that cannot be
+    replayed at all raises ``TraceError`` naming the offending record,
+    counted from 1.
     """
     from .setalg import check_split_history
     from .trace import TraceError, split_events
@@ -580,26 +558,38 @@ def replay_check(records: list, kind: str = "replay") -> dict:
             raise TraceError(f"meta record lacks {name!r}", meta_line)
         return meta[name]
 
+    def meta_overrides(name):
+        pairs = meta.get(name, [])
+        if type(pairs) is list and all(
+            type(p) in (list, tuple) and len(p) == 2 and type(p[0]) is type(p[1]) is int
+            for p in pairs
+        ):
+            return dict(pairs)
+        raise TraceError(f"meta {name} is not a list of [position, index] pairs", meta_line)
+
     flavour = meta.get("kind")
-    if kind == "replay":
-        kind = {"friedberg": "friedberg", "hk": "hk", "tree": "tree"}.get(flavour)
-        if kind is None:
-            raise TraceError(f"cannot dispatch on meta kind {flavour!r}", meta_line)
-    if kind == "friedberg":
+    if kind == "split":
+        names = {"friedberg": ("a", "a0", "a1"), "hk": ("b", "b0", "b1")}.get(
+            flavour, ("e_a", "e0", "e1"))
+        triple_ids = [meta_field(name) for name in names]
+        hit = check_split_history(
+            log, *triple_ids, log.last_stage, settle=max(64, (log.last_stage + 1) // 10)
+        )
+        divergences = (
+            [] if hit is None else [Divergence(0, "split", {"stage": hit[0], "kind": hit[1], "x": hit[2]}, None)]
+        )
+    elif kind != "replay":
+        raise TraceError(f"unknown suite {kind!r}")
+    elif flavour == "friedberg":
         divergences = replay_friedberg(
             log, meta_field("a"), meta_field("a0"), meta_field("a1"), decisions
         )
-    elif kind == "hk":
-        def listing_from(field):
-            overrides = {pos: idx for pos, idx in meta.get(field, ())}
-            return (lambda p: overrides.get(p, p)) if overrides else None
-
+    elif flavour == "hk":
         divergences = replay_hk(
             log, meta_field("b"), meta_field("a"), meta_field("b0"), meta_field("b1"),
-            decisions,
-            y_listing=listing_from("y_over"), z_listing=listing_from("z_over"),
+            decisions, meta_overrides("y_over"), meta_overrides("z_over"),
         )
-    elif kind == "tree":
+    elif flavour == "tree":
         # replay_tree reads both; a bad one would be blamed on a later record
         for name, default in (("depth", 25), ("feeder", 1)):
             if type(meta.get(name, default)) is not int:
@@ -610,21 +600,11 @@ def replay_check(records: list, kind: str = "replay") -> dict:
             # replay_tree counts decisions from 0; name the record instead
             err.line = [n for n, r in enumerate(records, start=1) if r["op"] != "event"][err.line]
             raise
-    elif kind == "split":
-        names = {"friedberg": ("a", "a0", "a1"), "hk": ("b", "b0", "b1")}.get(
-            flavour, ("e_a", "e0", "e1"))
-        triple_ids = [meta_field(name) for name in names]
-        hit = check_split_history(
-            log, *triple_ids, log.last_stage, settle=max(64, (log.last_stage + 1) // 10)
-        )
-        divergences = (
-            [] if hit is None else [Divergence(0, "split", {"stage": hit[0], "kind": hit[1], "x": hit[2]}, None)]
-        )
     else:
-        raise TraceError(f"unknown suite {kind!r}")
+        raise TraceError(f"cannot dispatch on meta kind {flavour!r}", meta_line)
     return {
         "ok": not divergences,
-        "kind": kind,
+        "kind": flavour if kind == "replay" else kind,
         "divergences": [asdict(d) for d in divergences],
         "decisions": sum(1 for r in decisions if r.get("op") != "meta"),
         "events": len(log),

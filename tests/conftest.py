@@ -1,7 +1,9 @@
-"""Shared fixtures: scripted host sets, and per-generator poll records; and
-the one-step machine oracles the tests check the kernel's bursts against."""
+"""Shared fixtures: scripted host sets, and per-generator poll records; the
+one-step machine oracles the tests check the kernel's bursts against; and
+the stagewise split verdict the one-pass split check is checked against."""
 
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 
 import pytest
 
@@ -26,6 +28,39 @@ def halts_within(program, x, budget):
         if step_state(program, state):
             return tick + 1
     return None
+
+
+@dataclass(frozen=True)
+class SplitVerdict:
+    ok: bool
+    stage: int
+    overlap: tuple = ()
+    extra: tuple = ()
+    missing: tuple = ()
+    settling: tuple = ()
+
+
+def is_split(log, a, a0, a1, s, settle=1):
+    """Check a0 |_| a1 = a at stage s.
+
+    One released event per stage means an entrant of a can reach its half no
+    earlier than the following stage, so elements that entered a within the
+    last ``settle`` stages are reported as settling rather than missing.
+    ``settle=0`` gives the strict reading.
+    """
+    w0 = log.members_at(a0, s)
+    w1 = log.members_at(a1, s)
+    wa = log.members_at(a, s)
+    overlap = sorted(w0 & w1)
+    extra = sorted((w0 | w1) - wa)
+    missing, settling = [], []
+    for x in sorted(wa - (w0 | w1)):
+        if log.entry_stage(a, x) > s - settle:
+            settling.append(x)
+        else:
+            missing.append(x)
+    ok = not overlap and not extra and not missing
+    return SplitVerdict(ok, s, tuple(overlap), tuple(extra), tuple(missing), tuple(settling))
 
 
 def register_scripted(kernel, slot, emissions):

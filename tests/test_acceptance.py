@@ -28,11 +28,11 @@ from cesplit.tree import (
     structural_report,
 )
 from cesplit.verify import (
+    _NaiveRestraint,
     complement_witnesses,
     probe_friedberg,
     replay_friedberg,
     replay_hk,
-    restraint_history,
 )
 from cesplit.witness import run_parity_witness, shav_split, shavrukov_pair
 
@@ -155,7 +155,8 @@ def test_criterion_4_herrmann_kummer():
     for e, j, i in sorted(codes):
         code = pair(pair(e, j), i)
         bi = result.b0 if i == 0 else result.b1
-        hist = restraint_history(log, code, e, j, bi, result.a, sample_stages)
+        tracker = _NaiveRestraint(log, code, e, j, bi, result.a)
+        hist = [tracker.r_at(s) for s in sample_stages]
         assert all(u <= v for u, v in zip(hist, hist[1:])), (e, j, i)
     rigged = run_subset_scenario(S)
     tail = [t for t in rigged.trace if t["op"] == "hk" and t["s"] >= S * 4 // 5]

@@ -77,8 +77,9 @@ def test_diagonalize_then_verify(tmp_path):
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["verdict"] == 3 and payload["violations"] == 0
-    check = invoke("verify", "--trace", str(path), "--suite", "tree")
+    check = invoke("verify", "--trace", str(path))
     assert check.returncode == 0, check.stdout
+    assert json.loads(check.stdout)["kind"] == "tree"
 
 
 def test_byte_identical_traces(tmp_path):
@@ -115,11 +116,37 @@ def test_witness_shav_split_halves():
     assert payload["x0"] and not set(payload["x0"]) & set(payload["x1"])
 
 
-def test_split_hk_subset_scenario():
-    proc = invoke("split", "hk", "--subset-scenario", "--stages", "5000")
+def test_split_hk_subset_scenario(tmp_path):
+    path = tmp_path / "hk.jsonl"
+    proc = invoke("split", "hk", "--subset-scenario", "--stages", "5000", "--trace", str(path))
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["routed"] and payload["violation"] is None
+    # the rigged listings reach the replay through the meta record
+    meta = next(json.loads(line) for line in path.read_text().splitlines()
+                if '"op":"meta"' in line)
+    assert meta["y_over"] == [[0, 0]] and meta["z_over"] == [[0, 4]]
+    check = invoke("verify", "--trace", str(path))
+    assert check.returncode == 0, check.stdout
+    assert json.loads(check.stdout)["kind"] == "hk"
+
+
+def test_verify_suite_is_replay_or_split(tmp_path):
+    path, _ = _friedberg_trace(tmp_path)
+    assert json.loads(invoke("verify", "--trace", str(path), "--suite", "split").stdout)["ok"]
+    assert invoke("verify", "--trace", str(path), "--suite", "tree").returncode == 2
+
+
+@pytest.mark.parametrize("spec", ["unknown", "plugin-without-procedure", "plugin-missing"])
+def test_diagonalize_bad_proc_is_usage_error(tmp_path, spec):
+    plugin = tmp_path / "plugin.py"
+    if spec == "plugin-without-procedure":
+        plugin.write_text("def other(kernel, e):\n    return (e, e)\n")
+    proc_arg = "nosuch" if spec == "unknown" else f"plugin:{plugin}"
+    proc = invoke("diagonalize", "--stages", "100", "--depth", "9", "--proc", proc_arg)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
 def test_diagonalize_plugin_matches_named_proc(tmp_path):
@@ -270,6 +297,20 @@ def test_verify_tree_meta_non_integer_reports_meta_line(tmp_path, field):
     at = next(i for i, line in enumerate(lines) if '"op":"meta"' in line)
     record = json.loads(lines[at])
     record[field] = "x" if field == "depth" else [1]
+    lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    _verify_rejects(path, at + 1)
+
+
+@pytest.mark.parametrize("value", [5, [[0]], [[[0], 1]], [[0, "a"]]],
+                         ids=["int", "short-pair", "list-key", "text-index"])
+def test_verify_hk_meta_bad_override_reports_meta_line(tmp_path, value):
+    path = tmp_path / "hk.jsonl"
+    invoke("split", "hk", "--subset-scenario", "--stages", "500", "--trace", str(path))
+    lines = path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if '"op":"meta"' in line)
+    record = json.loads(lines[at])
+    record["y_over"] = value
     lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n")
     _verify_rejects(path, at + 1)

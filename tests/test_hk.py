@@ -1,10 +1,11 @@
 import pytest
 
 from cesplit import corpus
-from cesplit.hk import HKSplitter, identity_listing, rigged_listing, run_hk, run_subset_scenario
-from cesplit.kernel import EventLog, machine_index
+from cesplit.hk import HKSplitter, install_hk, run_hk, run_subset_scenario
+from cesplit.kernel import EventLog, Kernel, machine_index
 from cesplit.setalg import check_split_history
-from cesplit.verify import replay_hk, restraint_history
+from cesplit.trace import merge_for_file
+from cesplit.verify import _NaiveRestraint, replay_check, replay_hk
 
 TEXTS = [corpus.HALT_ALL, corpus.DIVERGE, corpus.HALT_EVEN, corpus.HALT_SLOW]
 
@@ -29,11 +30,25 @@ B0, A, Y, Z = 200, 201, 202, 203
 
 
 def l_at(log, stage, code=0):
-    from cesplit.verify import _NaiveRestraint
-
     tracker = _NaiveRestraint(log, code, Y, Z, B0, A)
     tracker.advance(stage)
     return tracker.l_at(stage)
+
+
+def disagreement_value(log, y, z, bi, a, s):
+    """l at stage s from its definition, for the sets Y = y, Z = z, B_i = bi
+    and A = a: the least x <= s that is uncovered or that disagrees with Z
+    as a witness, else s."""
+    for x in range(s + 1):
+        in_bi = log.member_by(bi, x, s)
+        in_a = log.member_by(a, x, s)
+        in_y = log.member_by(y, x, s)
+        if not (in_bi or in_a or in_y):
+            return x
+        lhs = in_bi and in_y and not in_a
+        if lhs == (not log.member_by(z, x, s)):
+            return x
+    return s
 
 
 def test_l_is_stage_when_nothing_qualifies():
@@ -52,8 +67,6 @@ def test_l_zero_on_empty_universe():
 def test_disagreement_truth_table_exact():
     # x in LHS and x in Z -> agree; x in LHS, x not in Z -> qualify;
     # x not in LHS, x in Z -> qualify; neither (covered) -> agree.
-    from cesplit.verify import _NaiveRestraint
-
     log = scripted(
         [
             (1, Y, 0), (2, B0, 0), (3, Z, 0),   # 0: lhs True, in Z -> agree
@@ -72,8 +85,6 @@ def test_disagreement_truth_table_exact():
 def test_lhs_membership_killed_by_a():
     # x in B0 & Y but also in A: lhs False; x not in Z -> iff False==True -> agree
     log = scripted([(1, Y, 0), (2, B0, 0), (3, A, 0)])
-    from cesplit.verify import _NaiveRestraint
-
     tracker = _NaiveRestraint(log, 0, Y, Z, B0, A)
     tracker.advance(3)
     assert tracker._qualifies(0, 3) is False
@@ -90,9 +101,8 @@ def test_restraint_monotone_everywhere(default_run):
     for e, j, i in codes[:6]:
         code = pair(pair(e, j), i)
         stages = list(range(0, 8_000, 640))
-        hist = restraint_history(
-            r.kernel.log, code, e, j, r.b0 if i == 0 else r.b1, r.a, stages
-        )
+        tracker = _NaiveRestraint(r.kernel.log, code, e, j, r.b0 if i == 0 else r.b1, r.a)
+        hist = [tracker.r_at(s) for s in stages]
         assert all(a <= b for a, b in zip(hist, hist[1:]))
 
 
@@ -169,9 +179,26 @@ def test_containment_warning_when_a_escapes_b():
 
 
 def test_rigged_listing_helper():
-    listing = rigged_listing({0: 42})
-    assert listing(0) == 42 and listing(1) == 1
-    assert identity_listing(7) == 7
+    # an override map rigs the listed positions only, and the meta record
+    # carries it sorted, for the replay to read
+    kernel = Kernel(TEXTS)
+    splitter = install_hk(kernel, machine_index(0), machine_index(1), y_over={3: 9, 0: 42})
+    assert splitter.trace[0]["y_over"] == [(0, 42), (3, 9)]
+    assert "z_over" not in splitter.trace[0]
+    assert splitter._get_state(0, 0, 0).y_idx == 42  # m = 0 is (e, j) = (0, 0)
+    assert splitter._get_state(1, 0, 0).y_idx == 1  # m = 1 is (1, 0)
+
+
+def test_rigged_trace_replays_under_its_overrides():
+    # the replay reads the listings from the meta record: without the
+    # override maps the same routings no longer replay
+    r = run_subset_scenario(3_000)
+    records = merge_for_file(r.kernel.log, r.trace)
+    assert replay_check(records)["ok"]
+    meta = next(rec for rec in records if rec["op"] == "meta")
+    assert meta["z_over"] == [(0, 4)]
+    del meta["z_over"]
+    assert not replay_check(records)["ok"]
 
 
 def test_halting_input_empty_modulus_counts():
@@ -186,11 +213,8 @@ def test_halting_input_empty_modulus_counts():
 
 
 def test_public_disagreement_matches_tracker():
-    from cesplit.hk import disagreement_value
-
     log = scripted(
         [(1, Y, 0), (2, B0, 0), (3, Z, 0), (4, Y, 1), (5, B0, 1), (6, Y, 2), (7, Z, 2)]
     )
-    # identity listings mean e names Y's index directly, j names Z's
-    got = disagreement_value(log, Y, Z, 0, 7, B0, 999, A)
+    got = disagreement_value(log, Y, Z, B0, A, 7)
     assert got == l_at(log, 7)

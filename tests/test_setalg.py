@@ -3,15 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cesplit.kernel import EventLog
-from cesplit.setalg import (
-    ComputablePair,
-    SetAlgebraError,
-    before,
-    before_then,
-    check_split_history,
-    computable_view,
-    is_split,
-)
+from cesplit.setalg import ComputablePair, before, before_then, check_split_history
+from cesplit.verify import covered_prefix
+from conftest import is_split
 
 A, B = 100, 101
 
@@ -130,23 +124,36 @@ def test_history_check_agrees_with_stagewise_verdicts(pairs):
         assert firsts and firsts[0] == hit[0]
 
 
+# the computable view of a pair at a stage: the certified interval [0, n)
+# both sides cover, inside which the positive side decides membership
+
+
 def test_computable_view_interval():
     log = scripted_log([(1, A, 0), (2, B, 1), (3, A, 2), (4, A, 3)])
-    n, member = computable_view(log, ComputablePair(A, B), 4)
-    assert n == 4
-    assert member(0) is True and member(1) is False and member(3) is True
-    assert member(4) is None
+    assert covered_prefix(log, (A, B), 4) == 4
+    assert covered_prefix(log, (A, B), 1) == 1
+    pos = log.members_at(A, 4)
+    assert 0 in pos and 1 not in pos and 3 in pos
 
 
 def test_computable_view_empty_pair():
-    n, member = computable_view(EventLog(), ComputablePair(A, B), 0)
-    assert n == 0 and member(0) is None
+    assert covered_prefix(EventLog(), (A, B), 0) == 0
 
 
-def test_computable_view_disjointness_enforced():
-    log = scripted_log([(1, A, 0), (2, B, 0)])
-    with pytest.raises(SetAlgebraError):
-        computable_view(log, ComputablePair(A, B), 2)
+def test_computable_view_disjointness_enforced(scripted):
+    # the witness lab reads a pair's increasing enumerations off the
+    # certified interval, and refuses a pair whose sides share an element
+    # it is about to certify
+    from cesplit.kernel import Kernel
+    from cesplit.witness import build_split_witness
+
+    kernel = Kernel()
+    pos = scripted(kernel, 0, {1: [0], 3: [1]})
+    neg = scripted(kernel, 1, {2: [0]})
+    kernel.run_to(4)
+    build_split_witness(kernel, ComputablePair(pos, neg))
+    with pytest.raises(RuntimeError, match="share element 0"):
+        kernel.run_to(10)
 
 
 def test_overlap_violations_are_monotone():
@@ -164,5 +171,5 @@ def test_certified_interval_grows_with_stage():
     kernel = Kernel()
     pair = register_paced_pair(kernel, lambda n: n % 2 == 0, pace=2)
     kernel.run_to(4_000)
-    sizes = [computable_view(kernel.log, pair, s)[0] for s in (500, 1_500, 3_999)]
+    sizes = [covered_prefix(kernel.log, (pair.pos, pair.neg), s) for s in (500, 1_500, 3_999)]
     assert sizes[0] < sizes[1] < sizes[2]

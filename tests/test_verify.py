@@ -10,11 +10,9 @@ from cesplit.friedberg import run_friedberg
 from cesplit.kernel import EventLog, machine_index
 from cesplit.setalg import before_then
 from cesplit.verify import (
-    DProbeReport,
     FriedbergEvidence,
     complement_witnesses,
     covered_prefix,
-    d_probe,
     probe_friedberg,
     replay_check,
     replay_friedberg,
@@ -47,31 +45,6 @@ def test_covered_prefix_and_frontier():
     assert covered_prefix(log, (5,), 4) == 1
     assert universe_frontier(log, 4) == 9
     assert universe_frontier(log, 2) == 1
-
-
-def test_d_probe_everything_enumerator():
-    # W covers a growing prefix on its own; Z matches the empty difference
-    events = [(i + 1, 7, i) for i in range(30)]
-    log = scripted(events)
-    report = d_probe(log, a=1, w=7, y=2, z=3, S=30)
-    assert report.consistent
-
-
-def test_d_probe_coverage_gap():
-    log = scripted([(1, 7, 5)])  # nothing covers 0
-    report = d_probe(log, a=1, w=7, y=2, z=3, S=1)
-    assert not report.consistent
-    assert report.counterexample == (0, "uncovered")
-
-
-def test_d_probe_agreement_counterexample():
-    # W & Y contains 0 outside A, but Z misses it; coverage keeps growing
-    events = [(2 * i + 1, 7, i) for i in range(30)]
-    events += [(2, 8, 0)]
-    log = scripted(sorted(events))
-    report = d_probe(log, a=1, w=7, y=8, z=3, S=60)
-    assert not report.consistent
-    assert report.counterexample == (0, "missing-from-z")
 
 
 def test_replay_friedberg_flags_every_field():
