@@ -56,25 +56,22 @@ def cmd_split(args) -> int:
     texts = _load_corpus(args)
     if args.flavour == "friedberg":
         result = run_friedberg(texts, args.index, args.stages)
-        log, trace = result.kernel.log, result.trace
-        triple_ids = (result.a, result.a0, result.a1)
     elif args.subset_scenario:
         result = run_subset_scenario(args.stages)
-        log, trace = result.kernel.log, result.trace
-        triple_ids = (result.b, result.b0, result.b1)
     else:
         a_index = args.a_index if args.a_index is not None else args.index
         result = run_hk(texts, args.index, a_index, args.stages)
-        log, trace = result.kernel.log, result.trace
-        triple_ids = (result.b, result.b0, result.b1)
+    log, trace = result.kernel.log, result.trace
+    split_input = result.a if args.flavour == "friedberg" else result.b
+    halves = result.splitter.halves
     if args.trace:
         write_trace(args.trace, merge_for_file(log, trace))
     last = max(args.stages - 1, 0)
-    violation = check_split_history(log, *triple_ids, last) if args.stages else None
+    violation = check_split_history(log, split_input, *halves, last) if args.stages else None
     _emit(
         {
-            "halves": triple_ids[1:],
-            "input": triple_ids[0],
+            "halves": halves,
+            "input": split_input,
             "routed": sum(1 for r in trace if r["op"] in ("route", "hk")),
             "violation": list(violation) if violation else None,
         }
@@ -211,15 +208,19 @@ def cmd_verify(args) -> int:
     lines = None
     try:
         records, lines = read_trace_lines(args.trace)
+        lines.append(lines[-1] + 1 if lines else 1)  # past the last record: a missing one
         report = replay_check(records, args.suite)
     except OSError as err:  # a missing or unreadable path is a usage error
         sys.stderr.write(f"cannot read trace: {err}\n")
         return 2
     except TraceError as err:
         if lines is not None and err.line is not None:
-            err.line = lines[err.line - 1]  # replay_check counts records
+            err.line = lines[err.line - 1]  # replay_check counts records from 1
         _emit({"ok": False, "error": str(err), "line": err.line})
         return 1
+    for divergence in report["divergences"]:
+        if divergence["line"] is not None:
+            divergence["line"] = lines[divergence["line"] - 1]
     _emit(report)
     return 0 if report["ok"] else 1
 

@@ -29,9 +29,7 @@ Index space:
                                 (diverging when the corpus is empty or the
                                 text is invalid; every m >= len(corpus) is a
                                 padding code for the same program)
-  odd  code 2*pair(slot, p)+1   host slot; p = 0 carries the slot's own
-                                emissions, and the codes with p > 0 stay
-                                empty.
+  odd  code 2*pair(slot, 0)+1   host slot; the other odd codes stay empty
 
 Machine simulation dovetails fairly over (program code, input) pairs.  A new
 pair is activated every third machine tick, taken from one activation stream
@@ -93,8 +91,8 @@ def machine_index(m: int) -> int:
     return 2 * m
 
 
-def host_index(slot: int, pad: int = 0) -> int:
-    return 2 * pair(slot, pad) + 1
+def host_index(slot: int) -> int:
+    return 2 * pair(slot, 0) + 1
 
 
 class EventLog:
@@ -287,7 +285,7 @@ class Kernel:
     # -- registration ----------------------------------------------------
 
     def register_generator(self, gen: HostGenerator) -> int:
-        entry = _GenEntry(gen, host_index(gen.slot, 0), len(self._entries))
+        entry = _GenEntry(gen, host_index(gen.slot), len(self._entries))
         if entry.index in self._entries:
             raise DuplicateSlotError(f"slot {gen.slot} already registered")
         wake = gen.wake
@@ -336,7 +334,7 @@ class Kernel:
 
     def free_slot(self, at_least: int = 0) -> int:
         slot = at_least
-        while host_index(slot, 0) in self._entries:
+        while host_index(slot) in self._entries:
             slot += 1
         return slot
 

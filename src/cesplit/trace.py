@@ -101,7 +101,7 @@ def read_trace_lines(path) -> tuple[list[dict], list[int]]:
 
 
 def split_events(records: list[dict]):
-    """Separate interleaved event records from decision records.
+    """The event log the interleaved event records build.
 
     An event the log cannot take (a missing field, a stage out of order, an
     element entering one index twice, a field that is not an integer) raises
@@ -110,7 +110,6 @@ def split_events(records: list[dict]):
     from .kernel import EventLog, KernelError
 
     log = EventLog()
-    decisions = []
     for line, record in enumerate(records, start=1):
         if record["op"] == "event":
             try:
@@ -121,13 +120,11 @@ def split_events(records: list[dict]):
                 raise TraceError(str(err), line) from None
             except TypeError:
                 raise _non_integer_event(records, line) from None
-        else:
-            decisions.append(record)
     # the log takes any hashable index or element, and strings or bools as
     # stages when they compare, so one pass over the built log checks types
     if not set(map(type, chain.from_iterable(log.events()))) <= {int}:
         raise _non_integer_event(records, len(records))
-    return log, decisions
+    return log
 
 
 def _non_integer_event(records: list[dict], upto: int) -> TraceError:

@@ -4,15 +4,19 @@ The replays re-derive construction decisions from the raw event log with
 their own bookkeeping, kept deliberately separate from the construction
 modules: ``replay_friedberg`` each routing, ``replay_hk`` each restraint and
 routing (under the listing overrides of the meta record), and
-``replay_tree`` the legality of each tree decision.  The tree replay is the
-one exception by design: it shares ``geometry`` with the construction, the
-trusted base of tree address rules (node kinds, questions, the left order,
-pull eligibility, left targets, requesting prefixes, left passes, marker
-states and the least-dump rule), and it trusts the traced chip counters
-instead of re-deriving them.  It checks that a tree record written after an
-``enter`` carries its stage.  ``replay_check`` runs one of two suites over a
-parsed trace: "replay" dispatches on the meta record, "split" checks only
-the split discipline.
+``replay_tree`` the legality of each tree decision.  The two routing
+replays choose a requirement or a triple and share one loop for the rest.
+The tree replay is the one exception by design: it shares ``geometry`` with
+the construction, the trusted base of tree address rules (node kinds,
+questions, the left order, pull eligibility, left targets, requesting
+prefixes, left passes, marker states and the least-dump rule), and it
+trusts the traced chip counters instead of re-deriving them.  It checks
+that a tree record written after an ``enter`` carries its stage.
+``replay_check`` runs one of two suites over a parsed trace: "replay"
+dispatches on the meta record, "split" checks only the split discipline.
+Every replay takes the whole record list, events included, and names a
+record by its position in it, counted from 1; ``cesplit verify`` turns
+that position into the file line.
 
 The probes (``complement_witnesses``, ``probe_friedberg``) never decide
 non-effective notions (computability, c.e.-ness of a difference); they
@@ -37,55 +41,68 @@ from .pairing import balance_code, pair, unpair
 
 @dataclass
 class Divergence:
-    line: int
+    line: Optional[int]  # the record's position in the replayed list, from 1
     field: str
     got: object
     want: object
 
 
-# -- Friedberg routing replay ---------------------------------------------
+# -- routing replays ---------------------------------------------------------
 
 
-def replay_friedberg(log: EventLog, a: int, a0: int, a1: int, trace: list) -> list[Divergence]:
-    """Re-derive every routing decision from the raw log and diff the trace."""
-    a_entries = log.entries(a)
-    trace = [r for r in trace if r.get("op") == "route"]
+def _replay_routes(log: EventLog, input_idx: int, halves: tuple[int, int], records: list,
+                   op: str, want) -> list[Divergence]:
+    """Diff the ``op`` records against the routing the replay derives.
+
+    The input's entrants, in log order, pair with the ``op`` records, in
+    order.  ``want(x, stage)`` gives the fields of the record for ball ``x``
+    entering at ``stage``, ``side`` among them; the ball must surface in
+    that half after ``stage``, and not in the other.  A missing record is
+    named by the position after the last record.
+    """
+    numbered = [(line, r) for line, r in enumerate(records, start=1) if r.get("op") == op]
+    entrants = log.entries(input_idx)
     out: list[Divergence] = []
+    for (entered, x), (line, record) in zip(entrants, numbered):
+        fields = want(x, entered)
+        for fieldname, value in fields.items():
+            if record.get(fieldname) != value:
+                out.append(Divergence(line, fieldname, record.get(fieldname), value))
+        side = fields["side"]
+        landed = log.entry_stage(halves[side], x)
+        if landed is None or landed <= entered:
+            out.append(Divergence(line, "landing", landed, f"stage > {entered} in half {side}"))
+        if log.entry_stage(halves[1 - side], x) is not None:
+            out.append(Divergence(line, "landing", f"also in half {1 - side}", None))
+    if len(entrants) > len(numbered):
+        x = entrants[len(numbered)][1]
+        out.append(Divergence(len(records) + 1, "missing-record", None, {"x": x}))
+    for line, record in numbered[len(entrants):]:
+        out.append(Divergence(line, "extra-record", record, None))
+    return out
+
+
+def replay_friedberg(log: EventLog, a: int, a0: int, a1: int, records: list) -> list[Divergence]:
+    """Re-derive every routing decision from the raw log and diff the
+    ``route`` records."""
     counters: dict[tuple[int, int], int] = {}
-    for line, (entered, x) in enumerate(a_entries):
-        if line >= len(trace):
-            out.append(Divergence(line, "missing-record", None, {"x": x}))
-            break
-        record = trace[line]
+
+    def want(x, entered):
         candidates = sorted(idx for idx, t in log.containers_of(x).items() if t < entered)
         options = []
         for e in candidates:
             for i in (0, 1):
                 k = counters.get((e, i), 0) + 1
                 options.append((balance_code(e, i, k), e, i, k))
+        req, side = None, 0
         if options:
-            _, e, i, k = min(options)
-            want_req, want_side = [e, i, k], i
-        else:
-            want_req, want_side = None, 0
-        for fieldname, want in (
-            ("x", x), ("s", entered), ("req", want_req), ("side", want_side),
-        ):
-            if record.get(fieldname) != want:
-                out.append(Divergence(line, fieldname, record.get(fieldname), want))
-        side = want_side
+            _, e, side, k = min(options)
+            req = [e, side, k]
         for e in candidates:
             counters[(e, side)] = counters.get((e, side), 0) + 1
-        # the routed ball must surface in exactly the chosen half
-        half, other = (a0, a1) if side == 0 else (a1, a0)
-        landed = log.entry_stage(half, x)
-        if landed is None or landed <= entered:
-            out.append(Divergence(line, "landing", landed, f"stage > {entered} in half {side}"))
-        if log.entry_stage(other, x) is not None:
-            out.append(Divergence(line, "landing", f"also in half {1 - side}", None))
-    for line in range(len(a_entries), len(trace)):
-        out.append(Divergence(line, "extra-record", trace[line], None))
-    return out
+        return {"x": x, "s": entered, "req": req, "side": side}
+
+    return _replay_routes(log, a, (a0, a1), records, "route", want)
 
 
 # -- Herrmann-Kummer restraint replay --------------------------------------
@@ -147,11 +164,11 @@ class _NaiveRestraint:
 
 
 def replay_hk(
-    log: EventLog, b: int, a: int, b0: int, b1: int, trace: list,
+    log: EventLog, b: int, a: int, b0: int, b1: int, records: list,
     y_over: dict = None, z_over: dict = None,
 ) -> list[Divergence]:
-    """Re-derive every routing decision from the raw log and diff the trace;
-    ``y_over`` and ``z_over`` are the meta record's listing overrides."""
+    """Re-derive every routing decision from the raw log and diff the ``hk``
+    records; ``y_over`` and ``z_over`` are the meta record's listing overrides."""
     y_over = y_over or {}
     z_over = z_over or {}
     states: dict[int, _NaiveRestraint] = {}
@@ -166,45 +183,18 @@ def replay_hk(
             states[code] = got
         return got
 
-    trace = [r for r in trace if r.get("op") == "hk"]
-    b_entries = [(t, x) for t, x in log.entries(b)]
-    out: list[Divergence] = []
-    for line, (entered, x) in enumerate(b_entries):
-        if line >= len(trace):
-            out.append(Divergence(line, "missing-record", None, {"x": x}))
-            break
-        record = trace[line]
-        chosen = None
+    def want(x, entered):
         m = 0
-        while chosen is None:
+        while True:
             for i in (0, 1):
                 st = state_for(m, i)
                 if x <= st.r_at(entered):
-                    chosen = (m, i, st)
-                    break
+                    e, j = unpair(m)
+                    return {"x": x, "s": entered, "triple": [e, j, i],
+                            "l": st.l_at(entered), "r": st.r_at(entered), "side": i}
             m += 1
-        m, i, st = chosen
-        e, j = unpair(m)
-        want = {
-            "x": x,
-            "s": entered,
-            "triple": [e, j, i],
-            "l": st.l_at(entered),
-            "r": st.r_at(entered),
-            "side": i,
-        }
-        for fieldname, value in want.items():
-            if record.get(fieldname) != value:
-                out.append(Divergence(line, fieldname, record.get(fieldname), value))
-        half, other = (b0, b1) if i == 0 else (b1, b0)
-        landed = log.entry_stage(half, x)
-        if landed is None or landed <= entered:
-            out.append(Divergence(line, "landing", landed, f"stage > {entered} in half {i}"))
-        if log.entry_stage(other, x) is not None:
-            out.append(Divergence(line, "landing", f"also in half {1 - i}", None))
-    for line in range(len(b_entries), len(trace)):
-        out.append(Divergence(line, "extra-record", trace[line], None))
-    return out
+
+    return _replay_routes(log, b, (b0, b1), records, "hk", want)
 
 
 # -- evidence probes --------------------------------------------------------
@@ -340,8 +330,7 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
     (re-deriving them would be a second full simulation), so ``f`` records
     are checked for shape only and ``chip`` records not at all.
     A record lacking a field, or holding one of the wrong type, raises
-    ``TraceError`` naming its position in ``records`` from 0, as divergence
-    lines do.
+    ``TraceError`` naming it as a divergence would.
     """
     from math import isqrt
 
@@ -365,7 +354,7 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
     def fail(line, fieldname, got, want):
         out.append(Divergence(line, fieldname, got, want))
 
-    for line, rec in enumerate(records):
+    for line, rec in enumerate(records, start=1):
         op = rec.get("op")
         try:
             if op in ("meta", "chip", "event"):
@@ -538,14 +527,15 @@ def replay_check(records: list, kind: str = "replay") -> dict:
     suite ``kind`` is "replay", which re-derives the decisions of the
     construction the trace's meta record names, or "split", which checks
     only that the two halves split the input.  The report carries a
-    boolean ``ok`` plus per-line divergences.  A trace that cannot be
-    replayed at all raises ``TraceError`` naming the offending record,
-    counted from 1.
+    boolean ``ok`` plus divergences.  A divergence, and the ``TraceError``
+    of a trace that cannot be replayed at all, name a record by its
+    position in ``records``, counted from 1; the split suite's finding is
+    about the whole log, so its ``line`` is None.
     """
     from .setalg import check_split_history
     from .trace import TraceError, split_events
 
-    log, decisions = split_events(records)
+    log = split_events(records)
     meta_line, meta = next(
         ((line, r) for line, r in enumerate(records, start=1) if r.get("op") == "meta"),
         (None, None),
@@ -576,36 +566,31 @@ def replay_check(records: list, kind: str = "replay") -> dict:
             log, *triple_ids, log.last_stage, settle=max(64, (log.last_stage + 1) // 10)
         )
         divergences = (
-            [] if hit is None else [Divergence(0, "split", {"stage": hit[0], "kind": hit[1], "x": hit[2]}, None)]
+            [] if hit is None else [Divergence(None, "split", {"stage": hit[0], "kind": hit[1], "x": hit[2]}, None)]
         )
     elif kind != "replay":
         raise TraceError(f"unknown suite {kind!r}")
     elif flavour == "friedberg":
         divergences = replay_friedberg(
-            log, meta_field("a"), meta_field("a0"), meta_field("a1"), decisions
+            log, meta_field("a"), meta_field("a0"), meta_field("a1"), records
         )
     elif flavour == "hk":
         divergences = replay_hk(
             log, meta_field("b"), meta_field("a"), meta_field("b0"), meta_field("b1"),
-            decisions, meta_overrides("y_over"), meta_overrides("z_over"),
+            records, meta_overrides("y_over"), meta_overrides("z_over"),
         )
     elif flavour == "tree":
         # replay_tree reads both; a bad one would be blamed on a later record
         for name, default in (("depth", 25), ("feeder", 1)):
             if type(meta.get(name, default)) is not int:
                 raise TraceError(f"meta {name} {meta[name]!r} is not an integer", meta_line)
-        try:
-            divergences = replay_tree(log, decisions, meta.get("depth", 25))
-        except TraceError as err:
-            # replay_tree counts decisions from 0; name the record instead
-            err.line = [n for n, r in enumerate(records, start=1) if r["op"] != "event"][err.line]
-            raise
+        divergences = replay_tree(log, records, meta.get("depth", 25))
     else:
         raise TraceError(f"cannot dispatch on meta kind {flavour!r}", meta_line)
     return {
         "ok": not divergences,
         "kind": flavour if kind == "replay" else kind,
         "divergences": [asdict(d) for d in divergences],
-        "decisions": sum(1 for r in decisions if r.get("op") != "meta"),
+        "decisions": sum(1 for r in records if r["op"] not in ("event", "meta")),
         "events": len(log),
     }

@@ -72,10 +72,14 @@ class _DiagonalImageBrain:
         log = self.kernel.log
         fresh = log.since(self.cursor)
         self.cursor = len(log)
+        sides = (self.pair.pos, self.pair.neg)
         for _, idx, x in fresh:
             if idx == x and x not in self.diag_seen:
                 self.diag_seen.add(x)
                 self.diagonal.append(x)
+            # a certified element sits on one side already: this puts it on both
+            if x < self.certified and idx in sides:
+                raise RuntimeError(f"computable pair sides share element {x}")
         self._advance_certified()
         for side, enum in ((0, self.pos_list), (1, self.neg_list)):
             while self.sent[side] < len(self.diagonal):

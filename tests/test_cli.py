@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +162,27 @@ def test_diagonalize_plugin_matches_named_proc(tmp_path):
     assert custom == named
 
 
+def test_readme_cli_lines_parse():
+    # every command of README's CLI block parses, and names known
+    # procedures; none of them is run
+    from cesplit.cli import build_parser
+    from cesplit.tree import PROCEDURES
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("cesplit ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: cesplit {shlex.join(argv)}")
+        if args.command == "diagonalize":
+            assert set(args.proc.split(",")) <= set(PROCEDURES), argv
+
+
 def test_iterate_smoke():
     proc = invoke("iterate", "--rounds", "1", "--stages", "12000")
     assert proc.returncode == 0
@@ -224,6 +247,49 @@ def test_verify_missing_trace_is_usage_error(tmp_path):
     assert check.returncode == 2
     assert check.stdout == ""
     assert len(check.stderr.splitlines()) == 1 and "Traceback" not in check.stderr
+
+
+def _hk_trace(tmp_path):
+    path = tmp_path / "hk.jsonl"
+    invoke("split", "hk", "--index", "0", "--a-index", "2", "--stages", "2000",
+           "--trace", str(path))
+    return path, path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("op, field, blank", [
+    ("route", "side", False),
+    ("route", "side", True),
+    ("hk", "side", False),
+    ("pull", "req", False),
+], ids=["route", "route-after-blank-line", "hk", "pull"])
+def test_verify_divergence_names_file_line(tmp_path, op, field, blank):
+    traced = {"route": _friedberg_trace, "hk": _hk_trace, "pull": _tree_trace}[op]
+    path, lines = traced(tmp_path)
+    at = [i for i, line in enumerate(lines) if f'"op":"{op}"' in line][2]
+    record = json.loads(lines[at])
+    record[field] = 1 - record[field] if field == "side" else record[field] + 1
+    lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    if blank:  # from here on the file line and the record position part ways
+        lines.insert(at, "")
+        at += 1
+    path.write_text("\n".join(lines) + "\n")
+    check = invoke("verify", "--trace", str(path))
+    assert check.returncode == 1
+    divergences = json.loads(check.stdout)["divergences"]
+    assert divergences[0]["line"] == at + 1, divergences[:3]
+
+
+def test_verify_missing_record_names_line_after_last(tmp_path):
+    path, lines = _friedberg_trace(tmp_path)
+    last = max(i for i, line in enumerate(lines) if '"op":"route"' in line)
+    x = json.loads(lines[last])["x"]
+    del lines[last]
+    path.write_text("\n".join(lines) + "\n\n")  # a trailing blank line holds no record
+    check = invoke("verify", "--trace", str(path))
+    assert check.returncode == 1
+    assert json.loads(check.stdout)["divergences"] == [
+        {"field": "missing-record", "got": None, "line": len(lines) + 1, "want": {"x": x}}
+    ]
 
 
 def test_verify_reports_file_line_after_blank_line(tmp_path):

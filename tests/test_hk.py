@@ -124,7 +124,7 @@ def test_routing_replay_catches_tamper(default_run):
     bad[idx]["side"] = 1 - bad[idx]["side"]
 
     divergences = replay_hk(r.kernel.log, r.b, r.a, r.b0, r.b1, bad)
-    assert any(d.line == 3 for d in divergences)
+    assert [(d.line, d.field) for d in divergences] == [(idx + 1, "side")]
 
 
 def test_split_discipline(default_run):

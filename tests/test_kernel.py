@@ -291,9 +291,9 @@ def test_pad_machine_index():
 
 
 def test_host_index_layout():
-    assert host_index(0, 0) == 1
-    assert host_index(0, 0) != host_index(1, 0)
-    assert all(host_index(s, p) % 2 == 1 for s in range(4) for p in range(4))
+    assert host_index(0) == 1
+    assert host_index(0) != host_index(1)
+    assert all(host_index(s) % 2 == 1 for s in range(4))
 
 
 # -- wakes -------------------------------------------------------------------

@@ -140,17 +140,19 @@ def test_computable_view_empty_pair():
     assert covered_prefix(EventLog(), (A, B), 0) == 0
 
 
-def test_computable_view_disjointness_enforced(scripted):
+@pytest.mark.parametrize("registered", ["after-both-entries", "first"])
+def test_computable_view_disjointness_enforced(scripted, registered):
     # the witness lab reads a pair's increasing enumerations off the
-    # certified interval, and refuses a pair whose sides share an element
-    # it is about to certify
+    # certified interval, and refuses a pair whose sides share an element,
+    # whether both entries precede the certification or one follows it
     from cesplit.kernel import Kernel
     from cesplit.witness import build_split_witness
 
     kernel = Kernel()
     pos = scripted(kernel, 0, {1: [0], 3: [1]})
     neg = scripted(kernel, 1, {2: [0]})
-    kernel.run_to(4)
+    if registered == "after-both-entries":
+        kernel.run_to(4)
     build_split_witness(kernel, ComputablePair(pos, neg))
     with pytest.raises(RuntimeError, match="share element 0"):
         kernel.run_to(10)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cesplit import corpus
 from cesplit.friedberg import run_friedberg
+from cesplit.hk import run_hk
 from cesplit.kernel import EventLog, machine_index
 from cesplit.setalg import before_then
 from cesplit.verify import (
@@ -66,6 +67,46 @@ def test_replay_friedberg_flags_every_field():
         assert divergences, field
 
 
+@pytest.fixture(params=["friedberg", "hk"])
+def routed(request):
+    """A traced routing run: its records, the position (from 0) of its last
+    routing record, and its halves."""
+    if request.param == "friedberg":
+        result, op = run_friedberg(TEXTS, machine_index(4), 4_000), "route"
+    else:
+        result, op = run_hk(TEXTS, machine_index(0), machine_index(1), 4_000), "hk"
+    records = merge_for_file(result.kernel.log, result.trace)
+    assert replay_check(records)["ok"]
+    last = max(n for n, r in enumerate(records) if r["op"] == op)
+    return records, last, result.splitter.halves
+
+
+def found(records):
+    return [(d["line"], d["field"]) for d in replay_check(records)["divergences"]]
+
+
+def test_replay_routes_missing_record(routed):
+    records, last, _ = routed
+    del records[last]
+    assert found(records) == [(len(records) + 1, "missing-record")]
+
+
+def test_replay_routes_extra_record(routed):
+    records, last, _ = routed
+    records.insert(last + 1, dict(records[last]))
+    assert found(records) == [(last + 2, "extra-record")]
+
+
+def test_replay_routes_landing(routed):
+    records, last, halves = routed
+    x, side = records[last]["x"], records[last]["side"]
+    at = next(n for n, r in enumerate(records)
+              if r["op"] == "event" and r["e"] == halves[side] and r["x"] == x)
+    assert at < last
+    del records[at]  # the ball never surfaces in its half
+    assert found(records) == [(last, "landing")]
+
+
 def test_replay_check_split_suite(tmp_path):
     result = run_friedberg(TEXTS, machine_index(0), 3_000)
     records = merge_for_file(result.kernel.log, result.trace)
@@ -80,8 +121,7 @@ def test_trace_round_trip(tmp_path):
     write_trace(path, records)
     back = read_trace(path)
     assert back == records
-    log, decisions = split_events(back)
-    assert len(log) == len(result.kernel.log)
+    assert len(split_events(back)) == len(result.kernel.log)
 
 
 # the writer's template must give json.dumps's bytes for every record, the
