@@ -1,7 +1,8 @@
 """Command-line workbench: run constructions, emit traces, verify them.
 
 Exit codes: 0 success, 1 invariant violation or failed verification,
-2 usage errors: argparse's, and a --proc or --trace that names nothing
+2 usage errors: argparse's, among them a --depth that is not a
+non-negative perfect square, and a --proc or --trace that names nothing
 usable, each with one line on stderr.  Identical invocations produce
 byte-identical traces; there is no configuration outside the flags.
 """
@@ -19,7 +20,8 @@ from .hk import run_hk, run_subset_scenario
 from .kernel import Kernel
 from .setalg import check_split_history
 from .trace import TraceError, merge_for_file, read_trace_lines, write_trace
-from .tree import PROCEDURES, diagonalize, iterate_splitting_procedures, structural_report
+from .tree import (PROCEDURES, TreeError, checked_depth, diagonalize,
+                   iterate_splitting_procedures, structural_report)
 from .verify import complement_witnesses, probe_friedberg, replay_check, trailing_window
 from .witness import run_parity_witness
 
@@ -145,6 +147,14 @@ def _resolve_proc(spec: str):
             reason = f"plugin {path} does not define procedure(kernel, e)"
     sys.stderr.write(f"--proc: {reason}\n")
     return None
+
+
+def _depth_flag(text: str) -> int:
+    """--depth's type: a bad bound is a usage error that states the rule."""
+    try:
+        return checked_depth(int(text))
+    except (TreeError, ValueError) as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _run_one_diagonalize(proc_name, proc, args):
@@ -286,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--proc", default="hf",
                    help="hf|trivial|broken|plugin:FILE, comma-separated for several")
     p.add_argument("--stages", type=int, required=True)
-    p.add_argument("--depth", type=int, default=25)
+    p.add_argument("--depth", type=_depth_flag, default=25)
     p.add_argument("--trace")
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_diagonalize)
@@ -302,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--stages", type=int, default=50_000)
-    p.add_argument("--depth", type=int, default=25)
+    p.add_argument("--depth", type=_depth_flag, default=25)
     p.set_defaults(func=cmd_iterate)
 
     return parser

@@ -94,7 +94,7 @@ def requesting_prefixes(f: str) -> list[str]:
 def left_key(node: str) -> str:
     """Sort key realising the left order: the address with its bits flipped.
 
-    The flip is its own inverse, so the key is also read back as the address.
+    The flip is its own inverse.
     """
     return node.translate(_FLIP)
 
@@ -234,14 +234,7 @@ def least_dump(revs: list, stage: int) -> Optional[tuple[int, int]]:
     return None
 
 
-# -- sorted index lists (left keys, live balls, marker tables) ---------------
-
-
-def sorted_add(keys: list, key) -> None:
-    """Insert a key into a sorted list unless it is already there."""
-    i = bisect_left(keys, key)
-    if i == len(keys) or keys[i] != key:
-        keys.insert(i, key)
+# -- marker tables -----------------------------------------------------------
 
 
 def sorted_discard(keys: list, key) -> Optional[int]:

@@ -18,16 +18,18 @@ changed since the node was last on the path, and stops at positive A-nodes
 or at the depth cap min(s*s, depth_bound).
 
 Balls enter at the depth-1 node of the current path, one per tree stage, and
-move only left (when the path passes them) or via pulls.  Pulls commit balls
-to the pulling R-node's piece sets; markers over each piece drive the
+move only left (when the path passes them) or via pulls.  A ball lives in its
+node's ``balls``, and ``positions`` maps it back to the node; the root's tilde
+pool, from which the nodes below it draw, is every entered ball.  Pulls commit
+balls to the pulling R-node's piece sets; markers over each piece drive the
 maximal-set dumping, and positive A-nodes on the path dump markers of the
-other pieces.  All set emissions go through the kernel's single FIFO; the
-tree advances one stage per kernel poll only when every emission has
-drained, which is how the constructed sets keep pace with their enumeration
-indices.  The kernel polls the brain only on the stages that start with an
-empty FIFO, and the brain's per-stage work follows what changed: it reads
-the log only when it advances, a T-counter is advanced only when its inputs
-moved, and a node tries to pull only when it holds two candidates.
+other pieces.  All set emissions go through the kernel's single FIFO; the tree
+advances one stage per kernel poll only when every emission has drained, which
+is how the constructed sets keep pace with their enumeration indices.  The
+kernel polls the brain only on the stages that start with an empty FIFO, and
+the brain's per-stage work follows what changed: it reads the log only when it
+advances, a T-counter is advanced only when its inputs moved, and a node tries
+to pull only when it holds two candidates.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Callable, Optional
 from .geometry import (
     ROOT, TreeError, ball_too_deep, can_pull, greatest_r_prefix, is_positive_a,
     last_left_pass, least_dump, left_key, left_target, mask_bit, node_kind,
-    question_at, r_chain, sorted_add, sorted_discard,
+    question_at, r_chain, sorted_discard,
 )
 from .kernel import HostGenerator, Kernel, host_index
 
@@ -137,7 +139,7 @@ class _NodeState:
         "r_out", "rt_out", "r_index", "rt_index", "r_committed", "rt_committed",
         "r_sorted", "live_markers", "live_revs", "live_rt", "rt_subscribers",
         "mids_subscribers", "needs_scan", "moved_marker_floor", "patch_cursor",
-        "cand_heap", "mids_pool", "left_cache",
+        "cand_heap", "mids_pool", "left_cache", "balls",
     )
 
     def __init__(self, address: str):
@@ -168,6 +170,14 @@ class _NodeState:
         self.cand_heap: list = []
         self.mids_pool: list = []  # 1-ending R-nodes: consumable bystander pool
         self.left_cache = (0, 0)  # (f-history index checked, best left-pass stage)
+        self.balls: set = set()  # the on-machine balls sitting here
+
+
+def checked_depth(depth: int) -> int:
+    """A depth bound, which must be a non-negative perfect square."""
+    if depth < 0 or isqrt(depth) ** 2 != depth:
+        raise TreeError(f"depth bound must be a non-negative perfect square, not {depth}")
+    return depth
 
 
 class TreeRun:
@@ -175,11 +185,8 @@ class TreeRun:
 
     def __init__(self, kernel: Kernel, proc: Callable, depth_bound: int = 25,
                  slot_base: int = 1, collect_trace: bool = True):
-        d = isqrt(depth_bound)
-        if d * d != depth_bound:
-            raise TreeError("depth bound must be a perfect square")
         self.kernel = kernel
-        self.depth = depth_bound
+        self.depth = checked_depth(depth_bound)
         self.collect_trace = collect_trace
         self.trace: list = []
         self.violations: list = []
@@ -218,17 +225,14 @@ class TreeRun:
         self.measures_by_index: dict[int, list] = {}
         self.measures_by_delta: dict[str, list] = {}
         self.positions: dict[int, str] = {}  # every on-machine ball -> its node
-        self.node_balls: dict[str, set] = {}
         self.a_committed: set = set()
         self.a_order: list = []
         self.masks: dict[int, int] = {}
         self.mask_nodes: dict[int, list] = {}
-        self._ball_keys: list = []      # sorted left keys of ball-holding nodes
+        self._ball_nodes: list = []     # ball-holding states, in left order
         self._requesting: list = []     # request-holding states, in left order
         self._chain: list = []       # states of f's R-nodes, shallowest first
         self._requesters: list = []  # states of f's requesting prefixes
-        self._entry_subscribers: list = []  # nodes whose pull pool is every ball
-        self._entry_mids_subscribers: list = []  # 1-ending nodes sweeping every ball
         self._f_history: list = [(0, ROOT)]  # (tree stage, f) on change
         self.tmeasures_by_beta: dict[str, list] = {}
         self.tmeasures_by_index: dict[int, list] = {}  # by j_index and by eb_index
@@ -304,23 +308,14 @@ class TreeRun:
 
     def _seed_candidates(self, state: _NodeState) -> None:
         address = state.address
-        delta = greatest_r_prefix(address)
+        dstate = self._get_node(greatest_r_prefix(address))
         if state.kind == "r" and address.endswith("1"):
-            m = self._get_measure(isqrt(len(address)), delta)
+            m = self._get_measure(isqrt(len(address)), dstate.address)
             state.cand_heap = sorted(m.members)
             m.subscribers.append(state)
-            if delta == ROOT:
-                state.mids_pool = sorted(self.positions)
-                self._entry_mids_subscribers.append(state)
-            else:
-                dstate = self._get_node(delta)
-                state.mids_pool = list(dstate.live_rt)
-                dstate.mids_subscribers.append(state)
-        elif delta == ROOT:
-            state.cand_heap = sorted(self.positions)
-            self._entry_subscribers.append(state)
+            state.mids_pool = list(dstate.live_rt)
+            dstate.mids_subscribers.append(state)
         else:
-            dstate = self._get_node(delta)
             state.cand_heap = list(dstate.live_rt)
             dstate.rt_subscribers.append(state)
         heapify(state.cand_heap)
@@ -466,47 +461,50 @@ class TreeRun:
             if voided and self.collect_trace:
                 self._emit_record({"op": "void", "s": st, "node": state.address, "n": voided})
         self._requesting = kept
-        # relocate balls at strictly left-passed nodes
-        i = bisect_right(self._ball_keys, fkey)
-        moved: list = []
-        while i < len(self._ball_keys):
-            # the node's own address: the records share it instead of a copy each
-            address = self.nodes[left_key(self._ball_keys[i])].address
-            if not address.startswith(f):
-                moved.append(address)
-            i += 1
-        for address in moved:
-            balls = sorted(self.node_balls.pop(address, ()))
-            sorted_discard(self._ball_keys, left_key(address))
-            if not balls:
-                continue
-            target = left_target(f, address)
-            self._get_node(target)
-            bucket = self.node_balls.setdefault(target, set())
+        # relocate balls at strictly left-passed nodes; each target is a
+        # prefix of f, so it sits left of every node moved from
+        i = bisect_right(self._ball_nodes, fkey, key=_KEY)
+        moved = [state for state in self._ball_nodes[i:] if not state.address.startswith(f)]
+        for state in moved:
+            balls = sorted(state.balls)
+            target = self._get_node(left_target(f, state.address))
             for x in balls:
-                bucket.add(x)
-                self.positions[x] = target
-                if ball_too_deep(x, target):
-                    self._violation("ball-depth", (x, target))
-            sorted_add(self._ball_keys, left_key(target))
-            self._emit_record(
-                {"op": "left", "s": st, "from": address, "to": target, "balls": balls}
-            )
+                self._place(x, target)
+            # the nodes' own addresses: the records share them instead of copies
+            self._emit_record({"op": "left", "s": st, "from": state.address,
+                               "to": target.address, "balls": balls})
 
-    # -- ball entry ----------------------------------------------------------
+    # -- where balls sit, and ball entry ------------------------------------
+
+    def _place(self, x: int, state: _NodeState) -> None:
+        """Move ball x onto a node (entering it if new) and check its depth there."""
+        address = state.address
+        if self.positions.get(x) == address:
+            return
+        self._lift(x)
+        if not state.balls:
+            insort(self._ball_nodes, state, key=_KEY)
+        state.balls.add(x)
+        self.positions[x] = address
+        if ball_too_deep(x, address):
+            self._violation("ball-depth", (x, address))
+
+    def _lift(self, x: int) -> None:
+        """Take ball x off the node it sits on, if it is on the machine."""
+        address = self.positions.pop(x, None)
+        if address is None:
+            return
+        state = self.nodes[address]
+        state.balls.discard(x)
+        if not state.balls:
+            del self._ball_nodes[bisect_left(self._ball_nodes, state.key, key=_KEY)]
 
     def _ball_entry(self, st: int, f: str) -> None:
         ball = st - 1
-        target = f[:1]
-        self._get_node(target)
-        self.positions[ball] = target
-        self.node_balls.setdefault(target, set()).add(ball)
-        for node in self._entry_subscribers:
-            heappush(node.cand_heap, ball)
-        for node in self._entry_mids_subscribers:
-            node.mids_pool.append(ball)
-        sorted_add(self._ball_keys, left_key(target))
-        self._emit_record({"op": "enter", "s": st, "x": ball, "node": target})
+        target = self._get_node(f[:1])
+        self._place(ball, target)
+        self._offer(self.nodes[ROOT], ball)  # the root's tilde pool is every ball
+        self._emit_record({"op": "enter", "s": st, "x": ball, "node": target.address})
 
     # -- pulling --------------------------------------------------------------
 
@@ -523,21 +521,23 @@ class TreeRun:
             if self._try_pull_at(st, state):
                 return  # only now is _requesting changed
 
+    def _pullable(self, state: _NodeState, x: int) -> bool:
+        """Whether the node may pull ball x.  A no is permanent: x is at most the node's
+        depth, in A or in its pieces, or off the machine, left of the node or below it."""
+        if x <= len(state.address) or x in self.a_committed:
+            return False
+        if state.kind == "r" and (x in state.r_committed or x in state.rt_committed):
+            return False
+        return can_pull(state.address, self.positions.get(x))
+
     def _try_pull_at(self, st: int, state: _NodeState) -> bool:
-        # pop candidates in value order; every rejection below is permanent
-        floor = len(state.address)
-        address = state.address
+        # pop candidates in value order; every rejection is permanent
         heap = state.cand_heap
         picked: list = []
         while heap and len(picked) < 2:
             x = heappop(heap)
-            if x <= floor or x in self.a_committed:
-                continue
-            if state.kind == "r" and (x in state.r_committed or x in state.rt_committed):
-                continue
-            if not can_pull(address, self.positions.get(x)):
-                continue  # off the machine, left of us or below: permanently out
-            picked.append(x)
+            if self._pullable(state, x):
+                picked.append(x)
         if len(picked) < 2:
             for x in picked:
                 heappush(heap, x)  # still eligible, waiting for a partner
@@ -547,21 +547,19 @@ class TreeRun:
         if not state.requests.count:
             del self._requesting[bisect_left(self._requesting, state.key, key=_KEY)]
         mids = [y for y in self._intermediates(state, x1) if y != x0]
-        for x in (x0, x1):
-            self._move_ball(x, address)
+        for x in (x0, x1, *mids):
+            self._place(x, state)
         if state.kind == "r":
             self._commit(state, x0, tilde=False)
             self._commit(state, x1, tilde=True)
-        for y in mids:
-            self._move_ball(y, address)
-            if state.kind == "r":
+            for y in mids:
                 self._commit(state, y, tilde=False)
         self._emit_record(
             {
                 "op": "pull",
                 "s": st,
                 "ks": self.f_kernel_stage,
-                "node": address,
+                "node": state.address,
                 "req": request,
                 "x0": x0,
                 "x1": x1,
@@ -572,51 +570,36 @@ class TreeRun:
 
     def _intermediates(self, state: _NodeState, top: int) -> list:
         # when the pull pool is the piece pool itself, pair minimality leaves
-        # nothing strictly between the chosen pair; only sets gated by W_j
-        # can have sweepable bystanders.  Every scanned pool entry is either
-        # swept here or permanently out, so the slice is consumed wholesale.
-        if not (state.kind == "r" and state.address.endswith("1")):
-            return []
-        out = []
-        floor = len(state.address)
+        # nothing strictly between the chosen pair, so only the nodes gated by
+        # W_j (1-ending R-nodes) fill a bystander pool.  Every scanned entry is
+        # either swept here or permanently out: the slice is consumed wholesale.
         pool = state.mids_pool
-        lo = bisect_right(pool, floor)
+        lo = bisect_right(pool, len(state.address))
         hi = bisect_left(pool, top)
-        for y in pool[lo:hi]:
-            if y in self.a_committed:
-                continue
-            if y in state.r_committed or y in state.rt_committed:
-                continue
-            if can_pull(state.address, self.positions.get(y)):
-                out.append(y)
+        out = [y for y in pool[lo:hi] if self._pullable(state, y)]
         del pool[lo:hi]
         return out
 
-    def _move_ball(self, x: int, target: str) -> None:
-        pos = self.positions.get(x)
-        if pos == target:
-            return
-        if pos is not None:
-            bucket = self.node_balls.get(pos)
-            if bucket is not None:
-                bucket.discard(x)
-                if not bucket:
-                    sorted_discard(self._ball_keys, left_key(pos))
-        self.positions[x] = target
-        self.node_balls.setdefault(target, set()).add(x)
-        sorted_add(self._ball_keys, left_key(target))
-        if ball_too_deep(x, target):
-            self._violation("ball-depth", (x, target))
+    def _offer(self, state: _NodeState, x: int) -> None:
+        """Add x to a node's tilde pool and to the candidate pools drawn from it."""
+        insort(state.live_rt, x)
+        for node in state.rt_subscribers:
+            heappush(node.cand_heap, x)
+        for node in state.mids_subscribers:
+            insort(node.mids_pool, x)
+
+    def _marker_moved(self, state: _NodeState, k: int) -> None:
+        """A marker entered or left a node's table at position k."""
+        state.needs_scan = True
+        if state.moved_marker_floor is None or k < state.moved_marker_floor:
+            state.moved_marker_floor = k
+            self._moved_nodes.append(state)
 
     def _commit(self, state: _NodeState, x: int, tilde: bool) -> None:
         if tilde:
             state.rt_committed.add(x)
             if x not in self.a_committed:
-                insort(state.live_rt, x)
-                for node in state.rt_subscribers:
-                    heappush(node.cand_heap, x)
-                for node in state.mids_subscribers:
-                    insort(node.mids_pool, x)
+                self._offer(state, x)
             self._queue_emission(state.rt_index, state.rt_out, x)
             for m in self.measures_by_delta.get(state.address, ()):
                 self._measure_try_add(m, x)
@@ -633,11 +616,8 @@ class TreeRun:
                 k = bisect_left(state.live_markers, x)
                 state.live_markers.insert(k, x)
                 state.live_revs.insert(k, self.masks.get(x, 0))
-                if state.moved_marker_floor is None or k < state.moved_marker_floor:
-                    state.moved_marker_floor = k
-                    self._moved_nodes.append(state)
+                self._marker_moved(state, k)
                 self.mask_nodes.setdefault(x, []).append(state.address)
-                state.needs_scan = True
 
     # -- dumping into A --------------------------------------------------------
 
@@ -645,13 +625,7 @@ class TreeRun:
         self.a_committed.add(x)
         self.a_order.append(x)
         self._a_out.append(x)
-        pos = self.positions.pop(x, None)
-        if pos is not None:
-            bucket = self.node_balls.get(pos)
-            if bucket is not None:
-                bucket.discard(x)
-                if not bucket:
-                    sorted_discard(self._ball_keys, left_key(pos))
+        self._lift(x)
         for address in self.mask_nodes.get(x, ()):
             holder = self.nodes.get(address)
             if holder is None:
@@ -659,10 +633,7 @@ class TreeRun:
             k = sorted_discard(holder.live_markers, x)
             if k is not None:
                 del holder.live_revs[k]
-                holder.needs_scan = True
-                if holder.moved_marker_floor is None or k < holder.moved_marker_floor:
-                    holder.moved_marker_floor = k
-                    self._moved_nodes.append(holder)
+                self._marker_moved(holder, k)
 
     def _patch_node(self, state: _NodeState) -> None:
         """Absorb casualties: Rtilde_delta balls that entered A uncommitted."""

@@ -151,6 +151,42 @@ def test_diagonalize_bad_proc_is_usage_error(tmp_path, spec):
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("depth", ["12", "-4"])
+@pytest.mark.parametrize("command", [
+    ("diagonalize", "--proc", "hf", "--stages", "100"),
+    ("iterate", "--rounds", "1", "--stages", "100"),
+], ids=["diagonalize", "iterate"])
+def test_bad_depth_is_usage_error(command, depth):
+    # a depth bound is a non-negative perfect square; 12 is none, and -4
+    # used to reach isqrt
+    proc = invoke(*command, f"--depth={depth}")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--depth" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_diagonalize_depth_zero_runs():
+    proc = invoke("diagonalize", "--proc", "hf", "--stages", "100", "--depth", "0")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["violations"] == 0
+
+
+def test_diagonalize_jobs_match_one_process(tmp_path):
+    # --jobs 2 runs the procedures in two worker processes; stdout and the
+    # trace files are those of the one-process run
+    runs = {}
+    for jobs in ("2", "1"):
+        out = tmp_path / jobs
+        out.mkdir()
+        proc = invoke("diagonalize", "--proc", "hf,trivial", "--stages", "3000",
+                      "--depth", "9", "--trace", str(out / "t-{proc}.jsonl"), "--jobs", jobs)
+        assert proc.returncode == 0, proc.stderr
+        traces = {name: (out / f"t-{name}.jsonl").read_bytes() for name in ("hf", "trivial")}
+        runs[jobs] = (proc.stdout, traces)
+    assert runs["2"] == runs["1"]
+    assert [json.loads(line)["proc"] for line in runs["1"][0].splitlines()] == ["hf", "trivial"]
+
+
 def test_diagonalize_plugin_matches_named_proc(tmp_path):
     plugin = tmp_path / "plugin.py"
     plugin.write_text("from cesplit.tree import proc_trivial as procedure\n")

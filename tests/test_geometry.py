@@ -6,6 +6,8 @@ than from its code, so the construction and its replay are checked against
 something other than the module they share.
 """
 
+from bisect import insort
+
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -23,7 +25,6 @@ from cesplit.geometry import (
     r_chain,
     requesting_prefixes,
     rev_mask,
-    sorted_add,
     sorted_discard,
 )
 
@@ -159,15 +160,18 @@ def test_last_left_pass(history, node, split):
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 20)), max_size=40))
 def test_sorted_add_and_discard(ops):
-    keys, model = [], set()
+    keys, model = [], []
     for add, x in ops:
         if add:
-            sorted_add(keys, x)
-            model.add(x)
+            insort(keys, x)
+            model.append(x)
         else:
+            before = list(keys)
             at = sorted_discard(keys, x)
             assert (at is not None) == (x in model)
-            model.discard(x)
+            if at is not None:
+                assert at == before.index(x)  # one copy goes, the first
+                model.remove(x)
         assert keys == sorted(model)
 
 

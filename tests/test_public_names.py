@@ -1,0 +1,60 @@
+"""No test-only public helper: every public module-level function, class and
+constant of the package is named by code outside the tests.
+
+A helper whose only caller is a test gets a real caller or is deleted, and
+its test moves with it.  Names count when code uses them (a name, an
+attribute, an import) anywhere in src/, demos/ or perfbench/ other than the
+statement that defines them; test files there do not count.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+REPO = Path(__file__).parents[1]
+PACKAGE = REPO / "src" / "cesplit"
+CALLERS = [REPO / "src", REPO / "demos", REPO / "perfbench"]
+
+
+def defined_names(statement):
+    """The public names a module-level statement defines."""
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, ast.Assign):
+        names = [t.id for t in statement.targets if isinstance(t, ast.Name)]
+    elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        names = [statement.target.id]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
+def used_names(statement):
+    """Every name a statement's code mentions, each once."""
+    out = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+    return out
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    uses = Counter()  # name -> module-level statements that mention it
+    definitions = []
+    for root in CALLERS:
+        for path in sorted(root.rglob("*.py")):
+            if path.name.startswith("test_"):
+                continue
+            for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+                uses.update(used_names(statement))
+                if path.parent == PACKAGE:
+                    definitions += [(path.name, name, statement)
+                                    for name in defined_names(statement)]
+    assert len(definitions) > 50
+    orphans = [f"{module}: {name}" for module, name, statement in definitions
+               if uses[name] - (name in used_names(statement)) == 0]
+    assert orphans == []

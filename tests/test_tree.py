@@ -192,6 +192,29 @@ def test_balls_never_reenter_after_a(hf_run):
     assert not (set(run.positions) & run.a_committed)
 
 
+def assert_ball_ledger(run):
+    # a ball sits on one node, and the run's indexes over where balls sit
+    # agree with the nodes themselves
+    ledger = {x: state.address for state in run.nodes.values() for x in state.balls}
+    assert sum(len(state.balls) for state in run.nodes.values()) == len(ledger)
+    assert ledger == run.positions
+    holders = sorted((state for state in run.nodes.values() if state.balls),
+                     key=lambda state: state.key)
+    assert run._ball_nodes == holders
+    # the root's tilde pool is every ball that entered, dumped ones included
+    assert run.nodes[""].live_rt == list(range(run.tree_stage))
+
+
+def test_ball_ledger(hf_run):
+    assert_ball_ledger(hf_run.run)
+
+
+def test_ball_ledger_at_depth_9():
+    run = diagonalize(proc_friedberg, 3000, depth=9).run
+    assert run.a_committed and len(run._ball_nodes) > 1
+    assert_ball_ledger(run)
+
+
 def test_determinism_of_full_trace():
     r1 = diagonalize(proc_friedberg, 4_000)
     r2 = diagonalize(proc_friedberg, 4_000)
