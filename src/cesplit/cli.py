@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 invariant violation or failed verification,
 2 usage errors: argparse's, among them a --depth that is not a
-non-negative perfect square, and a --proc or --trace that names nothing
-usable, each with one line on stderr.  Identical invocations produce
-byte-identical traces; there is no configuration outside the flags.
+non-negative perfect square and a negative --stages or --rounds, and a
+--proc or --trace that names nothing usable, each with one line on
+stderr.  Identical invocations produce byte-identical traces; there is no
+configuration outside the flags.
 """
 
 from __future__ import annotations
@@ -157,6 +158,16 @@ def _depth_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
+def _count_flag(text: str) -> int:
+    """--stages' and --rounds' type: a count, 0 or more."""
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a count of 0 or more, not {text!r}")
+
+
 def _run_one_diagonalize(proc_name, proc, args):
     texts = _load_corpus(args)
     result = diagonalize(
@@ -261,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="list one set's members by a stage bound")
     common(p)
     p.add_argument("--index", type=int, required=True)
-    p.add_argument("--stages", type=int, required=True)
+    p.add_argument("--stages", type=_count_flag, required=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("corpus", help="emit a generated program corpus")
@@ -277,14 +288,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="the modulus set for hk splits (defaults to the input)")
     p.add_argument("--subset-scenario", action="store_true",
                    help="run the rigged listing with the input inside the modulus set")
-    p.add_argument("--stages", type=int, required=True)
+    p.add_argument("--stages", type=_count_flag, required=True)
     p.add_argument("--trace")
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("witness", help="build witness constructions")
     common(p)
     p.add_argument("flavour", choices=["build31", "shav"])
-    p.add_argument("--stages", type=int, required=True)
+    p.add_argument("--stages", type=_count_flag, required=True)
     p.add_argument("--breadth", type=int, default=16)
     p.add_argument("--w", type=int, default=0)
     p.add_argument("--y", type=int, default=2)
@@ -295,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--proc", default="hf",
                    help="hf|trivial|broken|plugin:FILE, comma-separated for several")
-    p.add_argument("--stages", type=int, required=True)
+    p.add_argument("--stages", type=_count_flag, required=True)
     p.add_argument("--depth", type=_depth_flag, default=25)
     p.add_argument("--trace")
     p.add_argument("--jobs", type=int, default=1)
@@ -310,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("iterate", help="round-iterated diagonalization")
     common(p)
-    p.add_argument("--rounds", type=int, required=True)
-    p.add_argument("--stages", type=int, default=50_000)
+    p.add_argument("--rounds", type=_count_flag, required=True)
+    p.add_argument("--stages", type=_count_flag, default=50_000)
     p.add_argument("--depth", type=_depth_flag, default=25)
     p.set_defaults(func=cmd_iterate)
 

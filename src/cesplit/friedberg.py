@@ -26,7 +26,6 @@ class FriedbergSplitter:
     a1: int = field(init=False)
     counters: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
-    _routed: dict = field(default_factory=dict)  # element -> side
     _cursor: int = 0
     _out: tuple = field(init=False)
 
@@ -45,10 +44,7 @@ class FriedbergSplitter:
         while self._cursor < len(entries):
             entry_stage, x = entries[self._cursor]
             self._cursor += 1
-            if x in self._routed:
-                raise RuntimeError(f"ball {x} routed twice")
             side, requirement = self._route(x, entry_stage)
-            self._routed[x] = side
             self._out[side].append(x)
             self.trace.append(
                 {

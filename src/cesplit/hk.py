@@ -113,7 +113,6 @@ class HKSplitter:
     warnings: list = field(default_factory=list)
     _states: dict = field(default_factory=dict)  # code -> _TripleState
     _by_index: dict = field(default_factory=dict)  # index -> [states]
-    _routed: dict = field(default_factory=dict)
     _cursor: int = 0
     _out: tuple = field(init=False)
 
@@ -181,17 +180,13 @@ class HKSplitter:
                 self._route(x, t)
 
     def _route(self, x: int, entered_b: int) -> None:
-        if x in self._routed:
-            raise RuntimeError(f"ball {x} routed twice")
         m = 0
         while True:
             for i in (0, 1):
                 state = self._get_state(m, i, entered_b)
                 r = state.r_now(entered_b)
                 if x <= r:
-                    side = i
-                    self._routed[x] = side
-                    self._out[side].append(x)
+                    self._out[i].append(x)
                     self.trace.append(
                         {
                             "op": "hk",
@@ -200,7 +195,7 @@ class HKSplitter:
                             "triple": [state.e, state.j, state.i],
                             "l": state.l_now(entered_b),
                             "r": r,
-                            "side": side,
+                            "side": i,
                         }
                     )
                     return

@@ -14,9 +14,9 @@ stages it books with ``Kernel.wake_at`` (a timer heap); a drain source on the
 stages that start with an empty FIFO.  Each stage polls the due sources
 first, in registration order, and then the woken generators, by slot.
 
-``step`` and ``run_to`` share one loop, which pays per event rather than per
-stage.  It polls only on the stages where something is due: a drain source
-(on a drained stage), a woken generator, or a timer booked for that stage.  A
+``run_to`` runs one loop, which pays per event rather than per stage.  It
+polls only on the stages where something is due: a drain source (on a
+drained stage), a woken generator, or a timer booked for that stage.  A
 stage that starts with a backlog releases from the FIFO.  Every other stage
 belongs to a machine-only stretch, which one tight loop runs with the ladder,
 its bitmask and the tick counter in locals.  A stretch ends at the stop
@@ -56,8 +56,9 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .machine import parse_program, register_count, run_steps
-# re-exported for callers that import it from here: the one-step reference
-# semantics; the kernel itself runs whole bursts through run_steps
+# re-exported for perfbench/layers.py, which counts machine steps by wrapping
+# it here: the one-step reference semantics; the kernel itself runs whole
+# bursts through run_steps
 from .machine import step_state  # noqa: F401
 from .pairing import pair
 
@@ -474,15 +475,6 @@ class Kernel:
                 end = timers[0][0]
             stage = self._machine_stretch(stage, end)
         self._next_stage = stage
-
-    def step(self, stage: Optional[int] = None) -> None:
-        if stage is None:
-            stage = self._next_stage
-        elif stage != self._next_stage:
-            raise OutOfOrderStepError(
-                f"expected stage {self._next_stage}, got {stage}"
-            )
-        self._advance(stage + 1)
 
     def run_to(self, stage: int) -> None:
         """Step every stage strictly below ``stage``."""

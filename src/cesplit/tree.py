@@ -23,13 +23,15 @@ node's ``balls``, and ``positions`` maps it back to the node; the root's tilde
 pool, from which the nodes below it draw, is every entered ball.  Pulls commit
 balls to the pulling R-node's piece sets; markers over each piece drive the
 maximal-set dumping, and positive A-nodes on the path dump markers of the
-other pieces.  All set emissions go through the kernel's single FIFO; the tree
-advances one stage per kernel poll only when every emission has drained, which
-is how the constructed sets keep pace with their enumeration indices.  The
-kernel polls the brain only on the stages that start with an empty FIFO, and
-the brain's per-stage work follows what changed: it reads the log only when it
-advances, a T-counter is advanced only when its inputs moved, and a node tries
-to pull only when it holds two candidates.
+other pieces.  Measures, T-counters and marker tables hold node states, not
+addresses: a node is made after its prefixes and never removed.  All set
+emissions go through the kernel's single FIFO; the tree advances one stage per
+kernel poll only when every emission has drained, which is how the constructed
+sets keep pace with their enumeration indices.  The kernel polls the brain
+only on the stages that start with an empty FIFO, and the brain's per-stage
+work follows what changed: it reads the log only when it advances, a T-counter
+is advanced only when its inputs moved, and a node tries to pull only when it
+holds two candidates.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Callable, Optional
 from .geometry import (
     ROOT, TreeError, ball_too_deep, can_pull, greatest_r_prefix, is_positive_a,
     last_left_pass, least_dump, left_key, left_target, mask_bit, node_kind,
-    question_at, r_chain, sorted_discard,
+    question_at, r_chain,
 )
 from .kernel import HostGenerator, Kernel, host_index
 
@@ -90,14 +92,15 @@ class _Measure:
     """The monotone set (W_j intersect Rtilde_delta) entered-before-A.
 
     Shared between the question node that counts it and the R-nodes that
-    pull from it.
+    pull from it.  ``over`` is delta's state, or None for the root, whose
+    tilde piece is everything.
     """
 
-    __slots__ = ("j_index", "delta", "members", "subscribers")
+    __slots__ = ("j_index", "over", "members", "subscribers")
 
-    def __init__(self, j_index: int, delta: str):
+    def __init__(self, j_index: int, over: Optional[_NodeState]):
         self.j_index = j_index
-        self.delta = delta
+        self.over = over
         self.members: set = set()
         self.subscribers: list = []
 
@@ -120,10 +123,10 @@ class _TMeasure:
     __slots__ = ("j_index", "eb_index", "beta", "count", "frozen", "wj_cursor", "fi",
                  "dirty")
 
-    def __init__(self, j_index: int, eb_index: int, beta: str):
+    def __init__(self, j_index: int, eb_index: int, beta: _NodeState):
         self.j_index = j_index
         self.eb_index = eb_index
-        self.beta = beta
+        self.beta = beta  # the state whose R piece the counter reads
         self.count = 0
         self.frozen = False
         self.wj_cursor = 0
@@ -135,7 +138,7 @@ class _TMeasure:
 class _NodeState:
     __slots__ = (
         "address", "key", "kind", "positive", "requesting", "kids", "chip_snapshot",
-        "requests", "measure", "tmeasure",
+        "requests", "measure", "tmeasure", "measures", "tmeasures",
         "r_out", "rt_out", "r_index", "rt_index", "r_committed", "rt_committed",
         "r_sorted", "live_markers", "live_revs", "live_rt", "rt_subscribers",
         "mids_subscribers", "needs_scan", "moved_marker_floor", "patch_cursor",
@@ -154,6 +157,8 @@ class _NodeState:
         self.requests = _RangeQueue()
         self.measure = None
         self.tmeasure = None
+        self.measures: dict = {}  # j -> the measure over this tilde piece
+        self.tmeasures: list = []  # the T-counters that read this R piece
         self.r_out = self.rt_out = None  # piece emissions awaiting the kernel
         self.r_index = self.rt_index = None
         self.r_committed: set = set()
@@ -221,25 +226,22 @@ class TreeRun:
         self.f: str = ROOT
         self.f_kernel_stage = 0
         self.nodes: dict[str, _NodeState] = {}
-        self.measures: dict[tuple, _Measure] = {}
         self.measures_by_index: dict[int, list] = {}
-        self.measures_by_delta: dict[str, list] = {}
         self.positions: dict[int, str] = {}  # every on-machine ball -> its node
         self.a_committed: set = set()
         self.a_order: list = []
         self.masks: dict[int, int] = {}
-        self.mask_nodes: dict[int, list] = {}
+        self.marker_nodes: dict[int, list] = {}  # live marker -> the states listing it
         self._ball_nodes: list = []     # ball-holding states, in left order
         self._requesting: list = []     # request-holding states, in left order
         self._chain: list = []       # states of f's R-nodes, shallowest first
         self._requesters: list = []  # states of f's requesting prefixes
         self._f_history: list = [(0, ROOT)]  # (tree stage, f) on change
-        self.tmeasures_by_beta: dict[str, list] = {}
         self.tmeasures_by_index: dict[int, list] = {}  # by j_index and by eb_index
         self._moved_nodes: list = []
         self._cursor = 0
         self._endpoint_history: list = []  # (kernel_stage, f is a positive A-node)
-        self._get_node(ROOT)
+        self._make_node(ROOT)
         self._emit_record(
             {
                 "op": "meta", "kind": "tree", "e_a": self.e_a, "e0": self.e0,
@@ -276,25 +278,22 @@ class TreeRun:
     def _violation(self, kind: str, detail) -> None:
         self.violations.append((self.tree_stage, kind, detail))
 
-    def _get_node(self, address: str) -> _NodeState:
-        state = self.nodes.get(address)
-        if state is not None:
-            return state
+    def _make_node(self, address: str) -> _NodeState:
+        """Make a node.  The walk makes each one once, after its parent, so its
+        prefixes exist."""
         state = _NodeState(address)
         self.nodes[address] = state
         q = question_at(address) if address != ROOT else None
         if q is None:
-            state.measure = self._get_measure(1, ROOT)
+            state.measure = self._get_measure(1, state)
         elif q.kind == "R":
-            state.measure = self._get_measure(q.j, q.base)
+            state.measure = self._get_measure(q.j, self.nodes[q.base])
         else:
             eb = self.e0 if q.b == 0 else self.e1
-            tm = state.tmeasure = _TMeasure(q.j, eb, q.base)
-            self.tmeasures_by_beta.setdefault(q.base, []).append(tm)
+            tm = state.tmeasure = _TMeasure(q.j, eb, self.nodes[q.base])
+            tm.beta.tmeasures.append(tm)
             for idx in {q.j, eb}:
                 self.tmeasures_by_index.setdefault(idx, []).append(tm)
-        for tm in self.tmeasures_by_beta.get(address, ()):
-            tm.dirty = True  # R_beta now reads from this node
         if state.kind == "r":
             # the piece sets are woken by _queue_emission, never polled idle
             (state.r_index, state.rt_index), (state.r_out, state.rt_out) = (
@@ -302,15 +301,15 @@ class TreeRun:
             )
             # absorb any casualties that predate this node
             self._patch_node(state)
-        if state.kind == "r" or state.positive:
+        if state.requesting:
             self._seed_candidates(state)
         return state
 
     def _seed_candidates(self, state: _NodeState) -> None:
         address = state.address
-        dstate = self._get_node(greatest_r_prefix(address))
+        dstate = self.nodes[greatest_r_prefix(address)]
         if state.kind == "r" and address.endswith("1"):
-            m = self._get_measure(isqrt(len(address)), dstate.address)
+            m = self._get_measure(isqrt(len(address)), dstate)
             state.cand_heap = sorted(m.members)
             m.subscribers.append(state)
             state.mids_pool = list(dstate.live_rt)
@@ -320,31 +319,25 @@ class TreeRun:
             dstate.rt_subscribers.append(state)
         heapify(state.cand_heap)
 
-    def _get_measure(self, j: int, delta: str) -> _Measure:
-        key = (j, delta)
-        got = self.measures.get(key)
+    def _get_measure(self, j: int, dstate: _NodeState) -> _Measure:
+        got = dstate.measures.get(j)
         if got is not None:
             return got
-        # questions quantify over the canonical enumeration directly
-        j_index = self.feeder_index if (j, delta) == (1, ROOT) else j
-        m = _Measure(j_index, delta)
-        self.measures[key] = m
-        self.measures_by_index.setdefault(j_index, []).append(m)
-        self.measures_by_delta.setdefault(delta, []).append(m)
+        # the root's W_1 is the feeder; other questions read W_j directly
+        root = dstate.address == ROOT
+        m = dstate.measures[j] = _Measure(self.feeder_index if root and j == 1 else j,
+                                          None if root else dstate)
+        self.measures_by_index.setdefault(m.j_index, []).append(m)
         # replay history: members of W_j already logged
         log = self.kernel.log
-        for _, x in log.entries(j_index):
+        for _, x in log.entries(m.j_index):
             self._measure_try_add(m, x)
         return m
 
     def _measure_try_add(self, m: _Measure, x: int) -> None:
         if x in m.members or x in self.a_committed:
             return
-        if m.delta == ROOT:
-            in_delta = True
-        else:
-            dstate = self.nodes.get(m.delta)
-            in_delta = dstate is not None and x in dstate.rt_committed
+        in_delta = m.over is None or x in m.over.rt_committed
         if in_delta and self.kernel.log.entry_stage(m.j_index, x) is not None:
             m.add(x)
 
@@ -365,18 +358,11 @@ class TreeRun:
                 tm.dirty = True
             bit = mask_bit(idx)
             if bit:
-                mask = self.masks.get(x, 0)
-                if not mask & bit:
-                    new = mask | bit
-                    self.masks[x] = new
-                    for address in self.mask_nodes.get(x, ()):
-                        st = self.nodes.get(address)
-                        if st is None:
-                            continue
-                        k = bisect_left(st.live_markers, x)
-                        if k < len(st.live_markers) and st.live_markers[k] == x:
-                            st.live_revs[k] = new
-                            st.needs_scan = True
+                # x enters idx once, so the bit is new
+                new = self.masks[x] = self.masks.get(x, 0) | bit
+                for state in self.marker_nodes.get(x, ()):
+                    state.live_revs[bisect_left(state.live_markers, x)] = new
+                    state.needs_scan = True
 
     # -- chips and the walk -------------------------------------------------
 
@@ -384,8 +370,7 @@ class TreeRun:
         if tm.frozen:
             return
         log = self.kernel.log
-        beta_state = self.nodes.get(tm.beta)
-        r_comm = beta_state.r_committed if beta_state is not None else set()
+        r_comm = tm.beta.r_committed
         entries = log.entries(tm.j_index)
         while tm.wj_cursor < len(entries):
             _, x = entries[tm.wj_cursor]
@@ -393,9 +378,7 @@ class TreeRun:
             if x not in r_comm or log.entry_stage(tm.eb_index, x) is not None:
                 tm.frozen = True
                 return
-        if beta_state is None:
-            return
-        r_sorted = beta_state.r_sorted
+        r_sorted = tm.beta.r_sorted
         while tm.fi < len(r_sorted):
             x = r_sorted[tm.fi]
             if log.entry_stage(tm.j_index, x) is None and (
@@ -413,9 +396,9 @@ class TreeRun:
         requesters: list = []
         while not state.positive:
             node = state.address
-            if len(node) >= cap:
-                if not (node == ROOT or state.kind == "r"):
-                    self._violation("f-endpoint-kind", node)
+            if len(node) == cap:
+                # st*st and the depth bound (checked_depth) are squares, so this is
+                # the root or an R-node; only the trace replay checks f's shape
                 break
             if state.measure is not None:
                 chip = len(state.measure.members)
@@ -432,7 +415,7 @@ class TreeRun:
                 self._emit_record({"op": "chip", "s": st, "node": node, "c": chip})
             child = state.kids[bit]
             if child is None:
-                child = state.kids[bit] = self._get_node(node + "01"[bit])
+                child = state.kids[bit] = self._make_node(node + "01"[bit])
             state = child
             if state.kind == "r":
                 chain.append(state)
@@ -440,10 +423,7 @@ class TreeRun:
                 requesters.append(state)
         self._chain = chain
         self._requesters = requesters
-        f = state.address
-        if len(f) > cap:
-            self._violation("f-length", f)
-        return f
+        return state.address
 
     # -- sweeping right of the path -----------------------------------------
 
@@ -467,7 +447,7 @@ class TreeRun:
         moved = [state for state in self._ball_nodes[i:] if not state.address.startswith(f)]
         for state in moved:
             balls = sorted(state.balls)
-            target = self._get_node(left_target(f, state.address))
+            target = self.nodes[left_target(f, state.address)]
             for x in balls:
                 self._place(x, target)
             # the nodes' own addresses: the records share them instead of copies
@@ -501,7 +481,7 @@ class TreeRun:
 
     def _ball_entry(self, st: int, f: str) -> None:
         ball = st - 1
-        target = self._get_node(f[:1])
+        target = self.nodes[f[:1]]
         self._place(ball, target)
         self._offer(self.nodes[ROOT], ball)  # the root's tilde pool is every ball
         self._emit_record({"op": "enter", "s": st, "x": ball, "node": target.address})
@@ -601,13 +581,13 @@ class TreeRun:
             if x not in self.a_committed:
                 self._offer(state, x)
             self._queue_emission(state.rt_index, state.rt_out, x)
-            for m in self.measures_by_delta.get(state.address, ()):
+            for m in state.measures.values():
                 self._measure_try_add(m, x)
         else:
             state.r_committed.add(x)
             pos = bisect_left(state.r_sorted, x)
             state.r_sorted.insert(pos, x)
-            for tm in self.tmeasures_by_beta.get(state.address, ()):
+            for tm in state.tmeasures:
                 tm.dirty = True
                 if pos < tm.fi:
                     tm.fi = pos
@@ -617,36 +597,33 @@ class TreeRun:
                 state.live_markers.insert(k, x)
                 state.live_revs.insert(k, self.masks.get(x, 0))
                 self._marker_moved(state, k)
-                self.mask_nodes.setdefault(x, []).append(state.address)
+                self.marker_nodes.setdefault(x, []).append(state)
 
     # -- dumping into A --------------------------------------------------------
 
-    def _dump_to_a(self, st: int, x: int) -> None:
+    def _dump_to_a(self, x: int) -> None:
+        """Dump a live marker into A, taking it out of every table that lists it."""
         self.a_committed.add(x)
         self.a_order.append(x)
         self._a_out.append(x)
         self._lift(x)
-        for address in self.mask_nodes.get(x, ()):
-            holder = self.nodes.get(address)
-            if holder is None:
-                continue
-            k = sorted_discard(holder.live_markers, x)
-            if k is not None:
-                del holder.live_revs[k]
-                self._marker_moved(holder, k)
+        for holder in self.marker_nodes.pop(x):
+            k = bisect_left(holder.live_markers, x)
+            del holder.live_markers[k]
+            del holder.live_revs[k]
+            self._marker_moved(holder, k)
 
     def _patch_node(self, state: _NodeState) -> None:
         """Absorb casualties: Rtilde_delta balls that entered A uncommitted."""
         delta = greatest_r_prefix(state.address)
-        dstate = self.nodes.get(delta) if delta != ROOT else None
+        dstate = self.nodes[delta]
         while state.patch_cursor < len(self.a_order):
             y = self.a_order[state.patch_cursor]
             state.patch_cursor += 1
             if y in state.r_committed or y in state.rt_committed:
                 continue
-            if delta != ROOT:
-                if dstate is None or y not in dstate.rt_committed:
-                    continue
+            if delta != ROOT and y not in dstate.rt_committed:
+                continue
             self._commit(state, y, tilde=False)
             self._emit_record(
                 {"op": "patch", "s": self.tree_stage, "node": state.address, "x": y}
@@ -683,7 +660,7 @@ class TreeRun:
             }
         )
         for x in dumped:
-            self._dump_to_a(st, x)
+            self._dump_to_a(x)
         state.needs_scan = True  # more states may now be raisable
 
     def _extra_dump(self, st: int, f: str) -> None:
@@ -719,7 +696,7 @@ class TreeRun:
                     "x": x,
                 }
             )
-            self._dump_to_a(st, x)
+            self._dump_to_a(x)
 
     # -- stage driver -----------------------------------------------------------
 
@@ -952,9 +929,9 @@ def structural_report(run: TreeRun) -> dict:
     """Invariant audit over a finished run's internal state.
 
     Checks the marker tables of every R-node and counts the exceptions to
-    the piece-set partition along the current path.  Ball depths and
-    endpoint kinds are not re-checked here: the run flags them as they
-    happen, in ``run.violations``.
+    the piece-set partition along the current path.  Ball depths are not
+    re-checked here: the run flags them as they happen, in
+    ``run.violations``.  Nor is f's shape: the trace replay checks it.
     """
     problems = []
     for address, state in run.nodes.items():

@@ -328,7 +328,9 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
     re-derived: the address rules, marker states and least-dump rule of
     ``geometry``, which the construction uses too, and the chip counters
     (re-deriving them would be a second full simulation), so ``f`` records
-    are checked for shape only and ``chip`` records not at all.
+    are checked for shape only and ``chip`` records not at all.  This is
+    the only check of f's shape (``endpoint-kind``, ``endpoint-length``):
+    the construction's walk cannot end anywhere else, so it checks none.
     A record lacking a field, or holding one of the wrong type, raises
     ``TraceError`` naming it as a divergence would.
     """

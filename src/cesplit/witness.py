@@ -171,20 +171,14 @@ def shavrukov_pair(kernel: Kernel, w: int, y: int) -> tuple[int, int]:
     slot_x1 = kernel.free_slot(base + 1)
 
     def make_pull(first: int, second: int):
-        state = {"cursor": 0}
+        read = 0  # entries of W_first already read
 
         def pull(stage):
+            nonlocal read
             log = kernel.log
-            fresh = log.since(state["cursor"])
-            state["cursor"] = len(log)
-            out = []
-            for t, idx, x in fresh:
-                if idx != first:
-                    continue
-                t_other = log.entry_stage(second, x)
-                if t_other is None or t_other > t:
-                    out.append(x)
-            return out
+            fresh = log.entries(first)[read:]
+            read += len(fresh)
+            return [x for t, x in fresh if not log.member_by(second, x, t)]
 
         return pull
 
@@ -195,15 +189,17 @@ def shavrukov_pair(kernel: Kernel, w: int, y: int) -> tuple[int, int]:
 
 def shav_split(kernel: Kernel, a: int, x0: int, x1: int) -> tuple[int, int]:
     """Halves a & x0 and a & x1; an entrant routes once its side is known."""
-    state = {"cursor": 0, "pending": []}
+    read = 0  # entries of W_a already read
+    pending: list = []
 
     def ingest(stage):
+        nonlocal read
         log = kernel.log
-        fresh = log.since(state["cursor"])
-        state["cursor"] = len(log)
-        state["pending"].extend(x for _, idx, x in fresh if idx == a)
+        fresh = log.entries(a)[read:]
+        read += len(fresh)
+        pending.extend(x for _, x in fresh)
         still = []
-        for x in state["pending"]:
+        for x in pending:
             t0 = log.entry_stage(x0, x)
             t1 = log.entry_stage(x1, x)
             if t0 is not None and (t1 is None or t0 < t1):
@@ -212,7 +208,7 @@ def shav_split(kernel: Kernel, a: int, x0: int, x1: int) -> tuple[int, int]:
                 outs[1].append(x)
             else:
                 still.append(x)
-        state["pending"] = still
+        pending[:] = still
 
     (a0, a1), outs = kernel.register_pair(ingest, wake=(a, x0, x1))
     return a0, a1

@@ -165,6 +165,23 @@ def test_bad_depth_is_usage_error(command, depth):
     assert "--depth" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command, flag", [
+    (("enumerate", "--index", "0"), "--stages"),
+    (("split", "friedberg"), "--stages"),
+    (("witness", "shav"), "--stages"),
+    (("diagonalize", "--proc", "hf"), "--stages"),
+    (("iterate", "--stages", "100"), "--rounds"),
+    (("iterate", "--rounds", "1"), "--stages"),
+], ids=lambda value: value if isinstance(value, str) else value[0])
+def test_negative_count_is_usage_error(command, flag):
+    # a stage or round count is 0 or more; -1 used to exit 0, and diagonalize
+    # reported a verdict for a run that never stepped
+    proc = invoke(*command, flag, "-1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert flag in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_diagonalize_depth_zero_runs():
     proc = invoke("diagonalize", "--proc", "hf", "--stages", "100", "--depth", "0")
     assert proc.returncode == 0, proc.stderr

@@ -9,6 +9,7 @@ from cesplit import corpus
 from cesplit.kernel import (
     DuplicateSlotError,
     EmissionConflictError,
+    EventLog,
     HostGenerator,
     Kernel,
     KernelError,
@@ -224,11 +225,14 @@ def test_duplicate_emission_rejected(scripted):
 
 def test_out_of_order_stepping_rejected():
     kernel = Kernel()
-    kernel.step(0)
-    with pytest.raises(OutOfOrderStepError):
-        kernel.step(5)
+    kernel.run_to(kernel.next_stage + 1)
     with pytest.raises(StageNotSteppedError):
         kernel.w_at(0, 50)
+    log = EventLog()
+    log.append(3, 0, 7)
+    for stage in (3, 2):
+        with pytest.raises(OutOfOrderStepError):
+            log.append(stage, 1, 8)
 
 
 @settings(max_examples=25, deadline=None)
@@ -439,7 +443,7 @@ def test_stepping_is_the_same_however_the_kernel_is_driven(
 
     def per_stage(kernel):
         for _ in range(DRIVE_STAGES):
-            kernel.step()
+            kernel.run_to(kernel.next_stage + 1)
 
     def in_chunks(kernel):
         for stage in sorted(cuts) + [DRIVE_STAGES]:

@@ -1,10 +1,12 @@
 """No test-only public helper: every public module-level function, class and
-constant of the package is named by code outside the tests.
+constant of the package, and every public method and property of its public
+classes, is used by code outside the tests.
 
 A helper whose only caller is a test gets a real caller or is deleted, and
 its test moves with it.  Names count when code uses them (a name, an
 attribute, an import) anywhere in src/, demos/ or perfbench/ other than the
-statement that defines them; test files there do not count.
+statement that defines them; test files there do not count.  A method or
+property counts when such code reads its name as an attribute.
 """
 
 import ast
@@ -57,4 +59,31 @@ def test_every_public_name_has_a_caller_outside_the_tests():
     assert len(definitions) > 50
     orphans = [f"{module}: {name}" for module, name, statement in definitions
                if uses[name] - (name in used_names(statement)) == 0]
+    assert orphans == []
+
+
+def public_members(statement):
+    """The public methods and properties of a public module-level class."""
+    if not isinstance(statement, ast.ClassDef) or statement.name.startswith("_"):
+        return []
+    return [node.name for node in statement.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    attributes = set()
+    members = []
+    for root in CALLERS:
+        for path in sorted(root.rglob("*.py")):
+            if path.name.startswith("test_"):
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            attributes.update(node.attr for node in ast.walk(tree)
+                              if isinstance(node, ast.Attribute))
+            if path.parent == PACKAGE:
+                members += [(path.name, statement.name, name) for statement in tree.body
+                            for name in public_members(statement)]
+    assert len(members) > 20
+    orphans = [f"{module}: {cls}.{name}" for module, cls, name in members
+               if name not in attributes]
     assert orphans == []

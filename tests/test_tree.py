@@ -121,15 +121,25 @@ def test_structural_report_clean(hf_run):
     assert report["dumped"] > 0
 
 
-def test_f_endpoints_legal(hf_run):
-    # f changes only at its records, and the length cap only grows, so each
-    # record's endpoint is legal on every stage up to the next record
-    fs = [r for r in hf_run.trace if r["op"] == "f"]
-    assert len(fs) > 1
+def assert_f_endpoints_legal(trace, depth):
+    # the walk stops at a positive A-node or at the cap min(s*s, depth), a
+    # square, so every other endpoint is the root or an R-node of that length
+    fs = [r for r in trace if r["op"] == "f"]
+    assert len(fs) > 1 or depth == 0  # at depth 0, f stays the root
     for r in fs:
         f = r["node"]
-        assert node_kind(f) == "r" or is_positive_a(f) or f == ""
-        assert len(f) <= min(r["s"] * r["s"], 25)
+        if not is_positive_a(f):
+            assert len(f) == min(r["s"] * r["s"], depth)
+            assert node_kind(f) == "r" or f == ""
+
+
+def test_f_endpoints_legal(hf_run):
+    assert_f_endpoints_legal(hf_run.trace, 25)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 4, 9])
+def test_f_endpoints_legal_at_small_depths(depth):
+    assert_f_endpoints_legal(diagonalize(proc_friedberg, 3000, depth=depth).trace, depth)
 
 
 def test_structural_report_leaves_violations_alone():
@@ -213,6 +223,39 @@ def test_ball_ledger_at_depth_9():
     run = diagonalize(proc_friedberg, 3000, depth=9).run
     assert run.a_committed and len(run._ball_nodes) > 1
     assert_ball_ledger(run)
+    assert_marker_ledger(run)
+
+
+def assert_marker_ledger(run):
+    # a marker table's masks are the run's masks, and the reverse map lists
+    # exactly the live markers, each with the states whose tables hold it
+    reverse = {}
+    for state in run.nodes.values():
+        assert state.live_revs == [run.masks.get(x, 0) for x in state.live_markers]
+        for x in state.live_markers:
+            reverse.setdefault(x, []).append(state)
+    assert {x: sorted(s.address for s in states) for x, states in reverse.items()} == {
+        x: sorted(s.address for s in states) for x, states in run.marker_nodes.items()}
+    assert not set(run.marker_nodes) & run.a_committed
+    # each measure and T-counter holds the state at its question's base
+    for address, state in run.nodes.items():
+        for m in state.measures.values():
+            assert m.over is (None if address == "" else state)
+            assert m in run.measures_by_index[m.j_index]
+        if address:
+            q = question_at(address)
+            held = state.measure.over if q.kind == "R" else state.tmeasure.beta
+            assert held is run.nodes[q.base]
+            if q.kind == "T":
+                assert state.tmeasure in run.nodes[q.base].tmeasures
+        else:
+            assert state.measure.over is None
+
+
+def test_marker_ledger(hf_run):
+    run = hf_run.run
+    assert run.a_committed and len(run.marker_nodes) > 1
+    assert_marker_ledger(run)
 
 
 def test_determinism_of_full_trace():

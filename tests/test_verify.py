@@ -10,6 +10,7 @@ from cesplit.friedberg import run_friedberg
 from cesplit.hk import run_hk
 from cesplit.kernel import EventLog, machine_index
 from cesplit.setalg import before_then
+from cesplit.tree import diagonalize, proc_friedberg
 from cesplit.verify import (
     FriedbergEvidence,
     complement_witnesses,
@@ -105,6 +106,23 @@ def test_replay_routes_landing(routed):
     assert at < last
     del records[at]  # the ball never surfaces in its half
     assert found(records) == [(last, "landing")]
+
+
+@pytest.mark.parametrize("forge, field", [
+    ("non-positive a-node", "endpoint-kind"),
+    ("past the cap", "endpoint-length"),
+])
+def test_replay_tree_checks_f_shape(forge, field):
+    # the construction's walk cannot end anywhere else, so the replay is the
+    # only check of f's shape
+    result = diagonalize(proc_friedberg, 3000, depth=9)
+    records = merge_for_file(result.kernel.log, result.trace)
+    assert replay_check(records)["ok"]
+    at = max(n for n, r in enumerate(records) if r["op"] == "f" and len(r["node"]) == 9)
+    node = records[at]["node"]
+    forged = node[:7] + "0" if forge == "non-positive a-node" else node + "0" * 7
+    records[at] = dict(records[at], node=forged)
+    assert [f for line, f in found(records) if line <= at + 1] == [field]
 
 
 def test_replay_check_split_suite(tmp_path):
