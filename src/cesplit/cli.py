@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 invariant violation or failed verification,
 2 usage errors: argparse's, among them a --depth that is not a
-non-negative perfect square and a negative --stages or --rounds, and a
---proc or --trace that names nothing usable, each with one line on
-stderr.  Identical invocations produce byte-identical traces; there is no
+non-negative perfect square, a negative count, size or set index, and a
+--jobs below 1, and a --proc or --trace that names nothing usable, each
+with one line on stderr.  Identical invocations produce byte-identical traces; there is no
 configuration outside the flags.
 """
 
@@ -158,14 +158,23 @@ def _depth_flag(text: str) -> int:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _count_flag(text: str) -> int:
-    """--stages' and --rounds' type: a count, 0 or more."""
-    try:
-        if int(text) >= 0:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"must be a count of 0 or more, not {text!r}")
+def _at_least(least: int, what: str):
+    """The type of an integer flag: a value below ``least`` is a usage error."""
+
+    def flag(text: str) -> int:
+        try:
+            if int(text) >= least:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what} of {least} or more, not {text!r}")
+
+    return flag
+
+
+_count_flag = _at_least(0, "a count")  # --stages, --rounds, the sizes and --breadth
+_index_flag = _at_least(0, "an index")  # the set indices
+_jobs_flag = _at_least(1, "a worker count")
 
 
 def _run_one_diagonalize(proc_name, proc, args):
@@ -266,25 +275,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--corpus", help="program corpus file (one program per line)")
-        p.add_argument("--corpus-size", type=int, default=32,
+        p.add_argument("--corpus-size", type=_count_flag, default=32,
                        help="size of the generated corpus when no file is given")
 
     p = sub.add_parser("enumerate", help="list one set's members by a stage bound")
     common(p)
-    p.add_argument("--index", type=int, required=True)
+    p.add_argument("--index", type=_index_flag, required=True)
     p.add_argument("--stages", type=_count_flag, required=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("corpus", help="emit a generated program corpus")
-    p.add_argument("--size", type=int, default=512)
+    p.add_argument("--size", type=_count_flag, default=512)
     p.add_argument("--out")
     p.set_defaults(func=cmd_corpus)
 
     p = sub.add_parser("split", help="run a splitting construction")
     common(p)
     p.add_argument("flavour", choices=["friedberg", "hk"])
-    p.add_argument("--index", type=int, default=0, help="input set index")
-    p.add_argument("--a-index", type=int, default=None,
+    p.add_argument("--index", type=_index_flag, default=0, help="input set index")
+    p.add_argument("--a-index", type=_index_flag, default=None,
                    help="the modulus set for hk splits (defaults to the input)")
     p.add_argument("--subset-scenario", action="store_true",
                    help="run the rigged listing with the input inside the modulus set")
@@ -296,10 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("flavour", choices=["build31", "shav"])
     p.add_argument("--stages", type=_count_flag, required=True)
-    p.add_argument("--breadth", type=int, default=16)
-    p.add_argument("--w", type=int, default=0)
-    p.add_argument("--y", type=int, default=2)
-    p.add_argument("--a-index", type=int, default=None)
+    p.add_argument("--breadth", type=_count_flag, default=16)
+    p.add_argument("--w", type=_index_flag, default=0)
+    p.add_argument("--y", type=_index_flag, default=2)
+    p.add_argument("--a-index", type=_index_flag, default=None)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("diagonalize", help="run the tree construction against h")
@@ -309,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", type=_count_flag, required=True)
     p.add_argument("--depth", type=_depth_flag, default=25)
     p.add_argument("--trace")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs_flag, default=1)
     p.set_defaults(func=cmd_diagonalize)
 
     p = sub.add_parser("verify", help="replay a trace file")

@@ -31,7 +31,9 @@ sets keep pace with their enumeration indices.  The kernel polls the brain
 only on the stages that start with an empty FIFO, and the brain's per-stage
 work follows what changed: it reads the log only when it advances, a T-counter
 is advanced only when its inputs moved, and a node tries to pull only when it
-holds two candidates.
+holds two candidates.  A marker table is rescanned only after a change its
+least dump can see: one among its first MARKER_WINDOW markers, or any change
+while its last scan still hung on the stage.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ from operator import attrgetter
 from typing import Callable, Optional
 
 from .geometry import (
-    ROOT, TreeError, ball_too_deep, can_pull, greatest_r_prefix, is_positive_a,
-    last_left_pass, least_dump, left_key, left_target, mask_bit, node_kind,
-    question_at, r_chain,
+    MARKER_WINDOW, ROOT, TreeError, ball_too_deep, can_pull, greatest_r_prefix,
+    is_positive_a, last_left_pass, least_dump, left_key, left_target, mask_bit,
+    node_kind, question_at, r_chain,
 )
 from .kernel import HostGenerator, Kernel, host_index
 
@@ -141,8 +143,8 @@ class _NodeState:
         "requests", "measure", "tmeasure", "measures", "tmeasures",
         "r_out", "rt_out", "r_index", "rt_index", "r_committed", "rt_committed",
         "r_sorted", "live_markers", "live_revs", "live_rt", "rt_subscribers",
-        "mids_subscribers", "needs_scan", "moved_marker_floor", "patch_cursor",
-        "cand_heap", "mids_pool", "left_cache", "balls",
+        "mids_subscribers", "needs_scan", "stage_bound", "moved_marker_floor",
+        "patch_cursor", "cand_heap", "mids_pool", "left_cache", "balls",
     )
 
     def __init__(self, address: str):
@@ -170,6 +172,10 @@ class _NodeState:
         self.rt_subscribers: list = []
         self.mids_subscribers: list = []
         self.needs_scan = False
+        # whether the next scan may differ from the last one with no change
+        # inside the window: never scanned, found a dump, or found none at a
+        # stage below the window's length
+        self.stage_bound = True
         self.moved_marker_floor = None  # least marker index moved this stage
         self.patch_cursor = 0
         self.cand_heap: list = []
@@ -361,8 +367,9 @@ class TreeRun:
                 # x enters idx once, so the bit is new
                 new = self.masks[x] = self.masks.get(x, 0) | bit
                 for state in self.marker_nodes.get(x, ()):
-                    state.live_revs[bisect_left(state.live_markers, x)] = new
-                    state.needs_scan = True
+                    k = bisect_left(state.live_markers, x)
+                    state.live_revs[k] = new
+                    self._table_changed(state, k)
 
     # -- chips and the walk -------------------------------------------------
 
@@ -568,9 +575,16 @@ class TreeRun:
         for node in state.mids_subscribers:
             insort(node.mids_pool, x)
 
+    def _table_changed(self, state: _NodeState, k: int) -> None:
+        """A node's marker table changed at position k: flag a scan if its
+        least dump can see the change."""
+        if k < MARKER_WINDOW or state.stage_bound:
+            state.needs_scan = True
+
     def _marker_moved(self, state: _NodeState, k: int) -> None:
         """A marker entered or left a node's table at position k."""
-        state.needs_scan = True
+        self._table_changed(state, k)
+        # at every k: _extra_dump's index can lie past the window
         if state.moved_marker_floor is None or k < state.moved_marker_floor:
             state.moved_marker_floor = k
             self._moved_nodes.append(state)
@@ -645,7 +659,11 @@ class TreeRun:
         state.needs_scan = False
         found = least_dump(state.live_revs, st)
         if found is None:
+            # past the window's length the stage bounds nothing, so this None
+            # holds until a mask or a marker inside the window changes
+            state.stage_bound = st < min(len(state.live_revs), MARKER_WINDOW)
             return
+        state.stage_bound = True
         e, i = found
         dumped = state.live_markers[e:i]
         self._emit_record(

@@ -200,16 +200,6 @@ def replay_hk(
 # -- evidence probes --------------------------------------------------------
 
 
-def covered_prefix(log: EventLog, indices, stage: int) -> int:
-    union = set()
-    for idx in indices:
-        union |= log.members_at(idx, stage)
-    n = 0
-    while n in union:
-        n += 1
-    return n
-
-
 def universe_frontier(log: EventLog, stage: int) -> int:
     """Largest element released by the stage; the scale coverage is judged on."""
     best = 0
@@ -241,20 +231,33 @@ def complement_witnesses(log: EventLog, half: int, S: int, J: int) -> list[Compl
     that still grew over the trailing window, and coverage keeping pace
     with the universe: the prefix must reach a fixed fraction of the
     largest element in play, otherwise the union has holes it never fills.
+    The half is read once per call, into an element -> entry stage map that
+    gives the clash and both covered prefixes with the log's own entry
+    stages; a W_j, which can be far larger, is read only at the half's
+    members and along the covered prefix.
     """
     out = []
     past_stage = S - trailing_window(S)
-    half_members = log.members_at(half, S)
+    half_in = {}
+    for t, x in log.entries(half):
+        if t > S:
+            break
+        half_in[x] = t
     frontier = universe_frontier(log, S)
+    member_by = log.member_by
     for j in range(J):
-        clash = half_members & log.members_at(j, S)
+        clash = [x for x in half_in if member_by(j, x, S)]
         if clash:
             x = min(clash)
-            stage = max(log.entry_stage(half, x), log.entry_stage(j, x))
-            out.append(ComplementEvidence(j, "refuted", stage, "intersects-half"))
+            out.append(ComplementEvidence(j, "refuted", max(half_in[x], log.entry_stage(j, x)),
+                                          "intersects-half"))
             continue
-        now = covered_prefix(log, (j, half), S)
-        past = covered_prefix(log, (j, half), past_stage)
+        now = 0
+        while now in half_in or member_by(j, now, S):
+            now += 1
+        past = 0
+        while half_in.get(past, S) <= past_stage or member_by(j, past, past_stage):
+            past += 1
         if now <= past:
             out.append(ComplementEvidence(j, "refuted", S, "coverage-stalled"))
         elif now * 8 < frontier:
@@ -280,35 +283,35 @@ def probe_friedberg(log: EventLog, a: int, a0: int, a1: int, S: int,
     The difference W_j - A_i can only fail to be c.e. by repeatedly losing
     elements, i.e. when W_j-then-A_i keeps growing.  A non-Friedberg
     signature for side i is: W_j-then-A still grows over the trailing
-    window while W_j-then-A_i does not.
+    window while W_j-then-A_i does not.  Each of A, A_0 and A_1 is read once
+    per call; the W_j, which can be far larger, are read only through the
+    entry stages of those sets' members.
     """
     past = S - trailing_window(S)
-    targets = tuple(enumerate((a, a0, a1)))
+    # |W_j-then-X| at S and at past for X = A, A_0, A_1 (setalg.before_then):
+    # x entered W_j at t and X at eb, t < eb
+    now = [[0] * J for _ in range(3)]
+    then = [[0] * J for _ in range(3)]
+    for now_x, then_x, idx in zip(now, then, (a, a0, a1)):
+        for eb, x in log.entries(idx):
+            if eb > S:
+                break
+            for j, t in log.containers_of(x).items():
+                if 0 <= j < J and t < eb:
+                    now_x[j] += 1
+                    if eb <= past:
+                        then_x[j] += 1
     out = []
     for j in range(J):
-        # |W_j-then-X| at S and at past for X = A, A_0, A_1 in one scan of
-        # W_j (setalg.before_then): x entered W_j at t and X at eb, t < eb
-        now = [0, 0, 0]
-        then = [0, 0, 0]
-        for t, x in log.entries(j):
-            if t > S:
-                break
-            containers = log.containers_of(x)
-            for k, idx in targets:
-                eb = containers.get(idx)
-                if eb is not None and t < eb <= S:
-                    now[k] += 1
-                    if eb <= past:
-                        then[k] += 1
-        recent = now[0] - then[0]
-        side_recent = (now[1] - then[1], now[2] - then[2])
+        recent = now[0][j] - then[0][j]
+        side_recent = (now[1][j] - then[1][j], now[2][j] - then[2][j])
         signature = None
         if recent > 0:
             if side_recent[0] == 0:
                 signature = 0
             elif side_recent[1] == 0:
                 signature = 1
-        out.append(FriedbergEvidence(j, now[0], recent, side_recent, signature))
+        out.append(FriedbergEvidence(j, now[0][j], recent, side_recent, signature))
     return out
 
 

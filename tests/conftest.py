@@ -1,6 +1,7 @@
 """Shared fixtures: scripted host sets, and per-generator poll records; the
-one-step machine oracles the tests check the kernel's bursts against; and
-the stagewise split verdict the one-pass split check is checked against."""
+one-step machine oracles the tests check the kernel's bursts against; the
+stagewise split verdict the one-pass split check is checked against; and the
+covered prefix the complement probe is checked against."""
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -61,6 +62,17 @@ def is_split(log, a, a0, a1, s, settle=1):
             missing.append(x)
     ok = not overlap and not extra and not missing
     return SplitVerdict(ok, s, tuple(overlap), tuple(extra), tuple(missing), tuple(settling))
+
+
+def covered_prefix(log, indices, stage):
+    """The least number that none of the sets holds by the stage."""
+    union = set()
+    for idx in indices:
+        union |= log.members_at(idx, stage)
+    n = 0
+    while n in union:
+        n += 1
+    return n
 
 
 def register_scripted(kernel, slot, emissions):

@@ -165,6 +165,27 @@ def test_bad_depth_is_usage_error(command, depth):
     assert "--depth" in proc.stderr and "Traceback" not in proc.stderr
 
 
+BOUNDED_FLAGS = [
+    (("enumerate", "--stages", "10"), "--index"),
+    (("split", "friedberg", "--stages", "10"), "--index"),
+    (("split", "hk", "--stages", "10"), "--a-index"),
+    (("enumerate", "--index", "0", "--stages", "10"), "--corpus-size"),
+    (("corpus",), "--size"),
+    (("witness", "build31", "--stages", "100"), "--breadth"),
+]
+
+
+def flag_ids(value):
+    return value if isinstance(value, str) else value[0]
+
+
+def assert_usage_error(proc, flag):
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag in errors[0] and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("command, flag", [
     (("enumerate", "--index", "0"), "--stages"),
     (("split", "friedberg"), "--stages"),
@@ -172,14 +193,25 @@ def test_bad_depth_is_usage_error(command, depth):
     (("diagonalize", "--proc", "hf"), "--stages"),
     (("iterate", "--stages", "100"), "--rounds"),
     (("iterate", "--rounds", "1"), "--stages"),
-], ids=lambda value: value if isinstance(value, str) else value[0])
+    *BOUNDED_FLAGS,
+    (("diagonalize", "--proc", "hf,trivial", "--stages", "10"), "--jobs"),
+], ids=flag_ids)
 def test_negative_count_is_usage_error(command, flag):
-    # a stage or round count is 0 or more; -1 used to exit 0, and diagonalize
-    # reported a verdict for a run that never stepped
-    proc = invoke(*command, flag, "-1")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert flag in proc.stderr and "Traceback" not in proc.stderr
+    # a count, a size or a set index is 0 or more and --jobs 1 or more; -1
+    # used to exit 0: diagonalize reported a verdict for a run that never
+    # stepped, an index named no set, a negative breadth was echoed back
+    assert_usage_error(invoke(*command, flag, "-1"), flag)
+
+
+@pytest.mark.parametrize("command, flag", BOUNDED_FLAGS, ids=flag_ids)
+def test_zero_index_or_size_runs(command, flag):
+    proc = invoke(*command, flag, "0")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_diagonalize_zero_jobs_is_usage_error():
+    assert_usage_error(invoke("diagonalize", "--proc", "hf,trivial", "--stages", "10",
+                              "--jobs", "0"), "--jobs")
 
 
 def test_diagonalize_depth_zero_runs():

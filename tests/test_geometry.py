@@ -232,3 +232,16 @@ def marker_tables(draw):
 def test_least_dump(case):
     table, stage = case
     assert least_dump(table, stage) == brute_least_dump(table, stage)
+
+
+@given(marker_tables(), st.integers(0, 2000),
+       st.lists(st.integers(0, (1 << E_WINDOW) - 1), max_size=3))
+def test_least_dump_reads_only_the_window(case, later, tail):
+    # the tree's scan gate rests on this: only the first MARKER_WINDOW masks
+    # count, and once the stage reaches the window's length it counts no more
+    table, stage = case
+    found = least_dump(table, stage)
+    if len(table) >= MARKER_WINDOW:
+        assert least_dump(table[:MARKER_WINDOW] + tail, stage) == found
+    if stage >= min(len(table), MARKER_WINDOW):
+        assert least_dump(table, stage + later) == found

@@ -4,8 +4,7 @@ from hypothesis import strategies as st
 
 from cesplit.kernel import EventLog
 from cesplit.setalg import ComputablePair, before, before_then, check_split_history
-from cesplit.verify import covered_prefix
-from conftest import is_split
+from conftest import covered_prefix, is_split
 
 A, B = 100, 101
 

@@ -3,9 +3,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cesplit import corpus
-from cesplit.geometry import greatest_r_prefix, is_left_of, is_positive_a, node_kind, question_at
+from cesplit.geometry import (
+    greatest_r_prefix, is_left_of, is_positive_a, least_dump, node_kind, question_at,
+)
 from cesplit.tree import (
     TreeError,
+    TreeRun,
     diagonalize,
     proc_broken,
     proc_friedberg,
@@ -293,6 +296,33 @@ def test_piece_pairs_stay_disjoint(hf_run):
         for s in (STAGES // 4, STAGES - 1):
             assert not log.members_at(state.r_index, s) & log.members_at(state.rt_index, s)
         assert state.r_committed & state.rt_committed == set()
+
+
+def test_window_gate_hides_no_dump(monkeypatch):
+    # a node whose last scan found no dump at a stage past its window's
+    # length is flagged only by changes inside the window; any node the gate
+    # left unflagged must still scan to no dump
+    maximal = TreeRun._maximal
+    last_scan = {}  # node -> its table after the stage it was last scanned
+    checked = skipped = 0
+
+    def audited(run, st):
+        nonlocal checked, skipped
+        for state in run._chain:
+            if state.needs_scan or state.stage_bound:
+                continue
+            checked += 1
+            assert least_dump(state.live_revs, st) is None, (st, state.address)
+            if (state.live_markers, state.live_revs) != last_scan[state]:
+                skipped += 1  # the table changed since, past the window only
+        scanned = [state for state in run._chain if state.needs_scan]
+        maximal(run, st)
+        for state in scanned:
+            last_scan[state] = (list(state.live_markers), list(state.live_revs))
+
+    monkeypatch.setattr(TreeRun, "_maximal", audited)
+    diagonalize(proc_friedberg, STAGES, collect_trace=False)
+    assert checked > 0 and skipped > 0
 
 
 def test_polled_only_when_due(polls):

@@ -12,9 +12,9 @@ from cesplit.kernel import EventLog, machine_index
 from cesplit.setalg import before_then
 from cesplit.tree import diagonalize, proc_friedberg
 from cesplit.verify import (
+    ComplementEvidence,
     FriedbergEvidence,
     complement_witnesses,
-    covered_prefix,
     probe_friedberg,
     replay_check,
     replay_friedberg,
@@ -30,6 +30,7 @@ from cesplit.trace import (
     split_events,
     write_trace,
 )
+from conftest import covered_prefix
 
 TEXTS = [corpus.HALT_ALL, corpus.HALT_EVEN, corpus.HALT_ODD, corpus.DIVERGE, corpus.HALT_SLOW]
 
@@ -327,6 +328,56 @@ def probe_cases(draw):
 def test_probe_friedberg_matches_before_then(case, J):
     log, (a, a0, a1), S = case
     assert probe_friedberg(log, a, a0, a1, S, J) == oracle_probe_friedberg(log, a, a0, a1, S, J)
+
+
+def oracle_complement_witnesses(log, half, S, J):
+    """complement_witnesses spelled with members_at and two covered prefixes
+    per W_j."""
+    out = []
+    past_stage = S - trailing_window(S)
+    half_members = log.members_at(half, S)
+    frontier = universe_frontier(log, S)
+    for j in range(J):
+        clash = half_members & log.members_at(j, S)
+        if clash:
+            x = min(clash)
+            stage = max(log.entry_stage(half, x), log.entry_stage(j, x))
+            out.append(ComplementEvidence(j, "refuted", stage, "intersects-half"))
+            continue
+        now = covered_prefix(log, (j, half), S)
+        past = covered_prefix(log, (j, half), past_stage)
+        if now <= past:
+            out.append(ComplementEvidence(j, "refuted", S, "coverage-stalled"))
+        elif now * 8 < frontier:
+            out.append(ComplementEvidence(j, "refuted", S, "coverage-gap"))
+        else:
+            out.append(ComplementEvidence(j, "live"))
+    return out
+
+
+@given(probe_cases(), st.integers(0, 9))
+def test_complement_witnesses_match_covered_prefix(case, J):
+    log, (half, _, _), S = case
+    assert complement_witnesses(log, half, S, J) == oracle_complement_witnesses(log, half, S, J)
+
+
+def test_probes_match_oracles_on_a_tree_log():
+    # the verdict's own calls, at its five checkpoints, on a depth-25 hf run
+    stages = 20_000
+    result = diagonalize(proc_friedberg, stages, collect_trace=False)
+    log, a, a0, a1 = result.kernel.log, result.e_a, result.e0, result.e1
+    probed = set()
+    for k in (80, 85, 90, 95, 100):
+        S = stages * k // 100 - 1
+        got = probe_friedberg(log, a, a0, a1, S, 8)
+        assert got == oracle_probe_friedberg(log, a, a0, a1, S, 8)
+        probed.update(ev.j for ev in got if ev.swallowed_total)
+        for half in (a0, a1):
+            got = complement_witnesses(log, half, S, 16)
+            assert got == oracle_complement_witnesses(log, half, S, 16)
+            probed.update(ev.reason for ev in got)
+    # the checkpoints exercise both probes beyond their empty cases
+    assert probed & set(range(8)) and {"intersects-half", "coverage-stalled"} <= probed
 
 
 def test_complement_witness_spec_shapes():
