@@ -48,6 +48,7 @@ the non-empty levels picks the level to serve.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -164,6 +165,11 @@ class EventLog:
 
     def events(self) -> Iterable[tuple[int, int, int]]:
         return zip(self._stages, self._indices, self._elements)
+
+    def frontier(self, stage: int) -> int:
+        """The largest element released by the stage, or 0 if none is above 0."""
+        released = self._elements[:bisect_right(self._stages, stage)]
+        return max(0, max(released, default=0))
 
     def since(self, start: int) -> Iterable[tuple[int, int, int]]:
         """(stage, index, element) of the events from position ``start`` on.

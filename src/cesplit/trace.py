@@ -5,11 +5,19 @@ One object per line, every record carrying an "op" field.  Event records
 decisions so a trace file replays on its own.  Files are byte-identical
 across runs with the same inputs: keys are sorted and separators fixed.
 
-Nearly every line is an event, so this module alone knows the canonical
-event line, ``{"e":E,"op":"event","s":S,"x":X}`` with integer fields, and
-writes and reads it by template.  Every other record, and every other
-spelling of an event, goes through the ``json`` module; the template gives
-the same bytes and the same dicts, only faster.
+Nearly every line is an event or a tree decision, so this module alone
+knows their canonical lines.  ``_SHAPES`` maps the event op and each tree
+decision op but ``meta`` (``f``, ``chip``, ``enter``, ``left``, ``void``,
+``pull``, ``patch``, ``dump-orig``, ``dump-extra``) to its sorted keys and
+line template, such as ``{"e":E,"op":"event","s":S,"x":X}``.  A record is
+written by its op's template only when it has exactly the op's keys, every
+integer field is of type int (not bool, not a subclass), every address
+(``node``, ``from``, ``to``, ``gamma``) is a string of 0s and 1s, and every
+list (``balls``, ``mid``) holds only such integers.  Every other record
+goes through the ``json`` module; a template gives the same bytes, only
+faster.  The reader takes the canonical event line by template and hands
+every other line to the ``json`` module, so it accepts any JSON spelling
+of any record and gives the same dicts either way.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Optional
 
 RECORD_OPS = {
@@ -38,8 +47,45 @@ class TraceError(Exception):
         return message if self.line is None else f"line {self.line}: {message}"
 
 
-_EVENT_LINE = '{"e":%d,"op":"event","s":%d,"x":%d}\n'
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+# A field's kind follows from its name: a node address (a string of 0s and
+# 1s, so nothing in it needs escaping), a list of integers, or an integer.
+_ADDRESSES = {"node", "from", "to", "gamma"}
+_LISTS = {"balls", "mid"}
+
+
+def _shape(op: str, *fields: str) -> tuple:
+    """A record shape: its size, a getter of its values in sorted key order,
+    their types, the positions of its addresses and lists, and its line."""
+    keys = sorted(fields)
+    kinds = tuple(str if k in _ADDRESSES else list if k in _LISTS else int for k in keys)
+    slots = {k: {int: "%d", str: '"%s"', list: "[%s]"}[kind] for k, kind in zip(keys, kinds)}
+    slots["op"] = '"%s"' % op
+    return (
+        len(keys) + 1,
+        itemgetter(*keys),
+        kinds,
+        tuple(i for i, kind in enumerate(kinds) if kind is str),
+        tuple(i for i, kind in enumerate(kinds) if kind is list),
+        "{%s}\n" % ",".join('"%s":%s' % (k, slots[k]) for k in sorted(slots)),
+    )
+
+
+# the records written by template, by op: the event and the tree decisions
+_SHAPES = {
+    "event": _shape("event", "s", "e", "x"),
+    "f": _shape("f", "s", "ks", "node"),
+    "chip": _shape("chip", "s", "node", "c"),
+    "enter": _shape("enter", "s", "x", "node"),
+    "left": _shape("left", "s", "from", "to", "balls"),
+    "void": _shape("void", "s", "node", "n"),
+    "pull": _shape("pull", "s", "ks", "node", "req", "x0", "x1", "mid"),
+    "patch": _shape("patch", "s", "node", "x"),
+    "dump-orig": _shape("dump-orig", "s", "ks", "node", "e", "i", "balls"),
+    "dump-extra": _shape("dump-extra", "s", "ks", "gamma", "node", "idx", "x"),
+}
+_EVENT_LINE = _SHAPES["event"][-1]  # '{"e":%d,"op":"event","s":%d,"x":%d}\n'
 
 # the spellings JSON accepts for an integer, and only those: [0-9], not \d
 _INT = r"(-?(?:0|[1-9][0-9]*))"
@@ -47,12 +93,43 @@ _EVENT_RE = re.compile(r'\{"e":%s,"op":"event","s":%s,"x":%s\}' % (_INT, _INT, _
 
 
 def _line(record: dict) -> str:
-    # four keys, three of them integers besides the op: no other key is left
-    if len(record) == 4 and record.get("op") == "event":
-        s, e, x = record.get("s"), record.get("e"), record.get("x")
-        if type(s) is int and type(e) is int and type(x) is int:
-            return _EVENT_LINE % (e, s, x)
+    op = record.get("op")
+    if op == "event":
+        # nearly every line of every trace, so its check is spelled out
+        if len(record) == 4:
+            s, e, x = record.get("s"), record.get("e"), record.get("x")
+            if type(s) is int and type(e) is int and type(x) is int:
+                return _EVENT_LINE % (e, s, x)
+    elif type(op) is str and op in _SHAPES:
+        line = _filled(_SHAPES[op], record)
+        if line is not None:
+            return line
     return _encode(record) + "\n"
+
+
+def _filled(shape: tuple, record: dict) -> Optional[str]:
+    """The shape's template filled from the record, or None unless the record
+    has exactly the shape's keys, integers of type int (not bool or a
+    subclass), addresses of 0s and 1s only, and lists of such integers."""
+    size, values_of, kinds, addresses, lists, template = shape
+    if len(record) != size:
+        return None
+    try:
+        values = values_of(record)
+    except KeyError:  # another key in place of one of the shape's
+        return None
+    if tuple(map(type, values)) != kinds:
+        return None
+    for i in addresses:
+        if values[i].strip("01"):
+            return None
+    if lists:
+        values = list(values)
+        for i in lists:
+            if not set(map(type, values[i])) <= {int}:
+                return None
+            values[i] = ",".join(map(str, values[i]))
+    return template % tuple(values)
 
 
 def write_trace(path, records: Iterable[dict]) -> None:
@@ -142,11 +219,8 @@ def _non_integer_event(records: list[dict], upto: int) -> TraceError:
     return TraceError("event record does not fit the log", upto)
 
 
-def event_records(log) -> Iterable[dict]:
-    for s, e, x in log.events():
-        yield {"op": "event", "s": s, "e": e, "x": x}
-
-
 def merge_for_file(log, decisions: list[dict]) -> list[dict]:
     """Events first, then decisions in order: a self-contained file."""
-    return list(event_records(log)) + list(decisions)
+    records = [{"op": "event", "s": s, "e": e, "x": x} for s, e, x in log.events()]
+    records += decisions
+    return records

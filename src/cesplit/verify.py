@@ -200,17 +200,6 @@ def replay_hk(
 # -- evidence probes --------------------------------------------------------
 
 
-def universe_frontier(log: EventLog, stage: int) -> int:
-    """Largest element released by the stage; the scale coverage is judged on."""
-    best = 0
-    for t, _, x in log.events():
-        if t > stage:
-            break
-        if x > best:
-            best = x
-    return best
-
-
 @dataclass
 class ComplementEvidence:
     j: int
@@ -243,7 +232,7 @@ def complement_witnesses(log: EventLog, half: int, S: int, J: int) -> list[Compl
         if t > S:
             break
         half_in[x] = t
-    frontier = universe_frontier(log, S)
+    frontier = log.frontier(S)  # the scale coverage is judged on
     member_by = log.member_by
     for j in range(J):
         clash = [x for x in half_in if member_by(j, x, S)]

@@ -1,7 +1,8 @@
 """Shared fixtures: scripted host sets, and per-generator poll records; the
 one-step machine oracles the tests check the kernel's bursts against; the
 stagewise split verdict the one-pass split check is checked against; and the
-covered prefix the complement probe is checked against."""
+covered prefix and the universe frontier the complement probe is checked
+against."""
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -73,6 +74,18 @@ def covered_prefix(log, indices, stage):
     while n in union:
         n += 1
     return n
+
+
+def universe_frontier(log, stage):
+    """The largest element released by the stage, by a walk of the whole
+    log; 0 when none is above 0."""
+    best = 0
+    for t, _, x in log.events():
+        if t > stage:
+            break
+        if x > best:
+            best = x
+    return best
 
 
 def register_scripted(kernel, slot, emissions):

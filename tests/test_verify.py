@@ -2,7 +2,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cesplit import corpus
@@ -19,7 +19,6 @@ from cesplit.verify import (
     replay_check,
     replay_friedberg,
     trailing_window,
-    universe_frontier,
 )
 from cesplit.trace import (
     RECORD_OPS,
@@ -30,7 +29,7 @@ from cesplit.trace import (
     split_events,
     write_trace,
 )
-from conftest import covered_prefix
+from conftest import covered_prefix, universe_frontier
 
 TEXTS = [corpus.HALT_ALL, corpus.HALT_EVEN, corpus.HALT_ODD, corpus.DIVERGE, corpus.HALT_SLOW]
 
@@ -46,8 +45,19 @@ def test_covered_prefix_and_frontier():
     log = scripted([(1, 5, 0), (2, 6, 1), (3, 5, 2), (4, 6, 9)])
     assert covered_prefix(log, (5, 6), 4) == 3
     assert covered_prefix(log, (5,), 4) == 1
-    assert universe_frontier(log, 4) == 9
-    assert universe_frontier(log, 2) == 1
+    assert [log.frontier(s) for s in range(6)] == [0, 0, 1, 2, 9, 9]
+    assert EventLog().frontier(5) == 0
+    assert scripted([(2, 5, -3), (3, 6, -1)]).frontier(3) == 0
+
+
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(-9, 40)), max_size=30), st.data())
+def test_frontier_matches_a_walk_of_the_log(steps, data):
+    log, stage = EventLog(), data.draw(st.integers(-5, 5))
+    for index, (gap, x) in enumerate(steps):
+        stage += gap
+        log.append(stage, index, x)
+    S = data.draw(st.integers(-10, stage + 2))
+    assert log.frontier(S) == universe_frontier(log, S)
 
 
 def test_replay_friedberg_flags_every_field():
@@ -133,8 +143,13 @@ def test_replay_check_split_suite(tmp_path):
     assert report["ok"]
 
 
-def test_trace_round_trip(tmp_path):
-    result = run_friedberg(TEXTS, machine_index(0), 2_000)
+@pytest.mark.parametrize("construction", ["friedberg", "tree"])
+def test_trace_round_trip(tmp_path, construction):
+    # the tree trace's decisions are written by template, and read back by json
+    if construction == "friedberg":
+        result = run_friedberg(TEXTS, machine_index(0), 2_000)
+    else:
+        result = diagonalize(proc_friedberg, 3000, depth=9)
     records = merge_for_file(result.kernel.log, result.trace)
     path = tmp_path / "t.jsonl"
     write_trace(path, records)
@@ -166,8 +181,88 @@ def event_shaped(draw):
     return record
 
 
+# the ops the writer has a template for, with their fields besides the op
+TEMPLATED = {
+    "event": ("s", "e", "x"),
+    "f": ("s", "ks", "node"),
+    "chip": ("s", "node", "c"),
+    "enter": ("s", "x", "node"),
+    "left": ("s", "from", "to", "balls"),
+    "void": ("s", "node", "n"),
+    "pull": ("s", "ks", "node", "req", "x0", "x1", "mid"),
+    "patch": ("s", "node", "x"),
+    "dump-orig": ("s", "ks", "node", "e", "i", "balls"),
+    "dump-extra": ("s", "ks", "gamma", "node", "idx", "x"),
+}
+
+
+def kind(name):
+    if name in ("node", "from", "to", "gamma"):
+        return "address"
+    return "list" if name in ("balls", "mid") else "int"
+
+
+exact_ints = st.one_of(st.integers(), st.integers(-(2**200), 2**200))
+EXACT = {
+    "int": exact_ints,
+    "address": st.text(st.sampled_from("01"), max_size=12),
+    "list": st.lists(exact_ints, max_size=4),
+}
+# values of each kind's field that a template must not take
+NEAR_MISSES = {
+    "int": [True, False, 1.0, float("nan"), "1", None, [1]],
+    "address": ['"', "\\", "0\u00e91", "2", "01x", "10 ", "\u2028", 1, None],
+    "list": [[1, True], [False], ["1"], [2, "0"], (1,), 1, "01"],
+}
+BENT = {
+    "int": st.one_of(st.sampled_from(NEAR_MISSES["int"]), st.floats(), tricky_text),
+    "address": st.one_of(st.sampled_from(NEAR_MISSES["address"]), tricky_text),
+    "list": st.one_of(st.sampled_from(NEAR_MISSES["list"]),
+                      st.lists(st.one_of(exact_ints, st.booleans(), tricky_text), max_size=4)),
+}
+
+
+@st.composite
+def decision_shaped(draw):
+    """A record of a templated op's shape, then bent in a place or two: a
+    field of the wrong kind, a key too many or too few, another op."""
+    op = draw(st.sampled_from(sorted(TEMPLATED)))
+    record = {"op": op}
+    for name in TEMPLATED[op]:
+        record[name] = draw(EXACT[kind(name)])
+    names = sorted({name for fields in TEMPLATED.values() for name in fields})
+    for twist in draw(st.lists(st.sampled_from(["value", "drop", "add", "op"]), max_size=2)):
+        if twist == "value":
+            name = draw(st.sampled_from(TEMPLATED[op]))
+            record[name] = draw(BENT[kind(name)])
+        elif twist == "drop" and record:
+            del record[draw(st.sampled_from(sorted(record)))]
+        elif twist == "add":
+            name = draw(st.one_of(st.sampled_from(names), tricky_text))
+            record[name] = draw(st.one_of(field_values, *EXACT.values()))
+        elif twist == "op":
+            record["op"] = draw(st.sampled_from(sorted(TEMPLATED) + ["meta", "Void", "évent"]))
+    return record
+
+
+def near_misses():
+    """Each templated op's record, then that record with one field bent to
+    each near miss of its kind, with a key too many and a key too few."""
+    out = []
+    for op, fields in TEMPLATED.items():
+        exact = {"op": op}
+        exact.update((name, {"int": 7, "address": "01", "list": [2, 3]}[kind(name)])
+                     for name in fields)
+        out.append(exact)
+        out += [dict(exact, **{name: bad}) for name in fields for bad in NEAR_MISSES[kind(name)]]
+        out.append(dict(exact, extra=0))
+        out += [{k: v for k, v in exact.items() if k != name} for name in fields]
+    return out
+
+
 @settings(max_examples=300)
-@given(st.lists(event_shaped(), max_size=6))
+@example(records=near_misses())
+@given(st.lists(st.one_of(event_shaped(), decision_shaped()), max_size=6))
 def test_written_lines_are_json_dumps(tmp_path_factory, records):
     path = tmp_path_factory.getbasetemp() / "written.jsonl"
     write_trace(path, records)
