@@ -8,6 +8,7 @@ behaviour, which then says so.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from cesplit import corpus, tree
 from cesplit.friedberg import run_friedberg
 from cesplit.kernel import Kernel, machine_index
 from cesplit.trace import merge_for_file, write_trace
+from cesplit.verify import replay_check
 from cesplit.tree import PROCEDURES, diagonalize, iterate_splitting_procedures, proc_friedberg
 from cesplit.witness import run_parity_witness, shav_split, shavrukov_pair
 
@@ -30,6 +32,30 @@ def test_tree_trace_pinned(tmp_path):
     assert trace_sha256(tmp_path, result.kernel.log, result.trace) == (
         "1f3f6b1b14155c9e581351e48c4f42a621bc3bab3e53aa9b0fca630ce7ec11e5"
     )
+
+
+# Corpora 102 and 148 of perfbench's ``make_inputs("diagonalize", seed)``: at
+# 2e4 stages they are the only pinned runs that write ``dump-extra`` records
+# (3 and 2).  The replay disputes the index of some of them, listed here as
+# (got, want, record position); ROADMAP item 2, which settles the extra-dump
+# rule, empties these lists.
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("seed, digest, disputed", [
+    (102, "7092097d846ba7a98e0e1a02b83f606ffb5e63a858c6b8cfa748d0fc7ca3a836",
+     [(19, 2768, 33026), (20, 3048, 33041)]),
+    (148, "5af9fdefa6f14005cbe33ccc964a9bbf3f9da4c5c10f911f96935ada412b8d6c",
+     [(7, 2810, 31823), (8, 2811, 31837)]),
+])
+def test_extra_dump_trace_pinned(tmp_path, seed, digest, disputed):
+    texts = corpus.load_corpus(DATA / f"diagonalize_seed{seed}.txt")
+    result = diagonalize(PROCEDURES["hf"], 20_000, depth=25, corpus_texts=texts)
+    assert any(r["op"] == "dump-extra" for r in result.trace)
+    assert trace_sha256(tmp_path, result.kernel.log, result.trace) == digest
+    report = replay_check(merge_for_file(result.kernel.log, result.trace))
+    assert [d["field"] for d in report["divergences"]] == ["extra-index"] * len(disputed)
+    assert [(d["got"], d["want"], d["line"]) for d in report["divergences"]] == disputed
 
 
 @pytest.mark.parametrize("proc, digest", [
