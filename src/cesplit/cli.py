@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 invariant violation or failed verification,
 2 usage errors: argparse's, among them a --depth that is not a
 non-negative perfect square, a negative count, size or set index, and a
---jobs below 1, and a --proc or --trace that names nothing usable, each
-with one line on stderr.  Identical invocations produce byte-identical traces; there is no
+--jobs below 1; a --proc or --trace that names nothing usable; and
+--a-index or --subset-scenario on a friedberg split; each with one line on
+stderr.  Identical invocations produce byte-identical traces; there is no
 configuration outside the flags.
 """
 
@@ -58,6 +59,11 @@ def cmd_corpus(args) -> int:
 def cmd_split(args) -> int:
     texts = _load_corpus(args)
     if args.flavour == "friedberg":
+        for flag, given in (("--a-index", args.a_index is not None),
+                            ("--subset-scenario", args.subset_scenario)):
+            if given:
+                sys.stderr.write(f"{flag} applies to hk splits only\n")
+                return 2
         result = run_friedberg(texts, args.index, args.stages)
     elif args.subset_scenario:
         result = run_subset_scenario(args.stages)

@@ -144,17 +144,13 @@ def ball_too_deep(x: int, node: str) -> bool:
     return len(node) > max(1, x * x)
 
 
-def last_left_pass(history: list, node: str, start: int = 0, best: int = 0) -> int:
-    """Greatest stage of a (stage, f) history at which f ran left of node.
-
-    ``start`` and ``best`` resume an earlier scan: ``best`` is the answer
-    for ``history[:start]``, and the answer when no later entry qualifies.
-    """
-    for i in range(start, len(history)):
-        st, f = history[i]
+def last_left_pass(history: list, node: str) -> int:
+    """The stage of the latest entry of a (stage, f) history at which f ran
+    left of node, or 0 when none did."""
+    for st, f in reversed(history):
         if is_left_of(f, node):
-            best = st
-    return best
+            return st
+    return 0
 
 
 @dataclass(frozen=True)

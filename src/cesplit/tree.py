@@ -39,6 +39,7 @@ while its last scan still hung on the stage.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from heapq import heapify, heappop, heappush
 from math import isqrt
@@ -56,38 +57,6 @@ FEEDER_PACE = 4  # the background universe set emits every 4th stage
 SPECTRUM_PACE = 16  # each blocky background set emits every 16th stage
 
 _KEY = attrgetter("key")
-
-
-class _RangeQueue:
-    """Pending request stages stored as merged [start, end] ranges."""
-
-    __slots__ = ("ranges", "count")
-
-    def __init__(self):
-        self.ranges: list = []
-        self.count = 0
-
-    def push(self, stage: int) -> None:
-        if self.ranges and self.ranges[-1][1] + 1 == stage:
-            self.ranges[-1][1] = stage
-        else:
-            self.ranges.append([stage, stage])
-        self.count += 1
-
-    def pop_least(self) -> int:
-        start, end = self.ranges[0]
-        if start == end:
-            self.ranges.pop(0)
-        else:
-            self.ranges[0][0] = start + 1
-        self.count -= 1
-        return start
-
-    def void(self) -> int:
-        n = self.count
-        self.ranges = []
-        self.count = 0
-        return n
 
 
 class _Measure:
@@ -142,9 +111,9 @@ class _NodeState:
         "address", "key", "kind", "positive", "requesting", "kids", "chip_snapshot",
         "requests", "measure", "tmeasure", "measures", "tmeasures",
         "r_out", "rt_out", "r_index", "rt_index", "r_committed", "rt_committed",
-        "r_sorted", "live_markers", "live_revs", "live_rt", "rt_subscribers",
+        "r_sorted", "live_markers", "live_rt", "rt_subscribers",
         "mids_subscribers", "needs_scan", "stage_bound", "moved_marker_floor",
-        "patch_cursor", "cand_heap", "mids_pool", "left_cache", "balls",
+        "patch_cursor", "cand_heap", "mids_pool", "balls",
     )
 
     def __init__(self, address: str):
@@ -156,7 +125,7 @@ class _NodeState:
         self.requesting = self.kind == "r" or self.positive
         self.kids: list = [None, None]  # the states at address+"0" and +"1", once walked
         self.chip_snapshot = 0
-        self.requests = _RangeQueue()
+        self.requests: deque = deque()  # pending request stages, pushed in stage order
         self.measure = None
         self.tmeasure = None
         self.measures: dict = {}  # j -> the measure over this tilde piece
@@ -167,7 +136,6 @@ class _NodeState:
         self.rt_committed: set = set()
         self.r_sorted: list = []
         self.live_markers: list = []
-        self.live_revs: list = []
         self.live_rt: list = []
         self.rt_subscribers: list = []
         self.mids_subscribers: list = []
@@ -180,7 +148,6 @@ class _NodeState:
         self.patch_cursor = 0
         self.cand_heap: list = []
         self.mids_pool: list = []  # 1-ending R-nodes: consumable bystander pool
-        self.left_cache = (0, 0)  # (f-history index checked, best left-pass stage)
         self.balls: set = set()  # the on-machine balls sitting here
 
 
@@ -365,11 +332,9 @@ class TreeRun:
             bit = mask_bit(idx)
             if bit:
                 # x enters idx once, so the bit is new
-                new = self.masks[x] = self.masks.get(x, 0) | bit
+                self.masks[x] = self.masks.get(x, 0) | bit
                 for state in self.marker_nodes.get(x, ()):
-                    k = bisect_left(state.live_markers, x)
-                    state.live_revs[k] = new
-                    self._table_changed(state, k)
+                    self._table_changed(state, bisect_left(state.live_markers, x))
 
     # -- chips and the walk -------------------------------------------------
 
@@ -444,9 +409,10 @@ class TreeRun:
             if state.address.startswith(f):
                 kept.append(state)
                 continue
-            voided = state.requests.void()
-            if voided and self.collect_trace:
-                self._emit_record({"op": "void", "s": st, "node": state.address, "n": voided})
+            if self.collect_trace:
+                self._emit_record({"op": "void", "s": st, "node": state.address,
+                                   "n": len(state.requests)})
+            state.requests.clear()
         self._requesting = kept
         # relocate balls at strictly left-passed nodes; each target is a
         # prefix of f, so it sits left of every node moved from
@@ -530,8 +496,8 @@ class TreeRun:
                 heappush(heap, x)  # still eligible, waiting for a partner
             return False
         x0, x1 = picked
-        request = state.requests.pop_least()
-        if not state.requests.count:
+        request = state.requests.popleft()
+        if not state.requests:
             del self._requesting[bisect_left(self._requesting, state.key, key=_KEY)]
         mids = [y for y in self._intermediates(state, x1) if y != x0]
         for x in (x0, x1, *mids):
@@ -609,7 +575,6 @@ class TreeRun:
             if x not in self.a_committed:
                 k = bisect_left(state.live_markers, x)
                 state.live_markers.insert(k, x)
-                state.live_revs.insert(k, self.masks.get(x, 0))
                 self._marker_moved(state, k)
                 self.marker_nodes.setdefault(x, []).append(state)
 
@@ -624,7 +589,6 @@ class TreeRun:
         for holder in self.marker_nodes.pop(x):
             k = bisect_left(holder.live_markers, x)
             del holder.live_markers[k]
-            del holder.live_revs[k]
             self._marker_moved(holder, k)
 
     def _patch_node(self, state: _NodeState) -> None:
@@ -657,11 +621,13 @@ class TreeRun:
     def _maximal_scan(self, st: int, state: _NodeState) -> None:
         """One original dump: raise the least marker's state when possible."""
         state.needs_scan = False
-        found = least_dump(state.live_revs, st)
+        masks = self.masks
+        revs = [masks.get(x, 0) for x in state.live_markers[:MARKER_WINDOW]]
+        found = least_dump(revs, st)
         if found is None:
             # past the window's length the stage bounds nothing, so this None
             # holds until a mask or a marker inside the window changes
-            state.stage_bound = st < min(len(state.live_revs), MARKER_WINDOW)
+            state.stage_bound = st < len(revs)
             return
         state.stage_bound = True
         e, i = found
@@ -688,15 +654,11 @@ class TreeRun:
         q = question_at(f[:-1])
         if q.kind != "T":
             return
-        history = self._f_history
         for target in self._chain:
             if target.address == q.base:
                 continue
             # the last stage the path ran left of the dumped piece's node
-            start, best = target.left_cache
-            best = last_left_pass(history, target.address, start, best)
-            target.left_cache = (len(history), best)
-            t = max(len(f), best)
+            t = max(len(f), last_left_pass(self._f_history, target.address))
             if t >= len(target.live_markers):
                 continue
             moved = target.moved_marker_floor
@@ -733,9 +695,9 @@ class TreeRun:
             self._emit_record({"op": "f", "s": st, "ks": stage, "node": f})
             self._f_history.append((st, f))
         for state in self._requesters:
-            if not state.requests.count:
+            if not state.requests:
                 insort(self._requesting, state, key=_KEY)
-            state.requests.push(st)
+            state.requests.append(st)
         self.f = f
         self.f_kernel_stage = stage
         self._endpoint_history.append((stage, self.nodes[f].positive))
@@ -907,26 +869,19 @@ def diagonalize(proc: Callable, stages: int, depth: int = 25,
 
 def iterate_splitting_procedures(proc: Callable, rounds: int, stages: int,
                                  depth: int = 25, corpus_texts=None) -> list[dict]:
-    """Round-by-round diagonalization with per-round patched procedures.
+    """Round-by-round diagonalization of one procedure.
 
-    Each round pins the previous round's constructed index to its own
-    non-Friedberg witness pair; fresh slot bases keep the constructed
-    indices pairwise distinct.
+    Each round is an independent run in a fresh kernel; fresh slot bases keep
+    the constructed indices pairwise distinct.  A round's witness pair is
+    reported, not fed to a later round: in the next round's kernel its
+    indices name other sets.
     """
-    patched: dict[int, tuple[int, int]] = {}
-    current = proc
     out = []
     for i in range(rounds):
-        def h(kernel, e, _inner=current, _patched=dict(patched)):
-            if e in _patched:
-                return _patched[e]
-            return _inner(kernel, e)
-
         result = diagonalize(
-            h, stages, depth, corpus_texts,
+            proc, stages, depth, corpus_texts,
             slot_base=1 + 50 * i, collect_trace=False, with_witness_split=True,
         )
-        patched[result.e_a] = result.witness_halves
         out.append(
             {
                 "round": i,
@@ -939,7 +894,6 @@ def iterate_splitting_procedures(proc: Callable, rounds: int, stages: int,
                 "violations": len(result.violations),
             }
         )
-        current = h
     return out
 
 

@@ -149,10 +149,10 @@ def register_paced_pair(kernel: Kernel, predicate, pace: int = 2) -> ComputableP
     return ComputablePair(pos, neg)
 
 
-def run_parity_witness(corpus_texts, stages: int, pace: int = 3) -> WitnessBundle:
-    """The canonical scenario: R = evens via a paced host pair."""
+def run_parity_witness(corpus_texts, stages: int) -> WitnessBundle:
+    """The canonical scenario: R = evens via a host pair paced every third stage."""
     kernel = Kernel(corpus_texts)
-    pair = register_paced_pair(kernel, lambda n: n % 2 == 0, pace)
+    pair = register_paced_pair(kernel, lambda n: n % 2 == 0, 3)
     bundle = build_split_witness(kernel, pair)
     kernel.run_to(stages)
     return bundle

@@ -35,6 +35,17 @@ def test_split_friedberg_zero_stages():
     assert payload["routed"] == 0
 
 
+@pytest.mark.parametrize("flag", [("--a-index", "5"), ("--subset-scenario",)],
+                         ids=["--a-index", "--subset-scenario"])
+def test_hk_flag_on_friedberg_split_is_usage_error(flag):
+    # both used to exit 0 after a plain Friedberg split that ignored them
+    proc = invoke("split", "friedberg", *flag, "--stages", "100")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and flag[0] in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_split_trace_and_verify_round_trip(tmp_path):
     path = tmp_path / "fried.jsonl"
     proc = invoke(

@@ -149,13 +149,10 @@ histories = st.lists(addresses, max_size=12).map(
 )
 
 
-@given(histories, addresses, st.integers(min_value=0, max_value=13))
-def test_last_left_pass(history, node, split):
+@given(histories, addresses)
+def test_last_left_pass(history, node):
     want = max((s for s, f in history if brute_left_of(f, node)), default=0)
     assert last_left_pass(history, node) == want
-    split = min(split, len(history))
-    earlier = last_left_pass(history[:split], node)
-    assert last_left_pass(history, node, split, earlier) == want
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 20)), max_size=40))

@@ -5,7 +5,8 @@ classes, is used by code outside the tests.
 A helper whose only caller is a test gets a real caller or is deleted, and
 its test moves with it.  Names count when code uses them (a name, an
 attribute, an import) anywhere in src/, demos/ or perfbench/ other than the
-statement that defines them; test files there do not count.  A method or
+statement that defines them; test files there do not count, and neither does
+the package's ``__init__``, whose re-exports call nothing.  A method or
 property counts when such code reads its name as an attribute.
 """
 
@@ -16,6 +17,14 @@ from pathlib import Path
 REPO = Path(__file__).parents[1]
 PACKAGE = REPO / "src" / "cesplit"
 CALLERS = [REPO / "src", REPO / "demos", REPO / "perfbench"]
+
+
+def caller_files():
+    """The files whose code counts as a use: no tests, no re-exports."""
+    for root in CALLERS:
+        for path in sorted(root.rglob("*.py")):
+            if not path.name.startswith("test_") and path != PACKAGE / "__init__.py":
+                yield path
 
 
 def defined_names(statement):
@@ -47,15 +56,12 @@ def used_names(statement):
 def test_every_public_name_has_a_caller_outside_the_tests():
     uses = Counter()  # name -> module-level statements that mention it
     definitions = []
-    for root in CALLERS:
-        for path in sorted(root.rglob("*.py")):
-            if path.name.startswith("test_"):
-                continue
-            for statement in ast.parse(path.read_text(encoding="utf-8")).body:
-                uses.update(used_names(statement))
-                if path.parent == PACKAGE:
-                    definitions += [(path.name, name, statement)
-                                    for name in defined_names(statement)]
+    for path in caller_files():
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            uses.update(used_names(statement))
+            if path.parent == PACKAGE:
+                definitions += [(path.name, name, statement)
+                                for name in defined_names(statement)]
     assert len(definitions) > 50
     orphans = [f"{module}: {name}" for module, name, statement in definitions
                if uses[name] - (name in used_names(statement)) == 0]
@@ -73,16 +79,13 @@ def public_members(statement):
 def test_every_public_method_has_a_caller_outside_the_tests():
     attributes = set()
     members = []
-    for root in CALLERS:
-        for path in sorted(root.rglob("*.py")):
-            if path.name.startswith("test_"):
-                continue
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            attributes.update(node.attr for node in ast.walk(tree)
-                              if isinstance(node, ast.Attribute))
-            if path.parent == PACKAGE:
-                members += [(path.name, statement.name, name) for statement in tree.body
-                            for name in public_members(statement)]
+    for path in caller_files():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        attributes.update(node.attr for node in ast.walk(tree)
+                          if isinstance(node, ast.Attribute))
+        if path.parent == PACKAGE:
+            members += [(path.name, statement.name, name) for statement in tree.body
+                        for name in public_members(statement)]
     assert len(members) > 20
     orphans = [f"{module}: {cls}.{name}" for module, cls, name in members
                if name not in attributes]

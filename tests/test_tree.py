@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from cesplit import corpus
 from cesplit.geometry import (
-    greatest_r_prefix, is_left_of, is_positive_a, least_dump, node_kind, question_at,
+    greatest_r_prefix, is_left_of, is_positive_a, least_dump, mask_bit, node_kind,
+    question_at,
 )
 from cesplit.tree import (
     TreeError,
@@ -216,6 +217,14 @@ def assert_ball_ledger(run):
     assert run._ball_nodes == holders
     # the root's tilde pool is every ball that entered, dumped ones included
     assert run.nodes[""].live_rt == list(range(run.tree_stage))
+    # a node's pending requests are stages it was on the path, oldest first,
+    # and the run's index lists exactly the nodes that hold some
+    for state in run.nodes.values():
+        pending = list(state.requests)
+        assert all(a < b for a, b in zip(pending, pending[1:])), state.address
+        assert all(stage <= run.tree_stage for stage in pending), state.address
+    assert run._requesting == sorted(
+        (state for state in run.nodes.values() if state.requests), key=lambda state: state.key)
 
 
 def test_ball_ledger(hf_run):
@@ -224,17 +233,29 @@ def test_ball_ledger(hf_run):
 
 def test_ball_ledger_at_depth_9():
     run = diagonalize(proc_friedberg, 3000, depth=9).run
-    assert run.a_committed and len(run._ball_nodes) > 1
+    assert run.a_committed and len(run._ball_nodes) > 1 and run._requesting
     assert_ball_ledger(run)
     assert_marker_ledger(run)
 
 
+def marker_revs(run, state):
+    """The masks a scan of a node's marker table reads, in table order."""
+    return [run.masks.get(x, 0) for x in state.live_markers]
+
+
 def assert_marker_ledger(run):
-    # a marker table's masks are the run's masks, and the reverse map lists
-    # exactly the live markers, each with the states whose tables hold it
+    # the run's masks are the log's: a ball's mask has the bit of every W_idx
+    # it entered among the events the brain has read, and no ball has an
+    # entry without a bit
+    masks = {}
+    for _, idx, x in list(run.kernel.log.events())[:run._cursor]:
+        if mask_bit(idx):
+            masks[x] = masks.get(x, 0) | mask_bit(idx)
+    assert run.masks == masks
+    # the reverse map lists exactly the live markers, each with the states
+    # whose tables hold it
     reverse = {}
     for state in run.nodes.values():
-        assert state.live_revs == [run.masks.get(x, 0) for x in state.live_markers]
         for x in state.live_markers:
             reverse.setdefault(x, []).append(state)
     assert {x: sorted(s.address for s in states) for x, states in reverse.items()} == {
@@ -312,13 +333,14 @@ def test_window_gate_hides_no_dump(monkeypatch):
             if state.needs_scan or state.stage_bound:
                 continue
             checked += 1
-            assert least_dump(state.live_revs, st) is None, (st, state.address)
-            if (state.live_markers, state.live_revs) != last_scan[state]:
+            revs = marker_revs(run, state)
+            assert least_dump(revs, st) is None, (st, state.address)
+            if (state.live_markers, revs) != last_scan[state]:
                 skipped += 1  # the table changed since, past the window only
         scanned = [state for state in run._chain if state.needs_scan]
         maximal(run, st)
         for state in scanned:
-            last_scan[state] = (list(state.live_markers), list(state.live_revs))
+            last_scan[state] = (list(state.live_markers), marker_revs(run, state))
 
     monkeypatch.setattr(TreeRun, "_maximal", audited)
     diagonalize(proc_friedberg, STAGES, collect_trace=False)
