@@ -29,9 +29,9 @@ from .witness import run_parity_witness
 
 
 def _load_corpus(args) -> list[str]:
-    if getattr(args, "corpus", None):
+    if args.corpus:
         return corpus_mod.load_corpus(args.corpus)
-    return corpus_mod.make_corpus(getattr(args, "corpus_size", 32))
+    return corpus_mod.make_corpus(args.corpus_size)
 
 
 def _emit(payload) -> None:

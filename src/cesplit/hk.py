@@ -39,12 +39,11 @@ from .pairing import pair, unpair
 
 class _TripleState:
     __slots__ = (
-        "code", "e", "j", "i", "y_idx", "z_idx", "bi_idx", "a_idx",
+        "e", "j", "i", "y_idx", "z_idx", "bi_idx", "a_idx",
         "r_hist", "statuses", "min_cache", "last_change",
     )
 
     def __init__(self, code, e, j, i, y_idx, z_idx, bi_idx, a_idx):
-        self.code = code
         self.e = e
         self.j = j
         self.i = i

@@ -15,7 +15,9 @@ Each question node owns a chip counter: a monotone count of expansionary
 events whose unboundedness would answer the question positively.  The path
 approximation f_s walks from the root, branching 1 exactly when a chip
 changed since the node was last on the path, and stops at positive A-nodes
-or at the depth cap min(s*s, depth_bound).
+or at the depth cap min(s*s, depth_bound).  The cap never shrinks and a node's
+positivity is its address's, so f only deepens or moves sideways: no node
+extends f, and every node right of f is one that f passed on the left.
 
 Balls enter at the depth-1 node of the current path, one per tree stage, and
 move only left (when the path passes them) or via pulls.  A ball lives in its
@@ -112,7 +114,7 @@ class _NodeState:
         "requests", "measure", "tmeasure", "measures", "tmeasures",
         "r_out", "rt_out", "r_index", "rt_index", "r_committed", "rt_committed",
         "r_sorted", "live_markers", "live_rt", "rt_subscribers",
-        "mids_subscribers", "needs_scan", "stage_bound", "moved_marker_floor",
+        "mids_subscribers", "needs_scan", "stage_bound", "moved",
         "patch_cursor", "cand_heap", "mids_pool", "balls",
     )
 
@@ -144,7 +146,8 @@ class _NodeState:
         # inside the window: never scanned, found a dump, or found none at a
         # stage below the window's length
         self.stage_bound = True
-        self.moved_marker_floor = None  # least marker index moved this stage
+        # (tree stage, least marker index moved in it); no brain runs stage 0
+        self.moved = (0, 0)
         self.patch_cursor = 0
         self.cand_heap: list = []
         self.mids_pool: list = []  # 1-ending R-nodes: consumable bystander pool
@@ -205,13 +208,11 @@ class TreeRun:
         self.a_order: list = []
         self.masks: dict[int, int] = {}
         self.marker_nodes: dict[int, list] = {}  # live marker -> the states listing it
-        self._ball_nodes: list = []     # ball-holding states, in left order
-        self._requesting: list = []     # request-holding states, in left order
+        self._left_order: list = []  # the requesting states, in left order
         self._chain: list = []       # states of f's R-nodes, shallowest first
         self._requesters: list = []  # states of f's requesting prefixes
         self._f_history: list = [(0, ROOT)]  # (tree stage, f) on change
         self.tmeasures_by_index: dict[int, list] = {}  # by j_index and by eb_index
-        self._moved_nodes: list = []
         self._cursor = 0
         self._endpoint_history: list = []  # (kernel_stage, f is a positive A-node)
         self._make_node(ROOT)
@@ -275,6 +276,7 @@ class TreeRun:
             # absorb any casualties that predate this node
             self._patch_node(state)
         if state.requesting:
+            insort(self._left_order, state, key=_KEY)
             self._seed_candidates(state)
         return state
 
@@ -400,25 +402,22 @@ class TreeRun:
     # -- sweeping right of the path -----------------------------------------
 
     def _sweep_right(self, st: int, f: str) -> None:
-        fkey = left_key(f)
-        # void requests at strictly left-passed nodes
-        requesting = self._requesting
-        i = bisect_right(requesting, fkey, key=_KEY)
-        kept = requesting[:i]
-        for state in requesting[i:]:
-            if state.address.startswith(f):
-                kept.append(state)
+        # the nodes f passed on the left; only requesting nodes hold requests,
+        # and once f can move only they hold balls
+        order = self._left_order
+        passed = order[bisect_right(order, left_key(f), key=_KEY):]
+        # void their requests
+        for state in passed:
+            if state.requests:
+                if self.collect_trace:
+                    self._emit_record({"op": "void", "s": st, "node": state.address,
+                                       "n": len(state.requests)})
+                state.requests.clear()
+        # relocate their balls; each target is a prefix of f, so it sits left
+        # of every node moved from
+        for state in passed:
+            if not state.balls:
                 continue
-            if self.collect_trace:
-                self._emit_record({"op": "void", "s": st, "node": state.address,
-                                   "n": len(state.requests)})
-            state.requests.clear()
-        self._requesting = kept
-        # relocate balls at strictly left-passed nodes; each target is a
-        # prefix of f, so it sits left of every node moved from
-        i = bisect_right(self._ball_nodes, fkey, key=_KEY)
-        moved = [state for state in self._ball_nodes[i:] if not state.address.startswith(f)]
-        for state in moved:
             balls = sorted(state.balls)
             target = self.nodes[left_target(f, state.address)]
             for x in balls:
@@ -435,8 +434,6 @@ class TreeRun:
         if self.positions.get(x) == address:
             return
         self._lift(x)
-        if not state.balls:
-            insort(self._ball_nodes, state, key=_KEY)
         state.balls.add(x)
         self.positions[x] = address
         if ball_too_deep(x, address):
@@ -447,10 +444,7 @@ class TreeRun:
         address = self.positions.pop(x, None)
         if address is None:
             return
-        state = self.nodes[address]
-        state.balls.discard(x)
-        if not state.balls:
-            del self._ball_nodes[bisect_left(self._ball_nodes, state.key, key=_KEY)]
+        self.nodes[address].balls.discard(x)
 
     def _ball_entry(self, st: int, f: str) -> None:
         ball = st - 1
@@ -462,7 +456,9 @@ class TreeRun:
     # -- pulling --------------------------------------------------------------
 
     def _pull(self, st: int) -> None:
-        for state in self._requesting:
+        for state in self._left_order:
+            if not state.requests:
+                continue
             heap = state.cand_heap
             if len(heap) < 2:
                 # a lone candidate waits for a partner.  An attempt would drop
@@ -472,7 +468,7 @@ class TreeRun:
                     heap.clear()
                 continue
             if self._try_pull_at(st, state):
-                return  # only now is _requesting changed
+                return
 
     def _pullable(self, state: _NodeState, x: int) -> bool:
         """Whether the node may pull ball x.  A no is permanent: x is at most the node's
@@ -497,8 +493,6 @@ class TreeRun:
             return False
         x0, x1 = picked
         request = state.requests.popleft()
-        if not state.requests:
-            del self._requesting[bisect_left(self._requesting, state.key, key=_KEY)]
         mids = [y for y in self._intermediates(state, x1) if y != x0]
         for x in (x0, x1, *mids):
             self._place(x, state)
@@ -551,9 +545,9 @@ class TreeRun:
         """A marker entered or left a node's table at position k."""
         self._table_changed(state, k)
         # at every k: _extra_dump's index can lie past the window
-        if state.moved_marker_floor is None or k < state.moved_marker_floor:
-            state.moved_marker_floor = k
-            self._moved_nodes.append(state)
+        st = self.tree_stage
+        if state.moved[0] != st or k < state.moved[1]:
+            state.moved = (st, k)
 
     def _commit(self, state: _NodeState, x: int, tilde: bool) -> None:
         if tilde:
@@ -651,18 +645,17 @@ class TreeRun:
         state = self.nodes[f]
         if not state.positive:
             return
-        q = question_at(f[:-1])
-        if q.kind != "T":
-            return
+        # f's depth is not a square, so the question above it is a T question
+        base = question_at(f[:-1]).base
         for target in self._chain:
-            if target.address == q.base:
+            if target.address == base:
                 continue
             # the last stage the path ran left of the dumped piece's node
             t = max(len(f), last_left_pass(self._f_history, target.address))
             if t >= len(target.live_markers):
                 continue
-            moved = target.moved_marker_floor
-            if moved is not None and moved <= t:
+            stage, floor = target.moved
+            if stage == st and floor <= t:
                 continue  # this stage's movement already did the job
             x = target.live_markers[t]
             self._emit_record(
@@ -686,17 +679,12 @@ class TreeRun:
             return ()
         st = self.tree_stage + 1
         self.tree_stage = st
-        for node in self._moved_nodes:
-            node.moved_marker_floor = None
-        self._moved_nodes = []
         f = self._compute_f(st)
         f_changed = f != self.f
         if f_changed:
             self._emit_record({"op": "f", "s": st, "ks": stage, "node": f})
             self._f_history.append((st, f))
         for state in self._requesters:
-            if not state.requests:
-                insort(self._requesting, state, key=_KEY)
             state.requests.append(st)
         self.f = f
         self.f_kernel_stage = stage

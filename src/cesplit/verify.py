@@ -113,7 +113,6 @@ class _NaiveRestraint:
 
     def __init__(self, log, code, y_idx, z_idx, bi_idx, a_idx):
         self.log = log
-        self.code = code
         self.y_idx = y_idx
         self.z_idx = z_idx
         self.bi_idx = bi_idx
@@ -353,6 +352,9 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
         try:
             if op in ("meta", "chip", "event"):
                 continue
+            for name in ("node", "from", "to", "gamma"):
+                if name in rec and type(rec[name]) is not str:
+                    raise TypeError(f"{name} {rec[name]!r} is not an address")
             # written after the enter of their own tree stage, so their
             # stage is the latest enter's, which also bounds the least dump
             if op in ("left", "void", "pull", "dump-orig", "dump-extra") and rec["s"] != stage:
@@ -540,6 +542,8 @@ def replay_check(records: list, kind: str = "replay") -> dict:
     def meta_field(name):
         if name not in meta:
             raise TraceError(f"meta record lacks {name!r}", meta_line)
+        if type(meta[name]) is not int:
+            raise TraceError(f"meta {name} {meta[name]!r} is not an integer", meta_line)
         return meta[name]
 
     def meta_overrides(name):
@@ -552,6 +556,8 @@ def replay_check(records: list, kind: str = "replay") -> dict:
         raise TraceError(f"meta {name} is not a list of [position, index] pairs", meta_line)
 
     flavour = meta.get("kind")
+    if type(flavour) is not str:
+        raise TraceError(f"meta kind {flavour!r} is not a string", meta_line)
     if kind == "split":
         names = {"friedberg": ("a", "a0", "a1"), "hk": ("b", "b0", "b1")}.get(
             flavour, ("e_a", "e0", "e1"))

@@ -45,7 +45,6 @@ class _DiagonalImageBrain:
         self.pair = pair
         self.cursor = 0
         self.diagonal: list[int] = []
-        self.diag_seen: set[int] = set()
         self.certified = 0
         self.pos_list: list[int] = []
         self.neg_list: list[int] = []
@@ -74,8 +73,7 @@ class _DiagonalImageBrain:
         self.cursor = len(log)
         sides = (self.pair.pos, self.pair.neg)
         for _, idx, x in fresh:
-            if idx == x and x not in self.diag_seen:
-                self.diag_seen.add(x)
+            if idx == x:  # the log takes (x, x) once
                 self.diagonal.append(x)
             # a certified element sits on one side already: this puts it on both
             if x < self.certified and idx in sides:
@@ -133,7 +131,7 @@ def _paced_pair(kernel: Kernel, step, pace: int):
     return halves, outs
 
 
-def register_paced_pair(kernel: Kernel, predicate, pace: int = 2) -> ComputablePair:
+def register_paced_pair(kernel: Kernel, predicate, pace: int) -> ComputablePair:
     """Host-backed computable pair: value n lands on the predicate's side.
 
     Values are emitted in increasing order, one every ``pace`` stages, so the

@@ -292,8 +292,8 @@ def _friedberg_trace(tmp_path):
     return path, path.read_text().splitlines()
 
 
-def _verify_rejects(path, line):
-    check = invoke("verify", "--trace", str(path))
+def _verify_rejects(path, line, suite="replay"):
+    check = invoke("verify", "--trace", str(path), "--suite", suite)
     assert check.returncode == 1
     assert "Traceback" not in check.stderr
     out = check.stdout.splitlines()
@@ -407,9 +407,16 @@ def _tree_trace(tmp_path):
     return path, path.read_text().splitlines()
 
 
+NULL = object()  # a field set to JSON null; None deletes the field
+
+
 @pytest.mark.parametrize("op, field, value", [
-    ("enter", "node", None),  # None: the field is deleted
+    ("enter", "node", None),
     ("pull", "x0", "a"),
+    ("void", "node", 5),
+    pytest.param("void", "node", NULL, id="void-node-null"),
+    pytest.param("f", "node", [], id="f-node-empty-list"),
+    pytest.param("f", "node", [1], id="f-node-list"),
 ])
 def test_verify_tree_record_fault_reports_line(tmp_path, op, field, value):
     path, lines = _tree_trace(tmp_path)
@@ -418,7 +425,7 @@ def test_verify_tree_record_fault_reports_line(tmp_path, op, field, value):
     if value is None:
         del record[field]
     else:
-        record[field] = value
+        record[field] = None if value is NULL else value
     lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n")
     _verify_rejects(path, at + 1)
@@ -462,6 +469,23 @@ def test_verify_tree_meta_non_integer_reports_meta_line(tmp_path, field):
     lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n")
     _verify_rejects(path, at + 1)
+
+
+@pytest.mark.parametrize("traced, field, value, suite", [
+    (_friedberg_trace, "a0", {"a": 1}, "replay"),
+    (_hk_trace, "b1", [1], "replay"),
+    (_friedberg_trace, "kind", {"a": 1}, "split"),
+    (_hk_trace, "kind", [], "split"),
+], ids=["friedberg-index-object", "hk-index-list", "friedberg-kind-object", "hk-kind-list"])
+def test_verify_meta_field_fault_reports_meta_line(tmp_path, traced, field, value, suite):
+    # set indices must be integers and the kind a string, under either suite
+    path, lines = traced(tmp_path)
+    at = next(i for i, line in enumerate(lines) if '"op":"meta"' in line)
+    record = json.loads(lines[at])
+    record[field] = value
+    lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    _verify_rejects(path, at + 1, suite)
 
 
 @pytest.mark.parametrize("value", [5, [[0]], [[[0], 1]], [[0, "a"]]],

@@ -22,6 +22,7 @@ from cesplit.geometry import (
     least_dump,
     left_key,
     left_target,
+    question_at,
     r_chain,
     requesting_prefixes,
     rev_mask,
@@ -147,6 +148,14 @@ def test_requesting_prefixes(f):
 histories = st.lists(addresses, max_size=12).map(
     lambda fs: [(0, "")] + [(3 * i + 1, f) for i, f in enumerate(fs)]
 )
+
+
+def test_question_below_a_non_square_depth_is_a_t_question():
+    # a positive A-node's depth d is not a square, so the question it answers,
+    # the one at depth d-1, is a T question (``TreeRun._extra_dump`` relies on it)
+    for d in range(2, 401):
+        if not brute_square(d):
+            assert question_at("0" * (d - 1)).kind == "T", d
 
 
 @given(histories, addresses)

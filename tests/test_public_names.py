@@ -8,6 +8,10 @@ attribute, an import) anywhere in src/, demos/ or perfbench/ other than the
 statement that defines them; test files there do not count, and neither does
 the package's ``__init__``, whose re-exports call nothing.  A method or
 property counts when such code reads its name as an attribute.
+
+Nor is any state write-only: every attribute a package class stores on
+``self`` (or lists in its ``__slots__``) is read by such code, as an
+attribute or through ``getattr`` or ``attrgetter``.
 """
 
 import ast
@@ -89,4 +93,45 @@ def test_every_public_method_has_a_caller_outside_the_tests():
     assert len(members) > 20
     orphans = [f"{module}: {cls}.{name}" for module, cls, name in members
                if name not in attributes]
+    assert orphans == []
+
+
+def stored_attributes(cls):
+    """The attributes a class stores on ``self``, its ``__slots__`` included."""
+    names = set()
+    for node in ast.walk(cls):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Name) and node.targets[0].id == "__slots__"):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def read_attributes(tree):
+    """The attribute names a module's code reads: ``x.name`` loads, and the
+    names that ``getattr`` and ``attrgetter`` are given."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "attrgetter")):
+            out.update(arg.value for arg in node.args
+                       if isinstance(arg, ast.Constant) and isinstance(arg.value, str))
+    return out
+
+
+def test_every_stored_attribute_is_read_outside_the_tests():
+    reads = set()
+    stores = []
+    for path in caller_files():
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads |= read_attributes(tree)
+        if path.parent == PACKAGE:
+            stores += [(path.name, node.name, name) for node in ast.walk(tree)
+                       if isinstance(node, ast.ClassDef) for name in stored_attributes(node)]
+    assert len(stores) > 100
+    orphans = [f"{module}: {cls}.{name}" for module, cls, name in stores if name not in reads]
     assert orphans == []

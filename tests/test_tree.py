@@ -207,24 +207,26 @@ def test_balls_never_reenter_after_a(hf_run):
 
 
 def assert_ball_ledger(run):
-    # a ball sits on one node, and the run's indexes over where balls sit
-    # agree with the nodes themselves
+    # a ball sits on one node, and the run's map of where balls sit agrees
+    # with the nodes themselves
     ledger = {x: state.address for state in run.nodes.values() for x in state.balls}
     assert sum(len(state.balls) for state in run.nodes.values()) == len(ledger)
     assert ledger == run.positions
-    holders = sorted((state for state in run.nodes.values() if state.balls),
-                     key=lambda state: state.key)
-    assert run._ball_nodes == holders
     # the root's tilde pool is every ball that entered, dumped ones included
     assert run.nodes[""].live_rt == list(range(run.tree_stage))
-    # a node's pending requests are stages it was on the path, oldest first,
-    # and the run's index lists exactly the nodes that hold some
+    # the left order lists the requesting nodes, which the sweep and the
+    # pulls walk: only they hold requests, and only they hold balls unless
+    # the depth bound is 0, where f stays the root and the root takes them
+    requesting = [state for state in run.nodes.values() if state.requesting]
+    assert run._left_order == sorted(requesting, key=lambda state: state.key)
     for state in run.nodes.values():
+        assert state.requesting or not state.requests, state.address
+        assert state.requesting or not state.balls or run.depth == 0, state.address
+    # a node's pending requests are stages it was on the path, oldest first
+    for state in requesting:
         pending = list(state.requests)
         assert all(a < b for a, b in zip(pending, pending[1:])), state.address
         assert all(stage <= run.tree_stage for stage in pending), state.address
-    assert run._requesting == sorted(
-        (state for state in run.nodes.values() if state.requests), key=lambda state: state.key)
 
 
 def test_ball_ledger(hf_run):
@@ -233,9 +235,32 @@ def test_ball_ledger(hf_run):
 
 def test_ball_ledger_at_depth_9():
     run = diagonalize(proc_friedberg, 3000, depth=9).run
-    assert run.a_committed and len(run._ball_nodes) > 1 and run._requesting
+    states = run.nodes.values()
+    assert run.a_committed and sum(1 for state in states if state.balls) > 1
+    assert any(state.requests for state in states)
     assert_ball_ledger(run)
     assert_marker_ledger(run)
+
+
+@pytest.mark.parametrize("proc, depth", [(proc_friedberg, 9), (proc_trivial, 4)],
+                         ids=["hf-depth-9", "trivial-depth-4"])
+def test_no_node_extends_f(monkeypatch, proc, depth):
+    # the walk's endpoint only deepens or moves sideways, which is why the
+    # sweep takes every requesting node right of f as one f passed on the left
+    checked = set()
+    brain_pull = TreeRun._brain_pull
+
+    def checking(run, stage):
+        out = brain_pull(run, stage)
+        f = run.f
+        assert not [a for a in run.nodes if a != f and a.startswith(f)], f
+        checked.add(run.tree_stage)
+        return out
+
+    monkeypatch.setattr(TreeRun, "_brain_pull", checking)
+    run = diagonalize(proc, 3000, depth=depth).run
+    assert checked >= set(range(1, run.tree_stage + 1)) and run.tree_stage > 100
+    assert len(run.nodes) > 2 * depth
 
 
 def marker_revs(run, state):
