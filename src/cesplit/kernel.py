@@ -41,9 +41,19 @@ queues served in the ruler sequence (level i every 2**(i+1) ticks) with
 bursts that double per level, so fresh pairs are simulated promptly,
 long-running pairs get geometrically growing budgets, and divergers sink to
 rarely-served deep levels while still receiving unboundedly many steps in the
-limit.  A served pair runs its whole burst in one call of
-``machine.run_steps``, which settles a jump to itself at once; a bitmask of
-the non-empty levels picks the level to serve.
+limit.  A bitmask of the non-empty levels picks the level to serve.
+
+A ladder entry is the pair's machine state itself, ``[pc, registers, index,
+input, program]``: a served pair runs its whole burst in one call of
+``machine.run_steps(program, entry, burst)``, which reads and updates only
+items 0 and 1.  A pair whose run reaches a ``JMP`` to its own address
+(``run_steps`` returns None) has settled: it never halts and no later burst
+changes it, so its entry is dropped and the one shared ``_SETTLED`` marker
+takes its place in the queue.  Serving the marker moves it one level down
+without running anything, just as a burst of the settled pair would have
+moved the pair, so every queue keeps the length and order it had with the
+pair in it; the non-empty bitmask, the ruler schedule and hence the event
+log are those of stepping the settled pair forever.
 """
 
 from __future__ import annotations
@@ -57,9 +67,9 @@ from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .machine import parse_program, register_count, run_steps
-# re-exported for perfbench/layers.py, which counts machine steps by wrapping
-# it here: the one-step reference semantics; the kernel itself runs whole
-# bursts through run_steps
+# the one-step reference semantics, re-exported for perfbench/layers.py,
+# which wraps it here to count machine steps; the kernel never calls it (it
+# runs whole bursts through run_steps), so that count reads 0
 from .machine import step_state  # noqa: F401
 from .pairing import pair
 
@@ -67,6 +77,8 @@ from .pairing import pair
 MAX_LEVEL = 24
 BURST_CAP = 1024
 _BURSTS = tuple(min(1 << level, BURST_CAP) for level in range(MAX_LEVEL + 1))
+# the ladder place of every settled pair (see the module docstring)
+_SETTLED = object()
 
 
 class KernelError(Exception):
@@ -185,7 +197,8 @@ class EventLog:
 
 
 def _activation_stream(programs: list) -> Iterator[list]:
-    """Fresh queue entries [index, input, state, program] in activation order.
+    """Fresh ladder entries [pc, registers, index, input, program] in
+    activation order.
 
     The dense lane (k % dense, k // dense) and the sparse lane unpair(k) over
     the padding codes past it take turns, dense first; both skip the codes of
@@ -209,11 +222,11 @@ def _activation_stream(programs: list) -> Iterator[list]:
         for index, program, size in valid:
             regs = [0] * size
             regs[0] = x
-            yield [index, x, [0, regs], program]
+            yield [0, regs, index, x, program]
             index, u, program, size = next(sparse)
             regs = [0] * size
             regs[0] = u
-            yield [index, u, [0, regs], program]
+            yield [0, regs, index, u, program]
 
 
 @dataclass
@@ -261,8 +274,9 @@ class Kernel:
         self._now = -1  # the stage whose generators were polled last
         self._dirty_batch: list[_GenEntry] = []
         self._watchers: dict[int, list[_GenEntry]] = {}
-        self._levels: list[deque[list]] = [deque() for _ in range(MAX_LEVEL + 1)]
-        self._nonempty = 0  # bit i set iff _levels[i] holds a pair
+        # ladder entries, and _SETTLED in the place of each settled pair
+        self._levels: list[deque] = [deque() for _ in range(MAX_LEVEL + 1)]
+        self._nonempty = 0  # bit i set iff _levels[i] holds a place
         self._mtick = 0
         # no pair ever runs when no program is valid
         self._fresh = (_activation_stream(programs)
@@ -424,7 +438,7 @@ class Kernel:
         fresh = self._fresh
         if fresh is None:
             return end
-        levels, bursts, run = self._levels, _BURSTS, run_steps
+        levels, bursts, run, settled = self._levels, _BURSTS, run_steps, _SETTLED
         nonempty, tick = self._nonempty, self._mtick
         for stage in range(stage, end):
             if tick % 3 == 0:
@@ -442,16 +456,20 @@ class Kernel:
                 entry = queue.popleft()
                 if not queue:
                     nonempty ^= 1 << level
-                if run(entry[3], entry[2], bursts[level]):
-                    self._release(stage, entry[0], entry[1])
-                    if self._dirty_batch:
-                        end = stage + 1
-                        break
-                else:
-                    if level < MAX_LEVEL:
-                        level += 1
-                    levels[level].append(entry)
-                    nonempty |= 1 << level
+                if entry is not settled:
+                    halted = run(entry[4], entry, bursts[level])
+                    if halted:
+                        self._release(stage, entry[2], entry[3])
+                        if self._dirty_batch:
+                            end = stage + 1
+                            break
+                        continue
+                    if halted is None:
+                        entry = settled
+                if level < MAX_LEVEL:
+                    level += 1
+                levels[level].append(entry)
+                nonempty |= 1 << level
         self._nonempty, self._mtick = nonempty, tick
         return end
 

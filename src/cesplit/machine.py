@@ -94,20 +94,29 @@ def step_state(program: Program, state: list) -> bool:
     return False
 
 
-def run_steps(program: Program, state: list, budget: int) -> bool:
-    """Run at most ``budget`` instructions; True when the configuration has halted.
+def run_steps(program: Program, state: list, budget: int) -> Optional[bool]:
+    """Run at most ``budget`` instructions: True when the configuration has
+    halted, None when it has settled at a ``JMP`` to its own address, False
+    when the budget ran out first.
 
     The same as calling ``step_state`` up to ``budget`` times and stopping at
     the first True: finding the run halted (at HALT, or past the end, which
     includes a jump to the virtual slot ``size``) uses up one call's worth of
     the budget and leaves the configuration as it was.  A ``JMP`` to its own
-    address is a fixed point: reaching one returns False at once, with the
-    configuration left there, which is where the rest of the budget would
-    leave it step by step.  ``pc`` and the registers live in locals, so a
-    whole burst costs one Python call.  The registers must cover every one
-    the program names (``register_count`` of them, input in register 0, as
-    the kernel makes them): an index past the end of the program is how the
-    loop sees a run walk off it.
+    address is a fixed point: stepping one returns None at once, with the
+    configuration left there, which is where the rest of the budget (and
+    every later burst) would leave it step by step.  A run that arrives at
+    one with the budget's last step returns False, and the next call None.
+    A settled run never halts, and ``if run_steps(...)`` reads None as not
+    halted.
+
+    ``state`` is read as ``[pc, registers, ...]``: the call updates items 0
+    and 1, and any items past them belong to the caller (the kernel keeps a
+    pair's index, input and program there).  ``pc`` and the registers live
+    in locals, so a whole burst costs one Python call.  The registers must
+    cover every one the program names (``register_count`` of them, input in
+    register 0, as the kernel makes them): an index past the end of the
+    program is how the loop sees a run walk off it.
     """
     pc = state[0]
     regs = state[1]
@@ -128,7 +137,7 @@ def run_steps(program: Program, state: list, budget: int) -> bool:
             elif op == OP_JMP:
                 if ins[1] == pc:  # a jump to itself: the run stays here for good
                     state[0] = pc
-                    return False
+                    return None
                 pc = ins[1]
             else:
                 break

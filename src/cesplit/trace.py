@@ -182,7 +182,10 @@ def split_events(records: list[dict]):
 
     An event the log cannot take (a missing field, a stage out of order, an
     element entering one index twice, a field that is not an integer) raises
-    ``TraceError`` naming its line, counted in records from 1.
+    ``TraceError`` naming its line, counted in records from 1.  A field that
+    is not an integer is named on its own line even when the log trips over
+    it later (a stage of 1.5 is out of order only with the next event, an
+    element ``true`` enters twice only with the real 1).
     """
     from .kernel import EventLog, KernelError
 
@@ -194,7 +197,7 @@ def split_events(records: list[dict]):
             except KeyError as err:
                 raise TraceError(f"event record lacks {err}", line) from None
             except KernelError as err:
-                raise TraceError(str(err), line) from None
+                raise _non_integer_event(records, line, str(err)) from None
             except TypeError:
                 raise _non_integer_event(records, line) from None
     # the log takes any hashable index or element, and strings or bools as
@@ -204,11 +207,14 @@ def split_events(records: list[dict]):
     return log
 
 
-def _non_integer_event(records: list[dict], upto: int) -> TraceError:
-    """The first event record up to line ``upto`` with a non-integer field.
+def _non_integer_event(records: list[dict], upto: int,
+                       otherwise: str = "event record does not fit the log") -> TraceError:
+    """The first event record up to line ``upto`` with a non-integer field,
+    else the error ``otherwise`` on line ``upto``.
 
-    The log compares stages only with the previous one, so a bad stage can
-    surface an event after its own record; this names the record itself.
+    The log compares stages only with the previous one, and takes a bool
+    for the integer it equals, so a bad field can surface at a later event;
+    this names the record itself.
     """
     for line, record in enumerate(records[:upto], start=1):
         if record["op"] == "event":
@@ -216,7 +222,7 @@ def _non_integer_event(records: list[dict], upto: int) -> TraceError:
                 value = record[name]
                 if type(value) is not int:
                     return TraceError(f"event field {name!r} is not an integer: {value!r}", line)
-    return TraceError("event record does not fit the log", upto)
+    return TraceError(otherwise, upto)
 
 
 def merge_for_file(log, decisions: list[dict]) -> list[dict]:

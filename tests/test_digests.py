@@ -108,6 +108,19 @@ def test_kernel_event_log_pinned(tmp_path):
     )
 
 
+def test_benchmark_enumeration_pinned(tmp_path):
+    # perfbench's ``make_inputs("enumerate", 1)`` corpus at its 1e6 stages:
+    # 512 programs whose pairs settle at a jump to themselves at pc 0 or
+    # mid-program, and 153,349 of the 999,997 ladder places served go to a
+    # settled pair's marker; the event log is the one whose sha256 the
+    # benchmark prints as f079e27c...a3e8
+    kernel = Kernel(corpus.load_corpus(DATA / "enumerate_seed1.txt"))
+    kernel.run_to(1_000_000)
+    assert trace_sha256(tmp_path, kernel.log, []) == (
+        "51ea50192fff9e82c87cdd06e2a22ce742c86c5446b067bea72cb3c851bc074f"
+    )
+
+
 SHAV_TEXTS = [corpus.HALT_ALL, corpus.HALT_EVEN, corpus.HALT_ODD, corpus.HALT_SLOW,
               corpus.halt_from(2)]
 

@@ -63,7 +63,7 @@ def oracle_machine_events(texts, stages, max_level=24, burst_cap=1024):
                 while True:
                     u, v = unpair(act_pad)
                     act_pad += 1
-                    if programs[u % n] is not None:
+                    if programs[(dense + u) % n] is not None:
                         m, x = dense + u, v
                         break
             toggle = not toggle
@@ -99,7 +99,8 @@ def oracle_machine_events(texts, stages, max_level=24, burst_cap=1024):
 def closed_form_activations(texts, how_many):
     """The activation order from the lanes' closed forms: dense code
     (k % (n+64), k // (n+64)) and padding code n+64+u with (u, x) = unpair(k),
-    alternately, each lane skipping invalid programs."""
+    alternately, each lane skipping invalid programs; each as the ladder
+    entry [pc, registers, index, input, program] of a fresh run."""
     programs = [parse_program(t) for t in texts]
     n = len(programs)
     dense = n + 64
@@ -116,7 +117,7 @@ def closed_form_activations(texts, how_many):
     for i in range(how_many):
         m, x = next(lanes[i % 2])
         program = programs[m % n]
-        out.append([machine_index(m), x, new_state(program, x), program])
+        out.append(new_state(program, x) + [machine_index(m), x, program])
     return out
 
 
@@ -143,6 +144,8 @@ def test_machine_only_run_matches_oracle():
 # the deep levels, where BURST_CAP bounds the burst
 QUADRATIC = ("DECJZ 0 9; INC 1; DECJZ 1 5; INC 2; JMP 2; DECJZ 2 8; INC 1; JMP 5;"
              " JMP 0; HALT")
+# a diverger that never settles: it counts register 1 up for ever
+COUNT_UP = "INC 1; JMP 0"
 
 
 def test_capped_bursts_match_oracle():
@@ -152,6 +155,30 @@ def test_capped_bursts_match_oracle():
     assert got == oracle_machine_events([QUADRATIC], 100_000)
     # the run is sensitive to the cap: a smaller one changes its events
     assert got != oracle_machine_events([QUADRATIC], 100_000, burst_cap=512)
+
+
+# program texts by how their pairs run: settled at pc 0; settled mid-program
+# on some inputs (the below/from/mod shapes); looping without ever settling
+# (DECJZ 1 0 jumps to itself, which run_steps does not settle); halting;
+# invalid
+DRAWN_TEXTS = st.one_of(
+    st.just(corpus.DIVERGE),
+    st.integers(1, 6).map(corpus.halt_below),
+    st.integers(1, 6).map(corpus.halt_from),
+    st.integers(2, 5).flatmap(lambda k: st.integers(0, k - 1).map(
+        lambda r: corpus.halt_mod(k, r))),
+    st.sampled_from([COUNT_UP, "DECJZ 1 0", "INC 0; JMP 0"]),
+    st.sampled_from([corpus.HALT_ALL, corpus.HALT_EVEN, corpus.HALT_SLOW, QUADRATIC]),
+    st.sampled_from(["NOP 3", "JMP 9", "INC"]),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(DRAWN_TEXTS, min_size=1, max_size=10))
+def test_drawn_corpus_matches_oracle(texts):
+    kernel = Kernel(texts)
+    kernel.run_to(4_000)
+    assert list(kernel.log.events()) == oracle_machine_events(texts, 4_000)
 
 
 def test_halting_semantics_respected():
@@ -244,31 +271,67 @@ def test_w_at_monotone(cut):
     assert kernel.w_at(e, cut - 1) <= kernel.w_at(e, cut)
 
 
-def test_fairness_every_pair_keeps_getting_ticks(monkeypatch):
-    # count the bursts served to each simulated (program, input) pair: each
-    # pair owns one state object from activation on, every burst runs at
-    # least one step, and divergers never release their state
+@pytest.fixture
+def bursts(monkeypatch):
+    """The program and the results of the bursts served to each simulated
+    (program, input) pair, by the id of its state object, results in
+    serving order: each pair owns one state object from activation on, and
+    every burst runs at least one step."""
     from cesplit import kernel as kernel_mod
 
-    states, ticks = [], {}
+    states, served = [], {}
     run_steps = kernel_mod.run_steps
 
     def counted_run_steps(program, state, budget):
         assert budget >= 1
-        if id(state) not in ticks:
+        if id(state) not in served:
             states.append(state)  # keeps the id from being reused
-            ticks[id(state)] = 0
-        ticks[id(state)] += 1
-        return run_steps(program, state, budget)
+            served[id(state)] = (program, [])
+        result = run_steps(program, state, budget)
+        served[id(state)][1].append(result)
+        return result
 
     monkeypatch.setattr(kernel_mod, "run_steps", counted_run_steps)
-    kernel = Kernel([corpus.DIVERGE, corpus.DIVERGE])
+    return served
+
+
+def test_fairness_every_pair_keeps_getting_ticks(bursts):
+    # divergers that never settle keep their state and keep being served
+    kernel = Kernel([COUNT_UP, COUNT_UP])
     kernel.run_to(400)
-    early = dict(ticks)
+    early = {key: len(results) for key, (_, results) in bursts.items()}
     kernel.run_to(3_000)
     assert len(early) > 100
     for key, n in early.items():
-        assert ticks[key] > n
+        results = bursts[key][1]
+        assert len(results) > n
+        assert set(results) == {False}
+
+
+def test_settled_pair_runs_no_burst_after_settling(bursts):
+    # every pair of DIVERGE settles in its first burst, and halt_below(3)'s
+    # pairs on inputs past 2 settle mid-program at JMP 3; a settled pair's
+    # ladder place keeps being served, so the schedule is the oracle's
+    texts = [corpus.DIVERGE, corpus.halt_below(3), corpus.HALT_ALL]
+    kernel = Kernel(texts)
+    kernel.run_to(2_000)
+    early = {key: list(results) for key, (_, results) in bursts.items()}
+    kernel.run_to(6_000)
+    assert list(kernel.log.events()) == oracle_machine_events(texts, 6_000)
+    diverge, below = parse_program(corpus.DIVERGE), parse_program(corpus.halt_below(3))
+    served = {program: 0 for program in (diverge, below)}
+    for key, (program, results) in bursts.items():
+        if program == diverge:
+            assert results == [None]  # one burst, the one that settles it
+        if None in results:
+            served[program] += 1
+            # the burst that settles the pair is its last, however long it
+            # has been served since
+            assert results[-1] is None and results.count(None) == 1
+            assert set(results[:-1]) <= {False}
+            if None in early.get(key, ()):
+                assert results == early[key]
+    assert served[diverge] > 100 and served[below] > 100
 
 
 def test_fixed_point_generator_stream_equals_index_events(scripted):

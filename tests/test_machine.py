@@ -95,12 +95,17 @@ def programs(draw):
 @given(programs(), st.integers(0, 6), st.integers(1, 1100))
 def test_run_steps_is_step_state_up_to_the_budget(program, x, budget):
     burst, stepped = new_state(program, x), new_state(program, x)
-    want = False
+    want = settled = False
     for _ in range(budget):
+        # a step of a jump to itself: the run sits there, not halted, for good
+        settled = stepped[0] < len(program) and program[stepped[0]] == (OP_JMP, stepped[0])
         if step_state(program, stepped):
             want = True
             break
-    assert run_steps(program, burst, budget) == want
+    result = run_steps(program, burst, budget)
+    assert bool(result) == want
+    # None exactly when the budget stepped the run's jump to itself
+    assert (result is None) == settled
     assert burst == stepped
 
 
@@ -136,17 +141,23 @@ def stepped(program, state, budget):
 def test_run_steps_settles_a_jump_to_itself_at_once():
     program = parse_program("JMP 0")
     state = new_state(program, 7)
-    assert run_steps(program, state, 1024) is False
+    assert run_steps(program, state, 1024) is None
+    assert state == [0, [7]]
+    # the next burst settles it again, at once
+    assert run_steps(program, state, 1) is None
     assert state == [0, [7]]
 
 
 def test_run_steps_reaches_a_self_loop_mid_burst():
-    # halt_below(3) on 5: three decrements, then JMP 3 at slot 3 for good
+    # halt_below(3) on 5: three decrements, then JMP 3 at slot 3 for good;
+    # a budget of three arrives there without stepping it, so the burst
+    # ends unsettled and the next one settles
     program = parse_program(corpus.halt_below(3))
     assert program[3] == (OP_JMP, 3)
     for budget in (3, 4, 5, 1024):
         burst, slow = new_state(program, 5), new_state(program, 5)
-        assert run_steps(program, burst, budget) is stepped(program, slow, budget) is False
+        assert stepped(program, slow, budget) is False
+        assert run_steps(program, burst, budget) is (False if budget == 3 else None)
         assert burst == slow
     assert burst == [3, [2]]
 

@@ -377,6 +377,27 @@ def test_bytes_not_utf8_reported_on_their_line(tmp_path_factory, events, end, da
     assert reading(bad, tmp_path_factory.getbasetemp() / "bad.jsonl") == line
 
 
+@pytest.mark.parametrize("field, value", [("s", 1.5), ("s", True), ("x", True)])
+def test_non_integer_event_field_named_where_the_log_trips_later(field, value):
+    # the log takes the first event's field and trips over it only later:
+    # a stage of 1.5 or true is out of order with the stage 1 on line 3,
+    # and an element true enters index 0 twice with the real 1 on line 4
+    events = [(0, 0, 0), (1, 2, 0), (2, 0, 1)]
+    records = [{"op": "meta", "kind": "friedberg"}]
+    records += [{"op": "event", "s": s, "e": e, "x": x} for s, e, x in events]
+    records[1][field] = value
+    with pytest.raises(TraceError) as caught:
+        split_events(records)
+    assert caught.value.line == 2
+    assert str(caught.value) == f"line 2: event field {field!r} is not an integer: {value!r}"
+    # an honest trace that trips the log is still reported on its own line
+    records[1][field] = 0
+    records[3]["s"] = 1
+    with pytest.raises(TraceError) as caught:
+        split_events(records)
+    assert str(caught.value) == "line 4: stage 1 is not past 1"
+
+
 def test_probe_friedberg_vacuous_on_empty_input():
     log = EventLog()
     evidence = probe_friedberg(log, 1, 3, 5, 10, 4)
