@@ -14,9 +14,11 @@ trusts the traced chip counters instead of re-deriving them.  It checks
 that a tree record written after an ``enter`` carries its stage.
 ``replay_check`` runs one of two suites over a parsed trace: "replay"
 dispatches on the meta record, "split" checks only the split discipline.
-Every replay takes the whole record list, events included, and names a
-record by its position in it, counted from 1; ``cesplit verify`` turns
-that position into the file line.
+First ``trace.split_events`` checks every record against its row of the
+record schema, so the replays read fields with no defensive code.  Every
+replay takes the whole record list, events included, and names a record
+by its position in it, counted from 1; ``cesplit verify`` turns that
+position into the file line.
 
 The probes (``complement_witnesses``, ``probe_friedberg``) never decide
 non-effective notions (computability, c.e.-ness of a difference); they
@@ -31,7 +33,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .geometry import (
-    MARKER_WINDOW, ROOT, TreeError, can_pull, diverges_left, greatest_r_prefix,
+    MARKER_WINDOW, ROOT, can_pull, diverges_left, greatest_r_prefix,
     is_left_of, is_positive_a, is_r_node, last_left_pass, least_dump, left_target,
     question_at, requesting_prefixes, rev_mask, sorted_discard,
 )
@@ -60,14 +62,14 @@ def _replay_routes(log: EventLog, input_idx: int, halves: tuple[int, int], recor
     that half after ``stage``, and not in the other.  A missing record is
     named by the position after the last record.
     """
-    numbered = [(line, r) for line, r in enumerate(records, start=1) if r.get("op") == op]
+    numbered = [(line, r) for line, r in enumerate(records, start=1) if r["op"] == op]
     entrants = log.entries(input_idx)
     out: list[Divergence] = []
     for (entered, x), (line, record) in zip(entrants, numbered):
         fields = want(x, entered)
         for fieldname, value in fields.items():
-            if record.get(fieldname) != value:
-                out.append(Divergence(line, fieldname, record.get(fieldname), value))
+            if record[fieldname] != value:
+                out.append(Divergence(line, fieldname, record[fieldname], value))
         side = fields["side"]
         landed = log.entry_stage(halves[side], x)
         if landed is None or landed <= entered:
@@ -306,7 +308,7 @@ def probe_friedberg(log: EventLog, a: int, a0: int, a1: int, S: int,
 # -- tree trace replay -------------------------------------------------------
 
 
-def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergence]:
+def replay_tree(log: EventLog, records: list, depth: int, feeder: int) -> list[Divergence]:
     """Re-derive the legality of every traced tree decision.
 
     Positions, piece commitments, request ledgers and marker tables are
@@ -319,19 +321,17 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
     re-derived: the address rules, marker states and least-dump rule of
     ``geometry``, which the construction uses too, and the chip counters
     (re-deriving them would be a second full simulation), so ``f`` records
-    are checked for shape only and ``chip`` records not at all.  This is
-    the only check of f's shape (``endpoint-kind``, ``endpoint-length``):
-    the construction's walk cannot end anywhere else, so it checks none.
-    A record lacking a field, or holding one of the wrong type, raises
-    ``TraceError`` naming it as a divergence would.
+    are checked for the shape of their endpoint only and ``chip`` records
+    not at all.  This is the only check of f's shape (``endpoint-kind``,
+    ``endpoint-length``): the construction's walk cannot end anywhere else,
+    so it checks none.  ``depth`` and ``feeder`` are the meta record's.
+    Every record must fit its row of the record schema, as
+    ``trace.split_events`` checks before any replay, so fields are read
+    with no defensive code.
     """
     from math import isqrt
 
-    from .trace import TraceError
-
     out: list[Divergence] = []
-    meta = next((r for r in records if r.get("op") == "meta"), {})
-    feeder = meta.get("feeder", 1)
 
     positions: dict[int, str] = {}
     r_comm: dict[str, set] = {}
@@ -341,175 +341,164 @@ def replay_tree(log: EventLog, records: list, depth: int = 25) -> list[Divergenc
     dumped: set = set()
     f = ROOT
     f_hist: list[tuple[int, str]] = [(0, ROOT)]
-    ks = 0
     stage = 0
 
     def fail(line, fieldname, got, want):
         out.append(Divergence(line, fieldname, got, want))
 
     for line, rec in enumerate(records, start=1):
-        op = rec.get("op")
-        try:
-            if op in ("meta", "chip", "event"):
-                continue
-            for name in ("node", "from", "to", "gamma"):
-                if name in rec and type(rec[name]) is not str:
-                    raise TypeError(f"{name} {rec[name]!r} is not an address")
-            # written after the enter of their own tree stage, so their
-            # stage is the latest enter's, which also bounds the least dump
-            if op in ("left", "void", "pull", "dump-orig", "dump-extra") and rec["s"] != stage:
-                fail(line, "stage", rec["s"], stage)
-            if op == "f":
-                node = rec["node"]
-                st, ks = rec["s"], rec.get("ks", ks)
-                if node != ROOT and not (is_r_node(node) or is_positive_a(node)):
-                    fail(line, "endpoint-kind", node, "r-node or positive a-node")
-                if len(node) > min(st * st, depth) and st > 0:
-                    fail(line, "endpoint-length", len(node), min(st * st, depth))
-                f = node
-                f_hist.append((st, node))
-                continue
-            if op == "enter":
-                stage = rec["s"]
-                for node in requesting_prefixes(f):
-                    requests.setdefault(node, []).append(stage)
-                if rec["x"] != stage - 1:
-                    fail(line, "ball-number", rec["x"], stage - 1)
-                if rec["node"] != f[:1]:
-                    fail(line, "entry-node", rec["node"], f[:1])
-                positions[rec["x"]] = rec["node"]
-                continue
-            if op == "void":
-                node = rec["node"]
-                if not is_left_of(f, node) or node.startswith(f):
-                    fail(line, "void-target", node, f"strictly right of {f}")
-                requests.pop(node, None)
-                continue
-            if op == "left":
-                src_node, dst = rec["from"], rec["to"]
-                if not diverges_left(f, src_node):
-                    fail(line, "left-source", src_node, f"right of {f}")
-                want = left_target(f, src_node)
-                if dst != want:
-                    fail(line, "left-target", dst, want)
-                for x in rec["balls"]:
-                    if positions.get(x) != src_node:
-                        fail(line, "left-ball-position", (x, positions.get(x)), src_node)
-                    positions[x] = dst
-                continue
-            if op == "pull":
-                node = rec["node"]
-                ks = rec.get("ks", ks)
-                ledger = requests.get(node, [])
+        op = rec["op"]
+        if op in ("meta", "chip", "event"):
+            continue
+        # written after the enter of their own tree stage, so their
+        # stage is the latest enter's, which also bounds the least dump
+        if op in ("left", "void", "pull", "dump-orig", "dump-extra") and rec["s"] != stage:
+            fail(line, "stage", rec["s"], stage)
+        if op == "f":
+            node, st = rec["node"], rec["s"]
+            if node != ROOT and not (is_r_node(node) or is_positive_a(node)):
+                fail(line, "endpoint-kind", node, "r-node or positive a-node")
+            if len(node) > min(st * st, depth) and st > 0:
+                fail(line, "endpoint-length", len(node), min(st * st, depth))
+            f = node
+            f_hist.append((st, node))
+            continue
+        if op == "enter":
+            stage = rec["s"]
+            for node in requesting_prefixes(f):
+                requests.setdefault(node, []).append(stage)
+            if rec["x"] != stage - 1:
+                fail(line, "ball-number", rec["x"], stage - 1)
+            if rec["node"] != f[:1]:
+                fail(line, "entry-node", rec["node"], f[:1])
+            positions[rec["x"]] = rec["node"]
+            continue
+        if op == "void":
+            node = rec["node"]
+            if not is_left_of(f, node) or node.startswith(f):
+                fail(line, "void-target", node, f"strictly right of {f}")
+            requests.pop(node, None)
+            continue
+        if op == "left":
+            src_node, dst = rec["from"], rec["to"]
+            if not diverges_left(f, src_node):
+                fail(line, "left-source", src_node, f"right of {f}")
+            want = left_target(f, src_node)
+            if dst != want:
+                fail(line, "left-target", dst, want)
+            for x in rec["balls"]:
+                if positions.get(x) != src_node:
+                    fail(line, "left-ball-position", (x, positions.get(x)), src_node)
+                positions[x] = dst
+            continue
+        if op == "pull":
+            node, ks = rec["node"], rec["ks"]
+            ledger = requests.get(node, [])
+            if not ledger:
+                fail(line, "pull-request", None, "a pending request")
+            else:
+                if rec["req"] != ledger[0]:
+                    fail(line, "pull-request-least", rec["req"], ledger[0])
+                ledger.pop(0)
                 if not ledger:
-                    fail(line, "pull-request", None, "a pending request")
-                else:
-                    if rec["req"] != ledger[0]:
-                        fail(line, "pull-request-least", rec["req"], ledger[0])
-                    ledger.pop(0)
-                    if not ledger:
-                        requests.pop(node, None)
-                x0, x1 = rec["x0"], rec["x1"]
-                if not x0 < x1:
-                    fail(line, "pull-pair-order", (x0, x1), "x0 < x1")
-                floor = len(node)
+                    requests.pop(node, None)
+            x0, x1 = rec["x0"], rec["x1"]
+            if not x0 < x1:
+                fail(line, "pull-pair-order", (x0, x1), "x0 < x1")
+            floor = len(node)
+            for x in (x0, x1):
+                if x <= floor:
+                    fail(line, "pull-floor", x, f"> {floor}")
+                if not can_pull(node, positions.get(x)):
+                    fail(line, "pull-eligibility", (x, positions.get(x)), node)
+                if x in r_comm.get(node, ()) or x in rt_comm.get(node, ()):
+                    fail(line, "pull-fresh", x, "uncommitted at the node")
+            if is_r_node(node) and node.endswith("1"):
+                j = isqrt(len(node))
+                j_idx = feeder if j == 1 else j
                 for x in (x0, x1):
-                    if x <= floor:
-                        fail(line, "pull-floor", x, f"> {floor}")
-                    if not can_pull(node, positions.get(x)):
-                        fail(line, "pull-eligibility", (x, positions.get(x)), node)
-                    if x in r_comm.get(node, ()) or x in rt_comm.get(node, ()):
-                        fail(line, "pull-fresh", x, "uncommitted at the node")
-                if is_r_node(node) and node.endswith("1"):
-                    j = isqrt(len(node))
-                    j_idx = feeder if j == 1 else j
-                    for x in (x0, x1):
-                        if not log.member_by(j_idx, x, ks - 1):
-                            fail(line, "pull-gate", x, f"member of W_{j_idx}")
-                for x in (x0, x1):
-                    positions[x] = node
-                if is_r_node(node):
-                    r_comm.setdefault(node, set()).add(x0)
-                    if x0 not in dumped:
-                        insort(markers.setdefault(node, []), x0)
-                    rt_comm.setdefault(node, set()).add(x1)
-                delta = greatest_r_prefix(node)
-                for y in rec["mid"]:
-                    if not (floor < y < x1):
-                        fail(line, "mid-range", y, f"({floor}, {x1})")
-                    if delta != ROOT and y not in rt_comm.get(delta, ()):
-                        fail(line, "mid-source", y, f"tilde piece of {delta!r}")
-                    positions[y] = node
-                    if is_r_node(node):
-                        r_comm.setdefault(node, set()).add(y)
-                        if y not in dumped:
-                            insort(markers.setdefault(node, []), y)
-                continue
-            if op == "patch":
-                node, y = rec["node"], rec["x"]
-                delta = greatest_r_prefix(node)
-                if y not in dumped:
-                    fail(line, "patch-casualty", y, "a ball that entered A")
+                    if not log.member_by(j_idx, x, ks - 1):
+                        fail(line, "pull-gate", x, f"member of W_{j_idx}")
+            for x in (x0, x1):
+                positions[x] = node
+            if is_r_node(node):
+                r_comm.setdefault(node, set()).add(x0)
+                if x0 not in dumped:
+                    insort(markers.setdefault(node, []), x0)
+                rt_comm.setdefault(node, set()).add(x1)
+            delta = greatest_r_prefix(node)
+            for y in rec["mid"]:
+                if not (floor < y < x1):
+                    fail(line, "mid-range", y, f"({floor}, {x1})")
                 if delta != ROOT and y not in rt_comm.get(delta, ()):
-                    fail(line, "patch-source", y, f"tilde piece of {delta!r}")
-                if y in r_comm.get(node, ()) or y in rt_comm.get(node, ()):
-                    fail(line, "patch-fresh", y, "uncommitted at the node")
-                r_comm.setdefault(node, set()).add(y)
+                    fail(line, "mid-source", y, f"tilde piece of {delta!r}")
+                positions[y] = node
+                if is_r_node(node):
+                    r_comm.setdefault(node, set()).add(y)
+                    if y not in dumped:
+                        insort(markers.setdefault(node, []), y)
+            continue
+        if op == "patch":
+            node, y = rec["node"], rec["x"]
+            delta = greatest_r_prefix(node)
+            if y not in dumped:
+                fail(line, "patch-casualty", y, "a ball that entered A")
+            if delta != ROOT and y not in rt_comm.get(delta, ()):
+                fail(line, "patch-source", y, f"tilde piece of {delta!r}")
+            if y in r_comm.get(node, ()) or y in rt_comm.get(node, ()):
+                fail(line, "patch-fresh", y, "uncommitted at the node")
+            r_comm.setdefault(node, set()).add(y)
+            continue
+        if op == "dump-orig":
+            node, ks = rec["node"], rec["ks"]
+            live = markers.get(node, [])
+            e, i = rec["e"], rec["i"]
+            if not (0 <= e < i <= len(live)):
+                fail(line, "dump-bounds", (e, i), f"within {len(live)} markers")
                 continue
-            if op == "dump-orig":
-                node = rec["node"]
-                ks = rec.get("ks", ks)
-                live = markers.get(node, [])
-                e, i = rec["e"], rec["i"]
-                if not (0 <= e < i <= len(live)):
-                    fail(line, "dump-bounds", (e, i), f"within {len(live)} markers")
-                    continue
-                if rec["balls"] != live[e:i]:
-                    fail(line, "dump-balls", rec["balls"], live[e:i])
-                revs = [rev_mask(log.containers_of(x), ks - 1) for x in live[:MARKER_WINDOW]]
-                found = least_dump(revs, stage)
-                if found != (e, i):
-                    fail(line, "dump-least", (e, i), found)
-                balls = live[e:i]
-                for x in balls:
-                    dumped.add(x)
-                    positions.pop(x, None)
-                del live[e:i]
-                for other, table in markers.items():
-                    if other != node:
-                        for x in balls:
-                            sorted_discard(table, x)
-                continue
-            if op == "dump-extra":
-                gamma, node = rec["gamma"], rec["node"]
-                if gamma != f or not is_positive_a(gamma):
-                    fail(line, "extra-gamma", gamma, f"the positive endpoint {f}")
-                q = question_at(gamma[:-1])
-                if q.kind != "T" or q.base == node:
-                    fail(line, "extra-question", (q.kind, q.base), "T question about another piece")
-                # measured from gamma; the construction measures from the
-                # dumped piece's node, and only the paper's dumping rule can
-                # say which of the two is meant
-                want_t = max(len(gamma), last_left_pass(f_hist, gamma))
-                if rec["idx"] != want_t:
-                    fail(line, "extra-index", rec["idx"], want_t)
-                live = markers.get(node, [])
-                if rec["idx"] < len(live):
-                    if rec["x"] != live[rec["idx"]]:
-                        fail(line, "extra-ball", rec["x"], live[rec["idx"]])
-                    x = rec["x"]
-                    dumped.add(x)
-                    positions.pop(x, None)
-                    for table in markers.values():
+            if rec["balls"] != live[e:i]:
+                fail(line, "dump-balls", rec["balls"], live[e:i])
+            revs = [rev_mask(log.containers_of(x), ks - 1) for x in live[:MARKER_WINDOW]]
+            found = least_dump(revs, stage)
+            if found != (e, i):
+                fail(line, "dump-least", (e, i), found)
+            balls = live[e:i]
+            for x in balls:
+                dumped.add(x)
+                positions.pop(x, None)
+            del live[e:i]
+            for other, table in markers.items():
+                if other != node:
+                    for x in balls:
                         sorted_discard(table, x)
-                else:
-                    fail(line, "extra-exists", rec["idx"], f"< {len(live)} markers")
-                continue
-            fail(line, "op", op, "a known tree record")
-        except KeyError as err:
-            raise TraceError(f"{op} record lacks {err}", line) from None
-        except (TypeError, TreeError) as err:
-            raise TraceError(f"malformed {op} record: {err}", line) from None
+            continue
+        if op == "dump-extra":
+            gamma, node = rec["gamma"], rec["node"]
+            if gamma != f or not is_positive_a(gamma):
+                fail(line, "extra-gamma", gamma, f"the positive endpoint {f}")
+            if is_positive_a(gamma):  # no other gamma has a T question above it
+                q = question_at(gamma[:-1])
+                if q.base == node:
+                    fail(line, "extra-question", (q.kind, q.base), "T question about another piece")
+            # measured from gamma; the construction measures from the
+            # dumped piece's node, and only the paper's dumping rule can
+            # say which of the two is meant
+            want_t = max(len(gamma), last_left_pass(f_hist, gamma))
+            if rec["idx"] != want_t:
+                fail(line, "extra-index", rec["idx"], want_t)
+            live = markers.get(node, [])
+            if 0 <= rec["idx"] < len(live):
+                if rec["x"] != live[rec["idx"]]:
+                    fail(line, "extra-ball", rec["x"], live[rec["idx"]])
+                x = rec["x"]
+                dumped.add(x)
+                positions.pop(x, None)
+                for table in markers.values():
+                    sorted_discard(table, x)
+            else:
+                fail(line, "extra-exists", rec["idx"], f"< {len(live)} markers")
+            continue
+        fail(line, "op", op, "a known tree record")
     return out
 
 
@@ -521,49 +510,29 @@ def replay_check(records: list, kind: str = "replay") -> dict:
 
     ``records`` is the full record list including interleaved events.  The
     suite ``kind`` is "replay", which re-derives the decisions of the
-    construction the trace's meta record names, or "split", which checks
-    only that the two halves split the input.  The report carries a
+    construction the trace's first meta record names, or "split", which
+    checks only that the two halves split the input.  The report carries a
     boolean ``ok`` plus divergences.  A divergence, and the ``TraceError``
-    of a trace that cannot be replayed at all, name a record by its
-    position in ``records``, counted from 1; the split suite's finding is
-    about the whole log, so its ``line`` is None.
+    of a trace that cannot be replayed at all (a record that does not fit
+    its row of the record schema, an event the log cannot take, no meta
+    record), name a record by its position in ``records``, counted from 1;
+    the split suite's finding is about the whole log, so its ``line`` is
+    None.
     """
     from .setalg import check_split_history
     from .trace import TraceError, split_events
 
     log = split_events(records)
-    meta_line, meta = next(
-        ((line, r) for line, r in enumerate(records, start=1) if r.get("op") == "meta"),
-        (None, None),
-    )
+    meta = next((r for r in records if r["op"] == "meta"), None)
     if meta is None:
         raise TraceError("trace has no meta record to dispatch on")
-
-    def meta_field(name):
-        if name not in meta:
-            raise TraceError(f"meta record lacks {name!r}", meta_line)
-        if type(meta[name]) is not int:
-            raise TraceError(f"meta {name} {meta[name]!r} is not an integer", meta_line)
-        return meta[name]
-
-    def meta_overrides(name):
-        pairs = meta.get(name, [])
-        if type(pairs) is list and all(
-            type(p) in (list, tuple) and len(p) == 2 and type(p[0]) is type(p[1]) is int
-            for p in pairs
-        ):
-            return dict(pairs)
-        raise TraceError(f"meta {name} is not a list of [position, index] pairs", meta_line)
-
-    flavour = meta.get("kind")
-    if type(flavour) is not str:
-        raise TraceError(f"meta kind {flavour!r} is not a string", meta_line)
+    flavour = meta["kind"]
     if kind == "split":
-        names = {"friedberg": ("a", "a0", "a1"), "hk": ("b", "b0", "b1")}.get(
-            flavour, ("e_a", "e0", "e1"))
-        triple_ids = [meta_field(name) for name in names]
+        names = {"friedberg": ("a", "a0", "a1"), "hk": ("b", "b0", "b1"),
+                 "tree": ("e_a", "e0", "e1")}[flavour]
         hit = check_split_history(
-            log, *triple_ids, log.last_stage, settle=max(64, (log.last_stage + 1) // 10)
+            log, *(meta[name] for name in names), log.last_stage,
+            settle=max(64, (log.last_stage + 1) // 10),
         )
         divergences = (
             [] if hit is None else [Divergence(None, "split", {"stage": hit[0], "kind": hit[1], "x": hit[2]}, None)]
@@ -571,22 +540,14 @@ def replay_check(records: list, kind: str = "replay") -> dict:
     elif kind != "replay":
         raise TraceError(f"unknown suite {kind!r}")
     elif flavour == "friedberg":
-        divergences = replay_friedberg(
-            log, meta_field("a"), meta_field("a0"), meta_field("a1"), records
-        )
+        divergences = replay_friedberg(log, meta["a"], meta["a0"], meta["a1"], records)
     elif flavour == "hk":
         divergences = replay_hk(
-            log, meta_field("b"), meta_field("a"), meta_field("b0"), meta_field("b1"),
-            records, meta_overrides("y_over"), meta_overrides("z_over"),
+            log, meta["b"], meta["a"], meta["b0"], meta["b1"], records,
+            dict(meta.get("y_over", ())), dict(meta.get("z_over", ())),
         )
-    elif flavour == "tree":
-        # replay_tree reads both; a bad one would be blamed on a later record
-        for name, default in (("depth", 25), ("feeder", 1)):
-            if type(meta.get(name, default)) is not int:
-                raise TraceError(f"meta {name} {meta[name]!r} is not an integer", meta_line)
-        divergences = replay_tree(log, records, meta.get("depth", 25))
     else:
-        raise TraceError(f"cannot dispatch on meta kind {flavour!r}", meta_line)
+        divergences = replay_tree(log, records, meta["depth"], meta["feeder"])
     return {
         "ok": not divergences,
         "kind": flavour if kind == "replay" else kind,

@@ -410,16 +410,10 @@ def _tree_trace(tmp_path):
 NULL = object()  # a field set to JSON null; None deletes the field
 
 
-@pytest.mark.parametrize("op, field, value", [
-    ("enter", "node", None),
-    ("pull", "x0", "a"),
-    ("void", "node", 5),
-    pytest.param("void", "node", NULL, id="void-node-null"),
-    pytest.param("f", "node", [], id="f-node-empty-list"),
-    pytest.param("f", "node", [1], id="f-node-list"),
-])
-def test_verify_tree_record_fault_reports_line(tmp_path, op, field, value):
-    path, lines = _tree_trace(tmp_path)
+def _verify_rejects_bent(traced, tmp_path, op, field, value, suite="replay"):
+    """Bend one field of the trace's first ``op`` record (a new field name
+    adds a key); verify must reject the trace on that record's line."""
+    path, lines = traced(tmp_path)
     at = next(i for i, line in enumerate(lines) if f'"op":"{op}"' in line)
     record = json.loads(lines[at])
     if value is None:
@@ -428,7 +422,44 @@ def test_verify_tree_record_fault_reports_line(tmp_path, op, field, value):
         record[field] = None if value is NULL else value
     lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n")
-    _verify_rejects(path, at + 1)
+    _verify_rejects(path, at + 1, suite)
+
+
+@pytest.mark.parametrize("op, field, value", [
+    ("enter", "node", None),
+    ("pull", "x0", "a"),
+    ("void", "node", 5),
+    pytest.param("void", "node", NULL, id="void-node-null"),
+    pytest.param("f", "node", [], id="f-node-empty-list"),
+    pytest.param("f", "node", [1], id="f-node-list"),
+    # each of these was replayed as ok: a record must fit its op's row exactly
+    pytest.param("f", "ks", None, id="f-ks-missing"),
+    pytest.param("pull", "ks", None, id="pull-ks-missing"),
+    pytest.param("dump-orig", "ks", None, id="dump-orig-ks-missing"),
+    pytest.param("f", "s", True, id="f-s-bool"),
+    pytest.param("enter", "x", 1.0, id="enter-x-float"),
+    pytest.param("enter", "extra", 0, id="enter-extra-key"),
+    pytest.param("chip", "c", "zz", id="chip-c-text"),
+    pytest.param("chip", "node", 5, id="chip-node-int"),
+    pytest.param("void", "n", "z", id="void-n-text"),
+])
+def test_verify_tree_record_fault_reports_line(tmp_path, op, field, value):
+    _verify_rejects_bent(_tree_trace, tmp_path, op, field, value)
+
+
+@pytest.mark.parametrize("traced, op, field, value", [
+    (_friedberg_trace, "route", "side", True),
+    (_friedberg_trace, "route", "x", 1.0),
+    (_friedberg_trace, "route", "extra", 0),
+    (_friedberg_trace, "route", "req", None),
+    (_hk_trace, "hk", "l", 1.0),
+    (_hk_trace, "hk", "extra", 0),
+    (_hk_trace, "hk", "s", None),
+], ids=["route-side-bool", "route-x-float", "route-extra-key", "route-req-missing",
+        "hk-l-float", "hk-extra-key", "hk-s-missing"])
+def test_verify_routing_record_fault_reports_line(tmp_path, traced, op, field, value):
+    # each was replayed as ok, or as a divergence with a field got as None
+    _verify_rejects_bent(traced, tmp_path, op, field, value)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -462,13 +493,7 @@ def test_verify_dump_below_stage_bound_is_not_least(tmp_path, forge):
 
 @pytest.mark.parametrize("field", ["depth", "feeder"])
 def test_verify_tree_meta_non_integer_reports_meta_line(tmp_path, field):
-    path, lines = _tree_trace(tmp_path)
-    at = next(i for i, line in enumerate(lines) if '"op":"meta"' in line)
-    record = json.loads(lines[at])
-    record[field] = "x" if field == "depth" else [1]
-    lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    path.write_text("\n".join(lines) + "\n")
-    _verify_rejects(path, at + 1)
+    _verify_rejects_bent(_tree_trace, tmp_path, "meta", field, "x" if field == "depth" else [1])
 
 
 @pytest.mark.parametrize("traced, field, value, suite", [
@@ -476,16 +501,15 @@ def test_verify_tree_meta_non_integer_reports_meta_line(tmp_path, field):
     (_hk_trace, "b1", [1], "replay"),
     (_friedberg_trace, "kind", {"a": 1}, "split"),
     (_hk_trace, "kind", [], "split"),
-], ids=["friedberg-index-object", "hk-index-list", "friedberg-kind-object", "hk-kind-list"])
+    (_hk_trace, "extra", 0, "replay"),
+    (_tree_trace, "depth", None, "replay"),
+    (_tree_trace, "kind", "shavrukov", "split"),
+], ids=["friedberg-index-object", "hk-index-list", "friedberg-kind-object", "hk-kind-list",
+        "hk-extra-key", "tree-depth-missing", "tree-kind-unknown"])
 def test_verify_meta_field_fault_reports_meta_line(tmp_path, traced, field, value, suite):
-    # set indices must be integers and the kind a string, under either suite
-    path, lines = traced(tmp_path)
-    at = next(i for i, line in enumerate(lines) if '"op":"meta"' in line)
-    record = json.loads(lines[at])
-    record[field] = value
-    lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
-    path.write_text("\n".join(lines) + "\n")
-    _verify_rejects(path, at + 1, suite)
+    # set indices must be integers, the kind a known one and no key
+    # unknown, under either suite
+    _verify_rejects_bent(traced, tmp_path, "meta", field, value, suite)
 
 
 @pytest.mark.parametrize("value", [5, [[0]], [[[0], 1]], [[0, "a"]]],

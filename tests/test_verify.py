@@ -1,5 +1,7 @@
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +23,8 @@ from cesplit.verify import (
     trailing_window,
 )
 from cesplit.trace import (
-    RECORD_OPS,
+    _KINDS,
+    _SHAPES,
     TraceError,
     merge_for_file,
     read_trace,
@@ -136,6 +139,18 @@ def test_replay_tree_checks_f_shape(forge, field):
     assert [f for line, f in found(records) if line <= at + 1] == [field]
 
 
+@pytest.mark.parametrize("idx", [-1, -(10**6)])
+def test_replay_tree_negative_extra_index_names_no_marker(idx):
+    # an index below 0 once read the marker table from its end, or past it
+    result = diagonalize(proc_friedberg, 3000, depth=9)
+    records = merge_for_file(result.kernel.log, result.trace)
+    at = max(n for n, r in enumerate(records) if r["op"] == "enter")
+    records.insert(at + 1, {"op": "dump-extra", "s": records[at]["s"], "ks": 1, "gamma": "01",
+                            "node": "1", "idx": idx, "x": 0})
+    fields = [f for line, f in found(records) if line == at + 2]
+    assert "extra-exists" in fields and "extra-ball" not in fields
+
+
 def test_replay_check_split_suite(tmp_path):
     result = run_friedberg(TEXTS, machine_index(0), 3_000)
     records = merge_for_file(result.kernel.log, result.trace)
@@ -182,42 +197,29 @@ def event_shaped(draw):
 
 
 # the ops the writer has a template for, with their fields besides the op
-TEMPLATED = {
-    "event": ("s", "e", "x"),
-    "f": ("s", "ks", "node"),
-    "chip": ("s", "node", "c"),
-    "enter": ("s", "x", "node"),
-    "left": ("s", "from", "to", "balls"),
-    "void": ("s", "node", "n"),
-    "pull": ("s", "ks", "node", "req", "x0", "x1", "mid"),
-    "patch": ("s", "node", "x"),
-    "dump-orig": ("s", "ks", "node", "e", "i", "balls"),
-    "dump-extra": ("s", "ks", "gamma", "node", "idx", "x"),
-}
+TEMPLATED = {op: tuple(row.kinds) for op, row in _SHAPES.items() if op != "meta" and row.fill}
 
 
-def kind(name):
-    if name in ("node", "from", "to", "gamma"):
-        return "address"
-    return "list" if name in ("balls", "mid") else "int"
+def kind(op, name):
+    return _SHAPES[op].kinds[name]
 
 
 exact_ints = st.one_of(st.integers(), st.integers(-(2**200), 2**200))
 EXACT = {
     "int": exact_ints,
     "address": st.text(st.sampled_from("01"), max_size=12),
-    "list": st.lists(exact_ints, max_size=4),
+    "ints": st.lists(exact_ints, max_size=4),
 }
 # values of each kind's field that a template must not take
 NEAR_MISSES = {
     "int": [True, False, 1.0, float("nan"), "1", None, [1]],
     "address": ['"', "\\", "0\u00e91", "2", "01x", "10 ", "\u2028", 1, None],
-    "list": [[1, True], [False], ["1"], [2, "0"], (1,), 1, "01"],
+    "ints": [[1, True], [False], ["1"], [2, "0"], (1,), 1, "01"],
 }
 BENT = {
     "int": st.one_of(st.sampled_from(NEAR_MISSES["int"]), st.floats(), tricky_text),
     "address": st.one_of(st.sampled_from(NEAR_MISSES["address"]), tricky_text),
-    "list": st.one_of(st.sampled_from(NEAR_MISSES["list"]),
+    "ints": st.one_of(st.sampled_from(NEAR_MISSES["ints"]),
                       st.lists(st.one_of(exact_ints, st.booleans(), tricky_text), max_size=4)),
 }
 
@@ -229,12 +231,12 @@ def decision_shaped(draw):
     op = draw(st.sampled_from(sorted(TEMPLATED)))
     record = {"op": op}
     for name in TEMPLATED[op]:
-        record[name] = draw(EXACT[kind(name)])
+        record[name] = draw(EXACT[kind(op, name)])
     names = sorted({name for fields in TEMPLATED.values() for name in fields})
     for twist in draw(st.lists(st.sampled_from(["value", "drop", "add", "op"]), max_size=2)):
         if twist == "value":
             name = draw(st.sampled_from(TEMPLATED[op]))
-            record[name] = draw(BENT[kind(name)])
+            record[name] = draw(BENT[kind(op, name)])
         elif twist == "drop" and record:
             del record[draw(st.sampled_from(sorted(record)))]
         elif twist == "add":
@@ -245,19 +247,77 @@ def decision_shaped(draw):
     return record
 
 
+def exact_record(op):
+    record = {"op": op}
+    record.update((name, {"int": 7, "address": "01", "ints": [2, 3]}[kind(op, name)])
+                  for name in TEMPLATED[op])
+    return record
+
+
 def near_misses():
     """Each templated op's record, then that record with one field bent to
     each near miss of its kind, with a key too many and a key too few."""
     out = []
     for op, fields in TEMPLATED.items():
-        exact = {"op": op}
-        exact.update((name, {"int": 7, "address": "01", "list": [2, 3]}[kind(name)])
-                     for name in fields)
+        exact = exact_record(op)
         out.append(exact)
-        out += [dict(exact, **{name: bad}) for name in fields for bad in NEAR_MISSES[kind(name)]]
+        out += [dict(exact, **{name: bad}) for name in fields
+                for bad in NEAR_MISSES[kind(op, name)]]
         out.append(dict(exact, extra=0))
         out += [{k: v for k, v in exact.items() if k != name} for name in fields]
     return out
+
+
+def doc_tables():
+    """The body rows of each table in TRACE_SCHEMA.md, as cells, by the
+    table's first header cell."""
+    tables, header = {}, None
+    text = (Path(__file__).parents[1] / "TRACE_SCHEMA.md").read_text(encoding="utf-8")
+    for line in text.splitlines():
+        if not line.startswith("|"):
+            header = None
+            continue
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if header is None:
+            header = cells[0]
+        elif cells[0].strip("-:"):
+            tables.setdefault(header, []).append(cells)
+    return tables
+
+
+def test_trace_schema_doc_lists_the_record_schema():
+    # the doc's kinds, and its rows of ops, fields and kinds, are _SHAPES's
+    tables = doc_tables()
+    assert [row[0] for row in tables["kind"]] == [f"`{kind}`" for kind in _KINDS]
+    documented = {}
+    for op, fields, _ in tables["op"]:
+        row = dict(re.fullmatch(r"`([\w-]+)`: (.+)", item).groups() for item in fields.split(", "))
+        key = op.strip("`")
+        if key == "meta":
+            key = ("meta", json.loads(row.pop("kind").strip("`")))
+        assert key not in documented
+        documented[key] = row
+
+    def as_documented(row):
+        return {name: kind + " (optional)" * (name in row.optional)
+                for name, kind in row.kinds.items()}
+
+    schema = {op: as_documented(row) for op, row in _SHAPES.items() if op != "meta"}
+    schema.update((("meta", kind), as_documented(row)) for kind, row in _SHAPES["meta"].items())
+    assert documented == schema
+
+
+def test_schema_check_agrees_with_the_templates():
+    # every record a template takes fits its row, and every near miss of
+    # one is rejected on its own line by the check the replays run first
+    exact = [exact_record(op) for op in TEMPLATED]
+    assert len(split_events(exact)) == 1
+    bent = [record for record in near_misses() if record not in exact]
+    assert len(bent) > 300
+    for record in bent:
+        with pytest.raises(TraceError) as caught:
+            split_events(exact + [record])
+        assert caught.value.line == len(exact) + 1, record
 
 
 @settings(max_examples=300)
@@ -285,7 +345,7 @@ def json_reading(data: bytes):
         except ValueError:
             return lineno
         if not (isinstance(record, dict) and isinstance(record.get("op"), str)
-                and record["op"] in RECORD_OPS):
+                and record["op"] in _SHAPES):
             return lineno
         records.append(record)
         lines.append(lineno)
@@ -383,7 +443,7 @@ def test_non_integer_event_field_named_where_the_log_trips_later(field, value):
     # a stage of 1.5 or true is out of order with the stage 1 on line 3,
     # and an element true enters index 0 twice with the real 1 on line 4
     events = [(0, 0, 0), (1, 2, 0), (2, 0, 1)]
-    records = [{"op": "meta", "kind": "friedberg"}]
+    records = [{"op": "meta", "kind": "friedberg", "a": 0, "a0": 1, "a1": 2}]
     records += [{"op": "event", "s": s, "e": e, "x": x} for s, e, x in events]
     records[1][field] = value
     with pytest.raises(TraceError) as caught:
