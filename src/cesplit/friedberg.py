@@ -40,10 +40,10 @@ class FriedbergSplitter:
         return (self.a0, self.a1)
 
     def _ingest(self, stage: int) -> None:
-        entries = self.kernel.log.entries(self.a)
-        while self._cursor < len(entries):
-            entry_stage, x = entries[self._cursor]
-            self._cursor += 1
+        log = self.kernel.log
+        fresh = log.entries(self.a, self._cursor)
+        self._cursor = log.count(self.a)
+        for entry_stage, x in fresh:
             side, requirement = self._route(x, entry_stage)
             self._out[side].append(x)
             self.trace.append(

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from heapq import merge
 
 from .kernel import EventLog, Kernel
 from .pairing import pair, unpair
@@ -125,7 +126,7 @@ class HKSplitter:
                 "b0": self.b0, "b1": self.b1}
         for name, overrides in (("y_over", self.y_over), ("z_over", self.z_over)):
             if overrides:
-                meta[name] = sorted(overrides.items())
+                meta[name] = [list(item) for item in sorted(overrides.items())]
         self.trace.append(meta)
 
     @property
@@ -153,13 +154,11 @@ class HKSplitter:
 
     def _replay(self, state: _TripleState, upto_stage: int) -> None:
         log = self.kernel.log
-        merged = []
-        for idx in {state.y_idx, state.z_idx, state.bi_idx, state.a_idx}:
-            for t, x in log.entries(idx):
-                if t <= upto_stage:
-                    merged.append((t, x))
-        merged.sort()
-        for t, x in merged:
+        # one event per stage: the merged entries are in stage order
+        indices = {state.y_idx, state.z_idx, state.bi_idx, state.a_idx}
+        for t, x in merge(*map(log.entries, indices)):
+            if t > upto_stage:
+                break
             state.apply_event(log, x, t)
 
     # -- main loop -----------------------------------------------------------

@@ -43,10 +43,13 @@ long-running pairs get geometrically growing budgets, and divergers sink to
 rarely-served deep levels while still receiving unboundedly many steps in the
 limit.  A bitmask of the non-empty levels picks the level to serve.
 
-A ladder entry is the pair's machine state itself, ``[pc, registers, index,
-input, program]``: a served pair runs its whole burst in one call of
-``machine.run_steps(program, entry, burst)``, which reads and updates only
-items 0 and 1.  A pair whose run reaches a ``JMP`` to its own address
+A ladder entry is the pair's machine state itself, one flat list with the
+registers first and the pc last: ``[r0, ..., r_{R-1}, index, input, program,
+pc]``.  A parsed register operand is its register's position in the list,
+so a served pair runs its whole burst in one call of
+``machine.run_steps(program, entry, burst)``, which steps the registers in
+place and updates the pc; the kernel reads the pair's index, input and
+program from the end.  A pair whose run reaches a ``JMP`` to its own address
 (``run_steps`` returns None) has settled: it never halts and no later burst
 changes it, so its entry is dropped and the one shared ``_SETTLED`` marker
 takes its place in the queue.  Serving the marker moves it one level down
@@ -54,6 +57,11 @@ without running anything, just as a burst of the settled pair would have
 moved the pair, so every queue keeps the length and order it had with the
 pair in it; the non-empty bitmask, the ruler schedule and hence the event
 log are those of stepping the settled pair forever.
+
+The event log keeps the released events in three parallel columns (stage,
+index, element), and per index two more, its entry stages and its elements,
+which ``EventLog.entries(index, start)`` reads back as pairs and
+``EventLog.count(index)`` counts.
 """
 
 from __future__ import annotations
@@ -112,13 +120,14 @@ def host_index(slot: int) -> int:
 class EventLog:
     """Append-only record of released events with per-index entry stamps."""
 
-    __slots__ = ("_stages", "_indices", "_elements", "_entries", "_by_element")
+    __slots__ = ("_stages", "_indices", "_elements", "_columns", "_by_element")
 
     def __init__(self):
         self._stages: list[int] = []
         self._indices: list[int] = []
         self._elements: list[int] = []
-        self._entries: dict[int, list[tuple[int, int]]] = {}
+        # index -> (entry stages, elements), in release order
+        self._columns: dict[int, tuple[list[int], list[int]]] = {}
         self._by_element: dict[int, dict[int, int]] = {}
 
     def __len__(self) -> int:
@@ -139,7 +148,12 @@ class EventLog:
         self._stages.append(stage)
         self._indices.append(index)
         self._elements.append(element)
-        self._entries.setdefault(index, []).append((stage, element))
+        column = self._columns.get(index)
+        if column is None:
+            self._columns[index] = ([stage], [element])
+        else:
+            column[0].append(stage)
+            column[1].append(element)
         if containers is None:
             self._by_element[element] = {index: stage}
         else:
@@ -159,21 +173,37 @@ class EventLog:
         t = containers.get(index)
         return t is not None and t <= stage
 
-    def entries(self, index: int) -> list[tuple[int, int]]:
-        """(stage, element) pairs for one index, in release order."""
-        return self._entries.get(index, [])
+    def entries(self, index: int, start: int = 0) -> Iterator[tuple[int, int]]:
+        """(stage, element) of one index's entries, in release order, from
+        its ``start``-th entry on.
+
+        A reader catches up on one index by keeping a cursor: it reads
+        ``entries(index, cursor)`` and then sets the cursor to
+        ``count(index)``.
+        """
+        column = self._columns.get(index)
+        if column is None or start >= len(column[0]):
+            return iter(())
+        stages, elements = column
+        if start:
+            return zip(stages[start:], elements[start:])
+        return zip(stages, elements)
+
+    def count(self, index: int) -> int:
+        """How many elements have entered the index."""
+        column = self._columns.get(index)
+        return 0 if column is None else len(column[0])
 
     def containers_of(self, element: int) -> dict[int, int]:
         """index -> entry stage for every set the element has entered."""
         return self._by_element.get(element, {})
 
     def members_at(self, index: int, stage: int) -> frozenset:
-        out = []
-        for t, x in self._entries.get(index, ()):
-            if t > stage:
-                break
-            out.append(x)
-        return frozenset(out)
+        column = self._columns.get(index)
+        if column is None:
+            return frozenset()
+        stages, elements = column
+        return frozenset(elements[:bisect_right(stages, stage)])
 
     def events(self) -> Iterable[tuple[int, int, int]]:
         return zip(self._stages, self._indices, self._elements)
@@ -197,36 +227,45 @@ class EventLog:
 
 
 def _activation_stream(programs: list) -> Iterator[list]:
-    """Fresh ladder entries [pc, registers, index, input, program] in
+    """Fresh ladder entries [r0, ..., r_{R-1}, index, input, program, pc] in
     activation order.
 
     The dense lane (k % dense, k // dense) and the sparse lane unpair(k) over
     the padding codes past it take turns, dense first; both skip the codes of
     invalid programs.  Both lanes are endless when some program is valid.
+    Each code has one template entry, which every activation of the code
+    copies, so the code's index int is made once, not once per activation.
     """
     n = len(programs)
     dense = n + 64
-    registers = [0 if p is None else register_count(p) for p in programs]
-    valid = [(machine_index(m), programs[m % n], registers[m % n])
-             for m in range(dense) if programs[m % n] is not None]
+
+    def template(m: int) -> Optional[list]:
+        program = programs[m % n]
+        if program is None:
+            return None
+        return [0] * register_count(program) + [machine_index(m), None, program, 0]
+
+    valid = [t for t in map(template, range(dense)) if t is not None]
 
     def padding():  # unpair(k) for k = 0, 1, ...: diagonal d is (d - b, b)
+        templates: list = []  # of the padding codes dense + 0, ..., dense + d
+        inputs: list = []  # 0, ..., d, each int made once
         for d in count():
-            for b in range(d + 1):
-                m = dense + d - b
-                if programs[m % n] is not None:
-                    yield machine_index(m), b, programs[m % n], registers[m % n]
+            templates.append(template(dense + d))
+            inputs.append(d)
+            for t, b in zip(reversed(templates), inputs):
+                if t is not None:
+                    entry = t[:]
+                    entry[0] = entry[-3] = b
+                    yield entry
 
     sparse = padding()
     for x in count():
-        for index, program, size in valid:
-            regs = [0] * size
-            regs[0] = x
-            yield [0, regs, index, x, program]
-            index, u, program, size = next(sparse)
-            regs = [0] * size
-            regs[0] = u
-            yield [0, regs, index, u, program]
+        for t in valid:
+            entry = t[:]
+            entry[0] = entry[-3] = x
+            yield entry
+            yield next(sparse)
 
 
 @dataclass
@@ -457,9 +496,9 @@ class Kernel:
                 if not queue:
                     nonempty ^= 1 << level
                 if entry is not settled:
-                    halted = run(entry[4], entry, bursts[level])
+                    halted = run(entry[-2], entry, bursts[level])
                     if halted:
-                        self._release(stage, entry[2], entry[3])
+                        self._release(stage, entry[-4], entry[-3])
                         if self._dirty_batch:
                             end = stage + 1
                             break

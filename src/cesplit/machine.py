@@ -71,24 +71,27 @@ def register_count(program: Program) -> int:
 
 
 def step_state(program: Program, state: list) -> bool:
-    """Advance one instruction; True when the configuration has halted."""
-    pc = state[0]
+    """Advance one instruction; True when the configuration has halted.
+
+    ``state`` is laid out as for ``run_steps``: registers first, pc last.
+    """
+    pc = state[-1]
     if pc >= len(program):
         return True
     ins = program[pc]
     op = ins[0]
     if op == OP_INC:
-        state[1][ins[1]] += 1
-        state[0] = pc + 1
+        state[ins[1]] += 1
+        state[-1] = pc + 1
     elif op == OP_DECJZ:
         reg = ins[1]
-        if state[1][reg] == 0:
-            state[0] = ins[2]
+        if state[reg] == 0:
+            state[-1] = ins[2]
         else:
-            state[1][reg] -= 1
-            state[0] = pc + 1
+            state[reg] -= 1
+            state[-1] = pc + 1
     elif op == OP_JMP:
-        state[0] = ins[1]
+        state[-1] = ins[1]
     else:
         return True
     return False
@@ -110,42 +113,43 @@ def run_steps(program: Program, state: list, budget: int) -> Optional[bool]:
     A settled run never halts, and ``if run_steps(...)`` reads None as not
     halted.
 
-    ``state`` is read as ``[pc, registers, ...]``: the call updates items 0
-    and 1, and any items past them belong to the caller (the kernel keeps a
-    pair's index, input and program there).  ``pc`` and the registers live
-    in locals, so a whole burst costs one Python call.  The registers must
-    cover every one the program names (``register_count`` of them, input in
-    register 0, as the kernel makes them): an index past the end of the
-    program is how the loop sees a run walk off it.
+    ``state`` is one flat list, registers first and pc last:
+    ``[r0, ..., r_{R-1}, ..., pc]``.  A parsed register operand is the
+    register's position in the list, so the call steps the registers in
+    place; it updates them and the last item, and the items between belong
+    to the caller (the kernel keeps a pair's index, input and program
+    there).  The pc lives in a local, so a whole burst costs one Python
+    call.  The registers must cover every one the program names
+    (``register_count`` of them, input in register 0, as the kernel makes
+    them): an index past the end of the program is how the loop sees a run
+    walk off it.
     """
-    pc = state[0]
-    regs = state[1]
+    pc = state[-1]
     try:
         for _ in range(budget):
             ins = program[pc]
             op = ins[0]
             if op == OP_DECJZ:
                 reg = ins[1]
-                if regs[reg]:
-                    regs[reg] -= 1
+                if state[reg]:
+                    state[reg] -= 1
                     pc += 1
                 else:
                     pc = ins[2]
             elif op == OP_INC:
-                regs[ins[1]] += 1
+                state[ins[1]] += 1
                 pc += 1
             elif op == OP_JMP:
                 if ins[1] == pc:  # a jump to itself: the run stays here for good
-                    state[0] = pc
+                    state[-1] = pc
                     return None
                 pc = ins[1]
             else:
                 break
         else:
-            state[0] = pc
+            state[-1] = pc
             return False
     except IndexError:  # program[pc] with pc == len(program)
         pass
-    state[0] = pc
+    state[-1] = pc
     return True
-

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import re
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 
 class TraceError(Exception):
@@ -45,19 +45,18 @@ class TraceError(Exception):
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-def _ints(value, sequence=list) -> bool:
-    return type(value) is sequence and all(type(i) is int for i in value)
+def _ints(value) -> bool:
+    return type(value) is list and all(type(i) is int for i in value)
 
 
-# a field's kind: what its value is, in words, and the test of a value (a
-# construction writes its pairs as tuples, which the file spells as lists)
+# a field's kind: what its value is, in words, and the test of a value
 _KINDS = {
     "int": ("an integer", lambda v: type(v) is int),
     "address": ("an address", lambda v: type(v) is str and not v.strip("01")),
     "ints": ("a list of integers", _ints),
     "ints or null": ("a list of integers or null", lambda v: v is None or _ints(v)),
     "pairs": ("a list of [position, index] pairs", lambda v: type(v) is list and all(
-        (_ints(p) or _ints(p, tuple)) and len(p) == 2 for p in v)),
+        _ints(p) and len(p) == 2 for p in v)),
 }
 # the type and template slot of each kind a line template can write
 _SLOTS = {"int": (int, "%d"), "address": (str, '"%s"'), "ints": (list, "[%s]")}
@@ -260,8 +259,9 @@ def split_events(records: list[dict]):
     return log
 
 
-def merge_for_file(log, decisions: list[dict]) -> list[dict]:
-    """Events first, then decisions in order: a self-contained file."""
-    records = [{"op": "event", "s": s, "e": e, "x": x} for s, e, x in log.events()]
-    records += decisions
-    return records
+def merge_for_file(log, decisions: list[dict]) -> Iterator[dict]:
+    """Events first, then decisions in order: a self-contained file, one
+    record at a time."""
+    for s, e, x in log.events():
+        yield {"op": "event", "s": s, "e": e, "x": x}
+    yield from decisions

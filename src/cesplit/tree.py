@@ -345,9 +345,7 @@ class TreeRun:
             return
         log = self.kernel.log
         r_comm = tm.beta.r_committed
-        entries = log.entries(tm.j_index)
-        while tm.wj_cursor < len(entries):
-            _, x = entries[tm.wj_cursor]
+        for _, x in log.entries(tm.j_index, tm.wj_cursor):
             tm.wj_cursor += 1
             if x not in r_comm or log.entry_stage(tm.eb_index, x) is not None:
                 tm.frozen = True

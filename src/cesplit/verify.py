@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import asdict, dataclass
+from heapq import merge
 from typing import Optional
 
 from .geometry import (
@@ -65,7 +66,8 @@ def _replay_routes(log: EventLog, input_idx: int, halves: tuple[int, int], recor
     numbered = [(line, r) for line, r in enumerate(records, start=1) if r["op"] == op]
     entrants = log.entries(input_idx)
     out: list[Divergence] = []
-    for (entered, x), (line, record) in zip(entrants, numbered):
+    # the records first: zip stops on them without taking an entrant
+    for (line, record), (entered, x) in zip(numbered, entrants):
         fields = want(x, entered)
         for fieldname, value in fields.items():
             if record[fieldname] != value:
@@ -76,10 +78,10 @@ def _replay_routes(log: EventLog, input_idx: int, halves: tuple[int, int], recor
             out.append(Divergence(line, "landing", landed, f"stage > {entered} in half {side}"))
         if log.entry_stage(halves[1 - side], x) is not None:
             out.append(Divergence(line, "landing", f"also in half {1 - side}", None))
-    if len(entrants) > len(numbered):
-        x = entrants[len(numbered)][1]
-        out.append(Divergence(len(records) + 1, "missing-record", None, {"x": x}))
-    for line, record in numbered[len(entrants):]:
+    unrecorded = next(entrants, None)
+    if unrecorded is not None:
+        out.append(Divergence(len(records) + 1, "missing-record", None, {"x": unrecorded[1]}))
+    for line, record in numbered[log.count(input_idx):]:
         out.append(Divergence(line, "extra-record", record, None))
     return out
 
@@ -119,12 +121,9 @@ class _NaiveRestraint:
         self.z_idx = z_idx
         self.bi_idx = bi_idx
         self.a_idx = a_idx
-        merged = []
-        for idx in {y_idx, z_idx, bi_idx, a_idx}:
-            merged.extend(log.entries(idx))
-        merged.sort()
-        self.events = merged
-        self.pos = 0
+        # the four sets' entries merged in stage order, and the next one
+        self.events = merge(*map(log.entries, {y_idx, z_idx, bi_idx, a_idx}))
+        self.head = next(self.events, None)
         self.qual: dict[int, bool] = {}
         self.r = code
         self.last = 0
@@ -146,9 +145,9 @@ class _NaiveRestraint:
         return n
 
     def advance(self, stage: int) -> None:
-        while self.pos < len(self.events) and self.events[self.pos][0] <= stage:
-            t, x = self.events[self.pos]
-            self.pos += 1
+        while self.head is not None and self.head[0] <= stage:
+            t, x = self.head
+            self.head = next(self.events, None)
             new = self._qualifies(x, t)
             if new != self.qual.get(x, True):
                 if t > self.last:

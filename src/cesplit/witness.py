@@ -174,8 +174,8 @@ def shavrukov_pair(kernel: Kernel, w: int, y: int) -> tuple[int, int]:
         def pull(stage):
             nonlocal read
             log = kernel.log
-            fresh = log.entries(first)[read:]
-            read += len(fresh)
+            fresh = log.entries(first, read)
+            read = log.count(first)
             return [x for t, x in fresh if not log.member_by(second, x, t)]
 
         return pull
@@ -193,8 +193,8 @@ def shav_split(kernel: Kernel, a: int, x0: int, x1: int) -> tuple[int, int]:
     def ingest(stage):
         nonlocal read
         log = kernel.log
-        fresh = log.entries(a)[read:]
-        read += len(fresh)
+        fresh = log.entries(a, read)
+        read = log.count(a)
         pending.extend(x for _, x in fresh)
         still = []
         for x in pending:

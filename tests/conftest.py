@@ -13,11 +13,14 @@ from cesplit.kernel import HostGenerator, Kernel
 from cesplit.machine import register_count, step_state
 
 
-def new_state(program, x):
-    """Mutable configuration [pc, registers]; input goes to register 0."""
-    regs = [0] * register_count(program)
-    regs[0] = x
-    return [0, regs]
+def new_state(program, x, *held):
+    """Mutable configuration [r0, ..., r_{R-1}, *held, pc] at pc 0, registers
+    first and pc last, as ``step_state`` and ``run_steps`` read it; input goes
+    to register 0.  ``held`` is what a caller keeps between the two (the
+    kernel keeps a pair's index, input and program there)."""
+    state = [0] * register_count(program) + [*held, 0]
+    state[0] = x
+    return state
 
 
 def halts_within(program, x, budget):

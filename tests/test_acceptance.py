@@ -268,9 +268,9 @@ def test_criterion_8_corollary_iteration():
 
 def test_criterion_9_fault_injection(tmp_path):
     fried = run_friedberg(SPLIT_TEXTS, machine_index(0), 4_000)
-    fried_records = merge_for_file(fried.kernel.log, fried.trace)
+    fried_records = list(merge_for_file(fried.kernel.log, fried.trace))
     tree = diagonalize(PROCEDURES["hf"], 6_000, depth=9)
-    tree_records = merge_for_file(tree.kernel.log, tree.trace)
+    tree_records = list(merge_for_file(tree.kernel.log, tree.trace))
 
     def tamper(records, op, mutate):
         out = copy.deepcopy(records)

@@ -53,7 +53,7 @@ def test_extra_dump_trace_pinned(tmp_path, seed, digest, disputed):
     result = diagonalize(PROCEDURES["hf"], 20_000, depth=25, corpus_texts=texts)
     assert any(r["op"] == "dump-extra" for r in result.trace)
     assert trace_sha256(tmp_path, result.kernel.log, result.trace) == digest
-    report = replay_check(merge_for_file(result.kernel.log, result.trace))
+    report = replay_check(list(merge_for_file(result.kernel.log, result.trace)))
     assert [d["field"] for d in report["divergences"]] == ["extra-index"] * len(disputed)
     assert [(d["got"], d["want"], d["line"]) for d in report["divergences"]] == disputed
 

@@ -4,7 +4,7 @@ from cesplit import corpus
 from cesplit.hk import HKSplitter, install_hk, run_hk, run_subset_scenario
 from cesplit.kernel import EventLog, Kernel, machine_index
 from cesplit.setalg import check_split_history
-from cesplit.trace import merge_for_file
+from cesplit.trace import merge_for_file, read_trace, write_trace
 from cesplit.verify import _NaiveRestraint, replay_check, replay_hk
 
 TEXTS = [corpus.HALT_ALL, corpus.DIVERGE, corpus.HALT_EVEN, corpus.HALT_SLOW]
@@ -145,7 +145,7 @@ def test_polled_only_when_b_or_a_moves(monkeypatch):
     r = run_hk(TEXTS, machine_index(0), machine_index(1), 8_000)
     log = r.kernel.log
     assert r.trace[1:]  # the splitter did route
-    assert len(calls) <= len(log.entries(r.b)) + len(log.entries(r.a)) + 1
+    assert len(calls) <= log.count(r.b) + log.count(r.a) + 1
 
 
 def test_determinism():
@@ -183,7 +183,7 @@ def test_rigged_listing_helper():
     # carries it sorted, for the replay to read
     kernel = Kernel(TEXTS)
     splitter = install_hk(kernel, machine_index(0), machine_index(1), y_over={3: 9, 0: 42})
-    assert splitter.trace[0]["y_over"] == [(0, 42), (3, 9)]
+    assert splitter.trace[0]["y_over"] == [[0, 42], [3, 9]]
     assert "z_over" not in splitter.trace[0]
     assert splitter._get_state(0, 0, 0).y_idx == 42  # m = 0 is (e, j) = (0, 0)
     assert splitter._get_state(1, 0, 0).y_idx == 1  # m = 1 is (1, 0)
@@ -193,12 +193,21 @@ def test_rigged_trace_replays_under_its_overrides():
     # the replay reads the listings from the meta record: without the
     # override maps the same routings no longer replay
     r = run_subset_scenario(3_000)
-    records = merge_for_file(r.kernel.log, r.trace)
+    records = list(merge_for_file(r.kernel.log, r.trace))
     assert replay_check(records)["ok"]
     meta = next(rec for rec in records if rec["op"] == "meta")
-    assert meta["z_over"] == [(0, 4)]
+    assert meta["z_over"] == [[0, 4]]
     del meta["z_over"]
     assert not replay_check(records)["ok"]
+
+
+def test_rigged_trace_reads_back_as_its_records(tmp_path):
+    # the override maps are held as the lists the file spells them as, so
+    # the records read back from the file are the records in memory
+    r = run_subset_scenario(2_000)
+    path = tmp_path / "hk.jsonl"
+    write_trace(path, merge_for_file(r.kernel.log, r.trace))
+    assert read_trace(path) == list(merge_for_file(r.kernel.log, r.trace))
 
 
 def test_halting_input_empty_modulus_counts():

@@ -15,6 +15,7 @@ from cesplit.kernel import (
     KernelError,
     OutOfOrderStepError,
     StageNotSteppedError,
+    _SETTLED,
     host_index,
     machine_index,
 )
@@ -100,7 +101,7 @@ def closed_form_activations(texts, how_many):
     """The activation order from the lanes' closed forms: dense code
     (k % (n+64), k // (n+64)) and padding code n+64+u with (u, x) = unpair(k),
     alternately, each lane skipping invalid programs; each as the ladder
-    entry [pc, registers, index, input, program] of a fresh run."""
+    entry [r0, ..., r_{R-1}, index, input, program, pc] of a fresh run."""
     programs = [parse_program(t) for t in texts]
     n = len(programs)
     dense = n + 64
@@ -117,7 +118,7 @@ def closed_form_activations(texts, how_many):
     for i in range(how_many):
         m, x = next(lanes[i % 2])
         program = programs[m % n]
-        out.append(new_state(program, x) + [machine_index(m), x, program])
+        out.append(new_state(program, x, machine_index(m), x, program))
     return out
 
 
@@ -130,6 +131,14 @@ def closed_form_activations(texts, how_many):
 def test_activation_stream_is_the_closed_form_lanes(texts):
     got = list(islice(Kernel(texts)._fresh, 3_000))
     assert got == closed_form_activations(texts, 3_000)
+    # every activation of a code holds the one index int made for the code
+    # (some past 256, where Python stops sharing small ints by itself), and
+    # no entry shares its list with another
+    held = {}
+    for entry in got:
+        assert held.setdefault(entry[-4], entry[-4]) is entry[-4]
+    assert max(held) > 256
+    assert len({id(entry) for entry in got}) == len(got)
 
 
 def test_machine_only_run_matches_oracle():
@@ -260,6 +269,68 @@ def test_out_of_order_stepping_rejected():
     for stage in (3, 2):
         with pytest.raises(OutOfOrderStepError):
             log.append(stage, 1, 8)
+
+
+@st.composite
+def event_logs(draw):
+    """A log of distinct (index, element) pairs over indices 0 to 5, each
+    released some stages past the last."""
+    log, stage = EventLog(), -1
+    for e, x in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 12)),
+                              unique=True, max_size=40)):
+        stage += draw(st.integers(1, 3))
+        log.append(stage, e, x)
+    return log
+
+
+@settings(max_examples=100, deadline=None)
+@given(event_logs())
+def test_entries_and_count_are_the_events_of_one_index(log):
+    for index in range(7):  # index 6 never enters
+        want = [(s, x) for s, e, x in log.events() if e == index]
+        assert log.count(index) == len(want)
+        for start in range(len(want) + 3):  # starts past the end read nothing
+            got = log.entries(index, start)
+            assert iter(got) is got
+            assert list(got) == want[start:]
+        assert list(log.entries(index)) == want
+        for stage in range(log.last_stage + 2):
+            assert log.members_at(index, stage) == {x for s, x in want if s <= stage}
+
+
+def test_event_log_holds_no_tuple_per_event():
+    # the log's columns share the event's ints: a 1e5-stage run's log takes
+    # about 90 bytes per event, where one (stage, element) tuple per entry
+    # took about 134
+    import tracemalloc
+
+    kernel = Kernel(corpus.BASIC)
+    kernel.run_to(100_000)
+    events = list(kernel.log.events())
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = EventLog()
+        for s, e, x in events:
+            log.append(s, e, x)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held / len(events) < 112
+
+
+def test_live_ladder_entries_are_flat():
+    # a live pair is one list of ints and its program: no register list
+    # hangs off it
+    texts = [COUNT_UP, corpus.HALT_SLOW, QUADRATIC, corpus.HALT_EVEN]
+    kernel = Kernel(texts)
+    kernel.run_to(5_000)
+    live = [entry for queue in kernel._levels for entry in queue if entry is not _SETTLED]
+    assert len(live) > 100
+    programs = [parse_program(t) for t in texts]
+    for entry in live:
+        assert not any(isinstance(item, list) for item in entry)
+        assert entry[-2] in programs
 
 
 @settings(max_examples=25, deadline=None)

@@ -94,11 +94,14 @@ def programs(draw):
 @settings(max_examples=300, deadline=None)
 @given(programs(), st.integers(0, 6), st.integers(1, 1100))
 def test_run_steps_is_step_state_up_to_the_budget(program, x, budget):
-    burst, stepped = new_state(program, x), new_state(program, x)
+    # items between the registers and the pc are the caller's
+    held = ("index", "input", "program")
+    burst, stepped = new_state(program, x, *held), new_state(program, x, *held)
     want = settled = False
     for _ in range(budget):
         # a step of a jump to itself: the run sits there, not halted, for good
-        settled = stepped[0] < len(program) and program[stepped[0]] == (OP_JMP, stepped[0])
+        pc = stepped[-1]
+        settled = pc < len(program) and program[pc] == (OP_JMP, pc)
         if step_state(program, stepped):
             want = True
             break
@@ -107,6 +110,7 @@ def test_run_steps_is_step_state_up_to_the_budget(program, x, budget):
     # None exactly when the budget stepped the run's jump to itself
     assert (result is None) == settled
     assert burst == stepped
+    assert burst[-4:-1] == list(held)
 
 
 def test_run_steps_halts_on_jump_to_the_virtual_slot():
@@ -114,17 +118,17 @@ def test_run_steps_halts_on_jump_to_the_virtual_slot():
     assert program == ((OP_DECJZ, 0, 2), (OP_JMP, 0))
     state = new_state(program, 1)
     # DECJZ decrements, JMP, DECJZ on zero jumps to slot 2: four calls to halt
-    assert run_steps(program, state, 3) is False and state == [2, [0]]
-    assert run_steps(program, state, 1) is True and state == [2, [0]]
+    assert run_steps(program, state, 3) is False and state == [0, 2]
+    assert run_steps(program, state, 1) is True and state == [0, 2]
 
 
 def test_run_steps_spends_the_whole_budget_of_a_burst():
     program = parse_program("INC 1; JMP 0")
     state = new_state(program, 5)
     assert run_steps(program, state, 1024) is False
-    assert state == [0, [5, 512]]
+    assert state == [5, 512, 0]
     assert run_steps(program, state, 1023) is False
-    assert state == [1, [5, 1024]]
+    assert state == [5, 1024, 1]
 
 
 # -- the self-loop rule: a JMP to its own address is a fixed point ----------
@@ -142,10 +146,10 @@ def test_run_steps_settles_a_jump_to_itself_at_once():
     program = parse_program("JMP 0")
     state = new_state(program, 7)
     assert run_steps(program, state, 1024) is None
-    assert state == [0, [7]]
+    assert state == [7, 0]
     # the next burst settles it again, at once
     assert run_steps(program, state, 1) is None
-    assert state == [0, [7]]
+    assert state == [7, 0]
 
 
 def test_run_steps_reaches_a_self_loop_mid_burst():
@@ -159,7 +163,7 @@ def test_run_steps_reaches_a_self_loop_mid_burst():
         assert stepped(program, slow, budget) is False
         assert run_steps(program, burst, budget) is (False if budget == 3 else None)
         assert burst == slow
-    assert burst == [3, [2]]
+    assert burst == [2, 3]
 
 
 def test_run_steps_does_not_settle_a_decjz_to_itself():
@@ -170,4 +174,4 @@ def test_run_steps_does_not_settle_a_decjz_to_itself():
         burst, slow = new_state(program, 5), new_state(program, 5)
         assert run_steps(program, burst, budget) is stepped(program, slow, budget) is False
         assert burst == slow
-    assert burst == [2, [0, 0]]
+    assert burst == [0, 0, 2]

@@ -90,7 +90,7 @@ def routed(request):
         result, op = run_friedberg(TEXTS, machine_index(4), 4_000), "route"
     else:
         result, op = run_hk(TEXTS, machine_index(0), machine_index(1), 4_000), "hk"
-    records = merge_for_file(result.kernel.log, result.trace)
+    records = list(merge_for_file(result.kernel.log, result.trace))
     assert replay_check(records)["ok"]
     last = max(n for n, r in enumerate(records) if r["op"] == op)
     return records, last, result.splitter.halves
@@ -130,7 +130,7 @@ def test_replay_tree_checks_f_shape(forge, field):
     # the construction's walk cannot end anywhere else, so the replay is the
     # only check of f's shape
     result = diagonalize(proc_friedberg, 3000, depth=9)
-    records = merge_for_file(result.kernel.log, result.trace)
+    records = list(merge_for_file(result.kernel.log, result.trace))
     assert replay_check(records)["ok"]
     at = max(n for n, r in enumerate(records) if r["op"] == "f" and len(r["node"]) == 9)
     node = records[at]["node"]
@@ -143,7 +143,7 @@ def test_replay_tree_checks_f_shape(forge, field):
 def test_replay_tree_negative_extra_index_names_no_marker(idx):
     # an index below 0 once read the marker table from its end, or past it
     result = diagonalize(proc_friedberg, 3000, depth=9)
-    records = merge_for_file(result.kernel.log, result.trace)
+    records = list(merge_for_file(result.kernel.log, result.trace))
     at = max(n for n, r in enumerate(records) if r["op"] == "enter")
     records.insert(at + 1, {"op": "dump-extra", "s": records[at]["s"], "ks": 1, "gamma": "01",
                             "node": "1", "idx": idx, "x": 0})
@@ -153,7 +153,7 @@ def test_replay_tree_negative_extra_index_names_no_marker(idx):
 
 def test_replay_check_split_suite(tmp_path):
     result = run_friedberg(TEXTS, machine_index(0), 3_000)
-    records = merge_for_file(result.kernel.log, result.trace)
+    records = list(merge_for_file(result.kernel.log, result.trace))
     report = replay_check(records, "split")
     assert report["ok"]
 
@@ -165,7 +165,7 @@ def test_trace_round_trip(tmp_path, construction):
         result = run_friedberg(TEXTS, machine_index(0), 2_000)
     else:
         result = diagonalize(proc_friedberg, 3000, depth=9)
-    records = merge_for_file(result.kernel.log, result.trace)
+    records = list(merge_for_file(result.kernel.log, result.trace))
     path = tmp_path / "t.jsonl"
     write_trace(path, records)
     back = read_trace(path)

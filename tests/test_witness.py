@@ -156,8 +156,8 @@ def test_shav_split_polled_only_when_a_or_a_side_moves(polls):
     a0, a1 = shav_split(k, halt, EVENS, ODDS)
     k.run_to(S)
     log = k.log
-    assert log.entries(a0) and log.entries(a1)
-    moves = sum(len(log.entries(i)) for i in (halt, EVENS, ODDS))
+    assert log.count(a0) and log.count(a1)
+    moves = sum(map(log.count, (halt, EVENS, ODDS)))
     for half in (a0, a1):
         assert len(polled[half]) <= moves + 1
 
