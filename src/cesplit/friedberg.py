@@ -24,9 +24,9 @@ class FriedbergSplitter:
     a: int
     a0: int = field(init=False)
     a1: int = field(init=False)
-    counters: dict = field(default_factory=dict)
-    trace: list = field(default_factory=list)
-    _cursor: int = 0
+    counters: dict = field(init=False, default_factory=dict)
+    trace: list = field(init=False, default_factory=list)
+    _cursor: int = field(init=False, default=0)
     _out: tuple = field(init=False)
 
     def __post_init__(self):

@@ -145,12 +145,15 @@ def ball_too_deep(x: int, node: str) -> bool:
 
 
 def last_left_pass(history: list, node: str) -> int:
-    """The stage of the latest entry of a (stage, f) history at which f ran
-    left of node, or 0 when none did."""
-    for st, f in reversed(history):
-        if is_left_of(f, node):
-            return st
-    return 0
+    """The stage at which f last moved left of node (0 if f never ran left of
+    it): the first stage of the latest run of equal f values left of node in a
+    (tree stage, kernel stage, f) history of every tree stage or of f's changes."""
+    i = len(history) - 1
+    while i >= 0 and not is_left_of(history[i][2], node):
+        i -= 1
+    while i > 0 and history[i - 1][2] == history[i][2]:
+        i -= 1
+    return history[i][0] if i >= 0 else 0
 
 
 @dataclass(frozen=True)

@@ -109,11 +109,11 @@ class HKSplitter:
     z_over: dict = field(default_factory=dict)  # Z listing: position -> index
     b0: int = field(init=False)
     b1: int = field(init=False)
-    trace: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
-    _states: dict = field(default_factory=dict)  # code -> _TripleState
-    _by_index: dict = field(default_factory=dict)  # index -> [states]
-    _cursor: int = 0
+    trace: list = field(init=False, default_factory=list)
+    warnings: list = field(init=False, default_factory=list)
+    _states: dict = field(init=False, default_factory=dict)  # code -> _TripleState
+    _by_index: dict = field(init=False, default_factory=dict)  # index -> [states]
+    _cursor: int = field(init=False, default=0)
     _out: tuple = field(init=False)
 
     def __post_init__(self):
@@ -165,7 +165,7 @@ class HKSplitter:
 
     def _ingest(self, stage: int) -> None:
         log = self.kernel.log
-        fresh = log.since(self._cursor)
+        fresh = log.events(self._cursor)
         self._cursor = len(log)
         for t, idx, x in fresh:
             for state in self._by_index.get(idx, ()):

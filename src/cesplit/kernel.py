@@ -205,25 +205,23 @@ class EventLog:
         stages, elements = column
         return frozenset(elements[:bisect_right(stages, stage)])
 
-    def events(self) -> Iterable[tuple[int, int, int]]:
-        return zip(self._stages, self._indices, self._elements)
-
     def frontier(self, stage: int) -> int:
         """The largest element released by the stage, or 0 if none is above 0."""
         released = self._elements[:bisect_right(self._stages, stage)]
         return max(0, max(released, default=0))
 
-    def since(self, start: int) -> Iterable[tuple[int, int, int]]:
+    def events(self, start: int = 0) -> Iterable[tuple[int, int, int]]:
         """(stage, index, element) of the events from position ``start`` on.
 
         A construction catches up on the log by keeping a cursor: it reads
-        ``since(cursor)`` and then sets the cursor to ``len(log)``.  With
-        nothing new this returns ``()`` without slicing, as for a generator
-        woken by ``Kernel.wake`` when nothing it reads was released.
+        ``events(cursor)`` and then sets the cursor to ``len(log)``.  With
+        nothing new this returns ``()`` without slicing.
         """
         if start >= len(self._stages):
             return ()
-        return zip(self._stages[start:], self._indices[start:], self._elements[start:])
+        if start:
+            return zip(self._stages[start:], self._indices[start:], self._elements[start:])
+        return zip(self._stages, self._indices, self._elements)
 
 
 def _activation_stream(programs: list) -> Iterator[list]:

@@ -17,7 +17,9 @@ approximation f_s walks from the root, branching 1 exactly when a chip
 changed since the node was last on the path, and stops at positive A-nodes
 or at the depth cap min(s*s, depth_bound).  The cap never shrinks and a node's
 positivity is its address's, so f only deepens or moves sideways: no node
-extends f, and every node right of f is one that f passed on the left.
+extends f, and every node right of f is one that f passed on the left.  One
+history, (tree stage, kernel stage, f) per tree stage, gives the extra dump
+the stage at which f last moved left of a node, and the verdict its tail.
 
 Balls enter at the depth-1 node of the current path, one per tree stage, and
 move only left (when the path passes them) or via pulls.  A ball lives in its
@@ -45,7 +47,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from heapq import heapify, heappop, heappush
 from math import isqrt
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Optional
 
 from .geometry import (
@@ -53,7 +55,7 @@ from .geometry import (
     is_positive_a, last_left_pass, least_dump, left_key, left_target, mask_bit,
     node_kind, question_at, r_chain,
 )
-from .kernel import HostGenerator, Kernel, host_index
+from .kernel import EventLog, HostGenerator, Kernel, host_index
 
 FEEDER_PACE = 4  # the background universe set emits every 4th stage
 SPECTRUM_PACE = 16  # each blocky background set emits every 16th stage
@@ -200,21 +202,18 @@ class TreeRun:
 
         self.tree_stage = 0
         self.f: str = ROOT
-        self.f_kernel_stage = 0
+        self.history: list = [(0, 0, ROOT)]  # (tree stage, kernel stage, f) per tree stage
         self.nodes: dict[str, _NodeState] = {}
         self.measures_by_index: dict[int, list] = {}
         self.positions: dict[int, str] = {}  # every on-machine ball -> its node
         self.a_committed: set = set()
-        self.a_order: list = []
         self.masks: dict[int, int] = {}
         self.marker_nodes: dict[int, list] = {}  # live marker -> the states listing it
         self._left_order: list = []  # the requesting states, in left order
         self._chain: list = []       # states of f's R-nodes, shallowest first
         self._requesters: list = []  # states of f's requesting prefixes
-        self._f_history: list = [(0, ROOT)]  # (tree stage, f) on change
         self.tmeasures_by_index: dict[int, list] = {}  # by j_index and by eb_index
         self._cursor = 0
-        self._endpoint_history: list = []  # (kernel_stage, f is a positive A-node)
         self._make_node(ROOT)
         self._emit_record(
             {
@@ -324,7 +323,7 @@ class TreeRun:
 
     def _ingest(self) -> None:
         log = self.kernel.log
-        fresh = log.since(self._cursor)
+        fresh = log.events(self._cursor)
         self._cursor = len(log)
         for _, idx, x in fresh:
             for m in self.measures_by_index.get(idx, ()):
@@ -503,7 +502,7 @@ class TreeRun:
             {
                 "op": "pull",
                 "s": st,
-                "ks": self.f_kernel_stage,
+                "ks": self.history[-1][1],
                 "node": state.address,
                 "req": request,
                 "x0": x0,
@@ -575,7 +574,6 @@ class TreeRun:
     def _dump_to_a(self, x: int) -> None:
         """Dump a live marker into A, taking it out of every table that lists it."""
         self.a_committed.add(x)
-        self.a_order.append(x)
         self._a_out.append(x)
         self._lift(x)
         for holder in self.marker_nodes.pop(x):
@@ -584,11 +582,11 @@ class TreeRun:
             self._marker_moved(holder, k)
 
     def _patch_node(self, state: _NodeState) -> None:
-        """Absorb casualties: Rtilde_delta balls that entered A uncommitted."""
+        """Absorb casualties: Rtilde_delta balls that entered A uncommitted.  It
+        runs before its tree stage's first dump, when A's log column is all of A."""
         delta = greatest_r_prefix(state.address)
         dstate = self.nodes[delta]
-        while state.patch_cursor < len(self.a_order):
-            y = self.a_order[state.patch_cursor]
+        for _, y in self.kernel.log.entries(self.e_a, state.patch_cursor):
             state.patch_cursor += 1
             if y in state.r_committed or y in state.rt_committed:
                 continue
@@ -600,7 +598,7 @@ class TreeRun:
             )
 
     def _patch(self) -> None:
-        dumped = len(self.a_order)
+        dumped = self.kernel.log.count(self.e_a)
         for state in self._chain:
             if state.patch_cursor < dumped:
                 self._patch_node(state)
@@ -628,7 +626,7 @@ class TreeRun:
             {
                 "op": "dump-orig",
                 "s": st,
-                "ks": self.f_kernel_stage,
+                "ks": self.history[-1][1],
                 "node": state.address,
                 "e": e,
                 "i": i,
@@ -648,8 +646,8 @@ class TreeRun:
         for target in self._chain:
             if target.address == base:
                 continue
-            # the last stage the path ran left of the dumped piece's node
-            t = max(len(f), last_left_pass(self._f_history, target.address))
+            # the stage at which f last moved left of the dumped piece's node
+            t = max(len(f), last_left_pass(self.history, target.address))
             if t >= len(target.live_markers):
                 continue
             stage, floor = target.moved
@@ -660,7 +658,7 @@ class TreeRun:
                 {
                     "op": "dump-extra",
                     "s": st,
-                    "ks": self.f_kernel_stage,
+                    "ks": self.history[-1][1],
                     "gamma": f,
                     "node": target.address,
                     "idx": t,
@@ -681,12 +679,10 @@ class TreeRun:
         f_changed = f != self.f
         if f_changed:
             self._emit_record({"op": "f", "s": st, "ks": stage, "node": f})
-            self._f_history.append((st, f))
         for state in self._requesters:
             state.requests.append(st)
         self.f = f
-        self.f_kernel_stage = stage
-        self._endpoint_history.append((stage, self.nodes[f].positive))
+        self.history.append((st, stage, f))
         self._ball_entry(st, f)
         if f_changed:
             self._sweep_right(st, f)
@@ -758,15 +754,16 @@ PROCEDURES = {
 }
 
 
-def verdict_at(run: TreeRun, stage: int) -> Verdict:
+def verdict_at(log: EventLog, e_a: int, e0: int, e1: int, history: list, stage: int,
+               max_backlog: int) -> Verdict:
+    """The verdict on A = W_e_a and h's halves by the stage, from the log, the
+    run's ``history`` and the kernel's backlog high-water mark."""
     from .setalg import check_split_history
     from .verify import complement_witnesses, probe_friedberg
 
-    kernel, e_a, e0, e1 = run.kernel, run.e_a, run.e0, run.e1
-    log = kernel.log
     # in-flight tolerance: construction bursts can hold a routing hostage
     # for about two queue drains, so the window tracks the observed backlog
-    settle = max(64, stage // 10, 4 * kernel.max_backlog)
+    settle = max(64, stage // 10, 4 * max_backlog)
     violation = check_split_history(log, e_a, e0, e1, stage, settle=settle)
     if violation is not None:
         s, kind, x = violation
@@ -780,9 +777,10 @@ def verdict_at(run: TreeRun, stage: int) -> Verdict:
             return Verdict(
                 2, "complement-witness", {"side": side, "witnesses": live}
             )
-    tail = [positive for ks, positive in run._endpoint_history if ks >= stage * 4 // 5]
+    # the tree stages after stage 0 polled in the trailing fifth
+    tail = history[bisect_left(history, stage * 4 // 5, 1, key=itemgetter(1)):]
     if tail:
-        positive = sum(tail)
+        positive = sum(is_positive_a(f) for _, _, f in tail)
         if positive * 2 >= len(tail):
             return Verdict(2, "positive-endpoint", {"fraction": positive / len(tail)})
     growth = [asdict(ev) for ev in probe_friedberg(log, e_a, e0, e1, stage, 8)
@@ -812,10 +810,9 @@ class _WitnessSplit:
         target = run.nodes.get("1")
         if target is None:
             return
-        while self.cursor < len(run.a_order):
+        for _, x in self.kernel.log.entries(run.e_a, self.cursor):
             if target.patch_cursor <= self.cursor:
                 break  # membership not final yet
-            x = run.a_order[self.cursor]
             self.cursor += 1
             side = 0 if x in target.r_committed else 1
             self._queues[side].append(x)
@@ -844,7 +841,8 @@ def diagonalize(proc: Callable, stages: int, depth: int = 25,
     verdicts = []
     for target in checkpoints:
         kernel.run_to(target)
-        verdicts.append(verdict_at(run, target - 1))
+        verdicts.append(verdict_at(kernel.log, run.e_a, run.e0, run.e1, run.history,
+                                   target - 1, kernel.max_backlog))
     kinds = {v.kind for v in verdicts}
     return TreeResult(
         kernel, run, run.e_a, run.e0, run.e1, verdicts[-1],

@@ -339,7 +339,7 @@ def replay_tree(log: EventLog, records: list, depth: int, feeder: int) -> list[D
     requests: dict[str, list] = {}
     dumped: set = set()
     f = ROOT
-    f_hist: list[tuple[int, str]] = [(0, ROOT)]
+    f_hist: list[tuple[int, int, str]] = [(0, 0, ROOT)]  # (s, ks, f) on change
     stage = 0
 
     def fail(line, fieldname, got, want):
@@ -360,7 +360,7 @@ def replay_tree(log: EventLog, records: list, depth: int, feeder: int) -> list[D
             if len(node) > min(st * st, depth) and st > 0:
                 fail(line, "endpoint-length", len(node), min(st * st, depth))
             f = node
-            f_hist.append((st, node))
+            f_hist.append((st, rec["ks"], node))
             continue
         if op == "enter":
             stage = rec["s"]

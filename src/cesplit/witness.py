@@ -69,7 +69,7 @@ class _DiagonalImageBrain:
 
     def pump(self) -> None:
         log = self.kernel.log
-        fresh = log.since(self.cursor)
+        fresh = log.events(self.cursor)
         self.cursor = len(log)
         sides = (self.pair.pos, self.pair.neg)
         for _, idx, x in fresh:
@@ -110,7 +110,7 @@ class _UnionEcho:
 
     def fresh(self) -> list[int]:
         log = self.kernel.log
-        out = [x for _, idx, x in log.since(self.cursor) if idx in self.sources]
+        out = [x for _, idx, x in log.events(self.cursor) if idx in self.sources]
         self.cursor = len(log)
         return out
 

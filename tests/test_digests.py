@@ -14,6 +14,7 @@ import pytest
 
 from cesplit import corpus, tree
 from cesplit.friedberg import run_friedberg
+from cesplit.geometry import last_left_pass
 from cesplit.kernel import Kernel, machine_index
 from cesplit.trace import merge_for_file, write_trace
 from cesplit.verify import replay_check
@@ -56,6 +57,13 @@ def test_extra_dump_trace_pinned(tmp_path, seed, digest, disputed):
     report = replay_check(list(merge_for_file(result.kernel.log, result.trace)))
     assert [d["field"] for d in report["divergences"]] == ["extra-index"] * len(disputed)
     assert [(d["got"], d["want"], d["line"]) for d in report["divergences"]] == disputed
+    # the run's per-stage history and the changes of f its records carry
+    # give every node the same last left pass
+    changes = [(r["s"], r["ks"], r["node"]) for r in result.trace if r["op"] == "f"]
+    history = result.run.history
+    assert len(changes) < len(history)
+    for node in result.run.nodes:
+        assert last_left_pass(history, node) == last_left_pass(changes, node), node
 
 
 @pytest.mark.parametrize("proc, digest", [

@@ -146,7 +146,7 @@ def test_requesting_prefixes(f):
 
 
 histories = st.lists(addresses, max_size=12).map(
-    lambda fs: [(0, "")] + [(3 * i + 1, f) for i, f in enumerate(fs)]
+    lambda fs: [(0, 0, "")] + [(3 * i + 1, 5 * i + 2, f) for i, f in enumerate(fs)]
 )
 
 
@@ -160,8 +160,22 @@ def test_question_below_a_non_square_depth_is_a_t_question():
 
 @given(histories, addresses)
 def test_last_left_pass(history, node):
-    want = max((s for s, f in history if brute_left_of(f, node)), default=0)
+    # the latest stage at which f took a new value left of node
+    want = max((s for k, (s, _, f) in enumerate(history)
+                if brute_left_of(f, node) and (k == 0 or history[k - 1][2] != f)),
+               default=0)
     assert last_left_pass(history, node) == want
+
+
+@given(st.lists(st.tuples(addresses, st.integers(1, 4)), max_size=10), addresses)
+def test_last_left_pass_reads_the_changes_of_f_alone(runs, node):
+    # the run's history has an entry for every tree stage; the replay's has
+    # the stage-0 seed and one entry per ``f`` record, the stage-0 one included
+    fs = [f for f, length in runs for _ in range(length)]
+    per_stage = [(0, 0, "")] + [(s, 2 * s, f) for s, f in enumerate(fs, start=1)]
+    changes = [(0, 0, "")] + [entry for k, entry in enumerate(per_stage)
+                              if k == 0 or entry[2] != per_stage[k - 1][2]]
+    assert last_left_pass(per_stage, node) == last_left_pass(changes, node)
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 20)), max_size=40))

@@ -12,6 +12,9 @@ property counts when such code reads its name as an attribute.
 Nor is any state write-only: every attribute a package class stores on
 ``self`` (or lists in its ``__slots__``) is read by such code, as an
 attribute or through ``getattr`` or ``attrgetter``.
+
+And no module of the package touches another object's private state: a
+``_name`` attribute is reached through ``self`` or ``cls`` alone.
 """
 
 import ast
@@ -135,3 +138,18 @@ def test_every_stored_attribute_is_read_outside_the_tests():
     assert len(stores) > 100
     orphans = [f"{module}: {cls}.{name}" for module, cls, name in stores if name not in reads]
     assert orphans == []
+
+
+def private_reaches(tree):
+    """The ``x._name`` attributes a module's code reaches through anything but
+    ``self`` or ``cls``; dunders such as ``super().__init__`` are public."""
+    return [ast.unparse(node) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and not (node.attr.startswith("__") and node.attr.endswith("__"))
+            and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))]
+
+
+def test_no_module_reaches_into_another_objects_private_state():
+    found = [f"{path.name}: {reach}" for path in sorted(PACKAGE.glob("*.py"))
+             for reach in private_reaches(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []

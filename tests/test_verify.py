@@ -12,7 +12,7 @@ from cesplit.friedberg import run_friedberg
 from cesplit.hk import run_hk
 from cesplit.kernel import EventLog, machine_index
 from cesplit.setalg import before_then
-from cesplit.tree import diagonalize, proc_friedberg
+from cesplit.tree import Verdict, diagonalize, proc_friedberg, verdict_at
 from cesplit.verify import (
     ComplementEvidence,
     FriedbergEvidence,
@@ -568,3 +568,55 @@ def test_complement_witness_spec_shapes():
     assert evidence[51].status == "live"
     # a candidate equal to the half itself is refuted
     assert evidence[50].status == "refuted"
+
+
+# -- verdicts on hand-built logs ---------------------------------------------
+
+A, H0, H1, W = 20, 21, 22, 3  # A, the candidate's halves, one W_j with j < 16
+QUIET = [(0, 0, ""), (1, 85, "0"), (2, 90, "01"), (3, 95, "1")]  # 1 positive of 3
+
+
+def test_verdict_split_violation():
+    log = scripted([(1, A, 4), (5, H0, 7)])
+    assert verdict_at(log, A, H0, H1, QUIET, 100, 0) == Verdict(
+        1, "split-violation", {"stage": 5, "kind": "extra", "x": 7})
+    # an entrant of A that no half takes is missing once it sat out the
+    # settle window, which grows with the kernel's backlog high-water mark
+    log = scripted([(1, A, 4)])
+    assert verdict_at(log, A, H0, H1, QUIET, 100, 0) == Verdict(
+        1, "split-violation", {"stage": 65, "kind": "missing", "x": 4})
+    assert verdict_at(log, A, H0, H1, QUIET, 100, 25).kind == 3
+
+
+def test_verdict_complement_witness():
+    # W_3 covers 0..99, one element a stage, beside the empty half H0
+    log = scripted([(n + 1, W, n) for n in range(100)])
+    assert verdict_at(log, A, H0, H1, QUIET, 100, 0) == Verdict(
+        2, "complement-witness", {"side": 0, "witnesses": [W]})
+    # the input itself is no complement candidate
+    assert verdict_at(log, A, A, H1, QUIET, 100, 0) == Verdict(
+        2, "complement-witness", {"side": 1, "witnesses": [W]})
+
+
+def test_verdict_positive_endpoint():
+    log = scripted([])
+    # the tail is the tree stages polled at kernel stage 80 or later, and
+    # the positive endpoint "01" at kernel stage 50 is outside it
+    history = [(0, 0, ""), (1, 50, "01"), (2, 85, "01"), (3, 90, "00101"), (4, 95, "0")]
+    assert verdict_at(log, A, H0, H1, history, 100, 0) == Verdict(
+        2, "positive-endpoint", {"fraction": 2 / 3})
+    # the stage-0 entry is never in the tail
+    assert verdict_at(log, A, H0, H1, [(0, 0, ""), (1, 0, "01")], 1, 0) == Verdict(
+        2, "positive-endpoint", {"fraction": 1.0})
+
+
+def test_verdict_friedberg_like():
+    # 4 enters W_3 before A and is routed to H0; W_3 meets H0, so it is no
+    # complement, and the tail's endpoints are mostly not positive
+    log = scripted([(1, W, 4), (2, A, 4), (3, H0, 4)])
+    assert verdict_at(log, A, H0, H1, QUIET, 100, 0) == Verdict(
+        3, "friedberg-like", {"per_index": [
+            {"j": W, "swallowed_total": 1, "swallowed_recent": 0,
+             "side_swallowed_recent": (0, 0), "signature_side": None},
+        ]})
+    assert verdict_at(log, A, H0, H1, [(0, 0, "")], 100, 0).kind == 3
