@@ -9,6 +9,7 @@ log and confirms the trace.
 from cesplit.corpus import HALT_ALL, HALT_SLOW, DIVERGE, halt_below, halt_from
 from cesplit.friedberg import run_friedberg
 from cesplit.setalg import before_then, check_split_history
+from cesplit.trace import merge_for_file
 from cesplit.verify import replay_friedberg
 
 texts = [HALT_ALL, DIVERGE, HALT_SLOW, halt_below(6), halt_from(3)]
@@ -40,5 +41,6 @@ for e in sorted({e for _, e, _ in log.events()}):
         c1 = len(before_then(log, e, result.a1, S))
         print(f"  index {e:4d}: swallowed {swallowed:4d} -> sides ({c0}, {c1})")
 
-divergences = replay_friedberg(log, result.a, result.a0, result.a1, result.trace)
+divergences = replay_friedberg(merge_for_file(log, result.trace),
+                               result.a, result.a0, result.a1)
 print("\nreplay oracle divergences:", len(divergences))

@@ -9,6 +9,7 @@ and lets the probes flag its distinguished non-Friedberg split.
 
 from cesplit.corpus import DIVERGE, HALT_ALL, WITNESS
 from cesplit.hk import run_hk, run_subset_scenario
+from cesplit.trace import merge_for_file
 from cesplit.verify import complement_witnesses, probe_friedberg, replay_hk
 from cesplit.witness import run_parity_witness
 
@@ -22,8 +23,8 @@ print("first routes (ball, triple, l, r):")
 for r in routes[:5]:
     print("  ", (r["x"], r["triple"], r["l"], r["r"]))
 print("replay divergences:",
-      len(replay_hk(result.kernel.log, result.b, result.a,
-                    result.b0, result.b1, result.trace)))
+      len(replay_hk(merge_for_file(result.kernel.log, result.trace),
+                    result.b, result.a, result.b0, result.b1)))
 
 rigged = run_subset_scenario(S)
 tail = [r for r in rigged.trace if r["op"] == "hk" and r["s"] > S * 4 // 5]

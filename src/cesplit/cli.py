@@ -21,7 +21,7 @@ from .friedberg import run_friedberg
 from .hk import run_hk, run_subset_scenario
 from .kernel import Kernel
 from .setalg import check_split_history
-from .trace import TraceError, merge_for_file, read_trace_lines, write_trace
+from .trace import TraceError, merge_for_file, read_trace, write_trace
 from .tree import (PROCEDURES, TreeError, checked_depth, diagonalize,
                    iterate_splitting_procedures, structural_report)
 from .verify import complement_witnesses, probe_friedberg, replay_check, trailing_window
@@ -241,22 +241,14 @@ def _diag_worker(pair):
 
 
 def cmd_verify(args) -> int:
-    lines = None
     try:
-        records, lines = read_trace_lines(args.trace)
-        lines.append(lines[-1] + 1 if lines else 1)  # past the last record: a missing one
-        report = replay_check(records, args.suite)
+        report = replay_check(read_trace(args.trace), args.suite)
     except OSError as err:  # a missing or unreadable path is a usage error
         sys.stderr.write(f"cannot read trace: {err}\n")
         return 2
     except TraceError as err:
-        if lines is not None and err.line is not None:
-            err.line = lines[err.line - 1]  # replay_check counts records from 1
         _emit({"ok": False, "error": str(err), "line": err.line})
         return 1
-    for divergence in report["divergences"]:
-        if divergence["line"] is not None:
-            divergence["line"] = lines[divergence["line"] - 1]
     _emit(report)
     return 0 if report["ok"] else 1
 

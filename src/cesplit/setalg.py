@@ -46,14 +46,19 @@ def check_split_history(
     earlier than the following stage, so an element is missing only once it
     has sat in a unrouted for ``settle`` stages; ``settle=0`` gives the strict
     reading.  Equivalent to checking the split at every stage up to S, but
-    one pass over the log.
+    one pass over the entries of the three sets, merged by stage: a missing
+    element is reported at its own stage, whichever later entry trips it.
     """
     from collections import deque
+    from heapq import merge
+
+    def tagged(index):
+        return ((t, index, x) for t, x in log.entries(index))
 
     in_a: dict[int, int] = {}
     routed: dict[int, int] = {}
     waiting: deque[tuple[int, int]] = deque()  # (a-entry stage, element) FIFO
-    for t, idx, x in log.events():
+    for t, idx, x in merge(*map(tagged, {a, a0, a1})):
         if t > S:
             break
         # the oldest unrouted entrant bounds everyone else

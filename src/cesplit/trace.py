@@ -1,33 +1,38 @@
-"""JSON Lines trace files: writing, parsing, and the one record schema.
+"""JSON Lines trace files: the ``Trace`` value, writing, reading, and the
+one record schema.
 
 One object per line, every record carrying an "op" field.  Event records
-("op": "event") interleave the kernel's released events with construction
-decisions so a trace file replays on its own.  Files are byte-identical
-across runs with the same inputs: keys are sorted and separators fixed.
+("op": "event") and construction decisions make a trace file that replays
+on its own.  Files are byte-identical across runs with the same inputs:
+keys are sorted and separators fixed.  In memory the events are never
+records: a ``Trace`` holds them in its ``EventLog``, and the writer and
+the reader take each event line straight from and to the log's columns.
 
 ``_SHAPES``, the one table of record keys, gives each op's row: the kind
 of each field, per op (``req`` is an integer in ``pull``, a list or null in
 ``route``), and for ``meta`` a row per construction ``kind``.
-``split_events`` checks every record against its row once, before any
-replay reads it: exactly the row's keys, integers of type int (not bool,
-not a subclass), addresses of 0s and 1s only, lists of such integers.  A
-record that does not fit raises ``TraceError`` on its line.
+``read_trace`` checks every record against its row as it reads it:
+exactly the row's keys, integers of type int (not bool, not a subclass),
+addresses of 0s and 1s only, lists of such integers.
 
 The writer fills a row's line template, such as
 ``{"e":E,"op":"event","s":S,"x":X}``, for a record that fits the row (every
 row but ``route``'s and ``meta``'s has one), and hands every other record
-to the ``json`` module, with the same bytes.  The
-reader takes the canonical event line by template and hands every other
-line to the ``json`` module, so it accepts any JSON spelling of any record
-and gives the same dicts either way.
+to the ``json`` module, with the same bytes.  The reader takes the
+canonical event line by template and hands every other line to the
+``json`` module, so it accepts any JSON spelling of any record and gives
+the same log and records either way.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
+
+from .kernel import EventLog, KernelError
 
 
 class TraceError(Exception):
@@ -122,13 +127,7 @@ _EVENT_RE = re.compile(r'\{"e":%s,"op":"event","s":%s,"x":%s\}' % (_INT, _INT, _
 
 def _line(record: dict) -> str:
     op = record.get("op")
-    if op == "event":
-        # nearly every line of every trace, so its check is spelled out
-        if len(record) == 4:
-            s, e, x = record.get("s"), record.get("e"), record.get("x")
-            if type(s) is int and type(e) is int and type(x) is int:
-                return _EVENT_LINE % (e, s, x)
-    elif type(op) is str and op != "meta" and op in _SHAPES:
+    if type(op) is str and op != "meta" and op in _SHAPES:
         line = _filled(_SHAPES[op], record)
         if line is not None:
             return line
@@ -185,83 +184,82 @@ def _misfit(record: dict) -> Optional[str]:
     return None
 
 
-def write_trace(path, records: Iterable[dict]) -> None:
+@dataclass
+class Trace:
+    """One trace: the event log, every other record in file order, the file
+    line each of those sits on, and ``end``, the line after the last record,
+    where a missing record is named.  ``len`` is the record count."""
+
+    log: EventLog
+    records: list
+    lines: Sequence[int]
+    end: int
+
+    def __len__(self) -> int:
+        return len(self.log) + len(self.records)
+
+    def numbered(self) -> Iterator[tuple[int, dict]]:
+        """(file line, record) of every record but the events, in file order."""
+        return zip(self.lines, self.records)
+
+
+def merge_for_file(log: EventLog, decisions: list) -> Trace:
+    """The trace a run writes, over its live log: events first, then the
+    decisions in order, each on the line it takes in the file."""
+    first = len(log) + 1
+    return Trace(log, decisions, range(first, first + len(decisions)), first + len(decisions))
+
+
+def write_trace(path, trace: Trace) -> None:
+    """The events, straight from the log's columns, then every other record."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(_line, records))
+        fh.writelines(_EVENT_LINE % (e, s, x) for s, e, x in trace.log.events())
+        fh.writelines(map(_line, trace.records))
 
 
-def read_trace(path) -> list[dict]:
-    return read_trace_lines(path)[0]
+def read_trace(path) -> Trace:
+    """The trace a file holds, checked line by line in file order.
 
-
-def read_trace_lines(path) -> tuple[list[dict], list[int]]:
-    """The records of a trace file and the file line each sits on.
-
-    Blank lines are legal and skipped, so from the first one on the record
-    count and the file line part ways.  Bytes that are not UTF-8 are
-    carried through as lone surrogates and reported on the line they sit
-    on; a canonical event line never holds one.
+    Each event line goes straight into the event log; every other record is
+    checked against its row of ``_SHAPES`` and kept with its file line.  The
+    first line that cannot be parsed, does not fit its row, or holds an
+    event the log cannot take (a stage out of order, an element entering one
+    index twice) raises ``TraceError`` naming that line.  Blank lines are
+    legal and skipped.  Bytes that are not UTF-8 are carried through as lone
+    surrogates and reported on the line they sit on; a canonical event line
+    never holds one.
     """
-    records, lines = [], []
+    log, records, lines, last = EventLog(), [], [], 0
+    append, fullmatch = log.append, _EVENT_RE.fullmatch
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            last = lineno
+            match = fullmatch(line)
             try:
-                match = _EVENT_RE.fullmatch(line)
-                if match:
+                if match is not None:  # nearly every line
                     e, s, x = match.groups()
-                    records.append({"e": int(e), "op": "event", "s": int(s), "x": int(x)})
-                    lines.append(lineno)
+                    append(int(s), int(e), int(x))
                     continue
                 line.encode("utf-8")  # fails on the lone surrogate of a bad byte
                 record = json.loads(line)
+                if not isinstance(record, dict) or "op" not in record:
+                    raise TraceError("record lacks an op field", lineno)
+                misfit = _misfit(record)
+                if misfit is not None:
+                    raise TraceError(misfit, lineno)
+                if record["op"] == "event":
+                    append(record["s"], record["e"], record["x"])
+                else:
+                    records.append(record)
+                    lines.append(lineno)
+            except KernelError as err:
+                raise TraceError(str(err), lineno) from None
             except UnicodeEncodeError:
                 raise TraceError("record holds bytes that are not UTF-8", lineno) from None
-            except ValueError as err:  # JSONDecodeError, or an integer too long to convert
+            # JSONDecodeError, an integer too long to convert, or nesting too deep
+            except (ValueError, RecursionError) as err:
                 raise TraceError(f"unparsable record: {err}", lineno) from None
-            if not isinstance(record, dict) or "op" not in record:
-                raise TraceError("record lacks an op field", lineno)
-            if not isinstance(record["op"], str) or record["op"] not in _SHAPES:
-                raise TraceError(f"unknown op {record['op']!r}", lineno)
-            records.append(record)
-            lines.append(lineno)
-    return records, lines
-
-
-def split_events(records: list[dict]):
-    """The event log the interleaved event records build, once every record
-    has been checked against its row of ``_SHAPES``.
-
-    A record that does not fit its row (a field missing, unknown or of the
-    wrong kind), and an event the log cannot take (a stage out of order, an
-    element entering one index twice), raise ``TraceError`` naming its
-    line, counted in records from 1.
-    """
-    from .kernel import EventLog, KernelError
-
-    log = EventLog()
-    append = log.append
-    for line, record in enumerate(records, start=1):
-        # nearly every record is an event, so its row is checked inline
-        if record.get("op") == "event" and len(record) == 4:
-            s, e, x = record.get("s"), record.get("e"), record.get("x")
-            if type(s) is int and type(e) is int and type(x) is int:
-                try:
-                    append(s, e, x)
-                except KernelError as err:
-                    raise TraceError(str(err), line) from None
-                continue
-        misfit = _misfit(record)
-        if misfit is not None:
-            raise TraceError(misfit, line)
-    return log
-
-
-def merge_for_file(log, decisions: list[dict]) -> Iterator[dict]:
-    """Events first, then decisions in order: a self-contained file, one
-    record at a time."""
-    for s, e, x in log.events():
-        yield {"op": "event", "s": s, "e": e, "x": x}
-    yield from decisions
+    return Trace(log, records, lines, last + 1)

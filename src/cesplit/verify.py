@@ -12,13 +12,13 @@ questions, the left order, pull eligibility, left targets, requesting
 prefixes, left passes, marker states and the least-dump rule), and it
 trusts the traced chip counters instead of re-deriving them.  It checks
 that a tree record written after an ``enter`` carries its stage.
-``replay_check`` runs one of two suites over a parsed trace: "replay"
+``replay_check`` runs one of two suites over a ``trace.Trace``: "replay"
 dispatches on the meta record, "split" checks only the split discipline.
-First ``trace.split_events`` checks every record against its row of the
-record schema, so the replays read fields with no defensive code.  Every
-replay takes the whole record list, events included, and names a record
-by its position in it, counted from 1; ``cesplit verify`` turns that
-position into the file line.
+Every record has been checked against its row of the record schema by then
+(``trace.read_trace`` checks each line as it reads it), so the replays read
+fields with no defensive code.  Every replay reads the trace's event log as
+it is and walks only its other records, each with its file line: events
+are never records in memory, and a divergence's ``line`` is a file line.
 
 The probes (``complement_witnesses``, ``probe_friedberg``) never decide
 non-effective notions (computability, c.e.-ness of a difference); they
@@ -40,11 +40,12 @@ from .geometry import (
 )
 from .kernel import EventLog
 from .pairing import balance_code, pair, unpair
+from .trace import Trace, TraceError
 
 
 @dataclass
 class Divergence:
-    line: Optional[int]  # the record's position in the replayed list, from 1
+    line: Optional[int]  # the record's file line
     field: str
     got: object
     want: object
@@ -53,17 +54,18 @@ class Divergence:
 # -- routing replays ---------------------------------------------------------
 
 
-def _replay_routes(log: EventLog, input_idx: int, halves: tuple[int, int], records: list,
-                   op: str, want) -> list[Divergence]:
+def _replay_routes(trace: Trace, input_idx: int, halves: tuple[int, int], op: str,
+                   want) -> list[Divergence]:
     """Diff the ``op`` records against the routing the replay derives.
 
     The input's entrants, in log order, pair with the ``op`` records, in
     order.  ``want(x, stage)`` gives the fields of the record for ball ``x``
     entering at ``stage``, ``side`` among them; the ball must surface in
     that half after ``stage``, and not in the other.  A missing record is
-    named by the position after the last record.
+    named by the line after the last record.
     """
-    numbered = [(line, r) for line, r in enumerate(records, start=1) if r["op"] == op]
+    log = trace.log
+    numbered = [(line, r) for line, r in trace.numbered() if r["op"] == op]
     entrants = log.entries(input_idx)
     out: list[Divergence] = []
     # the records first: zip stops on them without taking an entrant
@@ -80,15 +82,16 @@ def _replay_routes(log: EventLog, input_idx: int, halves: tuple[int, int], recor
             out.append(Divergence(line, "landing", f"also in half {1 - side}", None))
     unrecorded = next(entrants, None)
     if unrecorded is not None:
-        out.append(Divergence(len(records) + 1, "missing-record", None, {"x": unrecorded[1]}))
+        out.append(Divergence(trace.end, "missing-record", None, {"x": unrecorded[1]}))
     for line, record in numbered[log.count(input_idx):]:
         out.append(Divergence(line, "extra-record", record, None))
     return out
 
 
-def replay_friedberg(log: EventLog, a: int, a0: int, a1: int, records: list) -> list[Divergence]:
+def replay_friedberg(trace: Trace, a: int, a0: int, a1: int) -> list[Divergence]:
     """Re-derive every routing decision from the raw log and diff the
     ``route`` records."""
+    log = trace.log
     counters: dict[tuple[int, int], int] = {}
 
     def want(x, entered):
@@ -106,7 +109,7 @@ def replay_friedberg(log: EventLog, a: int, a0: int, a1: int, records: list) -> 
             counters[(e, side)] = counters.get((e, side), 0) + 1
         return {"x": x, "s": entered, "req": req, "side": side}
 
-    return _replay_routes(log, a, (a0, a1), records, "route", want)
+    return _replay_routes(trace, a, (a0, a1), "route", want)
 
 
 # -- Herrmann-Kummer restraint replay --------------------------------------
@@ -164,8 +167,7 @@ class _NaiveRestraint:
 
 
 def replay_hk(
-    log: EventLog, b: int, a: int, b0: int, b1: int, records: list,
-    y_over: dict = None, z_over: dict = None,
+    trace: Trace, b: int, a: int, b0: int, b1: int, y_over: dict = None, z_over: dict = None,
 ) -> list[Divergence]:
     """Re-derive every routing decision from the raw log and diff the ``hk``
     records; ``y_over`` and ``z_over`` are the meta record's listing overrides."""
@@ -178,7 +180,7 @@ def replay_hk(
         got = states.get(code)
         if got is None:
             e, j = unpair(m)
-            got = _NaiveRestraint(log, code, y_over.get(e, e), z_over.get(j, j),
+            got = _NaiveRestraint(trace.log, code, y_over.get(e, e), z_over.get(j, j),
                                   b0 if i == 0 else b1, a)
             states[code] = got
         return got
@@ -194,7 +196,7 @@ def replay_hk(
                             "l": st.l_at(entered), "r": st.r_at(entered), "side": i}
             m += 1
 
-    return _replay_routes(log, b, (b0, b1), records, "hk", want)
+    return _replay_routes(trace, b, (b0, b1), "hk", want)
 
 
 # -- evidence probes --------------------------------------------------------
@@ -307,7 +309,7 @@ def probe_friedberg(log: EventLog, a: int, a0: int, a1: int, S: int,
 # -- tree trace replay -------------------------------------------------------
 
 
-def replay_tree(log: EventLog, records: list, depth: int, feeder: int) -> list[Divergence]:
+def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
     """Re-derive the legality of every traced tree decision.
 
     Positions, piece commitments, request ledgers and marker tables are
@@ -325,10 +327,11 @@ def replay_tree(log: EventLog, records: list, depth: int, feeder: int) -> list[D
     ``endpoint-length``): the construction's walk cannot end anywhere else,
     so it checks none.  ``depth`` and ``feeder`` are the meta record's.
     Every record must fit its row of the record schema, as
-    ``trace.split_events`` checks before any replay, so fields are read
-    with no defensive code.
+    ``trace.read_trace`` checks, so fields are read with no defensive code.
     """
     from math import isqrt
+
+    log = trace.log
 
     out: list[Divergence] = []
 
@@ -345,9 +348,9 @@ def replay_tree(log: EventLog, records: list, depth: int, feeder: int) -> list[D
     def fail(line, fieldname, got, want):
         out.append(Divergence(line, fieldname, got, want))
 
-    for line, rec in enumerate(records, start=1):
+    for line, rec in trace.numbered():
         op = rec["op"]
-        if op in ("meta", "chip", "event"):
+        if op in ("meta", "chip"):
             continue
         # written after the enter of their own tree stage, so their
         # stage is the latest enter's, which also bounds the least dump
@@ -504,25 +507,22 @@ def replay_tree(log: EventLog, records: list, depth: int, feeder: int) -> list[D
 # -- trace-file level checking ------------------------------------------------
 
 
-def replay_check(records: list, kind: str = "replay") -> dict:
-    """Re-simulate the decisions in a parsed trace and report divergences.
+def replay_check(trace: Trace, kind: str = "replay") -> dict:
+    """Re-simulate the decisions of a trace and report divergences.
 
-    ``records`` is the full record list including interleaved events.  The
-    suite ``kind`` is "replay", which re-derives the decisions of the
+    The suite ``kind`` is "replay", which re-derives the decisions of the
     construction the trace's first meta record names, or "split", which
     checks only that the two halves split the input.  The report carries a
-    boolean ``ok`` plus divergences.  A divergence, and the ``TraceError``
-    of a trace that cannot be replayed at all (a record that does not fit
-    its row of the record schema, an event the log cannot take, no meta
-    record), name a record by its position in ``records``, counted from 1;
-    the split suite's finding is about the whole log, so its ``line`` is
-    None.
+    boolean ``ok`` plus divergences.  A divergence names its record by the
+    record's file line, and a missing record by ``trace.end``, the line
+    after the last record; the split suite's finding is about the whole
+    log, so its ``line`` is None.  A trace with no meta record raises
+    ``TraceError``.
     """
     from .setalg import check_split_history
-    from .trace import TraceError, split_events
 
-    log = split_events(records)
-    meta = next((r for r in records if r["op"] == "meta"), None)
+    log = trace.log
+    meta = next((r for r in trace.records if r["op"] == "meta"), None)
     if meta is None:
         raise TraceError("trace has no meta record to dispatch on")
     flavour = meta["kind"]
@@ -539,18 +539,18 @@ def replay_check(records: list, kind: str = "replay") -> dict:
     elif kind != "replay":
         raise TraceError(f"unknown suite {kind!r}")
     elif flavour == "friedberg":
-        divergences = replay_friedberg(log, meta["a"], meta["a0"], meta["a1"], records)
+        divergences = replay_friedberg(trace, meta["a"], meta["a0"], meta["a1"])
     elif flavour == "hk":
         divergences = replay_hk(
-            log, meta["b"], meta["a"], meta["b0"], meta["b1"], records,
+            trace, meta["b"], meta["a"], meta["b0"], meta["b1"],
             dict(meta.get("y_over", ())), dict(meta.get("z_over", ())),
         )
     else:
-        divergences = replay_tree(log, records, meta["depth"], meta["feeder"])
+        divergences = replay_tree(trace, meta["depth"], meta["feeder"])
     return {
         "ok": not divergences,
         "kind": flavour if kind == "replay" else kind,
         "divergences": [asdict(d) for d in divergences],
-        "decisions": sum(1 for r in records if r["op"] not in ("event", "meta")),
+        "decisions": sum(1 for r in trace.records if r["op"] != "meta"),
         "events": len(log),
     }

@@ -1,9 +1,10 @@
 """Shared fixtures: scripted host sets, and per-generator poll records; the
 one-step machine oracles the tests check the kernel's bursts against; the
-stagewise split verdict the one-pass split check is checked against; and the
+stagewise split verdict the one-pass split check is checked against; the
 covered prefix and the universe frontier the complement probe is checked
-against."""
+against; and hand-built trace files, written one JSON record a line."""
 
+import json
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
@@ -89,6 +90,22 @@ def universe_frontier(log, stage):
         if x > best:
             best = x
     return best
+
+
+def as_records(trace):
+    """A run's trace as the record dicts of its file, events first."""
+    events = [{"op": "event", "s": s, "e": e, "x": x} for s, e, x in trace.log.events()]
+    return events + list(trace.records)
+
+
+def write_records(path, records):
+    """Write the records one a line, as ``json.dumps(..., sort_keys=True,
+    separators=(",", ":"))`` spells them (the writer's own bytes for a
+    record that fits its row); the path, for ``read_trace``."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
+    return path
 
 
 def register_scripted(kernel, slot, emissions):

@@ -120,7 +120,8 @@ def test_criterion_3_friedberg_construction():
         log = result.kernel.log
         hit = check_split_history(log, result.a, result.a0, result.a1, S - 1)
         assert hit is None, (a, hit)
-        divergences = replay_friedberg(log, result.a, result.a0, result.a1, result.trace)
+        divergences = replay_friedberg(merge_for_file(log, result.trace),
+                                       result.a, result.a0, result.a1)
         assert divergences == [], (a, divergences[:3])
         for e in sorted({e for _, e, _ in log.events()}):
             if e in (result.a, result.a0, result.a1):
@@ -142,7 +143,8 @@ def test_criterion_4_herrmann_kummer():
         machine_index(0), machine_index(1), S,
     )
     log = result.kernel.log
-    divergences = replay_hk(log, result.b, result.a, result.b0, result.b1, result.trace)
+    divergences = replay_hk(merge_for_file(log, result.trace),
+                            result.b, result.a, result.b0, result.b1)
     assert divergences == [], divergences[:3]
     from cesplit.pairing import pair, unpair
 
@@ -268,32 +270,30 @@ def test_criterion_8_corollary_iteration():
 
 def test_criterion_9_fault_injection(tmp_path):
     fried = run_friedberg(SPLIT_TEXTS, machine_index(0), 4_000)
-    fried_records = list(merge_for_file(fried.kernel.log, fried.trace))
     tree = diagonalize(PROCEDURES["hf"], 6_000, depth=9)
-    tree_records = list(merge_for_file(tree.kernel.log, tree.trace))
 
-    def tamper(records, op, mutate):
-        out = copy.deepcopy(records)
+    def tamper(result, op, mutate):
+        out = copy.deepcopy(result.trace)
         idx = next(i for i, r in enumerate(out) if r["op"] == op)
         mutate(out[idx])
-        return out
+        return merge_for_file(result.kernel.log, out)
 
     cases = [
-        (fried_records, "route", lambda r: r.update(side=1 - r["side"])),
-        (fried_records, "route", lambda r: r.update(x=r["x"] + 1)),
-        (fried_records, "route", lambda r: r.update(req=[0, 0, 10**6])),
-        (fried_records, "route", lambda r: r.update(s=r["s"] + 3)),
-        (fried_records, "route", lambda r: r.update(side=1 - r["side"], x=r["x"])),
-        (tree_records, "enter", lambda r: r.update(x=r["x"] + 1)),
-        (tree_records, "pull", lambda r: r.update(x0=r["x1"], x1=r["x0"])),
-        (tree_records, "pull", lambda r: r.update(req=r["req"] + 10**6)),
-        (tree_records, "dump-orig", lambda r: r.update(e=r["e"] + 1)),
-        (tree_records, "f", lambda r: r.update(node=r["node"] + "00")),
+        (fried, "route", lambda r: r.update(side=1 - r["side"])),
+        (fried, "route", lambda r: r.update(x=r["x"] + 1)),
+        (fried, "route", lambda r: r.update(req=[0, 0, 10**6])),
+        (fried, "route", lambda r: r.update(s=r["s"] + 3)),
+        (fried, "route", lambda r: r.update(side=1 - r["side"], x=r["x"])),
+        (tree, "enter", lambda r: r.update(x=r["x"] + 1)),
+        (tree, "pull", lambda r: r.update(x0=r["x1"], x1=r["x0"])),
+        (tree, "pull", lambda r: r.update(req=r["req"] + 10**6)),
+        (tree, "dump-orig", lambda r: r.update(e=r["e"] + 1)),
+        (tree, "f", lambda r: r.update(node=r["node"] + "00")),
     ]
     caught = 0
-    for n, (records, op, mutate) in enumerate(cases):
+    for n, (result, op, mutate) in enumerate(cases):
         path = tmp_path / f"tampered_{n}.jsonl"
-        write_trace(path, tamper(records, op, mutate))
+        write_trace(path, tamper(result, op, mutate))
         proc = subprocess.run(
             [sys.executable, "-m", "cesplit.cli", "verify", "--trace", str(path)],
             capture_output=True, text=True, timeout=600,

@@ -338,6 +338,40 @@ def test_verify_bytes_not_utf8_report_line(tmp_path):
     _verify_rejects(path, 2)
 
 
+DEEP = "[" * 100_000 + "]" * 100_000  # nested past any parser's recursion limit
+
+
+@pytest.mark.parametrize("where", ["bare-line", "meta-field"])
+def test_verify_deep_nesting_reports_line(tmp_path, where):
+    # each crashed with a RecursionError traceback and no report
+    if where == "bare-line":
+        path, at = tmp_path / "deep.jsonl", 0
+        path.write_text(DEEP + "\n")
+    else:
+        path, lines = _friedberg_trace(tmp_path)
+        at = next(i for i, line in enumerate(lines) if '"op":"meta"' in line)
+        a0 = json.loads(lines[at])["a0"]
+        lines[at] = lines[at].replace(f'"a0":{a0}', f'"a0":{DEEP}')
+        path.write_text("\n".join(lines) + "\n")
+    _verify_rejects(path, at + 1)
+    error = json.loads(invoke("verify", "--trace", str(path)).stdout)["error"]
+    assert error.startswith(f"line {at + 1}: unparsable record: "), error[:200]
+
+
+def test_verify_reports_first_fault_in_file_order(tmp_path):
+    # a record that does not fit its row, and an unparsable line after it:
+    # the earlier line is reported (read errors once beat schema errors)
+    path, lines = _friedberg_trace(tmp_path)
+    fourth = [i for i, line in enumerate(lines) if '"op":"event"' in line][3]
+    record = json.loads(lines[fourth])
+    record["x"] = "a"
+    lines[fourth] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\nnot json at all\n")
+    _verify_rejects(path, fourth + 1)
+    error = json.loads(invoke("verify", "--trace", str(path)).stdout)["error"]
+    assert error == f"line {fourth + 1}: event field 'x' is not an integer: 'a'"
+
+
 def test_verify_missing_trace_is_usage_error(tmp_path):
     check = invoke("verify", "--trace", str(tmp_path / "missing.jsonl"))
     assert check.returncode == 2

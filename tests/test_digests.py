@@ -16,7 +16,7 @@ from cesplit import corpus, tree
 from cesplit.friedberg import run_friedberg
 from cesplit.geometry import last_left_pass
 from cesplit.kernel import Kernel, machine_index
-from cesplit.trace import merge_for_file, write_trace
+from cesplit.trace import merge_for_file, read_trace, write_trace
 from cesplit.verify import replay_check
 from cesplit.tree import PROCEDURES, diagonalize, iterate_splitting_procedures, proc_friedberg
 from cesplit.witness import run_parity_witness, shav_split, shavrukov_pair
@@ -38,7 +38,7 @@ def test_tree_trace_pinned(tmp_path):
 # Corpora 102 and 148 of perfbench's ``make_inputs("diagonalize", seed)``: at
 # 2e4 stages they are the only pinned runs that write ``dump-extra`` records
 # (3 and 2).  The replay disputes the index of some of them, listed here as
-# (got, want, record position); ROADMAP item 2, which settles the extra-dump
+# (got, want, file line); ROADMAP item 2, which settles the extra-dump
 # rule, empties these lists.
 DATA = Path(__file__).parent / "data"
 
@@ -54,9 +54,11 @@ def test_extra_dump_trace_pinned(tmp_path, seed, digest, disputed):
     result = diagonalize(PROCEDURES["hf"], 20_000, depth=25, corpus_texts=texts)
     assert any(r["op"] == "dump-extra" for r in result.trace)
     assert trace_sha256(tmp_path, result.kernel.log, result.trace) == digest
-    report = replay_check(list(merge_for_file(result.kernel.log, result.trace)))
+    report = replay_check(merge_for_file(result.kernel.log, result.trace))
     assert [d["field"] for d in report["divergences"]] == ["extra-index"] * len(disputed)
     assert [(d["got"], d["want"], d["line"]) for d in report["divergences"]] == disputed
+    # the file read back replays to the same report, its lines included
+    assert replay_check(read_trace(tmp_path / "trace.jsonl")) == report
     # the run's per-stage history and the changes of f its records carry
     # give every node the same last left pass
     changes = [(r["s"], r["ks"], r["node"]) for r in result.trace if r["op"] == "f"]

@@ -113,7 +113,7 @@ def test_ball_zero_goes_to_least_triple(default_run):
 
 def test_routing_replay_clean(default_run):
     r = default_run
-    divergences = replay_hk(r.kernel.log, r.b, r.a, r.b0, r.b1, r.trace)
+    divergences = replay_hk(merge_for_file(r.kernel.log, r.trace), r.b, r.a, r.b0, r.b1)
     assert divergences == []
 
 
@@ -123,8 +123,9 @@ def test_routing_replay_catches_tamper(default_run):
     idx = [i for i, rec in enumerate(bad) if rec["op"] == "hk"][3]
     bad[idx]["side"] = 1 - bad[idx]["side"]
 
-    divergences = replay_hk(r.kernel.log, r.b, r.a, r.b0, r.b1, bad)
-    assert [(d.line, d.field) for d in divergences] == [(idx + 1, "side")]
+    divergences = replay_hk(merge_for_file(r.kernel.log, bad), r.b, r.a, r.b0, r.b1)
+    # the record's line in the written file, after the events
+    assert [(d.line, d.field) for d in divergences] == [(len(r.kernel.log) + idx + 1, "side")]
 
 
 def test_split_discipline(default_run):
@@ -193,12 +194,12 @@ def test_rigged_trace_replays_under_its_overrides():
     # the replay reads the listings from the meta record: without the
     # override maps the same routings no longer replay
     r = run_subset_scenario(3_000)
-    records = list(merge_for_file(r.kernel.log, r.trace))
-    assert replay_check(records)["ok"]
-    meta = next(rec for rec in records if rec["op"] == "meta")
+    trace = merge_for_file(r.kernel.log, r.trace)
+    assert replay_check(trace)["ok"]
+    meta = next(rec for rec in trace.records if rec["op"] == "meta")
     assert meta["z_over"] == [[0, 4]]
     del meta["z_over"]
-    assert not replay_check(records)["ok"]
+    assert not replay_check(trace)["ok"]
 
 
 def test_rigged_trace_reads_back_as_its_records(tmp_path):
@@ -207,7 +208,9 @@ def test_rigged_trace_reads_back_as_its_records(tmp_path):
     r = run_subset_scenario(2_000)
     path = tmp_path / "hk.jsonl"
     write_trace(path, merge_for_file(r.kernel.log, r.trace))
-    assert read_trace(path) == list(merge_for_file(r.kernel.log, r.trace))
+    back = read_trace(path)
+    assert back.records == r.trace
+    assert list(back.log.events()) == list(r.kernel.log.events())
 
 
 def test_halting_input_empty_modulus_counts():
@@ -218,7 +221,7 @@ def test_halting_input_empty_modulus_counts():
     count = lambda r, side: sum(1 for t in r.trace if t["op"] == "hk" and t["side"] == side)
     assert count(r2, 0) > count(r1, 0) > 0
     assert count(r1, 1) == count(r2, 1) == 0
-    assert replay_hk(r2.kernel.log, r2.b, r2.a, r2.b0, r2.b1, r2.trace) == []
+    assert replay_hk(merge_for_file(r2.kernel.log, r2.trace), r2.b, r2.a, r2.b0, r2.b1) == []
 
 
 def test_public_disagreement_matches_tracker():

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -121,6 +123,69 @@ def test_history_check_agrees_with_stagewise_verdicts(pairs):
         assert firsts == []
     else:
         assert firsts and firsts[0] == hit[0]
+
+
+def split_history_by_walk(log, a, a0, a1, S, settle=1):
+    """check_split_history as one walk of the whole log: every event, of any
+    set, gives a waiting entrant of a the chance to be found missing."""
+    in_a, routed, waiting = {}, {}, deque()
+    for t, idx, x in log.events():
+        if t > S:
+            break
+        while waiting:
+            t_y, y = waiting[0]
+            if y in routed:
+                waiting.popleft()
+            elif t_y + settle <= t - 1:
+                return (t_y + settle, "missing", y)
+            else:
+                break
+        if idx == a:
+            in_a[x] = t
+            waiting.append((t, x))
+        if idx == a0 or idx == a1:
+            if x in routed:
+                return (t, "overlap", x)
+            if x not in in_a:
+                return (t, "extra", x)
+            routed[x] = 0 if idx == a0 else 1
+    for t_y, y in waiting:
+        if y not in routed and t_y + settle <= S:
+            return (t_y + settle, "missing", y)
+    return None
+
+
+@st.composite
+def split_cases(draw):
+    """A log over indices 0..4 with stage gaps, three of its indices (a half
+    may be the input itself, or the other half), a stage and a settle."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 8)),
+                          unique=True, max_size=30))
+    log, stage = EventLog(), 0
+    for idx, x in pairs:
+        stage += draw(st.integers(1, 4))
+        log.append(stage, idx, x)
+    a, a0, a1 = draw(st.tuples(*[st.integers(0, 4)] * 3))
+    S = draw(st.integers(-1, stage + 3))
+    settle = draw(st.sampled_from([0, 1, 2, 5, 64]))
+    return log, (a, a0, a1), S, settle
+
+
+@settings(max_examples=500, derandomize=True)
+@given(split_cases())
+def test_history_check_matches_a_walk_of_the_whole_log(case):
+    # the merged entries of a, a0 and a1 find what a walk of every event finds
+    log, (a, a0, a1), S, settle = case
+    assert (check_split_history(log, a, a0, a1, S, settle)
+            == split_history_by_walk(log, a, a0, a1, S, settle))
+
+
+def test_history_check_names_missing_at_its_own_stage():
+    # other sets' events between the entrant's expiry and the next entry of
+    # a half change nothing: the element is missing at t_y + settle
+    log = scripted_log([(1, A, 5), (3, 103, 9), (9, 104, 7), (20, B, 5)])
+    assert check_split_history(log, A, B, 102, 30, settle=2) == (3, "missing", 5)
+    assert split_history_by_walk(log, A, B, 102, 30, settle=2) == (3, "missing", 5)
 
 
 # the computable view of a pair at a stage: the certified interval [0, n)

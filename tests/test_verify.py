@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from cesplit import corpus
 from cesplit.friedberg import run_friedberg
 from cesplit.hk import run_hk
-from cesplit.kernel import EventLog, machine_index
+from cesplit.kernel import EventLog, KernelError, machine_index
 from cesplit.setalg import before_then
 from cesplit.tree import Verdict, diagonalize, proc_friedberg, verdict_at
 from cesplit.verify import (
@@ -26,13 +26,13 @@ from cesplit.trace import (
     _KINDS,
     _SHAPES,
     TraceError,
+    _filled,
+    _misfit,
     merge_for_file,
     read_trace,
-    read_trace_lines,
-    split_events,
     write_trace,
 )
-from conftest import covered_prefix, universe_frontier
+from conftest import as_records, covered_prefix, universe_frontier, write_records
 
 TEXTS = [corpus.HALT_ALL, corpus.HALT_EVEN, corpus.HALT_ODD, corpus.DIVERGE, corpus.HALT_SLOW]
 
@@ -66,7 +66,8 @@ def test_frontier_matches_a_walk_of_the_log(steps, data):
 def test_replay_friedberg_flags_every_field():
     result = run_friedberg(TEXTS, machine_index(4), 4_000)
     records = [dict(r) for r in result.trace]
-    assert replay_friedberg(result.kernel.log, result.a, result.a0, result.a1, records) == []
+    log = result.kernel.log
+    assert replay_friedberg(merge_for_file(log, records), result.a, result.a0, result.a1) == []
     routes = [i for i, r in enumerate(records) if r["op"] == "route"]
     target = routes[2]
     flips = (
@@ -78,99 +79,173 @@ def test_replay_friedberg_flags_every_field():
     for field, value in flips:
         bad = [dict(r) for r in records]
         bad[target][field] = value
-        divergences = replay_friedberg(result.kernel.log, result.a, result.a0, result.a1, bad)
+        divergences = replay_friedberg(merge_for_file(log, bad), result.a, result.a0, result.a1)
         assert divergences, field
 
 
 @pytest.fixture(params=["friedberg", "hk"])
 def routed(request):
-    """A traced routing run: its records, the position (from 0) of its last
-    routing record, and its halves."""
+    """A traced routing run: its file's records, the position (from 0) of
+    its last routing record, and its halves."""
     if request.param == "friedberg":
         result, op = run_friedberg(TEXTS, machine_index(4), 4_000), "route"
     else:
         result, op = run_hk(TEXTS, machine_index(0), machine_index(1), 4_000), "hk"
-    records = list(merge_for_file(result.kernel.log, result.trace))
-    assert replay_check(records)["ok"]
+    trace = merge_for_file(result.kernel.log, result.trace)
+    assert replay_check(trace)["ok"]
+    records = as_records(trace)
     last = max(n for n, r in enumerate(records) if r["op"] == op)
     return records, last, result.splitter.halves
 
 
-def found(records):
-    return [(d["line"], d["field"]) for d in replay_check(records)["divergences"]]
+def found(path, records):
+    """(line, field) of each divergence of the records' file."""
+    report = replay_check(read_trace(write_records(path, records)))
+    return [(d["line"], d["field"]) for d in report["divergences"]]
 
 
-def test_replay_routes_missing_record(routed):
+def test_replay_routes_missing_record(tmp_path, routed):
     records, last, _ = routed
     del records[last]
-    assert found(records) == [(len(records) + 1, "missing-record")]
+    assert found(tmp_path / "t.jsonl", records) == [(len(records) + 1, "missing-record")]
 
 
-def test_replay_routes_extra_record(routed):
+def test_replay_routes_extra_record(tmp_path, routed):
     records, last, _ = routed
     records.insert(last + 1, dict(records[last]))
-    assert found(records) == [(last + 2, "extra-record")]
+    assert found(tmp_path / "t.jsonl", records) == [(last + 2, "extra-record")]
 
 
-def test_replay_routes_landing(routed):
+def test_replay_routes_landing(tmp_path, routed):
     records, last, halves = routed
     x, side = records[last]["x"], records[last]["side"]
     at = next(n for n, r in enumerate(records)
               if r["op"] == "event" and r["e"] == halves[side] and r["x"] == x)
     assert at < last
     del records[at]  # the ball never surfaces in its half
-    assert found(records) == [(last, "landing")]
+    assert found(tmp_path / "t.jsonl", records) == [(last, "landing")]
 
 
 @pytest.mark.parametrize("forge, field", [
     ("non-positive a-node", "endpoint-kind"),
     ("past the cap", "endpoint-length"),
 ])
-def test_replay_tree_checks_f_shape(forge, field):
+def test_replay_tree_checks_f_shape(tmp_path, forge, field):
     # the construction's walk cannot end anywhere else, so the replay is the
     # only check of f's shape
     result = diagonalize(proc_friedberg, 3000, depth=9)
-    records = list(merge_for_file(result.kernel.log, result.trace))
-    assert replay_check(records)["ok"]
+    trace = merge_for_file(result.kernel.log, result.trace)
+    assert replay_check(trace)["ok"]
+    records = as_records(trace)
     at = max(n for n, r in enumerate(records) if r["op"] == "f" and len(r["node"]) == 9)
     node = records[at]["node"]
     forged = node[:7] + "0" if forge == "non-positive a-node" else node + "0" * 7
     records[at] = dict(records[at], node=forged)
-    assert [f for line, f in found(records) if line <= at + 1] == [field]
+    assert [f for line, f in found(tmp_path / "t.jsonl", records) if line <= at + 1] == [field]
 
 
 @pytest.mark.parametrize("idx", [-1, -(10**6)])
-def test_replay_tree_negative_extra_index_names_no_marker(idx):
+def test_replay_tree_negative_extra_index_names_no_marker(tmp_path, idx):
     # an index below 0 once read the marker table from its end, or past it
     result = diagonalize(proc_friedberg, 3000, depth=9)
-    records = list(merge_for_file(result.kernel.log, result.trace))
+    records = as_records(merge_for_file(result.kernel.log, result.trace))
     at = max(n for n, r in enumerate(records) if r["op"] == "enter")
     records.insert(at + 1, {"op": "dump-extra", "s": records[at]["s"], "ks": 1, "gamma": "01",
                             "node": "1", "idx": idx, "x": 0})
-    fields = [f for line, f in found(records) if line == at + 2]
+    fields = [f for line, f in found(tmp_path / "t.jsonl", records) if line == at + 2]
     assert "extra-exists" in fields and "extra-ball" not in fields
 
 
 def test_replay_check_split_suite(tmp_path):
     result = run_friedberg(TEXTS, machine_index(0), 3_000)
-    records = list(merge_for_file(result.kernel.log, result.trace))
-    report = replay_check(records, "split")
+    report = replay_check(merge_for_file(result.kernel.log, result.trace), "split")
     assert report["ok"]
 
 
-@pytest.mark.parametrize("construction", ["friedberg", "tree"])
+@pytest.mark.parametrize("construction", ["friedberg", "hk", "tree"])
 def test_trace_round_trip(tmp_path, construction):
-    # the tree trace's decisions are written by template, and read back by json
+    # the in-memory trace and its read-back hold the same events and
+    # records on the same lines, and replay to the same report; the tree
+    # trace's decisions are written by template, and read back by json
     if construction == "friedberg":
         result = run_friedberg(TEXTS, machine_index(0), 2_000)
+    elif construction == "hk":
+        result = run_hk(TEXTS, machine_index(0), machine_index(1), 2_000)
     else:
         result = diagonalize(proc_friedberg, 3000, depth=9)
-    records = list(merge_for_file(result.kernel.log, result.trace))
+    trace = merge_for_file(result.kernel.log, result.trace)
     path = tmp_path / "t.jsonl"
-    write_trace(path, records)
+    write_trace(path, trace)
     back = read_trace(path)
-    assert back == records
-    assert len(split_events(back)) == len(result.kernel.log)
+    assert list(back.log.events()) == list(result.kernel.log.events())
+    assert back.records == result.trace
+    assert list(back.numbered()) == list(trace.numbered())
+    assert back.end == trace.end == len(path.read_text().splitlines()) + 1
+    assert len(back) == len(trace) == len(result.kernel.log) + len(result.trace)
+    for suite in ("replay", "split"):
+        assert replay_check(back, suite) == replay_check(trace, suite)
+
+
+def interleaved(trace):
+    """A run's file records with the decisions spread among the events, in
+    their own order, and a stretch of events after the last of them."""
+    events = as_records(merge_for_file(trace.log, []))
+    decisions, out, done = trace.records, [], 0
+    for n, record in enumerate(decisions):
+        upto = 1 + n * (len(events) - 2) // len(decisions)  # one event first, one last
+        out += events[done:upto] + [record]
+        done = upto
+    return out + events[done:]
+
+
+@pytest.mark.parametrize("construction", ["friedberg", "tree"])
+def test_interleaved_events_replay_as_events_first(tmp_path, construction):
+    if construction == "friedberg":
+        result = run_friedberg(TEXTS, machine_index(4), 4_000)
+    else:
+        result = diagonalize(proc_friedberg, 3000, depth=9)
+    trace = merge_for_file(result.kernel.log, result.trace)
+    records = interleaved(trace)
+    assert records[0]["op"] == records[-1]["op"] == "event"
+    back = read_trace(write_records(tmp_path / "mixed.jsonl", records))
+    assert list(back.log.events()) == list(trace.log.events())
+    assert back.records == trace.records and back.end == len(records) + 1
+    for suite in ("replay", "split"):
+        assert replay_check(back, suite) == replay_check(trace, suite)
+
+
+def test_interleaved_missing_record_named_after_last_line(tmp_path):
+    # the line after the file's last record, which is an event here
+    result = run_friedberg(TEXTS, machine_index(4), 4_000)
+    records = interleaved(merge_for_file(result.kernel.log, result.trace))
+    last = max(n for n, r in enumerate(records) if r["op"] == "route")
+    x = records.pop(last)["x"]
+    path = write_records(tmp_path / "mixed.jsonl", records)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("\n\n")  # trailing blank lines hold no record
+    report = replay_check(read_trace(path))
+    assert report["divergences"] == [
+        {"line": len(records) + 1, "field": "missing-record", "got": None, "want": {"x": x}}]
+
+
+def test_read_trace_memory_per_record(tmp_path):
+    # the events go straight into the log's columns: no dict per event line
+    # (a list of record dicts held 233 B per record on this trace)
+    import tracemalloc
+
+    result = run_friedberg(TEXTS, machine_index(0), 100_000)
+    path = tmp_path / "t.jsonl"
+    write_trace(path, merge_for_file(result.kernel.log, result.trace))
+    del result
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        back = read_trace(path)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(back) > 8_000
+    assert held / len(back) < 180, held / len(back)
 
 
 # the writer's template must give json.dumps's bytes for every record, the
@@ -307,35 +382,59 @@ def test_trace_schema_doc_lists_the_record_schema():
     assert documented == schema
 
 
-def test_schema_check_agrees_with_the_templates():
-    # every record a template takes fits its row, and every near miss of
-    # one is rejected on its own line by the check the replays run first
+def test_schema_check_agrees_with_the_templates(tmp_path):
+    # every record a template takes fits its row, and the reader rejects
+    # every near miss of one on its own line: every near miss that JSON can
+    # spell, since a tuple is read back as the list a template takes
     exact = [exact_record(op) for op in TEMPLATED]
-    assert len(split_events(exact)) == 1
-    bent = [record for record in near_misses() if record not in exact]
-    assert len(bent) > 300
-    for record in bent:
+    path = tmp_path / "t.jsonl"
+    read = read_trace(write_records(path, exact))
+    assert len(read.log) == 1 and read.records == exact[1:]
+    rejected = 0
+    for record in near_misses():
+        if record in exact:
+            continue
+        spelled = json.loads(json.dumps(record))
+        write_records(path, exact + [record])
+        if _filled(_SHAPES[spelled["op"]], spelled) is not None:  # a tuple, read as a list
+            assert read_trace(path).records[-1] == spelled
+            continue
         with pytest.raises(TraceError) as caught:
-            split_events(exact + [record])
+            read_trace(path)
         assert caught.value.line == len(exact) + 1, record
+        rejected += 1
+    assert rejected > 300
+
+
+# (stage gap, index, element) of the events of a log: stages rise, and no
+# element enters an index twice
+logged_events = st.lists(st.tuples(st.integers(1, 3), exact_ints, exact_ints), max_size=6,
+                         unique_by=lambda event: event[1:])
 
 
 @settings(max_examples=300)
-@example(records=near_misses())
-@given(st.lists(st.one_of(event_shaped(), decision_shaped()), max_size=6))
-def test_written_lines_are_json_dumps(tmp_path_factory, records):
+@example(events=[(1, 0, 0), (2, -(2**70), 2**70)], records=near_misses())
+@given(logged_events, st.lists(st.one_of(event_shaped(), decision_shaped()), max_size=6))
+def test_written_lines_are_json_dumps(tmp_path_factory, events, records):
+    # event lines written from a log's columns, then every other record
+    log, stage = EventLog(), 0
+    for gap, e, x in events:
+        stage += gap
+        log.append(stage, e, x)
     path = tmp_path_factory.getbasetemp() / "written.jsonl"
-    write_trace(path, records)
+    write_trace(path, merge_for_file(log, records))
     expected = "".join(
-        json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records
+        json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+        for r in [{"op": "event", "s": s, "e": e, "x": x} for s, e, x in log.events()] + records
     )
     assert path.read_bytes() == expected.encode("utf-8")
 
 
 def json_reading(data: bytes):
-    """``read_trace_lines`` as plain json.loads per text-mode line: the
-    records and their lines, or the line of the first bad record."""
-    records, lines = [], []
+    """``read_trace`` as plain json.loads per text-mode line, the row check
+    and ``EventLog.append``: the events, the other records, their lines and
+    the line after the last record, or the line of the first bad record."""
+    log, records, lines, last = EventLog(), [], [], 0
     for lineno, line in enumerate(io.TextIOWrapper(io.BytesIO(data), "utf-8"), start=1):
         line = line.strip()
         if not line:
@@ -344,27 +443,34 @@ def json_reading(data: bytes):
             record = json.loads(line)
         except ValueError:
             return lineno
-        if not (isinstance(record, dict) and isinstance(record.get("op"), str)
-                and record["op"] in _SHAPES):
+        if not isinstance(record, dict) or _misfit(record) is not None:
             return lineno
-        records.append(record)
-        lines.append(lineno)
-    return records, lines
+        if record["op"] == "event":
+            try:
+                log.append(record["s"], record["e"], record["x"])
+            except KernelError:
+                return lineno
+        else:
+            records.append(record)
+            lines.append(lineno)
+        last = lineno
+    return list(log.events()), records, lines, last + 1
 
 
 def reading(data: bytes, path):
     path.write_bytes(data)
     try:
-        return read_trace_lines(path)
+        trace = read_trace(path)
     except TraceError as err:
         return err.line
+    return list(trace.log.events()), trace.records, trace.lines, trace.end
 
 
 def check_reading(data: bytes, path):
     got, want = reading(data, path), json_reading(data)
     assert got == want
     if not isinstance(got, int):  # same dicts, keys in the same order
-        assert [list(r) for r in got[0]] == [list(r) for r in want[0]]
+        assert [list(r) for r in got[1]] == [list(r) for r in want[1]]
 
 
 ODD_INTS = [
@@ -425,10 +531,13 @@ def test_read_event_spellings_are_json_loads(tmp_path_factory, line):
 
 
 @settings(max_examples=200)
-@given(st.lists(st.tuples(st.integers(), st.integers(), st.integers()), min_size=1, max_size=6),
-       st.sampled_from(["\n", "\r\n", "\r"]), st.data())
+@given(logged_events.filter(bool), st.sampled_from(["\n", "\r\n", "\r"]), st.data())
 def test_bytes_not_utf8_reported_on_their_line(tmp_path_factory, events, end, data):
-    good = "".join('{"e":%d,"op":"event","s":%d,"x":%d}' % f + end for f in events)
+    # the events around the bad byte are a log's, so the bad byte is the
+    # first fault in the file
+    stages = [sum(gap for gap, _, _ in events[:n + 1]) for n in range(len(events))]
+    good = "".join('{"e":%d,"op":"event","s":%d,"x":%d}' % (e, s, x) + end
+                   for s, (_, e, x) in zip(stages, events))
     good = good.encode("utf-8")
     at = data.draw(st.integers(0, len(good)))
     bad = good[:at] + b"\xff" + good[at:]
@@ -438,23 +547,24 @@ def test_bytes_not_utf8_reported_on_their_line(tmp_path_factory, events, end, da
 
 
 @pytest.mark.parametrize("field, value", [("s", 1.5), ("s", True), ("x", True)])
-def test_non_integer_event_field_named_where_the_log_trips_later(field, value):
-    # the log takes the first event's field and trips over it only later:
+def test_non_integer_event_field_named_where_the_log_trips_later(tmp_path, field, value):
+    # the log would take the first event's field and trip over it only later:
     # a stage of 1.5 or true is out of order with the stage 1 on line 3,
     # and an element true enters index 0 twice with the real 1 on line 4
     events = [(0, 0, 0), (1, 2, 0), (2, 0, 1)]
     records = [{"op": "meta", "kind": "friedberg", "a": 0, "a0": 1, "a1": 2}]
     records += [{"op": "event", "s": s, "e": e, "x": x} for s, e, x in events]
     records[1][field] = value
+    path = tmp_path / "t.jsonl"
     with pytest.raises(TraceError) as caught:
-        split_events(records)
+        read_trace(write_records(path, records))
     assert caught.value.line == 2
     assert str(caught.value) == f"line 2: event field {field!r} is not an integer: {value!r}"
     # an honest trace that trips the log is still reported on its own line
     records[1][field] = 0
     records[3]["s"] = 1
     with pytest.raises(TraceError) as caught:
-        split_events(records)
+        read_trace(write_records(path, records))
     assert str(caught.value) == "line 4: stage 1 is not past 1"
 
 
