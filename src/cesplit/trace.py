@@ -102,7 +102,6 @@ _SHAPES = {
     "chip": _shape("chip", s="int", node="address", c="int"),
     "enter": _shape("enter", s="int", x="int", node="address"),
     "left": _shape("left", s="int", **{"from": "address"}, to="address", balls="ints"),
-    "void": _shape("void", s="int", node="address", n="int"),
     "pull": _shape("pull", s="int", ks="int", node="address", req="int", x0="int", x1="int",
                    mid="ints"),
     "patch": _shape("patch", s="int", node="address", x="int"),

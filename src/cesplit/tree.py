@@ -400,19 +400,12 @@ class TreeRun:
 
     def _sweep_right(self, st: int, f: str) -> None:
         # the nodes f passed on the left; only requesting nodes hold requests,
-        # and once f can move only they hold balls
+        # and once f can move only they hold balls.  Void their requests (the
+        # trace's replay voids them at the f record) and relocate their balls;
+        # each target is a prefix of f, so it sits left of every node moved from
         order = self._left_order
-        passed = order[bisect_right(order, left_key(f), key=_KEY):]
-        # void their requests
-        for state in passed:
-            if state.requests:
-                if self.collect_trace:
-                    self._emit_record({"op": "void", "s": st, "node": state.address,
-                                       "n": len(state.requests)})
-                state.requests.clear()
-        # relocate their balls; each target is a prefix of f, so it sits left
-        # of every node moved from
-        for state in passed:
+        for state in order[bisect_right(order, left_key(f), key=_KEY):]:
+            state.requests.clear()
             if not state.balls:
                 continue
             balls = sorted(state.balls)

@@ -13,7 +13,8 @@ prefixes, left passes, marker states and the least-dump rule), and it
 trusts the traced chip counters instead of re-deriving them.  It checks
 that a tree record written after an ``enter`` carries its stage.
 ``replay_check`` runs one of two suites over a ``trace.Trace``: "replay"
-dispatches on the meta record, "split" checks only the split discipline.
+dispatches on the meta record, "split" checks only the split discipline;
+both reject a second meta record and any op its construction never writes.
 Every record has been checked against its row of the record schema by then
 (``trace.read_trace`` checks each line as it reads it), so the replays read
 fields with no defensive code.  Every replay reads the trace's event log as
@@ -34,9 +35,9 @@ from heapq import merge
 from typing import Optional
 
 from .geometry import (
-    MARKER_WINDOW, ROOT, can_pull, diverges_left, greatest_r_prefix,
-    is_left_of, is_positive_a, is_r_node, last_left_pass, least_dump, left_target,
-    question_at, requesting_prefixes, rev_mask, sorted_discard,
+    MARKER_WINDOW, ROOT, can_pull, diverges_left, greatest_r_prefix, is_positive_a,
+    is_r_node, last_left_pass, least_dump, left_target, question_at, requesting_prefixes,
+    rev_mask, sorted_discard,
 )
 from .kernel import EventLog
 from .pairing import balance_code, pair, unpair
@@ -315,7 +316,10 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
     Positions, piece commitments, request ledgers and marker tables are
     rebuilt from the decision records alone; pull eligibility, dump-state
     comparisons and endpoint shapes are then re-checked against the raw
-    event log.  Every ``left``, ``void``, ``pull``, ``dump-orig`` and
+    event log.  The request ledger is derived, not read: each ``enter``
+    files a request at every requesting prefix of f, and each ``f`` record
+    voids the pending requests of every node the new f passes on the left,
+    as the construction does.  Every ``left``, ``pull``, ``dump-orig`` and
     ``dump-extra`` record must carry the stage ``s`` of the latest ``enter``
     (a ``stage`` divergence otherwise), and that stage, not the record's own
     ``s``, bounds the least dump.  Two things are trusted rather than
@@ -354,7 +358,7 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
             continue
         # written after the enter of their own tree stage, so their
         # stage is the latest enter's, which also bounds the least dump
-        if op in ("left", "void", "pull", "dump-orig", "dump-extra") and rec["s"] != stage:
+        if op in ("left", "pull", "dump-orig", "dump-extra") and rec["s"] != stage:
             fail(line, "stage", rec["s"], stage)
         if op == "f":
             node, st = rec["node"], rec["s"]
@@ -364,6 +368,8 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
                 fail(line, "endpoint-length", len(node), min(st * st, depth))
             f = node
             f_hist.append((st, rec["ks"], node))
+            # the construction voids the pending requests of each node f passes on the left
+            requests = {n: ledger for n, ledger in requests.items() if not diverges_left(f, n)}
             continue
         if op == "enter":
             stage = rec["s"]
@@ -374,12 +380,6 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
             if rec["node"] != f[:1]:
                 fail(line, "entry-node", rec["node"], f[:1])
             positions[rec["x"]] = rec["node"]
-            continue
-        if op == "void":
-            node = rec["node"]
-            if not is_left_of(f, node) or node.startswith(f):
-                fail(line, "void-target", node, f"strictly right of {f}")
-            requests.pop(node, None)
             continue
         if op == "left":
             src_node, dst = rec["from"], rec["to"]
@@ -499,12 +499,14 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
                     sorted_discard(table, x)
             else:
                 fail(line, "extra-exists", rec["idx"], f"< {len(live)} markers")
-            continue
-        fail(line, "op", op, "a known tree record")
     return out
 
 
 # -- trace-file level checking ------------------------------------------------
+
+# the ops each construction writes beside its one meta record
+_OPS = {"friedberg": ("route",), "hk": ("hk",),
+        "tree": ("f", "chip", "enter", "left", "pull", "patch", "dump-orig", "dump-extra")}
 
 
 def replay_check(trace: Trace, kind: str = "replay") -> dict:
@@ -516,8 +518,9 @@ def replay_check(trace: Trace, kind: str = "replay") -> dict:
     boolean ``ok`` plus divergences.  A divergence names its record by the
     record's file line, and a missing record by ``trace.end``, the line
     after the last record; the split suite's finding is about the whole
-    log, so its ``line`` is None.  A trace with no meta record raises
-    ``TraceError``.
+    log, so its ``line`` is None.  A trace with no meta record, a second
+    meta record, or a record of an op its construction never writes raises
+    ``TraceError`` on that record's line, under either suite.
     """
     from .setalg import check_split_history
 
@@ -526,6 +529,10 @@ def replay_check(trace: Trace, kind: str = "replay") -> dict:
     if meta is None:
         raise TraceError("trace has no meta record to dispatch on")
     flavour = meta["kind"]
+    for line, record in trace.numbered():
+        if record is not meta and record["op"] not in _OPS[flavour]:
+            raise TraceError(f"{record['op']} record in a {flavour} trace, which holds one meta "
+                             f"record and {', '.join(_OPS[flavour])} records", line)
     if kind == "split":
         names = {"friedberg": ("a", "a0", "a1"), "hk": ("b", "b0", "b1"),
                  "tree": ("e_a", "e0", "e1")}[flavour]
@@ -551,6 +558,6 @@ def replay_check(trace: Trace, kind: str = "replay") -> dict:
         "ok": not divergences,
         "kind": flavour if kind == "replay" else kind,
         "divergences": [asdict(d) for d in divergences],
-        "decisions": sum(1 for r in trace.records if r["op"] != "meta"),
+        "decisions": len(trace.records) - 1,
         "events": len(log),
     }

@@ -462,8 +462,8 @@ def _verify_rejects_bent(traced, tmp_path, op, field, value, suite="replay"):
 @pytest.mark.parametrize("op, field, value", [
     ("enter", "node", None),
     ("pull", "x0", "a"),
-    ("void", "node", 5),
-    pytest.param("void", "node", NULL, id="void-node-null"),
+    ("left", "to", 5),
+    pytest.param("chip", "s", NULL, id="chip-s-null"),
     pytest.param("f", "node", [], id="f-node-empty-list"),
     pytest.param("f", "node", [1], id="f-node-list"),
     # each of these was replayed as ok: a record must fit its op's row exactly
@@ -475,10 +475,38 @@ def _verify_rejects_bent(traced, tmp_path, op, field, value, suite="replay"):
     pytest.param("enter", "extra", 0, id="enter-extra-key"),
     pytest.param("chip", "c", "zz", id="chip-c-text"),
     pytest.param("chip", "node", 5, id="chip-node-int"),
-    pytest.param("void", "n", "z", id="void-n-text"),
+    pytest.param("patch", "x", "z", id="patch-x-text"),
 ])
 def test_verify_tree_record_fault_reports_line(tmp_path, op, field, value):
     _verify_rejects_bent(_tree_trace, tmp_path, op, field, value)
+
+
+# records that fit a row of the schema, but that the trace's construction
+# never writes; "meta" stands for a copy of the trace's own meta record
+FOREIGN = {
+    "f": {"op": "f", "s": 1, "ks": 1, "node": "1"},
+    "route": {"op": "route", "s": 1, "x": 0, "req": None, "side": 0},
+    "void": {"op": "void", "s": 1, "node": "0", "n": 1},  # the old format's, now no op at all
+}
+
+
+@pytest.mark.parametrize("suite", ["replay", "split"])
+@pytest.mark.parametrize("traced, op", [
+    (_friedberg_trace, "f"), (_friedberg_trace, "meta"), (_tree_trace, "route"),
+    (_tree_trace, "void"),
+], ids=["friedberg-f", "friedberg-second-meta", "tree-route", "tree-void"])
+def test_verify_rejects_records_the_construction_never_writes(tmp_path, traced, op, suite):
+    # each of the first three verified as ok, the foreign record counted
+    # among the decisions
+    path, lines = traced(tmp_path)
+    if op == "meta":
+        record = next(line for line in lines if '"op":"meta"' in line)
+    else:
+        record = json.dumps(FOREIGN[op], sort_keys=True, separators=(",", ":"))
+    at = len(lines) - 1  # before the last record
+    lines.insert(at, record)
+    path.write_text("\n".join(lines) + "\n")
+    _verify_rejects(path, at + 1, suite)
 
 
 @pytest.mark.parametrize("traced, op, field, value", [

@@ -8,6 +8,7 @@ behaviour, which then says so.
 """
 
 import hashlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,10 +29,24 @@ def trace_sha256(tmp_path, log, decisions) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+# Beside each tree trace pin, its decision records counted per op, so that a
+# change of format reads as a named count and not only as a moved digest;
+# the tests are named by their run, so a moved digest keeps their names.
+TREE_OPS = ("meta", "f", "chip", "enter", "left", "pull", "patch", "dump-orig", "dump-extra")
+
+
+def op_counts(trace) -> tuple:
+    """The trace's decision records per op, in ``TREE_OPS`` order."""
+    counts = Counter(r["op"] for r in trace)
+    assert set(counts) <= set(TREE_OPS), counts
+    return tuple(counts[op] for op in TREE_OPS)
+
+
 def test_tree_trace_pinned(tmp_path):
     result = diagonalize(proc_friedberg, 3000, depth=9)
+    assert op_counts(result.trace) == (1, 473, 390, 626, 235, 74, 227, 78, 0)
     assert trace_sha256(tmp_path, result.kernel.log, result.trace) == (
-        "1f3f6b1b14155c9e581351e48c4f42a621bc3bab3e53aa9b0fca630ce7ec11e5"
+        "27b7489b37e6d6aec7ee0d27a4da202cb091622f43e7a19c6d3e8d3bfd3adb92"
     )
 
 
@@ -43,16 +58,18 @@ def test_tree_trace_pinned(tmp_path):
 DATA = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("seed, digest, disputed", [
-    (102, "7092097d846ba7a98e0e1a02b83f606ffb5e63a858c6b8cfa748d0fc7ca3a836",
-     [(19, 2768, 33026), (20, 3048, 33041)]),
-    (148, "5af9fdefa6f14005cbe33ccc964a9bbf3f9da4c5c10f911f96935ada412b8d6c",
-     [(7, 2810, 31823), (8, 2811, 31837)]),
-])
-def test_extra_dump_trace_pinned(tmp_path, seed, digest, disputed):
+@pytest.mark.parametrize("seed, counts, digest, disputed", [
+    (102, (1, 4291, 2388, 4524, 2147, 83, 769, 150, 3),
+     "7e249ac1e024625567b1cb227939b9e0c3f4fe8edbeb17961e3ecae0f256ea99",
+     [(19, 2768, 25981), (20, 3048, 25991)]),
+    (148, (1, 4280, 2379, 4513, 2142, 82, 768, 150, 2),
+     "2ad64b740133c5047ded6f47a758ce594338d3a4a8507288262b6a4a285124ff",
+     [(7, 2810, 25375), (8, 2811, 25384)]),
+], ids=["102", "148"])
+def test_extra_dump_trace_pinned(tmp_path, seed, counts, digest, disputed):
     texts = corpus.load_corpus(DATA / f"diagonalize_seed{seed}.txt")
     result = diagonalize(PROCEDURES["hf"], 20_000, depth=25, corpus_texts=texts)
-    assert any(r["op"] == "dump-extra" for r in result.trace)
+    assert op_counts(result.trace) == counts
     assert trace_sha256(tmp_path, result.kernel.log, result.trace) == digest
     report = replay_check(merge_for_file(result.kernel.log, result.trace))
     assert [d["field"] for d in report["divergences"]] == ["extra-index"] * len(disputed)
@@ -68,13 +85,17 @@ def test_extra_dump_trace_pinned(tmp_path, seed, digest, disputed):
         assert last_left_pass(history, node) == last_left_pass(changes, node), node
 
 
-@pytest.mark.parametrize("proc, digest", [
-    ("hf", "4e69f6d13c900cae00ee277f5bacc6441d88dc235b418513a613c3453b5f1eb4"),
-    ("trivial", "7de88e40478e5b2fc3c68922ffc9b065c95deab809fca14bbc0d484438467e44"),
-    ("broken", "7bf8bc3cf4ca517c12ae77de87fc6cf9c43502dd39e29fa3d3fa4ec362544930"),
-])
-def test_tree_trace_pinned_at_depth_25(tmp_path, proc, digest):
+@pytest.mark.parametrize("proc, counts, digest", [
+    ("hf", (1, 6295, 3380, 6526, 3146, 84, 731, 147, 0),
+     "6fed25221753a519ef9b0b7d34b09fb2deeca84c917ff093873f88cf9181afe8"),
+    ("trivial", (1, 6556, 3738, 6944, 3279, 131, 745, 237, 0),
+     "b83ee3127dd0578a4582972b561ae505d7d24c6097f44e2991ef1252b6efa873"),
+    ("broken", (1, 6556, 3670, 6944, 3279, 131, 745, 237, 0),
+     "f48ffd4cb9e82d8fffe22d24c6a585ebb62418172401fb528ac515df445fce87"),
+], ids=["hf", "trivial", "broken"])
+def test_tree_trace_pinned_at_depth_25(tmp_path, proc, counts, digest):
     result = diagonalize(PROCEDURES[proc], 30_000, depth=25)
+    assert op_counts(result.trace) == counts
     assert trace_sha256(tmp_path, result.kernel.log, result.trace) == digest
 
 

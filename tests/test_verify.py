@@ -12,7 +12,7 @@ from cesplit.friedberg import run_friedberg
 from cesplit.hk import run_hk
 from cesplit.kernel import EventLog, KernelError, machine_index
 from cesplit.setalg import before_then
-from cesplit.tree import Verdict, diagonalize, proc_friedberg, verdict_at
+from cesplit.tree import PROCEDURES, Verdict, diagonalize, proc_friedberg, verdict_at
 from cesplit.verify import (
     ComplementEvidence,
     FriedbergEvidence,
@@ -154,6 +154,20 @@ def test_replay_tree_negative_extra_index_names_no_marker(tmp_path, idx):
                             "node": "1", "idx": idx, "x": 0})
     fields = [f for line, f in found(tmp_path / "t.jsonl", records) if line == at + 2]
     assert "extra-exists" in fields and "extra-ball" not in fields
+
+
+def test_replay_tree_derives_the_voided_requests():
+    # f's left pass at tree stage 530 voided the node's pending requests,
+    # request 24 among them; the replay voids them itself at that f record,
+    # so a pull that takes request 24 instead of 531 is caught on its line
+    result = diagonalize(PROCEDURES["trivial"], 30_000, depth=25)
+    decisions = list(result.trace)
+    at = next(n for n, r in enumerate(decisions)
+              if r["op"] == "pull" and r["node"] == "100000000" and r["req"] == 531)
+    decisions[at] = dict(decisions[at], req=24)
+    report = replay_check(merge_for_file(result.kernel.log, decisions))
+    assert report["divergences"] == [{"line": len(result.kernel.log) + 1 + at,
+                                      "field": "pull-request-least", "got": 24, "want": 531}]
 
 
 def test_replay_check_split_suite(tmp_path):
