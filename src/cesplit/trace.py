@@ -99,8 +99,6 @@ _SHAPES = {
     "route": _shape("route", s="int", x="int", req="ints or null", side="int"),
     "hk": _shape("hk", s="int", x="int", triple="ints", l="int", r="int", side="int"),
     "f": _shape("f", s="int", ks="int", node="address"),
-    "chip": _shape("chip", s="int", node="address", c="int"),
-    "enter": _shape("enter", s="int", x="int", node="address"),
     "left": _shape("left", s="int", **{"from": "address"}, to="address", balls="ints"),
     "pull": _shape("pull", s="int", ks="int", node="address", req="int", x0="int", x1="int",
                    mid="ints"),

@@ -20,6 +20,8 @@ positivity is its address's, so f only deepens or moves sideways: no node
 extends f, and every node right of f is one that f passed on the left.  One
 history, (tree stage, kernel stage, f) per tree stage, gives the extra dump
 the stage at which f last moved left of a node, and the verdict its tail.
+The trace writes it as one ``f`` record per tree stage; (s, f) fixes the
+ball the stage enters and the chips that changed, so no record says them.
 
 Balls enter at the depth-1 node of the current path, one per tree stage, and
 move only left (when the path passes them) or via pulls.  A ball lives in its
@@ -382,8 +384,6 @@ class TreeRun:
                 chip = tm.count
             bit = 1 if chip != state.chip_snapshot else 0
             state.chip_snapshot = chip
-            if self.collect_trace and bit:
-                self._emit_record({"op": "chip", "s": st, "node": node, "c": chip})
             child = state.kids[bit]
             if child is None:
                 child = state.kids[bit] = self._make_node(node + "01"[bit])
@@ -416,7 +416,7 @@ class TreeRun:
             self._emit_record({"op": "left", "s": st, "from": state.address,
                                "to": target.address, "balls": balls})
 
-    # -- where balls sit, and ball entry ------------------------------------
+    # -- where balls sit ----------------------------------------------------
 
     def _place(self, x: int, state: _NodeState) -> None:
         """Move ball x onto a node (entering it if new) and check its depth there."""
@@ -435,13 +435,6 @@ class TreeRun:
         if address is None:
             return
         self.nodes[address].balls.discard(x)
-
-    def _ball_entry(self, st: int, f: str) -> None:
-        ball = st - 1
-        target = self.nodes[f[:1]]
-        self._place(ball, target)
-        self._offer(self.nodes[ROOT], ball)  # the root's tilde pool is every ball
-        self._emit_record({"op": "enter", "s": st, "x": ball, "node": target.address})
 
     # -- pulling --------------------------------------------------------------
 
@@ -669,15 +662,15 @@ class TreeRun:
         st = self.tree_stage + 1
         self.tree_stage = st
         f = self._compute_f(st)
-        f_changed = f != self.f
-        if f_changed:
-            self._emit_record({"op": "f", "s": st, "ks": stage, "node": f})
+        self._emit_record({"op": "f", "s": st, "ks": stage, "node": f})
         for state in self._requesters:
             state.requests.append(st)
-        self.f = f
         self.history.append((st, stage, f))
-        self._ball_entry(st, f)
-        if f_changed:
+        # ball st-1 enters at f[:1]; the root's tilde pool is every ball
+        self._place(st - 1, self.nodes[f[:1]])
+        self._offer(self.nodes[ROOT], st - 1)
+        if f != self.f:
+            self.f = f
             self._sweep_right(st, f)
         self._pull(st)
         self._patch()

@@ -10,8 +10,8 @@ The tree replay is the one exception by design: it shares ``geometry`` with
 the construction, the trusted base of tree address rules (node kinds,
 questions, the left order, pull eligibility, left targets, requesting
 prefixes, left passes, marker states and the least-dump rule), and it
-trusts the traced chip counters instead of re-deriving them.  It checks
-that a tree record written after an ``enter`` carries its stage.
+trusts the traced chip counters instead of re-deriving them.  Its clock
+is the ``f`` records, one per tree stage.
 ``replay_check`` runs one of two suites over a ``trace.Trace``: "replay"
 dispatches on the meta record, "split" checks only the split discipline;
 both reject a second meta record and any op its construction never writes.
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from heapq import merge
 from typing import Optional
 
@@ -41,7 +42,7 @@ from .geometry import (
 )
 from .kernel import EventLog
 from .pairing import balance_code, pair, unpair
-from .trace import Trace, TraceError
+from .trace import _SHAPES, Trace, TraceError
 
 
 @dataclass
@@ -316,22 +317,25 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
     Positions, piece commitments, request ledgers and marker tables are
     rebuilt from the decision records alone; pull eligibility, dump-state
     comparisons and endpoint shapes are then re-checked against the raw
-    event log.  The request ledger is derived, not read: each ``enter``
-    files a request at every requesting prefix of f, and each ``f`` record
-    voids the pending requests of every node the new f passes on the left,
-    as the construction does.  Every ``left``, ``pull``, ``dump-orig`` and
-    ``dump-extra`` record must carry the stage ``s`` of the latest ``enter``
-    (a ``stage`` divergence otherwise), and that stage, not the record's own
-    ``s``, bounds the least dump.  Two things are trusted rather than
-    re-derived: the address rules, marker states and least-dump rule of
-    ``geometry``, which the construction uses too, and the chip counters
-    (re-deriving them would be a second full simulation), so ``f`` records
-    are checked for the shape of their endpoint only and ``chip`` records
-    not at all.  This is the only check of f's shape (``endpoint-kind``,
-    ``endpoint-length``): the construction's walk cannot end anywhere else,
-    so it checks none.  ``depth`` and ``feeder`` are the meta record's.
-    Every record must fit its row of the record schema, as
-    ``trace.read_trace`` checks, so fields are read with no defensive code.
+    event log.  The ``f`` records, one per tree stage, are the stage clock:
+    their ``s`` runs 0, 1, 2, ... (a ``stage`` divergence otherwise), their
+    ``ks`` rises (``kernel-stage``), and their (s, ks, f) list is the run's
+    history.  At each the replay does what no record says, as the
+    construction does: it voids the pending requests of every node the new
+    f passes on the left, enters ball s-1 at ``f[:1]``, and files a request
+    at every requesting prefix of f.  Every ``left``, ``pull``, ``dump-orig``
+    and ``dump-extra`` record must carry its stage's ``s`` and any ``ks``,
+    and those, not the record's, bound the least dump and date the log
+    lookups.  Two things are trusted rather than re-derived: the address
+    rules, marker states and least-dump rule of ``geometry``, which the
+    construction uses too, and the chip counters (re-deriving them would be
+    a second full simulation), so ``f`` records are checked for the shape
+    of their endpoint only.  This is the only check of f's shape
+    (``endpoint-kind``, ``endpoint-length``): the construction's walk
+    cannot end anywhere else, so it checks none.  ``depth`` and ``feeder``
+    are the meta record's.  Every record fits its row of the record schema
+    (``trace.read_trace``) and holds no address longer than ``depth``
+    (``replay_check``), so fields are read with no defensive code.
     """
     from math import isqrt
 
@@ -344,43 +348,46 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
     rt_comm: dict[str, set] = {}
     markers: dict[str, list] = {}
     requests: dict[str, list] = {}
+    prefixes_of = lru_cache(maxsize=None)(requesting_prefixes)  # f takes few values
     dumped: set = set()
     f = ROOT
-    f_hist: list[tuple[int, int, str]] = [(0, 0, ROOT)]  # (s, ks, f) on change
-    stage = 0
+    f_hist: list[tuple[int, int, str]] = []  # (s, ks, f) per tree stage
+    stage = kstage = -1  # the latest f record's s and ks
 
     def fail(line, fieldname, got, want):
         out.append(Divergence(line, fieldname, got, want))
 
     for line, rec in trace.numbered():
         op = rec["op"]
-        if op in ("meta", "chip"):
+        if op == "meta":
             continue
-        # written after the enter of their own tree stage, so their
-        # stage is the latest enter's, which also bounds the least dump
-        if op in ("left", "pull", "dump-orig", "dump-extra") and rec["s"] != stage:
-            fail(line, "stage", rec["s"], stage)
         if op == "f":
-            node, st = rec["node"], rec["s"]
+            node, st, ks = rec["node"], rec["s"], rec["ks"]
+            if st != stage + 1:
+                fail(line, "stage", st, stage + 1)
+            if ks <= kstage:
+                fail(line, "kernel-stage", ks, f"> {kstage}")
             if node != ROOT and not (is_r_node(node) or is_positive_a(node)):
                 fail(line, "endpoint-kind", node, "r-node or positive a-node")
             if len(node) > min(st * st, depth) and st > 0:
                 fail(line, "endpoint-length", len(node), min(st * st, depth))
-            f = node
-            f_hist.append((st, rec["ks"], node))
-            # the construction voids the pending requests of each node f passes on the left
-            requests = {n: ledger for n, ledger in requests.items() if not diverges_left(f, n)}
+            stage, kstage = st, ks
+            f_hist.append((st, ks, node))
+            if node != f:
+                f = node
+                # void the pending requests of each node f passes on the left
+                requests = {n: ledger for n, ledger in requests.items() if not diverges_left(f, n)}
+            if st > 0:
+                positions[st - 1] = f[:1]
+                for n in prefixes_of(f):
+                    requests.setdefault(n, []).append(st)
             continue
-        if op == "enter":
-            stage = rec["s"]
-            for node in requesting_prefixes(f):
-                requests.setdefault(node, []).append(stage)
-            if rec["x"] != stage - 1:
-                fail(line, "ball-number", rec["x"], stage - 1)
-            if rec["node"] != f[:1]:
-                fail(line, "entry-node", rec["node"], f[:1])
-            positions[rec["x"]] = rec["node"]
-            continue
+        # written after their stage's f record, unlike a patch record, which the
+        # walk to f writes when it makes an R-node; left and patch records have no ks
+        if op != "patch" and rec["s"] != stage:
+            fail(line, "stage", rec["s"], stage)
+        if rec.get("ks", kstage) != kstage:
+            fail(line, "kernel-stage", rec["ks"], kstage)
         if op == "left":
             src_node, dst = rec["from"], rec["to"]
             if not diverges_left(f, src_node):
@@ -394,7 +401,7 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
                 positions[x] = dst
             continue
         if op == "pull":
-            node, ks = rec["node"], rec["ks"]
+            node = rec["node"]
             ledger = requests.get(node, [])
             if not ledger:
                 fail(line, "pull-request", None, "a pending request")
@@ -419,7 +426,7 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
                 j = isqrt(len(node))
                 j_idx = feeder if j == 1 else j
                 for x in (x0, x1):
-                    if not log.member_by(j_idx, x, ks - 1):
+                    if not log.member_by(j_idx, x, kstage - 1):
                         fail(line, "pull-gate", x, f"member of W_{j_idx}")
             for x in (x0, x1):
                 positions[x] = node
@@ -452,7 +459,7 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
             r_comm.setdefault(node, set()).add(y)
             continue
         if op == "dump-orig":
-            node, ks = rec["node"], rec["ks"]
+            node = rec["node"]
             live = markers.get(node, [])
             e, i = rec["e"], rec["i"]
             if not (0 <= e < i <= len(live)):
@@ -460,7 +467,7 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
                 continue
             if rec["balls"] != live[e:i]:
                 fail(line, "dump-balls", rec["balls"], live[e:i])
-            revs = [rev_mask(log.containers_of(x), ks - 1) for x in live[:MARKER_WINDOW]]
+            revs = [rev_mask(log.containers_of(x), kstage - 1) for x in live[:MARKER_WINDOW]]
             found = least_dump(revs, stage)
             if found != (e, i):
                 fail(line, "dump-least", (e, i), found)
@@ -506,7 +513,11 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
 
 # the ops each construction writes beside its one meta record
 _OPS = {"friedberg": ("route",), "hk": ("hk",),
-        "tree": ("f", "chip", "enter", "left", "pull", "patch", "dump-orig", "dump-extra")}
+        "tree": ("f", "left", "pull", "patch", "dump-orig", "dump-extra")}
+# the address fields of each tree op: none is longer than the depth bound in an
+# honest trace, and a longer one costs the replay its length at every ledger walk
+_ADDRESSES = {op: [name for name, kind in _SHAPES[op].kinds.items() if kind == "address"]
+              for op in _OPS["tree"]}
 
 
 def replay_check(trace: Trace, kind: str = "replay") -> dict:
@@ -519,7 +530,8 @@ def replay_check(trace: Trace, kind: str = "replay") -> dict:
     record's file line, and a missing record by ``trace.end``, the line
     after the last record; the split suite's finding is about the whole
     log, so its ``line`` is None.  A trace with no meta record, a second
-    meta record, or a record of an op its construction never writes raises
+    meta record, a record of an op its construction never writes, or a tree
+    record with an address longer than the meta's ``depth`` raises
     ``TraceError`` on that record's line, under either suite.
     """
     from .setalg import check_split_history
@@ -529,10 +541,16 @@ def replay_check(trace: Trace, kind: str = "replay") -> dict:
     if meta is None:
         raise TraceError("trace has no meta record to dispatch on")
     flavour = meta["kind"]
+    depth = meta["depth"] if flavour == "tree" else None
     for line, record in trace.numbered():
         if record is not meta and record["op"] not in _OPS[flavour]:
             raise TraceError(f"{record['op']} record in a {flavour} trace, which holds one meta "
                              f"record and {', '.join(_OPS[flavour])} records", line)
+        if depth is not None:
+            for name in _ADDRESSES.get(record["op"], ()):
+                if len(record[name]) > depth:
+                    raise TraceError(f"{record['op']} field {name!r} is {len(record[name])} "
+                                     f"long, past the depth bound {depth}", line)
     if kind == "split":
         names = {"friedberg": ("a", "a0", "a1"), "hk": ("b", "b0", "b1"),
                  "tree": ("e_a", "e0", "e1")}[flavour]

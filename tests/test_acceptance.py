@@ -284,7 +284,7 @@ def test_criterion_9_fault_injection(tmp_path):
         (fried, "route", lambda r: r.update(req=[0, 0, 10**6])),
         (fried, "route", lambda r: r.update(s=r["s"] + 3)),
         (fried, "route", lambda r: r.update(side=1 - r["side"], x=r["x"])),
-        (tree, "enter", lambda r: r.update(x=r["x"] + 1)),
+        (tree, "f", lambda r: r.update(s=r["s"] + 1)),
         (tree, "pull", lambda r: r.update(x0=r["x1"], x1=r["x0"])),
         (tree, "pull", lambda r: r.update(req=r["req"] + 10**6)),
         (tree, "dump-orig", lambda r: r.update(e=r["e"] + 1)),

@@ -460,10 +460,10 @@ def _verify_rejects_bent(traced, tmp_path, op, field, value, suite="replay"):
 
 
 @pytest.mark.parametrize("op, field, value", [
-    ("enter", "node", None),
+    ("f", "node", None),
     ("pull", "x0", "a"),
     ("left", "to", 5),
-    pytest.param("chip", "s", NULL, id="chip-s-null"),
+    pytest.param("pull", "s", NULL, id="pull-s-null"),
     pytest.param("f", "node", [], id="f-node-empty-list"),
     pytest.param("f", "node", [1], id="f-node-list"),
     # each of these was replayed as ok: a record must fit its op's row exactly
@@ -471,10 +471,10 @@ def _verify_rejects_bent(traced, tmp_path, op, field, value, suite="replay"):
     pytest.param("pull", "ks", None, id="pull-ks-missing"),
     pytest.param("dump-orig", "ks", None, id="dump-orig-ks-missing"),
     pytest.param("f", "s", True, id="f-s-bool"),
-    pytest.param("enter", "x", 1.0, id="enter-x-float"),
-    pytest.param("enter", "extra", 0, id="enter-extra-key"),
-    pytest.param("chip", "c", "zz", id="chip-c-text"),
-    pytest.param("chip", "node", 5, id="chip-node-int"),
+    pytest.param("f", "ks", 1.0, id="f-ks-float"),
+    pytest.param("left", "extra", 0, id="left-extra-key"),
+    pytest.param("patch", "node", "z", id="patch-node-text"),
+    pytest.param("dump-orig", "node", 5, id="dump-orig-node-int"),
     pytest.param("patch", "x", "z", id="patch-x-text"),
 ])
 def test_verify_tree_record_fault_reports_line(tmp_path, op, field, value):
@@ -486,15 +486,19 @@ def test_verify_tree_record_fault_reports_line(tmp_path, op, field, value):
 FOREIGN = {
     "f": {"op": "f", "s": 1, "ks": 1, "node": "1"},
     "route": {"op": "route", "s": 1, "x": 0, "req": None, "side": 0},
-    "void": {"op": "void", "s": 1, "node": "0", "n": 1},  # the old format's, now no op at all
+    # the old formats' records, now no op at all
+    "void": {"op": "void", "s": 1, "node": "0", "n": 1},
+    "enter": {"op": "enter", "s": 1, "x": 0, "node": "1"},
+    "chip": {"op": "chip", "s": 1, "node": "", "c": 1},
 }
 
 
 @pytest.mark.parametrize("suite", ["replay", "split"])
 @pytest.mark.parametrize("traced, op", [
     (_friedberg_trace, "f"), (_friedberg_trace, "meta"), (_tree_trace, "route"),
-    (_tree_trace, "void"),
-], ids=["friedberg-f", "friedberg-second-meta", "tree-route", "tree-void"])
+    (_tree_trace, "void"), (_tree_trace, "enter"), (_tree_trace, "chip"),
+], ids=["friedberg-f", "friedberg-second-meta", "tree-route", "tree-void", "tree-enter",
+        "tree-chip"])
 def test_verify_rejects_records_the_construction_never_writes(tmp_path, traced, op, suite):
     # each of the first three verified as ok, the foreign record counted
     # among the decisions
@@ -535,6 +539,19 @@ def test_verify_non_integer_event_stage_reports_line(tmp_path, field, value):
     lines[fourth] = json.dumps(record, sort_keys=True, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n")
     _verify_rejects(path, fourth + 1)
+
+
+def test_verify_long_address_rejected_on_its_line(tmp_path):
+    # no honest address is longer than the meta record's depth bound; an f
+    # node of 40,000 bits once took 16 s to replay, since each later f
+    # record walked a request ledger of about that many nodes
+    path, lines = _tree_trace(tmp_path)
+    at = [i for i, line in enumerate(lines) if '"op":"f"' in line][10]
+    record = json.loads(lines[at])
+    record["node"] = "1" * 40_000
+    lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    _verify_rejects(path, at + 1)
 
 
 @pytest.mark.parametrize("forge", ["lowered", "raised"])

@@ -15,7 +15,6 @@ import pytest
 
 from cesplit import corpus, tree
 from cesplit.friedberg import run_friedberg
-from cesplit.geometry import last_left_pass
 from cesplit.kernel import Kernel, machine_index
 from cesplit.trace import merge_for_file, read_trace, write_trace
 from cesplit.verify import replay_check
@@ -32,7 +31,7 @@ def trace_sha256(tmp_path, log, decisions) -> str:
 # Beside each tree trace pin, its decision records counted per op, so that a
 # change of format reads as a named count and not only as a moved digest;
 # the tests are named by their run, so a moved digest keeps their names.
-TREE_OPS = ("meta", "f", "chip", "enter", "left", "pull", "patch", "dump-orig", "dump-extra")
+TREE_OPS = ("meta", "f", "left", "pull", "patch", "dump-orig", "dump-extra")
 
 
 def op_counts(trace) -> tuple:
@@ -42,11 +41,26 @@ def op_counts(trace) -> tuple:
     return tuple(counts[op] for op in TREE_OPS)
 
 
+def chip_changes(history) -> dict:
+    """Per question node n, the tree stages whose f extends n+"1": the
+    stages at which n's chip changed, since the walk branches 1 exactly
+    then.  The trace wrote one ``chip`` record at each of them until the
+    ``f`` records became one per stage, and these counts equal those
+    records' on every pinned run of that format."""
+    counts = Counter()
+    for _, _, f in history:
+        for d, bit in enumerate(f):
+            if bit == "1":
+                counts[f[:d]] += 1
+    return dict(counts)
+
+
 def test_tree_trace_pinned(tmp_path):
     result = diagonalize(proc_friedberg, 3000, depth=9)
-    assert op_counts(result.trace) == (1, 473, 390, 626, 235, 74, 227, 78, 0)
+    assert op_counts(result.trace) == (1, 627, 235, 74, 227, 78, 0)
+    assert chip_changes(result.run.history) == {"": 390}
     assert trace_sha256(tmp_path, result.kernel.log, result.trace) == (
-        "27b7489b37e6d6aec7ee0d27a4da202cb091622f43e7a19c6d3e8d3bfd3adb92"
+        "ad39967fa5ffb0fcceda51fa28c0551d89a7979edd5682ef26fc14a177886cc0"
     )
 
 
@@ -59,12 +73,12 @@ DATA = Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize("seed, counts, digest, disputed", [
-    (102, (1, 4291, 2388, 4524, 2147, 83, 769, 150, 3),
-     "7e249ac1e024625567b1cb227939b9e0c3f4fe8edbeb17961e3ecae0f256ea99",
-     [(19, 2768, 25981), (20, 3048, 25991)]),
-    (148, (1, 4280, 2379, 4513, 2142, 82, 768, 150, 2),
-     "2ad64b740133c5047ded6f47a758ce594338d3a4a8507288262b6a4a285124ff",
-     [(7, 2810, 25375), (8, 2811, 25384)]),
+    (102, (1, 4525, 2147, 83, 769, 150, 3),
+     "6bc6ea99d88a98a516ff3d2ca084074b5fb0cbd27e4bfda21d8933ba2dfec51b",
+     [(19, 2768, 21518), (20, 3048, 21524)]),
+    (148, (1, 4514, 2142, 82, 768, 150, 2),
+     "a355b762d0b13037599e12bb2ce5162d2e50b5da9cbf4e0de3187bb018a2c0da",
+     [(7, 2810, 21269), (8, 2811, 21274)]),
 ], ids=["102", "148"])
 def test_extra_dump_trace_pinned(tmp_path, seed, counts, digest, disputed):
     texts = corpus.load_corpus(DATA / f"diagonalize_seed{seed}.txt")
@@ -76,26 +90,24 @@ def test_extra_dump_trace_pinned(tmp_path, seed, counts, digest, disputed):
     assert [(d["got"], d["want"], d["line"]) for d in report["divergences"]] == disputed
     # the file read back replays to the same report, its lines included
     assert replay_check(read_trace(tmp_path / "trace.jsonl")) == report
-    # the run's per-stage history and the changes of f its records carry
-    # give every node the same last left pass
-    changes = [(r["s"], r["ks"], r["node"]) for r in result.trace if r["op"] == "f"]
-    history = result.run.history
-    assert len(changes) < len(history)
-    for node in result.run.nodes:
-        assert last_left_pass(history, node) == last_left_pass(changes, node), node
+    # the f records are the run's per-stage history, which gives the
+    # replay every node's last left pass
+    stages = [(r["s"], r["ks"], r["node"]) for r in result.trace if r["op"] == "f"]
+    assert stages == result.run.history
 
 
-@pytest.mark.parametrize("proc, counts, digest", [
-    ("hf", (1, 6295, 3380, 6526, 3146, 84, 731, 147, 0),
-     "6fed25221753a519ef9b0b7d34b09fb2deeca84c917ff093873f88cf9181afe8"),
-    ("trivial", (1, 6556, 3738, 6944, 3279, 131, 745, 237, 0),
-     "b83ee3127dd0578a4582972b561ae505d7d24c6097f44e2991ef1252b6efa873"),
-    ("broken", (1, 6556, 3670, 6944, 3279, 131, 745, 237, 0),
-     "f48ffd4cb9e82d8fffe22d24c6a585ebb62418172401fb528ac515df445fce87"),
+@pytest.mark.parametrize("proc, counts, chips, digest", [
+    ("hf", (1, 6527, 3146, 84, 731, 147, 0), {"": 3379, "0" * 16: 1},
+     "8f0d3bfac5330ae697aae85949c9fa8f4a975f0980d846f4a1710f51eadf3525"),
+    ("trivial", (1, 6945, 3279, 131, 745, 237, 0), {"": 3668, "0" * 16: 68, "10000000": 2},
+     "592cf2647af12340de18a3cd8369a30338eaa9ca1babf0d3b14b11963974fd17"),
+    ("broken", (1, 6945, 3279, 131, 745, 237, 0), {"": 3668, "10000000": 2},
+     "dc143576b35602609f5b98d49e155dc7621c03a7a0185ae2dc793ff74fa29c8d"),
 ], ids=["hf", "trivial", "broken"])
-def test_tree_trace_pinned_at_depth_25(tmp_path, proc, counts, digest):
+def test_tree_trace_pinned_at_depth_25(tmp_path, proc, counts, chips, digest):
     result = diagonalize(PROCEDURES[proc], 30_000, depth=25)
     assert op_counts(result.trace) == counts
+    assert chip_changes(result.run.history) == chips
     assert trace_sha256(tmp_path, result.kernel.log, result.trace) == digest
 
 

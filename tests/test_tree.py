@@ -160,11 +160,11 @@ def test_structural_report_leaves_violations_alone():
 
 
 def test_ball_entry_records(hf_run):
-    enters = [r for r in hf_run.trace if r["op"] == "enter"]
-    assert enters
-    for r in enters[:200]:
-        assert r["x"] == r["s"] - 1
-        assert len(r["node"]) == 1
+    # one f record per tree stage, the run's history: with the stage it
+    # fixes the ball that enters, s-1 at f[:1], so no record says so
+    stages = [(r["s"], r["ks"], r["node"]) for r in hf_run.trace if r["op"] == "f"]
+    assert stages == hf_run.run.history
+    assert len(stages) == hf_run.run.tree_stage + 1
 
 
 def test_first_branch_follows_chip_change(hf_run):

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import re
 from pathlib import Path
 
@@ -137,9 +138,12 @@ def test_replay_tree_checks_f_shape(tmp_path, forge, field):
     trace = merge_for_file(result.kernel.log, result.trace)
     assert replay_check(trace)["ok"]
     records = as_records(trace)
-    at = max(n for n, r in enumerate(records) if r["op"] == "f" and len(r["node"]) == 9)
-    node = records[at]["node"]
-    forged = node[:7] + "0" if forge == "non-positive a-node" else node + "0" * 7
+    if forge == "non-positive a-node":
+        at = max(n for n, r in enumerate(records) if r["op"] == "f" and len(r["node"]) == 9)
+        forged = records[at]["node"][:7] + "0"
+    else:  # an R-node within the depth bound, past stage 2's cap of 4
+        at = next(n for n, r in enumerate(records) if r["op"] == "f" and r["s"] == 2)
+        forged = "0" * 9
     records[at] = dict(records[at], node=forged)
     assert [f for line, f in found(tmp_path / "t.jsonl", records) if line <= at + 1] == [field]
 
@@ -149,9 +153,9 @@ def test_replay_tree_negative_extra_index_names_no_marker(tmp_path, idx):
     # an index below 0 once read the marker table from its end, or past it
     result = diagonalize(proc_friedberg, 3000, depth=9)
     records = as_records(merge_for_file(result.kernel.log, result.trace))
-    at = max(n for n, r in enumerate(records) if r["op"] == "enter")
-    records.insert(at + 1, {"op": "dump-extra", "s": records[at]["s"], "ks": 1, "gamma": "01",
-                            "node": "1", "idx": idx, "x": 0})
+    at = max(n for n, r in enumerate(records) if r["op"] == "f")
+    records.insert(at + 1, {"op": "dump-extra", "s": records[at]["s"], "ks": records[at]["ks"],
+                            "gamma": "01", "node": "1", "idx": idx, "x": 0})
     fields = [f for line, f in found(tmp_path / "t.jsonl", records) if line == at + 2]
     assert "extra-exists" in fields and "extra-ball" not in fields
 
@@ -168,6 +172,130 @@ def test_replay_tree_derives_the_voided_requests():
     report = replay_check(merge_for_file(result.kernel.log, decisions))
     assert report["divergences"] == [{"line": len(result.kernel.log) + 1 + at,
                                       "field": "pull-request-least", "got": 24, "want": 531}]
+
+
+@pytest.mark.parametrize("op, name", [
+    (op, name) for op, row in _SHAPES.items() if op != "meta"
+    for name, kind in row.kinds.items() if kind == "address"
+])
+def test_replay_check_rejects_an_address_past_the_depth_bound(op, name):
+    # every address field of the schema, each on the record's line under
+    # either suite; an address as long as the bound is no fault of the trace
+    result = diagonalize(proc_friedberg, 3000, depth=9)
+    decisions = list(result.trace)
+    if op == "dump-extra":  # the run writes none
+        decisions.append({"op": "dump-extra", "s": 1, "ks": 1, "gamma": "1", "node": "1",
+                          "idx": 0, "x": 0})
+    at = max(n for n, r in enumerate(decisions) if r["op"] == op)
+    for bits, rejected in ((9, False), (10, True)):
+        decisions[at] = dict(decisions[at], **{name: "0" * bits})
+        trace = merge_for_file(result.kernel.log, decisions)
+        for suite in ("replay", "split"):
+            if not rejected:
+                replay_check(trace, suite)
+                continue
+            with pytest.raises(TraceError) as caught:
+                replay_check(trace, suite)
+            assert caught.value.line == trace.lines[at]
+
+
+def tree_report(result, decisions):
+    """The divergences of a tree run's trace with its decisions replaced,
+    as (line, field, got, want)."""
+    report = replay_check(merge_for_file(result.kernel.log, decisions))
+    return [(d["line"], d["field"], d["got"], d["want"]) for d in report["divergences"]]
+
+
+@pytest.mark.parametrize("tamper", ["f-duplicate", "f-s+1", "f-dropped", "pull-ks+1",
+                                    "dump-orig-ks+1", "left-s+1"])
+def test_replay_tree_stage_clock(tamper):
+    # the f records run s = 0, 1, 2, ... with ks rising, and every other
+    # record but a patch carries its stage's s and ks; each break is named
+    # on the record that makes it
+    result = diagonalize(proc_friedberg, 3000, depth=9)
+    decisions = list(result.trace)
+    line_of = len(result.kernel.log) + 1  # the file line of decisions[0]
+    op, change = tamper.rsplit("-", 1)
+    at = [n for n, r in enumerate(decisions) if r["op"] == op][20]
+    record = decisions[at]
+    s, ks = record["s"], record.get("ks")
+    if change == "duplicate":
+        decisions.insert(at + 1, record)
+        want = [(line_of + at + 1, "stage", s, s + 1),
+                (line_of + at + 1, "kernel-stage", ks, f"> {ks}")]
+    elif change == "dropped":  # named on the next record, whose stage the clock has not reached
+        del decisions[at]
+        want = [(line_of + at, "stage", decisions[at]["s"], s - 1)]
+    elif change == "s+1":
+        decisions[at] = dict(record, s=s + 1)
+        want = [(line_of + at, "stage", s + 1, s)]
+    else:
+        decisions[at] = dict(record, ks=ks + 1)
+        want = [(line_of + at, "kernel-stage", ks + 1, ks)]
+    got = tree_report(result, decisions)
+    assert got[:len(want)] == want, got[:4]
+
+
+# The tree replay's tamper table: on the depth-9 hf trace of 6,000 kernel
+# stages, five records per op, drawn by random.Random(op), each dropped,
+# duplicated, with one integer field raised by 1, or with "0" appended to
+# one address field, counted as caught when the replay reports a divergence
+# or rejects the trace.  The run writes no dump-extra record, so that op
+# has no row.  Each cell is a count of 5; the cells below 5 are the misses.
+TREE_TAMPERS = {
+    "f": {"drop": 5, "duplicate": 5, "s+1": 5, "ks+1": 5, "node+0": 5},
+    "left": {"drop": 0, "duplicate": 5, "s+1": 5, "from+0": 5, "to+0": 5},
+    "pull": {"drop": 5, "duplicate": 5, "s+1": 5, "ks+1": 5, "req+1": 5, "x0+1": 4, "x1+1": 4,
+             "node+0": 5},
+    "patch": {"drop": 0, "duplicate": 5, "s+1": 0, "x+1": 5, "node+0": 5},
+    "dump-orig": {"drop": 5, "duplicate": 5, "s+1": 5, "ks+1": 5, "e+1": 5, "i+1": 5,
+                  "node+0": 5},
+}
+TREE_MISSES = {
+    # a left record's moves are trusted, not derived from f: without it the
+    # balls stay where they were, and no later check of this run reads them
+    ("left", "drop"),
+    # casualties are taken from the records, not derived from A's log
+    ("patch", "drop"),
+    # a patch record can come before its stage's f record, so its s is unchecked
+    ("patch", "s+1"),
+    # a pull's pair is checked for eligibility, not for being the least
+    # eligible pair: at s 52, balls 36 and 40 could also have been pulled
+    ("pull", "x0+1"),
+    ("pull", "x1+1"),
+}
+
+
+def tampers(record):
+    """(name, replacement records) of each tamper of one record."""
+    yield "drop", []
+    yield "duplicate", [record, record]
+    for name, kind in _SHAPES[record["op"]].kinds.items():
+        if kind == "int":
+            yield f"{name}+1", [dict(record, **{name: record[name] + 1})]
+        elif kind == "address":
+            yield f"{name}+0", [dict(record, **{name: record[name] + "0"})]
+
+
+def test_tree_tamper_table():
+    result = diagonalize(PROCEDURES["hf"], 6_000, depth=9)
+    log, decisions = result.kernel.log, result.trace
+    assert replay_check(merge_for_file(log, decisions))["ok"]
+    table = {}
+    for op in ("f", "left", "pull", "patch", "dump-orig", "dump-extra"):
+        at = [n for n, r in enumerate(decisions) if r["op"] == op]
+        for n in random.Random(op).sample(at, min(5, len(at))):
+            for name, replacement in tampers(decisions[n]):
+                tampered = merge_for_file(log, decisions[:n] + replacement + decisions[n + 1:])
+                try:
+                    caught = not replay_check(tampered)["ok"]
+                except TraceError:
+                    caught = True
+                row = table.setdefault(op, {})
+                row[name] = row.get(name, 0) + caught
+    assert table == TREE_TAMPERS
+    assert {(op, name) for op, row in table.items() for name, n in row.items() if n < 5} == (
+        TREE_MISSES)
 
 
 def test_replay_check_split_suite(tmp_path):
