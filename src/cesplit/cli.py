@@ -18,12 +18,12 @@ from dataclasses import asdict
 
 from . import corpus as corpus_mod
 from .friedberg import run_friedberg
+from .geometry import TreeError, checked_depth
 from .hk import run_hk, run_subset_scenario
 from .kernel import Kernel
 from .setalg import check_split_history
 from .trace import TraceError, merge_for_file, read_trace, write_trace
-from .tree import (PROCEDURES, TreeError, checked_depth, diagonalize,
-                   iterate_splitting_procedures, structural_report)
+from .tree import PROCEDURES, diagonalize, iterate_splitting_procedures, structural_report
 from .verify import complement_witnesses, probe_friedberg, replay_check, trailing_window
 from .witness import run_parity_witness
 

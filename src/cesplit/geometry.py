@@ -49,6 +49,13 @@ class TreeError(Exception):
     pass
 
 
+def checked_depth(depth: int) -> int:
+    """A depth bound, which must be a non-negative perfect square."""
+    if depth < 0 or isqrt(depth) ** 2 != depth:
+        raise TreeError(f"depth bound must be a non-negative perfect square, not {depth}")
+    return depth
+
+
 def is_r_node(node: str) -> bool:
     d = len(node)
     if d == 0:

@@ -99,14 +99,11 @@ _SHAPES = {
     "route": _shape("route", s="int", x="int", req="ints or null", side="int"),
     "hk": _shape("hk", s="int", x="int", triple="ints", l="int", r="int", side="int"),
     "f": _shape("f", s="int", ks="int", node="address"),
-    "left": _shape("left", s="int", **{"from": "address"}, to="address", balls="ints"),
-    "pull": _shape("pull", s="int", ks="int", node="address", req="int", x0="int", x1="int",
-                   mid="ints"),
-    "patch": _shape("patch", s="int", node="address", x="int"),
-    "dump-orig": _shape("dump-orig", s="int", ks="int", node="address", e="int", i="int",
-                        balls="ints"),
-    "dump-extra": _shape("dump-extra", s="int", ks="int", gamma="address", node="address",
-                         idx="int", x="int"),
+    "left": _shape("left", **{"from": "address"}, balls="ints"),
+    "pull": _shape("pull", ks="int", node="address", req="int", x0="int", x1="int", mid="ints"),
+    "patch": _shape("patch", node="address", x="int"),
+    "dump-orig": _shape("dump-orig", ks="int", node="address", e="int", i="int", balls="ints"),
+    "dump-extra": _shape("dump-extra", ks="int", node="address", idx="int", x="int"),
     # by the record's kind
     "meta": {
         "friedberg": _shape("meta", a="int", a0="int", a1="int"),

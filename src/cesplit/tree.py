@@ -22,6 +22,9 @@ history, (tree stage, kernel stage, f) per tree stage, gives the extra dump
 the stage at which f last moved left of a node, and the verdict its tail.
 The trace writes it as one ``f`` record per tree stage; (s, f) fixes the
 ball the stage enters and the chips that changed, so no record says them.
+Every other record belongs to the stage of the last ``f`` record before it
+(a walk ``patch`` precedes it), so none repeats ``s``, and none repeats
+what f gives: a ``left`` record's target or an extra dump's dumping node.
 
 Balls enter at the depth-1 node of the current path, one per tree stage, and
 move only left (when the path passes them) or via pulls.  A ball lives in its
@@ -53,9 +56,9 @@ from operator import attrgetter, itemgetter
 from typing import Callable, Optional
 
 from .geometry import (
-    MARKER_WINDOW, ROOT, TreeError, ball_too_deep, can_pull, greatest_r_prefix,
-    is_positive_a, last_left_pass, least_dump, left_key, left_target, mask_bit,
-    node_kind, question_at, r_chain,
+    MARKER_WINDOW, ROOT, TreeError, ball_too_deep, can_pull, checked_depth,
+    greatest_r_prefix, is_positive_a, last_left_pass, least_dump, left_key, left_target,
+    mask_bit, node_kind, question_at, r_chain,
 )
 from .kernel import EventLog, HostGenerator, Kernel, host_index
 
@@ -156,13 +159,6 @@ class _NodeState:
         self.cand_heap: list = []
         self.mids_pool: list = []  # 1-ending R-nodes: consumable bystander pool
         self.balls: set = set()  # the on-machine balls sitting here
-
-
-def checked_depth(depth: int) -> int:
-    """A depth bound, which must be a non-negative perfect square."""
-    if depth < 0 or isqrt(depth) ** 2 != depth:
-        raise TreeError(f"depth bound must be a non-negative perfect square, not {depth}")
-    return depth
 
 
 class TreeRun:
@@ -398,7 +394,7 @@ class TreeRun:
 
     # -- sweeping right of the path -----------------------------------------
 
-    def _sweep_right(self, st: int, f: str) -> None:
+    def _sweep_right(self, f: str) -> None:
         # the nodes f passed on the left; only requesting nodes hold requests,
         # and once f can move only they hold balls.  Void their requests (the
         # trace's replay voids them at the f record) and relocate their balls;
@@ -412,9 +408,8 @@ class TreeRun:
             target = self.nodes[left_target(f, state.address)]
             for x in balls:
                 self._place(x, target)
-            # the nodes' own addresses: the records share them instead of copies
-            self._emit_record({"op": "left", "s": st, "from": state.address,
-                               "to": target.address, "balls": balls})
+            # the node's own address: the record shares it instead of a copy
+            self._emit_record({"op": "left", "from": state.address, "balls": balls})
 
     # -- where balls sit ----------------------------------------------------
 
@@ -450,7 +445,7 @@ class TreeRun:
                 if heap and heap[0] >= st:
                     heap.clear()
                 continue
-            if self._try_pull_at(st, state):
+            if self._try_pull_at(state):
                 return
 
     def _pullable(self, state: _NodeState, x: int) -> bool:
@@ -462,7 +457,7 @@ class TreeRun:
             return False
         return can_pull(state.address, self.positions.get(x))
 
-    def _try_pull_at(self, st: int, state: _NodeState) -> bool:
+    def _try_pull_at(self, state: _NodeState) -> bool:
         # pop candidates in value order; every rejection is permanent
         heap = state.cand_heap
         picked: list = []
@@ -484,18 +479,8 @@ class TreeRun:
             self._commit(state, x1, tilde=True)
             for y in mids:
                 self._commit(state, y, tilde=False)
-        self._emit_record(
-            {
-                "op": "pull",
-                "s": st,
-                "ks": self.history[-1][1],
-                "node": state.address,
-                "req": request,
-                "x0": x0,
-                "x1": x1,
-                "mid": mids,
-            }
-        )
+        self._emit_record({"op": "pull", "ks": self.history[-1][1], "node": state.address,
+                           "req": request, "x0": x0, "x1": x1, "mid": mids})
         return True
 
     def _intermediates(self, state: _NodeState, top: int) -> list:
@@ -579,9 +564,7 @@ class TreeRun:
             if delta != ROOT and y not in dstate.rt_committed:
                 continue
             self._commit(state, y, tilde=False)
-            self._emit_record(
-                {"op": "patch", "s": self.tree_stage, "node": state.address, "x": y}
-            )
+            self._emit_record({"op": "patch", "node": state.address, "x": y})
 
     def _patch(self) -> None:
         dumped = self.kernel.log.count(self.e_a)
@@ -608,17 +591,8 @@ class TreeRun:
         state.stage_bound = True
         e, i = found
         dumped = state.live_markers[e:i]
-        self._emit_record(
-            {
-                "op": "dump-orig",
-                "s": st,
-                "ks": self.history[-1][1],
-                "node": state.address,
-                "e": e,
-                "i": i,
-                "balls": dumped,
-            }
-        )
+        self._emit_record({"op": "dump-orig", "ks": self.history[-1][1], "node": state.address,
+                           "e": e, "i": i, "balls": dumped})
         for x in dumped:
             self._dump_to_a(x)
         state.needs_scan = True  # more states may now be raisable
@@ -640,17 +614,8 @@ class TreeRun:
             if stage == st and floor <= t:
                 continue  # this stage's movement already did the job
             x = target.live_markers[t]
-            self._emit_record(
-                {
-                    "op": "dump-extra",
-                    "s": st,
-                    "ks": self.history[-1][1],
-                    "gamma": f,
-                    "node": target.address,
-                    "idx": t,
-                    "x": x,
-                }
-            )
+            self._emit_record({"op": "dump-extra", "ks": self.history[-1][1],
+                               "node": target.address, "idx": t, "x": x})
             self._dump_to_a(x)
 
     # -- stage driver -----------------------------------------------------------
@@ -671,7 +636,7 @@ class TreeRun:
         self._offer(self.nodes[ROOT], st - 1)
         if f != self.f:
             self.f = f
-            self._sweep_right(st, f)
+            self._sweep_right(f)
         self._pull(st)
         self._patch()
         self._maximal(st)

@@ -36,9 +36,9 @@ from heapq import merge
 from typing import Optional
 
 from .geometry import (
-    MARKER_WINDOW, ROOT, can_pull, diverges_left, greatest_r_prefix, is_positive_a,
-    is_r_node, last_left_pass, least_dump, left_target, question_at, requesting_prefixes,
-    rev_mask, sorted_discard,
+    MARKER_WINDOW, ROOT, TreeError, can_pull, checked_depth, diverges_left,
+    greatest_r_prefix, is_positive_a, is_r_node, last_left_pass, least_dump, left_target,
+    question_at, requesting_prefixes, rev_mask, sorted_discard,
 )
 from .kernel import EventLog
 from .pairing import balance_code, pair, unpair
@@ -323,14 +323,21 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
     history.  At each the replay does what no record says, as the
     construction does: it voids the pending requests of every node the new
     f passes on the left, enters ball s-1 at ``f[:1]``, and files a request
-    at every requesting prefix of f.  Every ``left``, ``pull``, ``dump-orig``
-    and ``dump-extra`` record must carry its stage's ``s`` and any ``ks``,
-    and those, not the record's, bound the least dump and date the log
-    lookups.  Two things are trusted rather than re-derived: the address
-    rules, marker states and least-dump rule of ``geometry``, which the
-    construction uses too, and the chip counters (re-deriving them would be
-    a second full simulation), so ``f`` records are checked for the shape
-    of their endpoint only.  This is the only check of f's shape
+    at every requesting prefix of f.  Every other record belongs to the
+    stage of the last ``f`` record before it, whose ``s`` and ``ks`` bound
+    the least dump and date the log lookups; a ``pull``, ``dump-orig`` or
+    ``dump-extra`` record copies that ``ks``, the one witness against a bent
+    ``f`` ``ks`` (``kernel-stage`` when they differ).  The stage's f gives
+    what a record would only copy: a ``left`` record's target,
+    ``left_target(f, from)``, and a ``dump-extra`` record's dumping node.
+    A ``left`` record is legal only at a stage whose f differs from the one
+    before (``left-stage``), since the construction sweeps only then.  A
+    walk ``patch`` comes before its stage's ``f`` record, and no check
+    reads its stage.  Two things are trusted rather than re-derived: the
+    address rules, marker states and least-dump rule of ``geometry``, which
+    the construction uses too, and the chip counters (re-deriving them
+    would be a second full simulation), so ``f`` records are checked for
+    the shape of their endpoint only.  This is the only check of f's shape
     (``endpoint-kind``, ``endpoint-length``): the construction's walk
     cannot end anywhere else, so it checks none.  ``depth`` and ``feeder``
     are the meta record's.  Every record fits its row of the record schema
@@ -353,6 +360,7 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
     f = ROOT
     f_hist: list[tuple[int, int, str]] = []  # (s, ks, f) per tree stage
     stage = kstage = -1  # the latest f record's s and ks
+    f_changed = False  # whether the latest f record's f differs from the one before
 
     def fail(line, fieldname, got, want):
         out.append(Divergence(line, fieldname, got, want))
@@ -373,7 +381,8 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
                 fail(line, "endpoint-length", len(node), min(st * st, depth))
             stage, kstage = st, ks
             f_hist.append((st, ks, node))
-            if node != f:
+            f_changed = node != f
+            if f_changed:
                 f = node
                 # void the pending requests of each node f passes on the left
                 requests = {n: ledger for n, ledger in requests.items() if not diverges_left(f, n)}
@@ -382,19 +391,16 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
                 for n in prefixes_of(f):
                     requests.setdefault(n, []).append(st)
             continue
-        # written after their stage's f record, unlike a patch record, which the
-        # walk to f writes when it makes an R-node; left and patch records have no ks
-        if op != "patch" and rec["s"] != stage:
-            fail(line, "stage", rec["s"], stage)
+        # a copy of the stage's ks; left and patch records carry none
         if rec.get("ks", kstage) != kstage:
             fail(line, "kernel-stage", rec["ks"], kstage)
         if op == "left":
-            src_node, dst = rec["from"], rec["to"]
+            src_node = rec["from"]
+            if not f_changed:  # the construction sweeps only when f changes
+                fail(line, "left-stage", stage, "a stage whose f differs from the one before")
             if not diverges_left(f, src_node):
                 fail(line, "left-source", src_node, f"right of {f}")
-            want = left_target(f, src_node)
-            if dst != want:
-                fail(line, "left-target", dst, want)
+            dst = left_target(f, src_node)
             for x in rec["balls"]:
                 if positions.get(x) != src_node:
                     fail(line, "left-ball-position", (x, positions.get(x)), src_node)
@@ -482,17 +488,17 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
                         sorted_discard(table, x)
             continue
         if op == "dump-extra":
-            gamma, node = rec["gamma"], rec["node"]
-            if gamma != f or not is_positive_a(gamma):
-                fail(line, "extra-gamma", gamma, f"the positive endpoint {f}")
-            if is_positive_a(gamma):  # no other gamma has a T question above it
-                q = question_at(gamma[:-1])
+            node = rec["node"]  # the dumping node gamma is the stage's f
+            if is_positive_a(f):  # no other gamma has a T question above it
+                q = question_at(f[:-1])
                 if q.base == node:
                     fail(line, "extra-question", (q.kind, q.base), "T question about another piece")
+            else:
+                fail(line, "extra-gamma", f, "a positive A-node")
             # measured from gamma; the construction measures from the
             # dumped piece's node, and only the paper's dumping rule can
             # say which of the two is meant
-            want_t = max(len(gamma), last_left_pass(f_hist, gamma))
+            want_t = max(len(f), last_left_pass(f_hist, f))
             if rec["idx"] != want_t:
                 fail(line, "extra-index", rec["idx"], want_t)
             live = markers.get(node, [])
@@ -530,18 +536,26 @@ def replay_check(trace: Trace, kind: str = "replay") -> dict:
     record's file line, and a missing record by ``trace.end``, the line
     after the last record; the split suite's finding is about the whole
     log, so its ``line`` is None.  A trace with no meta record, a second
-    meta record, a record of an op its construction never writes, or a tree
-    record with an address longer than the meta's ``depth`` raises
-    ``TraceError`` on that record's line, under either suite.
+    meta record, a record of an op its construction never writes, or a
+    tree record with an address longer than the meta's ``depth`` raises
+    ``TraceError`` on that record's line, under either suite; so does,
+    before any of those, a tree meta whose ``depth`` is not a non-negative
+    perfect square (``geometry.checked_depth``, the run's and the CLI's rule).
     """
     from .setalg import check_split_history
 
     log = trace.log
-    meta = next((r for r in trace.records if r["op"] == "meta"), None)
+    meta_line, meta = next(((line, r) for line, r in trace.numbered() if r["op"] == "meta"),
+                           (None, None))
     if meta is None:
         raise TraceError("trace has no meta record to dispatch on")
     flavour = meta["kind"]
-    depth = meta["depth"] if flavour == "tree" else None
+    depth = None
+    if flavour == "tree":
+        try:
+            depth = checked_depth(meta["depth"])
+        except TreeError as err:
+            raise TraceError(str(err), meta_line) from None
     for line, record in trace.numbered():
         if record is not meta and record["op"] not in _OPS[flavour]:
             raise TraceError(f"{record['op']} record in a {flavour} trace, which holds one meta "
@@ -571,7 +585,7 @@ def replay_check(trace: Trace, kind: str = "replay") -> dict:
             dict(meta.get("y_over", ())), dict(meta.get("z_over", ())),
         )
     else:
-        divergences = replay_tree(trace, meta["depth"], meta["feeder"])
+        divergences = replay_tree(trace, depth, meta["feeder"])
     return {
         "ok": not divergences,
         "kind": flavour if kind == "replay" else kind,

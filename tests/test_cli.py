@@ -300,6 +300,7 @@ def _verify_rejects(path, line, suite="replay"):
     assert len(out) == 1
     payload = json.loads(out[0])
     assert payload["ok"] is False and payload["line"] == line
+    return payload
 
 
 def test_verify_swapped_events_report_line(tmp_path):
@@ -462,7 +463,7 @@ def _verify_rejects_bent(traced, tmp_path, op, field, value, suite="replay"):
 @pytest.mark.parametrize("op, field, value", [
     ("f", "node", None),
     ("pull", "x0", "a"),
-    ("left", "to", 5),
+    ("left", "from", 5),
     pytest.param("pull", "s", NULL, id="pull-s-null"),
     pytest.param("f", "node", [], id="f-node-empty-list"),
     pytest.param("f", "node", [1], id="f-node-list"),
@@ -490,6 +491,10 @@ FOREIGN = {
     "void": {"op": "void", "s": 1, "node": "0", "n": 1},
     "enter": {"op": "enter", "s": 1, "x": 0, "node": "1"},
     "chip": {"op": "chip", "s": 1, "node": "", "c": 1},
+    # the old format's copies of the stage clock, now unknown fields
+    "left": {"op": "left", "s": 1, "from": "0", "to": "1", "balls": [0]},
+    "dump-extra": {"op": "dump-extra", "s": 1, "ks": 1, "gamma": "01", "node": "1", "idx": 0,
+                   "x": 0},
 }
 
 
@@ -497,8 +502,9 @@ FOREIGN = {
 @pytest.mark.parametrize("traced, op", [
     (_friedberg_trace, "f"), (_friedberg_trace, "meta"), (_tree_trace, "route"),
     (_tree_trace, "void"), (_tree_trace, "enter"), (_tree_trace, "chip"),
+    (_tree_trace, "left"), (_tree_trace, "dump-extra"),
 ], ids=["friedberg-f", "friedberg-second-meta", "tree-route", "tree-void", "tree-enter",
-        "tree-chip"])
+        "tree-chip", "tree-old-left", "tree-old-dump-extra"])
 def test_verify_rejects_records_the_construction_never_writes(tmp_path, traced, op, suite):
     # each of the first three verified as ok, the foreign record counted
     # among the decisions
@@ -510,7 +516,9 @@ def test_verify_rejects_records_the_construction_never_writes(tmp_path, traced, 
     at = len(lines) - 1  # before the last record
     lines.insert(at, record)
     path.write_text("\n".join(lines) + "\n")
-    _verify_rejects(path, at + 1, suite)
+    error = _verify_rejects(path, at + 1, suite)["error"]
+    if op in ("left", "dump-extra"):
+        assert f"{op} record has an unknown field" in error
 
 
 @pytest.mark.parametrize("traced, op, field, value", [
@@ -554,20 +562,37 @@ def test_verify_long_address_rejected_on_its_line(tmp_path):
     _verify_rejects(path, at + 1)
 
 
-@pytest.mark.parametrize("forge", ["lowered", "raised"])
-def test_verify_dump_below_stage_bound_is_not_least(tmp_path, forge):
-    # the dump would need i < s: a lowered s fails the stage bound, a raised
-    # one lifts it; either way the record's s is not the tree stage
+@pytest.mark.parametrize("forge, count", [("lowered", 35), ("raised", 77)],
+                         ids=["lowered", "raised"])
+def test_verify_dump_below_stage_bound_is_not_least(tmp_path, forge, count):
+    # a dump-orig record's stage, which bounds its least dump, is the stage
+    # clock's: moved one line up, above its stage's f, it is read at the
+    # stage before, and moved one line down, below the next f, at the stage
+    # after.  Either way its ks is not that stage's, named on its line;
+    # every such record of the trace in process, the first through the CLI
+    from cesplit.trace import Trace, read_trace
+    from cesplit.verify import replay_check
+
     path, lines = _tree_trace(tmp_path)
-    at = next(i for i, line in enumerate(lines) if '"op":"dump-orig"' in line)
-    record = json.loads(lines[at])
-    record["s"] = record["i"] if forge == "lowered" else 1_000_000
-    lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    trace = read_trace(path)
+    ops = [r["op"] for r in trace.records]
+    step = -1 if forge == "lowered" else 1
+    movable = [n for n, op in enumerate(ops[:-1])
+               if op == "dump-orig" and ops[n + step] == "f"]
+    assert len(movable) == count
+    for n in movable:
+        records = list(trace.records)
+        records[n], records[n + step] = records[n + step], records[n]
+        report = replay_check(Trace(trace.log, records, trace.lines, trace.end))
+        first = report["divergences"][0]
+        assert (first["line"], first["field"]) == (trace.lines[n + step], "kernel-stage")
+    at = trace.lines[movable[0]] - 1  # the file line, from 0
+    lines[at], lines[at + step] = lines[at + step], lines[at]
     path.write_text("\n".join(lines) + "\n")
     check = invoke("verify", "--trace", str(path))
     assert check.returncode == 1, check.stdout
-    report = json.loads(check.stdout)
-    assert [d["field"] for d in report["divergences"]] == ["stage"]
+    first = json.loads(check.stdout)["divergences"][0]
+    assert (first["line"], first["field"]) == (at + step + 1, "kernel-stage")
 
 
 @pytest.mark.parametrize("field", ["depth", "feeder"])
@@ -583,11 +608,18 @@ def test_verify_tree_meta_non_integer_reports_meta_line(tmp_path, field):
     (_hk_trace, "extra", 0, "replay"),
     (_tree_trace, "depth", None, "replay"),
     (_tree_trace, "kind", "shavrukov", "split"),
+    (_tree_trace, "depth", 20, "replay"),
+    (_tree_trace, "depth", 20, "split"),
+    (_tree_trace, "depth", -1, "replay"),
+    (_tree_trace, "depth", -1, "split"),
 ], ids=["friedberg-index-object", "hk-index-list", "friedberg-kind-object", "hk-kind-list",
-        "hk-extra-key", "tree-depth-missing", "tree-kind-unknown"])
+        "hk-extra-key", "tree-depth-missing", "tree-kind-unknown", "tree-depth-20-replay",
+        "tree-depth-20-split", "tree-depth-negative-replay", "tree-depth-negative-split"])
 def test_verify_meta_field_fault_reports_meta_line(tmp_path, traced, field, value, suite):
     # set indices must be integers, the kind a known one and no key
-    # unknown, under either suite
+    # unknown, under either suite; a tree depth is a non-negative perfect
+    # square, as --depth is (20 verified ok, and -1 was blamed on the first
+    # f record)
     _verify_rejects_bent(traced, tmp_path, "meta", field, value, suite)
 
 

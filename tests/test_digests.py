@@ -60,7 +60,7 @@ def test_tree_trace_pinned(tmp_path):
     assert op_counts(result.trace) == (1, 627, 235, 74, 227, 78, 0)
     assert chip_changes(result.run.history) == {"": 390}
     assert trace_sha256(tmp_path, result.kernel.log, result.trace) == (
-        "ad39967fa5ffb0fcceda51fa28c0551d89a7979edd5682ef26fc14a177886cc0"
+        "066aec1ede0bca4ae0c75a4abffe6c13ac28d3d21c7d41aeb706afb5168ff6fd"
     )
 
 
@@ -74,10 +74,10 @@ DATA = Path(__file__).parent / "data"
 
 @pytest.mark.parametrize("seed, counts, digest, disputed", [
     (102, (1, 4525, 2147, 83, 769, 150, 3),
-     "6bc6ea99d88a98a516ff3d2ca084074b5fb0cbd27e4bfda21d8933ba2dfec51b",
+     "462778dd771fddcbadd7bb8bc17e7197d974e7041234c398819e035176c5d143",
      [(19, 2768, 21518), (20, 3048, 21524)]),
     (148, (1, 4514, 2142, 82, 768, 150, 2),
-     "a355b762d0b13037599e12bb2ce5162d2e50b5da9cbf4e0de3187bb018a2c0da",
+     "d595f71cd98e62c4424ef894337a0f814ebb8c1a3761ed7180da386db93660d0",
      [(7, 2810, 21269), (8, 2811, 21274)]),
 ], ids=["102", "148"])
 def test_extra_dump_trace_pinned(tmp_path, seed, counts, digest, disputed):
@@ -98,11 +98,11 @@ def test_extra_dump_trace_pinned(tmp_path, seed, counts, digest, disputed):
 
 @pytest.mark.parametrize("proc, counts, chips, digest", [
     ("hf", (1, 6527, 3146, 84, 731, 147, 0), {"": 3379, "0" * 16: 1},
-     "8f0d3bfac5330ae697aae85949c9fa8f4a975f0980d846f4a1710f51eadf3525"),
+     "903cd77d545aa7e9186d94bac58c7a915d5e1f3480d1114e944f5cc3ab101d00"),
     ("trivial", (1, 6945, 3279, 131, 745, 237, 0), {"": 3668, "0" * 16: 68, "10000000": 2},
-     "592cf2647af12340de18a3cd8369a30338eaa9ca1babf0d3b14b11963974fd17"),
+     "aac2c4cc573387f38cd83786467e0de41cd4b28d8e490bf79fd77d98bb4d61bd"),
     ("broken", (1, 6945, 3279, 131, 745, 237, 0), {"": 3668, "10000000": 2},
-     "dc143576b35602609f5b98d49e155dc7621c03a7a0185ae2dc793ff74fa29c8d"),
+     "8e53c0e04f2dbfccb3f90fc8a34f3b347f070d1a3cb5d116b3fc49e820cd3dbd"),
 ], ids=["hf", "trivial", "broken"])
 def test_tree_trace_pinned_at_depth_25(tmp_path, proc, counts, chips, digest):
     result = diagonalize(PROCEDURES[proc], 30_000, depth=25)

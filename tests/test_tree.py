@@ -175,12 +175,16 @@ def test_first_branch_follows_chip_change(hf_run):
 
 
 def test_pull_records_discipline(hf_run):
-    pulls = [r for r in hf_run.trace if r["op"] == "pull"]
+    pulls, stage = 0, None
+    for r in hf_run.trace:
+        if r["op"] == "f":
+            stage = r["s"]  # a pull belongs to the stage of the last f record
+        elif r["op"] == "pull":
+            pulls += 1
+            assert r["x0"] < r["x1"]
+            assert r["req"] <= stage
+            assert all(r["x0"] != y and len(r["node"]) < y < r["x1"] for y in r["mid"])
     assert pulls
-    for r in pulls:
-        assert r["x0"] < r["x1"]
-        assert r["req"] <= r["s"]
-        assert all(r["x0"] != y and len(r["node"]) < y < r["x1"] for y in r["mid"])
 
 
 def test_dumped_balls_reach_a(hf_run):

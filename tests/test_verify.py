@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cesplit import corpus
 from cesplit.friedberg import run_friedberg
-from cesplit.hk import run_hk
+from cesplit.hk import run_hk, run_subset_scenario
 from cesplit.kernel import EventLog, KernelError, machine_index
 from cesplit.setalg import before_then
 from cesplit.tree import PROCEDURES, Verdict, diagonalize, proc_friedberg, verdict_at
@@ -154,8 +154,8 @@ def test_replay_tree_negative_extra_index_names_no_marker(tmp_path, idx):
     result = diagonalize(proc_friedberg, 3000, depth=9)
     records = as_records(merge_for_file(result.kernel.log, result.trace))
     at = max(n for n, r in enumerate(records) if r["op"] == "f")
-    records.insert(at + 1, {"op": "dump-extra", "s": records[at]["s"], "ks": records[at]["ks"],
-                            "gamma": "01", "node": "1", "idx": idx, "x": 0})
+    records.insert(at + 1, {"op": "dump-extra", "ks": records[at]["ks"], "node": "1", "idx": idx,
+                            "x": 0})
     fields = [f for line, f in found(tmp_path / "t.jsonl", records) if line == at + 2]
     assert "extra-exists" in fields and "extra-ball" not in fields
 
@@ -184,8 +184,7 @@ def test_replay_check_rejects_an_address_past_the_depth_bound(op, name):
     result = diagonalize(proc_friedberg, 3000, depth=9)
     decisions = list(result.trace)
     if op == "dump-extra":  # the run writes none
-        decisions.append({"op": "dump-extra", "s": 1, "ks": 1, "gamma": "1", "node": "1",
-                          "idx": 0, "x": 0})
+        decisions.append({"op": "dump-extra", "ks": 1, "node": "1", "idx": 0, "x": 0})
     at = max(n for n, r in enumerate(decisions) if r["op"] == op)
     for bits, rejected in ((9, False), (10, True)):
         decisions[at] = dict(decisions[at], **{name: "0" * bits})
@@ -206,50 +205,85 @@ def tree_report(result, decisions):
     return [(d["line"], d["field"], d["got"], d["want"]) for d in report["divergences"]]
 
 
+def last_f(decisions, at):
+    """The last f record before position ``at``: the stage clock there."""
+    return next(r for r in reversed(decisions[:at]) if r["op"] == "f")
+
+
+def next_f(decisions, at):
+    """The position of the first f record at or after position ``at``."""
+    return next(n for n in range(at, len(decisions)) if decisions[n]["op"] == "f")
+
+
+CLOCK = ("stage", "kernel-stage", "left-stage")  # the stage clock's divergences
+
+
 @pytest.mark.parametrize("tamper", ["f-duplicate", "f-s+1", "f-dropped", "pull-ks+1",
-                                    "dump-orig-ks+1", "left-s+1"])
+                                    "dump-orig-ks+1", "left-moved"])
 def test_replay_tree_stage_clock(tamper):
-    # the f records run s = 0, 1, 2, ... with ks rising, and every other
-    # record but a patch carries its stage's s and ks; each break is named
-    # on the record that makes it
+    # the f records run s = 0, 1, 2, ... with ks rising; every other record
+    # belongs to the stage of the last f record before it, and a pull or
+    # dump-orig copies its ks; a left record sits only at a stage whose f
+    # changed.  Each break is named on the record that makes it
     result = diagonalize(proc_friedberg, 3000, depth=9)
     decisions = list(result.trace)
     line_of = len(result.kernel.log) + 1  # the file line of decisions[0]
     op, change = tamper.rsplit("-", 1)
     at = [n for n, r in enumerate(decisions) if r["op"] == op][20]
-    record = decisions[at]
-    s, ks = record["s"], record.get("ks")
+    record, clock = decisions[at], last_f(decisions, at)
     if change == "duplicate":
+        s, ks = record["s"], record["ks"]
         decisions.insert(at + 1, record)
         want = [(line_of + at + 1, "stage", s, s + 1),
                 (line_of + at + 1, "kernel-stage", ks, f"> {ks}")]
-    elif change == "dropped":  # named on the next record, whose stage the clock has not reached
+    elif change == "dropped":
+        # the records up to the next f are read at the stage before, and
+        # that f is one stage ahead of the clock
         del decisions[at]
-        want = [(line_of + at, "stage", decisions[at]["s"], s - 1)]
+        after = next_f(decisions, at)
+        want = [(line_of + n, "kernel-stage", decisions[n]["ks"], clock["ks"])
+                for n in range(at, after) if "ks" in decisions[n]]
+        want.append((line_of + after, "stage", record["s"] + 1, record["s"]))
     elif change == "s+1":
-        decisions[at] = dict(record, s=s + 1)
-        want = [(line_of + at, "stage", s + 1, s)]
-    else:
-        decisions[at] = dict(record, ks=ks + 1)
-        want = [(line_of + at, "kernel-stage", ks + 1, ks)]
-    got = tree_report(result, decisions)
+        decisions[at] = dict(record, s=record["s"] + 1)
+        want = [(line_of + at, "stage", record["s"] + 1, record["s"])]
+    elif change == "ks+1":
+        decisions[at] = dict(record, ks=clock["ks"] + 1)
+        want = [(line_of + at, "kernel-stage", clock["ks"] + 1, clock["ks"])]
+    else:  # a left record moved below the next f, which repeats its stage's f
+        at = [n for n, r in enumerate(decisions) if r["op"] == "left" and
+              decisions[next_f(decisions, n)]["node"] == last_f(decisions, n)["node"]][20]
+        after = next_f(decisions, at)
+        decisions.insert(after, decisions.pop(at))
+        want = [(line_of + after, "left-stage", decisions[after - 1]["s"],
+                 "a stage whose f differs from the one before")]
+    got = [d for d in tree_report(result, decisions) if d[1] in CLOCK]
     assert got[:len(want)] == want, got[:4]
 
 
-# The tree replay's tamper table: on the depth-9 hf trace of 6,000 kernel
-# stages, five records per op, drawn by random.Random(op), each dropped,
-# duplicated, with one integer field raised by 1, or with "0" appended to
-# one address field, counted as caught when the replay reports a divergence
-# or rejects the trace.  The run writes no dump-extra record, so that op
-# has no row.  Each cell is a count of 5; the cells below 5 are the misses.
+# The replays' tamper tables.  Five records per op, drawn by
+# random.Random(op), are each dropped, duplicated, given one integer field
+# raised by 1 or one address field with "0" appended, or moved one line:
+# swapped with the record above it ("up") and with the one below ("down").
+# A tamper is caught when the replay reports a divergence or rejects the
+# trace.  Each cell counts the caught tampers.
+
+# The tree: hf, depth 9, 6,000 kernel stages; the run writes no dump-extra
+# record.  Every cell below 5 is a miss, named in TREE_MISSES.
 TREE_TAMPERS = {
     "f": {"drop": 5, "duplicate": 5, "s+1": 5, "ks+1": 5, "node+0": 5},
-    "left": {"drop": 0, "duplicate": 5, "s+1": 5, "from+0": 5, "to+0": 5},
-    "pull": {"drop": 5, "duplicate": 5, "s+1": 5, "ks+1": 5, "req+1": 5, "x0+1": 4, "x1+1": 4,
+    "left": {"drop": 0, "duplicate": 5, "from+0": 5},
+    "pull": {"drop": 5, "duplicate": 5, "ks+1": 5, "req+1": 5, "x0+1": 4, "x1+1": 4,
              "node+0": 5},
-    "patch": {"drop": 0, "duplicate": 5, "s+1": 0, "x+1": 5, "node+0": 5},
-    "dump-orig": {"drop": 5, "duplicate": 5, "s+1": 5, "ks+1": 5, "e+1": 5, "i+1": 5,
-                  "node+0": 5},
+    "patch": {"drop": 0, "duplicate": 5, "x+1": 5, "node+0": 5},
+    "dump-orig": {"drop": 5, "duplicate": 5, "ks+1": 5, "e+1": 5, "i+1": 5, "node+0": 5},
+}
+TREE_MOVES = {
+    "f": {"up": 5, "down": 5},
+    "left": {"up": 5, "down": 4},
+    "pull": {"up": 4, "down": 4},
+    "patch": {"up": 0, "down": 0},
+    "dump-orig": {"up": 4, "down": 5},
 }
 TREE_MISSES = {
     # a left record's moves are trusted, not derived from f: without it the
@@ -257,17 +291,49 @@ TREE_MISSES = {
     ("left", "drop"),
     # casualties are taken from the records, not derived from A's log
     ("patch", "drop"),
-    # a patch record can come before its stage's f record, so its s is unchecked
-    ("patch", "s+1"),
     # a pull's pair is checked for eligibility, not for being the least
     # eligible pair: at s 52, balls 36 and 40 could also have been pulled
     ("pull", "x0+1"),
     ("pull", "x1+1"),
+    # casualties are not dated: a patch belongs to no stage the replay
+    # reads, so it may sit anywhere among the patches and f records around it
+    ("patch", "up"),
+    ("patch", "down"),
+    # neutral: records of one stage that share no ball commute, here a left
+    # record and the pull or dump-orig beside it, and a pull and a dump-orig
+    # below it that its new markers, past the dumped ones, leave least
+    ("left", "down"),
+    ("pull", "up"),
+    ("pull", "down"),
+    ("dump-orig", "up"),
+}
+
+# The dump-extra records of corpus 102 (all 3 of them; see
+# test_extra_dump_trace_pinned), counted out of 3.  The untampered report
+# holds two extra-index divergences, so a tamper is caught when the
+# divergences, lines aside, differ from those.  The two up misses swap a
+# dump-extra with the left record of its stage above it, which share no ball.
+EXTRA_TAMPERS = {"dump-extra": {"drop": 3, "duplicate": 3, "ks+1": 3, "idx+1": 3, "x+1": 3,
+                                "node+0": 3, "up": 1, "down": 3}}
+
+# The routing replays, on the `routed` traces and the subset scenario at
+# 4,000 stages; "req[0]+1" and "triple[0]+1" raise the first element of the
+# list.  No cell of 4 is a miss: the first route record sits below the meta
+# record, which may sit on any line, and the last record of each trace is
+# drawn and has no record below it.
+ROUTING_TAMPERS = {
+    "friedberg": {"route": {"drop": 5, "duplicate": 5, "s+1": 5, "x+1": 5, "side+1": 5,
+                            "req[0]+1": 5, "up": 4, "down": 4}},
+    "hk": {"hk": {"drop": 5, "duplicate": 5, "s+1": 5, "x+1": 5, "l+1": 5, "r+1": 5,
+                  "side+1": 5, "triple[0]+1": 5, "up": 5, "down": 4}},
+    "subset": {"hk": {"drop": 5, "duplicate": 5, "s+1": 5, "x+1": 5, "l+1": 5, "r+1": 5,
+                      "side+1": 5, "triple[0]+1": 5, "up": 5, "down": 4}},
 }
 
 
-def tampers(record):
-    """(name, replacement records) of each tamper of one record."""
+def tampers(record, lists=()):
+    """(name, replacement records) of each tamper of one record; ``lists``
+    names the list fields whose first element is raised by 1."""
     yield "drop", []
     yield "duplicate", [record, record]
     for name, kind in _SHAPES[record["op"]].kinds.items():
@@ -275,27 +341,98 @@ def tampers(record):
             yield f"{name}+1", [dict(record, **{name: record[name] + 1})]
         elif kind == "address":
             yield f"{name}+0", [dict(record, **{name: record[name] + "0"})]
+    for name in lists:
+        if record[name]:
+            first, *rest = record[name]
+            yield f"{name}[0]+1", [dict(record, **{name: [first + 1, *rest]})]
 
 
-def test_tree_tamper_table():
-    result = diagonalize(PROCEDURES["hf"], 6_000, depth=9)
-    log, decisions = result.kernel.log, result.trace
-    assert replay_check(merge_for_file(log, decisions))["ok"]
+def tampered(decisions, n, lists=()):
+    """(name, decisions) with record n tampered each way of ``tampers``."""
+    for name, replacement in tampers(decisions[n], lists):
+        yield name, decisions[:n] + replacement + decisions[n + 1:]
+
+
+def moved(decisions, n):
+    """(name, decisions) with record n swapped with the record above it and
+    with the record below it, where there is one."""
+    for name, other in (("up", n - 1), ("down", n + 1)):
+        if 0 <= other < len(decisions):
+            swapped = list(decisions)
+            swapped[n], swapped[other] = swapped[other], swapped[n]
+            yield name, swapped
+
+
+def tamper_table(log, decisions, ops, variants, caught=lambda report: not report["ok"]):
+    """{op: {name: caught count}} over five records per op, drawn by
+    random.Random(op), each replaced by every variant ``variants`` gives."""
     table = {}
-    for op in ("f", "left", "pull", "patch", "dump-orig", "dump-extra"):
+    for op in ops:
         at = [n for n, r in enumerate(decisions) if r["op"] == op]
         for n in random.Random(op).sample(at, min(5, len(at))):
-            for name, replacement in tampers(decisions[n]):
-                tampered = merge_for_file(log, decisions[:n] + replacement + decisions[n + 1:])
+            for name, tampered_decisions in variants(decisions, n):
                 try:
-                    caught = not replay_check(tampered)["ok"]
+                    hit = caught(replay_check(merge_for_file(log, tampered_decisions)))
                 except TraceError:
-                    caught = True
+                    hit = True
                 row = table.setdefault(op, {})
-                row[name] = row.get(name, 0) + caught
+                row[name] = row.get(name, 0) + hit
+    return table
+
+
+@pytest.fixture(scope="module")
+def hf_depth_9():
+    result = diagonalize(PROCEDURES["hf"], 6_000, depth=9)
+    assert replay_check(merge_for_file(result.kernel.log, result.trace))["ok"]
+    return result.kernel.log, result.trace
+
+
+TREE_OPS = ("f", "left", "pull", "patch", "dump-orig", "dump-extra")
+
+
+def test_tree_tamper_table(hf_depth_9):
+    table = tamper_table(*hf_depth_9, TREE_OPS, tampered)
     assert table == TREE_TAMPERS
-    assert {(op, name) for op, row in table.items() for name, n in row.items() if n < 5} == (
-        TREE_MISSES)
+    moves = tamper_table(*hf_depth_9, TREE_OPS, moved)
+    assert moves == TREE_MOVES
+    assert {(op, name) for t in (table, moves) for op, row in t.items()
+            for name, n in row.items() if n < 5} == TREE_MISSES
+
+
+def test_extra_dump_tamper_table():
+    texts = corpus.load_corpus(Path(__file__).parent / "data" / "diagonalize_seed102.txt")
+    result = diagonalize(PROCEDURES["hf"], 20_000, depth=25, corpus_texts=texts)
+    log, decisions = result.kernel.log, result.trace
+
+    def divergences(report):
+        return sorted(json.dumps({k: v for k, v in d.items() if k != "line"}, sort_keys=True)
+                      for d in report["divergences"])
+
+    base = divergences(replay_check(merge_for_file(log, decisions)))
+    assert len(base) == 2
+    table = {}
+    for variants in (tampered, moved):
+        for op, row in tamper_table(log, decisions, ("dump-extra",), variants,
+                                    lambda report: divergences(report) != base).items():
+            table.setdefault(op, {}).update(row)
+    assert table == EXTRA_TAMPERS
+
+
+@pytest.mark.parametrize("construction", ["friedberg", "hk", "subset"])
+def test_routing_tamper_table(construction):
+    if construction == "friedberg":
+        result, op, lists = run_friedberg(TEXTS, machine_index(4), 4_000), "route", ("req",)
+    elif construction == "hk":
+        result, op, lists = run_hk(TEXTS, machine_index(0), machine_index(1), 4_000), "hk", (
+            "triple",)
+    else:
+        result, op, lists = run_subset_scenario(4_000), "hk", ("triple",)
+    log, decisions = result.kernel.log, result.trace
+    assert replay_check(merge_for_file(log, decisions))["ok"]
+    table = tamper_table(log, decisions, (op,), lambda d, n: tampered(d, n, lists))
+    for name, count in tamper_table(log, decisions, (op,), moved)[op].items():
+        table[op][name] = count
+    assert table == ROUTING_TAMPERS[construction]
 
 
 def test_replay_check_split_suite(tmp_path):
@@ -545,7 +682,12 @@ def test_schema_check_agrees_with_the_templates(tmp_path):
             read_trace(path)
         assert caught.value.line == len(exact) + 1, record
         rejected += 1
-    assert rejected > 300
+    # per templated op: each field's near misses but the tuple, which JSON
+    # spells as a list, then a key too many and each key too few
+    assert rejected == sum(
+        1 + sum(len(NEAR_MISSES[kind(op, name)]) - (kind(op, name) == "ints") + 1
+                for name in fields)
+        for op, fields in TEMPLATED.items())
 
 
 # (stage gap, index, element) of the events of a log: stages rise, and no
