@@ -24,12 +24,14 @@ print(f"half 0 / half 1: {len(log.members_at(result.a0, S))} / "
 print("\nsplit discipline at every stage:",
       check_split_history(log, result.a, result.a0, result.a1, S) is None)
 
+# the n-th route record routes the n-th entrant of the input, to half
+# req[1], or to half 0 when req is [] (nothing was meetable)
 routes = [r for r in result.trace if r["op"] == "route"]
 met = [r for r in routes if r["req"]]
 print(f"{len(routes)} balls routed, {len(met)} met a requirement")
-print("first few decisions:")
-for r in routes[:6]:
-    print("  ", r)
+print("first few decisions (stage, ball, requirement, half):")
+for (s, x), r in list(zip(log.entries(result.a), routes))[:6]:
+    print("  ", (s, x, r["req"], r["req"][1] if r["req"] else 0))
 
 print("\nside counters vs measured sets for indices swallowing 5+ balls:")
 for e in sorted({e for _, e, _ in log.events()}):

@@ -13,23 +13,31 @@ from cesplit.trace import merge_for_file
 from cesplit.verify import complement_witnesses, probe_friedberg, replay_hk
 from cesplit.witness import run_parity_witness
 
+
+def routed(result):
+    """(stage, ball, hk record) per entrant of B: the n-th hk record routes
+    the n-th entrant, to half triple[2]."""
+    records = [r for r in result.trace if r["op"] == "hk"]
+    return [(s, x, r) for (s, x), r in zip(result.kernel.log.entries(result.b), records)]
+
+
 S = 40_000
 result = run_hk([HALT_ALL, DIVERGE], b=0, a=2, stages=S)
-routes = [r for r in result.trace if r["op"] == "hk"]
+routes = routed(result)
 print(f"default listing: {len(routes)} balls routed; "
-      f"sides {sum(1 for r in routes if r['side'] == 0)} / "
-      f"{sum(1 for r in routes if r['side'] == 1)}")
+      f"sides {sum(1 for _, _, r in routes if r['triple'][2] == 0)} / "
+      f"{sum(1 for _, _, r in routes if r['triple'][2] == 1)}")
 print("first routes (ball, triple, l, r):")
-for r in routes[:5]:
-    print("  ", (r["x"], r["triple"], r["l"], r["r"]))
+for _, x, r in routes[:5]:
+    print("  ", (x, r["triple"], r["l"], r["r"]))
 print("replay divergences:",
       len(replay_hk(merge_for_file(result.kernel.log, result.trace),
                     result.b, result.a, result.b0, result.b1)))
 
 rigged = run_subset_scenario(S)
-tail = [r for r in rigged.trace if r["op"] == "hk" and r["s"] > S * 4 // 5]
+tail = [r for s, _, r in routed(rigged) if s > S * 4 // 5]
 print(f"\nrigged subset scenario: all {len(tail)} tail balls on side 0 ->",
-      all(r["side"] == 0 for r in tail))
+      all(r["triple"][2] == 0 for r in tail))
 
 bundle = run_parity_witness(WITNESS, S)
 log = bundle.kernel.log

@@ -6,7 +6,9 @@ entered W_e before the input set and the side counter for (e, i) currently
 stands at k-1; the counters measure |W_e entered-then side_i| and every
 candidate e rides along when a ball lands, not just the chosen one.  Codes
 order by (e, k) before the side, so unmet targets alternate sides.  Balls
-that meet nothing go to side 0.
+that meet nothing go to side 0.  Each routing is traced as a ``route``
+record of the met requirement alone (``[]`` for none): the n-th record
+routes the n-th entrant of the input, and ``req[1]`` names its side.
 """
 
 from __future__ import annotations
@@ -46,15 +48,7 @@ class FriedbergSplitter:
         for entry_stage, x in fresh:
             side, requirement = self._route(x, entry_stage)
             self._out[side].append(x)
-            self.trace.append(
-                {
-                    "op": "route",
-                    "s": entry_stage,
-                    "x": x,
-                    "req": list(requirement) if requirement else None,
-                    "side": side,
-                }
-            )
+            self.trace.append({"op": "route", "req": list(requirement or ())})
 
     def _route(self, x: int, entered_a: int) -> tuple[int, Optional[tuple]]:
         candidates = sorted(
@@ -69,15 +63,10 @@ class FriedbergSplitter:
                 if best_code is None or code < best_code:
                     best_code = code
                     best = (e, i, k)
-        if best is None:
-            side = 0
-            requirement = None
-        else:
-            side = best[1]
-            requirement = best
+        side = best[1] if best else 0
         for e in candidates:
             self.counters[(e, side)] = self.counters.get((e, side), 0) + 1
-        return side, requirement
+        return side, best
 
 
 @dataclass

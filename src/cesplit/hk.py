@@ -17,11 +17,14 @@ disagrees with Z_j as a witness for (B_i cap Y_e) - A":
 If no x qualifies, l is the stage itself.  The restraint r starts at the
 triple's own code and absorbs every later l, so it never decreases.  A ball
 entering B at stage s joins the half of the least-coded triple whose
-restraint at s reaches the ball.
+restraint at s reaches the ball.  Each routing is traced as an ``hk``
+record of that triple and its l and r at s: the n-th record routes the n-th
+entrant of B, and ``triple[2]`` names its side.
 
 Y_e and Z_j are W_e and W_j unless the override maps ``y_over`` and
 ``z_over`` (listing position -> set index) name another set; the trace's
-meta record carries both maps, so the replay reads the same listings.
+meta record carries both maps (``[]`` when unrigged), so the replay reads
+the same listings.
 
 Between membership changes the qualifying set is constant, so sup l over a
 window [t0, t1) is min(least qualifying element, t1 - 1); restraints are
@@ -122,12 +125,10 @@ class HKSplitter:
         (self.b0, self.b1), self._out = self.kernel.register_pair(
             self._ingest, wake=(self.b, self.a)
         )
-        meta = {"op": "meta", "kind": "hk", "b": self.b, "a": self.a,
-                "b0": self.b0, "b1": self.b1}
-        for name, overrides in (("y_over", self.y_over), ("z_over", self.z_over)):
-            if overrides:
-                meta[name] = [list(item) for item in sorted(overrides.items())]
-        self.trace.append(meta)
+        self.trace.append({"op": "meta", "kind": "hk", "b": self.b, "a": self.a,
+                           "b0": self.b0, "b1": self.b1,
+                           "y_over": [list(item) for item in sorted(self.y_over.items())],
+                           "z_over": [list(item) for item in sorted(self.z_over.items())]})
 
     @property
     def halves(self) -> tuple[int, int]:
@@ -185,17 +186,8 @@ class HKSplitter:
                 r = state.r_now(entered_b)
                 if x <= r:
                     self._out[i].append(x)
-                    self.trace.append(
-                        {
-                            "op": "hk",
-                            "s": entered_b,
-                            "x": x,
-                            "triple": [state.e, state.j, state.i],
-                            "l": state.l_now(entered_b),
-                            "r": r,
-                            "side": i,
-                        }
-                    )
+                    self.trace.append({"op": "hk", "triple": [state.e, state.j, state.i],
+                                       "l": state.l_now(entered_b), "r": r})
                     return
             m += 1
 

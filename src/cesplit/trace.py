@@ -9,7 +9,7 @@ records: a ``Trace`` holds them in its ``EventLog``, and the writer and
 the reader take each event line straight from and to the log's columns.
 
 ``_SHAPES``, the one table of record keys, gives each op's row: the kind
-of each field, per op (``req`` is an integer in ``pull``, a list or null in
+of each field, per op (``req`` is an integer in ``pull``, a list in
 ``route``), and for ``meta`` a row per construction ``kind``.
 ``read_trace`` checks every record against its row as it reads it:
 exactly the row's keys, integers of type int (not bool, not a subclass),
@@ -17,8 +17,8 @@ addresses of 0s and 1s only, lists of such integers.
 
 The writer fills a row's line template, such as
 ``{"e":E,"op":"event","s":S,"x":X}``, for a record that fits the row (every
-row but ``route``'s and ``meta``'s has one), and hands every other record
-to the ``json`` module, with the same bytes.  The reader takes the
+row but ``meta``'s has one), and hands meta records and misfits to the
+``json`` module, with the same bytes.  The reader takes the
 canonical event line by template and hands every other line to the
 ``json`` module, so it accepts any JSON spelling of any record and gives
 the same log and records either way.
@@ -59,7 +59,6 @@ _KINDS = {
     "int": ("an integer", lambda v: type(v) is int),
     "address": ("an address", lambda v: type(v) is str and not v.strip("01")),
     "ints": ("a list of integers", _ints),
-    "ints or null": ("a list of integers or null", lambda v: v is None or _ints(v)),
     "pairs": ("a list of [position, index] pairs", lambda v: type(v) is list and all(
         _ints(p) and len(p) == 2 for p in v)),
 }
@@ -68,36 +67,35 @@ _SLOTS = {"int": (int, "%d"), "address": (str, '"%s"'), "ints": (list, "[%s]")}
 
 
 class _Shape(NamedTuple):
-    kinds: dict          # field name -> kind, in key order; the op (and a meta's kind) aside
-    optional: frozenset  # the fields a record may leave out
+    kinds: dict            # field name -> kind, in key order; the op (and a meta's kind) aside
     fill: Optional[tuple]  # the writer's template, or None
 
 
-def _shape(op: str, optional: dict = None, **kinds: str) -> _Shape:
-    """A row.  Its template, when every kind has a slot, is the record's
-    size, a getter of its values in sorted key order, their types, the
-    positions of its addresses and lists, and its line."""
+def _shape(op: str, **kinds: str) -> _Shape:
+    """A row.  Its template, for every op but meta, is the record's size, a
+    getter of its values in sorted key order, their types, the positions of
+    its addresses and lists, and its line."""
     fill = None
-    if op != "meta" and not optional and all(kind in _SLOTS for kind in kinds.values()):
+    if op != "meta":
         keys = sorted(kinds)
         slots = {k: _SLOTS[kinds[k]][1] for k in keys}
         slots["op"] = '"%s"' % op
         fill = (
             len(keys) + 1,
-            itemgetter(*keys),
+            # itemgetter of one key gives the bare value, not a 1-tuple
+            itemgetter(*keys) if len(keys) > 1 else lambda record: (record[keys[0]],),
             tuple(_SLOTS[kinds[k]][0] for k in keys),
             tuple(i for i, k in enumerate(keys) if kinds[k] == "address"),
             tuple(i for i, k in enumerate(keys) if kinds[k] == "ints"),
             "{%s}\n" % ",".join('"%s":%s' % (k, slots[k]) for k in sorted(slots)),
         )
-    kinds.update(optional or {})
-    return _Shape(dict(sorted(kinds.items())), frozenset(optional or ()), fill)
+    return _Shape(dict(sorted(kinds.items())), fill)
 
 
 _SHAPES = {
     "event": _shape("event", s="int", e="int", x="int"),
-    "route": _shape("route", s="int", x="int", req="ints or null", side="int"),
-    "hk": _shape("hk", s="int", x="int", triple="ints", l="int", r="int", side="int"),
+    "route": _shape("route", req="ints"),
+    "hk": _shape("hk", triple="ints", l="int", r="int"),
     "f": _shape("f", s="int", ks="int", node="address"),
     "left": _shape("left", **{"from": "address"}, balls="ints"),
     "pull": _shape("pull", ks="int", node="address", req="int", x0="int", x1="int", mid="ints"),
@@ -107,8 +105,8 @@ _SHAPES = {
     # by the record's kind
     "meta": {
         "friedberg": _shape("meta", a="int", a0="int", a1="int"),
-        "hk": _shape("meta", {"y_over": "pairs", "z_over": "pairs"},
-                     b="int", a="int", b0="int", b1="int"),
+        "hk": _shape("meta", b="int", a="int", b0="int", b1="int", y_over="pairs",
+                     z_over="pairs"),
         "tree": _shape("meta", e_a="int", e0="int", e1="int", depth="int", feeder="int"),
     },
 }
@@ -129,10 +127,8 @@ def _line(record: dict) -> str:
 
 
 def _filled(shape: _Shape, record: dict) -> Optional[str]:
-    """The row's template filled from the record, or None when the row has
-    none or the record does not fit it (as ``_misfit`` finds, only slower)."""
-    if shape.fill is None:
-        return None
+    """The row's template filled from the record, or None when the record
+    does not fit it (as ``_misfit`` finds, only slower)."""
     size, values_of, types, addresses, lists, template = shape.fill
     if len(record) != size:
         return None
@@ -171,10 +167,10 @@ def _misfit(record: dict) -> Optional[str]:
             return f"{op} record has an unknown field {name!r}"
     for name, kind in shape.kinds.items():
         what, fits = _KINDS[kind]
-        if name in record and not fits(record[name]):
-            return f"{op} field {name!r} is not {what}: {record[name]!r}"
-        if name not in record and name not in shape.optional:
+        if name not in record:
             return f"{op} record lacks {name!r}"
+        if not fits(record[name]):
+            return f"{op} field {name!r} is not {what}: {record[name]!r}"
     return None
 
 

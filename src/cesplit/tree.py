@@ -85,10 +85,9 @@ class _Measure:
         self.subscribers: list = []
 
     def add(self, x: int) -> None:
-        if x not in self.members:
-            self.members.add(x)
-            for node in self.subscribers:
-                heappush(node.cand_heap, x)
+        self.members.add(x)
+        for node in self.subscribers:
+            heappush(node.cand_heap, x)
 
 
 class _TMeasure:
@@ -199,7 +198,6 @@ class TreeRun:
         self.e0, self.e1 = proc(kernel, self.e_a)
 
         self.tree_stage = 0
-        self.f: str = ROOT
         self.history: list = [(0, 0, ROOT)]  # (tree stage, kernel stage, f) per tree stage
         self.nodes: dict[str, _NodeState] = {}
         self.measures_by_index: dict[int, list] = {}
@@ -630,12 +628,12 @@ class TreeRun:
         self._emit_record({"op": "f", "s": st, "ks": stage, "node": f})
         for state in self._requesters:
             state.requests.append(st)
+        moved = f != self.history[-1][2]
         self.history.append((st, stage, f))
         # ball st-1 enters at f[:1]; the root's tilde pool is every ball
         self._place(st - 1, self.nodes[f[:1]])
         self._offer(self.nodes[ROOT], st - 1)
-        if f != self.f:
-            self.f = f
+        if moved:
             self._sweep_right(f)
         self._pull(st)
         self._patch()
@@ -852,7 +850,7 @@ def structural_report(run: TreeRun) -> dict:
         if not set(markers) <= (state.r_committed - run.a_committed):
             problems.append(("marker-membership", address))
     # partition along the current path: chain pieces plus the deepest tilde
-    chain = r_chain(run.f)
+    chain = r_chain(run.history[-1][2])
     exceptions = []
     seen: dict[int, str] = {}
     for address in chain:

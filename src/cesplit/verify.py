@@ -33,6 +33,7 @@ from bisect import insort
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from heapq import merge
+from math import isqrt
 from typing import Optional
 
 from .geometry import (
@@ -61,8 +62,9 @@ def _replay_routes(trace: Trace, input_idx: int, halves: tuple[int, int], op: st
     """Diff the ``op`` records against the routing the replay derives.
 
     The input's entrants, in log order, pair with the ``op`` records, in
-    order.  ``want(x, stage)`` gives the fields of the record for ball ``x``
-    entering at ``stage``, ``side`` among them; the ball must surface in
+    order: the n-th record routes the n-th entrant, so no record names its
+    ball or stage.  ``want(x, stage)`` gives the side and the fields of the
+    record for ball ``x`` entering at ``stage``; the ball must surface in
     that half after ``stage``, and not in the other.  A missing record is
     named by the line after the last record.
     """
@@ -72,11 +74,10 @@ def _replay_routes(trace: Trace, input_idx: int, halves: tuple[int, int], op: st
     out: list[Divergence] = []
     # the records first: zip stops on them without taking an entrant
     for (line, record), (entered, x) in zip(numbered, entrants):
-        fields = want(x, entered)
+        side, fields = want(x, entered)
         for fieldname, value in fields.items():
             if record[fieldname] != value:
                 out.append(Divergence(line, fieldname, record[fieldname], value))
-        side = fields["side"]
         landed = log.entry_stage(halves[side], x)
         if landed is None or landed <= entered:
             out.append(Divergence(line, "landing", landed, f"stage > {entered} in half {side}"))
@@ -103,13 +104,13 @@ def replay_friedberg(trace: Trace, a: int, a0: int, a1: int) -> list[Divergence]
             for i in (0, 1):
                 k = counters.get((e, i), 0) + 1
                 options.append((balance_code(e, i, k), e, i, k))
-        req, side = None, 0
+        req, side = [], 0
         if options:
             _, e, side, k = min(options)
             req = [e, side, k]
         for e in candidates:
             counters[(e, side)] = counters.get((e, side), 0) + 1
-        return {"x": x, "s": entered, "req": req, "side": side}
+        return side, {"req": req}
 
     return _replay_routes(trace, a, (a0, a1), "route", want)
 
@@ -188,14 +189,25 @@ def replay_hk(
         return got
 
     def want(x, entered):
+        # A triple's l is at most len(log): only an element that entered
+        # one of its sets can fail to qualify, so its least qualifying
+        # element is at most their number.  Its r is then at most
+        # max(code, len(log)), and a ball past len(log) is reached exactly
+        # by the triples whose code is at least the ball.  Every triple
+        # before the least m with pair(m, 1) >= x has a smaller code, since
+        # pair grows in each argument, so the scan starts at that m.
         m = 0
+        if x > len(trace.log):
+            m = max(0, isqrt(2 * x) - 2)  # at most that m: pair(m, 1) = (m+1)(m+2)/2 + 1
+            while pair(m, 1) < x:
+                m += 1
         while True:
             for i in (0, 1):
                 st = state_for(m, i)
                 if x <= st.r_at(entered):
                     e, j = unpair(m)
-                    return {"x": x, "s": entered, "triple": [e, j, i],
-                            "l": st.l_at(entered), "r": st.r_at(entered), "side": i}
+                    return i, {"triple": [e, j, i], "l": st.l_at(entered),
+                               "r": st.r_at(entered)}
             m += 1
 
     return _replay_routes(trace, b, (b0, b1), "hk", want)
@@ -344,8 +356,6 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
     (``trace.read_trace``) and holds no address longer than ``depth``
     (``replay_check``), so fields are read with no defensive code.
     """
-    from math import isqrt
-
     log = trace.log
 
     out: list[Divergence] = []
@@ -582,7 +592,7 @@ def replay_check(trace: Trace, kind: str = "replay") -> dict:
     elif flavour == "hk":
         divergences = replay_hk(
             trace, meta["b"], meta["a"], meta["b0"], meta["b1"],
-            dict(meta.get("y_over", ())), dict(meta.get("z_over", ())),
+            dict(meta["y_over"]), dict(meta["z_over"]),
         )
     else:
         divergences = replay_tree(trace, depth, meta["feeder"])

@@ -161,8 +161,10 @@ def test_criterion_4_herrmann_kummer():
         hist = [tracker.r_at(s) for s in sample_stages]
         assert all(u <= v for u, v in zip(hist, hist[1:])), (e, j, i)
     rigged = run_subset_scenario(S)
-    tail = [t for t in rigged.trace if t["op"] == "hk" and t["s"] >= S * 4 // 5]
-    sides_in_tail = {t["side"] for t in tail}
+    # the n-th hk record routes the n-th entrant of B, to half triple[2]
+    routes = zip(rigged.kernel.log.entries(rigged.b), (t for t in rigged.trace if t["op"] == "hk"))
+    tail = [t for (s, _), t in routes if s >= S * 4 // 5]
+    sides_in_tail = {t["triple"][2] for t in tail}
     assert tail and 1 not in sides_in_tail
     assert check_split_history(rigged.kernel.log, rigged.b, rigged.b0, rigged.b1, S - 1) is None
     announce(4, f"restraints monotone over {len(codes)} triples, replay clean, "
@@ -270,6 +272,7 @@ def test_criterion_8_corollary_iteration():
 
 def test_criterion_9_fault_injection(tmp_path):
     fried = run_friedberg(SPLIT_TEXTS, machine_index(0), 4_000)
+    hk = run_hk(SPLIT_TEXTS, machine_index(0), machine_index(1), 4_000)
     tree = diagonalize(PROCEDURES["hf"], 6_000, depth=9)
 
     def tamper(result, op, mutate):
@@ -279,11 +282,11 @@ def test_criterion_9_fault_injection(tmp_path):
         return merge_for_file(result.kernel.log, out)
 
     cases = [
-        (fried, "route", lambda r: r.update(side=1 - r["side"])),
-        (fried, "route", lambda r: r.update(x=r["x"] + 1)),
+        (fried, "route", lambda r: r.update(req=[0, 1, 1])),
         (fried, "route", lambda r: r.update(req=[0, 0, 10**6])),
-        (fried, "route", lambda r: r.update(s=r["s"] + 3)),
-        (fried, "route", lambda r: r.update(side=1 - r["side"], x=r["x"])),
+        (hk, "hk", lambda r: r.update(triple=r["triple"][:2] + [1 - r["triple"][2]])),
+        (hk, "hk", lambda r: r.update(l=r["l"] + 1)),
+        (hk, "hk", lambda r: r.update(r=r["r"] + 1)),
         (tree, "f", lambda r: r.update(s=r["s"] + 1)),
         (tree, "pull", lambda r: r.update(x0=r["x1"], x1=r["x0"])),
         (tree, "pull", lambda r: r.update(req=r["req"] + 10**6)),

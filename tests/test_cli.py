@@ -62,9 +62,10 @@ def test_verify_catches_tampering(tmp_path):
     path = tmp_path / "fried.jsonl"
     invoke("split", "friedberg", "--index", "8", "--stages", "4000", "--trace", str(path))
     lines = path.read_text().splitlines()
-    target = next(i for i, line in enumerate(lines) if '"op":"route"' in line)
+    target = next(i for i, line in enumerate(lines)
+                  if '"op":"route"' in line and '"req":[]' not in line)
     record = json.loads(lines[target])
-    record["side"] = 1 - record["side"]
+    record["req"][1] = 1 - record["req"][1]  # the met requirement's side
     lines[target] = json.dumps(record, sort_keys=True, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n")
     check = invoke("verify", "--trace", str(path))
@@ -387,18 +388,26 @@ def _hk_trace(tmp_path):
     return path, path.read_text().splitlines()
 
 
-@pytest.mark.parametrize("op, field, blank", [
-    ("route", "side", False),
-    ("route", "side", True),
-    ("hk", "side", False),
-    ("pull", "req", False),
+# a bend of one record of each op that fits its row but not the run
+BENDS = {
+    "route": lambda record: record.update(req=[0, 0, 10**6]),
+    "hk": lambda record: record.update(l=record["l"] + 1),
+    "pull": lambda record: record.update(req=record["req"] + 1),
+}
+
+
+@pytest.mark.parametrize("op, blank", [
+    ("route", False),
+    ("route", True),
+    ("hk", False),
+    ("pull", False),
 ], ids=["route", "route-after-blank-line", "hk", "pull"])
-def test_verify_divergence_names_file_line(tmp_path, op, field, blank):
+def test_verify_divergence_names_file_line(tmp_path, op, blank):
     traced = {"route": _friedberg_trace, "hk": _hk_trace, "pull": _tree_trace}[op]
     path, lines = traced(tmp_path)
     at = [i for i, line in enumerate(lines) if f'"op":"{op}"' in line][2]
     record = json.loads(lines[at])
-    record[field] = 1 - record[field] if field == "side" else record[field] + 1
+    BENDS[op](record)
     lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
     if blank:  # from here on the file line and the record position part ways
         lines.insert(at, "")
@@ -413,7 +422,9 @@ def test_verify_divergence_names_file_line(tmp_path, op, field, blank):
 def test_verify_missing_record_names_line_after_last(tmp_path):
     path, lines = _friedberg_trace(tmp_path)
     last = max(i for i, line in enumerate(lines) if '"op":"route"' in line)
-    x = json.loads(lines[last])["x"]
+    a = next(json.loads(line)["a"] for line in lines if '"op":"meta"' in line)
+    # the last record routes the last entrant of the input
+    *_, x = (r["x"] for r in map(json.loads, lines) if r["op"] == "event" and r["e"] == a)
     del lines[last]
     path.write_text("\n".join(lines) + "\n\n")  # a trailing blank line holds no record
     check = invoke("verify", "--trace", str(path))
@@ -486,7 +497,7 @@ def test_verify_tree_record_fault_reports_line(tmp_path, op, field, value):
 # never writes; "meta" stands for a copy of the trace's own meta record
 FOREIGN = {
     "f": {"op": "f", "s": 1, "ks": 1, "node": "1"},
-    "route": {"op": "route", "s": 1, "x": 0, "req": None, "side": 0},
+    "route": {"op": "route", "req": []},
     # the old formats' records, now no op at all
     "void": {"op": "void", "s": 1, "node": "0", "n": 1},
     "enter": {"op": "enter", "s": 1, "x": 0, "node": "1"},
@@ -495,6 +506,9 @@ FOREIGN = {
     "left": {"op": "left", "s": 1, "from": "0", "to": "1", "balls": [0]},
     "dump-extra": {"op": "dump-extra", "s": 1, "ks": 1, "gamma": "01", "node": "1", "idx": 0,
                    "x": 0},
+    # the old format's routing records, with copies of the entrant and its half
+    "old-route": {"op": "route", "s": 1, "x": 0, "req": None, "side": 0},
+    "old-hk": {"op": "hk", "s": 1, "x": 0, "triple": [0, 0, 0], "l": 0, "r": 0, "side": 0},
 }
 
 
@@ -502,35 +516,43 @@ FOREIGN = {
 @pytest.mark.parametrize("traced, op", [
     (_friedberg_trace, "f"), (_friedberg_trace, "meta"), (_tree_trace, "route"),
     (_tree_trace, "void"), (_tree_trace, "enter"), (_tree_trace, "chip"),
-    (_tree_trace, "left"), (_tree_trace, "dump-extra"),
+    (_tree_trace, "left"), (_tree_trace, "dump-extra"), (_friedberg_trace, "old-route"),
+    (_hk_trace, "old-hk"), (_hk_trace, "old-meta"),
 ], ids=["friedberg-f", "friedberg-second-meta", "tree-route", "tree-void", "tree-enter",
-        "tree-chip", "tree-old-left", "tree-old-dump-extra"])
+        "tree-chip", "tree-old-left", "tree-old-dump-extra", "friedberg-old-route",
+        "hk-old-hk", "hk-old-meta"])
 def test_verify_rejects_records_the_construction_never_writes(tmp_path, traced, op, suite):
     # each of the first three verified as ok, the foreign record counted
     # among the decisions
     path, lines = traced(tmp_path)
+    at = len(lines) - 1  # before the last record
     if op == "meta":
         record = next(line for line in lines if '"op":"meta"' in line)
+    elif op == "old-meta":  # the trace's own meta, as the old format wrote it with no override
+        at = next(i for i, line in enumerate(lines) if '"op":"meta"' in line)
+        record = {k: v for k, v in json.loads(lines.pop(at)).items() if k != "y_over"}
+        record = json.dumps(record, sort_keys=True, separators=(",", ":"))
     else:
         record = json.dumps(FOREIGN[op], sort_keys=True, separators=(",", ":"))
-    at = len(lines) - 1  # before the last record
     lines.insert(at, record)
     path.write_text("\n".join(lines) + "\n")
     error = _verify_rejects(path, at + 1, suite)["error"]
-    if op in ("left", "dump-extra"):
-        assert f"{op} record has an unknown field" in error
+    if op in ("left", "dump-extra", "old-route", "old-hk"):
+        assert f"{op.removeprefix('old-')} record has an unknown field" in error
+    if op == "old-meta":
+        assert error == f"line {at + 1}: meta record lacks 'y_over'"
 
 
 @pytest.mark.parametrize("traced, op, field, value", [
-    (_friedberg_trace, "route", "side", True),
-    (_friedberg_trace, "route", "x", 1.0),
+    (_friedberg_trace, "route", "req", NULL),
+    (_friedberg_trace, "route", "req", [1.0]),
     (_friedberg_trace, "route", "extra", 0),
     (_friedberg_trace, "route", "req", None),
     (_hk_trace, "hk", "l", 1.0),
     (_hk_trace, "hk", "extra", 0),
-    (_hk_trace, "hk", "s", None),
-], ids=["route-side-bool", "route-x-float", "route-extra-key", "route-req-missing",
-        "hk-l-float", "hk-extra-key", "hk-s-missing"])
+    (_hk_trace, "hk", "r", None),
+], ids=["route-req-null", "route-req-float", "route-extra-key", "route-req-missing",
+        "hk-l-float", "hk-extra-key", "hk-r-missing"])
 def test_verify_routing_record_fault_reports_line(tmp_path, traced, op, field, value):
     # each was replayed as ok, or as a divergence with a field got as None
     _verify_rejects_bent(traced, tmp_path, op, field, value)

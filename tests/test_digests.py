@@ -15,6 +15,7 @@ import pytest
 
 from cesplit import corpus, tree
 from cesplit.friedberg import run_friedberg
+from cesplit.hk import run_subset_scenario
 from cesplit.kernel import Kernel, machine_index
 from cesplit.trace import merge_for_file, read_trace, write_trace
 from cesplit.verify import replay_check
@@ -137,7 +138,16 @@ def test_iterate_rounds_pinned(tmp_path, monkeypatch):
 def test_friedberg_trace_pinned(tmp_path):
     result = run_friedberg(corpus.BASIC, 8, 4000)
     assert trace_sha256(tmp_path, result.kernel.log, result.trace) == (
-        "30c4c673e652869e13a86a8268d8f22ba4326731a4679ee8ba5919e56fcf07a1"
+        "38038f6f341cfb7e0097732e37cd00d7802b6128118d38120d4e39778ecc2518"
+    )
+
+
+def test_subset_scenario_trace_pinned(tmp_path):
+    # `cesplit split hk --subset-scenario --stages 4000 --trace`: its meta
+    # record carries the rigged listings
+    result = run_subset_scenario(4000)
+    assert trace_sha256(tmp_path, result.kernel.log, result.trace) == (
+        "fd4a63cf2438a619b2f79cacc5ba455a0468ec63b7a7174360fbf7df34d90855"
     )
 
 

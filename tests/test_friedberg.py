@@ -57,10 +57,10 @@ def test_priority_soundness_least_code_scan(halting_split):
     by_element = {}
     for t, idx, x in log.events():
         by_element.setdefault(x, []).append((t, idx))
-    record_iter = iter([rec for rec in r.trace if rec["op"] == "route"])
-    for entry_stage, x in log.entries(r.a):
-        record = next(record_iter)
-        assert record["x"] == x
+    records = [rec for rec in r.trace if rec["op"] == "route"]
+    assert len(records) == log.count(r.a)
+    # the n-th record routes the n-th entrant of the input
+    for (entry_stage, x), record in zip(log.entries(r.a), records):
         candidates = sorted(
             idx for t, idx in by_element.get(x, ()) if t < entry_stage
         )
@@ -71,13 +71,13 @@ def test_priority_soundness_least_code_scan(halting_split):
             for i in (0, 1)
         )
         if not options:
-            assert record["side"] == 0 and record["req"] is None
+            assert record["req"] == []
             side = 0
         else:
             _, e, i, k = options[0]
             assert record["req"] == [e, i, k]
-            assert record["side"] == i
             side = i
+        assert log.entry_stage((r.a0, r.a1)[side], x) is not None
         for e in candidates:
             counters[(e, side)] = counters.get((e, side), 0) + 1
 
@@ -86,7 +86,8 @@ def test_ball_meeting_nothing_goes_left():
     # first entrant of the input can never have been seen elsewhere first
     result = run_friedberg([corpus.HALT_ALL], machine_index(0), 50)
     first = [rec for rec in result.trace if rec["op"] == "route"][0]
-    assert first["req"] is None and first["side"] == 0
+    _, x = next(result.kernel.log.entries(result.a))
+    assert first["req"] == [] and result.kernel.log.entry_stage(result.a0, x) is not None
 
 
 def test_both_sides_eventually_fed(halting_split):

@@ -10,6 +10,14 @@ from cesplit.verify import _NaiveRestraint, replay_check, replay_hk
 TEXTS = [corpus.HALT_ALL, corpus.DIVERGE, corpus.HALT_EVEN, corpus.HALT_SLOW]
 
 
+def routed(r):
+    """(entry stage, ball, hk record) per entrant of B: the n-th record
+    routes the n-th entrant, to half ``triple[2]``."""
+    records = [t for t in r.trace if t["op"] == "hk"]
+    assert len(records) == r.kernel.log.count(r.b)
+    return [(s, x, t) for (s, x), t in zip(r.kernel.log.entries(r.b), records)]
+
+
 @pytest.fixture(scope="module")
 def default_run():
     # b = everything, a = empty: the b-entrants exercise the routing scan
@@ -107,8 +115,8 @@ def test_restraint_monotone_everywhere(default_run):
 
 
 def test_ball_zero_goes_to_least_triple(default_run):
-    first = [t for t in default_run.trace if t["op"] == "hk" and t["x"] == 0][0]
-    assert first["triple"] == [0, 0, 0] and first["side"] == 0
+    first = next(t for _, x, t in routed(default_run) if x == 0)
+    assert first["triple"] == [0, 0, 0]
 
 
 def test_routing_replay_clean(default_run):
@@ -121,11 +129,12 @@ def test_routing_replay_catches_tamper(default_run):
     r = default_run
     bad = [dict(rec) for rec in r.trace]
     idx = [i for i, rec in enumerate(bad) if rec["op"] == "hk"][3]
-    bad[idx]["side"] = 1 - bad[idx]["side"]
+    e, j, i = bad[idx]["triple"]
+    bad[idx]["triple"] = [e, j, 1 - i]
 
     divergences = replay_hk(merge_for_file(r.kernel.log, bad), r.b, r.a, r.b0, r.b1)
     # the record's line in the written file, after the events
-    assert [(d.line, d.field) for d in divergences] == [(len(r.kernel.log) + idx + 1, "side")]
+    assert [(d.line, d.field) for d in divergences] == [(len(r.kernel.log) + idx + 1, "triple")]
 
 
 def test_split_discipline(default_run):
@@ -158,11 +167,11 @@ def test_determinism():
 
 def test_subset_scenario_one_side_starves():
     r = run_subset_scenario(10_000)
-    sides = [t["side"] for t in r.trace if t["op"] == "hk"]
+    sides = [t["triple"][2] for _, _, t in routed(r)]
     assert sides and set(sides) == {0}
     # trailing 20% of stages: no new balls on side 1 (indeed none anywhere on 1)
-    tail = [t for t in r.trace if t["op"] == "hk" and t["s"] >= 8_000]
-    assert tail and all(t["side"] == 0 for t in tail)
+    tail = [t for s, _, t in routed(r) if s >= 8_000]
+    assert tail and all(t["triple"][2] == 0 for t in tail)
     # and it is a genuine split of b
     assert check_split_history(r.kernel.log, r.b, r.b0, r.b1, 9_999) is None
 
@@ -185,7 +194,7 @@ def test_rigged_listing_helper():
     kernel = Kernel(TEXTS)
     splitter = install_hk(kernel, machine_index(0), machine_index(1), y_over={3: 9, 0: 42})
     assert splitter.trace[0]["y_over"] == [[0, 42], [3, 9]]
-    assert "z_over" not in splitter.trace[0]
+    assert splitter.trace[0]["z_over"] == []
     assert splitter._get_state(0, 0, 0).y_idx == 42  # m = 0 is (e, j) = (0, 0)
     assert splitter._get_state(1, 0, 0).y_idx == 1  # m = 1 is (1, 0)
 
@@ -198,7 +207,7 @@ def test_rigged_trace_replays_under_its_overrides():
     assert replay_check(trace)["ok"]
     meta = next(rec for rec in trace.records if rec["op"] == "meta")
     assert meta["z_over"] == [[0, 4]]
-    del meta["z_over"]
+    meta["z_over"] = []
     assert not replay_check(trace)["ok"]
 
 
@@ -218,7 +227,7 @@ def test_halting_input_empty_modulus_counts():
     # the coverage frontier and side 0 absorbs every ball, at S and at 2S
     r1 = run_hk(TEXTS, machine_index(0), machine_index(1), 5_000)
     r2 = run_hk(TEXTS, machine_index(0), machine_index(1), 10_000)
-    count = lambda r, side: sum(1 for t in r.trace if t["op"] == "hk" and t["side"] == side)
+    count = lambda r, side: sum(1 for t in r.trace if t["op"] == "hk" and t["triple"][2] == side)
     assert count(r2, 0) > count(r1, 0) > 0
     assert count(r1, 1) == count(r2, 1) == 0
     assert replay_hk(merge_for_file(r2.kernel.log, r2.trace), r2.b, r2.a, r2.b0, r2.b1) == []

@@ -256,7 +256,7 @@ def test_no_node_extends_f(monkeypatch, proc, depth):
 
     def checking(run, stage):
         out = brain_pull(run, stage)
-        f = run.f
+        f = run.history[-1][2]
         assert not [a for a in run.nodes if a != f and a.startswith(f)], f
         checked.add(run.tree_stage)
         return out

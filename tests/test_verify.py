@@ -2,6 +2,7 @@ import io
 import json
 import random
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -12,9 +13,11 @@ from cesplit import corpus
 from cesplit.friedberg import run_friedberg
 from cesplit.hk import run_hk, run_subset_scenario
 from cesplit.kernel import EventLog, KernelError, machine_index
+from cesplit.pairing import pair, unpair
 from cesplit.setalg import before_then
 from cesplit.tree import PROCEDURES, Verdict, diagonalize, proc_friedberg, verdict_at
 from cesplit.verify import (
+    _NaiveRestraint,
     ComplementEvidence,
     FriedbergEvidence,
     complement_witnesses,
@@ -71,32 +74,40 @@ def test_replay_friedberg_flags_every_field():
     assert replay_friedberg(merge_for_file(log, records), result.a, result.a0, result.a1) == []
     routes = [i for i, r in enumerate(records) if r["op"] == "route"]
     target = routes[2]
-    flips = (
-        ("side", 1 - records[target]["side"]),
-        ("x", 10**9),
-        ("req", [0, 0, 10**6]),
-        ("s", records[target]["s"] + 1),
-    )
-    for field, value in flips:
+    e, i, k = records[target]["req"]
+    # the record keeps only its requirement: a bent one, another side, none
+    for value in ([0, 0, 10**6], [e, 1 - i, k], []):
         bad = [dict(r) for r in records]
-        bad[target][field] = value
+        bad[target]["req"] = value
         divergences = replay_friedberg(merge_for_file(log, bad), result.a, result.a0, result.a1)
-        assert divergences, field
+        assert [d.field for d in divergences] == ["req"], value
 
 
 @pytest.fixture(params=["friedberg", "hk"])
 def routed(request):
     """A traced routing run: its file's records, the position (from 0) of
-    its last routing record, and its halves."""
+    its last routing record, its halves, and the input's last entrant,
+    which that record routes."""
     if request.param == "friedberg":
         result, op = run_friedberg(TEXTS, machine_index(4), 4_000), "route"
+        input_idx = result.a
     else:
         result, op = run_hk(TEXTS, machine_index(0), machine_index(1), 4_000), "hk"
+        input_idx = result.b
     trace = merge_for_file(result.kernel.log, result.trace)
     assert replay_check(trace)["ok"]
     records = as_records(trace)
     last = max(n for n, r in enumerate(records) if r["op"] == op)
-    return records, last, result.splitter.halves
+    *_, (_, x) = result.kernel.log.entries(input_idx)
+    return records, last, result.splitter.halves, x
+
+
+def side_of(record):
+    """The half a routing record sends its ball to: ``triple[2]``, or
+    ``req[1]`` (0 when ``req`` is empty)."""
+    if record["op"] == "hk":
+        return record["triple"][2]
+    return record["req"][1] if record["req"] else 0
 
 
 def found(path, records):
@@ -106,25 +117,79 @@ def found(path, records):
 
 
 def test_replay_routes_missing_record(tmp_path, routed):
-    records, last, _ = routed
+    records, last, _, _ = routed
     del records[last]
     assert found(tmp_path / "t.jsonl", records) == [(len(records) + 1, "missing-record")]
 
 
 def test_replay_routes_extra_record(tmp_path, routed):
-    records, last, _ = routed
+    records, last, _, _ = routed
     records.insert(last + 1, dict(records[last]))
     assert found(tmp_path / "t.jsonl", records) == [(last + 2, "extra-record")]
 
 
 def test_replay_routes_landing(tmp_path, routed):
-    records, last, halves = routed
-    x, side = records[last]["x"], records[last]["side"]
+    records, last, halves, x = routed
+    side = side_of(records[last])
     at = next(n for n, r in enumerate(records)
               if r["op"] == "event" and r["e"] == halves[side] and r["x"] == x)
     assert at < last
     del records[at]  # the ball never surfaces in its half
     assert found(tmp_path / "t.jsonl", records) == [(last, "landing")]
+
+
+HK_META = {"op": "meta", "kind": "hk", "b": 0, "a": 2, "b0": 1, "b1": 3, "y_over": [],
+           "z_over": []}
+
+
+def hk_want(log, x, stage):
+    """The triple of a ball x entering B (index 0 of HK_META) at stage, by
+    the scan of every triple from the least code up."""
+    m = 0
+    while True:
+        for i in (0, 1):
+            e, j = unpair(m)
+            if x <= _NaiveRestraint(log, pair(m, i), e, j, (1, 3)[i], 2).r_at(stage):
+                return [e, j, i]
+        m += 1
+
+
+@pytest.mark.parametrize("x, want", [
+    (10**6, [17, 35, 1]), (10**8, [54, 113, 1]), (4 * 10**9, [233, 189, 1]),
+    (10**15, [793, 8663, 1]),
+])
+def test_replay_hk_huge_ball_is_quick(tmp_path, x, want):
+    # the scan once built a restraint for every triple up to code x, so one
+    # event of B with x = 4e9 took 2 s and 146 MB of peak RSS on a 2-core
+    # VM, growing as the square root of x; the triple, and the line it is
+    # named on, stay as they were
+    path = write_records(tmp_path / "t.jsonl", [
+        HK_META, {"op": "event", "s": 1, "e": 0, "x": x},
+        {"op": "hk", "triple": [0, 0, 0], "l": 0, "r": 0}])
+    start = time.perf_counter()
+    first = replay_check(read_trace(path))["divergences"][0]
+    assert time.perf_counter() - start < 1.0
+    assert (first["line"], first["field"], first["want"]) == (3, "triple", want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 12),
+       st.lists(st.tuples(st.integers(1, 5), st.integers(0, 12)), max_size=8, unique=True),
+       st.integers(-12, 40))
+def test_replay_hk_scan_start_is_the_full_scans(covered, events, beyond):
+    # past the log's length a ball is reached by exactly the triples whose
+    # code is at least the ball, so the scan may start there.  A trace of
+    # 0, 1, ... entering A (index 2), which lifts l of every triple whose
+    # Z lacks them, and other events, then ball x of B at the next stage,
+    # routed by the least triple: the replay's triple is that or its
+    # divergence's want
+    events = [(2, y) for y in range(covered)] + [e for e in events if e[0] != 2]
+    x, stage = max(0, len(events) + beyond), len(events) + 1
+    log = scripted([(s, idx, y) for s, (idx, y) in enumerate(events, start=1)] + [(stage, 0, x)])
+    record = {"op": "hk", "triple": [0, 0, 0], "l": 0, "r": 0}
+    report = replay_check(merge_for_file(log, [HK_META, record]))
+    wants = [d["want"] for d in report["divergences"] if d["field"] == "triple"]
+    assert (wants or [[0, 0, 0]])[0] == hk_want(log, x, stage)
 
 
 @pytest.mark.parametrize("forge, field", [
@@ -320,14 +385,15 @@ EXTRA_TAMPERS = {"dump-extra": {"drop": 3, "duplicate": 3, "ks+1": 3, "idx+1": 3
 # 4,000 stages; "req[0]+1" and "triple[0]+1" raise the first element of the
 # list.  No cell of 4 is a miss: the first route record sits below the meta
 # record, which may sit on any line, and the last record of each trace is
-# drawn and has no record below it.
+# drawn and has no record below it.  A routing record names no ball, so two
+# neighbours can be equal: the hk trace's records 6 to 10 hold three equal
+# pairs, and a swap of one leaves the trace as it was ("unchanged").
 ROUTING_TAMPERS = {
-    "friedberg": {"route": {"drop": 5, "duplicate": 5, "s+1": 5, "x+1": 5, "side+1": 5,
-                            "req[0]+1": 5, "up": 4, "down": 4}},
-    "hk": {"hk": {"drop": 5, "duplicate": 5, "s+1": 5, "x+1": 5, "l+1": 5, "r+1": 5,
-                  "side+1": 5, "triple[0]+1": 5, "up": 5, "down": 4}},
-    "subset": {"hk": {"drop": 5, "duplicate": 5, "s+1": 5, "x+1": 5, "l+1": 5, "r+1": 5,
-                      "side+1": 5, "triple[0]+1": 5, "up": 5, "down": 4}},
+    "friedberg": {"route": {"drop": 5, "duplicate": 5, "req[0]+1": 5, "up": 4, "down": 4}},
+    "hk": {"hk": {"drop": 5, "duplicate": 5, "l+1": 5, "r+1": 5, "triple[0]+1": 5,
+                  "up": 3, "up unchanged": 2, "down": 3, "down unchanged": 1}},
+    "subset": {"hk": {"drop": 5, "duplicate": 5, "l+1": 5, "r+1": 5, "triple[0]+1": 5,
+                      "up": 5, "down": 4}},
 }
 
 
@@ -365,16 +431,21 @@ def moved(decisions, n):
 
 def tamper_table(log, decisions, ops, variants, caught=lambda report: not report["ok"]):
     """{op: {name: caught count}} over five records per op, drawn by
-    random.Random(op), each replaced by every variant ``variants`` gives."""
+    random.Random(op), each replaced by every variant ``variants`` gives.
+    A variant that leaves the records as they were, a swap of two equal
+    records, is no tamper: it is counted under "<name> unchanged"."""
     table = {}
     for op in ops:
         at = [n for n, r in enumerate(decisions) if r["op"] == op]
         for n in random.Random(op).sample(at, min(5, len(at))):
             for name, tampered_decisions in variants(decisions, n):
-                try:
-                    hit = caught(replay_check(merge_for_file(log, tampered_decisions)))
-                except TraceError:
-                    hit = True
+                if tampered_decisions == decisions:
+                    name, hit = f"{name} unchanged", True
+                else:
+                    try:
+                        hit = caught(replay_check(merge_for_file(log, tampered_decisions)))
+                    except TraceError:
+                        hit = True
                 row = table.setdefault(op, {})
                 row[name] = row.get(name, 0) + hit
     return table
@@ -498,7 +569,8 @@ def test_interleaved_missing_record_named_after_last_line(tmp_path):
     result = run_friedberg(TEXTS, machine_index(4), 4_000)
     records = interleaved(merge_for_file(result.kernel.log, result.trace))
     last = max(n for n, r in enumerate(records) if r["op"] == "route")
-    x = records.pop(last)["x"]
+    del records[last]  # the record of the last entrant
+    *_, (_, x) = result.kernel.log.entries(result.a)
     path = write_records(tmp_path / "mixed.jsonl", records)
     with open(path, "a", encoding="utf-8") as fh:
         fh.write("\n\n")  # trailing blank lines hold no record
@@ -652,13 +724,24 @@ def test_trace_schema_doc_lists_the_record_schema():
         assert key not in documented
         documented[key] = row
 
-    def as_documented(row):
-        return {name: kind + " (optional)" * (name in row.optional)
-                for name, kind in row.kinds.items()}
-
-    schema = {op: as_documented(row) for op, row in _SHAPES.items() if op != "meta"}
-    schema.update((("meta", kind), as_documented(row)) for kind, row in _SHAPES["meta"].items())
+    schema = {op: row.kinds for op, row in _SHAPES.items() if op != "meta"}
+    schema.update((("meta", kind), row.kinds) for kind, row in _SHAPES["meta"].items())
     assert documented == schema
+
+
+def test_every_row_is_templated_and_every_field_required():
+    # every row but meta's has a line template, and a record of any row
+    # that lacks one of its fields is rejected: no field is optional
+    assert all(row.fill is not None for op, row in _SHAPES.items() if op != "meta")
+    rows = [({"op": op}, row) for op, row in _SHAPES.items() if op != "meta"]
+    rows += [({"op": "meta", "kind": kind}, row) for kind, row in _SHAPES["meta"].items()]
+    values = {"int": 7, "address": "01", "ints": [2, 3], "pairs": [[0, 1]]}
+    for head, row in rows:
+        record = dict(head, **{name: values[kind] for name, kind in row.kinds.items()})
+        assert _misfit(record) is None
+        for name in row.kinds:
+            lacking = {k: v for k, v in record.items() if k != name}
+            assert _misfit(lacking) == f"{head['op']} record lacks {name!r}"
 
 
 def test_schema_check_agrees_with_the_templates(tmp_path):
@@ -786,7 +869,7 @@ def event_spellings(draw):
 
 trace_lines = st.one_of(
     event_spellings(),
-    st.just('{"op":"route","req":null,"s":3,"side":0,"x":2}'),
+    st.sampled_from(['{"op":"route","req":[2]}', '{"op":"route","req":null,"s":3,"side":0,"x":2}']),
     st.just(""),
     tricky_text.filter(lambda text: "\ud800" not in text),
 )
