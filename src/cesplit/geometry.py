@@ -114,13 +114,6 @@ def diverges_left(a: str, b: str) -> bool:
     return False
 
 
-def is_left_of(a: str, b: str) -> bool:
-    """Full left order: proper prefix or leftward divergence."""
-    if a != b and b.startswith(a):
-        return True
-    return diverges_left(a, b)
-
-
 def left_target(f: str, node: str) -> str:
     """Where the balls of a node the path passed on the left move: the first
     R-node of f below the depth where f and node part, or f when f ends first."""
@@ -151,16 +144,52 @@ def ball_too_deep(x: int, node: str) -> bool:
     return len(node) > max(1, x * x)
 
 
-def last_left_pass(history: list, node: str) -> int:
-    """The stage at which f last moved left of node (0 if f never ran left of
-    it): the first stage of the latest run of equal f values left of node in a
-    (tree stage, kernel stage, f) history of every tree stage or of f's changes."""
-    i = len(history) - 1
-    while i >= 0 and not is_left_of(history[i][2], node):
-        i -= 1
-    while i > 0 and history[i - 1][2] == history[i][2]:
-        i -= 1
-    return history[i][0] if i >= 0 else 0
+_NO_RUN = (-1, 0)  # (run number, first stage) where no run of f was
+
+
+class LeftPasses:
+    """The stage at which f last moved left of a node, as f's history grows.
+
+    ``add`` takes the (tree stage, f) of every tree stage, or of f's changes
+    alone; ``of(node)`` is the first stage of the latest run of equal f
+    values left of the node, or 0.  Left of a node are its proper prefixes
+    p and, where p is followed by "0", the nodes under p+"1".  So a trie
+    over the f values, holding the latest run at and under each of its
+    nodes, answers a lookup in O(len(node)); a lookup first files the runs
+    begun since the last one, so ``add`` costs O(1).
+    """
+
+    __slots__ = ("_trie", "_fresh", "_f", "_runs")
+
+    def __init__(self):
+        self._trie: list = [_NO_RUN, _NO_RUN, {}]  # [latest run under, at, bit -> kid]
+        self._fresh: dict = {}  # f -> its latest run, if begun since the last lookup
+        self._f: Optional[str] = None
+        self._runs = 0
+
+    def add(self, stage: int, f: str) -> None:
+        if f != self._f:
+            self._f = f
+            self._fresh[f] = (self._runs, stage)
+            self._runs += 1
+
+    def of(self, node: str) -> int:
+        for f, run in self._fresh.items():
+            t = self._trie
+            for bit in f:
+                t[0] = max(t[0], run)
+                t = t[2].setdefault(bit, [_NO_RUN, _NO_RUN, {}])
+            t[0], t[1] = max(t[0], run), run
+        self._fresh.clear()
+        best, t = _NO_RUN, self._trie
+        for bit in node:
+            best = max(best, t[1])
+            if bit == "0" and "1" in t[2]:
+                best = max(best, t[2]["1"][0])
+            t = t[2].get(bit)
+            if t is None:
+                break
+        return best[1]
 
 
 @dataclass(frozen=True)

@@ -303,7 +303,6 @@ class Kernel:
         programs = [parse_program(t) for t in corpus]
         self._log = EventLog()
         self._pending: deque[tuple[int, int]] = deque()
-        self._pending_set: set[tuple[int, int]] = set()
         self.max_backlog = 0
         self._entries: dict[int, _GenEntry] = {}
         self._drainers: list[_GenEntry] = []  # sources polled on drained stages
@@ -398,17 +397,6 @@ class Kernel:
 
     # -- stepping --------------------------------------------------------
 
-    def _enqueue(self, index: int, element: int) -> None:
-        key = (index, element)
-        if key in self._pending_set or self._log.entry_stage(index, element) is not None:
-            raise EmissionConflictError(
-                f"duplicate emission of element {element} for index {index}"
-            )
-        self._pending_set.add(key)
-        self._pending.append(key)
-        if len(self._pending) > self.max_backlog:
-            self.max_backlog = len(self._pending)
-
     def _release(self, stage: int, index: int, element: int) -> None:
         self._log.append(stage, index, element)
         for entry in self._watchers.get(index, ()):
@@ -436,8 +424,12 @@ class Kernel:
 
     def _poll_one(self, entry: _GenEntry, stage: int) -> None:
         entry.dirty = False
+        pending = self._pending
+        # a duplicate emission fails at its release: EventLog.append refuses it
         for x in entry.gen.pull(stage):
-            self._enqueue(entry.index, x)
+            pending.append((entry.index, x))
+        if len(pending) > self.max_backlog:
+            self.max_backlog = len(pending)
 
     def _due_sources(self, stage: int) -> list[_GenEntry]:
         # a drain source polled on a stage that starts with a backlog would
@@ -524,9 +516,7 @@ class Kernel:
                 self._next_stage = stage
                 self._poll_generators(stage)
             if pending:
-                key = pending.popleft()
-                self._pending_set.discard(key)
-                self._release(stage, *key)
+                self._release(stage, *pending.popleft())
                 stage += 1
                 continue
             # nothing is due before the next booked timer, and a drain

@@ -17,11 +17,11 @@ addresses of 0s and 1s only, lists of such integers.
 
 The writer fills a row's line template, such as
 ``{"e":E,"op":"event","s":S,"x":X}``, for a record that fits the row (every
-row but ``meta``'s has one), and hands meta records and misfits to the
-``json`` module, with the same bytes.  The reader takes the
-canonical event line by template and hands every other line to the
-``json`` module, so it accepts any JSON spelling of any record and gives
-the same log and records either way.
+row but ``meta``'s has one) by the reader's own check, and hands meta
+records and misfits to the ``json`` module, with the same bytes.  The
+reader takes the canonical event line by template and hands every other
+line to the ``json`` module, so it accepts any JSON spelling of any record
+and gives the same log and records either way.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .kernel import EventLog, KernelError
@@ -62,8 +61,8 @@ _KINDS = {
     "pairs": ("a list of [position, index] pairs", lambda v: type(v) is list and all(
         _ints(p) and len(p) == 2 for p in v)),
 }
-# the type and template slot of each kind a line template can write
-_SLOTS = {"int": (int, "%d"), "address": (str, '"%s"'), "ints": (list, "[%s]")}
+# the template slot of each kind a line template can write, by field name
+_SLOTS = {"int": "%%(%s)d", "address": '"%%(%s)s"', "ints": "[%%(%s)s]"}
 
 
 class _Shape(NamedTuple):
@@ -72,23 +71,14 @@ class _Shape(NamedTuple):
 
 
 def _shape(op: str, **kinds: str) -> _Shape:
-    """A row.  Its template, for every op but meta, is the record's size, a
-    getter of its values in sorted key order, their types, the positions of
-    its addresses and lists, and its line."""
+    """A row.  Its template, for every op but meta, is the names of its
+    list fields and its line, filled from a record by field name."""
     fill = None
     if op != "meta":
-        keys = sorted(kinds)
-        slots = {k: _SLOTS[kinds[k]][1] for k in keys}
+        slots = {k: _SLOTS[kind] % k for k, kind in kinds.items()}
         slots["op"] = '"%s"' % op
-        fill = (
-            len(keys) + 1,
-            # itemgetter of one key gives the bare value, not a 1-tuple
-            itemgetter(*keys) if len(keys) > 1 else lambda record: (record[keys[0]],),
-            tuple(_SLOTS[kinds[k]][0] for k in keys),
-            tuple(i for i, k in enumerate(keys) if kinds[k] == "address"),
-            tuple(i for i, k in enumerate(keys) if kinds[k] == "ints"),
-            "{%s}\n" % ",".join('"%s":%s' % (k, slots[k]) for k in sorted(slots)),
-        )
+        fill = (tuple(k for k, kind in kinds.items() if kind == "ints"),
+                "{%s}\n" % ",".join('"%s":%s' % (k, slots[k]) for k in sorted(slots)))
     return _Shape(dict(sorted(kinds.items())), fill)
 
 
@@ -99,7 +89,6 @@ _SHAPES = {
     "f": _shape("f", s="int", ks="int", node="address"),
     "left": _shape("left", **{"from": "address"}, balls="ints"),
     "pull": _shape("pull", ks="int", node="address", req="int", x0="int", x1="int", mid="ints"),
-    "patch": _shape("patch", node="address", x="int"),
     "dump-orig": _shape("dump-orig", ks="int", node="address", e="int", i="int", balls="ints"),
     "dump-extra": _shape("dump-extra", ks="int", node="address", idx="int", x="int"),
     # by the record's kind
@@ -110,7 +99,8 @@ _SHAPES = {
         "tree": _shape("meta", e_a="int", e0="int", e1="int", depth="int", feeder="int"),
     },
 }
-_EVENT_LINE = _SHAPES["event"].fill[-1]  # '{"e":%d,"op":"event","s":%d,"x":%d}\n'
+# '{"e":%d,"op":"event","s":%d,"x":%d}\n', filled from a tuple in key order
+_EVENT_LINE = re.sub(r"%\(\w+\)", "%", _SHAPES["event"].fill[-1])
 
 # the spellings JSON accepts for an integer, and only those: [0-9], not \d
 _INT = r"(-?(?:0|[1-9][0-9]*))"
@@ -118,36 +108,13 @@ _EVENT_RE = re.compile(r'\{"e":%s,"op":"event","s":%s,"x":%s\}' % (_INT, _INT, _
 
 
 def _line(record: dict) -> str:
-    op = record.get("op")
-    if type(op) is str and op != "meta" and op in _SHAPES:
-        line = _filled(_SHAPES[op], record)
-        if line is not None:
-            return line
-    return _encode(record) + "\n"
-
-
-def _filled(shape: _Shape, record: dict) -> Optional[str]:
-    """The row's template filled from the record, or None when the record
-    does not fit it (as ``_misfit`` finds, only slower)."""
-    size, values_of, types, addresses, lists, template = shape.fill
-    if len(record) != size:
-        return None
-    try:
-        values = values_of(record)
-    except KeyError:  # another key in place of one of the row's
-        return None
-    if tuple(map(type, values)) != types:
-        return None
-    for i in addresses:
-        if values[i].strip("01"):
-            return None
+    """The record's line: its row's template filled, when it fits the row."""
+    if record.get("op") == "meta" or _misfit(record) is not None:
+        return _encode(record) + "\n"
+    lists, template = _SHAPES[record["op"]].fill
     if lists:
-        values = list(values)
-        for i in lists:
-            if not set(map(type, values[i])) <= {int}:
-                return None
-            values[i] = ",".join(map(str, values[i]))
-    return template % tuple(values)
+        record = dict(record, **{k: ",".join(map(str, record[k])) for k in lists})
+    return template % record
 
 
 def _misfit(record: dict) -> Optional[str]:

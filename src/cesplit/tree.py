@@ -18,13 +18,14 @@ changed since the node was last on the path, and stops at positive A-nodes
 or at the depth cap min(s*s, depth_bound).  The cap never shrinks and a node's
 positivity is its address's, so f only deepens or moves sideways: no node
 extends f, and every node right of f is one that f passed on the left.  One
-history, (tree stage, kernel stage, f) per tree stage, gives the extra dump
-the stage at which f last moved left of a node, and the verdict its tail.
-The trace writes it as one ``f`` record per tree stage; (s, f) fixes the
-ball the stage enters and the chips that changed, so no record says them.
-Every other record belongs to the stage of the last ``f`` record before it
-(a walk ``patch`` precedes it), so none repeats ``s``, and none repeats
-what f gives: a ``left`` record's target or an extra dump's dumping node.
+history, (tree stage, kernel stage, f) per tree stage, gives the verdict its
+tail, and its index ``geometry.LeftPasses`` the extra dump the stage at which
+f last moved left of a node.  The trace writes it as one ``f`` record per
+tree stage; (s, f) fixes the ball the stage enters and the chips that
+changed, so no record says them.  Every other record belongs to the stage of
+the last ``f`` record before it, so none repeats ``s`` or what f gives (a
+``left`` record's target, an extra dump's dumping node), and no record names
+a casualty (a ball of A that a piece absorbs), which A's log gives.
 
 Balls enter at the depth-1 node of the current path, one per tree stage, and
 move only left (when the path passes them) or via pulls.  A ball lives in its
@@ -56,9 +57,9 @@ from operator import attrgetter, itemgetter
 from typing import Callable, Optional
 
 from .geometry import (
-    MARKER_WINDOW, ROOT, TreeError, ball_too_deep, can_pull, checked_depth,
-    greatest_r_prefix, is_positive_a, last_left_pass, least_dump, left_key, left_target,
-    mask_bit, node_kind, question_at, r_chain,
+    MARKER_WINDOW, ROOT, LeftPasses, TreeError, ball_too_deep, can_pull, checked_depth,
+    greatest_r_prefix, is_positive_a, least_dump, left_key, left_target, mask_bit, node_kind,
+    question_at, r_chain,
 )
 from .kernel import EventLog, HostGenerator, Kernel, host_index
 
@@ -119,7 +120,7 @@ class _NodeState:
         "address", "key", "kind", "positive", "requesting", "kids", "chip_snapshot",
         "requests", "measure", "tmeasure", "measures", "tmeasures",
         "r_out", "rt_out", "r_index", "rt_index", "r_committed", "rt_committed",
-        "r_sorted", "live_markers", "live_rt", "rt_subscribers",
+        "r_sorted", "live_markers", "rt_subscribers",
         "mids_subscribers", "needs_scan", "stage_bound", "moved",
         "patch_cursor", "cand_heap", "mids_pool", "balls",
     )
@@ -144,7 +145,6 @@ class _NodeState:
         self.rt_committed: set = set()
         self.r_sorted: list = []
         self.live_markers: list = []
-        self.live_rt: list = []
         self.rt_subscribers: list = []
         self.mids_subscribers: list = []
         self.needs_scan = False
@@ -199,6 +199,8 @@ class TreeRun:
 
         self.tree_stage = 0
         self.history: list = [(0, 0, ROOT)]  # (tree stage, kernel stage, f) per tree stage
+        self._passes = LeftPasses()  # over history's (tree stage, f)
+        self._passes.add(0, ROOT)
         self.nodes: dict[str, _NodeState] = {}
         self.measures_by_index: dict[int, list] = {}
         self.positions: dict[int, str] = {}  # every on-machine ball -> its node
@@ -278,14 +280,17 @@ class TreeRun:
     def _seed_candidates(self, state: _NodeState) -> None:
         address = state.address
         dstate = self.nodes[greatest_r_prefix(address)]
+        # delta's tilde pool: at the root, the balls entered before this stage's
+        pool = (list(range(self.tree_stage - 1)) if dstate.address == ROOT
+                else sorted(dstate.rt_committed))
         if state.kind == "r" and address.endswith("1"):
             m = self._get_measure(isqrt(len(address)), dstate)
             state.cand_heap = sorted(m.members)
             m.subscribers.append(state)
-            state.mids_pool = list(dstate.live_rt)
+            state.mids_pool = pool
             dstate.mids_subscribers.append(state)
         else:
-            state.cand_heap = list(dstate.live_rt)
+            state.cand_heap = pool
             dstate.rt_subscribers.append(state)
         heapify(state.cand_heap)
 
@@ -494,8 +499,7 @@ class TreeRun:
         return out
 
     def _offer(self, state: _NodeState, x: int) -> None:
-        """Add x to a node's tilde pool and to the candidate pools drawn from it."""
-        insort(state.live_rt, x)
+        """Add x to the candidate pools drawn from a node's tilde pool."""
         for node in state.rt_subscribers:
             heappush(node.cand_heap, x)
         for node in state.mids_subscribers:
@@ -518,8 +522,7 @@ class TreeRun:
     def _commit(self, state: _NodeState, x: int, tilde: bool) -> None:
         if tilde:
             state.rt_committed.add(x)
-            if x not in self.a_committed:
-                self._offer(state, x)
+            self._offer(state, x)
             self._queue_emission(state.rt_index, state.rt_out, x)
             for m in state.measures.values():
                 self._measure_try_add(m, x)
@@ -557,12 +560,9 @@ class TreeRun:
         dstate = self.nodes[delta]
         for _, y in self.kernel.log.entries(self.e_a, state.patch_cursor):
             state.patch_cursor += 1
-            if y in state.r_committed or y in state.rt_committed:
-                continue
-            if delta != ROOT and y not in dstate.rt_committed:
-                continue
-            self._commit(state, y, tilde=False)
-            self._emit_record({"op": "patch", "node": state.address, "x": y})
+            uncommitted = y not in state.r_committed and y not in state.rt_committed
+            if uncommitted and (delta == ROOT or y in dstate.rt_committed):
+                self._commit(state, y, tilde=False)
 
     def _patch(self) -> None:
         dumped = self.kernel.log.count(self.e_a)
@@ -605,7 +605,7 @@ class TreeRun:
             if target.address == base:
                 continue
             # the stage at which f last moved left of the dumped piece's node
-            t = max(len(f), last_left_pass(self.history, target.address))
+            t = max(len(f), self._passes.of(target.address))
             if t >= len(target.live_markers):
                 continue
             stage, floor = target.moved
@@ -630,6 +630,7 @@ class TreeRun:
             state.requests.append(st)
         moved = f != self.history[-1][2]
         self.history.append((st, stage, f))
+        self._passes.add(st, f)
         # ball st-1 enters at f[:1]; the root's tilde pool is every ball
         self._place(st - 1, self.nodes[f[:1]])
         self._offer(self.nodes[ROOT], st - 1)

@@ -30,6 +30,7 @@ report monotone evidence over one explicit trailing window,
 from __future__ import annotations
 
 from bisect import insort
+from collections import deque
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from heapq import merge
@@ -37,9 +38,9 @@ from math import isqrt
 from typing import Optional
 
 from .geometry import (
-    MARKER_WINDOW, ROOT, TreeError, can_pull, checked_depth, diverges_left,
-    greatest_r_prefix, is_positive_a, is_r_node, last_left_pass, least_dump, left_target,
-    question_at, requesting_prefixes, rev_mask, sorted_discard,
+    MARKER_WINDOW, ROOT, LeftPasses, TreeError, can_pull, checked_depth, diverges_left,
+    greatest_r_prefix, is_positive_a, is_r_node, least_dump, left_target, question_at,
+    requesting_prefixes, rev_mask, sorted_discard,
 )
 from .kernel import EventLog
 from .pairing import balance_code, pair, unpair
@@ -323,7 +324,7 @@ def probe_friedberg(log: EventLog, a: int, a0: int, a1: int, S: int,
 # -- tree trace replay -------------------------------------------------------
 
 
-def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
+def replay_tree(trace: Trace, depth: int, feeder: int, e_a: int) -> list[Divergence]:
     """Re-derive the legality of every traced tree decision.
 
     Positions, piece commitments, request ledgers and marker tables are
@@ -333,26 +334,30 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
     their ``s`` runs 0, 1, 2, ... (a ``stage`` divergence otherwise), their
     ``ks`` rises (``kernel-stage``), and their (s, ks, f) list is the run's
     history.  At each the replay does what no record says, as the
-    construction does: it voids the pending requests of every node the new
-    f passes on the left, enters ball s-1 at ``f[:1]``, and files a request
-    at every requesting prefix of f.  Every other record belongs to the
-    stage of the last ``f`` record before it, whose ``s`` and ``ks`` bound
-    the least dump and date the log lookups; a ``pull``, ``dump-orig`` or
+    construction does: it voids the pending requests of every node the new f
+    passes on the left, enters ball s-1 at ``f[:1]``, and files a request at
+    every requesting prefix of f.  Every other record belongs to the stage
+    of the last ``f`` record before it, whose ``s`` and ``ks`` bound the
+    least dump and date the log lookups; a ``pull``, ``dump-orig`` or
     ``dump-extra`` record copies that ``ks``, the one witness against a bent
     ``f`` ``ks`` (``kernel-stage`` when they differ).  The stage's f gives
     what a record would only copy: a ``left`` record's target,
-    ``left_target(f, from)``, and a ``dump-extra`` record's dumping node.
-    A ``left`` record is legal only at a stage whose f differs from the one
-    before (``left-stage``), since the construction sweeps only then.  A
-    walk ``patch`` comes before its stage's ``f`` record, and no check
-    reads its stage.  Two things are trusted rather than re-derived: the
-    address rules, marker states and least-dump rule of ``geometry``, which
-    the construction uses too, and the chip counters (re-deriving them
-    would be a second full simulation), so ``f`` records are checked for
-    the shape of their endpoint only.  This is the only check of f's shape
-    (``endpoint-kind``, ``endpoint-length``): the construction's walk
-    cannot end anywhere else, so it checks none.  ``depth`` and ``feeder``
-    are the meta record's.  Every record fits its row of the record schema
+    ``left_target(f, from)``, and a ``dump-extra`` record's dumping node.  A
+    ``left`` record is legal only at a stage whose f differs from the one
+    before (``left-stage``), since the construction sweeps only then.  No
+    record names a casualty, a ball of A that a piece absorbs; instead, at
+    each ``f`` record, the balls that entered A before its ``ks`` must be
+    exactly those the dump records above it dumped, since the run advances
+    only once its emissions have drained, and after the last record every
+    ball of A must have been dumped (``a-ledger``, naming the ball).  Two
+    things are trusted rather than re-derived: the address rules, marker
+    states and least-dump rule of ``geometry``, which the construction uses
+    too, and the chip counters (re-deriving them would be a second full
+    simulation), so ``f`` records are checked for the shape of their
+    endpoint only.  This is the only check of f's shape (``endpoint-kind``,
+    ``endpoint-length``): the construction's walk cannot end anywhere else,
+    so it checks none.  ``depth``, ``feeder`` and ``e_a`` are the meta
+    record's.  Every record fits its row of the record schema
     (``trace.read_trace``) and holds no address longer than ``depth``
     (``replay_check``), so fields are read with no defensive code.
     """
@@ -367,13 +372,26 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
     requests: dict[str, list] = {}
     prefixes_of = lru_cache(maxsize=None)(requesting_prefixes)  # f takes few values
     dumped: set = set()
+    fresh: list = []  # the balls dumped since the latest f record
+    a_log = deque(log.entries(e_a))  # A's entries not yet checked
     f = ROOT
-    f_hist: list[tuple[int, int, str]] = []  # (s, ks, f) per tree stage
+    passes = LeftPasses()  # over the f records' (s, f)
     stage = kstage = -1  # the latest f record's s and ks
     f_changed = False  # whether the latest f record's f differs from the one before
 
     def fail(line, fieldname, got, want):
         out.append(Divergence(line, fieldname, got, want))
+
+    def check_a(line, ks):
+        # A's entries before kernel stage ks against the dumps above the line
+        while a_log and a_log[0][0] < ks:
+            x = a_log.popleft()[1]
+            if x not in dumped:
+                fail(line, "a-ledger", x, "dumped by a record above")
+        for x in fresh:
+            if not log.member_by(e_a, x, ks - 1):
+                fail(line, "a-ledger", x, f"in A's log before kernel stage {ks}")
+        fresh.clear()
 
     for line, rec in trace.numbered():
         op = rec["op"]
@@ -389,8 +407,9 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
                 fail(line, "endpoint-kind", node, "r-node or positive a-node")
             if len(node) > min(st * st, depth) and st > 0:
                 fail(line, "endpoint-length", len(node), min(st * st, depth))
+            check_a(line, ks)
             stage, kstage = st, ks
-            f_hist.append((st, ks, node))
+            passes.add(st, node)
             f_changed = node != f
             if f_changed:
                 f = node
@@ -401,7 +420,7 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
                 for n in prefixes_of(f):
                     requests.setdefault(n, []).append(st)
             continue
-        # a copy of the stage's ks; left and patch records carry none
+        # a copy of the stage's ks; left records carry none
         if rec.get("ks", kstage) != kstage:
             fail(line, "kernel-stage", rec["ks"], kstage)
         if op == "left":
@@ -463,17 +482,6 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
                     if y not in dumped:
                         insort(markers.setdefault(node, []), y)
             continue
-        if op == "patch":
-            node, y = rec["node"], rec["x"]
-            delta = greatest_r_prefix(node)
-            if y not in dumped:
-                fail(line, "patch-casualty", y, "a ball that entered A")
-            if delta != ROOT and y not in rt_comm.get(delta, ()):
-                fail(line, "patch-source", y, f"tilde piece of {delta!r}")
-            if y in r_comm.get(node, ()) or y in rt_comm.get(node, ()):
-                fail(line, "patch-fresh", y, "uncommitted at the node")
-            r_comm.setdefault(node, set()).add(y)
-            continue
         if op == "dump-orig":
             node = rec["node"]
             live = markers.get(node, [])
@@ -488,6 +496,7 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
             if found != (e, i):
                 fail(line, "dump-least", (e, i), found)
             balls = live[e:i]
+            fresh += balls
             for x in balls:
                 dumped.add(x)
                 positions.pop(x, None)
@@ -508,7 +517,7 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
             # measured from gamma; the construction measures from the
             # dumped piece's node, and only the paper's dumping rule can
             # say which of the two is meant
-            want_t = max(len(f), last_left_pass(f_hist, f))
+            want_t = max(len(f), passes.of(f))
             if rec["idx"] != want_t:
                 fail(line, "extra-index", rec["idx"], want_t)
             live = markers.get(node, [])
@@ -516,12 +525,15 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
                 if rec["x"] != live[rec["idx"]]:
                     fail(line, "extra-ball", rec["x"], live[rec["idx"]])
                 x = rec["x"]
+                fresh.append(x)
                 dumped.add(x)
                 positions.pop(x, None)
                 for table in markers.values():
                     sorted_discard(table, x)
             else:
                 fail(line, "extra-exists", rec["idx"], f"< {len(live)} markers")
+    fresh.clear()  # the last stage's dumps may still wait in the kernel's queue
+    check_a(trace.end, log.last_stage + 1)
     return out
 
 
@@ -529,7 +541,7 @@ def replay_tree(trace: Trace, depth: int, feeder: int) -> list[Divergence]:
 
 # the ops each construction writes beside its one meta record
 _OPS = {"friedberg": ("route",), "hk": ("hk",),
-        "tree": ("f", "left", "pull", "patch", "dump-orig", "dump-extra")}
+        "tree": ("f", "left", "pull", "dump-orig", "dump-extra")}
 # the address fields of each tree op: none is longer than the depth bound in an
 # honest trace, and a longer one costs the replay its length at every ledger walk
 _ADDRESSES = {op: [name for name, kind in _SHAPES[op].kinds.items() if kind == "address"]
@@ -595,7 +607,7 @@ def replay_check(trace: Trace, kind: str = "replay") -> dict:
             dict(meta["y_over"]), dict(meta["z_over"]),
         )
     else:
-        divergences = replay_tree(trace, depth, meta["feeder"])
+        divergences = replay_tree(trace, depth, meta["feeder"], meta["e_a"])
     return {
         "ok": not divergences,
         "kind": flavour if kind == "replay" else kind,

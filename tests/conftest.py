@@ -2,7 +2,8 @@
 one-step machine oracles the tests check the kernel's bursts against; the
 stagewise split verdict the one-pass split check is checked against; the
 covered prefix and the universe frontier the complement probe is checked
-against; and hand-built trace files, written one JSON record a line."""
+against; hand-built trace files, written one JSON record a line; and the
+tree's full left order, which the geometry's oracles use."""
 
 import json
 from collections import Counter, defaultdict
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 
 import pytest
 
+from cesplit.geometry import diverges_left
 from cesplit.kernel import HostGenerator, Kernel
 from cesplit.machine import register_count, step_state
 
@@ -147,3 +149,10 @@ def polls(monkeypatch):
 
     monkeypatch.setattr(Kernel, "register_generator", counting)
     return polled, emitted
+
+
+def is_left_of(a: str, b: str) -> bool:
+    """The tree's full left order: a proper prefix, or a leftward divergence."""
+    if a != b and b.startswith(a):
+        return True
+    return diverges_left(a, b)

@@ -485,9 +485,9 @@ def _verify_rejects_bent(traced, tmp_path, op, field, value, suite="replay"):
     pytest.param("f", "s", True, id="f-s-bool"),
     pytest.param("f", "ks", 1.0, id="f-ks-float"),
     pytest.param("left", "extra", 0, id="left-extra-key"),
-    pytest.param("patch", "node", "z", id="patch-node-text"),
+    pytest.param("pull", "node", "z", id="pull-node-text"),
     pytest.param("dump-orig", "node", 5, id="dump-orig-node-int"),
-    pytest.param("patch", "x", "z", id="patch-x-text"),
+    pytest.param("dump-orig", "i", "z", id="dump-orig-i-text"),
 ])
 def test_verify_tree_record_fault_reports_line(tmp_path, op, field, value):
     _verify_rejects_bent(_tree_trace, tmp_path, op, field, value)
@@ -502,6 +502,7 @@ FOREIGN = {
     "void": {"op": "void", "s": 1, "node": "0", "n": 1},
     "enter": {"op": "enter", "s": 1, "x": 0, "node": "1"},
     "chip": {"op": "chip", "s": 1, "node": "", "c": 1},
+    "patch": {"op": "patch", "node": "1", "x": 0},
     # the old format's copies of the stage clock, now unknown fields
     "left": {"op": "left", "s": 1, "from": "0", "to": "1", "balls": [0]},
     "dump-extra": {"op": "dump-extra", "s": 1, "ks": 1, "gamma": "01", "node": "1", "idx": 0,
@@ -515,12 +516,12 @@ FOREIGN = {
 @pytest.mark.parametrize("suite", ["replay", "split"])
 @pytest.mark.parametrize("traced, op", [
     (_friedberg_trace, "f"), (_friedberg_trace, "meta"), (_tree_trace, "route"),
-    (_tree_trace, "void"), (_tree_trace, "enter"), (_tree_trace, "chip"),
+    (_tree_trace, "void"), (_tree_trace, "enter"), (_tree_trace, "chip"), (_tree_trace, "patch"),
     (_tree_trace, "left"), (_tree_trace, "dump-extra"), (_friedberg_trace, "old-route"),
     (_hk_trace, "old-hk"), (_hk_trace, "old-meta"),
 ], ids=["friedberg-f", "friedberg-second-meta", "tree-route", "tree-void", "tree-enter",
-        "tree-chip", "tree-old-left", "tree-old-dump-extra", "friedberg-old-route",
-        "hk-old-hk", "hk-old-meta"])
+        "tree-chip", "tree-patch", "tree-old-left", "tree-old-dump-extra",
+        "friedberg-old-route", "hk-old-hk", "hk-old-meta"])
 def test_verify_rejects_records_the_construction_never_writes(tmp_path, traced, op, suite):
     # each of the first three verified as ok, the foreign record counted
     # among the decisions
@@ -541,6 +542,8 @@ def test_verify_rejects_records_the_construction_never_writes(tmp_path, traced, 
         assert f"{op.removeprefix('old-')} record has an unknown field" in error
     if op == "old-meta":
         assert error == f"line {at + 1}: meta record lacks 'y_over'"
+    if op == "patch":
+        assert error == f"line {at + 1}: unknown op 'patch'"
 
 
 @pytest.mark.parametrize("traced, op, field, value", [
@@ -591,7 +594,9 @@ def test_verify_dump_below_stage_bound_is_not_least(tmp_path, forge, count):
     # clock's: moved one line up, above its stage's f, it is read at the
     # stage before, and moved one line down, below the next f, at the stage
     # after.  Either way its ks is not that stage's, named on its line;
-    # every such record of the trace in process, the first through the CLI
+    # every such record of the trace in process, the first through the CLI.
+    # Either way, too, that f record's line names the balls A's log and the
+    # dumps above it disagree on (a-ledger), which is not the fault at issue
     from cesplit.trace import Trace, read_trace
     from cesplit.verify import replay_check
 
@@ -606,14 +611,16 @@ def test_verify_dump_below_stage_bound_is_not_least(tmp_path, forge, count):
         records = list(trace.records)
         records[n], records[n + step] = records[n + step], records[n]
         report = replay_check(Trace(trace.log, records, trace.lines, trace.end))
-        first = report["divergences"][0]
+        ledger = [d["line"] for d in report["divergences"] if d["field"] == "a-ledger"]
+        assert ledger and set(ledger) == {trace.lines[n]}  # the f record's line
+        first = next(d for d in report["divergences"] if d["field"] != "a-ledger")
         assert (first["line"], first["field"]) == (trace.lines[n + step], "kernel-stage")
     at = trace.lines[movable[0]] - 1  # the file line, from 0
     lines[at], lines[at + step] = lines[at + step], lines[at]
     path.write_text("\n".join(lines) + "\n")
     check = invoke("verify", "--trace", str(path))
     assert check.returncode == 1, check.stdout
-    first = json.loads(check.stdout)["divergences"][0]
+    first = next(d for d in json.loads(check.stdout)["divergences"] if d["field"] != "a-ledger")
     assert (first["line"], first["field"]) == (at + step + 1, "kernel-stage")
 
 

@@ -18,7 +18,7 @@ from cesplit.friedberg import run_friedberg
 from cesplit.hk import run_subset_scenario
 from cesplit.kernel import Kernel, machine_index
 from cesplit.trace import merge_for_file, read_trace, write_trace
-from cesplit.verify import replay_check
+from cesplit.verify import _OPS, replay_check
 from cesplit.tree import PROCEDURES, diagonalize, iterate_splitting_procedures, proc_friedberg
 from cesplit.witness import run_parity_witness, shav_split, shavrukov_pair
 
@@ -32,7 +32,7 @@ def trace_sha256(tmp_path, log, decisions) -> str:
 # Beside each tree trace pin, its decision records counted per op, so that a
 # change of format reads as a named count and not only as a moved digest;
 # the tests are named by their run, so a moved digest keeps their names.
-TREE_OPS = ("meta", "f", "left", "pull", "patch", "dump-orig", "dump-extra")
+TREE_OPS = ("meta", *_OPS["tree"])
 
 
 def op_counts(trace) -> tuple:
@@ -58,10 +58,10 @@ def chip_changes(history) -> dict:
 
 def test_tree_trace_pinned(tmp_path):
     result = diagonalize(proc_friedberg, 3000, depth=9)
-    assert op_counts(result.trace) == (1, 627, 235, 74, 227, 78, 0)
+    assert op_counts(result.trace) == (1, 627, 235, 74, 78, 0)
     assert chip_changes(result.run.history) == {"": 390}
     assert trace_sha256(tmp_path, result.kernel.log, result.trace) == (
-        "066aec1ede0bca4ae0c75a4abffe6c13ac28d3d21c7d41aeb706afb5168ff6fd"
+        "c7a378f82686da9f96014b6f00e244bea76770ee26b626f166e7be64414e3a53"
     )
 
 
@@ -74,12 +74,12 @@ DATA = Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize("seed, counts, digest, disputed", [
-    (102, (1, 4525, 2147, 83, 769, 150, 3),
-     "462778dd771fddcbadd7bb8bc17e7197d974e7041234c398819e035176c5d143",
-     [(19, 2768, 21518), (20, 3048, 21524)]),
-    (148, (1, 4514, 2142, 82, 768, 150, 2),
-     "d595f71cd98e62c4424ef894337a0f814ebb8c1a3761ed7180da386db93660d0",
-     [(7, 2810, 21269), (8, 2811, 21274)]),
+    (102, (1, 4525, 2147, 83, 150, 3),
+     "d12ea05d848a15c447822a3345f5316df34ca9463fe13b37c3d55bf45e9ccb89",
+     [(19, 2768, 20781), (20, 3048, 20786)]),
+    (148, (1, 4514, 2142, 82, 150, 2),
+     "a9cd336a231ba5b457bec7a90aed98921607424fe56611d57a268a070ff93da8",
+     [(7, 2810, 20533), (8, 2811, 20537)]),
 ], ids=["102", "148"])
 def test_extra_dump_trace_pinned(tmp_path, seed, counts, digest, disputed):
     texts = corpus.load_corpus(DATA / f"diagonalize_seed{seed}.txt")
@@ -98,12 +98,12 @@ def test_extra_dump_trace_pinned(tmp_path, seed, counts, digest, disputed):
 
 
 @pytest.mark.parametrize("proc, counts, chips, digest", [
-    ("hf", (1, 6527, 3146, 84, 731, 147, 0), {"": 3379, "0" * 16: 1},
-     "903cd77d545aa7e9186d94bac58c7a915d5e1f3480d1114e944f5cc3ab101d00"),
-    ("trivial", (1, 6945, 3279, 131, 745, 237, 0), {"": 3668, "0" * 16: 68, "10000000": 2},
-     "aac2c4cc573387f38cd83786467e0de41cd4b28d8e490bf79fd77d98bb4d61bd"),
-    ("broken", (1, 6945, 3279, 131, 745, 237, 0), {"": 3668, "10000000": 2},
-     "8e53c0e04f2dbfccb3f90fc8a34f3b347f070d1a3cb5d116b3fc49e820cd3dbd"),
+    ("hf", (1, 6527, 3146, 84, 147, 0), {"": 3379, "0" * 16: 1},
+     "f84d389227e0c44a26d03c85d8c3ff535917bd689fb40b0358ee0fc37a80b055"),
+    ("trivial", (1, 6945, 3279, 131, 237, 0), {"": 3668, "0" * 16: 68, "10000000": 2},
+     "95e92c9b617d3e9b05dddc60c2d979b8e820c003e236de10864f5c22fc1b79b0"),
+    ("broken", (1, 6945, 3279, 131, 237, 0), {"": 3668, "10000000": 2},
+     "b5d51da3fe77266674147ed240ba451caf9d59878edc0f1424902db779311939"),
 ], ids=["hf", "trivial", "broken"])
 def test_tree_trace_pinned_at_depth_25(tmp_path, proc, counts, chips, digest):
     result = diagonalize(PROCEDURES[proc], 30_000, depth=25)

@@ -3,7 +3,9 @@
 The definitions below are written from the geometry's prose (preorder with
 the 1-branch first, squares found by search, a naive history scan) rather
 than from its code, so the construction and its replay are checked against
-something other than the module they share.
+something other than the module they share.  ``last_left_pass``, the walk
+of the history the construction and the replay once shared, is the oracle
+of ``LeftPasses``, their index.
 """
 
 from bisect import insort
@@ -14,11 +16,10 @@ from hypothesis import strategies as st
 from cesplit.geometry import (
     E_WINDOW,
     MARKER_WINDOW,
+    LeftPasses,
     can_pull,
     diverges_left,
     greatest_r_prefix,
-    is_left_of,
-    last_left_pass,
     least_dump,
     left_key,
     left_target,
@@ -28,12 +29,14 @@ from cesplit.geometry import (
     rev_mask,
     sorted_discard,
 )
+from conftest import is_left_of
 
 MAX_DEPTH = 8
 
 addresses = st.text(alphabet="01", min_size=0, max_size=MAX_DEPTH)
 deep_addresses = st.text(alphabet="01", min_size=0, max_size=12)  # no table needed
 positions = st.one_of(st.none(), addresses)
+short_addresses = st.text(alphabet="01", min_size=0, max_size=4)  # f values that often meet
 
 
 def _preorder(node=""):
@@ -158,6 +161,25 @@ def test_question_below_a_non_square_depth_is_a_t_question():
             assert question_at("0" * (d - 1)).kind == "T", d
 
 
+def last_left_pass(history: list, node: str) -> int:
+    """The stage at which f last moved left of node (0 if f never ran left of
+    it): the first stage of the latest run of equal f values left of node in a
+    (tree stage, kernel stage, f) history, walked from its end."""
+    i = len(history) - 1
+    while i >= 0 and not is_left_of(history[i][2], node):
+        i -= 1
+    while i > 0 and history[i - 1][2] == history[i][2]:
+        i -= 1
+    return history[i][0] if i >= 0 else 0
+
+
+def passes_of(history) -> LeftPasses:
+    passes = LeftPasses()
+    for s, _, f in history:
+        passes.add(s, f)
+    return passes
+
+
 @given(histories, addresses)
 def test_last_left_pass(history, node):
     # the latest stage at which f took a new value left of node
@@ -165,6 +187,7 @@ def test_last_left_pass(history, node):
                 if brute_left_of(f, node) and (k == 0 or history[k - 1][2] != f)),
                default=0)
     assert last_left_pass(history, node) == want
+    assert passes_of(history).of(node) == want
 
 
 @given(st.lists(st.tuples(addresses, st.integers(1, 4)), max_size=10), addresses)
@@ -176,6 +199,23 @@ def test_last_left_pass_reads_the_changes_of_f_alone(runs, node):
     changes = [(0, 0, "")] + [entry for k, entry in enumerate(per_stage)
                               if k == 0 or entry[2] != per_stage[k - 1][2]]
     assert last_left_pass(per_stage, node) == last_left_pass(changes, node)
+    assert passes_of(per_stage).of(node) == passes_of(changes).of(node)
+
+
+# f takes "10", "11", "10" with no lookup between: the runs reach the prefix
+# "1" out of order, and the latest, at stage 3, is the one left of "0"
+@example(entries=[(1, "10"), (2, "11"), (3, "10")], lookups=[[], [], ["0"]])
+@given(st.lists(st.tuples(st.integers(-3, 40), short_addresses), max_size=16),
+       st.lists(st.lists(short_addresses, max_size=2), max_size=16))
+def test_left_passes_match_the_walk_as_the_history_grows(entries, lookups):
+    # lookups between adds, over stages in any order (a tampered trace's),
+    # agree with the walk of the history so far
+    history, passes = [], LeftPasses()
+    for k, (s, f) in enumerate(entries):
+        history.append((s, 0, f))
+        passes.add(s, f)
+        for node in lookups[k] if k < len(lookups) else ():
+            assert passes.of(node) == last_left_pass(history, node)
 
 
 @given(st.lists(st.tuples(st.booleans(), st.integers(0, 20)), max_size=40))

@@ -259,6 +259,15 @@ def test_duplicate_emission_rejected(scripted):
         kernel.run_to(5)
 
 
+def test_duplicate_emission_within_one_poll_rejected(scripted):
+    # the element is released once, and its second copy fails at release
+    kernel = Kernel()
+    index = scripted(kernel, 0, {1: [5, 5]})
+    with pytest.raises(EmissionConflictError):
+        kernel.run_to(5)
+    assert kernel.log.entry_stage(index, 5) is not None and len(kernel.log) == 1
+
+
 def test_out_of_order_stepping_rejected():
     kernel = Kernel()
     kernel.run_to(kernel.next_stage + 1)

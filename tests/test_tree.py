@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from cesplit import corpus
 from cesplit.geometry import (
-    greatest_r_prefix, is_left_of, is_positive_a, least_dump, mask_bit, node_kind,
-    question_at,
+    greatest_r_prefix, is_positive_a, least_dump, mask_bit, node_kind, question_at,
 )
+from conftest import is_left_of
 from cesplit.tree import (
     TreeError,
     TreeRun,
@@ -197,12 +197,20 @@ def test_dumped_balls_reach_a(hf_run):
 
 
 def test_patches_cover_casualties(hf_run):
-    patches = [r for r in hf_run.trace if r["op"] == "patch"]
-    if patches:
-        run = hf_run.run
-        for r in patches[:100]:
-            assert r["x"] in run.a_committed
-            assert r["x"] in run.nodes[r["node"]].r_committed
+    # each ball of A's log that an R-node's patch cursor has passed, if it
+    # came from the tilde piece above the node, sits in one of its pieces
+    run = hf_run.run
+    a_log = [x for _, x in hf_run.kernel.log.entries(run.e_a)]
+    checked = 0
+    for state in run.nodes.values():
+        if state.kind != "r":
+            continue
+        delta = run.nodes[greatest_r_prefix(state.address)]
+        for y in a_log[:state.patch_cursor]:
+            if delta.address == "" or y in delta.rt_committed:
+                assert y in state.r_committed or y in state.rt_committed, (state.address, y)
+                checked += 1
+    assert checked
 
 
 def test_balls_never_reenter_after_a(hf_run):
@@ -216,8 +224,6 @@ def assert_ball_ledger(run):
     ledger = {x: state.address for state in run.nodes.values() for x in state.balls}
     assert sum(len(state.balls) for state in run.nodes.values()) == len(ledger)
     assert ledger == run.positions
-    # the root's tilde pool is every ball that entered, dumped ones included
-    assert run.nodes[""].live_rt == list(range(run.tree_stage))
     # the left order lists the requesting nodes, which the sweep and the
     # pulls walk: only they hold requests, and only they hold balls unless
     # the depth bound is 0, where f stays the root and the root takes them

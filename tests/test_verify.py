@@ -17,6 +17,7 @@ from cesplit.pairing import pair, unpair
 from cesplit.setalg import before_then
 from cesplit.tree import PROCEDURES, Verdict, diagonalize, proc_friedberg, verdict_at
 from cesplit.verify import (
+    _OPS,
     _NaiveRestraint,
     ComplementEvidence,
     FriedbergEvidence,
@@ -30,7 +31,6 @@ from cesplit.trace import (
     _KINDS,
     _SHAPES,
     TraceError,
-    _filled,
     _misfit,
     merge_for_file,
     read_trace,
@@ -239,6 +239,54 @@ def test_replay_tree_derives_the_voided_requests():
                                       "field": "pull-request-least", "got": 24, "want": 531}]
 
 
+@pytest.mark.parametrize("forge", ["forged", "lost", "late"])
+def test_replay_tree_checks_a_log_against_the_dumps(forge):
+    # at each f record, the balls that entered A before its ks are the balls
+    # the records above it dumped: an event that puts ball 0 into A at stage
+    # 1006 with no dump (the replay suite once verified it ok, and only the
+    # split suite noticed), a dumped ball whose event is gone, and ball 0
+    # entering A after the last f record, which is named after the last line
+    result = diagonalize(proc_friedberg, 3000, depth=9)
+    log, e_a = result.kernel.log, result.e_a
+    assert replay_check(merge_for_file(log, result.trace))["ok"]
+    events = list(log.events())
+    if forge == "lost":
+        first_in_a = next(n for n, (_, idx, _) in enumerate(events) if idx == e_a)
+        stage, _, x = events.pop(first_in_a)
+    else:
+        stage, x = (1006, 0) if forge == "forged" else (log.last_stage + 1, 0)
+        assert log.entry_stage(e_a, x) is None
+        events = sorted(events + [(stage, e_a, x)])  # the log refuses a stage taken
+    trace = merge_for_file(scripted(events), result.trace)
+    line, ks = next(((line, r["ks"]) for line, r in trace.numbered()
+                     if r["op"] == "f" and r["ks"] > stage), (trace.end, None))
+    assert (line == trace.end) == (forge == "late")
+    want = (f"in A's log before kernel stage {ks}" if forge == "lost"
+            else "dumped by a record above")
+    report = replay_check(trace)
+    assert report["divergences"] == [{"line": line, "field": "a-ledger", "got": x, "want": want}]
+
+
+def test_replay_tree_extra_dump_check_grows_linearly():
+    # a depth-1 tree trace of n f records, then n dump-extra records: each
+    # dump-extra check once walked the whole f history, and the replay took
+    # 0.57, 1.59 and 7.77 s for n = 1,000, 2,000 and 4,000 on a 2-core VM
+    def seconds(n):
+        meta = {"op": "meta", "kind": "tree", "e_a": 1, "e0": 3, "e1": 5, "depth": 1,
+                "feeder": 7}
+        records = ([meta] + [{"op": "f", "s": s, "ks": s, "node": "0"} for s in range(n)]
+                   + [{"op": "dump-extra", "ks": n - 1, "node": "1", "idx": 0, "x": 0}] * n)
+        trace = merge_for_file(EventLog(), records)
+        start = time.perf_counter()
+        report = replay_check(trace)
+        elapsed = time.perf_counter() - start
+        assert len(report["divergences"]) == 3 * n  # gamma, index and marker, each
+        return elapsed
+
+    small, large = (min(seconds(n) for _ in range(3)) for n in (1_000, 8_000))
+    assert large < 24 * small, (small, large)  # 8 if linear, 64 if quadratic
+
+
 @pytest.mark.parametrize("op, name", [
     (op, name) for op, row in _SHAPES.items() if op != "meta"
     for name, kind in row.kinds.items() if kind == "address"
@@ -340,30 +388,22 @@ TREE_TAMPERS = {
     "left": {"drop": 0, "duplicate": 5, "from+0": 5},
     "pull": {"drop": 5, "duplicate": 5, "ks+1": 5, "req+1": 5, "x0+1": 4, "x1+1": 4,
              "node+0": 5},
-    "patch": {"drop": 0, "duplicate": 5, "x+1": 5, "node+0": 5},
     "dump-orig": {"drop": 5, "duplicate": 5, "ks+1": 5, "e+1": 5, "i+1": 5, "node+0": 5},
 }
 TREE_MOVES = {
     "f": {"up": 5, "down": 5},
     "left": {"up": 5, "down": 4},
     "pull": {"up": 4, "down": 4},
-    "patch": {"up": 0, "down": 0},
     "dump-orig": {"up": 4, "down": 5},
 }
 TREE_MISSES = {
     # a left record's moves are trusted, not derived from f: without it the
     # balls stay where they were, and no later check of this run reads them
     ("left", "drop"),
-    # casualties are taken from the records, not derived from A's log
-    ("patch", "drop"),
     # a pull's pair is checked for eligibility, not for being the least
     # eligible pair: at s 52, balls 36 and 40 could also have been pulled
     ("pull", "x0+1"),
     ("pull", "x1+1"),
-    # casualties are not dated: a patch belongs to no stage the replay
-    # reads, so it may sit anywhere among the patches and f records around it
-    ("patch", "up"),
-    ("patch", "down"),
     # neutral: records of one stage that share no ball commute, here a left
     # record and the pull or dump-orig beside it, and a pull and a dump-orig
     # below it that its new markers, past the dumped ones, leave least
@@ -458,13 +498,10 @@ def hf_depth_9():
     return result.kernel.log, result.trace
 
 
-TREE_OPS = ("f", "left", "pull", "patch", "dump-orig", "dump-extra")
-
-
 def test_tree_tamper_table(hf_depth_9):
-    table = tamper_table(*hf_depth_9, TREE_OPS, tampered)
+    table = tamper_table(*hf_depth_9, _OPS["tree"], tampered)
     assert table == TREE_TAMPERS
-    moves = tamper_table(*hf_depth_9, TREE_OPS, moved)
+    moves = tamper_table(*hf_depth_9, _OPS["tree"], moved)
     assert moves == TREE_MOVES
     assert {(op, name) for t in (table, moves) for op, row in t.items()
             for name, n in row.items() if n < 5} == TREE_MISSES
@@ -745,9 +782,10 @@ def test_every_row_is_templated_and_every_field_required():
 
 
 def test_schema_check_agrees_with_the_templates(tmp_path):
-    # every record a template takes fits its row, and the reader rejects
-    # every near miss of one on its own line: every near miss that JSON can
-    # spell, since a tuple is read back as the list a template takes
+    # the writer fills a template only for a record that the reader's check
+    # passes; the reader takes each templated op's record, and rejects every
+    # near miss of one on its own line: every near miss that JSON can spell,
+    # since a tuple is read back as the list a template takes
     exact = [exact_record(op) for op in TEMPLATED]
     path = tmp_path / "t.jsonl"
     read = read_trace(write_records(path, exact))
@@ -758,7 +796,7 @@ def test_schema_check_agrees_with_the_templates(tmp_path):
             continue
         spelled = json.loads(json.dumps(record))
         write_records(path, exact + [record])
-        if _filled(_SHAPES[spelled["op"]], spelled) is not None:  # a tuple, read as a list
+        if _misfit(spelled) is None:  # a tuple, read as a list
             assert read_trace(path).records[-1] == spelled
             continue
         with pytest.raises(TraceError) as caught:
