@@ -199,6 +199,8 @@ def _run_one_diagonalize(proc_name, proc, args):
         "verdict": result.verdict.kind,
         "reason": result.verdict.reason,
         "stable": result.stable,
+        "checkpoints": [{"stage": stage, "verdict": v.kind, "reason": v.reason}
+                        for stage, v in result.verdicts],
         "violations": len(result.violations),
         "structure": {
             "problems": report["problems"],

@@ -46,17 +46,18 @@ limit.  A bitmask of the non-empty levels picks the level to serve.
 A ladder entry is the pair's machine state itself, one flat list with the
 registers first and the pc last: ``[r0, ..., r_{R-1}, index, input, program,
 pc]``.  A parsed register operand is its register's position in the list,
-so a served pair runs its whole burst in one call of
-``machine.run_steps(program, entry, burst)``, which steps the registers in
-place and updates the pc; the kernel reads the pair's index, input and
-program from the end.  A pair whose run reaches a ``JMP`` to its own address
-(``run_steps`` returns None) has settled: it never halts and no later burst
-changes it, so its entry is dropped and the one shared ``_SETTLED`` marker
-takes its place in the queue.  Serving the marker moves it one level down
-without running anything, just as a burst of the settled pair would have
-moved the pair, so every queue keeps the length and order it had with the
-pair in it; the non-empty bitmask, the ruler schedule and hence the event
-log are those of stepping the settled pair forever.
+so the stretch loop runs a served pair's whole burst itself, with the pc in
+a local and the registers stepped in place, as ``machine.step_state`` would
+step them one call at a time; it reads the pair's index, input and program
+from the end.  A run halts at HALT or by walking off the end (``program[pc]``
+raises ``IndexError``), and finding it halted uses one step of the burst.  A
+pair whose burst steps a ``JMP`` to its own address has settled: it never
+halts and no later burst changes it, so its entry is dropped and the one
+shared ``_SETTLED`` marker takes its place in the queue.  Serving the marker
+moves it one level down without running anything, just as a burst of the
+settled pair would have moved the pair, so every queue keeps the length and
+order it had with the pair in it; the non-empty bitmask, the ruler schedule
+and hence the event log are those of stepping the settled pair forever.
 
 The event log keeps the released events in three parallel columns (stage,
 index, element), and per index two more, its entry stages and its elements,
@@ -74,17 +75,18 @@ from itertools import count
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .machine import parse_program, register_count, run_steps
+from .machine import OP_DECJZ, OP_INC, OP_JMP, parse_program, register_count
 # the one-step reference semantics, re-exported for perfbench/layers.py,
-# which wraps it here to count machine steps; the kernel never calls it (it
-# runs whole bursts through run_steps), so that count reads 0
+# which wraps it here to count machine steps; the kernel never calls it (its
+# stretch loop steps each burst itself), so that count reads 0
 from .machine import step_state  # noqa: F401
 from .pairing import pair
 
 
 MAX_LEVEL = 24
 BURST_CAP = 1024
-_BURSTS = tuple(min(1 << level, BURST_CAP) for level in range(MAX_LEVEL + 1))
+# the steps of each level's burst, one range a level for the stretch loop
+_BURSTS = tuple(range(min(1 << level, BURST_CAP)) for level in range(MAX_LEVEL + 1))
 # the ladder place of every settled pair (see the module docstring)
 _SETTLED = object()
 
@@ -467,7 +469,8 @@ class Kernel:
         fresh = self._fresh
         if fresh is None:
             return end
-        levels, bursts, run, settled = self._levels, _BURSTS, run_steps, _SETTLED
+        levels, bursts, settled = self._levels, _BURSTS, _SETTLED
+        decjz, inc, jmp = OP_DECJZ, OP_INC, OP_JMP  # locals: read once a step
         nonempty, tick = self._nonempty, self._mtick
         for stage in range(stage, end):
             if tick % 3 == 0:
@@ -486,15 +489,43 @@ class Kernel:
                 if not queue:
                     nonempty ^= 1 << level
                 if entry is not settled:
-                    halted = run(entry[-2], entry, bursts[level])
+                    # the burst: the pc in a local, the registers stepped in
+                    # place; finding the run halted uses one of its steps
+                    program, pc = entry[-2], entry[-1]
+                    halted = False
+                    try:
+                        for _ in bursts[level]:
+                            ins = program[pc]
+                            op = ins[0]
+                            if op == decjz:
+                                reg = ins[1]
+                                value = entry[reg]
+                                if value:
+                                    entry[reg] = value - 1
+                                    pc += 1
+                                else:
+                                    pc = ins[2]
+                            elif op == inc:
+                                entry[ins[1]] += 1
+                                pc += 1
+                            elif op == jmp:
+                                if ins[1] == pc:  # a jump to itself: settled for good
+                                    entry = settled
+                                    break
+                                pc = ins[1]
+                            else:  # HALT
+                                halted = True
+                                break
+                        else:  # the burst ran out first
+                            entry[-1] = pc
+                    except IndexError:  # program[pc] with pc == len(program)
+                        halted = True
                     if halted:
                         self._release(stage, entry[-4], entry[-3])
                         if self._dirty_batch:
                             end = stage + 1
                             break
                         continue
-                    if halted is None:
-                        entry = settled
                 if level < MAX_LEVEL:
                     level += 1
                 levels[level].append(entry)

@@ -1,4 +1,4 @@
-"""A four-instruction register machine and its stepwise simulator.
+"""A four-instruction register machine: its parser and its one-step semantics.
 
 Program texts are ';'-separated instruction lists, one program per line in a
 corpus file, e.g. "INC 0; DECJZ 0 3; JMP 0; HALT".  The input is placed in
@@ -6,6 +6,10 @@ register 0.  A run halts by reaching HALT or by walking past the last
 instruction; jump targets may point one slot past the end for that reason.
 Texts that do not parse are treated as diverging, which keeps the decoding of
 program codes total.
+
+``step_state`` is the reference semantics of one step.  The kernel does not
+call it: its stretch loop steps each burst in place by the same rules, and
+the tests check that loop against ``step_state``.
 """
 
 from __future__ import annotations
@@ -73,7 +77,9 @@ def register_count(program: Program) -> int:
 def step_state(program: Program, state: list) -> bool:
     """Advance one instruction; True when the configuration has halted.
 
-    ``state`` is laid out as for ``run_steps``: registers first, pc last.
+    ``state`` is one flat list, registers first and pc last, as a kernel
+    ladder entry is: ``[r0, ..., r_{R-1}, ..., pc]``.  A parsed register
+    operand is the register's position in the list.
     """
     pc = state[-1]
     if pc >= len(program):
@@ -96,60 +102,3 @@ def step_state(program: Program, state: list) -> bool:
         return True
     return False
 
-
-def run_steps(program: Program, state: list, budget: int) -> Optional[bool]:
-    """Run at most ``budget`` instructions: True when the configuration has
-    halted, None when it has settled at a ``JMP`` to its own address, False
-    when the budget ran out first.
-
-    The same as calling ``step_state`` up to ``budget`` times and stopping at
-    the first True: finding the run halted (at HALT, or past the end, which
-    includes a jump to the virtual slot ``size``) uses up one call's worth of
-    the budget and leaves the configuration as it was.  A ``JMP`` to its own
-    address is a fixed point: stepping one returns None at once, with the
-    configuration left there, which is where the rest of the budget (and
-    every later burst) would leave it step by step.  A run that arrives at
-    one with the budget's last step returns False, and the next call None.
-    A settled run never halts, and ``if run_steps(...)`` reads None as not
-    halted.
-
-    ``state`` is one flat list, registers first and pc last:
-    ``[r0, ..., r_{R-1}, ..., pc]``.  A parsed register operand is the
-    register's position in the list, so the call steps the registers in
-    place; it updates them and the last item, and the items between belong
-    to the caller (the kernel keeps a pair's index, input and program
-    there).  The pc lives in a local, so a whole burst costs one Python
-    call.  The registers must cover every one the program names
-    (``register_count`` of them, input in register 0, as the kernel makes
-    them): an index past the end of the program is how the loop sees a run
-    walk off it.
-    """
-    pc = state[-1]
-    try:
-        for _ in range(budget):
-            ins = program[pc]
-            op = ins[0]
-            if op == OP_DECJZ:
-                reg = ins[1]
-                if state[reg]:
-                    state[reg] -= 1
-                    pc += 1
-                else:
-                    pc = ins[2]
-            elif op == OP_INC:
-                state[ins[1]] += 1
-                pc += 1
-            elif op == OP_JMP:
-                if ins[1] == pc:  # a jump to itself: the run stays here for good
-                    state[-1] = pc
-                    return None
-                pc = ins[1]
-            else:
-                break
-        else:
-            state[-1] = pc
-            return False
-    except IndexError:  # program[pc] with pc == len(program)
-        pass
-    state[-1] = pc
-    return True

@@ -662,10 +662,24 @@ class TreeResult:
     e_a: int
     e0: int
     e1: int
-    verdict: Verdict
-    checkpoints: list
-    stable: bool
+    # (stage, verdict) at each checkpoint, the stage the last one it reads
+    verdicts: list
     witness_halves: Optional[tuple] = None
+
+    @property
+    def verdict(self) -> Verdict:
+        """The verdict at the last checkpoint."""
+        return self.verdicts[-1][1]
+
+    @property
+    def checkpoints(self) -> list:
+        """The verdict kind at each checkpoint."""
+        return [v.kind for _, v in self.verdicts]
+
+    @property
+    def stable(self) -> bool:
+        """Whether every checkpoint gives the same kind."""
+        return len(set(self.checkpoints)) == 1
 
     @property
     def trace(self):
@@ -791,12 +805,10 @@ def diagonalize(proc: Callable, stages: int, depth: int = 25,
     verdicts = []
     for target in checkpoints:
         kernel.run_to(target)
-        verdicts.append(verdict_at(kernel.log, run.e_a, run.e0, run.e1, run.history,
-                                   target - 1, kernel.max_backlog))
-    kinds = {v.kind for v in verdicts}
+        verdicts.append((target - 1, verdict_at(kernel.log, run.e_a, run.e0, run.e1,
+                                                run.history, target - 1, kernel.max_backlog)))
     return TreeResult(
-        kernel, run, run.e_a, run.e0, run.e1, verdicts[-1],
-        [v.kind for v in verdicts], len(kinds) == 1,
+        kernel, run, run.e_a, run.e0, run.e1, verdicts,
         witness.halves if witness else None,
     )
 

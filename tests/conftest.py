@@ -18,9 +18,9 @@ from cesplit.machine import register_count, step_state
 
 def new_state(program, x, *held):
     """Mutable configuration [r0, ..., r_{R-1}, *held, pc] at pc 0, registers
-    first and pc last, as ``step_state`` and ``run_steps`` read it; input goes
-    to register 0.  ``held`` is what a caller keeps between the two (the
-    kernel keeps a pair's index, input and program there)."""
+    first and pc last, as ``step_state`` and the kernel's ladder entries hold
+    it; input goes to register 0.  ``held`` is what a caller keeps between
+    the two (the kernel keeps a pair's index, input and program there)."""
     state = [0] * register_count(program) + [*held, 0]
     state[0] = x
     return state

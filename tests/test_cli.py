@@ -91,6 +91,11 @@ def test_diagonalize_then_verify(tmp_path):
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["verdict"] == 3 and payload["violations"] == 0
+    # each of the five checkpoints, at the last stage its verdict reads
+    assert payload["checkpoints"] == [
+        {"stage": stage, "verdict": 3, "reason": "friedberg-like"}
+        for stage in (4_799, 5_099, 5_399, 5_699, 5_999)
+    ]
     check = invoke("verify", "--trace", str(path))
     assert check.returncode == 0, check.stdout
     assert json.loads(check.stdout)["kind"] == "tree"

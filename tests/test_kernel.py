@@ -15,11 +15,12 @@ from cesplit.kernel import (
     KernelError,
     OutOfOrderStepError,
     StageNotSteppedError,
+    _BURSTS,
     _SETTLED,
     host_index,
     machine_index,
 )
-from cesplit.machine import parse_program, step_state
+from cesplit.machine import OP_DECJZ, OP_HALT, OP_INC, OP_JMP, parse_program, step_state
 from cesplit.pairing import unpair
 from conftest import halts_within, new_state
 
@@ -37,15 +38,20 @@ def log_digest(kernel):
 # every third machine tick alternating dense/diagonal lanes, level queues
 # served in the ruler sequence with doubling bursts, promotion one level down
 # after an unfinished burst, and a halt released at the stage of its burst.
+# Each burst steps ``step_state`` one instruction at a time, a settled pair
+# too.
 
 
-def oracle_machine_events(texts, stages, max_level=24, burst_cap=1024):
+def oracle_machine_run(texts, stages, max_level=24, burst_cap=1024):
+    """The events and the ladder: per level, [index, input, state, program,
+    settled] of each place, where settled says a burst has stepped a JMP to
+    its own address."""
     programs = [parse_program(t) for t in texts]
+    levels = [[] for _ in range(max_level + 1)]
     if not any(p is not None for p in programs):
-        return []
+        return [], levels
     n = len(programs)
     dense = n + 64
-    levels = [[] for _ in range(max_level + 1)]
     act_primary = act_pad = 0
     toggle = False
     mtick = stick = 0
@@ -69,7 +75,7 @@ def oracle_machine_events(texts, stages, max_level=24, burst_cap=1024):
                         break
             toggle = not toggle
             program = programs[m % n]
-            levels[0].append([machine_index(m), x, new_state(program, x), program])
+            levels[0].append([machine_index(m), x, new_state(program, x), program, False])
         stick += 1
         want = min((stick & -stick).bit_length() - 1, max_level)
         level = None
@@ -88,13 +94,36 @@ def oracle_machine_events(texts, stages, max_level=24, burst_cap=1024):
         burst = burst_cap if level >= 10 else 1 << level
         halted = False
         for _ in range(burst):
+            pc = entry[2][-1]
+            if pc < len(entry[3]) and entry[3][pc] == (OP_JMP, pc):
+                entry[4] = True
             if step_state(entry[3], entry[2]):
                 events.append((stage, entry[0], entry[1]))
                 halted = True
                 break
         if not halted:
             levels[min(level + 1, max_level)].append(entry)
-    return events
+    return events, levels
+
+
+def oracle_machine_events(texts, stages, **schedule):
+    return oracle_machine_run(texts, stages, **schedule)[0]
+
+
+def assert_kernel_is_oracle(kernel, texts, stages):
+    """The kernel run to ``stages`` has the oracle's log, and its ladder is
+    the oracle's place for place: a live entry [r0, ..., index, input,
+    program, pc] holds the oracle's registers and pc, and ``_SETTLED`` stands
+    exactly where the oracle's pair has stepped its jump to itself.  Returns
+    the oracle's ladder."""
+    events, levels = oracle_machine_run(texts, stages)
+    assert list(kernel.log.events()) == events
+    assert [list(queue) for queue in kernel._levels] == [
+        [_SETTLED if settled else [*state[:-1], index, x, program, state[-1]]
+         for index, x, state, program, settled in queue]
+        for queue in levels
+    ]
+    return levels
 
 
 def closed_form_activations(texts, how_many):
@@ -168,7 +197,7 @@ def test_capped_bursts_match_oracle():
 
 # program texts by how their pairs run: settled at pc 0; settled mid-program
 # on some inputs (the below/from/mod shapes); looping without ever settling
-# (DECJZ 1 0 jumps to itself, which run_steps does not settle); halting;
+# (DECJZ 1 0 jumps to itself, which does not settle a pair); halting;
 # invalid
 DRAWN_TEXTS = st.one_of(
     st.just(corpus.DIVERGE),
@@ -188,6 +217,116 @@ def test_drawn_corpus_matches_oracle(texts):
     kernel = Kernel(texts)
     kernel.run_to(4_000)
     assert list(kernel.log.events()) == oracle_machine_events(texts, 4_000)
+
+
+@st.composite
+def programs(draw):
+    """Well-formed programs over four registers; targets reach ``size``."""
+    size = draw(st.integers(1, 8))
+    reg, target = st.integers(0, 3), st.integers(0, size)
+    instruction = st.one_of(
+        st.tuples(st.just(OP_INC), reg),
+        st.tuples(st.just(OP_DECJZ), reg, target),
+        st.tuples(st.just(OP_JMP), target),
+        st.just((OP_HALT,)),
+    )
+    return tuple(draw(st.lists(instruction, min_size=size, max_size=size)))
+
+
+NAMES = {OP_INC: "INC", OP_DECJZ: "DECJZ", OP_JMP: "JMP", OP_HALT: "HALT"}
+
+
+def render(program):
+    """The text of a packed program."""
+    return "; ".join(" ".join([NAMES[ins[0]], *map(str, ins[1:])]) for ins in program)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(programs(), min_size=1, max_size=3), st.integers(1, 3_000))
+def test_drawn_programs_match_oracle(drawn, stages):
+    # drawn programs jump to the virtual slot past their end and to
+    # themselves, which settles a pair, and DECJZ to themselves, which
+    # does not
+    texts = [render(program) for program in drawn]
+    assert [parse_program(text) for text in texts] == drawn
+    kernel = Kernel(texts)
+    kernel.run_to(stages)
+    assert_kernel_is_oracle(kernel, texts, stages)
+
+
+def test_halt_at_the_virtual_slot_matches_oracle():
+    # on input x: x rounds of DECJZ 0 / JMP 0, then DECJZ on zero jumps to
+    # slot 2, and finding the run there uses a step: 2x + 2 steps to halt
+    texts = ["DECJZ 0 2; JMP 0"]
+    assert parse_program(texts[0]) == ((OP_DECJZ, 0, 2), (OP_JMP, 0))
+    kernel = Kernel(texts)
+    kernel.run_to(3_000)
+    assert_kernel_is_oracle(kernel, texts, 3_000)
+    assert {x for _, _, x in kernel.log.events()} >= set(range(10))
+
+
+def test_bursts_spend_their_whole_budget():
+    # COUNT_UP never halts or settles: a pair at level L has run the bursts
+    # of levels 0 to L-1 in full (1, 2, ..., 512, then 1024 each), and s
+    # steps leave (s + 1) // 2 in register 1 and the pc at s % 2
+    texts = [COUNT_UP]
+    kernel = Kernel(texts)
+    kernel.run_to(20_000)
+    assert_kernel_is_oracle(kernel, texts, 20_000)
+    deep = 0
+    for level, queue in enumerate(kernel._levels):
+        steps = sum(map(len, _BURSTS[:level]))
+        for entry in queue:
+            assert entry[0] == entry[-3]  # the input, untouched
+            assert entry[1] == (steps + 1) // 2 and entry[-1] == steps % 2
+        if level >= 11:
+            deep += len(queue)  # past the bursts of 1023 and then 1024 steps
+    assert deep > 0
+
+
+def settled_levels(kernel):
+    """The levels that hold a ``_SETTLED`` place, and those with a live entry."""
+    settled = {level for level, queue in enumerate(kernel._levels) if _SETTLED in queue}
+    live = {level for level, queue in enumerate(kernel._levels)
+            if any(place is not _SETTLED for place in queue)}
+    return settled, live
+
+
+def test_self_jump_settles_at_once():
+    # every pair of JMP 0 settles with the first step of its first burst, and
+    # its place gives the HALT pairs the schedule of stepping it for ever
+    texts = [corpus.DIVERGE, corpus.HALT_ALL]
+    kernel = Kernel(texts)
+    kernel.run_to(3_000)
+    assert_kernel_is_oracle(kernel, texts, 3_000)
+    settled, live = settled_levels(kernel)
+    assert live <= {0} and len(settled) > 5
+
+
+# on inputs x >= k, k decrements bring the run to JMP k at slot k: with k = 3
+# it arrives with the last step of the level-1 burst, and the level-2 burst
+# settles it at once; with k = 4 the level-2 burst arrives with its first
+# step and settles it with its second
+@pytest.mark.parametrize("k", [3, 4])
+def test_self_jump_settles_mid_program(k):
+    texts = [corpus.halt_below(k)]
+    kernel = Kernel(texts)
+    kernel.run_to(3_000)
+    assert_kernel_is_oracle(kernel, texts, 3_000)
+    settled, live = settled_levels(kernel)
+    assert min(settled) == 3 and live <= {0, 1, 2}
+
+
+def test_decjz_to_itself_never_settles():
+    # x rounds of DECJZ 0 / JMP 0 count register 0 down, then DECJZ 1 2 at
+    # slot 2 jumps to itself on the zero register 1 for good, never settled
+    texts = ["DECJZ 0 2; JMP 0; DECJZ 1 2; HALT"]
+    kernel = Kernel(texts)
+    kernel.run_to(3_000)
+    assert_kernel_is_oracle(kernel, texts, 3_000)
+    settled, live = settled_levels(kernel)
+    assert not settled and max(live) >= 8
+    assert sum(entry[-1] == 2 for queue in kernel._levels for entry in queue) > 100
 
 
 def test_halting_semantics_respected():
@@ -351,67 +490,40 @@ def test_w_at_monotone(cut):
     assert kernel.w_at(e, cut - 1) <= kernel.w_at(e, cut)
 
 
-@pytest.fixture
-def bursts(monkeypatch):
-    """The program and the results of the bursts served to each simulated
-    (program, input) pair, by the id of its state object, results in
-    serving order: each pair owns one state object from activation on, and
-    every burst runs at least one step."""
-    from cesplit import kernel as kernel_mod
-
-    states, served = [], {}
-    run_steps = kernel_mod.run_steps
-
-    def counted_run_steps(program, state, budget):
-        assert budget >= 1
-        if id(state) not in served:
-            states.append(state)  # keeps the id from being reused
-            served[id(state)] = (program, [])
-        result = run_steps(program, state, budget)
-        served[id(state)][1].append(result)
-        return result
-
-    monkeypatch.setattr(kernel_mod, "run_steps", counted_run_steps)
-    return served
-
-
-def test_fairness_every_pair_keeps_getting_ticks(bursts):
-    # divergers that never settle keep their state and keep being served
+def test_fairness_every_pair_keeps_getting_ticks():
+    # divergers that never settle keep their entry and keep being served:
+    # the counter register of every pair live at stage 400 grows by 3,000
     kernel = Kernel([COUNT_UP, COUNT_UP])
     kernel.run_to(400)
-    early = {key: len(results) for key, (_, results) in bursts.items()}
+    early = [(entry, entry[1]) for queue in kernel._levels for entry in queue]
     kernel.run_to(3_000)
     assert len(early) > 100
-    for key, n in early.items():
-        results = bursts[key][1]
-        assert len(results) > n
-        assert set(results) == {False}
+    places = [place for queue in kernel._levels for place in queue]
+    assert _SETTLED not in places
+    live = {id(entry) for entry in places}
+    for entry, counter in early:
+        assert id(entry) in live and entry[1] > counter
 
 
-def test_settled_pair_runs_no_burst_after_settling(bursts):
+def test_settled_pair_runs_no_burst_after_settling():
     # every pair of DIVERGE settles in its first burst, and halt_below(3)'s
     # pairs on inputs past 2 settle mid-program at JMP 3; a settled pair's
     # ladder place keeps being served, so the schedule is the oracle's
     texts = [corpus.DIVERGE, corpus.halt_below(3), corpus.HALT_ALL]
-    kernel = Kernel(texts)
-    kernel.run_to(2_000)
-    early = {key: list(results) for key, (_, results) in bursts.items()}
-    kernel.run_to(6_000)
-    assert list(kernel.log.events()) == oracle_machine_events(texts, 6_000)
     diverge, below = parse_program(corpus.DIVERGE), parse_program(corpus.halt_below(3))
-    served = {program: 0 for program in (diverge, below)}
-    for key, (program, results) in bursts.items():
-        if program == diverge:
-            assert results == [None]  # one burst, the one that settles it
-        if None in results:
-            served[program] += 1
-            # the burst that settles the pair is its last, however long it
-            # has been served since
-            assert results[-1] is None and results.count(None) == 1
-            assert set(results[:-1]) <= {False}
-            if None in early.get(key, ()):
-                assert results == early[key]
-    assert served[diverge] > 100 and served[below] > 100
+    kernel = Kernel(texts)
+    for stages in (2_000, 6_000):
+        kernel.run_to(stages)
+        levels = assert_kernel_is_oracle(kernel, texts, stages)
+        places = {diverge: [], below: []}
+        for level, queue, want in zip(count(), kernel._levels, levels):
+            for place, (_, _, _, program, _) in zip(queue, want):
+                if level and program in places:
+                    places[program].append(place)
+        # a DIVERGE place is _SETTLED from its first service on
+        assert len(places[diverge]) > 100
+        assert all(place is _SETTLED for place in places[diverge])
+        assert places[below].count(_SETTLED) > 50
 
 
 def test_fixed_point_generator_stream_equals_index_events(scripted):
