@@ -23,7 +23,7 @@ for name in ("hf", "trivial", "broken"):
     print(f"  tree stages {result.run.tree_stage}, nodes touched "
           f"{report['nodes']}, dumped {report['dumped']}, "
           f"invariant problems {len(report['problems'])}")
-    print(f"  current path {result.run.history[-1][2]!r}")
+    print(f"  current path {result.run.history[-1][1]!r}")
     print()
 
 print("the trichotomy in action: 3 = Friedberg-like split of a set that")

@@ -230,14 +230,17 @@ def mask_bit(idx: int) -> int:
     return 1 << (E_WINDOW - 1 - idx) if 0 <= idx < E_WINDOW else 0
 
 
-def rev_mask(containers: dict, bound: int) -> int:
-    """The membership mask of a ball whose sets (index -> entry stage) are
-    given, counting the entries made by the stage bound."""
-    mask = 0
-    for idx, t in containers.items():
-        if t <= bound:
-            mask |= mask_bit(idx)
-    return mask
+def marker_states(log, markers: list, bound: int) -> list:
+    """The states of a marker table's markers, in table order: each one's
+    membership mask, the ``mask_bit`` of every set it entered by the bound."""
+    top, states = mask_bit(0), []
+    for x in markers:
+        mask = 0
+        for idx, t in log.containers_of(x).items():
+            if t <= bound and 0 <= idx < E_WINDOW:
+                mask |= top >> idx  # mask_bit(idx), inline: this loop is a scan's cost
+        states.append(mask)
+    return states
 
 
 def least_dump(revs: list, stage: int) -> Optional[tuple[int, int]]:
@@ -270,6 +273,12 @@ def least_dump(revs: list, stage: int) -> Optional[tuple[int, int]]:
 
 
 # -- marker tables -----------------------------------------------------------
+
+
+def sorted_has(keys: list, key) -> bool:
+    """Whether a sorted list holds a key."""
+    i = bisect_left(keys, key)
+    return i < len(keys) and keys[i] == key
 
 
 def sorted_discard(keys: list, key) -> Optional[int]:

@@ -18,14 +18,15 @@ changed since the node was last on the path, and stops at positive A-nodes
 or at the depth cap min(s*s, depth_bound).  The cap never shrinks and a node's
 positivity is its address's, so f only deepens or moves sideways: no node
 extends f, and every node right of f is one that f passed on the left.  One
-history, (tree stage, kernel stage, f) per tree stage, gives the verdict its
-tail, and its index ``geometry.LeftPasses`` the extra dump the stage at which
-f last moved left of a node.  The trace writes it as one ``f`` record per
-tree stage; (s, f) fixes the ball the stage enters and the chips that
-changed, so no record says them.  Every other record belongs to the stage of
-the last ``f`` record before it, so none repeats ``s`` or what f gives (a
-``left`` record's target, an extra dump's dumping node), and no record names
-a casualty (a ball of A that a piece absorbs), which A's log gives.
+history, (kernel stage, f) per tree stage with the tree stage its position,
+gives the verdict its tail, and its index ``geometry.LeftPasses`` the extra
+dump the stage at which f last moved left of a node.  The trace writes it as
+one ``f`` record per tree stage; (s, f) fixes the ball the stage enters and
+the chips that changed, so no record says them.  Every other record belongs
+to the stage of the last ``f`` record before it, so none repeats ``s`` or
+what f gives (a ``left`` record's target, an extra dump's dumping node), and
+no record names a casualty (a ball of A that a piece absorbs), which A's log
+gives.
 
 Balls enter at the depth-1 node of the current path, one per tree stage, and
 move only left (when the path passes them) or via pulls.  A ball lives in its
@@ -33,11 +34,14 @@ node's ``balls``, and ``positions`` maps it back to the node; the root's tilde
 pool, from which the nodes below it draw, is every entered ball.  Pulls commit
 balls to the pulling R-node's piece sets; markers over each piece drive the
 maximal-set dumping, and positive A-nodes on the path dump markers of the
-other pieces.  Measures, T-counters and marker tables hold node states, not
-addresses: a node is made after its prefixes and never removed.  All set
-emissions go through the kernel's single FIFO; the tree advances one stage per
-kernel poll only when every emission has drained, which is how the constructed
-sets keep pace with their enumeration indices.  The kernel polls the brain
+other pieces.  A marker's state is read off the event log when its table is
+scanned (``geometry.marker_states``, as the trace replay reads it), so the
+run keeps no copy of it; an R piece's commitments are one sorted list.
+Measures, T-counters and marker tables hold node states, not addresses: a
+node is made after its prefixes and never removed.  All set emissions go
+through the kernel's single FIFO; the tree advances one stage per kernel poll
+only when every emission has drained, which is how the constructed sets keep
+pace with their enumeration indices.  The kernel polls the brain
 only on the stages that start with an empty FIFO, and the brain's per-stage
 work follows what changed: it reads the log only when it advances, a T-counter
 is advanced only when its inputs moved, and a node tries to pull only when it
@@ -58,8 +62,8 @@ from typing import Callable, Optional
 
 from .geometry import (
     MARKER_WINDOW, ROOT, LeftPasses, TreeError, ball_too_deep, can_pull, checked_depth,
-    greatest_r_prefix, is_positive_a, least_dump, left_key, left_target, mask_bit, node_kind,
-    question_at, r_chain,
+    greatest_r_prefix, is_positive_a, least_dump, left_key, left_target, marker_states, mask_bit,
+    node_kind, question_at, r_chain, sorted_has,
 )
 from .kernel import EventLog, HostGenerator, Kernel, host_index
 
@@ -84,11 +88,6 @@ class _Measure:
         self.over = over
         self.members: set = set()
         self.subscribers: list = []
-
-    def add(self, x: int) -> None:
-        self.members.add(x)
-        for node in self.subscribers:
-            heappush(node.cand_heap, x)
 
 
 class _TMeasure:
@@ -119,9 +118,8 @@ class _NodeState:
     __slots__ = (
         "address", "key", "kind", "positive", "requesting", "kids", "chip_snapshot",
         "requests", "measure", "tmeasure", "measures", "tmeasures",
-        "r_out", "rt_out", "r_index", "rt_index", "r_committed", "rt_committed",
-        "r_sorted", "live_markers", "rt_subscribers",
-        "mids_subscribers", "needs_scan", "stage_bound", "moved",
+        "r_out", "rt_out", "r_index", "rt_index", "rt_committed", "r_sorted", "live_markers",
+        "rt_subscribers", "mids_subscribers", "needs_scan", "stage_bound", "moved",
         "patch_cursor", "cand_heap", "mids_pool", "balls",
     )
 
@@ -141,9 +139,8 @@ class _NodeState:
         self.tmeasures: list = []  # the T-counters that read this R piece
         self.r_out = self.rt_out = None  # piece emissions awaiting the kernel
         self.r_index = self.rt_index = None
-        self.r_committed: set = set()
         self.rt_committed: set = set()
-        self.r_sorted: list = []
+        self.r_sorted: list = []  # the R piece's commitments, in increasing order
         self.live_markers: list = []
         self.rt_subscribers: list = []
         self.mids_subscribers: list = []
@@ -187,25 +184,23 @@ class TreeRun:
 
         # A's slot: the brain generator drives the whole construction; on a
         # stage that starts with a backlog it could only return ()
-        a_slot = kernel.free_slot(slot_base)
-        self.a_slot = a_slot
+        self.a_slot = kernel.free_slot(slot_base)
         self._a_out: list = []
         self.e_a = kernel.register_generator(
-            HostGenerator(slot=a_slot, pull=self._brain_pull, wake="drain")
+            HostGenerator(slot=self.a_slot, pull=self._brain_pull, wake="drain")
         )
 
         # the candidate procedure is consulted once, before stage zero
         self.e0, self.e1 = proc(kernel, self.e_a)
 
         self.tree_stage = 0
-        self.history: list = [(0, 0, ROOT)]  # (tree stage, kernel stage, f) per tree stage
-        self._passes = LeftPasses()  # over history's (tree stage, f)
+        self.history: list = [(0, ROOT)]  # (kernel stage, f), one per tree stage in order
+        self._passes = LeftPasses()  # over each tree stage's f
         self._passes.add(0, ROOT)
         self.nodes: dict[str, _NodeState] = {}
         self.measures_by_index: dict[int, list] = {}
         self.positions: dict[int, str] = {}  # every on-machine ball -> its node
         self.a_committed: set = set()
-        self.masks: dict[int, int] = {}
         self.marker_nodes: dict[int, list] = {}  # live marker -> the states listing it
         self._left_order: list = []  # the requesting states, in left order
         self._chain: list = []       # states of f's R-nodes, shallowest first
@@ -246,9 +241,6 @@ class TreeRun:
         if self.collect_trace:
             self.trace.append(record)
 
-    def _violation(self, kind: str, detail) -> None:
-        self.violations.append((self.tree_stage, kind, detail))
-
     def _make_node(self, address: str) -> _NodeState:
         """Make a node.  The walk makes each one once, after its parent, so its
         prefixes exist."""
@@ -266,7 +258,7 @@ class TreeRun:
             for idx in {q.j, eb}:
                 self.tmeasures_by_index.setdefault(idx, []).append(tm)
         if state.kind == "r":
-            # the piece sets are woken by _queue_emission, never polled idle
+            # the piece sets are woken by _commit, never polled idle
             (state.r_index, state.rt_index), (state.r_out, state.rt_out) = (
                 self.kernel.register_pair(None, wake=(), slot_base=self.a_slot + 1)
             )
@@ -314,11 +306,9 @@ class TreeRun:
             return
         in_delta = m.over is None or x in m.over.rt_committed
         if in_delta and self.kernel.log.entry_stage(m.j_index, x) is not None:
-            m.add(x)
-
-    def _queue_emission(self, index: int, queue: list, x: int) -> None:
-        queue.append(x)
-        self.kernel.wake(index)
+            m.members.add(x)
+            for node in m.subscribers:
+                heappush(node.cand_heap, x)
 
     # -- event ingestion ---------------------------------------------------
 
@@ -331,10 +321,8 @@ class TreeRun:
                 self._measure_try_add(m, x)
             for tm in self.tmeasures_by_index.get(idx, ()):
                 tm.dirty = True
-            bit = mask_bit(idx)
-            if bit:
-                # x enters idx once, so the bit is new
-                self.masks[x] = self.masks.get(x, 0) | bit
+            if mask_bit(idx):
+                # x enters idx once, so its state gains a bit
                 for state in self.marker_nodes.get(x, ()):
                     self._table_changed(state, bisect_left(state.live_markers, x))
 
@@ -344,13 +332,12 @@ class TreeRun:
         if tm.frozen:
             return
         log = self.kernel.log
-        r_comm = tm.beta.r_committed
+        r_sorted = tm.beta.r_sorted
         for _, x in log.entries(tm.j_index, tm.wj_cursor):
             tm.wj_cursor += 1
-            if x not in r_comm or log.entry_stage(tm.eb_index, x) is not None:
+            if not sorted_has(r_sorted, x) or log.entry_stage(tm.eb_index, x) is not None:
                 tm.frozen = True
                 return
-        r_sorted = tm.beta.r_sorted
         while tm.fi < len(r_sorted):
             x = r_sorted[tm.fi]
             if log.entry_stage(tm.j_index, x) is None and (
@@ -425,14 +412,13 @@ class TreeRun:
         state.balls.add(x)
         self.positions[x] = address
         if ball_too_deep(x, address):
-            self._violation("ball-depth", (x, address))
+            self.violations.append((self.tree_stage, "ball-depth", (x, address)))
 
     def _lift(self, x: int) -> None:
         """Take ball x off the node it sits on, if it is on the machine."""
         address = self.positions.pop(x, None)
-        if address is None:
-            return
-        self.nodes[address].balls.discard(x)
+        if address is not None:
+            self.nodes[address].balls.discard(x)
 
     # -- pulling --------------------------------------------------------------
 
@@ -453,10 +439,11 @@ class TreeRun:
 
     def _pullable(self, state: _NodeState, x: int) -> bool:
         """Whether the node may pull ball x.  A no is permanent: x is at most the node's
-        depth, in A or in its pieces, or off the machine, left of the node or below it."""
-        if x <= len(state.address) or x in self.a_committed:
+        depth, in its pieces, or off the machine (a ball dumped into A never comes
+        back), left of the node or below it."""
+        if x <= len(state.address):
             return False
-        if state.kind == "r" and (x in state.r_committed or x in state.rt_committed):
+        if state.kind == "r" and (sorted_has(state.r_sorted, x) or x in state.rt_committed):
             return False
         return can_pull(state.address, self.positions.get(x))
 
@@ -482,7 +469,7 @@ class TreeRun:
             self._commit(state, x1, tilde=True)
             for y in mids:
                 self._commit(state, y, tilde=False)
-        self._emit_record({"op": "pull", "ks": self.history[-1][1], "node": state.address,
+        self._emit_record({"op": "pull", "ks": self.history[-1][0], "node": state.address,
                            "req": request, "x0": x0, "x1": x1, "mid": mids})
         return True
 
@@ -523,18 +510,19 @@ class TreeRun:
         if tilde:
             state.rt_committed.add(x)
             self._offer(state, x)
-            self._queue_emission(state.rt_index, state.rt_out, x)
+            state.rt_out.append(x)
+            self.kernel.wake(state.rt_index)
             for m in state.measures.values():
                 self._measure_try_add(m, x)
         else:
-            state.r_committed.add(x)
             pos = bisect_left(state.r_sorted, x)
             state.r_sorted.insert(pos, x)
             for tm in state.tmeasures:
                 tm.dirty = True
                 if pos < tm.fi:
                     tm.fi = pos
-            self._queue_emission(state.r_index, state.r_out, x)
+            state.r_out.append(x)
+            self.kernel.wake(state.r_index)
             if x not in self.a_committed:
                 k = bisect_left(state.live_markers, x)
                 state.live_markers.insert(k, x)
@@ -560,7 +548,7 @@ class TreeRun:
         dstate = self.nodes[delta]
         for _, y in self.kernel.log.entries(self.e_a, state.patch_cursor):
             state.patch_cursor += 1
-            uncommitted = y not in state.r_committed and y not in state.rt_committed
+            uncommitted = not sorted_has(state.r_sorted, y) and y not in state.rt_committed
             if uncommitted and (delta == ROOT or y in dstate.rt_committed):
                 self._commit(state, y, tilde=False)
 
@@ -578,8 +566,9 @@ class TreeRun:
     def _maximal_scan(self, st: int, state: _NodeState) -> None:
         """One original dump: raise the least marker's state when possible."""
         state.needs_scan = False
-        masks = self.masks
-        revs = [masks.get(x, 0) for x in state.live_markers[:MARKER_WINDOW]]
+        ks = self.history[-1][0]
+        # the log holds no event of the stage the brain is polled at
+        revs = marker_states(self.kernel.log, state.live_markers[:MARKER_WINDOW], ks - 1)
         found = least_dump(revs, st)
         if found is None:
             # past the window's length the stage bounds nothing, so this None
@@ -589,7 +578,7 @@ class TreeRun:
         state.stage_bound = True
         e, i = found
         dumped = state.live_markers[e:i]
-        self._emit_record({"op": "dump-orig", "ks": self.history[-1][1], "node": state.address,
+        self._emit_record({"op": "dump-orig", "ks": ks, "node": state.address,
                            "e": e, "i": i, "balls": dumped})
         for x in dumped:
             self._dump_to_a(x)
@@ -612,7 +601,7 @@ class TreeRun:
             if stage == st and floor <= t:
                 continue  # this stage's movement already did the job
             x = target.live_markers[t]
-            self._emit_record({"op": "dump-extra", "ks": self.history[-1][1],
+            self._emit_record({"op": "dump-extra", "ks": self.history[-1][0],
                                "node": target.address, "idx": t, "x": x})
             self._dump_to_a(x)
 
@@ -628,8 +617,8 @@ class TreeRun:
         self._emit_record({"op": "f", "s": st, "ks": stage, "node": f})
         for state in self._requesters:
             state.requests.append(st)
-        moved = f != self.history[-1][2]
-        self.history.append((st, stage, f))
+        moved = f != self.history[-1][1]
+        self.history.append((stage, f))
         self._passes.add(st, f)
         # ball st-1 enters at f[:1]; the root's tilde pool is every ball
         self._place(st - 1, self.nodes[f[:1]])
@@ -742,9 +731,9 @@ def verdict_at(log: EventLog, e_a: int, e0: int, e1: int, history: list, stage: 
                 2, "complement-witness", {"side": side, "witnesses": live}
             )
     # the tree stages after stage 0 polled in the trailing fifth
-    tail = history[bisect_left(history, stage * 4 // 5, 1, key=itemgetter(1)):]
+    tail = history[bisect_left(history, stage * 4 // 5, 1, key=itemgetter(0)):]
     if tail:
-        positive = sum(is_positive_a(f) for _, _, f in tail)
+        positive = sum(is_positive_a(f) for _, f in tail)
         if positive * 2 >= len(tail):
             return Verdict(2, "positive-endpoint", {"fraction": positive / len(tail)})
     growth = [asdict(ev) for ev in probe_friedberg(log, e_a, e0, e1, stage, 8)
@@ -765,7 +754,7 @@ class _WitnessSplit:
         self.cursor = 0
         # only the brain's polls move what _route reads, and the brain, a
         # drain source registered first, is polled before these halves
-        (self.w0, self.w1), self._queues = kernel.register_pair(
+        self.halves, self._queues = kernel.register_pair(
             self._route, wake="drain", slot_base=run.a_slot + 1
         )
 
@@ -778,12 +767,8 @@ class _WitnessSplit:
             if target.patch_cursor <= self.cursor:
                 break  # membership not final yet
             self.cursor += 1
-            side = 0 if x in target.r_committed else 1
+            side = 0 if sorted_has(target.r_sorted, x) else 1
             self._queues[side].append(x)
-
-    @property
-    def halves(self) -> tuple[int, int]:
-        return (self.w0, self.w1)
 
 
 def diagonalize(proc: Callable, stages: int, depth: int = 25,
@@ -858,28 +843,17 @@ def structural_report(run: TreeRun) -> dict:
         markers = state.live_markers
         if any(a >= b for a, b in zip(markers, markers[1:])):
             problems.append(("markers-not-increasing", address))
-        if state.r_sorted != sorted(state.r_committed):
-            problems.append(("r-sorted-drift", address))
-        if not set(markers) <= (state.r_committed - run.a_committed):
+        if not set(markers) <= (set(state.r_sorted) - run.a_committed):
             problems.append(("marker-membership", address))
-    # partition along the current path: chain pieces plus the deepest tilde
-    chain = r_chain(run.history[-1][2])
-    exceptions = []
-    seen: dict[int, str] = {}
-    for address in chain:
-        state = run.nodes[address]
-        for x in state.r_committed:
-            if x in seen:
-                exceptions.append((x, seen[x], address))
-            seen[x] = address
+    # partition along the current path: chain pieces plus the deepest tilde;
+    # each repeat of a ball is one exception
+    chain = [run.nodes[address] for address in r_chain(run.history[-1][1])]
+    pieces = [x for state in chain for x in state.r_sorted]
     if chain:
-        deepest = run.nodes[chain[-1]]
-        for x in deepest.rt_committed:
-            if x in seen:
-                exceptions.append((x, seen[x], chain[-1] + "~"))
+        pieces += chain[-1].rt_committed
     return {
         "problems": problems,
-        "partition_exceptions": len(exceptions),
+        "partition_exceptions": len(pieces) - len(set(pieces)),
         "nodes": len(run.nodes),
         "dumped": len(run.a_committed),
     }

@@ -39,8 +39,8 @@ from typing import Optional
 
 from .geometry import (
     MARKER_WINDOW, ROOT, LeftPasses, TreeError, can_pull, checked_depth, diverges_left,
-    greatest_r_prefix, is_positive_a, is_r_node, least_dump, left_target, question_at,
-    requesting_prefixes, rev_mask, sorted_discard,
+    greatest_r_prefix, is_positive_a, is_r_node, least_dump, left_target, marker_states,
+    question_at, requesting_prefixes, sorted_discard,
 )
 from .kernel import EventLog
 from .pairing import balance_code, pair, unpair
@@ -332,8 +332,8 @@ def replay_tree(trace: Trace, depth: int, feeder: int, e_a: int) -> list[Diverge
     comparisons and endpoint shapes are then re-checked against the raw
     event log.  The ``f`` records, one per tree stage, are the stage clock:
     their ``s`` runs 0, 1, 2, ... (a ``stage`` divergence otherwise), their
-    ``ks`` rises (``kernel-stage``), and their (s, ks, f) list is the run's
-    history.  At each the replay does what no record says, as the
+    ``ks`` rises (``kernel-stage``), and their (ks, f) list, in order, is the
+    run's history.  At each the replay does what no record says, as the
     construction does: it voids the pending requests of every node the new f
     passes on the left, enters ball s-1 at ``f[:1]``, and files a request at
     every requesting prefix of f.  Every other record belongs to the stage
@@ -352,9 +352,11 @@ def replay_tree(trace: Trace, depth: int, feeder: int, e_a: int) -> list[Diverge
     ball of A must have been dumped (``a-ledger``, naming the ball).  Two
     things are trusted rather than re-derived: the address rules, marker
     states and least-dump rule of ``geometry``, which the construction uses
-    too, and the chip counters (re-deriving them would be a second full
-    simulation), so ``f`` records are checked for the shape of their
-    endpoint only.  This is the only check of f's shape (``endpoint-kind``,
+    too (a ``dump-orig`` is checked against the states
+    ``geometry.marker_states`` reads off the log by the stage's ``ks`` - 1,
+    just as the run reads them when it scans), and the chip counters
+    (re-deriving them would be a second full simulation), so ``f`` records
+    are checked for the shape of their endpoint only.  This is the only check of f's shape (``endpoint-kind``,
     ``endpoint-length``): the construction's walk cannot end anywhere else,
     so it checks none.  ``depth``, ``feeder`` and ``e_a`` are the meta
     record's.  Every record fits its row of the record schema
@@ -491,8 +493,7 @@ def replay_tree(trace: Trace, depth: int, feeder: int, e_a: int) -> list[Diverge
                 continue
             if rec["balls"] != live[e:i]:
                 fail(line, "dump-balls", rec["balls"], live[e:i])
-            revs = [rev_mask(log.containers_of(x), kstage - 1) for x in live[:MARKER_WINDOW]]
-            found = least_dump(revs, stage)
+            found = least_dump(marker_states(log, live[:MARKER_WINDOW], kstage - 1), stage)
             if found != (e, i):
                 fail(line, "dump-least", (e, i), found)
             balls = live[e:i]

@@ -35,15 +35,19 @@ def test_split_friedberg_zero_stages():
     assert payload["routed"] == 0
 
 
+def assert_usage_line(proc, flag):
+    """Exit 2, nothing on stdout, and one stderr line naming the flag."""
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and flag in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("flag", [("--a-index", "5"), ("--subset-scenario",)],
                          ids=["--a-index", "--subset-scenario"])
 def test_hk_flag_on_friedberg_split_is_usage_error(flag):
     # both used to exit 0 after a plain Friedberg split that ignored them
-    proc = invoke("split", "friedberg", *flag, "--stages", "100")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1 and flag[0] in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert_usage_line(invoke("split", "friedberg", *flag, "--stages", "100"), flag[0])
 
 
 def test_split_trace_and_verify_round_trip(tmp_path):
@@ -156,16 +160,65 @@ def test_verify_suite_is_replay_or_split(tmp_path):
     assert invoke("verify", "--trace", str(path), "--suite", "tree").returncode == 2
 
 
-@pytest.mark.parametrize("spec", ["unknown", "plugin-without-procedure", "plugin-missing"])
+PLUGINS = {
+    "plugin-without-procedure": "def other(kernel, e):\n    return (e, e)\n",
+    # these two used to end in a traceback
+    "plugin-not-compiling": "def procedure(kernel, e:\n",
+    "plugin-procedure-not-callable": "procedure = 5\n",
+}
+
+
+@pytest.mark.parametrize("spec", ["unknown", *PLUGINS, "plugin-missing"])
 def test_diagonalize_bad_proc_is_usage_error(tmp_path, spec):
     plugin = tmp_path / "plugin.py"
-    if spec == "plugin-without-procedure":
-        plugin.write_text("def other(kernel, e):\n    return (e, e)\n")
+    if spec in PLUGINS:
+        plugin.write_text(PLUGINS[spec])
     proc_arg = "nosuch" if spec == "unknown" else f"plugin:{plugin}"
     proc = invoke("diagonalize", "--stages", "100", "--depth", "9", "--proc", proc_arg)
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert_usage_line(proc, "--proc")
+
+
+@pytest.mark.parametrize("command", [
+    ("diagonalize", "--proc", "hf", "--stages", "100", "--depth", "9"),
+    ("split", "friedberg", "--stages", "100"),
+    ("split", "hk", "--stages", "100"),
+    ("corpus",),
+], ids=["diagonalize", "split-friedberg", "split-hk", "corpus"])
+def test_output_in_missing_directory_is_usage_error(tmp_path, command):
+    # each used to exit 1 with a traceback, diagonalize only after its run
+    flag = "--out" if command[0] == "corpus" else "--trace"
+    proc = invoke(*command, flag, str(tmp_path / "missing" / "out.jsonl"))
+    assert_usage_line(proc, flag)
+    assert not (tmp_path / "missing").exists()
+
+
+def test_diagonalize_refuses_its_trace_path_before_running(tmp_path):
+    # the candidate is consulted before stage zero: a refused --trace path
+    # never gets that far, for any of the procs it names
+    called = tmp_path / "called"
+    plugin = tmp_path / "plugin.py"
+    plugin.write_text("from pathlib import Path\n"
+                      "from cesplit.tree import proc_trivial\n\n"
+                      "def procedure(kernel, e):\n"
+                      f"    Path({str(called)!r}).touch()\n"
+                      "    return proc_trivial(kernel, e)\n")
+    trace = str(tmp_path / "{proc}" / "out.jsonl")
+    proc = invoke("diagonalize", "--proc", f"plugin:{plugin},hf", "--stages", "100",
+                  "--depth", "9", "--trace", trace)
+    assert_usage_line(proc, "--trace")
+    assert not called.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("enumerate", "--index", "0", "--stages", "10"),
+    ("split", "friedberg", "--stages", "10"),
+    ("witness", "shav", "--stages", "10"),
+    ("diagonalize", "--proc", "hf", "--stages", "10", "--depth", "9"),
+    ("iterate", "--rounds", "1", "--stages", "10", "--depth", "9"),
+], ids=["enumerate", "split", "witness", "diagonalize", "iterate"])
+def test_missing_corpus_is_usage_error(tmp_path, command):
+    # each used to exit 1 with a traceback
+    assert_usage_line(invoke(*command, "--corpus", str(tmp_path / "missing.txt")), "--corpus")
 
 
 @pytest.mark.parametrize("depth", ["12", "-4"])

@@ -8,6 +8,9 @@ behaviour, which then says so.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -49,20 +52,23 @@ def chip_changes(history) -> dict:
     ``f`` records became one per stage, and these counts equal those
     records' on every pinned run of that format."""
     counts = Counter()
-    for _, _, f in history:
+    for _, f in history:
         for d, bit in enumerate(f):
             if bit == "1":
                 counts[f[:d]] += 1
     return dict(counts)
 
 
+TREE_PIN = "c7a378f82686da9f96014b6f00e244bea76770ee26b626f166e7be64414e3a53"
+FRIEDBERG_PIN = "38038f6f341cfb7e0097732e37cd00d7802b6128118d38120d4e39778ecc2518"
+SUBSET_PIN = "fd4a63cf2438a619b2f79cacc5ba455a0468ec63b7a7174360fbf7df34d90855"
+
+
 def test_tree_trace_pinned(tmp_path):
     result = diagonalize(proc_friedberg, 3000, depth=9)
     assert op_counts(result.trace) == (1, 627, 235, 74, 78, 0)
     assert chip_changes(result.run.history) == {"": 390}
-    assert trace_sha256(tmp_path, result.kernel.log, result.trace) == (
-        "c7a378f82686da9f96014b6f00e244bea76770ee26b626f166e7be64414e3a53"
-    )
+    assert trace_sha256(tmp_path, result.kernel.log, result.trace) == TREE_PIN
 
 
 # Corpora 102 and 148 of perfbench's ``make_inputs("diagonalize", seed)``: at
@@ -92,9 +98,10 @@ def test_extra_dump_trace_pinned(tmp_path, seed, counts, digest, disputed):
     # the file read back replays to the same report, its lines included
     assert replay_check(read_trace(tmp_path / "trace.jsonl")) == report
     # the f records are the run's per-stage history, which gives the
-    # replay every node's last left pass
-    stages = [(r["s"], r["ks"], r["node"]) for r in result.trace if r["op"] == "f"]
-    assert stages == result.run.history
+    # replay every node's last left pass: their s is the entry's position
+    fs = [r for r in result.trace if r["op"] == "f"]
+    assert [r["s"] for r in fs] == list(range(len(fs)))
+    assert [(r["ks"], r["node"]) for r in fs] == result.run.history
 
 
 @pytest.mark.parametrize("proc, counts, chips, digest", [
@@ -137,18 +144,37 @@ def test_iterate_rounds_pinned(tmp_path, monkeypatch):
 
 def test_friedberg_trace_pinned(tmp_path):
     result = run_friedberg(corpus.BASIC, 8, 4000)
-    assert trace_sha256(tmp_path, result.kernel.log, result.trace) == (
-        "38038f6f341cfb7e0097732e37cd00d7802b6128118d38120d4e39778ecc2518"
-    )
+    assert trace_sha256(tmp_path, result.kernel.log, result.trace) == FRIEDBERG_PIN
 
 
 def test_subset_scenario_trace_pinned(tmp_path):
     # `cesplit split hk --subset-scenario --stages 4000 --trace`: its meta
     # record carries the rigged listings
     result = run_subset_scenario(4000)
-    assert trace_sha256(tmp_path, result.kernel.log, result.trace) == (
-        "fd4a63cf2438a619b2f79cacc5ba455a0468ec63b7a7174360fbf7df34d90855"
-    )
+    assert trace_sha256(tmp_path, result.kernel.log, result.trace) == SUBSET_PIN
+
+
+def pinned_digests(tmp_path) -> list:
+    """The trace sha256 of the runs of TREE_PIN, FRIEDBERG_PIN and SUBSET_PIN."""
+    runs = (diagonalize(proc_friedberg, 3000, depth=9), run_friedberg(corpus.BASIC, 8, 4000),
+            run_subset_scenario(4000))
+    return [trace_sha256(tmp_path, r.kernel.log, r.trace) for r in runs]
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_pins_hold_under_any_hash_seed(tmp_path, seed):
+    # sets and dicts keyed by strings iterate in an order PYTHONHASHSEED
+    # picks, and no trace may depend on it: a fresh interpreter under each
+    # seed writes the pinned bytes
+    here = Path(__file__).parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here), os.environ.get("PYTHONPATH", "")])
+    script = ("import sys; from pathlib import Path; from test_digests import pinned_digests; "
+              "print(*pinned_digests(Path(sys.argv[1])))")
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                          text=True, timeout=600, env=dict(os.environ, PYTHONHASHSEED=seed,
+                                                           PYTHONPATH=path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [TREE_PIN, FRIEDBERG_PIN, SUBSET_PIN]
 
 
 def test_kernel_event_log_pinned(tmp_path):

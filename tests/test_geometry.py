@@ -26,8 +26,9 @@ from cesplit.geometry import (
     question_at,
     r_chain,
     requesting_prefixes,
-    rev_mask,
+    marker_states,
     sorted_discard,
+    sorted_has,
 )
 from conftest import is_left_of
 
@@ -222,6 +223,7 @@ def test_left_passes_match_the_walk_as_the_history_grows(entries, lookups):
 def test_sorted_add_and_discard(ops):
     keys, model = [], []
     for add, x in ops:
+        assert sorted_has(keys, x) == (x in model)
         if add:
             insort(keys, x)
             model.append(x)
@@ -235,13 +237,29 @@ def test_sorted_add_and_discard(ops):
         assert keys == sorted(model)
 
 
-@given(st.dictionaries(st.integers(0, 80), st.integers(0, 30)), st.integers(-1, 31))
-def test_rev_mask(containers, bound):
-    bits = ["0"] * E_WINDOW  # W_0 is the leading bit
-    for idx, t in containers.items():
-        if idx < E_WINDOW and t <= bound:
-            bits[idx] = "1"
-    assert rev_mask(containers, bound) == int("".join(bits), 2)
+class ContainersLog:
+    """The one lookup ``marker_states`` makes of a log: each element's sets,
+    index -> entry stage."""
+
+    def __init__(self, by_element):
+        self.containers_of = lambda x: by_element.get(x, {})
+
+
+@given(st.lists(st.dictionaries(st.integers(0, 80), st.integers(0, 30)), max_size=4),
+       st.integers(-1, 31))
+def test_marker_states(per_marker, bound):
+    want = []
+    for containers in per_marker:
+        bits = ["0"] * E_WINDOW  # W_0 is the leading bit
+        for idx, t in containers.items():
+            if idx < E_WINDOW and t <= bound:
+                bits[idx] = "1"
+        want.append(int("".join(bits), 2))
+    # marker 2k has the k-th sets; an element the log never saw has none
+    log = ContainersLog({2 * k: c for k, c in enumerate(per_marker)})
+    markers = [2 * k for k in range(len(per_marker))]
+    assert marker_states(log, markers, bound) == want
+    assert marker_states(log, [x + 1 for x in markers], bound) == [0] * len(markers)
 
 
 def brute_least_dump(revs, stage):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from cesplit import corpus
 from cesplit.geometry import (
-    greatest_r_prefix, is_positive_a, least_dump, mask_bit, node_kind, question_at,
+    greatest_r_prefix, is_positive_a, least_dump, marker_states, node_kind, question_at, r_chain,
 )
 from conftest import is_left_of
 from cesplit.tree import (
@@ -159,12 +159,27 @@ def test_structural_report_leaves_violations_alone():
     assert run.violations == before
 
 
+def test_structural_report_counts_partition_repeats():
+    # each repeat of a ball among the current path's R pieces and its
+    # deepest tilde piece is one exception
+    run = diagonalize(proc_friedberg, 3000, depth=9, collect_trace=False).run
+    chain = [run.nodes[address] for address in r_chain(run.history[-1][1])]
+    assert structural_report(run)["partition_exceptions"] == 0
+    x = chain[0].r_sorted[0]
+    chain[-1].rt_committed.add(x)
+    assert structural_report(run)["partition_exceptions"] == 1
+    chain[-1].r_sorted.append(x)
+    assert structural_report(run)["partition_exceptions"] == 2
+
+
 def test_ball_entry_records(hf_run):
-    # one f record per tree stage, the run's history: with the stage it
-    # fixes the ball that enters, s-1 at f[:1], so no record says so
-    stages = [(r["s"], r["ks"], r["node"]) for r in hf_run.trace if r["op"] == "f"]
-    assert stages == hf_run.run.history
-    assert len(stages) == hf_run.run.tree_stage + 1
+    # one f record per tree stage, the run's history, whose position is the
+    # stage: with it the stage fixes the ball that enters, s-1 at f[:1], so
+    # no record says so
+    fs = [r for r in hf_run.trace if r["op"] == "f"]
+    assert [r["s"] for r in fs] == list(range(len(fs)))
+    assert [(r["ks"], r["node"]) for r in fs] == hf_run.run.history
+    assert len(fs) == hf_run.run.tree_stage + 1
 
 
 def test_first_branch_follows_chip_change(hf_run):
@@ -208,7 +223,7 @@ def test_patches_cover_casualties(hf_run):
         delta = run.nodes[greatest_r_prefix(state.address)]
         for y in a_log[:state.patch_cursor]:
             if delta.address == "" or y in delta.rt_committed:
-                assert y in state.r_committed or y in state.rt_committed, (state.address, y)
+                assert y in state.r_sorted or y in state.rt_committed, (state.address, y)
                 checked += 1
     assert checked
 
@@ -262,7 +277,7 @@ def test_no_node_extends_f(monkeypatch, proc, depth):
 
     def checking(run, stage):
         out = brain_pull(run, stage)
-        f = run.history[-1][2]
+        f = run.history[-1][1]
         assert not [a for a in run.nodes if a != f and a.startswith(f)], f
         checked.add(run.tree_stage)
         return out
@@ -274,19 +289,12 @@ def test_no_node_extends_f(monkeypatch, proc, depth):
 
 
 def marker_revs(run, state):
-    """The masks a scan of a node's marker table reads, in table order."""
-    return [run.masks.get(x, 0) for x in state.live_markers]
+    """The masks a scan of a node's marker table reads at the brain's current
+    stage, in table order, the whole table and not only its window."""
+    return marker_states(run.kernel.log, state.live_markers, run.history[-1][0] - 1)
 
 
 def assert_marker_ledger(run):
-    # the run's masks are the log's: a ball's mask has the bit of every W_idx
-    # it entered among the events the brain has read, and no ball has an
-    # entry without a bit
-    masks = {}
-    for _, idx, x in list(run.kernel.log.events())[:run._cursor]:
-        if mask_bit(idx):
-            masks[x] = masks.get(x, 0) | mask_bit(idx)
-    assert run.masks == masks
     # the reverse map lists exactly the live markers, each with the states
     # whose tables hold it
     reverse = {}
@@ -346,12 +354,12 @@ def test_chip_freeze_is_permanent(hf_run):
 def test_piece_pairs_stay_disjoint(hf_run):
     run = hf_run.run
     log = hf_run.kernel.log
-    r_nodes = [st for st in run.nodes.values() if st.kind == "r" and st.r_committed]
+    r_nodes = [st for st in run.nodes.values() if st.kind == "r" and st.r_sorted]
     assert r_nodes
     for state in r_nodes[:4]:
         for s in (STAGES // 4, STAGES - 1):
             assert not log.members_at(state.r_index, s) & log.members_at(state.rt_index, s)
-        assert state.r_committed & state.rt_committed == set()
+        assert set(state.r_sorted) & state.rt_committed == set()
 
 
 def test_window_gate_hides_no_dump(monkeypatch):

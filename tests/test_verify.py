@@ -507,6 +507,40 @@ def test_tree_tamper_table(hf_depth_9):
             for name, n in row.items() if n < 5} == TREE_MISSES
 
 
+# Tampers of the hf depth-9 trace that the tree replay misses: each still
+# verifies ok, and stays a row here until the check that catches it lands,
+# when its row moves out.  A dropped pull: the replay checks each pull it
+# reads but derives none, so a missing one shows only where a later record
+# leans on it (ROADMAP item 2 (c)).  An event inserted at a free stage,
+# kernel stage 3002, into a set outside A: the replay checks A's events
+# against the dump records and trusts every other index's (item 17).
+TREE_EXPECTED_MISSES = {
+    "drop the pull at s 301 on 1000": ("pull", 301, "1000", (140, 299)),
+    "drop the pull at s 302 on 100000000": ("pull", 302, "100000000", (102, 299)),
+    "event into the feeder, W_1": ("event", 1),
+    "event into W_3, a spectrum set": ("event", 3),
+    "event into W_73, the piece R_1": ("event", 73),
+    "event into W_2, a machine set": ("event", 2),
+}
+
+
+@pytest.mark.parametrize("miss", TREE_EXPECTED_MISSES)
+def test_tree_expected_misses(hf_depth_9, miss):
+    log, decisions = hf_depth_9
+    kind, *where = TREE_EXPECTED_MISSES[miss]
+    if kind == "pull":
+        stage, node, pair = where
+        at = next(n for n, r in enumerate(decisions) if r["op"] == "pull" and
+                  r["node"] == node and last_f(decisions, n)["s"] == stage)
+        assert (decisions[at]["x0"], decisions[at]["x1"]) == pair
+        trace = merge_for_file(log, decisions[:at] + decisions[at + 1:])
+    else:
+        events = list(log.events())
+        assert 3002 not in {stage for stage, _, _ in events}
+        trace = merge_for_file(scripted(sorted(events + [(3002, where[0], 10**6)])), decisions)
+    assert replay_check(trace)["ok"]
+
+
 def test_extra_dump_tamper_table():
     texts = corpus.load_corpus(Path(__file__).parent / "data" / "diagonalize_seed102.txt")
     result = diagonalize(PROCEDURES["hf"], 20_000, depth=25, corpus_texts=texts)
@@ -1088,7 +1122,7 @@ def test_complement_witness_spec_shapes():
 # -- verdicts on hand-built logs ---------------------------------------------
 
 A, H0, H1, W = 20, 21, 22, 3  # A, the candidate's halves, one W_j with j < 16
-QUIET = [(0, 0, ""), (1, 85, "0"), (2, 90, "01"), (3, 95, "1")]  # 1 positive of 3
+QUIET = [(0, ""), (85, "0"), (90, "01"), (95, "1")]  # 1 positive of 3
 
 
 def test_verdict_split_violation():
@@ -1117,11 +1151,11 @@ def test_verdict_positive_endpoint():
     log = scripted([])
     # the tail is the tree stages polled at kernel stage 80 or later, and
     # the positive endpoint "01" at kernel stage 50 is outside it
-    history = [(0, 0, ""), (1, 50, "01"), (2, 85, "01"), (3, 90, "00101"), (4, 95, "0")]
+    history = [(0, ""), (50, "01"), (85, "01"), (90, "00101"), (95, "0")]
     assert verdict_at(log, A, H0, H1, history, 100, 0) == Verdict(
         2, "positive-endpoint", {"fraction": 2 / 3})
     # the stage-0 entry is never in the tail
-    assert verdict_at(log, A, H0, H1, [(0, 0, ""), (1, 0, "01")], 1, 0) == Verdict(
+    assert verdict_at(log, A, H0, H1, [(0, ""), (0, "01")], 1, 0) == Verdict(
         2, "positive-endpoint", {"fraction": 1.0})
 
 
@@ -1134,4 +1168,4 @@ def test_verdict_friedberg_like():
             {"j": W, "swallowed_total": 1, "swallowed_recent": 0,
              "side_swallowed_recent": (0, 0), "signature_side": None},
         ]})
-    assert verdict_at(log, A, H0, H1, [(0, 0, "")], 100, 0).kind == 3
+    assert verdict_at(log, A, H0, H1, [(0, "")], 100, 0).kind == 3
