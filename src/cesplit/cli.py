@@ -1,13 +1,14 @@
 """Command-line workbench: run constructions, emit traces, verify them.
 
-Exit codes: 0 success, 1 invariant violation or failed verification,
-2 usage errors: argparse's, among them a --depth that is not a
-non-negative perfect square, a negative count, size or set index, and a
---jobs below 1; a --proc, --corpus or --trace that names nothing usable, or
-an output path (--trace, --out) in no directory, refused before the first
-stage runs; and --a-index or --subset-scenario on a friedberg split; each
-with one line on stderr.  Identical invocations produce byte-identical traces; there is no
-configuration outside the flags.
+Exit codes: 0 success, 1 invariant violation or failed verification, 2 usage
+errors: argparse's, among them a --depth that is not a non-negative perfect
+square, a negative count, size or set index, and a --jobs below 1; a --proc,
+--corpus or --trace that names nothing usable (a plugin that fails to load, or
+a candidate that fails or answers no two set indices), or an output path
+(--trace, --out) in no directory, refused before the first stage runs;
+--a-index or --subset-scenario on a friedberg split, and --corpus or --a-index
+on witness build31; each with one line on stderr.  Identical invocations
+produce byte-identical traces; there is no configuration outside the flags.
 """
 
 from __future__ import annotations
@@ -108,6 +109,9 @@ def cmd_split(args) -> int:
 
 def cmd_witness(args) -> int:
     if args.flavour == "build31":
+        for flag, given in (("--corpus", args.corpus), ("--a-index", args.a_index is not None)):
+            if given:
+                raise _UsageError(f"{flag} applies to shav only: build31 runs its own corpus")
         bundle = run_parity_witness(corpus_mod.WITNESS, args.stages)
         log = bundle.kernel.log
         last = args.stages - 1
@@ -164,7 +168,10 @@ def _resolve_proc(spec: str):
     except (OSError, SyntaxError, ValueError) as err:
         raise _UsageError(f"--proc: cannot load plugin: {err}") from None
     scope: dict = {}
-    exec(code, scope)
+    try:
+        exec(code, scope)
+    except Exception as err:
+        raise _UsageError(f"--proc: plugin {path} failed to load: {err!r}") from None
     if not callable(scope.get("procedure")):
         raise _UsageError(f"--proc: plugin {path} does not define procedure(kernel, e)")
     return scope["procedure"]
@@ -198,9 +205,10 @@ _jobs_flag = _at_least(1, "a worker count")
 
 
 def _run_one_diagonalize(proc_name, proc, texts, args):
-    result = diagonalize(
-        proc, args.stages, args.depth, texts, collect_trace=bool(args.trace)
-    )
+    try:  # the run refuses a candidate before stage zero
+        result = diagonalize(proc, args.stages, args.depth, texts, collect_trace=bool(args.trace))
+    except TreeError as err:
+        raise _UsageError(f"--proc: {proc_name}: {err}") from None
     report = structural_report(result.run)
     if args.trace:
         path = args.trace.replace("{proc}", proc_name)

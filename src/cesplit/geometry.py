@@ -198,7 +198,6 @@ class Question:
     j: int
     base: str  # delta for R-questions, beta for T-questions
     b: int = 0  # which half of h's answer a T-question consults
-    k: int = 0
 
 
 def question_at(node: str) -> Question:
@@ -219,7 +218,7 @@ def question_at(node: str) -> Question:
     k = r // 2 + 1
     if not 1 <= k <= j:
         raise TreeError(f"no question reachable at depth {d}")
-    return Question("T", j, node[: k * k], b, k)
+    return Question("T", j, node[: k * k], b)
 
 
 # -- marker states and the least original dump --------------------------------

@@ -202,10 +202,6 @@ class HKResult:
     trace: list
     splitter: HKSplitter
 
-    @property
-    def warnings(self):
-        return self.splitter.warnings
-
 
 def install_hk(kernel: Kernel, b: int, a: int, y_over: dict = None,
                z_over: dict = None) -> HKSplitter:

@@ -89,14 +89,14 @@ _SHAPES = {
     "f": _shape("f", s="int", ks="int", node="address"),
     "left": _shape("left", **{"from": "address"}, balls="ints"),
     "pull": _shape("pull", ks="int", node="address", req="int", x0="int", x1="int", mid="ints"),
-    "dump-orig": _shape("dump-orig", ks="int", node="address", e="int", i="int", balls="ints"),
-    "dump-extra": _shape("dump-extra", ks="int", node="address", idx="int", x="int"),
+    "dump-orig": _shape("dump-orig", ks="int", node="address", e="int", i="int"),
+    "dump-extra": _shape("dump-extra", ks="int", node="address", idx="int"),
     # by the record's kind
     "meta": {
         "friedberg": _shape("meta", a="int", a0="int", a1="int"),
         "hk": _shape("meta", b="int", a="int", b0="int", b1="int", y_over="pairs",
                      z_over="pairs"),
-        "tree": _shape("meta", e_a="int", e0="int", e1="int", depth="int", feeder="int"),
+        "tree": _shape("meta", e_a="int", e0="int", e1="int", depth="int"),
     },
 }
 # '{"e":%d,"op":"event","s":%d,"x":%d}\n', filled from a tuple in key order

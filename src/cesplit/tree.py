@@ -191,7 +191,15 @@ class TreeRun:
         )
 
         # the candidate procedure is consulted once, before stage zero
-        self.e0, self.e1 = proc(kernel, self.e_a)
+        try:
+            halves = proc(kernel, self.e_a)
+        except Exception as err:
+            raise TreeError(f"the candidate procedure failed: {err!r}") from err
+        if not (type(halves) in (tuple, list) and len(halves) == 2
+                and all(type(e) is int and e >= 0 for e in halves)):
+            raise TreeError("the candidate procedure must return two non-negative set "
+                            f"indices, not {halves!r:.60}")
+        self.e0, self.e1 = halves
 
         self.tree_stage = 0
         self.history: list = [(0, ROOT)]  # (kernel stage, f), one per tree stage in order
@@ -208,12 +216,8 @@ class TreeRun:
         self.tmeasures_by_index: dict[int, list] = {}  # by j_index and by eb_index
         self._cursor = 0
         self._make_node(ROOT)
-        self._emit_record(
-            {
-                "op": "meta", "kind": "tree", "e_a": self.e_a, "e0": self.e0,
-                "e1": self.e1, "depth": self.depth, "feeder": self.feeder_index,
-            }
-        )
+        self._emit_record({"op": "meta", "kind": "tree", "e_a": self.e_a, "e0": self.e0,
+                           "e1": self.e1, "depth": self.depth})
         self._emit_record({"op": "f", "s": 0, "ks": 0, "node": ROOT})
 
     # -- plumbing ---------------------------------------------------------
@@ -290,10 +294,8 @@ class TreeRun:
         got = dstate.measures.get(j)
         if got is not None:
             return got
-        # the root's W_1 is the feeder; other questions read W_j directly
-        root = dstate.address == ROOT
-        m = dstate.measures[j] = _Measure(self.feeder_index if root and j == 1 else j,
-                                          None if root else dstate)
+        # every question reads W_j directly; the root's W_1 is the feeder
+        m = dstate.measures[j] = _Measure(j, None if dstate.address == ROOT else dstate)
         self.measures_by_index.setdefault(m.j_index, []).append(m)
         # replay history: members of W_j already logged
         log = self.kernel.log
@@ -577,10 +579,8 @@ class TreeRun:
             return
         state.stage_bound = True
         e, i = found
-        dumped = state.live_markers[e:i]
-        self._emit_record({"op": "dump-orig", "ks": ks, "node": state.address,
-                           "e": e, "i": i, "balls": dumped})
-        for x in dumped:
+        self._emit_record({"op": "dump-orig", "ks": ks, "node": state.address, "e": e, "i": i})
+        for x in state.live_markers[e:i]:
             self._dump_to_a(x)
         state.needs_scan = True  # more states may now be raisable
 
@@ -600,10 +600,9 @@ class TreeRun:
             stage, floor = target.moved
             if stage == st and floor <= t:
                 continue  # this stage's movement already did the job
-            x = target.live_markers[t]
             self._emit_record({"op": "dump-extra", "ks": self.history[-1][0],
-                               "node": target.address, "idx": t, "x": x})
-            self._dump_to_a(x)
+                               "node": target.address, "idx": t})
+            self._dump_to_a(target.live_markers[t])
 
     # -- stage driver -----------------------------------------------------------
 

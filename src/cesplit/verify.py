@@ -324,7 +324,7 @@ def probe_friedberg(log: EventLog, a: int, a0: int, a1: int, S: int,
 # -- tree trace replay -------------------------------------------------------
 
 
-def replay_tree(trace: Trace, depth: int, feeder: int, e_a: int) -> list[Divergence]:
+def replay_tree(trace: Trace, depth: int, e_a: int) -> list[Divergence]:
     """Re-derive the legality of every traced tree decision.
 
     Positions, piece commitments, request ledgers and marker tables are
@@ -349,7 +349,11 @@ def replay_tree(trace: Trace, depth: int, feeder: int, e_a: int) -> list[Diverge
     each ``f`` record, the balls that entered A before its ``ks`` must be
     exactly those the dump records above it dumped, since the run advances
     only once its emissions have drained, and after the last record every
-    ball of A must have been dumped (``a-ledger``, naming the ball).  Two
+    ball of A must have been dumped (``a-ledger``, naming the ball).  A dump
+    record names no ball: it dumps the replay's own live markers at ``e:i``
+    or ``idx``, and ``a-ledger`` is the one check of the balls in A.  A
+    ``pull`` at an R-node ending in 1 takes members of W_j, j the square
+    root of its depth; W_1 is the feeder (``pull-gate``).  Two
     things are trusted rather than re-derived: the address rules, marker
     states and least-dump rule of ``geometry``, which the construction uses
     too (a ``dump-orig`` is checked against the states
@@ -358,10 +362,10 @@ def replay_tree(trace: Trace, depth: int, feeder: int, e_a: int) -> list[Diverge
     (re-deriving them would be a second full simulation), so ``f`` records
     are checked for the shape of their endpoint only.  This is the only check of f's shape (``endpoint-kind``,
     ``endpoint-length``): the construction's walk cannot end anywhere else,
-    so it checks none.  ``depth``, ``feeder`` and ``e_a`` are the meta
-    record's.  Every record fits its row of the record schema
-    (``trace.read_trace``) and holds no address longer than ``depth``
-    (``replay_check``), so fields are read with no defensive code.
+    so it checks none.  ``depth`` and ``e_a`` are the meta record's.  Every
+    record fits its row of the record schema (``trace.read_trace``) and
+    holds no address longer than ``depth`` (``replay_check``), so fields are
+    read with no defensive code.
     """
     log = trace.log
 
@@ -394,6 +398,15 @@ def replay_tree(trace: Trace, depth: int, feeder: int, e_a: int) -> list[Diverge
             if not log.member_by(e_a, x, ks - 1):
                 fail(line, "a-ledger", x, f"in A's log before kernel stage {ks}")
         fresh.clear()
+
+    def dump(balls):
+        # the balls leave the machine and every marker table for A
+        fresh.extend(balls)
+        dumped.update(balls)
+        for x in balls:
+            positions.pop(x, None)
+            for table in markers.values():
+                sorted_discard(table, x)
 
     for line, rec in trace.numbered():
         op = rec["op"]
@@ -461,10 +474,9 @@ def replay_tree(trace: Trace, depth: int, feeder: int, e_a: int) -> list[Diverge
                     fail(line, "pull-fresh", x, "uncommitted at the node")
             if is_r_node(node) and node.endswith("1"):
                 j = isqrt(len(node))
-                j_idx = feeder if j == 1 else j
                 for x in (x0, x1):
-                    if not log.member_by(j_idx, x, kstage - 1):
-                        fail(line, "pull-gate", x, f"member of W_{j_idx}")
+                    if not log.member_by(j, x, kstage - 1):
+                        fail(line, "pull-gate", x, f"member of W_{j}")
             for x in (x0, x1):
                 positions[x] = node
             if is_r_node(node):
@@ -491,21 +503,10 @@ def replay_tree(trace: Trace, depth: int, feeder: int, e_a: int) -> list[Diverge
             if not (0 <= e < i <= len(live)):
                 fail(line, "dump-bounds", (e, i), f"within {len(live)} markers")
                 continue
-            if rec["balls"] != live[e:i]:
-                fail(line, "dump-balls", rec["balls"], live[e:i])
             found = least_dump(marker_states(log, live[:MARKER_WINDOW], kstage - 1), stage)
             if found != (e, i):
                 fail(line, "dump-least", (e, i), found)
-            balls = live[e:i]
-            fresh += balls
-            for x in balls:
-                dumped.add(x)
-                positions.pop(x, None)
-            del live[e:i]
-            for other, table in markers.items():
-                if other != node:
-                    for x in balls:
-                        sorted_discard(table, x)
+            dump(live[e:i])
             continue
         if op == "dump-extra":
             node = rec["node"]  # the dumping node gamma is the stage's f
@@ -519,20 +520,13 @@ def replay_tree(trace: Trace, depth: int, feeder: int, e_a: int) -> list[Diverge
             # dumped piece's node, and only the paper's dumping rule can
             # say which of the two is meant
             want_t = max(len(f), passes.of(f))
-            if rec["idx"] != want_t:
-                fail(line, "extra-index", rec["idx"], want_t)
-            live = markers.get(node, [])
-            if 0 <= rec["idx"] < len(live):
-                if rec["x"] != live[rec["idx"]]:
-                    fail(line, "extra-ball", rec["x"], live[rec["idx"]])
-                x = rec["x"]
-                fresh.append(x)
-                dumped.add(x)
-                positions.pop(x, None)
-                for table in markers.values():
-                    sorted_discard(table, x)
+            idx, live = rec["idx"], markers.get(node, [])
+            if idx != want_t:
+                fail(line, "extra-index", idx, want_t)
+            if 0 <= idx < len(live):
+                dump(live[idx:idx + 1])
             else:
-                fail(line, "extra-exists", rec["idx"], f"< {len(live)} markers")
+                fail(line, "extra-exists", idx, f"< {len(live)} markers")
     fresh.clear()  # the last stage's dumps may still wait in the kernel's queue
     check_a(trace.end, log.last_stage + 1)
     return out
@@ -608,7 +602,7 @@ def replay_check(trace: Trace, kind: str = "replay") -> dict:
             dict(meta["y_over"]), dict(meta["z_over"]),
         )
     else:
-        divergences = replay_tree(trace, depth, meta["feeder"], meta["e_a"])
+        divergences = replay_tree(trace, depth, meta["e_a"])
     return {
         "ok": not divergences,
         "kind": flavour if kind == "replay" else kind,

@@ -130,6 +130,13 @@ def test_witness_build31_summary():
     assert payload["live_complements"]["k_rbar"] == []
 
 
+@pytest.mark.parametrize("flag", ["--corpus", "--a-index"])
+def test_witness_build31_shav_flag_is_usage_error(tmp_path, flag):
+    # build31 runs its own corpus and picks its own sets; it once ignored both
+    value = str(tmp_path / "missing.txt") if flag == "--corpus" else "4"
+    assert_usage_line(invoke("witness", "build31", "--stages", "100", flag, value), flag)
+
+
 def test_witness_shav_split_halves():
     proc = invoke("witness", "shav", "--w", "0", "--y", "2", "--a-index", "4",
                   "--stages", "5000")
@@ -162,9 +169,15 @@ def test_verify_suite_is_replay_or_split(tmp_path):
 
 PLUGINS = {
     "plugin-without-procedure": "def other(kernel, e):\n    return (e, e)\n",
-    # these two used to end in a traceback
+    # each of these used to end in a traceback, or ran and wrote a trace that
+    # its own verify rejects: a candidate must answer two non-negative indices
     "plugin-not-compiling": "def procedure(kernel, e:\n",
     "plugin-procedure-not-callable": "procedure = 5\n",
+    "plugin-import-failing": "import no_such_module\n\ndef procedure(kernel, e):\n    return (e, e)\n",
+    "plugin-procedure-failing": "def procedure(kernel, e):\n    return 1 // 0\n",
+    "plugin-answer-int": "def procedure(kernel, e):\n    return 7\n",
+    "plugin-answer-texts": "def procedure(kernel, e):\n    return ('a', 'b')\n",
+    "plugin-answer-negative": "def procedure(kernel, e):\n    return (e, -1)\n",
 }
 
 
@@ -174,8 +187,11 @@ def test_diagonalize_bad_proc_is_usage_error(tmp_path, spec):
     if spec in PLUGINS:
         plugin.write_text(PLUGINS[spec])
     proc_arg = "nosuch" if spec == "unknown" else f"plugin:{plugin}"
-    proc = invoke("diagonalize", "--stages", "100", "--depth", "9", "--proc", proc_arg)
+    trace = tmp_path / "trace.jsonl"
+    proc = invoke("diagonalize", "--stages", "100", "--depth", "9", "--proc", proc_arg,
+                  "--trace", str(trace))
     assert_usage_line(proc, "--proc")
+    assert not trace.exists()  # no run got as far as its trace
 
 
 @pytest.mark.parametrize("command", [
@@ -682,7 +698,7 @@ def test_verify_dump_below_stage_bound_is_not_least(tmp_path, forge, count):
     assert (first["line"], first["field"]) == (at + step + 1, "kernel-stage")
 
 
-@pytest.mark.parametrize("field", ["depth", "feeder"])
+@pytest.mark.parametrize("field", ["depth", "e_a"])
 def test_verify_tree_meta_non_integer_reports_meta_line(tmp_path, field):
     _verify_rejects_bent(_tree_trace, tmp_path, "meta", field, "x" if field == "depth" else [1])
 
@@ -699,14 +715,16 @@ def test_verify_tree_meta_non_integer_reports_meta_line(tmp_path, field):
     (_tree_trace, "depth", 20, "split"),
     (_tree_trace, "depth", -1, "replay"),
     (_tree_trace, "depth", -1, "split"),
+    (_tree_trace, "feeder", 1, "replay"),
 ], ids=["friedberg-index-object", "hk-index-list", "friedberg-kind-object", "hk-kind-list",
         "hk-extra-key", "tree-depth-missing", "tree-kind-unknown", "tree-depth-20-replay",
-        "tree-depth-20-split", "tree-depth-negative-replay", "tree-depth-negative-split"])
+        "tree-depth-20-split", "tree-depth-negative-replay", "tree-depth-negative-split",
+        "tree-old-feeder"])
 def test_verify_meta_field_fault_reports_meta_line(tmp_path, traced, field, value, suite):
     # set indices must be integers, the kind a known one and no key
     # unknown, under either suite; a tree depth is a non-negative perfect
     # square, as --depth is (20 verified ok, and -1 was blamed on the first
-    # f record)
+    # f record); the old format's tree meta named the feeder, always W_1
     _verify_rejects_bent(traced, tmp_path, "meta", field, value, suite)
 
 

@@ -59,7 +59,7 @@ def chip_changes(history) -> dict:
     return dict(counts)
 
 
-TREE_PIN = "c7a378f82686da9f96014b6f00e244bea76770ee26b626f166e7be64414e3a53"
+TREE_PIN = "0c1cda88a55f16a22aaf03d65725fddcfec661b3a0e3310e679e360f93a5822d"
 FRIEDBERG_PIN = "38038f6f341cfb7e0097732e37cd00d7802b6128118d38120d4e39778ecc2518"
 SUBSET_PIN = "fd4a63cf2438a619b2f79cacc5ba455a0468ec63b7a7174360fbf7df34d90855"
 
@@ -81,10 +81,10 @@ DATA = Path(__file__).parent / "data"
 
 @pytest.mark.parametrize("seed, counts, digest, disputed", [
     (102, (1, 4525, 2147, 83, 150, 3),
-     "d12ea05d848a15c447822a3345f5316df34ca9463fe13b37c3d55bf45e9ccb89",
+     "02f25aff62d0cfa9125cf77cbfff300d6aba65bf29515052e6c107fb5efbb763",
      [(19, 2768, 20781), (20, 3048, 20786)]),
     (148, (1, 4514, 2142, 82, 150, 2),
-     "a9cd336a231ba5b457bec7a90aed98921607424fe56611d57a268a070ff93da8",
+     "70589e483d6ddec98e76a4aa8b6d4fbc55acae77558cb643f30d0dedc9ae53f2",
      [(7, 2810, 20533), (8, 2811, 20537)]),
 ], ids=["102", "148"])
 def test_extra_dump_trace_pinned(tmp_path, seed, counts, digest, disputed):
@@ -106,11 +106,11 @@ def test_extra_dump_trace_pinned(tmp_path, seed, counts, digest, disputed):
 
 @pytest.mark.parametrize("proc, counts, chips, digest", [
     ("hf", (1, 6527, 3146, 84, 147, 0), {"": 3379, "0" * 16: 1},
-     "f84d389227e0c44a26d03c85d8c3ff535917bd689fb40b0358ee0fc37a80b055"),
+     "1bdc511ff29efe0ba5e22080673669cf49450ad15039ce34ecf8068c42af7649"),
     ("trivial", (1, 6945, 3279, 131, 237, 0), {"": 3668, "0" * 16: 68, "10000000": 2},
-     "95e92c9b617d3e9b05dddc60c2d979b8e820c003e236de10864f5c22fc1b79b0"),
+     "6c5880a3a7e0fb5dab229693b6f7039150de8865e3a87a63d8fb4127710282c9"),
     ("broken", (1, 6945, 3279, 131, 237, 0), {"": 3668, "10000000": 2},
-     "b5d51da3fe77266674147ed240ba451caf9d59878edc0f1424902db779311939"),
+     "a735781a5f54e5fe3baaeca5296558894c55314fb437dd099d8b81e64301443a"),
 ], ids=["hf", "trivial", "broken"])
 def test_tree_trace_pinned_at_depth_25(tmp_path, proc, counts, chips, digest):
     result = diagonalize(PROCEDURES[proc], 30_000, depth=25)

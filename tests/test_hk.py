@@ -178,14 +178,14 @@ def test_subset_scenario_one_side_starves():
 
 def test_subset_scenario_no_containment_warning():
     r = run_subset_scenario(2_000)
-    assert r.warnings == []
+    assert r.splitter.warnings == []
 
 
 def test_containment_warning_when_a_escapes_b():
     # a = everything, b = evens: odd entrants of a violate a <= b stagewise
     with pytest.warns(UserWarning):
         r = run_hk(TEXTS, machine_index(2), machine_index(0), 3_000)
-    assert r.warnings
+    assert r.splitter.warnings
 
 
 def test_rigged_listing_helper():

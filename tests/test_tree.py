@@ -6,6 +6,7 @@ from cesplit import corpus
 from cesplit.geometry import (
     greatest_r_prefix, is_positive_a, least_dump, marker_states, node_kind, question_at, r_chain,
 )
+from cesplit.kernel import HostGenerator, Kernel, host_index
 from conftest import is_left_of
 from cesplit.tree import (
     TreeError,
@@ -55,7 +56,8 @@ def test_question_decode_matches_oracle(depth):
         assert got.kind == "R" and got.j == want[1] and len(got.base) == want[2]
     else:
         assert got.kind == "T" and got.j == want[1]
-        assert len(got.base) == want[2] and got.b == want[3] and got.k == want[4]
+        assert len(got.base) == want[2] and got.b == want[3]
+        assert len(got.base) == want[4] ** 2
 
 
 def test_question_examples():
@@ -123,6 +125,31 @@ def test_structural_report_clean(hf_run):
     assert report["problems"] == []
     assert report["partition_exceptions"] == 0
     assert report["dumped"] > 0
+
+
+def test_feeder_is_w_1(hf_run):
+    # the run owns slot 0, so its feeder is W_1 by construction, and the
+    # trace need not name it
+    assert hf_run.run.feeder_index == host_index(0) == 1
+
+
+def test_tree_run_refuses_a_kernel_whose_slot_0_is_taken():
+    kernel = Kernel(corpus.BASIC)
+    kernel.register_generator(HostGenerator(slot=0, pull=lambda stage: (), wake="timer"))
+    with pytest.raises(TreeError, match="slot 0"):
+        TreeRun(kernel, proc_trivial)
+
+
+@pytest.mark.parametrize("answer", [7, ("a", "b"), (1, -1), (1, 2, 3), (1, True)],
+                         ids=["int", "texts", "negative", "triple", "bool"])
+def test_tree_run_refuses_an_answer_of_no_two_set_indices(answer):
+    with pytest.raises(TreeError, match="two non-negative set indices"):
+        TreeRun(Kernel(corpus.BASIC), lambda kernel, e: answer)
+
+
+def test_tree_run_names_a_failing_candidate():
+    with pytest.raises(TreeError, match="ZeroDivisionError"):
+        TreeRun(Kernel(corpus.BASIC), lambda kernel, e: 1 // 0)
 
 
 def assert_f_endpoints_legal(trace, depth):
@@ -203,12 +230,14 @@ def test_pull_records_discipline(hf_run):
 
 
 def test_dumped_balls_reach_a(hf_run):
-    k = hf_run.kernel
-    dumped = [r for r in hf_run.trace if r["op"] == "dump-orig"]
-    assert dumped
-    a_members = k.w_at(hf_run.e_a, LAST)
-    sample = [x for r in dumped[:50] for x in r["balls"]]
-    assert set(sample) <= a_members
+    # a dump record names how many balls it dumps, i - e for a dump-orig and
+    # one for a dump-extra, and they enter A in record order
+    counts = [r["i"] - r["e"] if r["op"] == "dump-orig" else 1
+              for r in hf_run.trace if r["op"] in ("dump-orig", "dump-extra")]
+    assert len(counts) > 50
+    assert sum(counts) == len(hf_run.run.a_committed)
+    in_a = [x for _, x in hf_run.kernel.log.entries(hf_run.e_a)]
+    assert len(in_a) >= sum(counts[:50]) and set(in_a) <= hf_run.run.a_committed
 
 
 def test_patches_cover_casualties(hf_run):

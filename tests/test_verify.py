@@ -219,10 +219,9 @@ def test_replay_tree_negative_extra_index_names_no_marker(tmp_path, idx):
     result = diagonalize(proc_friedberg, 3000, depth=9)
     records = as_records(merge_for_file(result.kernel.log, result.trace))
     at = max(n for n, r in enumerate(records) if r["op"] == "f")
-    records.insert(at + 1, {"op": "dump-extra", "ks": records[at]["ks"], "node": "1", "idx": idx,
-                            "x": 0})
+    records.insert(at + 1, {"op": "dump-extra", "ks": records[at]["ks"], "node": "1", "idx": idx})
     fields = [f for line, f in found(tmp_path / "t.jsonl", records) if line == at + 2]
-    assert "extra-exists" in fields and "extra-ball" not in fields
+    assert "extra-exists" in fields
 
 
 def test_replay_tree_derives_the_voided_requests():
@@ -272,10 +271,9 @@ def test_replay_tree_extra_dump_check_grows_linearly():
     # dump-extra check once walked the whole f history, and the replay took
     # 0.57, 1.59 and 7.77 s for n = 1,000, 2,000 and 4,000 on a 2-core VM
     def seconds(n):
-        meta = {"op": "meta", "kind": "tree", "e_a": 1, "e0": 3, "e1": 5, "depth": 1,
-                "feeder": 7}
+        meta = {"op": "meta", "kind": "tree", "e_a": 1, "e0": 3, "e1": 5, "depth": 1}
         records = ([meta] + [{"op": "f", "s": s, "ks": s, "node": "0"} for s in range(n)]
-                   + [{"op": "dump-extra", "ks": n - 1, "node": "1", "idx": 0, "x": 0}] * n)
+                   + [{"op": "dump-extra", "ks": n - 1, "node": "1", "idx": 0}] * n)
         trace = merge_for_file(EventLog(), records)
         start = time.perf_counter()
         report = replay_check(trace)
@@ -297,7 +295,7 @@ def test_replay_check_rejects_an_address_past_the_depth_bound(op, name):
     result = diagonalize(proc_friedberg, 3000, depth=9)
     decisions = list(result.trace)
     if op == "dump-extra":  # the run writes none
-        decisions.append({"op": "dump-extra", "ks": 1, "node": "1", "idx": 0, "x": 0})
+        decisions.append({"op": "dump-extra", "ks": 1, "node": "1", "idx": 0})
     at = max(n for n, r in enumerate(decisions) if r["op"] == op)
     for bits, rejected in ((9, False), (10, True)):
         decisions[at] = dict(decisions[at], **{name: "0" * bits})
@@ -418,8 +416,8 @@ TREE_MISSES = {
 # holds two extra-index divergences, so a tamper is caught when the
 # divergences, lines aside, differ from those.  The two up misses swap a
 # dump-extra with the left record of its stage above it, which share no ball.
-EXTRA_TAMPERS = {"dump-extra": {"drop": 3, "duplicate": 3, "ks+1": 3, "idx+1": 3, "x+1": 3,
-                                "node+0": 3, "up": 1, "down": 3}}
+EXTRA_TAMPERS = {"dump-extra": {"drop": 3, "duplicate": 3, "ks+1": 3, "idx+1": 3, "node+0": 3,
+                                "up": 1, "down": 3}}
 
 # The routing replays, on the `routed` traces and the subset scenario at
 # 4,000 stages; "req[0]+1" and "triple[0]+1" raise the first element of the
@@ -469,14 +467,16 @@ def moved(decisions, n):
             yield name, swapped
 
 
-def tamper_table(log, decisions, ops, variants, caught=lambda report: not report["ok"]):
-    """{op: {name: caught count}} over five records per op, drawn by
-    random.Random(op), each replaced by every variant ``variants`` gives.
+def tamper_table(log, decisions, ops, variants, caught=lambda report: not report["ok"],
+                 drawn=lambda record: True):
+    """{op: {name: caught count}} over five records per op that ``drawn``
+    takes, drawn by random.Random(op), each replaced by every variant
+    ``variants`` gives.
     A variant that leaves the records as they were, a swap of two equal
     records, is no tamper: it is counted under "<name> unchanged"."""
     table = {}
     for op in ops:
-        at = [n for n, r in enumerate(decisions) if r["op"] == op]
+        at = [n for n, r in enumerate(decisions) if r["op"] == op and drawn(r)]
         for n in random.Random(op).sample(at, min(5, len(at))):
             for name, tampered_decisions in variants(decisions, n):
                 if tampered_decisions == decisions:
@@ -505,6 +505,24 @@ def test_tree_tamper_table(hf_depth_9):
     assert moves == TREE_MOVES
     assert {(op, name) for t in (table, moves) for op, row in t.items()
             for name, n in row.items() if n < 5} == TREE_MISSES
+
+
+# The tree trace's list fields, each with its first element raised by 1, on
+# five records per op whose list is not empty (the tampers above draw
+# records that may hold none).  Only four pulls of the trace list
+# bystanders.  Every tamper is caught, so none joins TREE_MISSES.
+TREE_LIST_TAMPERS = {"left": {"balls[0]+1": 5}, "pull": {"mid[0]+1": 4}}
+
+
+def test_tree_list_tamper_table(hf_depth_9):
+    table = {}
+    for op, name in (("left", "balls"), ("pull", "mid")):
+        raised = f"{name}[0]+1"
+        table.update(tamper_table(
+            *hf_depth_9, (op,),
+            lambda d, n: ((t, v) for t, v in tampered(d, n, (name,)) if t == raised),
+            drawn=lambda record: record[name]))
+    assert table == TREE_LIST_TAMPERS
 
 
 # Tampers of the hf depth-9 trace that the tree replay misses: each still
