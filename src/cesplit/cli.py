@@ -1,14 +1,14 @@
 """Command-line workbench: run constructions, emit traces, verify them.
 
 Exit codes: 0 success, 1 invariant violation or failed verification, 2 usage
-errors: argparse's, among them a --depth that is not a non-negative perfect
-square, a negative count, size or set index, and a --jobs below 1; a --proc,
---corpus or --trace that names nothing usable (a plugin that fails to load, or
-a candidate that fails or answers no two set indices), or an output path
-(--trace, --out) in no directory, refused before the first stage runs;
---a-index or --subset-scenario on a friedberg split, and --corpus or --a-index
-on witness build31; each with one line on stderr.  Identical invocations
-produce byte-identical traces; there is no configuration outside the flags.
+errors: argparse's, among them a flag its command does not take, --corpus with
+--corpus-size, a --depth that is not a non-negative perfect square, a negative
+count, size or set index, and a --jobs below 1; a --proc, --corpus or --trace
+that names nothing usable (a plugin that fails to load, or a candidate that
+fails or answers no two set indices), or an output path (--trace, --out) in no
+directory, refused before the first stage runs, each with one line on stderr.
+Identical invocations produce byte-identical traces; there is no configuration
+outside the flags.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from .hk import run_hk, run_subset_scenario
 from .kernel import Kernel
 from .setalg import check_split_history
 from .trace import TraceError, merge_for_file, read_trace, write_trace
-from .tree import PROCEDURES, diagonalize, iterate_splitting_procedures, structural_report
+from .tree import PROCEDURES, TreeRun, diagonalize, iterate_splitting_procedures, structural_report
 from .verify import complement_witnesses, probe_friedberg, replay_check, trailing_window
-from .witness import run_parity_witness
+from .witness import run_parity_witness, shav_split, shavrukov_pair
 
 
 class _UsageError(Exception):
@@ -75,20 +75,15 @@ def cmd_corpus(args) -> int:
 
 def cmd_split(args) -> int:
     friedberg = args.flavour == "friedberg"
-    for flag, given in (("--a-index", args.a_index is not None),
-                        ("--subset-scenario", args.subset_scenario)):
-        if friedberg and given:
-            raise _UsageError(f"{flag} applies to hk splits only")
     if args.trace:
         _check_output("--trace", args.trace)
-    texts = _load_corpus(args)
     if friedberg:
-        result = run_friedberg(texts, args.index, args.stages)
-    elif args.subset_scenario:
-        result = run_subset_scenario(args.stages)
-    else:
+        result = run_friedberg(_load_corpus(args), args.index, args.stages)
+    elif args.flavour == "hk":
         a_index = args.a_index if args.a_index is not None else args.index
-        result = run_hk(texts, args.index, a_index, args.stages)
+        result = run_hk(_load_corpus(args), args.index, a_index, args.stages)
+    else:
+        result = run_subset_scenario(args.stages)
     log, trace = result.kernel.log, result.trace
     split_input = result.a if friedberg else result.b
     halves = result.splitter.halves
@@ -107,36 +102,33 @@ def cmd_split(args) -> int:
     return 1 if violation else 0
 
 
-def cmd_witness(args) -> int:
-    if args.flavour == "build31":
-        for flag, given in (("--corpus", args.corpus), ("--a-index", args.a_index is not None)):
-            if given:
-                raise _UsageError(f"{flag} applies to shav only: build31 runs its own corpus")
-        bundle = run_parity_witness(corpus_mod.WITNESS, args.stages)
-        log = bundle.kernel.log
-        last = args.stages - 1
-        evidence = probe_friedberg(log, bundle.a, bundle.k_r, bundle.k_rbar, last, args.breadth)
-        flagged = [asdict(ev) for ev in evidence if ev.signature_side is not None]
-        live = {
-            side: [c.j for c in complement_witnesses(log, half, last, args.breadth)
-                   if c.status == "live"]
-            for side, half in (("k_r", bundle.k_r), ("k_rbar", bundle.k_rbar))
+def cmd_build31(args) -> int:
+    bundle = run_parity_witness(corpus_mod.WITNESS, args.stages)
+    log = bundle.kernel.log
+    last = args.stages - 1
+    evidence = probe_friedberg(log, bundle.a, bundle.k_r, bundle.k_rbar, last, args.breadth)
+    flagged = [asdict(ev) for ev in evidence if ev.signature_side is not None]
+    live = {
+        side: [c.j for c in complement_witnesses(log, half, last, args.breadth)
+               if c.status == "live"]
+        for side, half in (("k_r", bundle.k_r), ("k_rbar", bundle.k_rbar))
+    }
+    _emit(
+        {
+            "a": bundle.a,
+            "halves": (bundle.k_r, bundle.k_rbar),
+            "window": trailing_window(last),
+            "breadth": args.breadth,
+            "sizes": (len(log.members_at(bundle.k_r, last)),
+                      len(log.members_at(bundle.k_rbar, last))),
+            "non_friedberg_signatures": flagged,
+            "live_complements": live,
         }
-        _emit(
-            {
-                "a": bundle.a,
-                "halves": (bundle.k_r, bundle.k_rbar),
-                "window": trailing_window(last),
-                "breadth": args.breadth,
-                "sizes": (len(log.members_at(bundle.k_r, last)),
-                          len(log.members_at(bundle.k_rbar, last))),
-                "non_friedberg_signatures": flagged,
-                "live_complements": live,
-            }
-        )
-        return 0
-    from .witness import shav_split, shavrukov_pair
+    )
+    return 0
 
+
+def cmd_shav(args) -> int:
     kernel = Kernel(_load_corpus(args))
     x0, x1 = shavrukov_pair(kernel, args.w, args.y)
     halves = None
@@ -205,10 +197,7 @@ _jobs_flag = _at_least(1, "a worker count")
 
 
 def _run_one_diagonalize(proc_name, proc, texts, args):
-    try:  # the run refuses a candidate before stage zero
-        result = diagonalize(proc, args.stages, args.depth, texts, collect_trace=bool(args.trace))
-    except TreeError as err:
-        raise _UsageError(f"--proc: {proc_name}: {err}") from None
+    result = diagonalize(proc, args.stages, args.depth, texts, collect_trace=bool(args.trace))
     report = structural_report(result.run)
     if args.trace:
         path = args.trace.replace("{proc}", proc_name)
@@ -241,17 +230,20 @@ def cmd_diagonalize(args) -> int:
         for name in procs:
             _check_output("--trace", args.trace.replace("{proc}", name))
     texts = _load_corpus(args)
-    code = 0
+    for name in procs:
+        try:  # each candidate is consulted on a kernel of its own before any run
+            TreeRun(Kernel(texts), found[name], args.depth)
+        except TreeError as err:
+            raise _UsageError(f"--proc: {name}: {err}") from None
     if args.jobs > 1 and len(procs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for payload, rc in pool.map(_diag_worker, procs, repeat(texts), repeat(args)):
-                _emit(payload)
-                code = max(code, rc)
-        return code
-    for name in procs:
-        payload, rc = _run_one_diagonalize(name, found[name], texts, args)
+            runs = list(pool.map(_diag_worker, procs, repeat(texts), repeat(args)))
+    else:
+        runs = (_run_one_diagonalize(name, found[name], texts, args) for name in procs)
+    code = 0
+    for payload, rc in runs:
         _emit(payload)
         code = max(code, rc)
     return code
@@ -292,9 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--corpus", help="program corpus file (one program per line)")
-        p.add_argument("--corpus-size", type=_count_flag, default=32,
-                       help="size of the generated corpus when no file is given")
+        corpus = p.add_mutually_exclusive_group()
+        corpus.add_argument("--corpus", help="program corpus file (one program per line)")
+        corpus.add_argument("--corpus-size", type=_count_flag, default=32,
+                            help="size of the generated corpus")
 
     p = sub.add_parser("enumerate", help="list one set's members by a stage bound")
     common(p)
@@ -307,27 +300,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_corpus)
 
-    p = sub.add_parser("split", help="run a splitting construction")
-    common(p)
-    p.add_argument("flavour", choices=["friedberg", "hk"])
-    p.add_argument("--index", type=_index_flag, default=0, help="input set index")
-    p.add_argument("--a-index", type=_index_flag, default=None,
-                   help="the modulus set for hk splits (defaults to the input)")
-    p.add_argument("--subset-scenario", action="store_true",
-                   help="run the rigged listing with the input inside the modulus set")
-    p.add_argument("--stages", type=_count_flag, required=True)
-    p.add_argument("--trace")
-    p.set_defaults(func=cmd_split)
+    split = sub.add_parser("split", help="run a splitting construction")
+    flavours = split.add_subparsers(dest="flavour", required=True)
+    for flavour, about in (("friedberg", "Friedberg's split of one set"),
+                           ("hk", "the Herrmann-Kummer split of one set over a modulus set"),
+                           ("hk-subset", "the rigged hk listing: the input inside the modulus set")):
+        p = flavours.add_parser(flavour, help=about)
+        if flavour != "hk-subset":
+            common(p)
+            p.add_argument("--index", type=_index_flag, default=0, help="input set index")
+        if flavour == "hk":
+            p.add_argument("--a-index", type=_index_flag, default=None,
+                           help="the modulus set (defaults to the input)")
+        p.add_argument("--stages", type=_count_flag, required=True)
+        p.add_argument("--trace")
+        p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("witness", help="build witness constructions")
-    common(p)
-    p.add_argument("flavour", choices=["build31", "shav"])
+    witness = sub.add_parser("witness", help="build witness constructions")
+    flavours = witness.add_subparsers(dest="flavour", required=True)
+    p = flavours.add_parser("build31", help="the parity witness on its own corpus")
     p.add_argument("--stages", type=_count_flag, required=True)
     p.add_argument("--breadth", type=_count_flag, default=16)
+    p.set_defaults(func=cmd_build31)
+    p = flavours.add_parser("shav", help="Shavrukov's pair, split over --a-index if given")
+    common(p)
+    p.add_argument("--stages", type=_count_flag, required=True)
     p.add_argument("--w", type=_index_flag, default=0)
     p.add_argument("--y", type=_index_flag, default=2)
     p.add_argument("--a-index", type=_index_flag, default=None)
-    p.set_defaults(func=cmd_witness)
+    p.set_defaults(func=cmd_shav)
 
     p = sub.add_parser("diagonalize", help="run the tree construction against h")
     common(p)

@@ -533,15 +533,15 @@ class Kernel:
         self._nonempty, self._mtick = nonempty, tick
         return end
 
-    def _advance(self, stop: int) -> None:
-        """Step every stage from ``next_stage`` up to ``stop``.
+    def run_to(self, stage: int) -> None:
+        """Step every stage from ``next_stage`` strictly below ``stage``.
 
         Generators are polled only on the stages where something is due; a
         stage that releases from the FIFO is stepped on its own, and every
         other stretch of stages goes to the machine in one call.
         """
         pending, drainers, timers = self._pending, self._drainers, self._timers
-        stage = self._next_stage
+        stop, stage = stage, self._next_stage
         while stage < stop:
             if self._dirty_batch or (drainers and not pending) or (timers and timers[0][0] <= stage):
                 self._next_stage = stage
@@ -557,10 +557,6 @@ class Kernel:
                 end = timers[0][0]
             stage = self._machine_stretch(stage, end)
         self._next_stage = stage
-
-    def run_to(self, stage: int) -> None:
-        """Step every stage strictly below ``stage``."""
-        self._advance(stage)
 
     @property
     def backlog(self) -> int:

@@ -55,8 +55,8 @@ def check_split_history(
     def tagged(index):
         return ((t, index, x) for t, x in log.entries(index))
 
-    in_a: dict[int, int] = {}
-    routed: dict[int, int] = {}
+    in_a: set[int] = set()
+    routed: set[int] = set()
     waiting: deque[tuple[int, int]] = deque()  # (a-entry stage, element) FIFO
     for t, idx, x in merge(*map(tagged, {a, a0, a1})):
         if t > S:
@@ -71,15 +71,14 @@ def check_split_history(
             else:
                 break
         if idx == a:
-            in_a[x] = t
+            in_a.add(x)
             waiting.append((t, x))
         if idx == a0 or idx == a1:
-            side = 0 if idx == a0 else 1
             if x in routed:
                 return (t, "overlap", x)
             if x not in in_a:
                 return (t, "extra", x)
-            routed[x] = side
+            routed.add(x)
     for t_y, y in waiting:
         if y not in routed and t_y + settle <= S:
             return (t_y + settle, "missing", y)

@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 RUN = [sys.executable, "-m", "cesplit.cli"]
+DATA = Path(__file__).parent / "data"
 
 
 def invoke(*argv):
@@ -47,7 +49,27 @@ def assert_usage_line(proc, flag):
                          ids=["--a-index", "--subset-scenario"])
 def test_hk_flag_on_friedberg_split_is_usage_error(flag):
     # both used to exit 0 after a plain Friedberg split that ignored them
-    assert_usage_line(invoke("split", "friedberg", *flag, "--stages", "100"), flag[0])
+    assert_usage_error(invoke("split", "friedberg", *flag, "--stages", "100"), flag[0])
+
+
+@pytest.mark.parametrize("command, flag", [
+    (("witness", "build31", "--stages", "100"), ("--w", "5")),
+    (("witness", "build31", "--stages", "100"), ("--y", "7")),
+    (("witness", "build31", "--stages", "100"), ("--corpus-size", "3")),
+    (("witness", "shav", "--stages", "100"), ("--breadth", "5")),
+    (("split", "hk-subset", "--stages", "100"), ("--index", "5")),
+    (("split", "hk-subset", "--stages", "100"), ("--a-index", "5")),
+    (("split", "hk-subset", "--stages", "100"), ("--corpus-size", "3")),
+    (("enumerate", "--index", "0", "--stages", "10",
+      "--corpus", str(DATA / "enumerate_seed1.txt")), ("--corpus-size", "1")),
+    (("split", "hk", "--stages", "100"), ("--subset-scenario",)),
+], ids=["build31-w", "build31-y", "build31-corpus-size", "shav-breadth", "hk-subset-index",
+        "hk-subset-a-index", "hk-subset-corpus-size", "corpus-and-size", "hk-subset-scenario"])
+def test_flag_the_command_does_not_take_is_usage_error(command, flag):
+    # each exited 0, all but the last on a run that ignored the flag (the
+    # hk-subset cases as `split hk --subset-scenario`); the last ran the
+    # rigged listing, which is now the command `split hk-subset`
+    assert_usage_error(invoke(*command, *flag), flag[0])
 
 
 def test_split_trace_and_verify_round_trip(tmp_path):
@@ -134,7 +156,7 @@ def test_witness_build31_summary():
 def test_witness_build31_shav_flag_is_usage_error(tmp_path, flag):
     # build31 runs its own corpus and picks its own sets; it once ignored both
     value = str(tmp_path / "missing.txt") if flag == "--corpus" else "4"
-    assert_usage_line(invoke("witness", "build31", "--stages", "100", flag, value), flag)
+    assert_usage_error(invoke("witness", "build31", "--stages", "100", flag, value), flag)
 
 
 def test_witness_shav_split_halves():
@@ -148,7 +170,7 @@ def test_witness_shav_split_halves():
 
 def test_split_hk_subset_scenario(tmp_path):
     path = tmp_path / "hk.jsonl"
-    proc = invoke("split", "hk", "--subset-scenario", "--stages", "5000", "--trace", str(path))
+    proc = invoke("split", "hk-subset", "--stages", "5000", "--trace", str(path))
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert payload["routed"] and payload["violation"] is None
@@ -206,6 +228,21 @@ def test_output_in_missing_directory_is_usage_error(tmp_path, command):
     proc = invoke(*command, flag, str(tmp_path / "missing" / "out.jsonl"))
     assert_usage_line(proc, flag)
     assert not (tmp_path / "missing").exists()
+
+
+def test_diagonalize_refuses_every_candidate_before_any_run(tmp_path):
+    # the refused candidate second in the list: hf used to run to the end,
+    # print its payload and write its trace before the refusal
+    # (run in tmp_path, so that the plugin's name makes a file name)
+    (tmp_path / "plugin.py").write_text(PLUGINS["plugin-answer-int"])
+    src = os.pathsep.join([str(Path(__file__).parents[1] / "src"),
+                           os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(RUN + ["diagonalize", "--proc", "hf,plugin:plugin.py", "--stages",
+                                 "200", "--depth", "9", "--trace", "t-{proc}.jsonl"],
+                          capture_output=True, text=True, timeout=600, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert_usage_line(proc, "--proc")
+    assert not (tmp_path / "t-hf.jsonl").exists()
 
 
 def test_diagonalize_refuses_its_trace_path_before_running(tmp_path):
@@ -732,7 +769,7 @@ def test_verify_meta_field_fault_reports_meta_line(tmp_path, traced, field, valu
                          ids=["int", "short-pair", "list-key", "text-index"])
 def test_verify_hk_meta_bad_override_reports_meta_line(tmp_path, value):
     path = tmp_path / "hk.jsonl"
-    invoke("split", "hk", "--subset-scenario", "--stages", "500", "--trace", str(path))
+    invoke("split", "hk-subset", "--stages", "500", "--trace", str(path))
     lines = path.read_text().splitlines()
     at = next(i for i, line in enumerate(lines) if '"op":"meta"' in line)
     record = json.loads(lines[at])

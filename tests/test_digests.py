@@ -148,8 +148,8 @@ def test_friedberg_trace_pinned(tmp_path):
 
 
 def test_subset_scenario_trace_pinned(tmp_path):
-    # `cesplit split hk --subset-scenario --stages 4000 --trace`: its meta
-    # record carries the rigged listings
+    # `cesplit split hk-subset --stages 4000 --trace`: its meta record
+    # carries the rigged listings
     result = run_subset_scenario(4000)
     assert trace_sha256(tmp_path, result.kernel.log, result.trace) == SUBSET_PIN
 

@@ -15,8 +15,13 @@ attribute or through ``getattr`` or ``attrgetter``.
 
 And no module of the package touches another object's private state: a
 ``_name`` attribute is reached through ``self`` or ``cls`` alone.
+
+And no command of the CLI takes a flag it never reads: every option of a
+command's parser is read off ``args`` by the function the command runs, or
+by a function of ``cli`` that this one hands ``args`` to.
 """
 
+import argparse
 import ast
 from collections import Counter
 from pathlib import Path
@@ -153,3 +158,52 @@ def test_no_module_reaches_into_another_objects_private_state():
     found = [f"{path.name}: {reach}" for path in sorted(PACKAGE.glob("*.py"))
              for reach in private_reaches(ast.parse(path.read_text(encoding="utf-8")))]
     assert found == []
+
+
+def leaf_parsers(parser, words=()):
+    """Each command's parser, with the words that name it: a parser that
+    branches into flavours is no command itself."""
+    branches = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not branches:
+        yield words, parser
+    for action in branches:
+        for word, child in action.choices.items():
+            yield from leaf_parsers(child, words + (word,))
+
+
+def args_reads(functions, name):
+    """The fields of ``args`` that the function ``name`` reads, its lambdas
+    included, with those of every function of ``functions`` named in a call
+    that is handed ``args``."""
+    reads, todo, seen = set(), [name], set()
+    while todo:
+        node = functions.get(todo.pop())
+        if node is None or node.name in seen:
+            continue
+        seen.add(node.name)
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+                    and sub.value.id == "args"):
+                reads.add(sub.attr)
+            elif isinstance(sub, ast.Call) and any(
+                    isinstance(n, ast.Name) and n.id == "args"
+                    for arg in sub.args for n in ast.walk(arg)):
+                todo += [n.id for n in ast.walk(sub) if isinstance(n, ast.Name)]
+    return reads
+
+
+def test_no_command_takes_a_flag_it_never_reads():
+    from cesplit.cli import build_parser
+
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    commands = list(leaf_parsers(build_parser()))
+    assert len(commands) == 10
+    unread = {}
+    for words, parser in commands:
+        reads = args_reads(functions, parser.get_default("func").__name__)
+        options = {a.dest for a in parser._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)}
+        if options - reads:
+            unread[words] = sorted(options - reads)
+    assert unread == {}
