@@ -212,13 +212,11 @@ def question_at(node: str) -> Question:
     j = isqrt(d + 1)
     if j * j == d + 1 and j >= 2:
         return Question("R", j, node[: (j - 1) * (j - 1)])
+    # d + 1 is not (j + 1)**2, so r < 2 * j and 1 <= k <= j
     j = isqrt(d)
     r = d - j * j
-    b = r % 2
     k = r // 2 + 1
-    if not 1 <= k <= j:
-        raise TreeError(f"no question reachable at depth {d}")
-    return Question("T", j, node[: k * k], b)
+    return Question("T", j, node[: k * k], r % 2)
 
 
 # -- marker states and the least original dump --------------------------------

@@ -10,9 +10,10 @@ convention.
 Generators are polled only on the stages that can give them work, as their
 ``wake`` says: a generator that watches indices is polled when one of them
 releases an event or ``Kernel.wake`` asks for it; a timer source at the
-stages it books with ``Kernel.wake_at`` (a timer heap); a drain source on the
-stages that start with an empty FIFO.  Each stage polls the due sources
-first, in registration order, and then the woken generators, by slot.
+stages booked for it in a timer heap, by ``Kernel.wake_at`` one at a time or
+by ``Kernel.pace`` every ``pace`` stages; a drain source on the stages that
+start with an empty FIFO.  Each stage polls the due sources first, in
+registration order, and then the woken generators, by slot.
 
 ``run_to`` runs one loop, which pays per event rather than per stage.  It
 polls only on the stages where something is due: a drain source (on a
@@ -279,9 +280,9 @@ class HostGenerator:
 
     ``wake`` says on which stages the kernel polls it.  A tuple of indices:
     whenever one of them releases an event, and whenever ``Kernel.wake``
-    asks (``()``: only then).  ``"timer"``: the stages it books with
-    ``Kernel.wake_at``.  ``"drain"``: the stages that start with an empty
-    FIFO.  Timer and drain generators are the sources.
+    asks (``()``: only then).  ``"timer"``: the stages booked for it with
+    ``Kernel.wake_at`` or ``Kernel.pace``.  ``"drain"``: the stages that
+    start with an empty FIFO.  Timer and drain generators are the sources.
     """
 
     slot: int
@@ -295,6 +296,7 @@ class _GenEntry:
     index: int
     order: int  # registration order: sources due in one stage are polled in it
     dirty: bool = True
+    pace: int = 0  # a paced source's stages apart; 0 when it is not paced
 
 
 _ORDER = attrgetter("order")
@@ -369,8 +371,8 @@ class Kernel:
         ``slot_base`` and half 1 the next free one, so half 0 is polled
         first: its pull runs ``step(stage)`` (unless ``step`` is None), which
         may append to either list, and drains list 0; half 1's pull drains
-        list 1.  Both halves share ``wake``; the construction books each timer
-        half's polls itself.
+        list 1.  Both halves share ``wake``; timer halves are polled at the
+        stages ``Kernel.pace`` or ``Kernel.wake_at`` books for each.
         """
         outs: tuple[list, list] = ([], [])
 
@@ -424,6 +426,16 @@ class Kernel:
             raise KernelError(f"wake at stage {stage}, which is not still to come")
         heappush(self._timers, (stage, entry.order, index))
 
+    def pace(self, index: int, pace: int, phase: int = 0) -> None:
+        """Poll a timer source at every stage congruent to ``phase`` mod
+        ``pace`` from ``next_stage`` on; the kernel books each next poll as it
+        makes one, so a ``wake`` in between moves none of them."""
+        if pace < 1:
+            raise KernelError(f"pace {pace} is not positive")
+        start = self._next_stage
+        self.wake_at(index, start + (phase - start) % pace)
+        self._entries[index].pace = pace
+
     def _poll_one(self, entry: _GenEntry, stage: int) -> None:
         entry.dirty = False
         pending = self._pending
@@ -444,6 +456,8 @@ class Kernel:
                 entry = self._entries[heappop(timers)[2]]
                 if entry not in due:
                     due.append(entry)
+                    if entry.pace:
+                        heappush(timers, (stage + entry.pace, entry.order, entry.index))
             due.sort(key=_ORDER)
         return due
 

@@ -56,6 +56,7 @@ from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from heapq import heapify, heappop, heappush
+from itertools import count
 from math import isqrt
 from operator import attrgetter, itemgetter
 from typing import Callable, Optional
@@ -225,20 +226,10 @@ class TreeRun:
     def _paced_source(self, slot: int, pace: int, phase: int, member) -> int:
         """Register a set that enumerates its members in increasing order,
         one at each stage congruent to ``phase`` mod ``pace``; its index."""
-        kernel = self.kernel
-        n = 0
-
-        def pull(stage):
-            nonlocal n
-            while not member(n):
-                n += 1
-            n += 1
-            kernel.wake_at(index, stage + pace)
-            return [n - 1]
-
-        index = kernel.register_generator(HostGenerator(slot=slot, pull=pull, wake="timer"))
-        start = kernel.next_stage
-        kernel.wake_at(index, start + (phase - start) % pace)
+        members = filter(member, count())
+        index = self.kernel.register_generator(
+            HostGenerator(slot=slot, pull=lambda stage: [next(members)], wake="timer"))
+        self.kernel.pace(index, pace, phase)
         return index
 
     def _emit_record(self, record: dict) -> None:
@@ -440,9 +431,9 @@ class TreeRun:
                 return
 
     def _pullable(self, state: _NodeState, x: int) -> bool:
-        """Whether the node may pull ball x.  A no is permanent: x is at most the node's
-        depth, in its pieces, or off the machine (a ball dumped into A never comes
-        back), left of the node or below it."""
+        """Whether the node may pull ball x.  A no is permanent when x is at most the
+        node's depth, in its pieces, dumped into A (it never comes back), left of the
+        node or below it; not when x is a ball that has not entered yet."""
         if x <= len(state.address):
             return False
         if state.kind == "r" and (sorted_has(state.r_sorted, x) or x in state.rt_committed):
@@ -450,7 +441,7 @@ class TreeRun:
         return can_pull(state.address, self.positions.get(x))
 
     def _try_pull_at(self, state: _NodeState) -> bool:
-        # pop candidates in value order; every rejection is permanent
+        # pop candidates in value order, dropping each rejected one (see _pullable)
         heap = state.cand_heap
         picked: list = []
         while heap and len(picked) < 2:

@@ -10,8 +10,9 @@ The tree replay is the one exception by design: it shares ``geometry`` with
 the construction, the trusted base of tree address rules (node kinds,
 questions, the left order, pull eligibility, left targets, requesting
 prefixes, left passes, marker states and the least-dump rule), and it
-trusts the traced chip counters instead of re-deriving them.  Its clock
-is the ``f`` records, one per tree stage.
+trusts the endpoint of each ``f`` record, checking only its shape, where
+re-deriving it would take the chip counters of a second simulation.  Its
+clock is the ``f`` records, one per tree stage.
 ``replay_check`` runs one of two suites over a ``trace.Trace``: "replay"
 dispatches on the meta record, "split" checks only the split discipline;
 both reject a second meta record and any op its construction never writes.
@@ -67,7 +68,9 @@ def _replay_routes(trace: Trace, input_idx: int, halves: tuple[int, int], op: st
     ball or stage.  ``want(x, stage)`` gives the side and the fields of the
     record for ball ``x`` entering at ``stage``; the ball must surface in
     that half after ``stage``, and not in the other.  A missing record is
-    named by the line after the last record.
+    named by the line after the last record.  Only an entrant that some
+    later event follows is owed a record: a splitter routes an entrant on a
+    later stage, so one at the log's last stage may not be routed yet.
     """
     log = trace.log
     numbered = [(line, r) for line, r in trace.numbered() if r["op"] == op]
@@ -85,7 +88,7 @@ def _replay_routes(trace: Trace, input_idx: int, halves: tuple[int, int], op: st
         if log.entry_stage(halves[1 - side], x) is not None:
             out.append(Divergence(line, "landing", f"also in half {1 - side}", None))
     unrecorded = next(entrants, None)
-    if unrecorded is not None:
+    if unrecorded is not None and unrecorded[0] < log.last_stage:
         out.append(Divergence(trace.end, "missing-record", None, {"x": unrecorded[1]}))
     for line, record in numbered[log.count(input_idx):]:
         out.append(Divergence(line, "extra-record", record, None))

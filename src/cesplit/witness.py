@@ -91,10 +91,12 @@ class _DiagonalImageBrain:
 def build_split_witness(kernel: Kernel, pair: ComputablePair) -> WitnessBundle:
     """Register K_R, K_R-bar and their union A on the kernel."""
     # the diagonal {e : e in W_e} reads every index, so no watch tuple
-    # covers it: the pair is polled on every stage; the brain routes into
+    # covers it: the pair is paced to every stage; the brain routes into
     # the pair's outputs and is bound before any poll
-    (k_r, k_rbar), outs = _paced_pair(kernel, lambda stage: brain.pump(), 1)
+    (k_r, k_rbar), outs = kernel.register_pair(lambda stage: brain.pump(), wake="timer")
     brain = _DiagonalImageBrain(kernel, pair, outs)
+    for half in (k_r, k_rbar):
+        kernel.pace(half, 1)
     union = _UnionEcho(kernel, (k_r, k_rbar))
     a = kernel.register_generator(HostGenerator(
         slot=kernel.free_slot(), pull=lambda stage: union.fresh(), wake=(k_r, k_rbar)
@@ -115,22 +117,6 @@ class _UnionEcho:
         return out
 
 
-def _paced_pair(kernel: Kernel, step, pace: int):
-    """A pair of timer halves polled at the stages that are multiples of
-    ``pace``, from the kernel's next stage on; see ``Kernel.register_pair``."""
-
-    def booked_step(stage):
-        step(stage)
-        for index in halves:
-            kernel.wake_at(index, stage + pace)
-
-    halves, outs = kernel.register_pair(booked_step, wake="timer")
-    start = kernel.next_stage
-    for index in halves:
-        kernel.wake_at(index, start + -start % pace)
-    return halves, outs
-
-
 def register_paced_pair(kernel: Kernel, predicate, pace: int) -> ComputablePair:
     """Host-backed computable pair: value n lands on the predicate's side.
 
@@ -143,7 +129,9 @@ def register_paced_pair(kernel: Kernel, predicate, pace: int) -> ComputablePair:
         n = next(values)
         outs[0 if predicate(n) else 1].append(n)
 
-    (pos, neg), outs = _paced_pair(kernel, route_next, pace)
+    (pos, neg), outs = kernel.register_pair(route_next, wake="timer")
+    for half in (pos, neg):
+        kernel.pace(half, pace)
     return ComputablePair(pos, neg)
 
 

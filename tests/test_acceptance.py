@@ -64,11 +64,10 @@ def test_criterion_1_single_event_and_determinism(scripted):
         def paced(stage):
             n = ticker["next"]
             ticker["next"] = n + 1
-            kernel.wake_at(paced_idx, stage + 97)
             return [5 * n + 1]
 
         paced_idx = kernel.register_generator(HostGenerator(slot=1, pull=paced, wake="timer"))
-        kernel.wake_at(paced_idx, 0)
+        kernel.pace(paced_idx, 97)
         return kernel
 
     t0 = time.time()

@@ -602,6 +602,45 @@ def test_wake_at_must_lie_ahead():
         kernel.register_generator(HostGenerator(slot=2, pull=pull, wake="stage"))
 
 
+@pytest.mark.parametrize("start, pace, phase", [(0, 1, 0), (0, 16, 4), (5, 7, 3), (5, 5, 10),
+                                               (9, 4, -1)])
+def test_pace_polls_at_the_stages_of_its_phase(start, pace, phase):
+    kernel = Kernel([corpus.HALT_ALL])
+    polled = []
+
+    def pull(stage):
+        polled.append(stage)
+        return [stage]
+
+    idx = kernel.register_generator(HostGenerator(slot=0, pull=pull, wake="timer"))
+    kernel.run_to(start)
+    kernel.pace(idx, pace, phase)
+    kernel.run_to(80)
+    assert polled == [s for s in range(start, 80) if s % pace == phase % pace]
+    assert [x for _, x in kernel.log.entries(idx)] == polled
+
+
+def test_pace_is_the_kernels_schedule():
+    # a wake polls a paced source once more and moves none of its stages;
+    # only a timer source is paced, and only at a positive pace
+    kernel = Kernel()
+    polled = []
+    idx = kernel.register_generator(
+        HostGenerator(slot=0, pull=lambda stage: polled.append(stage) or (), wake="timer"))
+    kernel.pace(idx, 7, phase=3)
+    kernel.run_to(30)
+    kernel.wake(idx)
+    kernel.run_to(60)
+    assert polled == [3, 10, 17, 24, 30, 31, 38, 45, 52, 59]
+    woken = kernel.register_generator(HostGenerator(slot=1, pull=lambda stage: (), wake=()))
+    drained = kernel.register_generator(HostGenerator(slot=2, pull=lambda stage: (), wake="drain"))
+    for index, pace in ((woken, 7), (drained, 7), (host_index(9), 7), (idx, 0), (idx, -3)):
+        with pytest.raises(KernelError):
+            kernel.pace(index, pace)
+    kernel.run_to(70)
+    assert polled[-1] == 66
+
+
 @pytest.mark.parametrize("wake", ["timers", "", [1], None])
 def test_unknown_wake_rejected(wake):
     kernel = Kernel()

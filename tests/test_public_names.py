@@ -19,6 +19,10 @@ And no module of the package touches another object's private state: a
 And no command of the CLI takes a flag it never reads: every option of a
 command's parser is read off ``args`` by the function the command runs, or
 by a function of ``cli`` that this one hands ``args`` to.
+
+And no construction books its own polls: no module of the package but the
+kernel names ``wake_at``, which is for scripted sources; a paced source is
+polled on the schedule ``Kernel.pace`` gives the kernel.
 """
 
 import argparse
@@ -157,6 +161,14 @@ def private_reaches(tree):
 def test_no_module_reaches_into_another_objects_private_state():
     found = [f"{path.name}: {reach}" for path in sorted(PACKAGE.glob("*.py"))
              for reach in private_reaches(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def test_no_construction_books_its_own_polls():
+    found = [f"{path.name}: {ast.unparse(node)}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "kernel.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "wake_at"]
     assert found == []
 
 

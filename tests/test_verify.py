@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cesplit import corpus
 from cesplit.friedberg import run_friedberg
+from cesplit.geometry import question_at
 from cesplit.hk import run_hk, run_subset_scenario
 from cesplit.kernel import EventLog, KernelError, machine_index
 from cesplit.pairing import pair, unpair
@@ -190,6 +191,32 @@ def test_replay_hk_scan_start_is_the_full_scans(covered, events, beyond):
     report = replay_check(merge_for_file(log, [HK_META, record]))
     wants = [d["want"] for d in report["divergences"] if d["field"] == "triple"]
     assert (wants or [[0, 0, 0]])[0] == hk_want(log, x, stage)
+
+
+ROUTING_RUNS = {
+    "friedberg": lambda stages: run_friedberg(TEXTS, machine_index(0), stages),
+    "hk": lambda stages: run_hk(TEXTS, machine_index(0), machine_index(1), stages),
+    "hk-subset": run_subset_scenario,
+}
+
+
+@pytest.mark.parametrize("construction", ROUTING_RUNS)
+def test_routing_trace_verifies_wherever_the_run_stops(construction):
+    # a splitter routes an entrant on the stage after it enters, so a run
+    # stopped right after an entrant leaves it unrouted, and its trace once
+    # failed the replay with missing-record (`split friedberg --index 8
+    # --stages 1118`); stop before, right after and one stage after each of
+    # the input's last entrants
+    run = ROUTING_RUNS[construction]
+    result = run(3_000)
+    input_idx = result.a if construction == "friedberg" else result.b
+    last = [t for t, _ in result.kernel.log.entries(input_idx)][-5:]
+    assert len(last) == 5
+    for stop in (t + k for t in last for k in range(3)):
+        result = run(stop)
+        trace = merge_for_file(result.kernel.log, result.trace)
+        for suite in ("replay", "split"):
+            assert replay_check(trace, suite)["ok"], (stop, suite)
 
 
 @pytest.mark.parametrize("forge, field", [
@@ -559,10 +586,48 @@ def test_tree_expected_misses(hf_depth_9, miss):
     assert replay_check(trace)["ok"]
 
 
-def test_extra_dump_tamper_table():
+@pytest.fixture(scope="module")
+def corpus_102():
+    """hf at depth 25 for 20,000 stages on corpus 102, whose trace holds the
+    three dump-extra records of test_extra_dump_trace_pinned."""
     texts = corpus.load_corpus(Path(__file__).parent / "data" / "diagonalize_seed102.txt")
     result = diagonalize(PROCEDURES["hf"], 20_000, depth=25, corpus_texts=texts)
-    log, decisions = result.kernel.log, result.trace
+    return result.kernel.log, result.trace
+
+
+def first_at(decisions, op, node):
+    """The position of the first ``op`` record at ``node``."""
+    return next(n for n, r in enumerate(decisions) if r["op"] == op and r["node"] == node)
+
+
+@pytest.mark.parametrize("check", ["pull-floor", "mid-range", "mid-source", "extra-question"])
+def test_replay_tree_bent_record_fires_its_check(hf_depth_9, corpus_102, check):
+    # checks that no tamper table reaches: one honest record, bent so that
+    # the check fires on its line
+    log, decisions = hf_depth_9 if check in ("pull-floor", "mid-range") else corpus_102
+    if check == "extra-question":
+        # a positive f dumps a piece other than its T question's base
+        at = next(n for n, r in enumerate(decisions) if r["op"] == "dump-extra")
+        bent = {"node": question_at(last_f(decisions, at)["node"][:-1]).base}
+    elif check == "mid-source":
+        # a bystander of R-node 1001 comes from the tilde piece of its
+        # greatest R prefix, 1: from the x1 of the pulls at 1
+        at = first_at(decisions, "pull", "1001")
+        tilde = {r["x1"] for r in decisions[:at] if r["op"] == "pull" and r["node"] == "1"}
+        bent = {"mid": [next(y for y in range(5, decisions[at]["x1"]) if y not in tilde)]}
+    else:  # a pull at 1000, of depth 4, takes no ball at or below 4
+        at = first_at(decisions, "pull", "1000")
+        bent = {"x0": 4} if check == "pull-floor" else {"mid": [decisions[at]["x1"]]}
+    trace = merge_for_file(log, decisions)
+    assert check not in {d["field"] for d in replay_check(trace)["divergences"]}
+    bent_trace = merge_for_file(log, decisions[:at] + [dict(decisions[at], **bent)]
+                                + decisions[at + 1:])
+    fired = {(d["line"], d["field"]) for d in replay_check(bent_trace)["divergences"]}
+    assert (trace.lines[at], check) in fired
+
+
+def test_extra_dump_tamper_table(corpus_102):
+    log, decisions = corpus_102
 
     def divergences(report):
         return sorted(json.dumps({k: v for k, v in d.items() if k != "line"}, sort_keys=True)
