@@ -140,7 +140,15 @@ def can_pull(node: str, pos: Optional[str]) -> bool:
 
 
 def ball_too_deep(x: int, node: str) -> bool:
-    """Ball x may sit no deeper than max(1, x*x)."""
+    """Ball x may sit no deeper than max(1, x*x).
+
+    No ball of a tree run ever does.  A ball enters at f[:1], at depth at
+    most 1.  A pull takes x only to a node shallower than x (the tree's pulls
+    and bystanders need x > len(node)), so x*x >= x > len(node).  A left move
+    takes x from n to depth at most (isqrt(d)+1)**2 (``left_target``), with
+    d < len(n) the depth at which f and n part: x >= 1 and len(n) <= x*x give
+    d <= x*x - 1, so isqrt(d) <= x - 1; x = 0 and len(n) <= 1 give d = 0.
+    """
     return len(node) > max(1, x * x)
 
 

@@ -93,23 +93,7 @@ _SETTLED = object()
 
 
 class KernelError(Exception):
-    """Base class for kernel misuse; signals a construction bug."""
-
-
-class DuplicateSlotError(KernelError):
-    pass
-
-
-class OutOfOrderStepError(KernelError):
-    pass
-
-
-class StageNotSteppedError(KernelError):
-    pass
-
-
-class EmissionConflictError(KernelError):
-    pass
+    """Kernel misuse; signals a construction bug."""
 
 
 def machine_index(m: int) -> int:
@@ -143,11 +127,11 @@ class EventLog:
     def append(self, stage: int, index: int, element: int) -> None:
         containers = self._by_element.get(element)
         if containers is not None and index in containers:
-            raise EmissionConflictError(
+            raise KernelError(
                 f"element {element} already entered index {index} at stage {containers[index]}"
             )
         if self._stages and stage <= self._stages[-1]:
-            raise OutOfOrderStepError(f"stage {stage} is not past {self._stages[-1]}")
+            raise KernelError(f"stage {stage} is not past {self._stages[-1]}")
         self._stages.append(stage)
         self._indices.append(index)
         self._elements.append(element)
@@ -333,14 +317,9 @@ class Kernel:
     def next_stage(self) -> int:
         return self._next_stage
 
-    def require_stepped(self, stage: int) -> None:
-        if stage >= self._next_stage:
-            raise StageNotSteppedError(
-                f"stage {stage} not reached; kernel is at {self._next_stage}"
-            )
-
     def w_at(self, index: int, stage: int) -> frozenset:
-        self.require_stepped(stage)
+        if stage >= self._next_stage:
+            raise KernelError(f"stage {stage} not reached; kernel is at {self._next_stage}")
         return self._log.members_at(index, stage)
 
     # -- registration ----------------------------------------------------
@@ -348,7 +327,7 @@ class Kernel:
     def register_generator(self, gen: HostGenerator) -> int:
         entry = _GenEntry(gen, host_index(gen.slot), len(self._entries))
         if entry.index in self._entries:
-            raise DuplicateSlotError(f"slot {gen.slot} already registered")
+            raise KernelError(f"slot {gen.slot} already registered")
         wake = gen.wake
         if not isinstance(wake, tuple) and wake not in ("timer", "drain"):
             raise KernelError(f"slot {gen.slot}: unknown wake {wake!r}")

@@ -48,6 +48,12 @@ is advanced only when its inputs moved, and a node tries to pull only when it
 holds two candidates.  A marker table is rescanned only after a change its
 least dump can see: one among its first MARKER_WINDOW markers, or any change
 while its last scan still hung on the stage.
+
+A's members are read off A's log column, never a copy.  The brain, a drain
+source, runs only on stages that start with an empty FIFO, when every earlier
+dump has been released, and it reads A (in ``_ingest``, the walk's new nodes,
+the pulls and the patches) before its stage's first dump: there the column is
+all of A.
 """
 
 from __future__ import annotations
@@ -209,7 +215,7 @@ class TreeRun:
         self.nodes: dict[str, _NodeState] = {}
         self.measures_by_index: dict[int, list] = {}
         self.positions: dict[int, str] = {}  # every on-machine ball -> its node
-        self.a_committed: set = set()
+        self.dumped = 0  # balls dumped into A, those still in the kernel's queue too
         self.marker_nodes: dict[int, list] = {}  # live marker -> the states listing it
         self._left_order: list = []  # the requesting states, in left order
         self._chain: list = []       # states of f's R-nodes, shallowest first
@@ -295,10 +301,11 @@ class TreeRun:
         return m
 
     def _measure_try_add(self, m: _Measure, x: int) -> None:
-        if x in m.members or x in self.a_committed:
+        log = self.kernel.log  # A's column is all of A (see the module docstring)
+        if x in m.members or log.entry_stage(self.e_a, x) is not None:
             return
         in_delta = m.over is None or x in m.over.rt_committed
-        if in_delta and self.kernel.log.entry_stage(m.j_index, x) is not None:
+        if in_delta and log.entry_stage(m.j_index, x) is not None:
             m.members.add(x)
             for node in m.subscribers:
                 heappush(node.cand_heap, x)
@@ -516,7 +523,7 @@ class TreeRun:
                     tm.fi = pos
             state.r_out.append(x)
             self.kernel.wake(state.r_index)
-            if x not in self.a_committed:
+            if self.kernel.log.entry_stage(self.e_a, x) is None:
                 k = bisect_left(state.live_markers, x)
                 state.live_markers.insert(k, x)
                 self._marker_moved(state, k)
@@ -526,7 +533,7 @@ class TreeRun:
 
     def _dump_to_a(self, x: int) -> None:
         """Dump a live marker into A, taking it out of every table that lists it."""
-        self.a_committed.add(x)
+        self.dumped += 1
         self._a_out.append(x)
         self._lift(x)
         for holder in self.marker_nodes.pop(x):
@@ -535,8 +542,8 @@ class TreeRun:
             self._marker_moved(holder, k)
 
     def _patch_node(self, state: _NodeState) -> None:
-        """Absorb casualties: Rtilde_delta balls that entered A uncommitted.  It
-        runs before its tree stage's first dump, when A's log column is all of A."""
+        """Absorb casualties: Rtilde_delta balls that entered A uncommitted, as
+        A's log column gives them (see the module docstring)."""
         delta = greatest_r_prefix(state.address)
         dstate = self.nodes[delta]
         for _, y in self.kernel.log.entries(self.e_a, state.patch_cursor):
@@ -833,7 +840,8 @@ def structural_report(run: TreeRun) -> dict:
         markers = state.live_markers
         if any(a >= b for a, b in zip(markers, markers[1:])):
             problems.append(("markers-not-increasing", address))
-        if not set(markers) <= (set(state.r_sorted) - run.a_committed):
+        in_a = any(run.kernel.log.entry_stage(run.e_a, x) is not None for x in markers)
+        if in_a or not set(markers) <= set(state.r_sorted):
             problems.append(("marker-membership", address))
     # partition along the current path: chain pieces plus the deepest tilde;
     # each repeat of a ball is one exception
@@ -845,5 +853,5 @@ def structural_report(run: TreeRun) -> dict:
         "problems": problems,
         "partition_exceptions": len(pieces) - len(set(pieces)),
         "nodes": len(run.nodes),
-        "dumped": len(run.a_committed),
+        "dumped": run.dumped,
     }

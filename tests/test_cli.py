@@ -108,6 +108,14 @@ def test_verify_malformed_trace_reports_line(tmp_path):
     assert "line 2" in payload["error"]
 
 
+@pytest.mark.parametrize("record", ["{}", "[1]"])
+def test_verify_record_without_op_reports_line(tmp_path, record):
+    path = tmp_path / "no-op.jsonl"
+    path.write_text('{"op":"event","s":0,"e":1,"x":2}\n' + record + "\n")
+    payload = _verify_rejects(path, 2)
+    assert payload["error"] == "line 2: record lacks an op field"
+
+
 def test_diagonalize_then_verify(tmp_path):
     path = tmp_path / "tree.jsonl"
     proc = invoke(
@@ -335,6 +343,21 @@ def test_zero_index_or_size_runs(command, flag):
 def test_diagonalize_zero_jobs_is_usage_error():
     assert_usage_error(invoke("diagonalize", "--proc", "hf,trivial", "--stages", "10",
                               "--jobs", "0"), "--jobs")
+
+
+def test_non_integer_count_is_usage_error():
+    # argparse's own refusal would not state the rule
+    proc = invoke("enumerate", "--index", "0", "--stages", "abc")
+    assert_usage_error(proc, "--stages")
+    assert "--stages: must be a count of 0 or more, not 'abc'" in proc.stderr
+
+
+def test_diagonalize_procs_sharing_one_trace_path_is_usage_error(tmp_path):
+    # two runs would write one file; nothing runs and nothing is written
+    path = tmp_path / "tree.jsonl"
+    assert_usage_line(invoke("diagonalize", "--proc", "hf,trivial", "--stages", "10",
+                             "--trace", str(path)), "--trace")
+    assert not path.exists()
 
 
 def test_diagonalize_depth_zero_runs():

@@ -18,7 +18,7 @@ import pytest
 
 from cesplit import corpus, tree
 from cesplit.friedberg import run_friedberg
-from cesplit.hk import run_subset_scenario
+from cesplit.hk import run_hk, run_subset_scenario
 from cesplit.kernel import Kernel, machine_index
 from cesplit.trace import merge_for_file, read_trace, write_trace
 from cesplit.verify import _OPS, replay_check
@@ -198,6 +198,27 @@ def test_benchmark_enumeration_pinned(tmp_path):
     assert trace_sha256(tmp_path, kernel.log, []) == (
         "51ea50192fff9e82c87cdd06e2a22ce742c86c5446b067bea72cb3c851bc074f"
     )
+
+
+# perfbench's other two seed-1 runs, on their ``make_inputs`` corpora: each
+# digest is the trace sha256 the benchmark prints for the run
+def test_benchmark_diagonalize_pinned(tmp_path):
+    texts = corpus.load_corpus(DATA / "diagonalize_seed1.txt")
+    result = diagonalize(PROCEDURES["hf"], 100_000, depth=25, corpus_texts=texts)
+    assert trace_sha256(tmp_path, result.kernel.log, result.trace) == (
+        "919ec8ab929e5c9a0a8fa2fa384c4dd404b3275274c78162d76bac9268ac6e16"
+    )
+
+
+@pytest.mark.parametrize("run, digest", [
+    (lambda texts: run_friedberg(texts, 2, 1_000_000),
+     "ab2fcd6e19dafaf41b951a34a0fd28c6957b49a5dcc2f05b102cbefc6612631c"),
+    (lambda texts: run_hk(texts, 2, 4, 300_000),
+     "eb6d24b500116c67a97227eedd5f1f3318250359f52b78920c368ab49f78f25c"),
+], ids=["friedberg", "hk"])
+def test_benchmark_split_pinned(tmp_path, run, digest):
+    result = run(corpus.load_corpus(DATA / "split_seed1.txt"))
+    assert trace_sha256(tmp_path, result.kernel.log, result.trace) == digest
 
 
 SHAV_TEXTS = [corpus.HALT_ALL, corpus.HALT_EVEN, corpus.HALT_ODD, corpus.HALT_SLOW,

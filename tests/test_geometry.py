@@ -17,6 +17,7 @@ from cesplit.geometry import (
     E_WINDOW,
     MARKER_WINDOW,
     LeftPasses,
+    ball_too_deep,
     can_pull,
     diverges_left,
     greatest_r_prefix,
@@ -98,6 +99,18 @@ def test_left_target(f, node):
     squares_below = [L for L in range(d + 1, len(f) + 1) if brute_square(L)]
     want = f[: squares_below[0]] if squares_below else f
     assert left_target(f, node) == want
+
+
+@given(deep_addresses, deep_addresses, deep_addresses)
+def test_a_left_move_keeps_every_ball_shallow_enough(prefix, f_tail, node_tail):
+    # the left-move step of ball_too_deep's argument: a ball that may sit at
+    # a node may sit where a path passing the node on the left moves it
+    f, node = prefix + "1" + f_tail, prefix + "0" + node_tail
+    assert diverges_left(f, node)
+    target = left_target(f, node)
+    for x in range(len(node) + 1):
+        if not ball_too_deep(x, node):
+            assert not ball_too_deep(x, target), (x, node, target)
 
 
 @given(addresses, positions)

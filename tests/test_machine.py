@@ -20,6 +20,9 @@ def test_invalid_texts_are_divergers():
     assert parse_program("NOP 3") is None
     assert parse_program("INC 99") is None  # register out of range
     assert parse_program("DECJZ 0 99") is None  # target out of range
+    assert parse_program("DECJZ 32 0; HALT") is None  # register out of range
+    assert parse_program("INC x") is None  # an operand that is no integer
+    assert parse_program("DECJZ 0 1.5; HALT") is None
     assert parse_program("JMP") is None
     assert halts_within(None, 0, BUDGET) is None
 

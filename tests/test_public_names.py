@@ -23,10 +23,14 @@ by a function of ``cli`` that this one hands ``args`` to.
 And no construction books its own polls: no module of the package but the
 kernel names ``wake_at``, which is for scripted sources; a paced source is
 polled on the schedule ``Kernel.pace`` gives the kernel.
+
+And no exception class of the package is raised for the tests alone: each
+is named in an ``except`` clause of such code.
 """
 
 import argparse
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -170,6 +174,31 @@ def test_no_construction_books_its_own_polls():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Attribute) and node.attr == "wake_at"]
     assert found == []
+
+
+def caught_names(tree):
+    """The exception names a module's ``except`` clauses name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            out.update(t.attr if isinstance(t, ast.Attribute) else t.id for t in types)
+    return out
+
+
+def test_every_exception_class_is_caught_outside_the_tests():
+    caught = set()
+    for path in caller_files():
+        caught |= caught_names(ast.parse(path.read_text(encoding="utf-8")))
+    classes = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            module = importlib.import_module(f"cesplit.{path.stem}")
+            classes += [f"{path.name}: {name}" for name, value in vars(module).items()
+                        if isinstance(value, type) and issubclass(value, BaseException)
+                        and value.__module__ == module.__name__]
+    assert len(classes) >= 4
+    assert [c for c in classes if c.split(": ")[1] not in caught] == []
 
 
 def leaf_parsers(parser, words=()):

@@ -1,7 +1,7 @@
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cesplit.kernel import EventLog
@@ -171,8 +171,14 @@ def split_cases(draw):
     return log, (a, a0, a1), S, settle
 
 
+def overlap_log():
+    """A log in which entrant 5 of A lands in both halves, B and 102."""
+    return scripted_log([(1, A, 5), (2, B, 5), (3, 102, 5)])
+
+
 @settings(max_examples=500, derandomize=True)
 @given(split_cases())
+@example((overlap_log(), (A, B, 102), 3, 1))
 def test_history_check_matches_a_walk_of_the_whole_log(case):
     # the merged entries of a, a0 and a1 find what a walk of every event finds
     log, (a, a0, a1), S, settle = case
@@ -186,6 +192,21 @@ def test_history_check_names_missing_at_its_own_stage():
     log = scripted_log([(1, A, 5), (3, 103, 9), (9, 104, 7), (20, B, 5)])
     assert check_split_history(log, A, B, 102, 30, settle=2) == (3, "missing", 5)
     assert split_history_by_walk(log, A, B, 102, 30, settle=2) == (3, "missing", 5)
+
+
+def test_history_check_names_an_overlap():
+    # neither oracle's drawn logs ever routed one entrant to both halves
+    from cesplit.trace import merge_for_file
+    from cesplit.verify import replay_check
+
+    log = overlap_log()
+    assert check_split_history(log, A, B, 102, 3) == (3, "overlap", 5)
+    meta = {"op": "meta", "kind": "friedberg", "a": A, "a0": B, "a1": 102}
+    report = replay_check(merge_for_file(log, [meta]), "split")
+    assert not report["ok"]
+    assert report["divergences"] == [{"line": None, "field": "split",
+                                      "got": {"stage": 3, "kind": "overlap", "x": 5},
+                                      "want": None}]
 
 
 # the computable view of a pair at a stage: the certified interval [0, n)

@@ -186,6 +186,17 @@ def test_structural_report_leaves_violations_alone():
     assert run.violations == before
 
 
+def test_structural_report_finds_a_marker_in_a():
+    # a live marker that A's log column holds is reported, as one outside
+    # its R piece is
+    run = diagonalize(proc_friedberg, 3000, depth=9, collect_trace=False).run
+    state = next(st for st in run.nodes.values() if st.live_markers)
+    assert structural_report(run)["problems"] == []
+    log = run.kernel.log
+    log.append(log.last_stage + 1, run.e_a, state.live_markers[-1])
+    assert structural_report(run)["problems"] == [("marker-membership", state.address)]
+
+
 def test_structural_report_counts_partition_repeats():
     # each repeat of a ball among the current path's R pieces and its
     # deepest tilde piece is one exception
@@ -235,9 +246,9 @@ def test_dumped_balls_reach_a(hf_run):
     counts = [r["i"] - r["e"] if r["op"] == "dump-orig" else 1
               for r in hf_run.trace if r["op"] in ("dump-orig", "dump-extra")]
     assert len(counts) > 50
-    assert sum(counts) == len(hf_run.run.a_committed)
+    assert sum(counts) == hf_run.run.dumped
     in_a = [x for _, x in hf_run.kernel.log.entries(hf_run.e_a)]
-    assert len(in_a) >= sum(counts[:50]) and set(in_a) <= hf_run.run.a_committed
+    assert sum(counts[:50]) <= len(in_a) <= hf_run.run.dumped
 
 
 def test_patches_cover_casualties(hf_run):
@@ -257,9 +268,14 @@ def test_patches_cover_casualties(hf_run):
     assert checked
 
 
+def a_members(run):
+    """A's log column: every ball dumped into A but those still queued."""
+    return {x for _, x in run.kernel.log.entries(run.e_a)}
+
+
 def test_balls_never_reenter_after_a(hf_run):
     run = hf_run.run
-    assert not (set(run.positions) & run.a_committed)
+    assert not (set(run.positions) & a_members(run))
 
 
 def assert_ball_ledger(run):
@@ -290,7 +306,7 @@ def test_ball_ledger(hf_run):
 def test_ball_ledger_at_depth_9():
     run = diagonalize(proc_friedberg, 3000, depth=9).run
     states = run.nodes.values()
-    assert run.a_committed and sum(1 for state in states if state.balls) > 1
+    assert run.dumped and sum(1 for state in states if state.balls) > 1
     assert any(state.requests for state in states)
     assert_ball_ledger(run)
     assert_marker_ledger(run)
@@ -332,7 +348,7 @@ def assert_marker_ledger(run):
             reverse.setdefault(x, []).append(state)
     assert {x: sorted(s.address for s in states) for x, states in reverse.items()} == {
         x: sorted(s.address for s in states) for x, states in run.marker_nodes.items()}
-    assert not set(run.marker_nodes) & run.a_committed
+    assert not set(run.marker_nodes) & a_members(run)
     # each measure and T-counter holds the state at its question's base
     for address, state in run.nodes.items():
         for m in state.measures.values():
@@ -350,7 +366,7 @@ def assert_marker_ledger(run):
 
 def test_marker_ledger(hf_run):
     run = hf_run.run
-    assert run.a_committed and len(run.marker_nodes) > 1
+    assert run.dumped and len(run.marker_nodes) > 1
     assert_marker_ledger(run)
 
 

@@ -666,6 +666,31 @@ def test_replay_check_split_suite(tmp_path):
     assert report["ok"]
 
 
+def test_replay_check_needs_a_meta_record_and_a_known_suite():
+    # the CLI offers only the two suites, so only a caller in code can ask
+    # for another
+    result = run_friedberg(TEXTS, machine_index(0), 300)
+    with pytest.raises(TraceError, match="trace has no meta record"):
+        replay_check(merge_for_file(result.kernel.log, []))
+    with pytest.raises(TraceError, match="unknown suite 'routes'"):
+        replay_check(merge_for_file(result.kernel.log, result.trace), "routes")
+
+
+def test_replay_tree_pull_after_the_last_request():
+    # node "1" requests at stage 1 alone, and balls 2 and 3 enter right of
+    # it; a clean pull takes that request, which empties the node's ledger,
+    # so a second pull there finds none
+    log = EventLog()
+    log.append(1, 1, 2)  # W_1, the feeder, gates the pulls of node "1"
+    log.append(2, 1, 3)
+    meta = {"op": "meta", "kind": "tree", "e_a": 5, "e0": 7, "e1": 9, "depth": 1}
+    fs = [{"op": "f", "s": s, "ks": 2 + s, "node": f} for s, f in enumerate(["", "1", "0", "0", "0"])]
+    pull = {"op": "pull", "ks": 6, "node": "1", "req": 1, "x0": 2, "x1": 3, "mid": []}
+    report = replay_check(merge_for_file(log, [meta, *fs, pull, pull]))
+    assert [(d["line"], d["field"]) for d in report["divergences"]] == [
+        (10, "pull-request"), (10, "pull-fresh"), (10, "pull-fresh")]
+
+
 @pytest.mark.parametrize("construction", ["friedberg", "hk", "tree"])
 def test_trace_round_trip(tmp_path, construction):
     # the in-memory trace and its read-back hold the same events and
