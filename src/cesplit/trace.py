@@ -17,8 +17,9 @@ addresses of 0s and 1s only, lists of such integers.
 
 The writer fills a row's line template, such as
 ``{"e":E,"op":"event","s":S,"x":X}``, for a record that fits the row (every
-row but ``meta``'s has one) by the reader's own check, and hands meta
-records and misfits to the ``json`` module, with the same bytes.  The
+row but ``meta``'s has one) by the row's test, which accepts exactly what
+the reader's check accepts, and hands meta records and misfits to the
+``json`` module, with the same bytes.  The
 reader takes the canonical event line by template and hands every other
 line to the ``json`` module, so it accepts any JSON spelling of any record
 and gives the same log and records either way.
@@ -29,7 +30,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .kernel import EventLog, KernelError
 
@@ -68,18 +69,36 @@ _SLOTS = {"int": "%%(%s)d", "address": '"%%(%s)s"', "ints": "[%%(%s)s]"}
 class _Shape(NamedTuple):
     kinds: dict            # field name -> kind, in key order; the op (and a meta's kind) aside
     fill: Optional[tuple]  # the writer's template, or None
+    fits: Optional[Callable[[dict], bool]]  # the writer's test of a record, or None
 
 
 def _shape(op: str, **kinds: str) -> _Shape:
     """A row.  Its template, for every op but meta, is the names of its
-    list fields and its line, filled from a record by field name."""
-    fill = None
+    list fields and its line, filled from a record by field name; its test,
+    for the same ops, accepts exactly the records of the op that ``_misfit``
+    accepts, and builds no message."""
+    fill = fits = None
     if op != "meta":
         slots = {k: _SLOTS[kind] % k for k, kind in kinds.items()}
         slots["op"] = '"%s"' % op
+        keys = slots.keys()
+        ints = tuple(k for k, kind in kinds.items() if kind == "int")
+        tests = tuple((k, _KINDS[kind][1]) for k, kind in kinds.items() if kind != "int")
+
+        def fits(record: dict) -> bool:
+            if record.keys() != keys:
+                return False
+            for k in ints:  # most fields: _KINDS["int"]'s test, inline
+                if type(record[k]) is not int:
+                    return False
+            for k, test in tests:
+                if not test(record[k]):
+                    return False
+            return True
+
         fill = (tuple(k for k, kind in kinds.items() if kind == "ints"),
                 "{%s}\n" % ",".join('"%s":%s' % (k, slots[k]) for k in sorted(slots)))
-    return _Shape(dict(sorted(kinds.items())), fill)
+    return _Shape(dict(sorted(kinds.items())), fill, fits)
 
 
 _SHAPES = {
@@ -109,9 +128,11 @@ _EVENT_RE = re.compile(r'\{"e":%s,"op":"event","s":%s,"x":%s\}' % (_INT, _INT, _
 
 def _line(record: dict) -> str:
     """The record's line: its row's template filled, when it fits the row."""
-    if record.get("op") == "meta" or _misfit(record) is not None:
+    op = record.get("op")
+    shape = _SHAPES.get(op) if type(op) is str and op != "meta" else None
+    if shape is None or not shape.fits(record):
         return _encode(record) + "\n"
-    lists, template = _SHAPES[record["op"]].fill
+    lists, template = shape.fill
     if lists:
         record = dict(record, **{k: ",".join(map(str, record[k])) for k in lists})
     return template % record

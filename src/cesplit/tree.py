@@ -54,6 +54,33 @@ source, runs only on stages that start with an empty FIFO, when every earlier
 dump has been released, and it reads A (in ``_ingest``, the walk's new nodes,
 the pulls and the patches) before its stage's first dump: there the column is
 all of A.
+
+The extra dump.  When f ends at a positive A-node gamma, gamma dumps into A
+one live marker of each piece on f's chain but the piece of its T question's
+base: from the table of the piece's node beta, the marker at position
+t = max(len(gamma), the last left pass of beta), if the table is that long.
+The last left pass of a node is the tree stage at which f last *moved* left
+of it: the first stage of the latest run of equal f values left of it
+(``LeftPasses.of``), not the last stage at which f *was* left of it.  The
+table is beta's, so t counts from beta's pass.  Beta is a prefix of gamma,
+so every node left of beta is left of gamma and beta's pass is at most
+gamma's; the passes gamma has and beta lacks are f moving left of nodes
+below beta, which leave beta's table as it was (only beta's own commits and
+the dumps change it).  Measured from gamma, t would move with events the
+table never saw.  The trace replay measures t from beta too.
+
+The brain's costs per event and per stage.  One reader table maps each
+index to what reads its events: the measures over it, the T-counters that
+read it, and whether it sets a marker-state bit (below E_WINDOW).  An index
+past E_WINDOW has an entry only once something reads it, so ``_ingest``
+passes over its events after one lookup.  Each node stores its depth and
+whether it is an R-node, and the node at which f ends keeps f's chain of
+R-nodes and its requesting prefixes, which depend on its address alone, so
+the walk only walks.  A pull commits x0 and its bystanders to the R piece
+as one batch (``_commit_r``).  The walk still visits every node of f at
+every stage: a node whose measure and T-counter are clean would give the
+same bit again, but a flag per node that skips it is a cache whose faults
+only a from-scratch oracle of the tree would catch, and there is none yet.
 """
 
 from __future__ import annotations
@@ -65,12 +92,12 @@ from heapq import heapify, heappop, heappush
 from itertools import count
 from math import isqrt
 from operator import attrgetter, itemgetter
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .geometry import (
-    MARKER_WINDOW, ROOT, LeftPasses, TreeError, ball_too_deep, can_pull, checked_depth,
-    greatest_r_prefix, is_positive_a, least_dump, left_key, left_target, marker_states, mask_bit,
-    node_kind, question_at, r_chain, sorted_has,
+    E_WINDOW, MARKER_WINDOW, ROOT, LeftPasses, TreeError, ball_too_deep, can_pull,
+    checked_depth, greatest_r_prefix, is_positive_a, is_r_node, least_dump, left_key,
+    left_target, marker_states, question_at, r_chain, sorted_has,
 )
 from .kernel import EventLog, HostGenerator, Kernel, host_index
 
@@ -121,10 +148,19 @@ class _TMeasure:
         self.dirty = True
 
 
+class _Reader(NamedTuple):
+    """What reads one index's events in the brain: the measures over W_idx,
+    the T-counters that read it, and whether it sets a marker-state bit."""
+
+    measures: list
+    tmeasures: list
+    marks: bool
+
+
 class _NodeState:
     __slots__ = (
-        "address", "key", "kind", "positive", "requesting", "kids", "chip_snapshot",
-        "requests", "measure", "tmeasure", "measures", "tmeasures",
+        "address", "key", "depth", "is_r", "positive", "requesting", "kids", "chip_snapshot",
+        "requests", "measure", "tmeasure", "measures", "tmeasures", "chain", "requesters",
         "r_out", "rt_out", "r_index", "rt_index", "rt_committed", "r_sorted", "live_markers",
         "rt_subscribers", "mids_subscribers", "needs_scan", "stage_bound", "moved",
         "patch_cursor", "cand_heap", "mids_pool", "balls",
@@ -133,10 +169,11 @@ class _NodeState:
     def __init__(self, address: str):
         self.address = address
         self.key = left_key(address)
-        self.kind = node_kind(address)
+        self.depth = len(address)
+        self.is_r = is_r_node(address)
         self.positive = is_positive_a(address)
         # on the path, an R-node or a positive A-node takes a pull request
-        self.requesting = self.kind == "r" or self.positive
+        self.requesting = self.is_r or self.positive
         self.kids: list = [None, None]  # the states at address+"0" and +"1", once walked
         self.chip_snapshot = 0
         self.requests: deque = deque()  # pending request stages, pushed in stage order
@@ -144,6 +181,10 @@ class _NodeState:
         self.tmeasure = None
         self.measures: dict = {}  # j -> the measure over this tilde piece
         self.tmeasures: list = []  # the T-counters that read this R piece
+        # once f has ended here: the states of f's R-nodes, shallowest first,
+        # and of f's requesting prefixes; both depend on the address alone
+        self.chain: Optional[list] = None
+        self.requesters: Optional[list] = None
         self.r_out = self.rt_out = None  # piece emissions awaiting the kernel
         self.r_index = self.rt_index = None
         self.rt_committed: set = set()
@@ -213,14 +254,15 @@ class TreeRun:
         self._passes = LeftPasses()  # over each tree stage's f
         self._passes.add(0, ROOT)
         self.nodes: dict[str, _NodeState] = {}
-        self.measures_by_index: dict[int, list] = {}
+        # index -> its readers; an index past E_WINDOW has an entry only once
+        # a measure or a T-counter reads it
+        self.readers: dict[int, _Reader] = {idx: _Reader([], [], True)
+                                            for idx in range(E_WINDOW)}
         self.positions: dict[int, str] = {}  # every on-machine ball -> its node
         self.dumped = 0  # balls dumped into A, those still in the kernel's queue too
         self.marker_nodes: dict[int, list] = {}  # live marker -> the states listing it
         self._left_order: list = []  # the requesting states, in left order
-        self._chain: list = []       # states of f's R-nodes, shallowest first
-        self._requesters: list = []  # states of f's requesting prefixes
-        self.tmeasures_by_index: dict[int, list] = {}  # by j_index and by eb_index
+        self._chain: list = []  # f's state's ``chain``
         self._cursor = 0
         self._make_node(ROOT)
         self._emit_record({"op": "meta", "kind": "tree", "e_a": self.e_a, "e0": self.e0,
@@ -242,6 +284,10 @@ class TreeRun:
         if self.collect_trace:
             self.trace.append(record)
 
+    def _reader(self, idx: int) -> _Reader:
+        """An index's readers, made for an index past E_WINDOW at its first."""
+        return self.readers.setdefault(idx, _Reader([], [], False))
+
     def _make_node(self, address: str) -> _NodeState:
         """Make a node.  The walk makes each one once, after its parent, so its
         prefixes exist."""
@@ -257,9 +303,9 @@ class TreeRun:
             tm = state.tmeasure = _TMeasure(q.j, eb, self.nodes[q.base])
             tm.beta.tmeasures.append(tm)
             for idx in {q.j, eb}:
-                self.tmeasures_by_index.setdefault(idx, []).append(tm)
-        if state.kind == "r":
-            # the piece sets are woken by _commit, never polled idle
+                self._reader(idx).tmeasures.append(tm)
+        if state.is_r:
+            # the piece sets are woken by the commits, never polled idle
             (state.r_index, state.rt_index), (state.r_out, state.rt_out) = (
                 self.kernel.register_pair(None, wake=(), slot_base=self.a_slot + 1)
             )
@@ -276,8 +322,8 @@ class TreeRun:
         # delta's tilde pool: at the root, the balls entered before this stage's
         pool = (list(range(self.tree_stage - 1)) if dstate.address == ROOT
                 else sorted(dstate.rt_committed))
-        if state.kind == "r" and address.endswith("1"):
-            m = self._get_measure(isqrt(len(address)), dstate)
+        if state.is_r and address.endswith("1"):
+            m = self._get_measure(isqrt(state.depth), dstate)
             state.cand_heap = sorted(m.members)
             m.subscribers.append(state)
             state.mids_pool = pool
@@ -293,7 +339,7 @@ class TreeRun:
             return got
         # every question reads W_j directly; the root's W_1 is the feeder
         m = dstate.measures[j] = _Measure(j, None if dstate.address == ROOT else dstate)
-        self.measures_by_index.setdefault(m.j_index, []).append(m)
+        self._reader(m.j_index).measures.append(m)
         # replay history: members of W_j already logged
         log = self.kernel.log
         for _, x in log.entries(m.j_index):
@@ -316,12 +362,17 @@ class TreeRun:
         log = self.kernel.log
         fresh = log.events(self._cursor)
         self._cursor = len(log)
+        readers = self.readers
         for _, idx, x in fresh:
-            for m in self.measures_by_index.get(idx, ()):
+            reader = readers.get(idx)
+            if reader is None:
+                continue
+            measures, tmeasures, marks = reader
+            for m in measures:
                 self._measure_try_add(m, x)
-            for tm in self.tmeasures_by_index.get(idx, ()):
+            for tm in tmeasures:
                 tm.dirty = True
-            if mask_bit(idx):
+            if marks:
                 # x enters idx once, so its state gains a bit
                 for state in self.marker_nodes.get(x, ()):
                     self._table_changed(state, bisect_left(state.live_markers, x))
@@ -347,20 +398,17 @@ class TreeRun:
             tm.fi += 1
             tm.count += 1
 
-    def _compute_f(self, st: int) -> str:
-        """Walk f from the root; collect its R-nodes and requesting prefixes."""
+    def _compute_f(self, st: int) -> _NodeState:
+        """Walk f from the root and return f's state, filling in its path lists
+        the first time f ends there."""
+        # st*st and the depth bound (checked_depth) are squares, so f at the cap
+        # is the root or an R-node; only the trace replay checks f's shape
         cap = min(st * st, self.depth)
         state = self.nodes[ROOT]
-        chain: list = []
-        requesters: list = []
-        while not state.positive:
-            node = state.address
-            if len(node) == cap:
-                # st*st and the depth bound (checked_depth) are squares, so this is
-                # the root or an R-node; only the trace replay checks f's shape
-                break
-            if state.measure is not None:
-                chip = len(state.measure.members)
+        while not state.positive and state.depth != cap:
+            m = state.measure
+            if m is not None:
+                chip = len(m.members)
             else:
                 tm = state.tmeasure
                 if tm.dirty:
@@ -368,29 +416,34 @@ class TreeRun:
                     tm.dirty = False
                     self._advance_tmeasure(tm)
                 chip = tm.count
-            bit = 1 if chip != state.chip_snapshot else 0
-            state.chip_snapshot = chip
+            if chip != state.chip_snapshot:
+                state.chip_snapshot = chip
+                bit = 1
+            else:
+                bit = 0
             child = state.kids[bit]
             if child is None:
-                child = state.kids[bit] = self._make_node(node + "01"[bit])
+                child = state.kids[bit] = self._make_node(state.address + "01"[bit])
             state = child
-            if state.kind == "r":
-                chain.append(state)
-            if state.requesting:
-                requesters.append(state)
-        self._chain = chain
-        self._requesters = requesters
-        return state.address
+        if state.chain is None:
+            # the walk has made every prefix
+            address = state.address
+            prefixes = [self.nodes[address[:d]] for d in range(1, state.depth + 1)]
+            state.chain = [p for p in prefixes if p.is_r]
+            state.requesters = [p for p in prefixes if p.requesting]
+        self._chain = state.chain
+        return state
 
     # -- sweeping right of the path -----------------------------------------
 
-    def _sweep_right(self, f: str) -> None:
+    def _sweep_right(self, fstate: _NodeState) -> None:
         # the nodes f passed on the left; only requesting nodes hold requests,
         # and once f can move only they hold balls.  Void their requests (the
         # trace's replay voids them at the f record) and relocate their balls;
         # each target is a prefix of f, so it sits left of every node moved from
+        f = fstate.address
         order = self._left_order
-        for state in order[bisect_right(order, left_key(f), key=_KEY):]:
+        for state in order[bisect_right(order, fstate.key, key=_KEY):]:
             state.requests.clear()
             if not state.balls:
                 continue
@@ -441,9 +494,9 @@ class TreeRun:
         """Whether the node may pull ball x.  A no is permanent when x is at most the
         node's depth, in its pieces, dumped into A (it never comes back), left of the
         node or below it; not when x is a ball that has not entered yet."""
-        if x <= len(state.address):
+        if x <= state.depth:
             return False
-        if state.kind == "r" and (sorted_has(state.r_sorted, x) or x in state.rt_committed):
+        if state.is_r and (sorted_has(state.r_sorted, x) or x in state.rt_committed):
             return False
         return can_pull(state.address, self.positions.get(x))
 
@@ -464,11 +517,11 @@ class TreeRun:
         mids = [y for y in self._intermediates(state, x1) if y != x0]
         for x in (x0, x1, *mids):
             self._place(x, state)
-        if state.kind == "r":
-            self._commit(state, x0, tilde=False)
-            self._commit(state, x1, tilde=True)
-            for y in mids:
-                self._commit(state, y, tilde=False)
+        if state.is_r:
+            # x1's tilde commit neither reads nor changes the R piece, so x0
+            # can join the bystanders' batch after it
+            self._commit_tilde(state, x1)
+            self._commit_r(state, [x0, *mids])
         self._emit_record({"op": "pull", "ks": self.history[-1][0], "node": state.address,
                            "req": request, "x0": x0, "x1": x1, "mid": mids})
         return True
@@ -479,7 +532,7 @@ class TreeRun:
         # W_j (1-ending R-nodes) fill a bystander pool.  Every scanned entry is
         # either swept here or permanently out: the slice is consumed wholesale.
         pool = state.mids_pool
-        lo = bisect_right(pool, len(state.address))
+        lo = bisect_right(pool, state.depth)
         hi = bisect_left(pool, top)
         out = [y for y in pool[lo:hi] if self._pullable(state, y)]
         del pool[lo:hi]
@@ -506,27 +559,41 @@ class TreeRun:
         if state.moved[0] != st or k < state.moved[1]:
             state.moved = (st, k)
 
-    def _commit(self, state: _NodeState, x: int, tilde: bool) -> None:
-        if tilde:
-            state.rt_committed.add(x)
-            self._offer(state, x)
-            state.rt_out.append(x)
-            self.kernel.wake(state.rt_index)
-            for m in state.measures.values():
-                self._measure_try_add(m, x)
-        else:
-            pos = bisect_left(state.r_sorted, x)
-            state.r_sorted.insert(pos, x)
-            for tm in state.tmeasures:
-                tm.dirty = True
-                if pos < tm.fi:
-                    tm.fi = pos
-            state.r_out.append(x)
-            self.kernel.wake(state.r_index)
-            if self.kernel.log.entry_stage(self.e_a, x) is None:
-                k = bisect_left(state.live_markers, x)
-                state.live_markers.insert(k, x)
-                self._marker_moved(state, k)
+    def _commit_tilde(self, state: _NodeState, x: int) -> None:
+        state.rt_committed.add(x)
+        self._offer(state, x)
+        state.rt_out.append(x)
+        self.kernel.wake(state.rt_index)
+        for m in state.measures.values():
+            self._measure_try_add(m, x)
+
+    def _commit_r(self, state: _NodeState, balls: list) -> None:
+        """Commit new balls to a node's R piece, emitted in the given order.
+
+        One batch does what committing the balls one at a time would.  A
+        T-counter's frontier and the least marker position that
+        ``_marker_moved`` keeps are each the least position a commit inserted
+        at, and whatever the order, that is where the least new ball (the
+        least new marker) goes: every other one is greater.
+        """
+        new = sorted(balls)
+        r_sorted = state.r_sorted
+        pos = bisect_left(r_sorted, new[0])
+        r_sorted[pos:] = sorted(r_sorted[pos:] + new)
+        for tm in state.tmeasures:
+            tm.dirty = True
+            if pos < tm.fi:
+                tm.fi = pos
+        state.r_out.extend(balls)
+        self.kernel.wake(state.r_index)
+        log, e_a = self.kernel.log, self.e_a
+        markers = [x for x in new if log.entry_stage(e_a, x) is None]
+        if markers:
+            live = state.live_markers
+            k = bisect_left(live, markers[0])
+            live[k:] = sorted(live[k:] + markers)
+            self._marker_moved(state, k)
+            for x in markers:
                 self.marker_nodes.setdefault(x, []).append(state)
 
     # -- dumping into A --------------------------------------------------------
@@ -546,11 +613,14 @@ class TreeRun:
         A's log column gives them (see the module docstring)."""
         delta = greatest_r_prefix(state.address)
         dstate = self.nodes[delta]
+        casualties = []
         for _, y in self.kernel.log.entries(self.e_a, state.patch_cursor):
             state.patch_cursor += 1
             uncommitted = not sorted_has(state.r_sorted, y) and y not in state.rt_committed
             if uncommitted and (delta == ROOT or y in dstate.rt_committed):
-                self._commit(state, y, tilde=False)
+                casualties.append(y)
+        if casualties:
+            self._commit_r(state, casualties)
 
     def _patch(self) -> None:
         dumped = self.kernel.log.count(self.e_a)
@@ -582,17 +652,17 @@ class TreeRun:
             self._dump_to_a(x)
         state.needs_scan = True  # more states may now be raisable
 
-    def _extra_dump(self, st: int, f: str) -> None:
-        state = self.nodes[f]
-        if not state.positive:
+    def _extra_dump(self, st: int, fstate: _NodeState) -> None:
+        if not fstate.positive:
             return
+        f = fstate.address
         # f's depth is not a square, so the question above it is a T question
         base = question_at(f[:-1]).base
         for target in self._chain:
             if target.address == base:
                 continue
             # the stage at which f last moved left of the dumped piece's node
-            t = max(len(f), self._passes.of(target.address))
+            t = max(fstate.depth, self._passes.of(target.address))
             if t >= len(target.live_markers):
                 continue
             stage, floor = target.moved
@@ -610,9 +680,10 @@ class TreeRun:
             return ()
         st = self.tree_stage + 1
         self.tree_stage = st
-        f = self._compute_f(st)
+        fstate = self._compute_f(st)
+        f = fstate.address
         self._emit_record({"op": "f", "s": st, "ks": stage, "node": f})
-        for state in self._requesters:
+        for state in fstate.requesters:
             state.requests.append(st)
         moved = f != self.history[-1][1]
         self.history.append((stage, f))
@@ -621,11 +692,11 @@ class TreeRun:
         self._place(st - 1, self.nodes[f[:1]])
         self._offer(self.nodes[ROOT], st - 1)
         if moved:
-            self._sweep_right(f)
+            self._sweep_right(fstate)
         self._pull(st)
         self._patch()
         self._maximal(st)
-        self._extra_dump(st, f)
+        self._extra_dump(st, fstate)
         out = self._a_out
         self._a_out = []
         return out
@@ -835,7 +906,7 @@ def structural_report(run: TreeRun) -> dict:
     """
     problems = []
     for address, state in run.nodes.items():
-        if state.kind != "r":
+        if not state.is_r:
             continue
         markers = state.live_markers
         if any(a >= b for a, b in zip(markers, markers[1:])):

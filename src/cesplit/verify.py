@@ -519,10 +519,8 @@ def replay_tree(trace: Trace, depth: int, e_a: int) -> list[Divergence]:
                     fail(line, "extra-question", (q.kind, q.base), "T question about another piece")
             else:
                 fail(line, "extra-gamma", f, "a positive A-node")
-            # measured from gamma; the construction measures from the
-            # dumped piece's node, and only the paper's dumping rule can
-            # say which of the two is meant
-            want_t = max(len(f), passes.of(f))
+            # the last left pass of the dumped piece's node (see ``tree``)
+            want_t = max(len(f), passes.of(node))
             idx, live = rec["idx"], markers.get(node, [])
             if idx != want_t:
                 fail(line, "extra-index", idx, want_t)

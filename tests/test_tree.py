@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from cesplit import corpus
 from cesplit.geometry import (
-    greatest_r_prefix, is_positive_a, least_dump, marker_states, node_kind, question_at, r_chain,
+    E_WINDOW, greatest_r_prefix, is_positive_a, least_dump, marker_states, node_kind, question_at,
+    r_chain,
 )
 from cesplit.kernel import HostGenerator, Kernel, host_index
 from conftest import is_left_of
@@ -258,7 +259,7 @@ def test_patches_cover_casualties(hf_run):
     a_log = [x for _, x in hf_run.kernel.log.entries(run.e_a)]
     checked = 0
     for state in run.nodes.values():
-        if state.kind != "r":
+        if not state.is_r:
             continue
         delta = run.nodes[greatest_r_prefix(state.address)]
         for y in a_log[:state.patch_cursor]:
@@ -353,13 +354,15 @@ def assert_marker_ledger(run):
     for address, state in run.nodes.items():
         for m in state.measures.values():
             assert m.over is (None if address == "" else state)
-            assert m in run.measures_by_index[m.j_index]
+            assert m in run.readers[m.j_index].measures
         if address:
             q = question_at(address)
             held = state.measure.over if q.kind == "R" else state.tmeasure.beta
             assert held is run.nodes[q.base]
             if q.kind == "T":
                 assert state.tmeasure in run.nodes[q.base].tmeasures
+                for idx in (q.j, state.tmeasure.eb_index):
+                    assert run.readers[idx].tmeasures.count(state.tmeasure) == 1
         else:
             assert state.measure.over is None
 
@@ -368,6 +371,80 @@ def test_marker_ledger(hf_run):
     run = hf_run.run
     assert run.dumped and len(run.marker_nodes) > 1
     assert_marker_ledger(run)
+
+
+@pytest.fixture
+def small_run():
+    """A finished run to append events to, and its next free kernel stage."""
+    run = diagonalize(proc_friedberg, 3000, depth=9, collect_trace=False).run
+    return run, run.kernel.log.last_stage + 1
+
+
+def test_reader_table_entries(small_run):
+    # every index of the marker-state window has an entry that sets a bit;
+    # past the window, only an index that a measure or T-counter reads has one
+    run, _ = small_run
+    assert all(run.readers[idx].marks for idx in range(E_WINDOW))
+    assert not any(reader.marks for idx, reader in run.readers.items() if idx >= E_WINDOW)
+    assert all(reader.measures or reader.tmeasures
+               for idx, reader in run.readers.items() if idx >= E_WINDOW)
+
+
+def test_unread_window_index_still_flags_a_marker_table(small_run):
+    run, stage = small_run
+    log = run.kernel.log
+    state = next(s for s in run.nodes.values() if s.live_markers)
+    x = state.live_markers[0]
+    tms = [s.tmeasure for s in run.nodes.values() if s.tmeasure]
+    read = {m.j_index for s in run.nodes.values() for m in s.measures.values()}
+    read |= {tm.j_index for tm in tms} | {tm.eb_index for tm in tms}
+    idx = next(i for i in range(0, E_WINDOW, 2)
+               if i not in read and log.entry_stage(i, x) is None)
+    run._ingest()
+    state.needs_scan = False
+    log.append(stage, idx, x)
+    run._ingest()
+    assert state.needs_scan
+
+
+def test_unread_index_past_the_window_changes_nothing(small_run):
+    run, stage = small_run
+    log = run.kernel.log
+    x = next(iter(run.marker_nodes))
+    idx = next(i for i in range(E_WINDOW, 10**4, 2) if i not in run.readers)
+    run._ingest()
+    states = run.nodes.values()
+    measures = [m for s in states for m in s.measures.values()]
+    tmeasures = [s.tmeasure for s in states if s.tmeasure]
+    for s in states:
+        s.needs_scan = False
+    for tm in tmeasures:
+        tm.dirty = False
+    before = [set(m.members) for m in measures], [(tm.count, tm.fi) for tm in tmeasures]
+    log.append(stage, idx, x)
+    run._ingest()
+    assert ([set(m.members) for m in measures], [(tm.count, tm.fi) for tm in tmeasures]) == before
+    assert not any(tm.dirty for tm in tmeasures)
+    assert not any(s.needs_scan for s in states)
+    assert idx not in run.readers
+
+
+def test_measure_made_late_backfills_and_reads_on(small_run):
+    # a measure over an index that has already logged events takes them in,
+    # then reads that index's later events like any other
+    run, stage = small_run
+    log = run.kernel.log
+    root = run.nodes[""]
+    j = next(i for i in range(0, 10**4, 2) if log.count(i) and i not in root.measures)
+    entered = {x for _, x in log.entries(j)}
+    run._ingest()
+    m = run._get_measure(j, root)  # over the root: W_j minus A
+    assert m.members == {x for x in entered if log.entry_stage(run.e_a, x) is None}
+    assert m in run.readers[j].measures and run.readers[j].marks == (j < E_WINDOW)
+    x = next(y for y in range(10**6) if y not in entered and log.entry_stage(run.e_a, y) is None)
+    log.append(stage, j, x)
+    run._ingest()
+    assert x in m.members
 
 
 def test_determinism_of_full_trace():
@@ -399,7 +476,7 @@ def test_chip_freeze_is_permanent(hf_run):
 def test_piece_pairs_stay_disjoint(hf_run):
     run = hf_run.run
     log = hf_run.kernel.log
-    r_nodes = [st for st in run.nodes.values() if st.kind == "r" and st.r_sorted]
+    r_nodes = [st for st in run.nodes.values() if st.is_r and st.r_sorted]
     assert r_nodes
     for state in r_nodes[:4]:
         for s in (STAGES // 4, STAGES - 1):
