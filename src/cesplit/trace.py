@@ -10,19 +10,19 @@ the reader take each event line straight from and to the log's columns.
 
 ``_SHAPES``, the one table of record keys, gives each op's row: the kind
 of each field, per op (``req`` is an integer in ``pull``, a list in
-``route``), and for ``meta`` a row per construction ``kind``.
-``read_trace`` checks every record against its row as it reads it:
-exactly the row's keys, integers of type int (not bool, not a subclass),
-addresses of 0s and 1s only, lists of such integers.
+``route``), and for ``meta`` a row per construction ``kind``.  Each row has
+one check, which says why a record does not fit it: exactly the row's keys,
+integers of type int (not bool, not a subclass), addresses of 0s and 1s
+only, lists of such integers.  ``ADDRESS_FIELDS`` is read off the rows.
 
-The writer fills a row's line template, such as
-``{"e":E,"op":"event","s":S,"x":X}``, for a record that fits the row (every
-row but ``meta``'s has one) by the row's test, which accepts exactly what
-the reader's check accepts, and hands meta records and misfits to the
-``json`` module, with the same bytes.  The
-reader takes the canonical event line by template and hands every other
-line to the ``json`` module, so it accepts any JSON spelling of any record
-and gives the same log and records either way.
+The writer and the reader call that one check.  The writer fills a row's
+line template, such as ``{"e":E,"op":"event","s":S,"x":X}``, for a record
+the check passes (every row but ``meta``'s has one), and hands meta
+records and misfits to the ``json`` module, with the same bytes.  The
+reader takes the canonical event line by a pattern made from the event
+row's template, hands every other line to the ``json`` module and checks
+the record it gives, so it accepts any JSON spelling of any record and
+gives the same log and records either way.
 """
 
 from __future__ import annotations
@@ -64,41 +64,50 @@ _KINDS = {
 }
 # the template slot of each kind a line template can write, by field name
 _SLOTS = {"int": "%%(%s)d", "address": '"%%(%s)s"', "ints": "[%%(%s)s]"}
+_ABSENT = object()  # the value of a field the record lacks: of no kind
 
 
 class _Shape(NamedTuple):
     kinds: dict            # field name -> kind, in key order; the op (and a meta's kind) aside
     fill: Optional[tuple]  # the writer's template, or None
-    fits: Optional[Callable[[dict], bool]]  # the writer's test of a record, or None
+    misfit: Callable[[dict], Optional[str]]  # the row's check of a record of its op
 
 
 def _shape(op: str, **kinds: str) -> _Shape:
-    """A row.  Its template, for every op but meta, is the names of its
-    list fields and its line, filled from a record by field name; its test,
-    for the same ops, accepts exactly the records of the op that ``_misfit``
-    accepts, and builds no message."""
-    fill = fits = None
+    """A row.  Its check gives None for a record of the op that fits, else why
+    not: a field the row lacks, looked for only when the key sets differ, or
+    else the first in key order that is missing or not of its kind.  Its
+    template, for every op but meta: its list fields' names and its line."""
+    kinds = dict(sorted(kinds.items()))
+    keys = frozenset(kinds) | ({"op", "kind"} if op == "meta" else {"op"})
+    # each field, its kind's test (None for an integer: tested inline) and words
+    fields = tuple((k, None if kind == "int" else _KINDS[kind][1], _KINDS[kind][0])
+                   for k, kind in kinds.items())
+
+    def misfit(record: dict) -> Optional[str]:
+        if record.keys() != keys:
+            for name in record:
+                if name not in keys:
+                    return f"{op} record has an unknown field {name!r}"
+        for name, test, what in fields:
+            value = record.get(name, _ABSENT)
+            if test is None:
+                if type(value) is int:
+                    continue
+            elif test(value):
+                continue
+            if value is _ABSENT:
+                return f"{op} record lacks {name!r}"
+            return f"{op} field {name!r} is not {what}: {value!r}"
+        return None
+
+    fill = None
     if op != "meta":
         slots = {k: _SLOTS[kind] % k for k, kind in kinds.items()}
         slots["op"] = '"%s"' % op
-        keys = slots.keys()
-        ints = tuple(k for k, kind in kinds.items() if kind == "int")
-        tests = tuple((k, _KINDS[kind][1]) for k, kind in kinds.items() if kind != "int")
-
-        def fits(record: dict) -> bool:
-            if record.keys() != keys:
-                return False
-            for k in ints:  # most fields: _KINDS["int"]'s test, inline
-                if type(record[k]) is not int:
-                    return False
-            for k, test in tests:
-                if not test(record[k]):
-                    return False
-            return True
-
         fill = (tuple(k for k, kind in kinds.items() if kind == "ints"),
                 "{%s}\n" % ",".join('"%s":%s' % (k, slots[k]) for k in sorted(slots)))
-    return _Shape(dict(sorted(kinds.items())), fill, fits)
+    return _Shape(kinds, fill, misfit)
 
 
 _SHAPES = {
@@ -118,19 +127,22 @@ _SHAPES = {
         "tree": _shape("meta", e_a="int", e0="int", e1="int", depth="int"),
     },
 }
+# the address fields of each op but meta, whose rows have none
+ADDRESS_FIELDS = {op: tuple(k for k, kind in row.kinds.items() if kind == "address")
+                  for op, row in _SHAPES.items() if op != "meta"}
 # '{"e":%d,"op":"event","s":%d,"x":%d}\n', filled from a tuple in key order
 _EVENT_LINE = re.sub(r"%\(\w+\)", "%", _SHAPES["event"].fill[-1])
 
 # the spellings JSON accepts for an integer, and only those: [0-9], not \d
 _INT = r"(-?(?:0|[1-9][0-9]*))"
-_EVENT_RE = re.compile(r'\{"e":%s,"op":"event","s":%s,"x":%s\}' % (_INT, _INT, _INT))
+_EVENT_RE = re.compile(re.escape(_EVENT_LINE.rstrip("\n")).replace("%d", _INT))
 
 
 def _line(record: dict) -> str:
     """The record's line: its row's template filled, when it fits the row."""
     op = record.get("op")
     shape = _SHAPES.get(op) if type(op) is str and op != "meta" else None
-    if shape is None or not shape.fits(record):
+    if shape is None or shape.misfit(record) is not None:
         return _encode(record) + "\n"
     lists, template = shape.fill
     if lists:
@@ -142,24 +154,14 @@ def _misfit(record: dict) -> Optional[str]:
     """Why a record does not fit its row of ``_SHAPES``, or None if it does."""
     op = record.get("op")
     shape = _SHAPES.get(op) if type(op) is str else None
-    known = ("op",)
     if op == "meta":
-        kind, known = record.get("kind"), ("op", "kind")
+        kind = record.get("kind")
         shape = shape.get(kind) if type(kind) is str else None
         if shape is None:
             return f"unknown meta kind {kind!r}"
     if shape is None:
         return f"unknown op {op!r}"
-    for name in record:
-        if name not in shape.kinds and name not in known:
-            return f"{op} record has an unknown field {name!r}"
-    for name, kind in shape.kinds.items():
-        what, fits = _KINDS[kind]
-        if name not in record:
-            return f"{op} record lacks {name!r}"
-        if not fits(record[name]):
-            return f"{op} field {name!r} is not {what}: {record[name]!r}"
-    return None
+    return shape.misfit(record)
 
 
 @dataclass

@@ -74,11 +74,12 @@ index to what reads its events: the measures over it, the T-counters that
 read it, and whether it sets a marker-state bit (below E_WINDOW).  An index
 past E_WINDOW has an entry only once something reads it, so ``_ingest``
 passes over its events after one lookup.  Each node stores its depth and
-whether it is an R-node, and the node at which f ends keeps f's chain of
-R-nodes and its requesting prefixes, which depend on its address alone, so
-the walk only walks.  A pull commits x0 and its bystanders to the R piece
-as one batch (``_commit_r``).  The walk still visits every node of f at
-every stage: a node whose measure and T-counter are clean would give the
+whether it is an R-node, and the node at which f ends keeps the states of
+f's R-nodes and requesting prefixes, listed the first time f ends there by
+``geometry``'s ``r_chain`` and ``requesting_prefixes``, the replay's lists,
+so the walk only walks.  A pull commits x0 and its bystanders to the R
+piece as one batch (``_commit_r``).  The walk still visits every node of f
+at every stage: a node whose measure and T-counter are clean would give the
 same bit again, but a flag per node that skips it is a cache whose faults
 only a from-scratch oracle of the tree would catch, and there is none yet.
 """
@@ -95,9 +96,9 @@ from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .geometry import (
-    E_WINDOW, MARKER_WINDOW, ROOT, LeftPasses, TreeError, ball_too_deep, can_pull,
-    checked_depth, greatest_r_prefix, is_positive_a, is_r_node, least_dump, left_key,
-    left_target, marker_states, question_at, r_chain, sorted_has,
+    E_WINDOW, MARKER_WINDOW, ROOT, LeftPasses, TreeError, ball_too_deep, can_pull, checked_depth,
+    greatest_r_prefix, is_positive_a, is_r_node, least_dump, left_key, left_target, marker_states,
+    question_at, r_chain, requesting_prefixes, sorted_discard, sorted_has,
 )
 from .kernel import EventLog, HostGenerator, Kernel, host_index
 
@@ -182,7 +183,7 @@ class _NodeState:
         self.measures: dict = {}  # j -> the measure over this tilde piece
         self.tmeasures: list = []  # the T-counters that read this R piece
         # once f has ended here: the states of f's R-nodes, shallowest first,
-        # and of f's requesting prefixes; both depend on the address alone
+        # and of f's requesting prefixes, as ``geometry`` lists them
         self.chain: Optional[list] = None
         self.requesters: Optional[list] = None
         self.r_out = self.rt_out = None  # piece emissions awaiting the kernel
@@ -262,7 +263,6 @@ class TreeRun:
         self.dumped = 0  # balls dumped into A, those still in the kernel's queue too
         self.marker_nodes: dict[int, list] = {}  # live marker -> the states listing it
         self._left_order: list = []  # the requesting states, in left order
-        self._chain: list = []  # f's state's ``chain``
         self._cursor = 0
         self._make_node(ROOT)
         self._emit_record({"op": "meta", "kind": "tree", "e_a": self.e_a, "e0": self.e0,
@@ -427,11 +427,9 @@ class TreeRun:
             state = child
         if state.chain is None:
             # the walk has made every prefix
-            address = state.address
-            prefixes = [self.nodes[address[:d]] for d in range(1, state.depth + 1)]
-            state.chain = [p for p in prefixes if p.is_r]
-            state.requesters = [p for p in prefixes if p.requesting]
-        self._chain = state.chain
+            nodes = self.nodes
+            state.chain = [nodes[p] for p in r_chain(state.address)]
+            state.requesters = [nodes[p] for p in requesting_prefixes(state.address)]
         return state
 
     # -- sweeping right of the path -----------------------------------------
@@ -604,9 +602,7 @@ class TreeRun:
         self._a_out.append(x)
         self._lift(x)
         for holder in self.marker_nodes.pop(x):
-            k = bisect_left(holder.live_markers, x)
-            del holder.live_markers[k]
-            self._marker_moved(holder, k)
+            self._marker_moved(holder, sorted_discard(holder.live_markers, x))
 
     def _patch_node(self, state: _NodeState) -> None:
         """Absorb casualties: Rtilde_delta balls that entered A uncommitted, as
@@ -622,14 +618,14 @@ class TreeRun:
         if casualties:
             self._commit_r(state, casualties)
 
-    def _patch(self) -> None:
+    def _patch(self, fstate: _NodeState) -> None:
         dumped = self.kernel.log.count(self.e_a)
-        for state in self._chain:
+        for state in fstate.chain:
             if state.patch_cursor < dumped:
                 self._patch_node(state)
 
-    def _maximal(self, st: int) -> None:
-        for state in self._chain:
+    def _maximal(self, st: int, fstate: _NodeState) -> None:
+        for state in fstate.chain:
             if state.needs_scan:
                 self._maximal_scan(st, state)
 
@@ -658,7 +654,7 @@ class TreeRun:
         f = fstate.address
         # f's depth is not a square, so the question above it is a T question
         base = question_at(f[:-1]).base
-        for target in self._chain:
+        for target in fstate.chain:
             if target.address == base:
                 continue
             # the stage at which f last moved left of the dumped piece's node
@@ -694,8 +690,8 @@ class TreeRun:
         if moved:
             self._sweep_right(fstate)
         self._pull(st)
-        self._patch()
-        self._maximal(st)
+        self._patch(fstate)
+        self._maximal(st, fstate)
         self._extra_dump(st, fstate)
         out = self._a_out
         self._a_out = []

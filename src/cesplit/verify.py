@@ -45,7 +45,7 @@ from .geometry import (
 )
 from .kernel import EventLog
 from .pairing import balance_code, pair, unpair
-from .trace import _SHAPES, Trace, TraceError
+from .trace import ADDRESS_FIELDS, Trace, TraceError
 
 
 @dataclass
@@ -538,10 +538,6 @@ def replay_tree(trace: Trace, depth: int, e_a: int) -> list[Divergence]:
 # the ops each construction writes beside its one meta record
 _OPS = {"friedberg": ("route",), "hk": ("hk",),
         "tree": ("f", "left", "pull", "dump-orig", "dump-extra")}
-# the address fields of each tree op: none is longer than the depth bound in an
-# honest trace, and a longer one costs the replay its length at every ledger walk
-_ADDRESSES = {op: [name for name, kind in _SHAPES[op].kinds.items() if kind == "address"]
-              for op in _OPS["tree"]}
 
 
 def replay_check(trace: Trace, kind: str = "replay") -> dict:
@@ -579,7 +575,9 @@ def replay_check(trace: Trace, kind: str = "replay") -> dict:
             raise TraceError(f"{record['op']} record in a {flavour} trace, which holds one meta "
                              f"record and {', '.join(_OPS[flavour])} records", line)
         if depth is not None:
-            for name in _ADDRESSES.get(record["op"], ()):
+            # no address is longer than the depth bound in an honest trace, and a
+            # longer one costs the replay its length at every ledger walk
+            for name in ADDRESS_FIELDS.get(record["op"], ()):
                 if len(record[name]) > depth:
                     raise TraceError(f"{record['op']} field {name!r} is {len(record[name])} "
                                      f"long, past the depth bound {depth}", line)

@@ -708,6 +708,21 @@ def test_verify_non_integer_event_stage_reports_line(tmp_path, field, value):
     _verify_rejects(path, fourth + 1)
 
 
+def test_verify_reports_parse_faults_before_structural_ones(tmp_path):
+    # a record its construction never writes (a route in a tree trace) on
+    # line 3, an event that does not fit its row on line 5: the file is read
+    # and checked line by line first, so line 5 is the one reported
+    path, lines = _tree_trace(tmp_path)
+    assert all('"op":"event"' in line for line in lines[:4])
+    lines.insert(2, json.dumps(FOREIGN["route"], sort_keys=True, separators=(",", ":")))
+    record = json.loads(lines[4])
+    record["s"] = "x"
+    lines[4] = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    path.write_text("\n".join(lines) + "\n")
+    error = _verify_rejects(path, 5)["error"]
+    assert error == "line 5: event field 's' is not an integer: 'x'"
+
+
 def test_verify_long_address_rejected_on_its_line(tmp_path):
     # no honest address is longer than the meta record's depth bound; an f
     # node of 40,000 bits once took 16 s to replay, since each later f

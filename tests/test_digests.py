@@ -17,7 +17,6 @@ from pathlib import Path
 import pytest
 
 from cesplit import corpus, tree
-from cesplit.geometry import r_chain, requesting_prefixes
 from cesplit.friedberg import run_friedberg
 from cesplit.hk import run_hk, run_subset_scenario
 from cesplit.kernel import Kernel, machine_index
@@ -60,15 +59,6 @@ def chip_changes(history) -> dict:
     return dict(counts)
 
 
-def assert_path_lists(run):
-    """Each node that was f keeps f's R-nodes and requesting prefixes as the
-    replay defines them (f at stage 0 is the root, which no walk reached)."""
-    for f in {f for _, f in run.history[1:]}:
-        state = run.nodes[f]
-        assert [s.address for s in state.chain] == r_chain(f)
-        assert [s.address for s in state.requesters] == requesting_prefixes(f)
-
-
 TREE_PIN = "0c1cda88a55f16a22aaf03d65725fddcfec661b3a0e3310e679e360f93a5822d"
 FRIEDBERG_PIN = "38038f6f341cfb7e0097732e37cd00d7802b6128118d38120d4e39778ecc2518"
 SUBSET_PIN = "fd4a63cf2438a619b2f79cacc5ba455a0468ec63b7a7174360fbf7df34d90855"
@@ -79,7 +69,6 @@ def test_tree_trace_pinned(tmp_path):
     assert op_counts(result.trace) == (1, 627, 235, 74, 78, 0)
     assert chip_changes(result.run.history) == {"": 390}
     assert trace_sha256(tmp_path, result.kernel.log, result.trace) == TREE_PIN
-    assert_path_lists(result.run)
 
 
 # Corpora 102 and 148 of perfbench's ``make_inputs("diagonalize", seed)``: at
@@ -101,7 +90,6 @@ def test_extra_dump_trace_pinned(tmp_path, seed, counts, digest):
     result = diagonalize(PROCEDURES["hf"], 20_000, depth=25, corpus_texts=texts)
     assert op_counts(result.trace) == counts
     assert trace_sha256(tmp_path, result.kernel.log, result.trace) == digest
-    assert_path_lists(result.run)
     report = replay_check(merge_for_file(result.kernel.log, result.trace))
     assert report["ok"] and report["divergences"] == []
     # the file read back replays to the same report, its lines included
@@ -126,7 +114,6 @@ def test_tree_trace_pinned_at_depth_25(tmp_path, proc, counts, chips, digest):
     assert op_counts(result.trace) == counts
     assert chip_changes(result.run.history) == chips
     assert trace_sha256(tmp_path, result.kernel.log, result.trace) == digest
-    assert_path_lists(result.run)
 
 
 def test_iterate_rounds_pinned(tmp_path, monkeypatch):

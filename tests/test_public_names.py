@@ -14,7 +14,8 @@ Nor is any state write-only: every attribute a package class stores on
 attribute or through ``getattr`` or ``attrgetter``.
 
 And no module of the package touches another object's private state: a
-``_name`` attribute is reached through ``self`` or ``cls`` alone.
+``_name`` attribute is reached through ``self`` or ``cls`` alone.  Nor does
+one import another module's ``_name``.
 
 And no command of the CLI takes a flag it never reads: every option of a
 command's parser is read off ``args`` by the function the command runs, or
@@ -165,6 +166,15 @@ def private_reaches(tree):
 def test_no_module_reaches_into_another_objects_private_state():
     found = [f"{path.name}: {reach}" for path in sorted(PACKAGE.glob("*.py"))
              for reach in private_reaches(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    found = [f"{path.name}: {alias.name}" for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom)
+             for alias in node.names
+             if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert found == []
 
 

@@ -492,9 +492,9 @@ def test_window_gate_hides_no_dump(monkeypatch):
     last_scan = {}  # node -> its table after the stage it was last scanned
     checked = skipped = 0
 
-    def audited(run, st):
+    def audited(run, st, fstate):
         nonlocal checked, skipped
-        for state in run._chain:
+        for state in fstate.chain:
             if state.needs_scan or state.stage_bound:
                 continue
             checked += 1
@@ -502,8 +502,8 @@ def test_window_gate_hides_no_dump(monkeypatch):
             assert least_dump(revs, st) is None, (st, state.address)
             if (state.live_markers, revs) != last_scan[state]:
                 skipped += 1  # the table changed since, past the window only
-        scanned = [state for state in run._chain if state.needs_scan]
-        maximal(run, st)
+        scanned = [state for state in fstate.chain if state.needs_scan]
+        maximal(run, st, fstate)
         for state in scanned:
             last_scan[state] = (list(state.live_markers), marker_revs(run, state))
 
