@@ -18,6 +18,17 @@ Addresses are bit strings, the tree growing downward:
     (the path actually passing a node on the left), never on the prefix
     case, otherwise relocation targets would not exist.
 
+The order fact: the left order is the string order of the flipped
+addresses (``left_key``).  The flip reverses the order at a differing bit
+and keeps it at a prefix, so in plain string order, where "1" > "0" and a
+proper prefix is smaller, two rules have closed forms:
+
+  - a passes b on the left exactly when a > b and a does not extend b
+    (``diverges_left``);
+  - a node may pull from a place other than its own address exactly when
+    that place is < node: its proper prefixes and the places right of it
+    are smaller, the places left of it or below it greater (``can_pull``).
+
 Each piece makes A look maximal by original dumps over its marker table,
 the live markers in increasing order.  A marker's state is its membership
 mask: W_idx for idx < E_WINDOW sets bit E_WINDOW-1-idx, so the first e+1
@@ -28,7 +39,8 @@ with i the first such later position; the markers e..i-1 then go to A.
 ``tree.TreeRun`` builds the construction on these rules and
 ``verify.replay_tree`` re-checks a trace against them.  The replay keeps its
 own bookkeeping but takes this module as given: it is the trusted base the
-two share, property-tested against brute-force definitions.
+two share.  Each of its public functions is tested against a brute-force
+definition, the address rules over every address and pair up to depth 8.
 """
 
 from __future__ import annotations
@@ -36,6 +48,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import isqrt
+from os.path import commonprefix
 from typing import Optional
 
 ROOT = ""
@@ -64,25 +77,14 @@ def is_r_node(node: str) -> bool:
     return r * r == d
 
 
-def node_kind(node: str) -> str:
-    if node == ROOT:
-        return "root"
-    return "r" if is_r_node(node) else "a"
-
-
 def is_positive_a(node: str) -> bool:
-    return node_kind(node) == "a" and node.endswith("1")
+    return node.endswith("1") and not is_r_node(node)
 
 
 def greatest_r_prefix(node: str) -> str:
-    """The deepest proper R-node prefix; the root stands in for none."""
-    d = len(node) - 1
-    while d > 0:
-        r = isqrt(d)
-        if r * r == d:
-            return node[:d]
-        d -= 1
-    return ROOT
+    """The deepest proper R-node prefix, at the greatest square depth below
+    len(node); the root stands in for none (the square 0, at depth 1)."""
+    return node[: isqrt(len(node) - 1) ** 2] if node else ROOT
 
 
 def r_chain(node: str) -> list[str]:
@@ -107,22 +109,15 @@ def left_key(node: str) -> str:
 
 
 def diverges_left(a: str, b: str) -> bool:
-    """True when a passes b on the left: 1 at the first differing bit."""
-    for ba, bb in zip(a, b):
-        if ba != bb:
-            return ba == "1"
-    return False
+    """True when a passes b on the left: 1 at the first differing bit, so
+    a > b with a not extending b (the order fact above)."""
+    return a > b and not a.startswith(b)
 
 
 def left_target(f: str, node: str) -> str:
     """Where the balls of a node the path passed on the left move: the first
     R-node of f below the depth where f and node part, or f when f ends first."""
-    d = 0
-    for bf, bn in zip(f, node):
-        if bf != bn:
-            break
-        d += 1
-    depth = (isqrt(d) + 1) ** 2
+    depth = (isqrt(len(commonprefix((f, node)))) + 1) ** 2
     return f if depth > len(f) else f[:depth]
 
 
@@ -130,13 +125,14 @@ def can_pull(node: str, pos: Optional[str]) -> bool:
     """Whether a node may pull a ball sitting at pos (None: off the machine).
 
     A node pulls from strictly above it or strictly to its right; an R-node
-    also from its own address, where balls parked on entry wait.
+    also from its own address, where balls parked on entry wait.  Above or
+    right is pos < node (the order fact above).
     """
     if pos is None:
         return False
     if pos == node:
         return is_r_node(node)
-    return node.startswith(pos) or diverges_left(node, pos)
+    return pos < node
 
 
 def ball_too_deep(x: int, node: str) -> bool:

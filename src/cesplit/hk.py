@@ -43,14 +43,10 @@ from .pairing import pair, unpair
 
 class _TripleState:
     __slots__ = (
-        "e", "j", "i", "y_idx", "z_idx", "bi_idx", "a_idx",
-        "r_hist", "statuses", "min_cache", "last_change",
+        "y_idx", "z_idx", "bi_idx", "a_idx", "r_hist", "statuses", "min_cache", "last_change",
     )
 
-    def __init__(self, code, e, j, i, y_idx, z_idx, bi_idx, a_idx):
-        self.e = e
-        self.j = j
-        self.i = i
+    def __init__(self, code, y_idx, z_idx, bi_idx, a_idx):
         self.y_idx = y_idx
         self.z_idx = z_idx
         self.bi_idx = bi_idx
@@ -143,7 +139,7 @@ class HKSplitter:
             return state
         e, j = unpair(m)
         state = _TripleState(
-            code, e, j, i,
+            code,
             self.y_over.get(e, e), self.z_over.get(j, j),
             self.b0 if i == 0 else self.b1, self.a,
         )
@@ -186,7 +182,7 @@ class HKSplitter:
                 r = state.r_now(entered_b)
                 if x <= r:
                     self._out[i].append(x)
-                    self.trace.append({"op": "hk", "triple": [state.e, state.j, state.i],
+                    self.trace.append({"op": "hk", "triple": [*unpair(m), i],
                                        "l": state.l_now(entered_b), "r": r})
                     return
             m += 1

@@ -50,15 +50,16 @@ pc]``.  A parsed register operand is its register's position in the list,
 so the stretch loop runs a served pair's whole burst itself, with the pc in
 a local and the registers stepped in place, as ``machine.step_state`` would
 step them one call at a time; it reads the pair's index, input and program
-from the end.  A run halts at HALT or by walking off the end (``program[pc]``
-raises ``IndexError``), and finding it halted uses one step of the burst.  A
-pair whose burst steps a ``JMP`` to its own address has settled: it never
-halts and no later burst changes it, so its entry is dropped and the one
-shared ``_SETTLED`` marker takes its place in the queue.  Serving the marker
-moves it one level down without running anything, just as a burst of the
-settled pair would have moved the pair, so every queue keeps the length and
-order it had with the pair in it; the non-empty bitmask, the ruler schedule
-and hence the event log are those of stepping the settled pair forever.
+from the end.  A run halts at a HALT; one that walks off the end reaches the
+HALT the parser puts past the last instruction.  Finding a run halted uses
+one step of the burst.  A pair whose burst steps a ``JMP`` to its own
+address has settled: it never halts and no later burst changes it, so its
+entry is dropped and the one shared ``_SETTLED`` marker takes its place in
+the queue.  Serving the marker moves it one level down without running
+anything, just as a burst of the settled pair would have moved the pair, so
+every queue keeps the length and order it had with the pair in it; the
+non-empty bitmask, the ruler schedule and hence the event log are those of
+stepping the settled pair forever.
 
 The event log keeps the released events in three parallel columns (stage,
 index, element), and per index two more, its entry stages and its elements,
@@ -486,33 +487,30 @@ class Kernel:
                     # place; finding the run halted uses one of its steps
                     program, pc = entry[-2], entry[-1]
                     halted = False
-                    try:
-                        for _ in bursts[level]:
-                            ins = program[pc]
-                            op = ins[0]
-                            if op == decjz:
-                                reg = ins[1]
-                                value = entry[reg]
-                                if value:
-                                    entry[reg] = value - 1
-                                    pc += 1
-                                else:
-                                    pc = ins[2]
-                            elif op == inc:
-                                entry[ins[1]] += 1
+                    for _ in bursts[level]:
+                        ins = program[pc]
+                        op = ins[0]
+                        if op == decjz:
+                            reg = ins[1]
+                            value = entry[reg]
+                            if value:
+                                entry[reg] = value - 1
                                 pc += 1
-                            elif op == jmp:
-                                if ins[1] == pc:  # a jump to itself: settled for good
-                                    entry = settled
-                                    break
-                                pc = ins[1]
-                            else:  # HALT
-                                halted = True
+                            else:
+                                pc = ins[2]
+                        elif op == inc:
+                            entry[ins[1]] += 1
+                            pc += 1
+                        elif op == jmp:
+                            if ins[1] == pc:  # a jump to itself: settled for good
+                                entry = settled
                                 break
-                        else:  # the burst ran out first
-                            entry[-1] = pc
-                    except IndexError:  # program[pc] with pc == len(program)
-                        halted = True
+                            pc = ins[1]
+                        else:  # HALT
+                            halted = True
+                            break
+                    else:  # the burst ran out first
+                        entry[-1] = pc
                     if halted:
                         self._release(stage, entry[-4], entry[-3])
                         if self._dirty_batch:

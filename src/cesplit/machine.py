@@ -3,9 +3,10 @@
 Program texts are ';'-separated instruction lists, one program per line in a
 corpus file, e.g. "INC 0; DECJZ 0 3; JMP 0; HALT".  The input is placed in
 register 0.  A run halts by reaching HALT or by walking past the last
-instruction; jump targets may point one slot past the end for that reason.
-Texts that do not parse are treated as diverging, which keeps the decoding of
-program codes total.
+instruction; jump targets may point one slot past the end for that reason,
+and the parser puts a HALT in that slot, so a run that walks off the end
+reaches it.  Texts that do not parse are treated as diverging, which keeps
+the decoding of program codes total.
 
 ``step_state`` is the reference semantics of one step.  The kernel does not
 call it: its stretch loop steps each burst in place by the same rules, and
@@ -28,7 +29,8 @@ Program = tuple  # tuple of packed instruction tuples
 
 
 def parse_program(text: str) -> Optional[Program]:
-    """Parse a program text; None means the text diverges by convention."""
+    """Parse a program text, closed by a HALT in the slot past its last
+    instruction; None means the text diverges by convention."""
     parts = [chunk.strip() for chunk in text.split(";")]
     parts = [chunk for chunk in parts if chunk]
     if not parts:
@@ -66,6 +68,7 @@ def parse_program(text: str) -> Optional[Program]:
             return None
         if ins[0] == OP_JMP and ins[1] > size:
             return None
+    instructions.append((OP_HALT,))
     return tuple(instructions)
 
 

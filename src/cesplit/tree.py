@@ -160,7 +160,7 @@ class _Reader(NamedTuple):
 
 class _NodeState:
     __slots__ = (
-        "address", "key", "depth", "is_r", "positive", "requesting", "kids", "chip_snapshot",
+        "address", "key", "depth", "is_r", "positive", "kids", "chip_snapshot",
         "requests", "measure", "tmeasure", "measures", "tmeasures", "chain", "requesters",
         "r_out", "rt_out", "r_index", "rt_index", "rt_committed", "r_sorted", "live_markers",
         "rt_subscribers", "mids_subscribers", "needs_scan", "stage_bound", "moved",
@@ -173,8 +173,6 @@ class _NodeState:
         self.depth = len(address)
         self.is_r = is_r_node(address)
         self.positive = is_positive_a(address)
-        # on the path, an R-node or a positive A-node takes a pull request
-        self.requesting = self.is_r or self.positive
         self.kids: list = [None, None]  # the states at address+"0" and +"1", once walked
         self.chip_snapshot = 0
         self.requests: deque = deque()  # pending request stages, pushed in stage order
@@ -195,8 +193,9 @@ class _NodeState:
         self.mids_subscribers: list = []
         self.needs_scan = False
         # whether the next scan may differ from the last one with no change
-        # inside the window: never scanned, found a dump, or found none at a
-        # stage below the window's length
+        # inside the window: never scanned, or found none at a stage below
+        # the window's length.  Read only while needs_scan is False; a scan
+        # that finds a dump leaves needs_scan set (``_maximal_scan``)
         self.stage_bound = True
         # (tree stage, least marker index moved in it); no brain runs stage 0
         self.moved = (0, 0)
@@ -311,7 +310,7 @@ class TreeRun:
             )
             # absorb any casualties that predate this node
             self._patch_node(state)
-        if state.requesting:
+        if state.is_r or state.positive:  # on the path, it takes a pull request
             insort(self._left_order, state, key=_KEY)
             self._seed_candidates(state)
         return state
@@ -641,12 +640,12 @@ class TreeRun:
             # holds until a mask or a marker inside the window changes
             state.stage_bound = st < len(revs)
             return
-        state.stage_bound = True
         e, i = found
         self._emit_record({"op": "dump-orig", "ks": ks, "node": state.address, "e": e, "i": i})
+        # each dumped marker leaves this table at position e < MARKER_WINDOW,
+        # so _dump_to_a flags another scan: more states may now be raisable
         for x in state.live_markers[e:i]:
             self._dump_to_a(x)
-        state.needs_scan = True  # more states may now be raisable
 
     def _extra_dump(self, st: int, fstate: _NodeState) -> None:
         if not fstate.positive:

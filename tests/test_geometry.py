@@ -5,25 +5,35 @@ the 1-branch first, squares found by search, a naive history scan) rather
 than from its code, so the construction and its replay are checked against
 something other than the module they share.  ``last_left_pass``, the walk
 of the history the construction and the replay once shared, is the oracle
-of ``LeftPasses``, their index.
+of ``LeftPasses``, their index.  Every public function of the module is
+named here (``test_every_geometry_function_is_tested``).
 """
 
+import ast
 from bisect import insort
+from pathlib import Path
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from cesplit import geometry
 from cesplit.geometry import (
     E_WINDOW,
     MARKER_WINDOW,
     LeftPasses,
+    TreeError,
     ball_too_deep,
     can_pull,
+    checked_depth,
     diverges_left,
     greatest_r_prefix,
+    is_positive_a,
+    is_r_node,
     least_dump,
     left_key,
     left_target,
+    mask_bit,
     question_at,
     r_chain,
     requesting_prefixes,
@@ -65,8 +75,92 @@ def brute_extends(a, b):
     return len(a) > len(b) and a[: len(b)] == b
 
 
+def brute_diverges_left(a, b):
+    """a is left of b without being above it."""
+    return brute_left_of(a, b) and not brute_extends(b, a)
+
+
+def brute_can_pull(node, pos):
+    if pos is None:
+        return False
+    if pos == node:
+        return brute_square(len(node))  # balls park at R-nodes on entry
+    above = brute_extends(node, pos)
+    right = brute_left_of(node, pos) and not brute_extends(pos, node)
+    return above or right
+
+
+def brute_left_target(f, node):
+    d = 0
+    while d < min(len(f), len(node)) and f[d] == node[d]:
+        d += 1
+    squares_below = [L for L in range(d + 1, len(f) + 1) if brute_square(L)]
+    return f[: squares_below[0]] if squares_below else f
+
+
+def brute_greatest_r_prefix(node):
+    return max((node[:d] for d in range(len(node)) if brute_square(d)), key=len, default="")
+
+
+def brute_positive_a(node):
+    return node != "" and node[-1] == "1" and not brute_square(len(node))
+
+
 def test_preorder_is_complete():
     assert len(RANK) == 2 ** (MAX_DEPTH + 1) - 1
+
+
+def test_every_address_and_pair_matches_the_brute_force_rules():
+    # the trusted base, exhaustively up to MAX_DEPTH: each node's rules, and
+    # each ordered pair's
+    nodes = list(RANK)
+    for node in nodes:
+        assert is_r_node(node) == brute_square(len(node)), node
+        assert is_positive_a(node) == brute_positive_a(node), node
+        assert greatest_r_prefix(node) == brute_greatest_r_prefix(node), node
+        assert not can_pull(node, None)
+    for a in nodes:
+        for b in nodes:
+            assert diverges_left(a, b) == brute_diverges_left(a, b), (a, b)
+            assert can_pull(a, b) == brute_can_pull(a, b), (a, b)
+            assert left_target(a, b) == brute_left_target(a, b), (a, b)
+
+
+def test_square_depth_rules_far_down():
+    # R-node depths, and the deepest one above a node, past the exhaustive depths
+    for d in range(200):
+        for node in ("0" * d, "1" * d):
+            assert is_r_node(node) == brute_square(d), d
+            assert is_positive_a(node) == brute_positive_a(node), d
+            assert greatest_r_prefix(node) == brute_greatest_r_prefix(node), d
+
+
+def test_checked_depth_accepts_the_non_negative_squares_alone():
+    for depth in range(-20, 400):
+        if depth == 0 or brute_square(depth):
+            assert checked_depth(depth) == depth
+        else:
+            with pytest.raises(TreeError):
+                checked_depth(depth)
+
+
+def test_mask_bit():
+    # W_idx sets the idx-th bit from the left of an E_WINDOW-bit mask
+    for idx in range(-3, E_WINDOW + 3):
+        bits = ["1" if k == idx else "0" for k in range(E_WINDOW)]
+        assert mask_bit(idx) == int("".join(bits), 2), idx
+
+
+def test_every_geometry_function_is_tested():
+    # the module docstring's promise: each public function of the trusted
+    # base is checked here against a definition of its own
+    module = ast.parse(Path(geometry.__file__).read_text())
+    public = {node.name for node in module.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    named = {node.id for node in ast.walk(ast.parse(Path(__file__).read_text()))
+             if isinstance(node, ast.Name)}
+    missing = sorted(public - named)
+    assert not missing, f"no test names {missing}"
 
 
 @given(addresses, addresses)
@@ -93,12 +187,7 @@ def test_left_key_is_its_own_inverse(a):
 
 @given(addresses, addresses)
 def test_left_target(f, node):
-    d = 0
-    while d < min(len(f), len(node)) and f[d] == node[d]:
-        d += 1
-    squares_below = [L for L in range(d + 1, len(f) + 1) if brute_square(L)]
-    want = f[: squares_below[0]] if squares_below else f
-    assert left_target(f, node) == want
+    assert left_target(f, node) == brute_left_target(f, node)
 
 
 @given(deep_addresses, deep_addresses, deep_addresses)
@@ -115,15 +204,7 @@ def test_a_left_move_keeps_every_ball_shallow_enough(prefix, f_tail, node_tail):
 
 @given(addresses, positions)
 def test_pull_eligibility(node, pos):
-    if pos is None:
-        want = False
-    elif pos == node:
-        want = brute_square(len(node))  # balls park at R-nodes on entry
-    else:
-        above = brute_extends(node, pos)
-        right = brute_left_of(node, pos) and not brute_extends(pos, node)
-        want = above or right
-    assert can_pull(node, pos) == want
+    assert can_pull(node, pos) == brute_can_pull(node, pos)
 
 
 def test_pull_rejection_is_permanent():

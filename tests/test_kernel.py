@@ -244,7 +244,7 @@ def test_drawn_programs_match_oracle(drawn, stages):
     # themselves, which settles a pair, and DECJZ to themselves, which
     # does not
     texts = [render(program) for program in drawn]
-    assert [parse_program(text) for text in texts] == drawn
+    assert [parse_program(text) for text in texts] == [(*program, (OP_HALT,)) for program in drawn]
     kernel = Kernel(texts)
     kernel.run_to(stages)
     assert_kernel_is_oracle(kernel, texts, stages)
@@ -252,9 +252,10 @@ def test_drawn_programs_match_oracle(drawn, stages):
 
 def test_halt_at_the_virtual_slot_matches_oracle():
     # on input x: x rounds of DECJZ 0 / JMP 0, then DECJZ on zero jumps to
-    # slot 2, and finding the run there uses a step: 2x + 2 steps to halt
+    # slot 2, the parser's HALT, and finding the run there uses a step: 2x + 2
+    # steps to halt
     texts = ["DECJZ 0 2; JMP 0"]
-    assert parse_program(texts[0]) == ((OP_DECJZ, 0, 2), (OP_JMP, 0))
+    assert parse_program(texts[0]) == ((OP_DECJZ, 0, 2), (OP_JMP, 0), (OP_HALT,))
     kernel = Kernel(texts)
     kernel.run_to(3_000)
     assert_kernel_is_oracle(kernel, texts, 3_000)

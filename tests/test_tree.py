@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from cesplit import corpus
 from cesplit.geometry import (
-    E_WINDOW, greatest_r_prefix, is_positive_a, least_dump, marker_states, node_kind, question_at,
+    E_WINDOW, greatest_r_prefix, is_positive_a, is_r_node, least_dump, marker_states, question_at,
     r_chain,
 )
 from cesplit.kernel import HostGenerator, Kernel, host_index
@@ -78,9 +78,9 @@ def test_root_carries_no_question():
 
 
 def test_node_kinds():
-    assert node_kind("") == "root"
-    assert all(node_kind("0" * d) == "r" for d in (1, 4, 9, 16, 25))
-    assert node_kind("00") == "a"
+    assert not is_r_node("")  # the root constructs A
+    assert all(is_r_node("0" * d) for d in (1, 4, 9, 16, 25))
+    assert not is_r_node("00")
     assert is_positive_a("01") and not is_positive_a("0")  # depth 1 is an R-node
     assert not is_positive_a("00")
     assert greatest_r_prefix("000000") == "0000"
@@ -162,7 +162,7 @@ def assert_f_endpoints_legal(trace, depth):
         f = r["node"]
         if not is_positive_a(f):
             assert len(f) == min(r["s"] * r["s"], depth)
-            assert node_kind(f) == "r" or f == ""
+            assert is_r_node(f) or f == ""
 
 
 def test_f_endpoints_legal(hf_run):
@@ -288,11 +288,11 @@ def assert_ball_ledger(run):
     # the left order lists the requesting nodes, which the sweep and the
     # pulls walk: only they hold requests, and only they hold balls unless
     # the depth bound is 0, where f stays the root and the root takes them
-    requesting = [state for state in run.nodes.values() if state.requesting]
+    requesting = [state for state in run.nodes.values() if state.is_r or state.positive]
     assert run._left_order == sorted(requesting, key=lambda state: state.key)
     for state in run.nodes.values():
-        assert state.requesting or not state.requests, state.address
-        assert state.requesting or not state.balls or run.depth == 0, state.address
+        assert state.is_r or state.positive or not state.requests, state.address
+        assert state.is_r or state.positive or not state.balls or run.depth == 0, state.address
     # a node's pending requests are stages it was on the path, oldest first
     for state in requesting:
         pending = list(state.requests)
