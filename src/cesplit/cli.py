@@ -9,6 +9,11 @@ fails or answers no two set indices), or an output path (--trace, --out) in no
 directory, refused before the first stage runs, each with one line on stderr.
 Identical invocations produce byte-identical traces; there is no configuration
 outside the flags.
+
+A command pays at start-up for what it runs.  Importing the package or this
+module imports no construction (``friedberg``, ``hk``, ``tree``, ``witness``)
+and neither ``trace`` nor ``verify`` nor ``geometry``; each ``cmd_*`` imports
+the modules it calls when it runs, as do the flag types and ``_resolve_proc``.
 """
 
 from __future__ import annotations
@@ -17,19 +22,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from itertools import repeat
 
 from . import corpus as corpus_mod
-from .friedberg import run_friedberg
-from .geometry import TreeError, checked_depth
-from .hk import run_hk, run_subset_scenario
-from .kernel import Kernel
-from .setalg import check_split_history
-from .trace import TraceError, merge_for_file, read_trace, write_trace
-from .tree import PROCEDURES, TreeRun, diagonalize, iterate_splitting_procedures, structural_report
-from .verify import complement_witnesses, probe_friedberg, replay_check, trailing_window
-from .witness import run_parity_witness, shav_split, shavrukov_pair
 
 
 class _UsageError(Exception):
@@ -56,6 +51,8 @@ def _emit(payload) -> None:
 
 
 def cmd_enumerate(args) -> int:
+    from .kernel import Kernel
+
     kernel = Kernel(_load_corpus(args))
     kernel.run_to(args.stages)
     members = sorted(kernel.w_at(args.index, args.stages - 1)) if args.stages else []
@@ -74,6 +71,11 @@ def cmd_corpus(args) -> int:
 
 
 def cmd_split(args) -> int:
+    from .friedberg import run_friedberg
+    from .hk import run_hk, run_subset_scenario
+    from .setalg import check_split_history
+    from .trace import merge_for_file, write_trace
+
     friedberg = args.flavour == "friedberg"
     if args.trace:
         _check_output("--trace", args.trace)
@@ -103,6 +105,11 @@ def cmd_split(args) -> int:
 
 
 def cmd_build31(args) -> int:
+    from dataclasses import asdict
+
+    from .verify import complement_witnesses, probe_friedberg, trailing_window
+    from .witness import run_parity_witness
+
     bundle = run_parity_witness(corpus_mod.WITNESS, args.stages)
     log = bundle.kernel.log
     last = args.stages - 1
@@ -129,6 +136,9 @@ def cmd_build31(args) -> int:
 
 
 def cmd_shav(args) -> int:
+    from .kernel import Kernel
+    from .witness import shav_split, shavrukov_pair
+
     kernel = Kernel(_load_corpus(args))
     x0, x1 = shavrukov_pair(kernel, args.w, args.y)
     halves = None
@@ -148,6 +158,8 @@ def cmd_shav(args) -> int:
 
 def _resolve_proc(spec: str):
     """The procedure a --proc name stands for; a usage error if none."""
+    from .tree import PROCEDURES
+
     if spec in PROCEDURES:
         return PROCEDURES[spec]
     if not spec.startswith("plugin:"):
@@ -171,6 +183,8 @@ def _resolve_proc(spec: str):
 
 def _depth_flag(text: str) -> int:
     """--depth's type: a bad bound is a usage error that states the rule."""
+    from .geometry import TreeError, checked_depth
+
     try:
         return checked_depth(int(text))
     except (TreeError, ValueError) as err:
@@ -197,6 +211,9 @@ _jobs_flag = _at_least(1, "a worker count")
 
 
 def _run_one_diagonalize(proc_name, proc, texts, args):
+    from .trace import merge_for_file, write_trace
+    from .tree import diagonalize, structural_report
+
     result = diagonalize(proc, args.stages, args.depth, texts, collect_trace=bool(args.trace))
     report = structural_report(result.run)
     if args.trace:
@@ -222,6 +239,10 @@ def _run_one_diagonalize(proc_name, proc, texts, args):
 
 
 def cmd_diagonalize(args) -> int:
+    from .geometry import TreeError
+    from .kernel import Kernel
+    from .tree import TreeRun
+
     procs = args.proc.split(",")
     if len(procs) > 1 and args.trace and "{proc}" not in args.trace:
         raise _UsageError("multiple procs need a {proc} placeholder in --trace")
@@ -254,6 +275,9 @@ def _diag_worker(name, texts, args):
 
 
 def cmd_verify(args) -> int:
+    from .trace import TraceError, read_trace
+    from .verify import replay_check
+
     try:
         report = replay_check(read_trace(args.trace), args.suite)
     except OSError as err:  # a missing or unreadable path is a usage error
@@ -266,6 +290,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_iterate(args) -> int:
+    from .tree import PROCEDURES, iterate_splitting_procedures
+
     rounds = iterate_splitting_procedures(
         PROCEDURES["hf"], args.rounds, args.stages, args.depth, _load_corpus(args)
     )

@@ -29,6 +29,10 @@ proper prefix is smaller, two rules have closed forms:
     that place is < node: its proper prefixes and the places right of it
     are smaller, the places left of it or below it greater (``can_pull``).
 
+In left-key order the nodes a path passes on the left are one tail of any
+sorted list of left keys (``first_passed``): past the path's own key come
+its extensions, whose keys extend it, and then the nodes right of it.
+
 Each piece makes A look maximal by original dumps over its marker table,
 the live markers in increasing order.  A marker's state is its membership
 mask: W_idx for idx < E_WINDOW sets bit E_WINDOW-1-idx, so the first e+1
@@ -112,6 +116,13 @@ def diverges_left(a: str, b: str) -> bool:
     """True when a passes b on the left: 1 at the first differing bit, so
     a > b with a not extending b (the order fact above)."""
     return a > b and not a.startswith(b)
+
+
+def first_passed(keys: list[str], f: str) -> int:
+    """Where, in a sorted list of left keys, the nodes f passes on the left
+    start: they are the list from there on.  "2" sorts after both key bits,
+    so the cut skips f's key and every key that extends it."""
+    return bisect_left(keys, left_key(f) + "2")
 
 
 def left_target(f: str, node: str) -> str:

@@ -71,7 +71,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
 from operator import attrgetter
@@ -254,7 +253,6 @@ def _activation_stream(programs: list) -> Iterator[list]:
             yield next(sparse)
 
 
-@dataclass
 class HostGenerator:
     """A deterministic emission source for one constructed set.
 
@@ -270,18 +268,27 @@ class HostGenerator:
     start with an empty FIFO.  Timer and drain generators are the sources.
     """
 
-    slot: int
-    pull: Callable[[int], Iterable[int]]
-    wake: Union[tuple[int, ...], str]
+    __slots__ = ("slot", "pull", "wake")
+
+    def __init__(self, slot: int, pull: Callable[[int], Iterable[int]],
+                 wake: Union[tuple[int, ...], str]):
+        self.slot = slot
+        self.pull = pull
+        self.wake = wake
+
+    def __repr__(self) -> str:
+        return f"HostGenerator(slot={self.slot!r}, pull={self.pull!r}, wake={self.wake!r})"
 
 
-@dataclass(eq=False)
 class _GenEntry:
-    gen: HostGenerator
-    index: int
-    order: int  # registration order: sources due in one stage are polled in it
-    dirty: bool = True
-    pace: int = 0  # a paced source's stages apart; 0 when it is not paced
+    __slots__ = ("gen", "index", "order", "dirty", "pace")
+
+    def __init__(self, gen: HostGenerator, index: int, order: int):
+        self.gen = gen
+        self.index = index
+        self.order = order  # registration order: sources due in one stage are polled in it
+        self.dirty = True
+        self.pace = 0  # a paced source's stages apart; 0 when it is not paced
 
 
 _ORDER = attrgetter("order")

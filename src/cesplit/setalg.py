@@ -7,8 +7,7 @@ is released per stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .kernel import EventLog
 
@@ -85,8 +84,7 @@ def check_split_history(
     return None
 
 
-@dataclass(frozen=True)
-class ComputablePair:
+class ComputablePair(NamedTuple):
     """A computable set presented as disjoint positive and negative halves."""
 
     pos: int

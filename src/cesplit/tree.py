@@ -95,6 +95,7 @@ from math import isqrt
 from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple, Optional
 
+from . import setalg, verify
 from .geometry import (
     E_WINDOW, MARKER_WINDOW, ROOT, LeftPasses, TreeError, ball_too_deep, can_pull, checked_depth,
     greatest_r_prefix, is_positive_a, is_r_node, least_dump, left_key, left_target, marker_states,
@@ -774,20 +775,17 @@ def verdict_at(log: EventLog, e_a: int, e0: int, e1: int, history: list, stage: 
                max_backlog: int) -> Verdict:
     """The verdict on A = W_e_a and h's halves by the stage, from the log, the
     run's ``history`` and the kernel's backlog high-water mark."""
-    from .setalg import check_split_history
-    from .verify import complement_witnesses, probe_friedberg
-
     # in-flight tolerance: construction bursts can hold a routing hostage
     # for about two queue drains, so the window tracks the observed backlog
     settle = max(64, stage // 10, 4 * max_backlog)
-    violation = check_split_history(log, e_a, e0, e1, stage, settle=settle)
+    violation = setalg.check_split_history(log, e_a, e0, e1, stage, settle=settle)
     if violation is not None:
         s, kind, x = violation
         return Verdict(1, "split-violation", {"stage": s, "kind": kind, "x": x})
     for side, half in ((0, e0), (1, e1)):
         if half == e_a:
             continue  # the input itself is not a complement candidate
-        live = [ev.j for ev in complement_witnesses(log, half, stage, 16)
+        live = [ev.j for ev in verify.complement_witnesses(log, half, stage, 16)
                 if ev.status == "live"]
         if live:
             return Verdict(
@@ -799,7 +797,7 @@ def verdict_at(log: EventLog, e_a: int, e0: int, e1: int, history: list, stage: 
         positive = sum(is_positive_a(f) for _, f in tail)
         if positive * 2 >= len(tail):
             return Verdict(2, "positive-endpoint", {"fraction": positive / len(tail)})
-    growth = [asdict(ev) for ev in probe_friedberg(log, e_a, e0, e1, stage, 8)
+    growth = [asdict(ev) for ev in verify.probe_friedberg(log, e_a, e0, e1, stage, 8)
               if ev.swallowed_total]
     return Verdict(3, "friedberg-like", {"per_index": growth})
 

@@ -40,8 +40,8 @@ from typing import Optional
 
 from .geometry import (
     MARKER_WINDOW, ROOT, LeftPasses, TreeError, can_pull, checked_depth, diverges_left,
-    greatest_r_prefix, is_positive_a, is_r_node, least_dump, left_target, marker_states,
-    question_at, requesting_prefixes, sorted_discard,
+    first_passed, greatest_r_prefix, is_positive_a, is_r_node, least_dump, left_key,
+    left_target, marker_states, question_at, requesting_prefixes, sorted_discard,
 )
 from .kernel import EventLog
 from .pairing import balance_code, pair, unpair
@@ -378,8 +378,14 @@ def replay_tree(trace: Trace, depth: int, e_a: int) -> list[Divergence]:
     r_comm: dict[str, set] = {}
     rt_comm: dict[str, set] = {}
     markers: dict[str, list] = {}
+    # the pending requests by the left key of their node, and those keys sorted
     requests: dict[str, list] = {}
-    prefixes_of = lru_cache(maxsize=None)(requesting_prefixes)  # f takes few values
+    requesters: list[str] = []
+
+    @lru_cache(maxsize=None)  # f takes few values
+    def requesting_keys(f):
+        return [left_key(n) for n in requesting_prefixes(f)]
+
     dumped: set = set()
     fresh: list = []  # the balls dumped since the latest f record
     a_log = deque(log.entries(e_a))  # A's entries not yet checked
@@ -432,11 +438,17 @@ def replay_tree(trace: Trace, depth: int, e_a: int) -> list[Divergence]:
             if f_changed:
                 f = node
                 # void the pending requests of each node f passes on the left
-                requests = {n: ledger for n, ledger in requests.items() if not diverges_left(f, n)}
+                cut = first_passed(requesters, f)
+                for key in requesters[cut:]:
+                    del requests[key]
+                del requesters[cut:]
             if st > 0:
                 positions[st - 1] = f[:1]
-                for n in prefixes_of(f):
-                    requests.setdefault(n, []).append(st)
+                for key in requesting_keys(f):
+                    if key not in requests:
+                        requests[key] = []
+                        insort(requesters, key)
+                    requests[key].append(st)
             continue
         # a copy of the stage's ks; left records carry none
         if rec.get("ks", kstage) != kstage:
@@ -455,7 +467,8 @@ def replay_tree(trace: Trace, depth: int, e_a: int) -> list[Divergence]:
             continue
         if op == "pull":
             node = rec["node"]
-            ledger = requests.get(node, [])
+            key = left_key(node)
+            ledger = requests.get(key, [])
             if not ledger:
                 fail(line, "pull-request", None, "a pending request")
             else:
@@ -463,7 +476,8 @@ def replay_tree(trace: Trace, depth: int, e_a: int) -> list[Divergence]:
                     fail(line, "pull-request-least", rec["req"], ledger[0])
                 ledger.pop(0)
                 if not ledger:
-                    requests.pop(node, None)
+                    del requests[key]
+                    sorted_discard(requesters, key)
             x0, x1 = rec["x0"], rec["x1"]
             if not x0 < x1:
                 fail(line, "pull-pair-order", (x0, x1), "x0 < x1")

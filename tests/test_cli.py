@@ -815,3 +815,26 @@ def test_verify_hk_meta_bad_override_reports_meta_line(tmp_path, value):
     lines[at] = json.dumps(record, sort_keys=True, separators=(",", ":"))
     path.write_text("\n".join(lines) + "\n")
     _verify_rejects(path, at + 1)
+
+
+def test_light_commands_import_no_construction(tmp_path):
+    # the package and the CLI import no construction, and enumerate and
+    # corpus import only what they run: a module-level import added to
+    # cli.py would put its module's start-up into every command
+    script = (
+        "import sys\n"
+        "import cesplit.cli as cli\n"
+        "cli.build_parser()\n"
+        "assert cli.main(['enumerate', '--index', '0', '--stages', '50']) == 0\n"
+        f"assert cli.main(['corpus', '--size', '4', '--out', {str(tmp_path / 'c.txt')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'cesplit'))\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, env=env, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    *_, modules, dataclasses = proc.stdout.splitlines()
+    assert modules == repr(["cesplit"] + [f"cesplit.{m}" for m in (
+        "cli", "corpus", "kernel", "machine", "pairing", "setalg")])
+    assert dataclasses == "False"

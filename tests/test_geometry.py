@@ -27,6 +27,7 @@ from cesplit.geometry import (
     can_pull,
     checked_depth,
     diverges_left,
+    first_passed,
     greatest_r_prefix,
     is_positive_a,
     is_r_node,
@@ -119,11 +120,14 @@ def test_every_address_and_pair_matches_the_brute_force_rules():
         assert is_positive_a(node) == brute_positive_a(node), node
         assert greatest_r_prefix(node) == brute_greatest_r_prefix(node), node
         assert not can_pull(node, None)
+    keys = sorted(map(left_key, nodes))
     for a in nodes:
         for b in nodes:
             assert diverges_left(a, b) == brute_diverges_left(a, b), (a, b)
             assert can_pull(a, b) == brute_can_pull(a, b), (a, b)
             assert left_target(a, b) == brute_left_target(a, b), (a, b)
+        passed = {left_key(key) for key in keys[first_passed(keys, a):]}
+        assert passed == {b for b in nodes if brute_diverges_left(a, b)}, a
 
 
 def test_square_depth_rules_far_down():
@@ -183,6 +187,17 @@ def test_left_key_sorts_every_shallow_address_in_preorder():
 @given(deep_addresses)
 def test_left_key_is_its_own_inverse(a):
     assert left_key(left_key(a)) == a
+
+
+@given(deep_addresses, st.lists(deep_addresses, max_size=12),
+       st.lists(st.integers(0, 12), max_size=4), st.lists(deep_addresses, max_size=4))
+def test_first_passed_cuts_off_the_nodes_f_passes_on_the_left(f, others, cuts, tails):
+    # a ledger of nodes mixing f's prefixes, f, its extensions and the rest:
+    # the sorted keys from the cut on are exactly the nodes f passes
+    nodes = set(others) | {f[:d] for d in cuts} | {f + tail for tail in tails}
+    keys = sorted(map(left_key, nodes))
+    cut = first_passed(keys, f)
+    assert {left_key(key) for key in keys[cut:]} == {n for n in nodes if diverges_left(f, n)}
 
 
 @given(addresses, addresses)

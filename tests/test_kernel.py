@@ -752,3 +752,20 @@ def test_stepping_is_the_same_however_the_kernel_is_driven(
     assert want[3] == DRIVE_STAGES
     assert run(lambda kernel: kernel.run_to(DRIVE_STAGES)) == want
     assert run(in_chunks) == want
+
+
+def test_host_generator_fields_and_a_rebound_pull():
+    # a plain record of three fields; a tracer may rebind pull after it is
+    # made, before registration, and the kernel polls the new one
+    gen = HostGenerator(slot=0, pull=lambda stage: (), wake="timer")
+    assert (gen.slot, gen.wake) == (0, "timer")
+    with pytest.raises(AttributeError):
+        gen.extra = 1
+    polled = []
+    gen.pull = lambda stage: polled.append(stage) or [stage]
+    kernel = Kernel()
+    idx = kernel.register_generator(gen)
+    kernel.wake_at(idx, 2)
+    kernel.run_to(5)
+    assert polled == [2]
+    assert [x for _, x in kernel.log.entries(idx)] == [2]

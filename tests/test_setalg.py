@@ -260,3 +260,13 @@ def test_certified_interval_grows_with_stage():
     kernel.run_to(4_000)
     sizes = [covered_prefix(kernel.log, (pair.pos, pair.neg), s) for s in (500, 1_500, 3_999)]
     assert sizes[0] < sizes[1] < sizes[2]
+
+
+def test_computable_pair_is_a_frozen_value():
+    pair = ComputablePair(3, 5)
+    assert (pair.pos, pair.neg) == (3, 5)
+    assert repr(pair) == "ComputablePair(pos=3, neg=5)"
+    with pytest.raises(AttributeError):
+        pair.pos = 4
+    assert pair == ComputablePair(pos=3, neg=5) and pair != ComputablePair(5, 3)
+    assert len({pair, ComputablePair(3, 5), ComputablePair(5, 3)}) == 2

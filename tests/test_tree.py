@@ -535,3 +535,26 @@ def test_witness_split_polled_with_the_brain(polls):
     w0, w1 = result.witness_halves
     assert emitted[w0] + emitted[w1] > 0
     assert polled[w0] == polled[w1] == polled[result.e_a]
+
+
+def test_verdicts_call_the_probes_through_their_modules(monkeypatch):
+    # verdict_at looks each probe up on its module at call time, so a
+    # wrapper installed there (as perfbench's per-layer tracer does) sees
+    # every checkpoint
+    from cesplit import setalg, verify
+
+    seen = {"check": [], "probe": []}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            seen[name].append(args[4])  # both take (log, a, a0, a1, stage, ...)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(setalg, "check_split_history",
+                        counting("check", setalg.check_split_history))
+    monkeypatch.setattr(verify, "probe_friedberg", counting("probe", verify.probe_friedberg))
+    result = diagonalize(proc_friedberg, 3000, depth=9, collect_trace=False)
+    stages = [stage for stage, _ in result.verdicts]
+    assert len(stages) == 5 and all(v.kind == 3 for _, v in result.verdicts)
+    assert seen == {"check": stages, "probe": stages}
