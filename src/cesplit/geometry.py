@@ -5,13 +5,14 @@ Addresses are bit strings, the tree growing downward:
   - nodes at square depths i*i > 0 construct piece sets ("R-nodes");
   - the root constructs A itself; every other node is an A-node, positive
     when its last bit is 1;
-  - depth d carries one coded question.  If d+1 is a square j*j (j >= 2) the
+  - depth d carries one coded question.  If d+1 is a square j*j the
     question asks whether (W_j intersect Rtilde_delta) entered-before-A is
     infinite, with delta the prefix at depth (j-1)^2.  Otherwise, with
     j = isqrt(d) and r = d - j*j, the question asks whether
     W_j |_| (W_{e_b} intersect R_beta) = R_beta, where b = r mod 2 and beta
-    is the prefix at depth k*k for k = r//2 + 1.  The root's branching is
-    driven by the j=1 question (W_1 minus A) kept internal to the run.
+    is the prefix at depth k*k for k = r//2 + 1.  At d = 0 the rule gives
+    the root's question: j = 1 over the root's tilde piece, which is every
+    ball, so W_1 minus A.
 
   - left order: bit 1 sorts left of bit 0, prefixes left of extensions.
     Ball movement and request voiding trigger only on the divergence case
@@ -31,7 +32,9 @@ proper prefix is smaller, two rules have closed forms:
 
 In left-key order the nodes a path passes on the left are one tail of any
 sorted list of left keys (``first_passed``): past the path's own key come
-its extensions, whose keys extend it, and then the nodes right of it.
+its extensions, whose keys extend it, and then the nodes right of it.  The
+f values left of a node are the ones with smaller keys, so the last left
+pass of a node is one bisect into a stack of f's runs (``LeftPasses``).
 
 Each piece makes A look maximal by original dumps over its marker table,
 the live markers in increasing order.  A marker's state is its membership
@@ -159,52 +162,43 @@ def ball_too_deep(x: int, node: str) -> bool:
     return len(node) > max(1, x * x)
 
 
-_NO_RUN = (-1, 0)  # (run number, first stage) where no run of f was
-
-
 class LeftPasses:
     """The stage at which f last moved left of a node, as f's history grows.
 
     ``add`` takes the (tree stage, f) of every tree stage, or of f's changes
     alone; ``of(node)`` is the first stage of the latest run of equal f
     values left of the node, or 0.  Left of a node are its proper prefixes
-    p and, where p is followed by "0", the nodes under p+"1".  So a trie
-    over the f values, holding the latest run at and under each of its
-    nodes, answers a lookup in O(len(node)); a lookup first files the runs
-    begun since the last one, so ``add`` costs O(1).
+    p and, where p is followed by "0", the nodes under p+"1": by the order
+    fact, the f values with smaller left keys.
+
+    The runs are kept as a stack: ``add`` cuts the kept runs whose keys are
+    not below the new run's, then pushes it.  A run survives only while
+    every later run has a greater key, so the kept keys rise.  A lookup's
+    answer, the latest run with a key below the node's, survives: a later
+    run with a key at or below the answer's would be below the node's key
+    too, and a later answer.  So it is the last kept run below the node's
+    key, one bisect away.
     """
 
-    __slots__ = ("_trie", "_fresh", "_f", "_runs")
+    __slots__ = ("_keys", "_stages", "_f")
 
     def __init__(self):
-        self._trie: list = [_NO_RUN, _NO_RUN, {}]  # [latest run under, at, bit -> kid]
-        self._fresh: dict = {}  # f -> its latest run, if begun since the last lookup
+        self._keys: list[str] = []  # the kept runs' left keys, rising
+        self._stages: list[int] = []  # the kept runs' first stages
         self._f: Optional[str] = None
-        self._runs = 0
 
     def add(self, stage: int, f: str) -> None:
         if f != self._f:
             self._f = f
-            self._fresh[f] = (self._runs, stage)
-            self._runs += 1
+            key = left_key(f)
+            cut = bisect_left(self._keys, key)
+            del self._keys[cut:], self._stages[cut:]
+            self._keys.append(key)
+            self._stages.append(stage)
 
     def of(self, node: str) -> int:
-        for f, run in self._fresh.items():
-            t = self._trie
-            for bit in f:
-                t[0] = max(t[0], run)
-                t = t[2].setdefault(bit, [_NO_RUN, _NO_RUN, {}])
-            t[0], t[1] = max(t[0], run), run
-        self._fresh.clear()
-        best, t = _NO_RUN, self._trie
-        for bit in node:
-            best = max(best, t[1])
-            if bit == "0" and "1" in t[2]:
-                best = max(best, t[2]["1"][0])
-            t = t[2].get(bit)
-            if t is None:
-                break
-        return best[1]
+        i = bisect_left(self._keys, left_key(node))
+        return self._stages[i - 1] if i else 0
 
 
 @dataclass(frozen=True)
@@ -216,16 +210,10 @@ class Question:
 
 
 def question_at(node: str) -> Question:
-    """Decode the question carried at a node address.
-
-    The root carries no decodable question (its branching is internal), so
-    it is rejected here.
-    """
+    """Decode the question carried at a node address, the root's included."""
     d = len(node)
-    if d == 0:
-        raise TreeError("the root carries no coded question")
     j = isqrt(d + 1)
-    if j * j == d + 1 and j >= 2:
+    if j * j == d + 1:
         return Question("R", j, node[: (j - 1) * (j - 1)])
     # d + 1 is not (j + 1)**2, so r < 2 * j and 1 <= k <= j
     j = isqrt(d)

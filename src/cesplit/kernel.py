@@ -12,8 +12,8 @@ Generators are polled only on the stages that can give them work, as their
 releases an event or ``Kernel.wake`` asks for it; a timer source at the
 stages booked for it in a timer heap, by ``Kernel.wake_at`` one at a time or
 by ``Kernel.pace`` every ``pace`` stages; a drain source on the stages that
-start with an empty FIFO.  Each stage polls the due sources first, in
-registration order, and then the woken generators, by slot.
+start with an empty FIFO.  Each stage polls the due sources first and then
+the woken generators, each in registration order.
 
 ``run_to`` runs one loop, which pays per event rather than per stage.  It
 polls only on the stages where something is due: a drain source (on a
@@ -286,7 +286,7 @@ class _GenEntry:
     def __init__(self, gen: HostGenerator, index: int, order: int):
         self.gen = gen
         self.index = index
-        self.order = order  # registration order: sources due in one stage are polled in it
+        self.order = order  # registration order: due and woken generators are polled in it
         self.dirty = True
         self.pace = 0  # a paced source's stages apart; 0 when it is not paced
 
@@ -355,11 +355,12 @@ class Kernel:
 
         A construction routes each element into a half by appending it to
         that half's output list.  Half 0 takes the first free slot from
-        ``slot_base`` and half 1 the next free one, so half 0 is polled
-        first: its pull runs ``step(stage)`` (unless ``step`` is None), which
-        may append to either list, and drains list 0; half 1's pull drains
-        list 1.  Both halves share ``wake``; timer halves are polled at the
-        stages ``Kernel.pace`` or ``Kernel.wake_at`` books for each.
+        ``slot_base`` and half 1 the next free one; half 0 registers first,
+        so it is polled first: its pull runs ``step(stage)`` (unless ``step``
+        is None), which may append to either list, and drains list 0; half
+        1's pull drains list 1.  Both halves share ``wake``; timer halves are
+        polled at the stages ``Kernel.pace`` or ``Kernel.wake_at`` books for
+        each.
         """
         outs: tuple[list, list] = ([], [])
 
@@ -456,7 +457,7 @@ class Kernel:
         while self._dirty_batch:
             batch = self._dirty_batch
             self._dirty_batch = []
-            for entry in sorted(batch, key=lambda e: e.gen.slot):
+            for entry in sorted(batch, key=_ORDER):
                 if entry.dirty:
                     self._poll_one(entry, stage)
 

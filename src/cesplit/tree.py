@@ -17,12 +17,14 @@ approximation f_s walks from the root, branching 1 exactly when a chip
 changed since the node was last on the path, and stops at positive A-nodes
 or at the depth cap min(s*s, depth_bound).  The cap never shrinks and a node's
 positivity is its address's, so f only deepens or moves sideways: no node
-extends f, and every node right of f is one that f passed on the left.  One
-history, (kernel stage, f) per tree stage with the tree stage its position,
-gives the verdict its tail, and its index ``geometry.LeftPasses`` the extra
-dump the stage at which f last moved left of a node.  The trace writes it as
-one ``f`` record per tree stage; (s, f) fixes the ball the stage enters and
-the chips that changed, so no record says them.  Every other record belongs
+extends f, and every node right of f is one that f passed on the left.  Every
+node, the root included, asks the question ``geometry.question_at`` decodes
+from its depth.  One history, (kernel stage, f) per tree stage with the tree
+stage its position, gives the verdict its tail; ``geometry.LeftPasses``, a
+stack of f's runs by rising left key, gives the extra dump the stage at which
+f last moved left of a node.  The trace writes the history as one ``f``
+record per tree stage; (s, f) fixes the ball the stage enters and the chips
+that changed, so no record says them.  Every other record belongs
 to the stage of the last ``f`` record before it, so none repeats ``s`` or
 what f gives (a ``left`` record's target, an extra dump's dumping node), and
 no record names a casualty (a ball of A that a piece absorbs), which A's log
@@ -293,10 +295,8 @@ class TreeRun:
         prefixes exist."""
         state = _NodeState(address)
         self.nodes[address] = state
-        q = question_at(address) if address != ROOT else None
-        if q is None:
-            state.measure = self._get_measure(1, state)
-        elif q.kind == "R":
+        q = question_at(address)
+        if q.kind == "R":
             state.measure = self._get_measure(q.j, self.nodes[q.base])
         else:
             eb = self.e0 if q.b == 0 else self.e1

@@ -7,9 +7,10 @@ routing (under the listing overrides of the meta record), and
 ``replay_tree`` the legality of each tree decision.  The two routing
 replays choose a requirement or a triple and share one loop for the rest.
 The tree replay is the one exception by design: it shares ``geometry`` with
-the construction, the trusted base of tree address rules (node kinds,
-questions, the left order, pull eligibility, left targets, requesting
-prefixes, left passes, marker states and the least-dump rule), and it
+the construction, the trusted base of tree address rules (node kinds, one
+question rule for every depth, the left order, pull eligibility, left
+targets, requesting prefixes, the last left pass as a bisect into a stack
+of f's runs, marker states and the least-dump rule), and it
 trusts the endpoint of each ``f`` record, checking only its shape, where
 re-deriving it would take the chip counters of a second simulation.  Its
 clock is the ``f`` records, one per tree stage.
@@ -363,12 +364,14 @@ def replay_tree(trace: Trace, depth: int, e_a: int) -> list[Divergence]:
     ``geometry.marker_states`` reads off the log by the stage's ``ks`` - 1,
     just as the run reads them when it scans), and the chip counters
     (re-deriving them would be a second full simulation), so ``f`` records
-    are checked for the shape of their endpoint only.  This is the only check of f's shape (``endpoint-kind``,
-    ``endpoint-length``): the construction's walk cannot end anywhere else,
-    so it checks none.  ``depth`` and ``e_a`` are the meta record's.  Every
-    record fits its row of the record schema (``trace.read_trace``) and
-    holds no address longer than ``depth`` (``replay_check``), so fields are
-    read with no defensive code.
+    are checked for the shape of their endpoint only: the root, an R-node or
+    a positive A-node (``endpoint-kind``) no deeper than min(s*s, depth)
+    (``endpoint-length``), so the stage-0 record names the root.  This is
+    the only check of f's shape: the construction's walk cannot end
+    anywhere else, so it checks none.  ``depth`` and ``e_a`` are the meta
+    record's.  Every record fits its row of the record schema
+    (``trace.read_trace``) and holds no address longer than ``depth``
+    (``replay_check``), so fields are read with no defensive code.
     """
     log = trace.log
 
@@ -429,7 +432,7 @@ def replay_tree(trace: Trace, depth: int, e_a: int) -> list[Divergence]:
                 fail(line, "kernel-stage", ks, f"> {kstage}")
             if node != ROOT and not (is_r_node(node) or is_positive_a(node)):
                 fail(line, "endpoint-kind", node, "r-node or positive a-node")
-            if len(node) > min(st * st, depth) and st > 0:
+            if len(node) > min(st * st, depth):
                 fail(line, "endpoint-length", len(node), min(st * st, depth))
             check_a(line, ks)
             stage, kstage = st, ks

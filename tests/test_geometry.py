@@ -5,8 +5,8 @@ the 1-branch first, squares found by search, a naive history scan) rather
 than from its code, so the construction and its replay are checked against
 something other than the module they share.  ``last_left_pass``, the walk
 of the history the construction and the replay once shared, is the oracle
-of ``LeftPasses``, their index.  Every public function of the module is
-named here (``test_every_geometry_function_is_tested``).
+of ``LeftPasses``, their stack of f's runs.  Every public function of the
+module is named here (``test_every_geometry_function_is_tested``).
 """
 
 import ast
@@ -315,6 +315,15 @@ def test_last_left_pass_reads_the_changes_of_f_alone(runs, node):
 # f takes "10", "11", "10" with no lookup between: the runs reach the prefix
 # "1" out of order, and the latest, at stage 3, is the one left of "0"
 @example(entries=[(1, "10"), (2, "11"), (3, "10")], lookups=[[], [], ["0"]])
+# a run whose left key equals a kept run's replaces it
+@example(entries=[(1, "1"), (2, "0"), (3, "1")], lookups=[["0"], ["00"], ["0", "00", "1"]])
+# a run that cuts several kept runs at once, down to the root's
+@example(entries=[(1, ""), (2, "0"), (3, "01"), (4, "011"), (5, "1")],
+         lookups=[[], [], [], ["0111"], ["0", "011", "0111", "11"]])
+# nothing is left of the root
+@example(entries=[(1, "1"), (2, "0")], lookups=[[""], ["", "0"]])
+# a run's own f is not left of itself, its prefixes' runs are
+@example(entries=[(1, "1"), (2, "10")], lookups=[["1"], ["10", "1", "100"]])
 @given(st.lists(st.tuples(st.integers(-3, 40), short_addresses), max_size=16),
        st.lists(st.lists(short_addresses, max_size=2), max_size=16))
 def test_left_passes_match_the_walk_as_the_history_grows(entries, lookups):

@@ -701,6 +701,22 @@ def test_same_stage_order_puts_due_sources_before_woken_generators(scripted):
     assert order == [(drain_idx, 72), (timer_idx, 71), (watcher, 70)]
 
 
+def test_woken_generators_are_polled_in_registration_order(scripted):
+    # two watchers of one index, registered out of slot order, are woken by
+    # the same release and polled in the order they registered, as due
+    # sources are
+    kernel = Kernel()
+    released = scripted(kernel, 5, {5: [1]})
+
+    def emitting(x):
+        return lambda stage: [x] if stage == 6 else ()
+
+    high = kernel.register_generator(HostGenerator(slot=7, pull=emitting(80), wake=(released,)))
+    low = kernel.register_generator(HostGenerator(slot=2, pull=emitting(81), wake=(released,)))
+    kernel.run_to(12)
+    assert [(e, x) for s, e, x in kernel.log.events() if s >= 6] == [(high, 80), (low, 81)]
+
+
 # -- stretches -----------------------------------------------------------------
 
 DRIVE_STAGES = 1_500

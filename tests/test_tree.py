@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from cesplit import corpus
 from cesplit.geometry import (
-    E_WINDOW, greatest_r_prefix, is_positive_a, is_r_node, least_dump, marker_states, question_at,
-    r_chain,
+    E_WINDOW, ROOT, Question, greatest_r_prefix, is_positive_a, is_r_node, least_dump,
+    marker_states, question_at, r_chain,
 )
 from cesplit.kernel import HostGenerator, Kernel, host_index
 from conftest import is_left_of
@@ -30,24 +30,24 @@ addresses = st.text(alphabet="01", min_size=0, max_size=12)
 
 def question_table(max_depth):
     table = {}
-    for j in range(2, 40):
+    for j in range(1, 40):
         d = j * j - 1
-        if 1 <= d <= max_depth:
+        if 0 <= d <= max_depth:
             table[d] = ("R", j, (j - 1) * (j - 1))
     for j in range(1, 40):
         for k in range(1, j + 1):
             for b, d in ((0, j * j + 2 * k - 2), (1, j * j + 2 * k - 1)):
-                if 1 <= d <= max_depth and d not in table:
+                if 0 <= d <= max_depth and d not in table:
                     table[d] = ("T", j, k * k, b, k)
     return table
 
 
 def test_exactly_one_question_per_depth():
     table = question_table(60)
-    assert sorted(table) == list(range(1, 61))
+    assert sorted(table) == list(range(0, 61))
 
 
-@pytest.mark.parametrize("depth", range(1, 40))
+@pytest.mark.parametrize("depth", range(0, 40))
 def test_question_decode_matches_oracle(depth):
     node = "0" * depth
     table = question_table(40)
@@ -72,9 +72,9 @@ def test_question_examples():
     assert between[-1].kind == "R"  # depth 8 opens the j=3 band
 
 
-def test_root_carries_no_question():
-    with pytest.raises(TreeError):
-        question_at("")
+def test_root_asks_w1_over_its_own_tilde_piece():
+    # the common rule at d = 0: j = 1 over the root's tilde piece, W_1 minus A
+    assert question_at(ROOT) == Question("R", 1, ROOT)
 
 
 def test_node_kinds():
@@ -355,16 +355,14 @@ def assert_marker_ledger(run):
         for m in state.measures.values():
             assert m.over is (None if address == "" else state)
             assert m in run.readers[m.j_index].measures
-        if address:
-            q = question_at(address)
-            held = state.measure.over if q.kind == "R" else state.tmeasure.beta
-            assert held is run.nodes[q.base]
-            if q.kind == "T":
-                assert state.tmeasure in run.nodes[q.base].tmeasures
-                for idx in (q.j, state.tmeasure.eb_index):
-                    assert run.readers[idx].tmeasures.count(state.tmeasure) == 1
+        q = question_at(address)
+        if q.kind == "R":  # the root's too: its W_1 measure, over every ball
+            assert state.measure is run.nodes[q.base].measures[q.j]
         else:
-            assert state.measure.over is None
+            assert state.tmeasure.beta is run.nodes[q.base]
+            assert state.tmeasure in run.nodes[q.base].tmeasures
+            for idx in (q.j, state.tmeasure.eb_index):
+                assert run.readers[idx].tmeasures.count(state.tmeasure) == 1
 
 
 def test_marker_ledger(hf_run):

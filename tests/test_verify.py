@@ -240,6 +240,21 @@ def test_replay_tree_checks_f_shape(tmp_path, forge, field):
     assert [f for line, f in found(tmp_path / "t.jsonl", records) if line <= at + 1] == [field]
 
 
+@pytest.mark.parametrize("node", ["1", "0", "11", "1011", "100000000"])
+def test_replay_tree_checks_the_stage_0_endpoint(hf_depth_9, node):
+    # stage 0's cap is min(0 * 0, depth) = 0, so its f record names the root,
+    # and a deeper endpoint there is caught like one at any other stage
+    log, decisions = hf_depth_9
+    decisions = list(decisions)
+    at = next(n for n, r in enumerate(decisions) if r["op"] == "f")
+    assert decisions[at]["s"] == 0
+    decisions[at] = dict(decisions[at], node=node)
+    report = replay_check(merge_for_file(log, decisions))
+    line = len(log) + 1 + at
+    assert [d for d in report["divergences"] if d["line"] == line] == [
+        {"line": line, "field": "endpoint-length", "got": len(node), "want": 0}]
+
+
 @pytest.mark.parametrize("idx", [-1, -(10**6)])
 def test_replay_tree_negative_extra_index_names_no_marker(tmp_path, idx):
     # an index below 0 once read the marker table from its end, or past it
@@ -305,7 +320,8 @@ def test_replay_tree_extra_dump_check_grows_linearly():
         start = time.perf_counter()
         report = replay_check(trace)
         elapsed = time.perf_counter() - start
-        assert len(report["divergences"]) == 3 * n  # gamma, index and marker, each
+        # gamma, index and marker, each, and the stage-0 endpoint past its cap
+        assert len(report["divergences"]) == 3 * n + 1
         return elapsed
 
     small, large = (min(seconds(n) for _ in range(3)) for n in (1_000, 8_000))
